@@ -6,21 +6,17 @@ dimensions.  Storage is dict-of-keys on (row_index, col_index) with zeros
 dropped, since the big tensor-product matrices in the relation checks are
 overwhelmingly sparse.
 
-verify_identity has two modes:
-
-  symbolic   entrywise equality of canonical forms (a proof in itself)
-  multipoint entrywise evaluation on a rational grid with enough points per
-             variable to exceed the degree of the cleared difference, which
-             again is a proof, not a sampling heuristic
-
-Both report a Verdict-style dict so callers can log what was checked.
+verify_identity compares two matrices entrywise by canonical form, which is
+a proof in itself, and reports a verdict-style dict so callers can log what
+was checked.  Grid proofs, which never form the products symbolically, work
+on factor lists and live in relations (_verify_product_identity).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import RatFunc, VARS, format_ratfunc, parse_ratfunc
+from .field import RatFunc, format_ratfunc, parse_ratfunc
 
 
 def _label_to_json(label):
@@ -306,129 +302,23 @@ def swap_conjugate(mat):
 # identity verification
 
 
-class GridError(RuntimeError):
-    pass
-
-
-_PRIMES = (97, 101, 103, 107, 109, 113, 127, 131)
-
-
-def _degree_bounds(mats):
-    """Per-variable degree bound of the cleared difference of two matrices."""
-    bounds = {v: 0 for v in VARS}
-    per_side = []
-    for m in mats:
-        side = {v: 0 for v in VARS}
-        for val in m.entries.values():
-            for v in VARS:
-                dn = max(val.num.degree(v), 0)
-                dd = max(val.den.degree(v), 0)
-                side[v] = max(side[v], dn, dd)
-        per_side.append(side)
-    for v in VARS:
-        bounds[v] = sum(s[v] for s in per_side)
-    return bounds
-
-
-def _active_vars(mats):
-    used = set()
-    for m in mats:
-        for val in m.entries.values():
-            used |= val.variables()
-    return [v for v in VARS if v in used]
-
-
-def _build_grid(mats, active, bounds, max_retries=8):
-    """Per-variable point lists such that no entry denominator vanishes
-    anywhere on the product grid.  Retries with shifted offsets."""
-    import itertools
-
-    offsets = {v: _PRIMES[i % len(_PRIMES)] ** (i + 1) for i, v in enumerate(active)}
-    for attempt in range(max_retries):
-        points = {
-            v: [Fraction(offsets[v] + k) for k in range(bounds[v] + 1)]
-            for v in active
-        }
-        bad_var = None
-        for combo in itertools.product(*(points[v] for v in active)):
-            assignment = dict(zip(active, combo))
-            for v in VARS:
-                assignment.setdefault(v, Fraction(1))
-            for m in mats:
-                for val in m.entries.values():
-                    if val.den.subs(assignment) == 0:
-                        bad_var = active[0] if active else None
-                        break
-                if bad_var:
-                    break
-            if bad_var:
-                break
-        if not bad_var:
-            return points
-        offsets[bad_var] += _PRIMES[attempt] * 1000
-    raise GridError("could not build a pole-free evaluation grid")
-
-
-def verify_identity(lhs, rhs, mode="symbolic"):
-    """Check lhs == rhs.  Returns a dict verdict; never raises on inequality.
-
-    mode='symbolic' compares canonical forms entrywise.  mode='multipoint'
-    evaluates on a rational grid with (degree bound + 1) points per active
-    variable; agreement on the full grid is an interpolation-style proof.
-    """
+def verify_identity(lhs, rhs):
+    """Check lhs == rhs entrywise by canonical form.  Returns a dict verdict;
+    never raises on inequality."""
     if lhs.row_labels != rhs.row_labels or lhs.col_labels != rhs.col_labels:
         return {
             "holds": False,
-            "mode": mode,
+            "mode": "symbolic",
             "detail": "label mismatch between the two sides",
         }
-    if mode == "symbolic":
-        if lhs.entries == rhs.entries:
-            return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
-        keys = set(lhs.entries) | set(rhs.entries)
-        bad = sorted(k for k in keys if lhs.entries.get(k) != rhs.entries.get(k))
-        i, j = bad[0]
-        return {
-            "holds": False,
-            "mode": "symbolic",
-            "detail": f"first mismatch at row {lhs.row_labels[i]!r}, col {lhs.col_labels[j]!r}",
-            "mismatches": len(bad),
-        }
-    if mode != "multipoint":
-        raise ValueError(f"unknown mode {mode!r}")
-    import itertools
-
-    mats = [lhs, rhs]
-    active = _active_vars(mats)
-    bounds = _degree_bounds(mats)
-    if not active:
-        holds = lhs.entries == rhs.entries
-        return {"holds": holds, "mode": "multipoint", "detail": "constant matrices", "points": 0}
-    points = _build_grid(mats, active, bounds)
-    n_points = 0
-    for combo in itertools.product(*(points[v] for v in active)):
-        assignment = dict(zip(active, combo))
-        for v in VARS:
-            assignment.setdefault(v, Fraction(1))
-        n_points += 1
-        le = lhs.eval_entries(assignment)
-        re_ = rhs.eval_entries(assignment)
-        keys = set(le) | set(re_)
-        for k in keys:
-            if le.get(k, Fraction(0)) != re_.get(k, Fraction(0)):
-                i, j = k
-                return {
-                    "holds": False,
-                    "mode": "multipoint",
-                    "detail": (
-                        f"mismatch at row {lhs.row_labels[i]!r}, col {lhs.col_labels[j]!r}"
-                        f" for {assignment}"
-                    ),
-                    "points": n_points,
-                }
+    if lhs.entries == rhs.entries:
+        return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
+    keys = set(lhs.entries) | set(rhs.entries)
+    bad = sorted(k for k in keys if lhs.entries.get(k) != rhs.entries.get(k))
+    i, j = bad[0]
     return {
-        "holds": True,
-        "mode": "multipoint",
-        "detail": f"agreement on full grid ({n_points} points, bounds {dict(sorted((v, bounds[v]) for v in active))})",
-        "points": n_points,
+        "holds": False,
+        "mode": "symbolic",
+        "detail": f"first mismatch at row {lhs.row_labels[i]!r}, col {lhs.col_labels[j]!r}",
+        "mismatches": len(bad),
     }

@@ -18,34 +18,30 @@ Every check returns a plain-dict verdict with at least the keys "identity",
 "counterexample" with the first mismatching entry and both values.  Verdicts
 are JSON-serializable so the CLI can emit them unchanged.
 
-The symbolic mode compares canonical forms and is preferred wherever the
-matrices stay small.  For the Yang-Baxter identity at larger site dimensions
-the products are never formed symbolically: check_ybe evaluates the six
-factors on an integer grid large enough to pin down the cleared difference
-polynomial (see _verify_product_identity) and multiplies numerically, which
-is still a proof, not a sample.
+The symbolic mode multiplies both sides out and compares canonical forms
+(matrix.verify_identity).  The multipoint mode of check_ybe and
+check_reflection never forms the products: each identity hands its two sides
+over as ordered factor lists to _verify_product_identity, the one grid-proof
+engine.  It bounds the per-variable degree of the cleared difference from the
+factors alone, evaluates the factors on an integer grid with one more point
+per variable than that bound, and multiplies numerically, which is still a
+proof, not a sample.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .field import U, U1, U2, U3, U4, format_ratfunc, poly_div_exact, poly_gcd, RatFunc
-from .matrix import (
-    GridError,
-    LabeledMatrix,
-    _active_vars,
-    _build_grid,
-    _label_to_json,
-    embed_on_slots,
-    swap_conjugate,
-    verify_identity,
-)
+from .field import U, U1, U2, U3, U4, VARS, format_ratfunc, poly_div_exact, poly_gcd, RatFunc
+from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
+    chain_product,
     constant_term_matrix,
     cross_r,
     cross_r_flipped,
@@ -137,8 +133,8 @@ def _first_mismatch(lhs, rhs):
     return None
 
 
-def _compare(lhs, rhs, mode="symbolic"):
-    res = verify_identity(lhs, rhs, mode=mode)
+def _compare(lhs, rhs):
+    res = verify_identity(lhs, rhs)
     out = {"holds": res["holds"], "mode": res["mode"], "detail": res.get("detail")}
     if not res["holds"]:
         ce = _first_mismatch(lhs, rhs)
@@ -162,11 +158,6 @@ def _verdict(identity, l, cmp, **extra):
     return v
 
 
-def _identity_on(slots):
-    full = [tuple(t) for t in itertools.product(*slots)]
-    return LabeledMatrix.identity(full)
-
-
 # ---------------------------------------------------------------------------
 # multipoint product verification
 
@@ -175,6 +166,51 @@ def _identity_on(slots):
 # difference of the two sides is a polynomial whose per-variable degree we can
 # bound from the factors alone, so agreement on a large enough integer grid
 # already forces it to vanish identically.
+
+
+class GridError(RuntimeError):
+    pass
+
+
+_PRIMES = (97, 101, 103, 107, 109, 113, 127, 131)
+
+
+def _active_vars(mats):
+    used = set()
+    for m in mats:
+        for val in m.entries.values():
+            used |= val.variables()
+    return [v for v in VARS if v in used]
+
+
+def _build_grid(mats, active, bounds, max_retries=8):
+    """Per-variable point lists such that no entry denominator vanishes
+    anywhere on the product grid.  A vanishing denominator shifts the offset
+    of one active variable it contains, then the grid is rebuilt."""
+    offsets = {v: _PRIMES[i % len(_PRIMES)] ** (i + 1) for i, v in enumerate(active)}
+    for attempt in range(max_retries):
+        points = {
+            v: [Fraction(offsets[v] + k) for k in range(bounds[v] + 1)]
+            for v in active
+        }
+        bad_den = None
+        for combo in itertools.product(*(points[v] for v in active)):
+            assignment = dict(zip(active, combo))
+            for v in VARS:
+                assignment.setdefault(v, Fraction(1))
+            bad_den = next(
+                (val.den for m in mats for val in m.entries.values() if val.den.subs(assignment) == 0),
+                None,
+            )
+            if bad_den is not None:
+                break
+        if bad_den is None:
+            return points
+        # every variable of an entry is active except h on the h = 1 slice,
+        # where denominators are homogeneous and cannot vanish through h alone
+        bad_var = next(v for v in active if v in bad_den.variables())
+        offsets[bad_var] += _PRIMES[attempt] * 1000
+    raise GridError("could not build a pole-free evaluation grid")
 
 
 def _den_lcm(mat):
@@ -279,11 +315,7 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     drop_h = "h" in active and all(_degree_zero_homogeneous(m) for m in mats)
     if drop_h:
         active = [v for v in active if v != "h"]
-    if not active:
-        lhs = _product_at_point(lhs_factors, {})
-        rhs = _product_at_point(rhs_factors, {})
-        return {"holds": lhs == rhs, "mode": "multipoint", "detail": "constant factors", "gridSize": 1}
-    bounds = _product_degree_bounds(lhs_factors, rhs_factors, active)
+    bounds = dict(sorted(_product_degree_bounds(lhs_factors, rhs_factors, active).items()))
     points = _build_grid(mats, active, bounds)
     ref = lhs_factors[0]
     n_points = 0
@@ -300,6 +332,7 @@ def _verify_product_identity(lhs_factors, rhs_factors):
                 "mode": "multipoint",
                 "detail": f"product mismatch at grid point {_point_str(assignment)}",
                 "gridSize": n_points,
+                "degreeBounds": bounds,
                 "counterexample": {
                     "row": _label_to_json(ref.row_labels[i]),
                     "col": _label_to_json(ref.col_labels[j]),
@@ -308,16 +341,13 @@ def _verify_product_identity(lhs_factors, rhs_factors):
                     "point": _point_str(assignment),
                 },
             }
-    slice_note = "on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
+    slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     return {
         "holds": True,
         "mode": "multipoint",
-        "detail": (
-            f"products agree on the full grid ({n_points} points"
-            f", bounds {dict(sorted(bounds.items()))}) {slice_note}".rstrip()
-        ),
+        "detail": f"products agree on the full grid ({n_points} points, bounds {bounds}){slice_note}",
         "gridSize": n_points,
-        "degreeBounds": dict(sorted(bounds.items())),
+        "degreeBounds": bounds,
     }
 
 
@@ -364,7 +394,7 @@ def check_ybe(l, r_builder=None, mode="symbolic", family="chain"):
     r13 = embed_on_slots(builder(l, args[1]), (0, 2), slots)
     r23 = embed_on_slots(builder(l, args[2]), (1, 2), slots)
     if mode == "symbolic":
-        cmp = _compare(r12 * r13 * r23, r23 * r13 * r12, mode="symbolic")
+        cmp = _compare(r12 * r13 * r23, r23 * r13 * r12)
     elif mode == "multipoint":
         cmp = _verify_product_identity([r12, r13, r23], [r23, r13, r12])
     else:
@@ -390,9 +420,9 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
     fwd = r_builder(l, d)
     bwd = r_builder(l, -d)
     ident = LabeledMatrix.identity(fwd.row_labels)
-    cmp = _compare(fwd * bwd, ident, mode="symbolic")
+    cmp = _compare(fwd * bwd, ident)
     if cmp["holds"]:
-        flip = _compare(swap_conjugate(fwd), fwd, mode="symbolic")
+        flip = _compare(swap_conjugate(fwd), fwd)
         if not flip["holds"]:
             cmp = {
                 "holds": False,
@@ -413,7 +443,7 @@ def check_k_unitarity(kind, l, k_builder=None):
     fwd = builder(U)
     bwd = builder(-U)
     ident = LabeledMatrix.identity(fwd.row_labels)
-    cmp = _compare(bwd * fwd, ident, mode="symbolic")
+    cmp = _compare(bwd * fwd, ident)
     return _verdict("kUnitarity", l, cmp, kind=kind)
 
 
@@ -421,13 +451,8 @@ def check_k_unitarity(kind, l, k_builder=None):
 # reflection
 
 
-def reflection_sides(kind, l, boundary="standard", k_builder=None):
-    """Build the two sides of the reflection identity without comparing them.
-
-    Exposed separately so invariance tests can evaluate the sides at chosen
-    points (for instance h = 0, where both must become the same permutation
-    matrix).  k_builder(u) overrides the scenario boundary matrix.
-    """
+def _reflection_factors(kind, l, boundary="standard", k_builder=None):
+    """The two sides of the reflection identity as ordered factor lists."""
     sc = make_scenario(kind, l, boundary=boundary)
     boundary_k = k_builder or sc.boundary_k
     labels = site_labels(l)
@@ -436,9 +461,21 @@ def reflection_sides(kind, l, boundary="standard", k_builder=None):
     k2 = embed_on_slots(boundary_k(U2), (1,), slots)
     x = U1 + U2
     d = U1 - U2
-    lhs = k2 * sc.cross_flipped(x) * k1 * sc.chain_r(d)
-    rhs = sc.twisted_pair_flipped(d) * k1 * sc.cross(x) * k2
+    lhs = [k2, sc.cross_flipped(x), k1, sc.chain_r(d)]
+    rhs = [sc.twisted_pair_flipped(d), k1, sc.cross(x), k2]
     return lhs, rhs
+
+
+def reflection_sides(kind, l, boundary="standard", k_builder=None):
+    """Build the two sides of the reflection identity without comparing them.
+
+    Exposed separately so invariance tests can evaluate the sides at chosen
+    points (for instance h = 0, where both must become the same permutation
+    matrix).  k_builder(u) overrides the scenario boundary matrix.  Each side
+    is its factor list multiplied from the left.
+    """
+    lhs, rhs = _reflection_factors(kind, l, boundary=boundary, k_builder=k_builder)
+    return functools.reduce(operator.mul, lhs), functools.reduce(operator.mul, rhs)
 
 
 def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=None):
@@ -454,11 +491,17 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=No
     boundary argument selects the standard matrix or, for flagMinus, the
     rejected opposite-placement variant that this identity is expected to
     rule out; k_builder substitutes an arbitrary boundary candidate instead.
+    Symbolic mode compares the multiplied sides; multipoint mode hands the
+    factor lists to the grid proof and never forms the products.
     """
     if l > REFLECTION_MAX_L:
         raise ValueError(f"reflection checks are limited to l <= {REFLECTION_MAX_L}")
-    lhs, rhs = reflection_sides(kind, l, boundary=boundary, k_builder=k_builder)
-    cmp = _compare(lhs, rhs, mode=mode)
+    if mode == "symbolic":
+        cmp = _compare(*reflection_sides(kind, l, boundary=boundary, k_builder=k_builder))
+    elif mode == "multipoint":
+        cmp = _verify_product_identity(*_reflection_factors(kind, l, boundary=boundary, k_builder=k_builder))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)
 
 
@@ -488,18 +531,22 @@ def reflection_expectation(kind, l, boundary="standard"):
 # monodromy exchange over a chain
 
 
-def _chain_product(builder, l, spect, shifts, aux_pos, slots):
-    """Ordered product of aux-to-site couplings, site n factor leftmost.
+def _chain_monodromies(kind, l, n, slots):
+    """Plain and twisted monodromy builders over n chain sites (slots 2..n+1).
 
-    builder(l, w) gives the two-site matrix; the factor at chain site k
-    (living on tensor slots (aux_pos, 1 + k)) gets argument spect - shifts[k-1].
+    Each takes an auxiliary slot and a spectral argument w; chain site k
+    couples to the auxiliary slot at w - u_k, with u_1, u_2 = U1, U2.
     """
-    prod = None
-    for k in range(len(shifts), 0, -1):
-        mat = builder(l, spect - shifts[k - 1])
-        factor = embed_on_slots(mat, (aux_pos, 1 + k), slots)
-        prod = factor if prod is None else prod * factor
-    return prod if prod is not None else _identity_on(slots)
+    shifts = (U1, U2)[:n]
+    sites = range(2, 2 + n)
+
+    def plain(aux, w):
+        return chain_product(lambda k: yang_r(l, w - shifts[k - 1]), aux, sites, slots)
+
+    def twisted(aux, w):
+        return chain_product(lambda k: cross_r(kind, l, w - shifts[k - 1]), aux, sites, slots)
+
+    return plain, twisted
 
 
 def check_monodromy_exchange(l, n, variant, kind="soInstanton"):
@@ -522,27 +569,18 @@ def check_monodromy_exchange(l, n, variant, kind="soInstanton"):
     _require_dim(l ** (2 + n))
     labels = site_labels(l)
     slots = [labels, labels] + [labels] * n
-    shifts = (U1, U2)[:n]
+    plain, twisted = _chain_monodromies(kind, l, n, slots)
     u, v = U, U4
-    plain = lambda ll, w: yang_r(ll, w)
-    crossb = lambda ll, w: cross_r(kind, ll, w)
     if variant == "plainPlain":
-        t1 = _chain_product(plain, l, u, shifts, 0, slots)
-        t2 = _chain_product(plain, l, v, shifts, 1, slots)
-        r = embed_on_slots(yang_r(l, u - v), (0, 1), slots)
+        t1, t2, r = plain(0, u), plain(1, v), yang_r(l, u - v)
     elif variant == "plainTwisted":
-        t1 = _chain_product(plain, l, u, shifts, 0, slots)
-        t2 = _chain_product(crossb, l, -v, shifts, 1, slots)
-        r = embed_on_slots(cross_r(kind, l, u + v), (0, 1), slots)
+        t1, t2, r = plain(0, u), twisted(1, -v), cross_r(kind, l, u + v)
     elif variant == "twistedPlain":
-        t1 = _chain_product(crossb, l, -u, shifts, 0, slots)
-        t2 = _chain_product(plain, l, v, shifts, 1, slots)
-        r = embed_on_slots(cross_r_flipped(kind, l, -u - v), (0, 1), slots)
+        t1, t2, r = twisted(0, -u), plain(1, v), cross_r_flipped(kind, l, -u - v)
     else:
-        t1 = _chain_product(crossb, l, -u, shifts, 0, slots)
-        t2 = _chain_product(crossb, l, -v, shifts, 1, slots)
-        r = embed_on_slots(sigma_sigma_r(kind, l, v - u), (0, 1), slots)
-    cmp = _compare(r * t1 * t2, t2 * t1 * r, mode="symbolic")
+        t1, t2, r = twisted(0, -u), twisted(1, -v), sigma_sigma_r(kind, l, v - u)
+    r = embed_on_slots(r, (0, 1), slots)
+    cmp = _compare(r * t1 * t2, t2 * t1 * r)
     return _verdict("monodromyExchange", l, cmp, kind=kind, variant=variant, sites=n)
 
 
@@ -558,19 +596,17 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     """
     labels = site_labels(l)
     slots = [labels, labels] + [labels] * n
-    shifts = (U1, U2)[:n]
+    plain, twisted = _chain_monodromies(kind, l, n, slots)
     u, v = U, U4
-    plain = lambda ll, w: yang_r(ll, w)
-    crossb = lambda ll, w: cross_r(kind, ll, w)
     direct = check_monodromy_exchange(l, n, "twistedPlain", kind=kind)
     # swap-conjugated plainTwisted with the parameter names exchanged:
     #   C21(u+v) T2(v) S1(-u) = S1(-u) T2(v) C21(u+v)
-    t2 = _chain_product(plain, l, v, shifts, 1, slots)
-    s1 = _chain_product(crossb, l, -u, shifts, 0, slots)
+    t2 = plain(1, v)
+    s1 = twisted(0, -u)
     c21 = embed_on_slots(cross_r_flipped(kind, l, u + v), (0, 1), slots)
     inter_lhs = c21 * t2 * s1
     inter_rhs = s1 * t2 * c21
-    inter = _compare(inter_lhs, inter_rhs, mode="symbolic")
+    inter = _compare(inter_lhs, inter_rhs)
     unit = check_r_unitarity(l, family="cross", kind=kind)
     # sandwiching the intermediate between two copies of C21(u+v)^{-1}
     # = C21(-u-v) must reproduce the direct relation's sides verbatim (the
@@ -578,8 +614,8 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     c21_inv = embed_on_slots(cross_r_flipped(kind, l, -u - v), (0, 1), slots)
     direct_lhs = c21_inv * s1 * t2
     direct_rhs = t2 * s1 * c21_inv
-    bridge_a = _compare(c21_inv * inter_rhs * c21_inv, direct_lhs, mode="symbolic")
-    bridge_b = _compare(c21_inv * inter_lhs * c21_inv, direct_rhs, mode="symbolic")
+    bridge_a = _compare(c21_inv * inter_rhs * c21_inv, direct_lhs)
+    bridge_b = _compare(c21_inv * inter_lhs * c21_inv, direct_rhs)
     holds = (
         direct["holds"]
         and inter["holds"]
@@ -630,7 +666,7 @@ def check_chain_reflection(kind, l, n=1):
     z21 = embed_on_slots(sc.twisted_pair_flipped(d), (0, 1), slots)
     lhs = s2 * c21 * s1 * y
     rhs = z21 * s1 * c * s2
-    cmp = _compare(lhs, rhs, mode="symbolic")
+    cmp = _compare(lhs, rhs)
     return _verdict("chainReflection", l, cmp, kind=kind, sites=n)
 
 
@@ -644,7 +680,7 @@ def check_boundary_factorization(kind, l, n=1):
     shifts = (U1, U2)[:n]
     direct = s_matrix(kind, l, U, shifts)
     transfer = s_matrix_via_transfer(kind, l, U, shifts)
-    cmp = _compare(direct, transfer, mode="symbolic")
+    cmp = _compare(direct, transfer)
     return _verdict("boundaryFactorization", l, cmp, kind=kind, sites=n)
 
 
@@ -660,7 +696,7 @@ def check_boundary_constant_term(kind, l, n=1):
     dressed = s_matrix(kind, l, U, shifts)
     limit = constant_term_matrix(dressed, "u")
     expected = embed_on_slots(sigma_matrix(kind, l), (0,), slots)
-    cmp = _compare(limit, expected, mode="symbolic")
+    cmp = _compare(limit, expected)
     return _verdict("boundaryConstantTerm", l, cmp, kind=kind, sites=n)
 
 

@@ -61,17 +61,24 @@ def yang_r(l, u):
     return m
 
 
-def r_bullet_sigma(l, u):
-    """Identity except on span{(i, i)}, where it is Id - h/(u + l*h/2) * J."""
+def _bullet_block(l, u, off_sign):
+    """Identity except on span{(i, i)}: 1 - c on its diagonal and off_sign * c
+    off it, with c = h/(u + l*h/2)."""
     u = _as_rat(u)
     labels = pair_labels(l)
     m = LabeledMatrix.identity(labels)
     c = H / (u + H * RatFunc.const(Fraction(l, 2)))
+    diag = RatFunc.one() - c
+    off = c if off_sign > 0 else -c
     for i in site_labels(l):
         for j in site_labels(l):
-            prev = m.get((i, i), (j, j))
-            m.set((i, i), (j, j), prev - c)
+            m.set((i, i), (j, j), diag if i == j else off)
     return m
+
+
+def r_bullet_sigma(l, u):
+    """Identity except on span{(i, i)}, where it is Id - h/(u + l*h/2) * J."""
+    return _bullet_block(l, u, -1)
 
 
 def r_bullet_sigma_opposite(l, u):
@@ -87,16 +94,26 @@ def r_bullet_sigma_opposite(l, u):
     makes the pair compatible (see relations.check_reflection), and this
     variant is not even unitary, so it is exposed for experiments only.
     """
+    return _bullet_block(l, u, 1)
+
+
+def _flag_minus_k(l, u, opposite):
+    """The flagMinus boundary matrix: h/(2u + h) on the diagonal and
+    2u/(2u + h) on the anti-diagonal, or the other way round if opposite,
+    with 1 at the centre for odd l."""
     u = _as_rat(u)
-    labels = pair_labels(l)
-    m = LabeledMatrix.identity(labels)
-    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
-    for i in site_labels(l):
-        for j in site_labels(l):
-            if i == j:
-                m.set((i, i), (i, i), RatFunc.one() - c)
-            else:
-                m.set((i, i), (j, j), c)
+    labels = site_labels(l)
+    m = LabeledMatrix(labels, labels)
+    denom = u + u + H
+    diag, anti = H / denom, (u + u) / denom
+    if opposite:
+        diag, anti = anti, diag
+    for i in labels:
+        if l + 1 - i == i:
+            m.set(i, i, RatFunc.one())
+        else:
+            m.set(i, i, diag)
+            m.set(l + 1 - i, i, anti)
     return m
 
 
@@ -121,17 +138,7 @@ def k_matrix(kind, l, u):
             m.set(l + 1 - i, i, one)
         return m
     if kind == "flagMinus":
-        m = LabeledMatrix(labels, labels)
-        denom = u + u + H
-        diag = H / denom
-        anti = (u + u) / denom
-        for i in labels:
-            if l + 1 - i == i:
-                m.set(i, i, RatFunc.one())
-            else:
-                m.set(i, i, diag)
-                m.set(l + 1 - i, i, anti)
-        return m
+        return _flag_minus_k(l, u, opposite=False)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -143,19 +150,7 @@ def k_matrix_opposite_placement(l, u):
     as a foil: relations.check_reflection must fail with this variant, which
     pins down the placement in k_matrix as the correct one.
     """
-    u = _as_rat(u)
-    labels = site_labels(l)
-    m = LabeledMatrix(labels, labels)
-    denom = u + u + H
-    diag = (u + u) / denom
-    anti = H / denom
-    for i in labels:
-        if l + 1 - i == i:
-            m.set(i, i, RatFunc.one())
-        else:
-            m.set(i, i, diag)
-            m.set(l + 1 - i, i, anti)
-    return m
+    return _flag_minus_k(l, u, opposite=True)
 
 
 def sigma_matrix(kind, l):
@@ -217,36 +212,38 @@ def _chain_slot_labels(l, n):
     return [site_labels(l)] * (n + 1)
 
 
+def chain_product(pair, aux, sites, slots):
+    """Ordered product pair(n) ... pair(1) of auxiliary-to-site couplings.
+
+    pair(k) is the two-site matrix coupling slot aux to chain site k, which
+    sits on slot sites[k - 1]; slots holds the label sequence of every tensor
+    slot.  The site-n factor is leftmost and the product associates from the
+    left.  With no sites the result is the identity.
+    """
+    prod = None
+    for k in range(len(sites), 0, -1):
+        factor = embed_on_slots(pair(k), (aux, sites[k - 1]), slots)
+        prod = factor if prod is None else prod * factor
+    if prod is None:
+        return LabeledMatrix.identity([tuple(t) for t in itertools.product(*slots)])
+    return prod
+
+
 def monodromy_t(l, u, us):
     """T(u) = R_{0,n}(u - u_n) ... R_{0,1}(u - u_1) on slots (aux, 1..n)."""
     u = _as_rat(u)
     n = len(us)
-    slots = _chain_slot_labels(l, n)
-    if n == 0:
-        full = [tuple(t) for t in itertools.product(*slots)]
-        return LabeledMatrix.identity(full)
-    prod = None
-    for k in range(n, 0, -1):
-        factor = embed_on_slots(yang_r(l, u - _as_rat(us[k - 1])), (0, k), slots)
-        prod = factor if prod is None else prod * factor
-    return prod
+    pair = lambda k: yang_r(l, u - _as_rat(us[k - 1]))
+    return chain_product(pair, 0, range(1, n + 1), _chain_slot_labels(l, n))
 
 
 def twisted_monodromy(l, u, us, kind):
     """T_twist(-u) = R'_{0,n}(-u - u_n) ... R'_{0,1}(-u - u_1), R' = cross_r."""
     u = _as_rat(u)
     n = len(us)
-    slots = _chain_slot_labels(l, n)
-    if n == 0:
-        full = [tuple(t) for t in itertools.product(*slots)]
-        return LabeledMatrix.identity(full)
-    prod = None
     zero = RatFunc.zero()
-    for k in range(n, 0, -1):
-        arg = zero - u - _as_rat(us[k - 1])
-        factor = embed_on_slots(cross_r(kind, l, arg), (0, k), slots)
-        prod = factor if prod is None else prod * factor
-    return prod
+    pair = lambda k: cross_r(kind, l, zero - u - _as_rat(us[k - 1]))
+    return chain_product(pair, 0, range(1, n + 1), _chain_slot_labels(l, n))
 
 
 def s_matrix(kind, l, u, us):

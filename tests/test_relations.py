@@ -1,13 +1,15 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from refleq.field import H, RatFunc
-from refleq.matrix import LabeledMatrix
+from refleq.field import H, RatFunc, parse_ratfunc
+from refleq.matrix import LabeledMatrix, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
+    _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
     check_chain_reflection,
@@ -76,6 +78,56 @@ class TestYangBaxter:
             check_ybe(2, mode="numeric")
 
 
+class TestGridEngine:
+    @staticmethod
+    def _square_pair(rng, labels):
+        h = RatFunc.var("h")
+        u = RatFunc.var("u")
+        pair = []
+        for diag in (h, u / (u + h)):
+            m = LabeledMatrix(labels, labels)
+            for r in labels:
+                for c in labels:
+                    if rng.random() < 0.5:
+                        m.set(r, c, RatFunc.const(rng.randint(-4, 4)))
+            for lab in labels:
+                m.set(lab, lab, m.get(lab, lab) + diag)
+            pair.append(m)
+        return pair
+
+    def test_symbolic_and_multipoint_agree_on_truth(self):
+        a, b = self._square_pair(random.Random(77), [1, 2, 3])
+        lhs = (a + b) * (a + b)
+        rhs = a * a + a * b + b * a + b * b
+        assert verify_identity(lhs, rhs)["holds"]
+        v = _verify_product_identity([lhs], [rhs])
+        assert v["holds"] and v["gridSize"] >= 1
+        assert _verify_product_identity([a + b, a + b], [rhs])["holds"]
+
+    def test_detects_failure_in_both_modes(self):
+        labels = [1, 2]
+        a = LabeledMatrix.identity(labels)
+        b = a.copy()
+        b.set(1, 2, parse_ratfunc("h / (u + h)"))
+        for v in (verify_identity(a, b), _verify_product_identity([a], [b])):
+            assert not v["holds"]
+            assert "detail" in v
+
+    def test_grid_avoids_poles(self):
+        # denominators vanish on naive small grids; the builder must dodge them
+        m = LabeledMatrix([1], [1])
+        m.set(1, 1, H / (RatFunc.var("u1") - RatFunc.var("u2")))
+        assert _verify_product_identity([m], [m.copy()])["holds"]
+
+    def test_pole_in_a_later_variable_is_escaped(self):
+        # u2 starts its grid at 10201, a pole of this entry; the retry must
+        # shift u2, the variable of the vanishing denominator, not u1
+        m = LabeledMatrix([1], [1])
+        m.set(1, 1, RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
+        v = _verify_product_identity([m], [m])
+        assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 2}
+
+
 class TestUnitarity:
     @pytest.mark.parametrize("l", [2, 3, 4])
     def test_chain_r(self, l):
@@ -113,6 +165,25 @@ class TestReflection:
         v = check_reflection(kind, l)
         assert v["holds"], f"{kind} l={l}: {v['detail']}"
         assert reflection_expectation(kind, l) is True
+
+    @pytest.mark.parametrize(
+        "kind,l,boundary",
+        [("flagPlus", l, "standard") for l in (2, 3, 4, 5)]
+        + [("flagMinus", l, "standard") for l in (2, 3, 4)]
+        + [("soInstanton", l, "standard") for l in (2, 3)]
+        + [("spInstanton", l, "standard") for l in (2, 3)]
+        + [("flagMinus", l, "oppositePlacement") for l in (2, 3, 4)],
+    )
+    def test_multipoint_agrees_with_symbolic(self, kind, l, boundary):
+        sym = check_reflection(kind, l, boundary=boundary)
+        mp = check_reflection(kind, l, mode="multipoint", boundary=boundary)
+        assert mp["holds"] == sym["holds"]
+        assert mp["mode"] == "multipoint"
+        assert mp["gridSize"] >= 1 and mp["degreeBounds"]
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError):
+            check_reflection("flagPlus", 2, mode="numeric")
 
     def test_sp_instanton_above_two_fails_and_is_unpinned(self):
         v = check_reflection("spInstanton", 3)
