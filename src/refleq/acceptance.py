@@ -262,26 +262,31 @@ CRITERIA = (
 )
 
 
-def run_criterion(index):
-    """Run one criterion by 1-based index, enforcing its time budget."""
+def run_criterion(index, progress=None):
+    """Run one criterion by 1-based index, enforcing its time budget.
+
+    The report holds no timings, so it is the same on every run; an overrun
+    sets "ok" to False and notes the budget in "detail".  progress, if
+    given, is called as progress(report, elapsed_seconds, budget_seconds)
+    with budget_seconds None for an unbudgeted criterion.
+    """
     title, func, budget = CRITERIA[index - 1]
     start = time.monotonic()
     rep = func()
     elapsed = time.monotonic() - start
     rep["criterion"] = index
     rep["title"] = title
-    rep["elapsedSeconds"] = round(elapsed, 3)
-    if budget is not None:
-        rep["budgetSeconds"] = budget
-        if elapsed > budget:
-            rep["ok"] = False
-            rep["detail"] += f" [exceeded {budget}s budget: {elapsed:.1f}s]"
+    if budget is not None and elapsed > budget:
+        rep["ok"] = False
+        rep["detail"] += f" [exceeded {budget}s budget: {elapsed:.1f}s]"
+    if progress is not None:
+        progress(rep, elapsed, budget)
     return rep
 
 
-def run_acceptance(indices=None):
+def run_acceptance(indices=None, progress=None):
     """Run the full battery (or a subset) and aggregate the verdict."""
     if indices is None:
         indices = range(1, len(CRITERIA) + 1)
-    results = [run_criterion(i) for i in indices]
+    results = [run_criterion(i, progress) for i in indices]
     return {"ok": all(r["ok"] for r in results), "results": results}

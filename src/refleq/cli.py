@@ -297,10 +297,13 @@ def polarization_summary(ctx, l):
 def suite(ctx, which):
     """Run a named battery; 'acceptance' runs the full sign-off checks."""
     _start(ctx)
-    payload = run_acceptance()
-    for r in payload["results"]:
+
+    def progress(r, elapsed, budget):
         mark = "pass" if r["ok"] else "FAIL"
-        click.echo(f"[{mark}] {r['criterion']:2d} {r['title']}", err=True)
+        limit = f" of {budget}s budget" if budget is not None else ""
+        click.echo(f"[{mark}] {r['criterion']:2d} {r['title']} ({elapsed:.3f}s{limit})", err=True)
+
+    payload = run_acceptance(progress=progress)
     _echo_report(ctx, payload, exit_code=0 if payload["ok"] else 1)
 
 

@@ -89,13 +89,6 @@ class QLaurent:
         """The dualization q -> q^-1."""
         return QLaurent({-k: c for k, c in self.coeffs.items()})
 
-    def single_term(self):
-        """(power, coeff) if this is a monomial, else None."""
-        if len(self.coeffs) != 1:
-            return None
-        ((k, c),) = self.coeffs.items()
-        return k, c
-
     def __str__(self):
         if not self.coeffs:
             return "0"

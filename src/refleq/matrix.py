@@ -74,16 +74,6 @@ class LabeledMatrix:
             m.entries[(i, i)] = one
         return m
 
-    @staticmethod
-    def from_function(row_labels, col_labels, fn):
-        m = LabeledMatrix(row_labels, col_labels)
-        for r in m.row_labels:
-            for c in m.col_labels:
-                v = fn(r, c)
-                if v is not None:
-                    m.set(r, c, v)
-        return m
-
     def __eq__(self, other):
         if not isinstance(other, LabeledMatrix):
             return NotImplemented
@@ -153,11 +143,6 @@ class LabeledMatrix:
         for (i1, j1), v1 in self.entries.items():
             for (i2, j2), v2 in other.entries.items():
                 m.entries[(i1 * nr2 + i2, j1 * nc2 + j2)] = v1 * v2
-        return m
-
-    def transpose(self):
-        m = LabeledMatrix(self.col_labels, self.row_labels)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
         return m
 
     def inverse(self):
@@ -248,10 +233,6 @@ def embed_on_slots(mat, positions, slot_labels):
     m = LabeledMatrix(full_rows, full_rows)
     others = [i for i in range(n) if i not in positions]
     single = len(positions) == 1
-
-    def sub_label(full):
-        picked = tuple(full[p] for p in positions)
-        return picked[0] if single else picked
 
     row_of = {lab: i for i, lab in enumerate(full_rows)}
     sub_rows = mat.row_labels

@@ -10,6 +10,12 @@ connected components of the corresponding fixed locus, and for the selected
 labels the multiset of weight restrictions to the wall (ignoring pairs whose
 restriction vanishes) must be the same at every point of a component.
 
+Each pair restricts to +m or -m on a wall for one magnitude m, so a
+component is consistent exactly when, for every m, all its points carry the
+same number of magnitude-m pairs and select +m the same number of times.
+The propagator behind solve and replay_certificate works on those counts
+alone, in time linear in the size of the component.
+
 solve decides whether a globally consistent choice exists.  The minus-sign
 instances are satisfiable exactly at l = 2; from l = 3 on, the forced chain
 of selections around a row/column cycle contradicts itself, and solve emits
@@ -23,6 +29,7 @@ C(-b, -a), so every label is stored in a normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -53,6 +60,7 @@ WALL_NAMES = tuple(WALL_PHI)
 _LABEL_RE = re.compile(r"^C\((-?[12]),(-?[12])\)$")
 
 
+@functools.lru_cache(maxsize=None)
 def label_weight(label):
     """Weight coefficients (a, b) in (u1, u2) of a summand label."""
     i, j = _parse_label(label)
@@ -181,16 +189,15 @@ def instance_summary(inst):
 # choices and the consistency predicate
 
 
+def _magnitude(wall, name):
+    """|restriction| to the wall of either label of the pair."""
+    a, b = label_weight(PAIR_LABELS[name][0])
+    return abs(WALL_PHI[wall](a, b))
+
+
 def _qualifying_vars(inst, wall, component):
     """(point, pair) slots whose weight restricts nontrivially to the wall."""
-    phi = WALL_PHI[wall]
-    out = []
-    for p in component:
-        for name in inst.pairs_at[p]:
-            a, b = label_weight(PAIR_LABELS[name][0])
-            if phi(a, b) != 0:
-                out.append((p, name))
-    return out
+    return [(p, name) for p in component for name in inst.pairs_at[p] if _magnitude(wall, name)]
 
 
 def _point_multiset(inst, wall, point, choice):
@@ -269,8 +276,8 @@ def choice_from_json(rows):
 # per-point selections directly, pruning as soon as a finished point
 # disagrees with an earlier point of a shared component.  The propagation
 # mode interleaves decisions with generalized arc consistency per
-# wall-component (components are small, so consistency is decided by
-# enumeration) and doubles as the certificate builder for UNSAT instances.
+# wall-component, decided by counting +m selections per magnitude (_gac),
+# and doubles as the certificate builder for UNSAT instances.
 
 
 def _components_with_vars(inst):
@@ -285,50 +292,45 @@ def _components_with_vars(inst):
     return out
 
 
-def _complete_ok(inst, wall, component, assignment):
-    phi = WALL_PHI[wall]
-    reference = None
-    for p in component:
-        values = []
-        for name in inst.pairs_at[p]:
-            a, b = label_weight(assignment[(p, name)])
-            v = phi(a, b)
-            if v != 0:
-                values.append(v)
-        values.sort()
-        if reference is None:
-            reference = values
-        elif values != reference:
-            return False
-    return True
-
-
-def _gac(inst, wall, component, qvars, fixed):
-    """Generalized arc consistency for one wall-component by enumeration.
+def _gac(wall, component, qvars, fixed):
+    """Generalized arc consistency for one wall-component by counting.
 
     fixed maps some of the qualifying vars to labels.  Returns
-    (satisfiable, forced) where forced maps free vars that take the same
-    label in every satisfying completion to that label.
+    (satisfiable, forced) where forced maps, in qvars order, the free vars
+    that take the same label in every satisfying completion to that label.
+
+    Each var restricts to +m or -m for its magnitude m.  For every m, each
+    point must carry the same number of magnitude-m vars and select +m the
+    same number of times T.  A point with f fixed +m selections and r free
+    vars admits T in [f, f + r], so T ranges over [max f, min(f + r)]; an
+    empty range is a contradiction.  A free var is forced to +m at a point
+    with max f - f = r and to -m at a point with min(f + r) = f.
     """
-    free = [v for v in qvars if v not in fixed]
-    support = {v: set() for v in free}
-    satisfiable = False
-    for combo in itertools.product(*(PAIR_LABELS[name] for (_, name) in free)):
-        assignment = dict(fixed)
-        assignment.update(dict(zip(free, combo)))
-        # vars outside qvars have vanishing restriction; fill arbitrarily
-        for p in component:
-            for name in inst.pairs_at[p]:
-                assignment.setdefault((p, name), PAIR_LABELS[name][0])
-        if _complete_ok(inst, wall, component, assignment):
-            satisfiable = True
-            for v, label in zip(free, combo):
-                support[v].add(label)
-            if all(len(s) == 2 for s in support.values()):
-                break
-    if not satisfiable:
-        return False, {}
-    forced = {v: next(iter(s)) for v, s in support.items() if len(s) == 1}
+    phi = WALL_PHI[wall]
+    counts = {}  # (m, point) -> [vars, fixed +m selections, free vars]
+    for p, name in qvars:
+        row = counts.setdefault((_magnitude(wall, name), p), [0, 0, 0])
+        row[0] += 1
+        label = fixed.get((p, name))
+        if label is None:
+            row[2] += 1
+        elif phi(*label_weight(label)) > 0:
+            row[1] += 1
+    bounds = {}
+    for m in {m for m, _ in counts}:
+        rows = [counts.get((m, p), (0, 0, 0)) for p in component]
+        lo = max(f for _, f, _ in rows)
+        hi = min(f + r for _, f, r in rows)
+        if lo > hi or len({n for n, _, _ in rows}) > 1:
+            return False, {}
+        bounds[m] = (lo, hi)
+    forced = {}
+    for p, name in qvars:
+        m = _magnitude(wall, name)
+        (_, f, r), (lo, hi) = counts[(m, p)], bounds[m]
+        if (p, name) not in fixed and (lo - f == r or hi == f):
+            minus, plus = sorted(PAIR_LABELS[name], key=lambda label: phi(*label_weight(label)))
+            forced[(p, name)] = plus if lo - f == r else minus
     return True, forced
 
 
@@ -338,7 +340,7 @@ class _Contradiction(Exception):
         self.component = component
 
 
-def _propagate(inst, constraints, state, trail):
+def _propagate(constraints, state, trail):
     """Run GAC to fixpoint, appending forced assignments to the trail.
 
     Each trail entry is (var, label, wall, component, reference) with
@@ -347,6 +349,7 @@ def _propagate(inst, constraints, state, trail):
     rechecks every step independently).  Raises _Contradiction when some
     component admits no completion.
     """
+    order = None  # var -> trail position, built when the first var is forced
     changed = True
     while changed:
         changed = False
@@ -354,12 +357,15 @@ def _propagate(inst, constraints, state, trail):
             fixed = {v: state[v] for v in qvars if v in state}
             if not fixed:
                 continue
-            satisfiable, forced = _gac(inst, wall, component, qvars, fixed)
+            satisfiable, forced = _gac(wall, component, qvars, fixed)
             if not satisfiable:
                 raise _Contradiction(wall, component)
             for var, label in forced.items():
-                reference = _first_reference(inst, wall, var, fixed, state, trail)
+                if order is None:
+                    order = {entry["var"]: i for i, entry in enumerate(trail)}
+                reference = _first_reference(wall, var, fixed, order)
                 state[var] = label
+                order[var] = len(trail)
                 trail.append(
                     {
                         "kind": "forced",
@@ -373,18 +379,13 @@ def _propagate(inst, constraints, state, trail):
                 changed = True
 
 
-def _first_reference(inst, wall, var, fixed, state, trail):
-    phi = WALL_PHI[wall]
-    (_, name) = var
-    a, b = label_weight(PAIR_LABELS[name][0])
-    magnitude = abs(phi(a, b))
-    order = {entry["var"]: i for i, entry in enumerate(trail)}
+def _first_reference(wall, var, fixed, order):
+    magnitude = _magnitude(wall, var[1])
     best = None
     for other, label in fixed.items():
-        oa, ob = label_weight(PAIR_LABELS[other[1]][0])
-        if abs(phi(oa, ob)) != magnitude:
+        if _magnitude(wall, other[1]) != magnitude:
             continue
-        rank = order.get(other, -1)
+        rank = order[other]
         if best is None or rank < best[0]:
             best = (rank, other, label)
     if best is None:
@@ -393,47 +394,54 @@ def _first_reference(inst, wall, var, fixed, state, trail):
 
 
 def _all_vars(inst):
-    face_first = sorted(
+    return sorted(
         ((p, name) for p in inst.points for name in inst.pairs_at[p]),
         key=lambda v: (v[1] not in ("sum", "difference"), v[0]),
     )
-    return face_first
 
 
 def _solve_propagation(inst):
+    """Depth-first search with GAC after every decision, without recursion.
+
+    One state and one trail are undone on backtracking; the stack holds one
+    small frame per decision.  An UNSAT certificate comes from the first
+    contradiction met.
+    """
     constraints = _components_with_vars(inst)
     variables = _all_vars(inst)
-
-    def dfs(state, trail):
-        undecided = [v for v in variables if v not in state]
-        if not undecided:
-            return dict(state), None
-        var = undecided[0]
-        failures = []
-        for label in PAIR_LABELS[var[1]]:
-            branch_state = dict(state)
-            branch_trail = list(trail)
-            branch_state[var] = label
-            branch_trail.append({"kind": "assume", "var": var, "label": label})
-            try:
-                _propagate(inst, constraints, branch_state, branch_trail)
-            except _Contradiction as c:
-                failures.append((branch_trail, c))
+    state, trail = {}, []
+    stack = []  # [index of the decided var, next label to try, trail length before it]
+    first_refutation = None
+    start = 0
+    while True:
+        index = next((i for i in range(start, len(variables)) if variables[i] not in state), None)
+        if index is None:
+            return {"verdict": "SAT", "witness": dict(state), "certificate": None}
+        stack.append([index, 0, len(trail)])
+        while stack:
+            frame = stack[-1]
+            index, k, mark = frame
+            while len(trail) > mark:
+                del state[trail.pop()["var"]]
+            var = variables[index]
+            if k == len(PAIR_LABELS[var[1]]):
+                stack.pop()
                 continue
-            result, cert = dfs(branch_state, branch_trail)
-            if result is not None:
-                return result, None
-            failures.append((cert, None))
-        # both labels refuted; surface the first refutation trace
-        first = failures[0]
-        if first[1] is not None:
-            return None, _certificate_from(inst, first[0], first[1])
-        return None, first[0]
-
-    witness, certificate = dfs({}, [])
-    if witness is not None:
-        return {"verdict": "SAT", "witness": witness, "certificate": None}
-    return {"verdict": "UNSAT", "witness": None, "certificate": certificate}
+            frame[1] += 1
+            label = PAIR_LABELS[var[1]][k]
+            state[var] = label
+            trail.append({"kind": "assume", "var": var, "label": label})
+            try:
+                _propagate(constraints, state, trail)
+            except _Contradiction as c:
+                if first_refutation is None:
+                    first_refutation = (list(trail), c)
+                continue
+            start = index + 1
+            break
+        else:
+            certificate = _certificate_from(inst, *first_refutation)
+            return {"verdict": "UNSAT", "witness": None, "certificate": certificate}
 
 
 def _certificate_from(inst, trail, contradiction):
@@ -539,30 +547,23 @@ def _solve_exhaustive(inst):
     return None
 
 
-def solve(inst, method=None):
+def solve(inst):
     """Decide whether a consistent choice exists.
 
-    method defaults to "exhaustive" for l <= 4 and "propagation" above;
-    both are complete.  SAT results carry a witness that check_choice
-    accepts; UNSAT results carry a certificate replay_certificate accepts.
-    The exhaustive mode confirms UNSAT by complete enumeration and then
-    calls the propagation engine for the certificate chain.
+    The search is exhaustive for l <= 4 and propagation above (reported as
+    result["method"]); both are complete.  SAT results carry a witness that
+    check_choice accepts; UNSAT results carry a certificate
+    replay_certificate accepts.  The exhaustive mode confirms UNSAT by
+    complete enumeration and then calls the propagation engine for the
+    certificate chain.
     """
-    if method is None:
-        method = "exhaustive" if inst.l <= 4 else "propagation"
-    if method == "exhaustive":
-        if inst.l > 4:
-            raise ValueError("exhaustive search is limited to l <= 4")
-        witness = _solve_exhaustive(inst)
-        if witness is not None:
-            result = {"verdict": "SAT", "witness": witness, "certificate": None}
-        else:
-            result = _solve_propagation(inst)
-            assert result["verdict"] == "UNSAT"
-    elif method == "propagation":
-        result = _solve_propagation(inst)
+    method = "exhaustive" if inst.l <= 4 else "propagation"
+    witness = _solve_exhaustive(inst) if method == "exhaustive" else None
+    if witness is not None:
+        result = {"verdict": "SAT", "witness": witness, "certificate": None}
     else:
-        raise ValueError(f"unknown method {method!r}")
+        result = _solve_propagation(inst)
+        assert method == "propagation" or result["verdict"] == "UNSAT"
     result["method"] = method
     result["sign"] = inst.sign
     result["l"] = inst.l
@@ -576,13 +577,6 @@ def solve(inst, method=None):
 # certificate replay
 
 
-def _refuted(inst, constraints_index, wall, component, state):
-    qvars = constraints_index[(wall, component)]
-    fixed = {v: state[v] for v in qvars if v in state}
-    satisfiable, _ = _gac(inst, wall, component, qvars, fixed)
-    return not satisfiable
-
-
 def replay_certificate(inst, certificate):
     """Independent check of an UNSAT certificate.
 
@@ -591,8 +585,9 @@ def replay_certificate(inst, certificate):
     Each forced step must be genuinely forced: the opposite label, together
     with the selections made so far, must leave the step's wall-component
     without any satisfying completion.  The final step must exhibit a
-    component with no completion at all.  Returns True only if every step
-    verifies in both passes.
+    component with no completion at all.  Both are decided by _gac on the
+    named component alone.  Returns True only if every step verifies in
+    both passes.
     """
     constraints_index = {
         (wall, component): tuple(qvars)
@@ -610,12 +605,15 @@ def replay_certificate(inst, certificate):
             kind = step["kind"]
             if kind == "mirror":
                 continue
-            if kind == "contradiction":
+            if kind in ("forced", "contradiction"):
                 wall = step["wall"]
                 component = tuple(tuple(p) for p in step["component"])
-                if (wall, component) not in constraints_index:
+                qvars = constraints_index.get((wall, component))
+                if qvars is None:
                     return False
-                if not _refuted(inst, constraints_index, wall, component, state):
+                fixed = {v: state[v] for v in qvars if v in state}
+            if kind == "contradiction":
+                if _gac(wall, component, qvars, fixed)[0]:
                     return False
                 saw_contradiction = True
                 continue
@@ -626,13 +624,8 @@ def replay_certificate(inst, certificate):
             if var[1] not in inst.pairs_at.get(var[0], ()):
                 return False
             if kind == "forced":
-                wall = step["wall"]
-                component = tuple(tuple(p) for p in step["component"])
-                if (wall, component) not in constraints_index:
-                    return False
-                trial = dict(state)
-                trial[var] = partner(var[1], label)
-                if not _refuted(inst, constraints_index, wall, component, trial):
+                fixed[var] = partner(var[1], label)
+                if _gac(wall, component, qvars, fixed)[0]:
                     return False
             elif kind != "assume":
                 return False

@@ -178,13 +178,18 @@ def tangent_dimension(t, kind):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def poincare_polynomial(kind, l, w1):
-    """Betti generating function as {exponent: coefficient} in t."""
+def _charge_histogram(kind, tabs):
+    """{2 * charge: number of tableaux} over the given tableaux."""
     poly = {}
-    for t in enumerate_instanton(l, w1):
+    for t in tabs:
         e = 2 * charge(t, kind)
         poly[e] = poly.get(e, 0) + 1
     return poly
+
+
+def poincare_polynomial(kind, l, w1):
+    """Betti generating function as {exponent: coefficient} in t."""
+    return _charge_histogram(kind, enumerate_instanton(l, w1))
 
 
 def format_tpoly(poly):
@@ -208,13 +213,9 @@ def betti_report(kind, l, w1):
     dims = {tangent_dimension(t, kind) for t in tabs}
     if len(dims) != 1:
         raise AssertionError(f"tangent dimension not constant: {sorted(dims)}")
-    poly = {}
-    for t in tabs:
-        e = 2 * charge(t, kind)
-        poly[e] = poly.get(e, 0) + 1
     return {
         "count": len(tabs),
-        "poincare": format_tpoly(poly),
+        "poincare": format_tpoly(_charge_histogram(kind, tabs)),
         "dimension": dims.pop(),
     }
 
@@ -267,14 +268,6 @@ class FlagTableau:
 
     def to_json(self):
         return {"rows": {str(k): [e] for k, e in self.entries}, "v": list(self.content())}
-
-
-def _flag_row_indices(w):
-    m = w // 2
-    ks = list(range(-m, 0)) + list(range(1, m + 1))
-    if w % 2:
-        ks.append(0)
-    return sorted(ks)
 
 
 def flag_fixed_points(sign, l, w, v=None):

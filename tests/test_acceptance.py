@@ -7,6 +7,7 @@ message carries the runner's detail line verbatim.
 
 import pytest
 
+from refleq import acceptance
 from refleq.acceptance import CRITERIA, run_criterion
 
 
@@ -57,6 +58,27 @@ def test_10_polarization_dichotomy():
 
 def test_11_flag_fixed_points():
     _run(11)
+
+
+def test_reports_carry_no_timings():
+    # the stdout report of "suite acceptance" must not vary between runs
+    assert run_criterion(2) == run_criterion(2)
+
+
+def test_progress_receives_the_timings():
+    seen = []
+    rep = run_criterion(2, progress=lambda *args: seen.append(args))
+    assert len(seen) == 1
+    assert seen[0][0] is rep
+    assert seen[0][1] >= 0 and seen[0][2] is None
+
+
+def test_budget_overrun_fails_the_criterion(monkeypatch):
+    stub = ("stub", lambda: {"ok": True, "detail": "fine"}, -1.0)
+    monkeypatch.setattr(acceptance, "CRITERIA", (stub,))
+    rep = run_criterion(1)
+    assert rep["ok"] is False
+    assert rep["detail"].startswith("fine [exceeded -1.0s budget: ")
 
 
 def test_battery_is_complete():

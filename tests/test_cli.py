@@ -40,14 +40,24 @@ class TestEnvelope:
         assert isinstance(report["wallTimeMs"], int)
 
     def test_output_is_byte_identical_modulo_wall_time(self):
-        def normalized():
-            res = run_cli("polarization", "summary", "--l", "3")
-            assert res.exit_code == 0
+        def normalized(args):
+            res = run_cli(*args)
+            assert res.exit_code in (0, 1), res.output
             report = json.loads(res.stdout)
             del report["wallTimeMs"]
             return json.dumps(report, sort_keys=True)
 
-        assert normalized() == normalized()
+        for args in (
+            ("polarization", "summary", "--l", "3"),
+            ("polarization", "solve", "--sign", "minus", "--l", "2"),
+            ("dynkin", "--type", "A3"),
+            ("kclass", "--type", "A2"),
+            ("tableaux", "betti", "--kind", "so", "--l", "2", "--w1", "2"),
+            ("tableaux", "flags", "--sign", "minus", "--l", "2", "--w1", "4"),
+            ("rkmat", "kmatrix", "--kind", "flagMinus", "--l", "2"),
+            ("verify", "--scenario", "flagPlus", "--l", "2"),
+        ):
+            assert normalized(args) == normalized(args), args
 
     def test_stdout_carries_only_json(self):
         res = run_cli("verify", "--scenario", "spInstanton", "--l", "3")
@@ -90,16 +100,18 @@ class TestDelegation:
         assert calls["args"] == ("flagMinus", 4, "multipoint")
 
     def test_suite_routing(self, monkeypatch):
-        def fake():
-            return {"ok": False, "results": [
-                {"criterion": 1, "title": "stub", "ok": False, "detail": "boom"}
-            ]}
+        def fake(progress):
+            rep = {"criterion": 1, "title": "stub", "ok": False, "detail": "boom"}
+            progress(rep, 0.5, 5.0)
+            return {"ok": False, "results": [rep]}
 
         monkeypatch.setattr(cli_module, "run_acceptance", fake)
         res = run_cli("suite", "acceptance")
         assert res.exit_code == 1
         assert payload(res)["ok"] is False
         assert "FAIL" in res.stderr
+        assert "0.500s of 5.0s budget" in res.stderr
+        assert "0.5" not in res.stdout
 
 
 class TestTableaux:

@@ -2,11 +2,19 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
 from refleq.polarization import (
     PAIR_LABELS,
+    PolarizationInstance,
+    WALL_NAMES,
+    WALL_PHI,
+    _gac,
+    _qualifying_vars,
+    _solve_exhaustive,
+    _solve_propagation,
     build_instance,
     check_choice,
     choice_from_json,
@@ -255,14 +263,31 @@ class TestSolve:
     def test_methods_agree(self):
         for sign, l, verdict in (("-", 2, "SAT"), ("-", 3, "UNSAT"), ("+", 3, "SAT")):
             inst = build_instance(sign, l)
-            assert solve(inst, method="exhaustive")["verdict"] == verdict
-            assert solve(inst, method="propagation")["verdict"] == verdict
+            witness = _solve_exhaustive(inst)
+            assert (witness is not None) == (verdict == "SAT")
+            if witness is not None:
+                assert check_choice(inst, witness)["ok"]
+            assert _solve_propagation(inst)["verdict"] == verdict
 
     def test_method_validation(self):
-        with pytest.raises(ValueError):
-            solve(build_instance("-", 5), method="exhaustive")
-        with pytest.raises(ValueError):
-            solve(build_instance("-", 2), method="guess")
+        # the search is picked from l alone: exhaustive up to 4, propagation above
+        for l in (2, 4, 5):
+            res = solve(build_instance("+", l))
+            assert res["method"] == ("exhaustive" if l <= 4 else "propagation")
+
+    def test_plus_l32_sat_without_deep_recursion(self):
+        # one decision per point: 1024 decisions must not grow the call stack
+        inst = build_instance("+", 32)
+        res = solve(inst)
+        assert res["verdict"] == "SAT"
+        assert check_choice(inst, res["witness"])["ok"]
+
+    def test_minus_l16_certificate_is_linear_and_replays(self):
+        inst = build_instance("-", 16)
+        res = solve(inst)
+        assert res["verdict"] == "UNSAT"
+        assert len(res["certificate"]) == 2 * 16 + 2
+        assert replay_certificate(inst, res["certificate"])
 
     def test_unsat_persists_under_every_axis_fixing(self):
         # fixing the two always-present pairs uniformly in any of the four
@@ -318,3 +343,79 @@ class TestSolve:
             ("-", 2): "SAT",
             ("-", 3): "UNSAT",
         }
+
+
+def _enumeration_gac(inst, wall, component, qvars, fixed):
+    """Reference GAC: try every completion of the free qualifying vars.
+
+    Vars outside qvars get an arbitrary label; a completion is consistent
+    when every point of the component has the same sorted list of nonzero
+    restrictions to the wall.
+    """
+    phi = WALL_PHI[wall]
+    slots = [(p, name) for p in component for name in inst.pairs_at[p]]
+    free = [v for v in qvars if v not in fixed]
+    support = {v: set() for v in free}
+    satisfiable = False
+    for combo in itertools.product(*(PAIR_LABELS[name] for (_, name) in free)):
+        assignment = {v: PAIR_LABELS[v[1]][0] for v in slots}
+        assignment.update(fixed)
+        assignment.update(zip(free, combo))
+        lists = {
+            p: sorted(v for v in (phi(*label_weight(assignment[(p, n)])) for n in inst.pairs_at[p]) if v)
+            for p in component
+        }
+        if all(values == lists[component[0]] for values in lists.values()):
+            satisfiable = True
+            for v, label in zip(free, combo):
+                support[v].add(label)
+    if not satisfiable:
+        return False, {}
+    return True, {v: next(iter(s)) for v, s in support.items() if len(s) == 1}
+
+
+class TestCountingGac:
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_matches_enumeration_under_partial_fixings(self, sign, l):
+        # every wall-component, singletons included, under the empty fixing
+        # and seeded random partial fixings of its qualifying vars
+        inst = build_instance(sign, l)
+        rng = random.Random(f"{sign}{l}")
+        for wall in WALL_NAMES:
+            for component in inst.components[wall]:
+                qvars = tuple(_qualifying_vars(inst, wall, component))
+                fixings = [{}]
+                for _ in range(10):
+                    share = rng.random()
+                    fixings.append(
+                        {v: rng.choice(PAIR_LABELS[v[1]]) for v in qvars if rng.random() < share}
+                    )
+                for fixed in fixings:
+                    want = _enumeration_gac(inst, wall, component, qvars, fixed)
+                    got = _gac(wall, component, qvars, fixed)
+                    assert got[0] == want[0], (wall, component, fixed)
+                    assert list(got[1].items()) == list(want[1].items()), (wall, component, fixed)
+
+    @pytest.mark.parametrize(
+        "wall, pairs_at",
+        [
+            ("u1Zero", {(1, 1): ("u2Axis", "sum"), (1, 2): ("u2Axis",)}),
+            ("u1EqualsU2", {(1, 1): ("sum", "u1Axis"), (1, 2): ("difference", "u2Axis")}),
+            ("u1Zero", {(1, 1): ("u2Axis", "sum"), (1, 2): ("u2Axis", "difference")}),
+        ],
+    )
+    def test_matches_enumeration_on_hand_built_components(self, wall, pairs_at):
+        # the first two components carry different numbers of pairs of one
+        # magnitude at their two points, which no built instance does
+        points = tuple(pairs_at)
+        inst = PolarizationInstance(
+            sign="-", l=2, points=points, pairs_at=pairs_at, components={wall: (points,)}
+        )
+        qvars = tuple(_qualifying_vars(inst, wall, points))
+        for labels in itertools.product(*((None,) + PAIR_LABELS[name] for _, name in qvars)):
+            fixed = {v: label for v, label in zip(qvars, labels) if label is not None}
+            want = _enumeration_gac(inst, wall, points, qvars, fixed)
+            got = _gac(wall, points, qvars, fixed)
+            assert got[0] == want[0], fixed
+            assert list(got[1].items()) == list(want[1].items()), fixed

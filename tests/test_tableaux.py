@@ -2,6 +2,7 @@
 
 import pytest
 
+from refleq import tableaux
 from refleq.tableaux import (
     FlagTableau,
     InstantonTableau,
@@ -134,6 +135,20 @@ def test_betti_report_frozen():
         "dimension": 2,
     }
     assert betti_report("sp", 2, 1) == {"count": 2, "poincare": "1 + t^2", "dimension": 2}
+
+
+def test_betti_report_enumerates_once(monkeypatch):
+    calls = []
+    original = tableaux.enumerate_instanton
+
+    def counting(l, w1):
+        calls.append((l, w1))
+        return original(l, w1)
+
+    monkeypatch.setattr(tableaux, "enumerate_instanton", counting)
+    rep = betti_report("sp", 3, 2)
+    assert calls == [(3, 2)]
+    assert rep["poincare"] == format_tpoly(poincare_polynomial("sp", 3, 2))
 
 
 def test_format_tpoly():
