@@ -29,7 +29,6 @@ C(-b, -a), so every label is stored in a normal form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ WALL_NAMES = tuple(WALL_PHI)
 _LABEL_RE = re.compile(r"^C\((-?[12]),(-?[12])\)$")
 
 
-@functools.lru_cache(maxsize=None)
 def label_weight(label):
     """Weight coefficients (a, b) in (u1, u2) of a summand label."""
     i, j = _parse_label(label)
@@ -197,7 +195,12 @@ def _magnitude(wall, name):
 
 def _qualifying_vars(inst, wall, component):
     """(point, pair) slots whose weight restricts nontrivially to the wall."""
-    return [(p, name) for p in component for name in inst.pairs_at[p] if _magnitude(wall, name)]
+    out = []
+    for p in component:
+        for name in inst.pairs_at[p]:
+            if _magnitude(wall, name):
+                out.append((p, name))
+    return out
 
 
 def _point_multiset(inst, wall, point, choice):
@@ -414,8 +417,10 @@ def _solve_propagation(inst):
     first_refutation = None
     start = 0
     while True:
-        index = next((i for i in range(start, len(variables)) if variables[i] not in state), None)
-        if index is None:
+        index = start
+        while index < len(variables) and variables[index] in state:
+            index += 1
+        if index == len(variables):
             return {"verdict": "SAT", "witness": dict(state), "certificate": None}
         stack.append([index, 0, len(trail)])
         while stack:

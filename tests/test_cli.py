@@ -42,7 +42,7 @@ class TestEnvelope:
     def test_output_is_byte_identical_modulo_wall_time(self):
         def normalized(args):
             res = run_cli(*args)
-            assert res.exit_code in (0, 1), res.output
+            assert res.exit_code == 0, res.output
             report = json.loads(res.stdout)
             del report["wallTimeMs"]
             return json.dumps(report, sort_keys=True)
