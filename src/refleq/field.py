@@ -1,7 +1,12 @@
 """Exact rational functions in h, q, u, u1, u2, u3, u4 over Q.
 
-Polynomials are dicts mapping exponent tuples to Fraction coefficients.  The
-variable order is fixed once and for all:
+Polynomials are dicts mapping exponent tuples to coefficients.  A coefficient
+is a plain int whenever it is integral and a Fraction only when a caller passed
+in a non-integral value (parse_poly("3/2*h"), Poly.scale(Fraction(3, 7))), so
+the canonical forms below, which are integral, do int arithmetic only.  Exact
+division of coefficients goes through one helper that divides two ints with
+divmod and falls back to Fraction only for a non-integral quotient; nothing
+here ever produces a float.  The variable order is fixed once and for all:
 
     VARS = (h, q, u, u1, u2, u3, u4)
 
@@ -12,7 +17,7 @@ dominating, so the monomial u1 beats h and `2*u1 + 2*h` is the canonical print
 order for descending terms.
 
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
-rational so all coefficients are integers with joint content 1 and the leading
+rational so all coefficients are ints with joint content 1 and the leading
 coefficient of den is positive.  Equality is plain data equality on that form.
 """
 
@@ -39,8 +44,42 @@ def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _coef(c):
+    """A coefficient as an int when it is integral, as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact quotient a / b of two coefficients, normalized like _coef.
+
+    Two ints divide by divmod; only a non-integral quotient (or a Fraction
+    operand) goes through Fraction.  Never a float.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coef(Fraction(a, b))
+
+
+def _div_const(p, c):
+    """p / c for a nonzero constant c, coefficient by coefficient."""
+    q = Poly()
+    if c == 1:
+        q.terms = dict(p.terms)
+    else:
+        q.terms = {e: _div(cc, c) for e, cc in p.terms.items()}
+    return q
+
+
 class Poly:
-    """Multivariate polynomial (Laurent in q) with Fraction coefficients."""
+    """Multivariate polynomial (Laurent in q) with rational coefficients.
+
+    A coefficient is an int when integral and a Fraction otherwise.
+    """
 
     __slots__ = ("terms",)
 
@@ -48,7 +87,7 @@ class Poly:
         t = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
+                c = _coef(c)
                 if c:
                     t[tuple(exps)] = c
         self.terms = t
@@ -59,14 +98,14 @@ class Poly:
 
     @staticmethod
     def const(c):
-        c = Fraction(c)
+        c = _coef(c)
         return Poly({ZERO_EXP: c}) if c else Poly()
 
     @staticmethod
     def var(name, power=1):
         exps = [0] * NVARS
         exps[VAR_INDEX[name]] = power
-        return Poly({tuple(exps): Fraction(1)})
+        return Poly({tuple(exps): 1})
 
     def is_zero(self):
         return not self.terms
@@ -76,7 +115,7 @@ class Poly:
 
     def const_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and ZERO_EXP in self.terms:
             return self.terms[ZERO_EXP]
         raise ValueError("not a constant polynomial")
@@ -98,9 +137,9 @@ class Poly:
             return NotImplemented
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
+            s = t.get(e, 0) + c
             if s:
-                t[e] = s
+                t[e] = s if type(s) is int else _coef(s)
             else:
                 t.pop(e, None)
         p = Poly()
@@ -119,9 +158,9 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _mono_mul(e1, e2)
-                s = t.get(e, Fraction(0)) + c1 * c2
+                s = t.get(e, 0) + c1 * c2
                 if s:
-                    t[e] = s
+                    t[e] = s if type(s) is int else _coef(s)
                 else:
                     t.pop(e, None)
         p = Poly()
@@ -141,7 +180,7 @@ class Poly:
         return result
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coef(c)
         if not c:
             return Poly()
         return Poly({e: cc * c for e, cc in self.terms.items()})
@@ -236,16 +275,15 @@ class Poly:
     def content_and_integers(self):
         """Return (r, P) with self = r * P, P integer coefficients, content 1.
 
-        The sign convention here is r > 0: P keeps the sign of self.
-        Zero poly -> (Fraction(1), zero).
+        The sign convention here is r > 0: P keeps the sign of self.  r is
+        an int when integral.  Zero poly -> (1, zero).
         """
         if not self.terms:
-            return Fraction(1), Poly()
+            return 1, Poly()
         denom = int_lcm(*(c.denominator for c in self.terms.values()))
         numer = int_gcd(*(abs(c.numerator) for c in self.terms.values()))
-        r = Fraction(numer, denom)
-        p = Poly({e: c / r for e, c in self.terms.items()})
-        return r, p
+        r = _div(numer, denom)
+        return r, _div_const(self, r)
 
     def __str__(self):
         return format_poly(self)
@@ -315,7 +353,7 @@ def _to_univariate(p, name):
         e2 = list(e)
         e2[i] = 0
         coeff = out.setdefault(d, Poly())
-        coeff.terms[tuple(e2)] = coeff.terms.get(tuple(e2), Fraction(0)) + c
+        coeff.terms[tuple(e2)] = coeff.terms.get(tuple(e2), 0) + c
     return {d: c for d, c in out.items() if c.terms}
 
 
@@ -333,7 +371,7 @@ def poly_div_exact(f, g):
     if f.is_zero():
         return Poly()
     if g.is_const():
-        return f.scale(1 / g.const_value())
+        return _div_const(f, g.const_value())
     q = Poly()
     r = f
     ge, gc = g.leading()
@@ -342,7 +380,7 @@ def poly_div_exact(f, g):
         diff = tuple(a - b for a, b in zip(re, ge))
         if any(d < 0 for d in diff):
             raise ValueError("not an exact polynomial division")
-        t = Poly({diff: rc / gc})
+        t = Poly({diff: _div(rc, gc)})
         q = q + t
         r = r - t * g
     return q
@@ -439,7 +477,7 @@ def poly_gcd(f, g):
     if any(common):
         f = Poly({tuple(a - b for a, b in zip(e, common)): c for e, c in f.terms.items()})
         g = Poly({tuple(a - b for a, b in zip(e, common)): c for e, c in g.terms.items()})
-        return _normalize_primitive(Poly({common: Fraction(1)}) * poly_gcd(f, g))
+        return _normalize_primitive(Poly({common: 1}) * poly_gcd(f, g))
     if len(f.terms) == 1 or len(g.terms) == 1:
         # monomial gcd already extracted: nothing further in common
         return Poly.const(1)
@@ -487,7 +525,7 @@ def _eval_var_int(p, name, xi):
         d = e2[i]
         e2[i] = 0
         key = tuple(e2)
-        out[key] = out.get(key, Fraction(0)) + c * xi ** d
+        out[key] = out.get(key, 0) + c * xi ** d
     q = Poly()
     q.terms = {e: c for e, c in out.items() if c}
     return q
@@ -510,7 +548,6 @@ def _gcd_heuristic(f, g, depth=0):
     max_f = max(abs(c) for c in f.terms.values())
     max_g = max(abs(c) for c in g.terms.values())
     xi = 2 * min(max_f, max_g) + 29
-    xi = int(xi)
     for _ in range(6):
         fe = _eval_var_int(f, name, xi)
         ge = _eval_var_int(g, name, xi)
@@ -518,32 +555,22 @@ def _gcd_heuristic(f, g, depth=0):
             xi = xi * 4019 + 3
             continue
         if fe.is_const() and ge.is_const():
-            gamma = Poly.const(int_gcd(int(fe.const_value()), int(ge.const_value())))
+            gamma = Poly.const(int_gcd(fe.const_value(), ge.const_value()))
         else:
-            _, fe_i = fe.content_and_integers()
-            _, ge_i = ge.content_and_integers()
+            fe_c, fe_i = fe.content_and_integers()
+            ge_c, ge_i = ge.content_and_integers()
             sub = _gcd_heuristic(fe_i, ge_i, depth + 1) if depth < 8 else None
             if sub is None:
                 xi = xi * 4019 + 3
                 continue
-            cont = int_gcd(
-                int(fe.content_and_integers()[0]), int(ge.content_and_integers()[0])
-            )
-            gamma = sub.scale(cont)
+            gamma = sub.scale(int_gcd(fe_c, ge_c))
         # digit reconstruction of the candidate in `name`
         cand = Poly()
         power = 0
         while not gamma.is_zero():
-            digit = Poly(
-                {e: Fraction(_mods(int(c), xi)) for e, c in gamma.terms.items()}
-            )
-            cand = cand + digit.shift(name, power)
-            gamma = Poly(
-                {
-                    e: (c - Fraction(_mods(int(c), xi))) / xi
-                    for e, c in gamma.terms.items()
-                }
-            )
+            digits = {e: _mods(c, xi) for e, c in gamma.terms.items()}
+            cand = cand + Poly(digits).shift(name, power)
+            gamma = Poly({e: _div(c - digits[e], xi) for e, c in gamma.terms.items()})
             power += 1
             if power > 64:
                 break
@@ -624,12 +651,12 @@ class RatFunc:
         rn, pn = num.content_and_integers()
         rd, pd = den.content_and_integers()
         # num = rn*pn, den = rd*pd; divide both by r = rn/gcd-like joint scale
-        joint = Fraction(
+        joint = _div(
             int_gcd(rn.numerator * rd.denominator, rd.numerator * rn.denominator),
             rn.denominator * rd.denominator,
         )
-        num = num.scale(1 / joint)
-        den = den.scale(1 / joint)
+        num = _div_const(num, joint)
+        den = _div_const(den, joint)
         _, lc = den.leading()
         if lc < 0:
             num = -num
@@ -662,7 +689,8 @@ class RatFunc:
         return self.num.is_const() and self.den.is_const()
 
     def const_value(self):
-        return self.num.const_value() / self.den.const_value()
+        """The exact value of a constant RatFunc, always a Fraction."""
+        return Fraction(self.num.const_value(), self.den.const_value())
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -885,14 +913,14 @@ def _parse_term(t):
     t = t.strip()
     if not t:
         raise _ParseError("empty term")
-    coeff = Fraction(1)
+    coeff = 1
     exps = [0] * NVARS
     for factor in t.split("*"):
         factor = factor.strip()
         if not factor:
             raise _ParseError(f"bad term {t!r}")
         if factor[0].isdigit() or factor[0] == "-" or "/" in factor and factor[0] not in VAR_INDEX:
-            coeff *= Fraction(factor)
+            coeff *= _coef(factor)
             continue
         if "^" in factor:
             name, _, p = factor.partition("^")

@@ -183,9 +183,22 @@ class LabeledMatrix:
                     m.entries[(i, j)] = inv[i][j]
         return m
 
-    def eval_entries(self, assignment):
-        """Evaluate every entry at {var: Fraction} -> dict keyed like entries."""
-        return {k: v.eval(assignment) for k, v in self.entries.items()}
+    def eval_entries(self, assignment, memo=None):
+        """Evaluate every entry at {var: Fraction} -> dict keyed like entries.
+
+        memo, a dict keyed by id(entry), shares values among entries (also of
+        other matrices) that hold the same RatFunc object.  It is valid for
+        one assignment only, and only while those entries stay alive.
+        """
+        if memo is None:
+            memo = {}
+        out = {}
+        for k, v in self.entries.items():
+            val = memo.get(id(v))
+            if val is None:
+                val = memo[id(v)] = v.eval(assignment)
+            out[k] = val
+        return out
 
     def to_json(self):
         n_rows = len(self.row_labels)

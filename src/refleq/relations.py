@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .field import U, U1, U2, U3, U4, VARS, format_ratfunc, poly_div_exact, poly_gcd, RatFunc
+from .field import U, U1, U2, U3, U4, VARS, format_poly, format_ratfunc, poly_div_exact, poly_gcd, RatFunc
 from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
@@ -169,7 +169,20 @@ def _verdict(identity, l, cmp, **extra):
 
 
 class GridError(RuntimeError):
-    pass
+    """No pole-free grid was found.
+
+    Carries the variable shifted last, the denominator that still vanished
+    (canonical string) and, per active variable, the offsets tried.
+    """
+
+    def __init__(self, variable, denominator, offsets):
+        self.variable = variable
+        self.denominator = denominator
+        self.offsets = offsets
+        super().__init__(
+            f"could not build a pole-free evaluation grid: denominator {denominator} "
+            f"still vanishes after shifting {variable}; offsets tried {offsets}"
+        )
 
 
 _PRIMES = (97, 101, 103, 107, 109, 113, 127, 131)
@@ -187,8 +200,16 @@ def _build_grid(mats, active, bounds, max_retries=8):
     """Per-variable point lists such that no entry denominator vanishes
     anywhere on the product grid.  A vanishing denominator shifts the offset
     of one active variable it contains, then the grid is rebuilt."""
+    # each distinct non-constant denominator once, in first-entry order
+    dens = list(dict.fromkeys(
+        val.den for m in mats for val in m.entries.values() if not val.den.is_const()
+    ))
     offsets = {v: _PRIMES[i % len(_PRIMES)] ** (i + 1) for i, v in enumerate(active)}
+    tried = {v: [o] for v, o in offsets.items()}
     for attempt in range(max_retries):
+        if attempt:
+            offsets[bad_var] += _PRIMES[attempt - 1] * 1000
+            tried[bad_var].append(offsets[bad_var])
         points = {
             v: [Fraction(offsets[v] + k) for k in range(bounds[v] + 1)]
             for v in active
@@ -198,10 +219,7 @@ def _build_grid(mats, active, bounds, max_retries=8):
             assignment = dict(zip(active, combo))
             for v in VARS:
                 assignment.setdefault(v, Fraction(1))
-            bad_den = next(
-                (val.den for m in mats for val in m.entries.values() if val.den.subs(assignment) == 0),
-                None,
-            )
+            bad_den = next((d for d in dens if d.subs(assignment) == 0), None)
             if bad_den is not None:
                 break
         if bad_den is None:
@@ -209,8 +227,7 @@ def _build_grid(mats, active, bounds, max_retries=8):
         # every variable of an entry is active except h on the h = 1 slice,
         # where denominators are homogeneous and cannot vanish through h alone
         bad_var = next(v for v in active if v in bad_den.variables())
-        offsets[bad_var] += _PRIMES[attempt] * 1000
-    raise GridError("could not build a pole-free evaluation grid")
+    raise GridError(bad_var, format_poly(bad_den), tried)
 
 
 def _den_lcm(mat):
@@ -292,10 +309,10 @@ def _matmul_rows(a, b):
     return out
 
 
-def _product_at_point(factors, assignment):
+def _product_at_point(factors, assignment, memo):
     rows = None
     for mat in factors:
-        cur = _rows_of(mat.eval_entries(assignment))
+        cur = _rows_of(mat.eval_entries(assignment, memo))
         rows = cur if rows is None else _matmul_rows(rows, cur)
     return rows or {}
 
@@ -323,8 +340,11 @@ def _verify_product_identity(lhs_factors, rhs_factors):
         assignment = dict(zip(active, combo))
         assignment.setdefault("h", Fraction(1))
         n_points += 1
-        lhs = _product_at_point(lhs_factors, assignment)
-        rhs = _product_at_point(rhs_factors, assignment)
+        # embed_on_slots shares one RatFunc among many entries and factors:
+        # evaluate each distinct object once per point
+        memo = {}
+        lhs = _product_at_point(lhs_factors, assignment, memo)
+        rhs = _product_at_point(rhs_factors, assignment, memo)
         if lhs != rhs:
             i, j = _first_row_col_diff(lhs, rhs)
             return {

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from refleq.field import (
     H,
@@ -21,6 +23,7 @@ from refleq.field import (
     U2,
     VARS,
     expand_at_infinity,
+    format_poly,
     format_ratfunc,
     parse_poly,
     parse_ratfunc,
@@ -296,3 +299,90 @@ def test_pow_and_string_of_negative_leading():
     r = RatFunc(-h, u)
     assert str(r) == "-h / u"
     assert parse_ratfunc("-h / u") == r
+
+
+def _coefficients(r):
+    return list(r.num.terms.values()) + list(r.den.terms.values())
+
+
+def test_canonical_coefficients_are_ints():
+    rng = random.Random(4242)
+    for _ in range(60):
+        a = RatFunc(*random_ratfunc(rng))
+        b = RatFunc(*random_ratfunc(rng))
+        results = [a, b, a + b, a - b, a * b]
+        if not b.is_zero():
+            results.append(a / b)
+        for r in results:
+            assert all(type(c) is int for c in _coefficients(r)), r
+    # non-integral input still gives an integral canonical form
+    r = RatFunc(parse_poly("3/2*h^2*u - 1/3*u1"), parse_poly("5/7*u + 1/2"))
+    assert str(r) == "(63*h^2*u - 14*u1) / (30*u + 21)"
+    assert all(type(c) is int for c in _coefficients(r))
+
+
+def test_const_value_is_an_exact_fraction():
+    for c in (Fraction(3, 2), 3, Fraction(-4, 2), 0):
+        v = RatFunc.const(c).const_value()
+        assert type(v) is Fraction and v == c
+    v = (RatFunc.const(3) / RatFunc.const(2)).const_value()
+    assert type(v) is Fraction and v == Fraction(3, 2)
+
+
+def test_non_integral_poly_arithmetic_and_round_trip():
+    p = parse_poly("3/2*h^2*u - 1/3*u1 + 7")
+    assert format_poly(p) == "3/2*h^2*u - 1/3*u1 + 7"
+    assert parse_poly(format_poly(p)) == p
+    assert sorted(type(c).__name__ for c in p.terms.values()) == ["Fraction", "Fraction", "int"]
+    doubled = p + p
+    assert doubled == parse_poly("3*h^2*u - 2/3*u1 + 14")
+    # an integral sum of two Fractions is stored as an int
+    assert type(doubled.leading()[1]) is int
+    assert p - p == Poly()
+    six = p * Poly.const(6)
+    assert six == parse_poly("9*h^2*u - 2*u1 + 42")
+    assert all(type(c) is int for c in six.terms.values())
+    assert p.scale(Fraction(3, 7)) == parse_poly("9/14*h^2*u - 1/7*u1 + 3")
+    assert parse_poly(format_poly(p * p)) == p * p
+
+
+# sympy cross-check: small random rational functions in h, u, u1
+_SYMS = sympy.symbols(" ".join(VARS))
+_HYP_VARS = ("h", "u", "u1")
+_poly_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * len(_HYP_VARS)), st.integers(-3, 3)), max_size=3
+)
+_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+def _poly_from_terms(terms):
+    p = Poly()
+    for small_exps, c in terms:
+        exps = [0] * len(VARS)
+        for name, x in zip(_HYP_VARS, small_exps):
+            exps[VARS.index(name)] = x
+        p = p + Poly({tuple(exps): c})
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=_poly_terms, d1=_poly_terms, n2=_poly_terms, d2=_poly_terms, op=st.sampled_from(sorted(_OPS)))
+def test_arithmetic_agrees_with_sympy_cancel(n1, d1, n2, d2, op):
+    n1, d1, n2, d2 = map(_poly_from_terms, (n1, d1, n2, d2))
+    assume(not d1.is_zero() and not d2.is_zero())
+    assume(op != "/" or not n2.is_zero())
+    ours = _OPS[op](RatFunc(n1, d1), RatFunc(n2, d2))
+    a, b = (_to_sympy(n, _SYMS) / _to_sympy(d, _SYMS) for n, d in ((n1, d1), (n2, d2)))
+    num, den = sympy.fraction(sympy.cancel(_OPS[op](a, b)))
+    ours_num, ours_den = _to_sympy(ours.num, _SYMS), _to_sympy(ours.den, _SYMS)
+    # the same function ...
+    assert sympy.expand(ours_num * den - num * ours_den) == 0
+    # ... in reduced form: both denominators agree up to a rational constant
+    ratio = sympy.cancel(ours_den / den)
+    assert ratio.is_Rational and ratio != 0
+    assert all(type(c) is int for c in _coefficients(ours))

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from refleq.field import H, RatFunc, parse_ratfunc
-from refleq.matrix import LabeledMatrix, verify_identity
+from refleq.matrix import LabeledMatrix, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
+    GridError,
+    _build_grid,
     _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
@@ -126,6 +128,41 @@ class TestGridEngine:
         m.set(1, 1, RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
         v = _verify_product_identity([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 2}
+
+    def test_grid_error_names_variable_denominator_and_offsets(self):
+        # u1's first offset is 97, a pole of this entry; one attempt only
+        m = LabeledMatrix([1], [1])
+        m.set(1, 1, RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
+        with pytest.raises(GridError) as err:
+            _build_grid([m], ["u1"], {"u1": 1}, max_retries=1)
+        assert "u1" in str(err.value) and "u1 - 97" in str(err.value)
+        assert err.value.variable == "u1"
+        assert err.value.denominator == "u1 - 97"
+        assert err.value.offsets == {"u1": [97]}
+
+    def test_each_distinct_entry_is_evaluated_once_per_point(self, monkeypatch):
+        # embed_on_slots shares one RatFunc among many entries and factors
+        labels = site_labels(2)
+        slots = [labels] * 3
+        u1, u2 = RatFunc.var("u1"), RatFunc.var("u2")
+        r12 = embed_on_slots(yang_r(2, u1 - u2), (0, 1), slots)
+        r13 = embed_on_slots(yang_r(2, u1), (0, 2), slots)
+        r23 = embed_on_slots(yang_r(2, u2), (1, 2), slots)
+        factors = [r12, r13, r23]
+        distinct = {id(v) for m in factors for v in m.entries.values()}
+        stored = sum(len(m.entries) for m in factors)
+        assert len(distinct) < stored
+        calls = []
+        real_eval = RatFunc.eval
+
+        def counting_eval(self, assignment):
+            calls.append(id(self))
+            return real_eval(self, assignment)
+
+        monkeypatch.setattr(RatFunc, "eval", counting_eval)
+        v = _verify_product_identity(factors, factors[::-1])
+        assert v["holds"]
+        assert len(calls) <= len(distinct) * v["gridSize"]
 
 
 class TestUnitarity:

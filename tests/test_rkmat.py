@@ -1,6 +1,8 @@
 """R- and K-matrix construction, unitarity, and boundary transfer products."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,10 @@ from refleq.rkmat import (
 )
 
 ZERO = RatFunc.zero()
+
+# canonical entry strings of k_matrix(kind, l, u), pinned before the field
+# switched from Fraction to int coefficients
+CANONICAL_K = json.loads((Path(__file__).parent / "kmatrix_canonical.json").read_text())
 
 
 def fmt(m, r, c):
@@ -189,3 +195,20 @@ def test_s_matrix_constant_term(kind):
     slots = [site_labels(2)] * 2
     expected = embed_on_slots(sigma_matrix(kind, 2), (0,), slots)
     assert constant_term_matrix(s_matrix(kind, 2, U, [U1])) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("l", [2, 3])
+def test_k_matrix_canonical_strings_are_pinned(kind, l):
+    m = k_matrix(kind, l, U)
+    labels = list(m.row_labels)
+    got = [[labels[i], labels[j], format_ratfunc(v)] for (i, j), v in sorted(m.entries.items())]
+    assert got == CANONICAL_K[f"{kind} {l}"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("l", [2, 3])
+def test_k_matrix_coefficients_are_ints(kind, l):
+    for v in k_matrix(kind, l, U).entries.values():
+        coeffs = list(v.num.terms.values()) + list(v.den.terms.values())
+        assert all(type(c) is int for c in coeffs), format_ratfunc(v)
