@@ -19,13 +19,25 @@ order for descending terms.
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
 rational so all coefficients are ints with joint content 1 and the leading
 coefficient of den is positive.  Equality is plain data equality on that form.
+
+Only the constructor takes the gcd of a whole num/den pair.  Products and sums
+use Henrici's algorithms (Knuth, TAOCP vol. 2, 4.5.1), which rely on the
+operands being canonical and therefore reduced: a product cancels gcd(n1, d2)
+and gcd(n2, d1) and is then reduced as it stands, and a sum a/b + c/d with
+g = gcd(b, d) and t = a (d/g) + c (b/g) needs only g2 = gcd(t, g) to reach
+(t/g2) / ((b/g) (d/g2)); an inverse swaps a pair that is coprime already.
+poly_gcd looks its cache up under the raw operands before any normalization,
+and exact division keeps its remainder ordered in a heap instead of rescanning
+it for the leading term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from math import lcm as int_lcm
+from operator import add, neg, sub
 
 VARS = ("h", "q", "u", "u1", "u2", "u3", "u4")
 NVARS = len(VARS)
@@ -40,8 +52,9 @@ def _mono_key(exps):
     return (sum(exps), tuple(reversed(exps)))
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _heap_key(exps):
+    # _mono_key negated, so that heapq's smallest entry is the leading monomial
+    return (-sum(exps), *map(neg, reversed(exps)))
 
 
 def _coef(c):
@@ -157,7 +170,7 @@ class Poly:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = _mono_mul(e1, e2)
+                e = tuple(map(add, e1, e2))
                 s = t.get(e, 0) + c1 * c2
                 if s:
                     t[e] = s if type(s) is int else _coef(s)
@@ -365,25 +378,46 @@ def _from_univariate(coeffs, name):
 
 
 def poly_div_exact(f, g):
-    """Exact division f/g; raises ValueError if g does not divide f."""
+    """Exact division f/g; raises ValueError if g does not divide f.
+
+    The remainder lives in a dict beside a heap of its monomials ordered by
+    _mono_key, leading first (Monagan & Pearce, PASCO 2007).  Every monomial
+    that a step adds to the remainder is smaller than the one it cancels, so
+    each key enters the heap once; a key whose coefficient cancelled to 0 is
+    skipped when it comes up.
+    """
     if g.is_zero():
         raise ZeroDivisionError("poly division by zero")
     if f.is_zero():
         return Poly()
     if g.is_const():
         return _div_const(f, g.const_value())
-    q = Poly()
-    r = f
     ge, gc = g.leading()
-    while r.terms:
-        re, rc = r.leading()
-        diff = tuple(a - b for a, b in zip(re, ge))
-        if any(d < 0 for d in diff):
+    tail = [(e, c) for e, c in g.terms.items() if e != ge]
+    r = dict(f.terms)
+    heap = [(_heap_key(e), e) for e in r]
+    heapify(heap)
+    q = {}
+    while heap:
+        re = heappop(heap)[1]
+        rc = r.pop(re)
+        if not rc:
+            continue
+        diff = tuple(map(sub, re, ge))
+        if min(diff) < 0:
             raise ValueError("not an exact polynomial division")
-        t = Poly({diff: _div(rc, gc)})
-        q = q + t
-        r = r - t * g
-    return q
+        qc = q[diff] = _div(rc, gc)
+        for e, c in tail:
+            e = tuple(map(add, diff, e))
+            old = r.get(e)
+            if old is None:
+                r[e] = -qc * c
+                heappush(heap, (_heap_key(e), e))
+            else:
+                r[e] = old - qc * c
+    p = Poly()
+    p.terms = q
+    return p
 
 
 def _pseudo_rem_uni(fu, gu):
@@ -462,14 +496,34 @@ _GCD_CACHE = {}
 _GCD_CACHE_MAX = 1 << 15
 
 
+def _cache_gcd(key, result):
+    if len(_GCD_CACHE) >= _GCD_CACHE_MAX:
+        _GCD_CACHE.clear()
+    _GCD_CACHE[key] = result
+
+
 def poly_gcd(f, g):
-    """gcd over Q[h..u4], normalized to integer content 1, positive lead."""
+    """gcd over Q[h..u4], normalized to integer content 1, positive lead.
+
+    _GCD_CACHE is consulted first under the raw operands, before any
+    normalization, and every result is stored under that key too.  Cached
+    results are shared objects: no caller may mutate a returned Poly.
+    """
     if f.is_zero():
         return _normalize_primitive(g)
     if g.is_zero():
         return _normalize_primitive(f)
     if f.is_const() or g.is_const():
         return Poly.const(1)
+    raw = (frozenset(f.terms.items()), frozenset(g.terms.items()))
+    result = _GCD_CACHE.get(raw)
+    if result is None:
+        result = _gcd_nonconstant(f, g)
+        _cache_gcd(raw, result)
+    return result
+
+
+def _gcd_nonconstant(f, g):
     # pull out the common monomial factor first
     mf = _mono_content(f)
     mg = _mono_content(g)
@@ -510,9 +564,7 @@ def poly_gcd(f, g):
             c = poly_gcd(cf, cg)
             h = _subresultant_gcd(a, b, name)
             result = _normalize_primitive(h * c)
-    if len(_GCD_CACHE) >= _GCD_CACHE_MAX:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = result
+    _cache_gcd(key, result)
     return result
 
 
@@ -621,7 +673,14 @@ def _subresultant_gcd(a, b, name):
 
 
 class RatFunc:
-    """Reduced rational function num/den in canonical form."""
+    """Reduced rational function num/den in canonical form.
+
+    The constructor reduces num/den by their gcd.  +, -, * and inv skip that
+    gcd (Henrici): their operands are canonical, hence reduced, so the cross
+    cancellations of a product, gcd(t, g) of a sum and the swap of an inverse
+    leave a coprime pair that only needs scaling.  The results are the same canonical data the
+    constructor would give for the unreduced pair.
+    """
 
     __slots__ = ("num", "den")
 
@@ -639,30 +698,12 @@ class RatFunc:
         if qmin < 0:
             num = num.shift("q", -qmin)
             den = den.shift("q", -qmin)
-        if num.is_zero():
-            self.num = Poly()
-            self.den = Poly.const(1)
-            return
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num = poly_div_exact(num, g)
-            den = poly_div_exact(den, g)
-        # joint integer normalization with positive leading den coefficient
-        rn, pn = num.content_and_integers()
-        rd, pd = den.content_and_integers()
-        # num = rn*pn, den = rd*pd; divide both by r = rn/gcd-like joint scale
-        joint = _div(
-            int_gcd(rn.numerator * rd.denominator, rd.numerator * rn.denominator),
-            rn.denominator * rd.denominator,
-        )
-        num = _div_const(num, joint)
-        den = _div_const(den, joint)
-        _, lc = den.leading()
-        if lc < 0:
-            num = -num
-            den = -den
-        self.num = num
-        self.den = den
+        if num.terms:
+            g = poly_gcd(num, den)
+            if not g.is_const():
+                num = poly_div_exact(num, g)
+                den = poly_div_exact(den, g)
+        self.num, self.den = _scale_coprime(num, den)
 
     @staticmethod
     def zero():
@@ -721,15 +762,20 @@ class RatFunc:
         return None
 
     def _add_signed(self, o, sign):
-        # cancel the common den factor first: keeps the final gcd small
-        g = poly_gcd(self.den, o.den)
+        # Henrici: with g = gcd(b, d) and t = a (d/g) + c (b/g), only g can
+        # share a factor with t, so a/b + c/d = (t/g2) / ((b/g) (d/g2)) for
+        # g2 = gcd(t, g), and that pair is coprime
+        b, d = self.den, o.den
+        c = o.num if sign > 0 else -o.num
+        g = poly_gcd(b, d)
         if g.is_const():
-            num = self.num * o.den + o.num.scale(sign) * self.den
-            return RatFunc(num, self.den * o.den)
-        da = poly_div_exact(self.den, g)
-        db = poly_div_exact(o.den, g)
-        num = self.num * db + o.num.scale(sign) * da
-        return RatFunc(num, da * o.den)
+            return _coprime(self.num * d + c * b, b * d)
+        bg = poly_div_exact(b, g)
+        t = self.num * poly_div_exact(d, g) + c * bg
+        g2 = poly_gcd(t, g)
+        if g2.is_const():
+            return _coprime(t, bg * d)
+        return _coprime(poly_div_exact(t, g2), bg * poly_div_exact(d, g2))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -764,7 +810,8 @@ class RatFunc:
         d2 = o.den if g1.is_const() else poly_div_exact(o.den, g1)
         n2 = o.num if g2.is_const() else poly_div_exact(o.num, g2)
         d1 = self.den if g2.is_const() else poly_div_exact(self.den, g2)
-        return RatFunc(n1 * n2, d1 * d2)
+        # Henrici: both operands are reduced, so n1 n2 and d1 d2 are coprime
+        return _coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -785,7 +832,7 @@ class RatFunc:
     def inv(self):
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return _coprime(self.den, self.num)
 
     def degree(self, name):
         return max(self.num.degree(name), self.den.degree(name))
@@ -811,6 +858,31 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({format_ratfunc(self)})"
+
+
+def _scale_coprime(num, den):
+    """Scale coprime polynomials num, den by one rational to canonical form.
+
+    The pair becomes integral with joint content 1 and a positive leading den
+    coefficient; a zero num gets den 1.
+    """
+    if not num.terms:
+        return Poly(), Poly.const(1)
+    coeffs = (*num.terms.values(), *den.terms.values())
+    joint = _div(
+        int_gcd(*(c.numerator for c in coeffs)),
+        int_lcm(*(c.denominator for c in coeffs)),
+    )
+    if den.leading()[1] < 0:
+        joint = -joint
+    return _div_const(num, joint), _div_const(den, joint)
+
+
+def _coprime(num, den):
+    """The RatFunc num/den of two coprime polynomials, built without a gcd."""
+    r = RatFunc.__new__(RatFunc)
+    r.num, r.den = _scale_coprime(num, den)
+    return r
 
 
 def format_ratfunc(r):

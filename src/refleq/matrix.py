@@ -123,10 +123,15 @@ class LabeledMatrix:
             by_row.setdefault(i, []).append((k, v))
         m = LabeledMatrix(self.row_labels, other.col_labels)
         acc = {}
+        # embed_on_slots repeats a few values over many entries; RatFunc
+        # hashing and equality are canonical data, so equal pairs share a product
+        products = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
                 key = (i, j)
-                prod = a * b
+                prod = products.get((a, b))
+                if prod is None:
+                    prod = products[(a, b)] = a * b
                 if key in acc:
                     acc[key] = acc[key] + prod
                 else:

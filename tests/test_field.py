@@ -14,6 +14,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from refleq import field
 from refleq.field import (
     H,
     Poly,
@@ -386,3 +387,196 @@ def test_arithmetic_agrees_with_sympy_cancel(n1, d1, n2, d2, op):
     ratio = sympy.cancel(ours_den / den)
     assert ratio.is_Rational and ratio != 0
     assert all(type(c) is int for c in _coefficients(ours))
+
+
+# Henrici products and sums skip the gcd of the full result.  These tests hold
+# them to the form the constructor's full gcd gives: data equality, which sees
+# a missed common factor, where the Naive oracle's cross-multiplication cannot.
+_FACTORS = [parse_poly(s) for s in ("u + h", "u - h", "2*u + h", "u1 + h", "u1 - u", "u", "h")]
+
+
+def _factored_poly(rng, zero_ok):
+    """A random poly times a random product of factors from a small pool."""
+    p = random_poly(rng, max_terms=2, max_deg=1, zero_ok=zero_ok)
+    for _ in range(rng.randint(0, 2)):
+        p = p * rng.choice(_FACTORS)
+    return p
+
+
+def _factored_ratfunc(rng):
+    den = Poly.const(rng.choice([1, 2, 3, -1]))
+    for _ in range(rng.randint(1, 4)):
+        den = den * rng.choice(_FACTORS)
+    return RatFunc(_factored_poly(rng, zero_ok=rng.random() < 0.1), den)
+
+
+def _assert_canonical_equal(ours, full):
+    assert ours == full, f"{ours} != {full}"
+    assert format_ratfunc(ours) == format_ratfunc(full)
+
+
+def test_henrici_results_equal_the_full_gcd_form():
+    rng = random.Random(5150)
+    nontrivial = 0
+    for _ in range(150):
+        a, b, s = (_factored_ratfunc(rng) for _ in range(3))
+        # (s - a) + a = s: the factors of a.den missing from s.den must cancel
+        # through gcd(t, g)
+        for x, y in ((a, b), (s - a, a)):
+            _assert_canonical_equal(x * y, RatFunc(x.num * y.num, x.den * y.den))
+            _assert_canonical_equal(x + y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den))
+            _assert_canonical_equal(x - y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den))
+        assert (s - a) + a == s
+        if not a.is_zero():
+            _assert_canonical_equal(a.inv(), RatFunc(a.den, a.num))
+            _assert_canonical_equal(b / a, RatFunc(b.num * a.den, b.den * a.num))
+        nontrivial += not poly_gcd(a.den, b.den).is_const()
+    # the pool makes shared denominator factors common, so the g != 1 path runs
+    assert nontrivial > 30
+
+
+def test_henrici_sum_cancels_the_gcd_of_t_and_g():
+    # b = u (u+h), d = u (u-h): g = u and t = 2u, so g2 = gcd(t, g) = u
+    u, h = U, H
+    total = 1 / (u * (u + h)) + 1 / (u * (u - h))
+    assert total == RatFunc(Poly.const(2), parse_poly("u^2 - h^2"))
+    assert str(total) == "2 / (u^2 - h^2)"
+    b, d = (u * (u + h)).num, (u * (u - h)).num
+    _assert_canonical_equal(total, RatFunc(d + b, b * d))
+
+
+def test_henrici_repeated_factors():
+    u, h = U, H
+    sq = (u + h) * (u + h)
+    cases = [
+        # g2 takes one of the two factors of g = (u+h)^2
+        ((u + h + 1) / sq, -1 / sq, 1 / (u + h), "+"),
+        # g = u + h, t = 1
+        ((u + h + 1) / sq, 1 / (u + h), 1 / sq, "-"),
+        # products: cross-cancellation of a squared factor against a single one
+        (sq / u, h / (u + h), h * (u + h) / u, "*"),
+        (1 / sq, u + h, 1 / (u + h), "*"),
+        (sq / (u - h), (u - h) / sq, RatFunc.one(), "*"),
+    ]
+    for a, b, expected, op in cases:
+        got = {"+": a + b, "-": a - b, "*": a * b}[op]
+        assert got == expected, (str(a), op, str(b), str(got))
+        if op == "*":
+            full = RatFunc(a.num * b.num, a.den * b.den)
+        else:
+            sign = 1 if op == "+" else -1
+            full = RatFunc(a.num * b.den + b.num.scale(sign) * a.den, a.den * b.den)
+        _assert_canonical_equal(got, full)
+
+
+def test_henrici_sum_that_cancels_to_zero():
+    u, h = U, H
+    a = (U1 + h) / (u * (u + h))
+    partial = 1 / (u * (u + h)) - 1 / (u * (u - h))
+    for zero in (a - a, a + (-a), partial + 2 * h / (u * (u + h) * (u - h))):
+        assert zero == RatFunc.zero()
+        assert zero.den == Poly.const(1)
+        assert str(zero) == "0"
+
+
+def test_poly_div_exact_recovers_random_quotients():
+    rng = random.Random(31337)
+    checked = 0
+    while checked < 120:
+        f = random_poly(rng, vars_=("h", "u", "u1", "u2"), max_terms=4, max_deg=2)
+        g = random_poly(rng, vars_=("h", "u", "u1", "u2"), max_terms=3, max_deg=2, zero_ok=False)
+        if g.is_zero():
+            continue
+        if rng.random() < 0.5:
+            f = f.scale(Fraction(rng.randint(1, 5), rng.randint(2, 7)))
+            g = g.scale(Fraction(rng.choice([-1, 1]), rng.randint(2, 5)))
+        assert poly_div_exact(f * g, g) == f
+        checked += 1
+
+
+def test_poly_div_exact_leading_term_inserted_last():
+    # the divisor's first-inserted term is its smallest
+    g = Poly({(1, 0, 0, 0, 0, 0, 0): Fraction(2, 3), (0, 0, 1, 0, 0, 0, 0): -1, (0, 0, 2, 1, 0, 0, 0): 3})
+    assert next(iter(g.terms)) != g.leading()[0]
+    f = parse_poly("1/2*u1^2 - h*u + 5")
+    assert poly_div_exact(f * g, g) == f
+    assert poly_div_exact(g * f, f) == g
+
+
+def test_poly_div_exact_rejects_a_remainder():
+    rng = random.Random(4242)
+    for _ in range(60):
+        f = random_poly(rng, max_terms=3, max_deg=2)
+        g = Poly()
+        while g.degree() < 1:
+            g = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False)
+        # a nonzero remainder of lower total degree than g cannot be divisible by g
+        r = Poly()
+        while r.is_zero():
+            r = random_poly(rng, max_terms=2, max_deg=g.degree() - 1, zero_ok=False)
+            r = Poly({e: c for e, c in r.terms.items() if sum(e) < g.degree()})
+        with pytest.raises(ValueError):
+            poly_div_exact(f * g + r, g)
+
+
+def test_poly_div_exact_with_remainder_terms_cancelling_to_zero():
+    u, h = Poly.var("u"), Poly.var("h")
+    # (u^2 - h^2) / (u + h): the second step cancels uh and h^2 at once
+    assert poly_div_exact(u * u - h * h, u + h) == u - h
+    # (u^3 - h^3) / (u - h): each step cancels the term the step before added
+    assert poly_div_exact(u ** 3 - h ** 3, u - h) == u * u + u * h + h * h
+    q = poly_div_exact(u ** 6 - h ** 6, u * u + u * h + h * h)
+    assert q == (u - h) * (u ** 3 + h ** 3)
+    assert all(q.terms.values())
+
+
+def _mono_content_counter(monkeypatch):
+    calls = []
+    real = field._mono_content
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(field, "_mono_content", counting)
+    return calls
+
+
+def test_gcd_cache_is_consulted_before_any_normalization(monkeypatch):
+    u, h, u1 = Poly.var("u"), Poly.var("h"), Poly.var("u1")
+    f = (u + h) * (u1 - h.scale(2)) * u
+    g = ((u + h) * (u1 + h) * u).scale(6)
+    field._GCD_CACHE.clear()
+    calls = _mono_content_counter(monkeypatch)
+    cold = poly_gcd(f, g)
+    assert calls, "the cold call normalizes"
+    assert cold == u * u + u * h
+    calls.clear()
+    warm = poly_gcd(f, g)
+    assert calls == []
+    assert warm == cold
+
+
+def _sympy_primitive(expr, syms):
+    _, prim = sympy.Poly(expr, *syms).primitive()
+    return prim.as_expr()
+
+
+def test_gcd_matches_sympy_up_to_sign_cold_and_warm():
+    syms = sympy.symbols(" ".join(VARS))
+    rng = random.Random(2718)
+    pairs = []
+    for _ in range(30):
+        w = random_poly(rng, max_terms=2, max_deg=1, zero_ok=False)
+        fw = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False) * w
+        gw = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False) * w
+        pairs.append((fw, gw))
+    for cache in ("cold", "warm"):
+        if cache == "cold":
+            field._GCD_CACHE.clear()
+        for fw, gw in pairs:
+            ours = _to_sympy(poly_gcd(fw, gw), syms)
+            theirs = _sympy_primitive(sympy.gcd(_to_sympy(fw, syms), _to_sympy(gw, syms)), syms)
+            assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0, (
+                cache, str(fw), str(gw), ours, theirs
+            )

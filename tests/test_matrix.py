@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from refleq.field import Poly, RatFunc, parse_ratfunc
+from refleq.field import U1, U2, U3, Poly, RatFunc, parse_ratfunc
 from refleq.matrix import (
     LabeledMatrix,
     embed_on_slots,
@@ -11,6 +11,7 @@ from refleq.matrix import (
     swap_matrix,
     verify_identity,
 )
+from refleq.rkmat import site_labels, yang_r
 
 
 def rf(s):
@@ -153,3 +154,43 @@ def test_eval_entries():
 
     vals = m.eval_entries({v: Fraction(1) for v in VARS})
     assert vals[(0, 0)] == Fraction(1, 2)
+
+
+def _schoolbook_product(a, b):
+    """Unmemoized dense product: every entry is a sum of entry products."""
+    m = LabeledMatrix(a.row_labels, b.col_labels)
+    for i, r in enumerate(a.row_labels):
+        for j, c in enumerate(b.col_labels):
+            total = RatFunc.zero()
+            for k in range(len(a.col_labels)):
+                x, y = a.entries.get((i, k)), b.entries.get((k, j))
+                if x is not None and y is not None:
+                    total = total + x * y
+            m.set(r, c, total)
+    return m
+
+
+def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
+    slots = [site_labels(2)] * 3
+    r12 = embed_on_slots(yang_r(2, U1 - U2), (0, 1), slots)
+    r13 = embed_on_slots(yang_r(2, U1 - U3), (0, 2), slots)
+    by_row = {}
+    for (k, j), b in r13.entries.items():
+        by_row.setdefault(k, []).append(b)
+    entry_products = [(a, b) for (i, k), a in r12.entries.items() for b in by_row.get(k, ())]
+    distinct = set(entry_products)
+    # embed_on_slots repeats values, so the memo has something to save
+    assert len(distinct) < len(entry_products)
+
+    calls = []
+    real_mul = RatFunc.__mul__
+
+    def counting_mul(self, other):
+        calls.append((self, other))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
+    product = r12 * r13
+    assert len(calls) <= len(distinct)
+    monkeypatch.undo()
+    assert product == _schoolbook_product(r12, r13)

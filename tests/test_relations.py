@@ -1,12 +1,14 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from refleq.field import H, RatFunc, parse_ratfunc
-from refleq.matrix import LabeledMatrix, embed_on_slots, verify_identity
+from refleq.field import H, U, U1, RatFunc, format_ratfunc, parse_ratfunc
+from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
     GridError,
@@ -30,11 +32,34 @@ from refleq.relations import (
 )
 from refleq.rkmat import (
     KINDS,
+    monodromy_t,
     pair_labels,
     r_bullet_sigma_opposite,
     site_labels,
     yang_r,
 )
+
+# canonical entry strings of symbolic products, pinned before RatFunc products
+# and sums stopped taking the gcd of the full result
+CANONICAL_PRODUCTS = json.loads((Path(__file__).parent / "products_canonical.json").read_text())
+
+
+def _canonical_rows(m):
+    return [
+        [_label_to_json(m.row_labels[i]), _label_to_json(m.col_labels[j]), format_ratfunc(v)]
+        for (i, j), v in sorted(m.entries.items())
+    ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_reflection_side_strings_are_pinned(kind):
+    lhs, rhs = reflection_sides(kind, 2)
+    assert _canonical_rows(lhs) == CANONICAL_PRODUCTS[f"reflection {kind} 2 lhs"]
+    assert _canonical_rows(rhs) == CANONICAL_PRODUCTS[f"reflection {kind} 2 rhs"]
+
+
+def test_monodromy_strings_are_pinned():
+    assert _canonical_rows(monodromy_t(2, U, [U1])) == CANONICAL_PRODUCTS["monodromy_t 2 u [u1]"]
 
 
 class TestYangBaxter:
