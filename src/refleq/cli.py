@@ -29,7 +29,7 @@ from .field import U
 from .polarization import build_instance, choice_to_json, solve, solve_table
 from .relations import check_reflection, run_suite
 from .rkmat import KINDS, k_matrix
-from .tableaux import betti_report, flag_fixed_points, so_component_report
+from .tableaux import betti_report, fixed_locus_report, flag_fixed_points
 from .acceptance import run_acceptance
 
 _SIGN_FLAG = {"plus": "+", "minus": "-"}
@@ -161,13 +161,10 @@ def betti(ctx, kind, l, w1, emit):
             _, text = emit_table("betti", {"kind": kind, "l": l, "w1": w1})
             click.echo(text, nl=False)
             ctx.exit(0)
-        payload = betti_report(kind, l, w1)
-        if kind == "so":
-            rep = so_component_report(l, w1)
-            payload["zeroChargeCount"] = rep["zeroChargeCount"]
-            if "parityComponents" in rep:
-                payload["components"] = len(rep["parityComponents"])
-                payload["sizes"] = rep["parityComponents"]
+        payload = fixed_locus_report(kind, l, w1)
+        if "parityComponents" in payload:
+            payload["sizes"] = payload.pop("parityComponents")
+            payload["components"] = len(payload["sizes"])
     except ValueError as e:
         _usage(str(e))
     _echo_report(ctx, payload)

@@ -94,7 +94,7 @@ class Poly:
     A coefficient is an int when integral and a Fraction otherwise.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         t = {}
@@ -140,7 +140,12 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # cached on first use: a Poly is never written to once it is shared
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.terms.items()))
+            return self._hash
 
     def __neg__(self):
         return Poly({e: -c for e, c in self.terms.items()})
@@ -682,7 +687,7 @@ class RatFunc:
     constructor would give for the unreduced pair.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -744,7 +749,11 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.num, self.den))
+            return self._hash
 
     def __neg__(self):
         r = RatFunc.__new__(RatFunc)

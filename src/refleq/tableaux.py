@@ -7,6 +7,30 @@ combinatorial condition on ordered row pairs produces two charge counts
 (the symplectic and orthogonal ones), which drive Betti numbers via
 t^(2*charge).
 
+Betti data come from a dynamic program over contents, not from the l^w1
+tableaux.  It rests on row locality: condition_met and dim_h1_pair read
+only the two rows they compare and whether one lies above the other, and
+rows +-i are fixed by the entry e_i alone.  So each statistic used here
+(2*charge = 2A + B for sp and B for so, the tangent dimension, the number
+of entries equal to 2) equals
+
+    sum_i D(e_i) + sum_{i<j} P(e_i, e_j),
+
+with D read off the l tableaux with w1 = 1 and P off the l^2 with w1 = 2,
+both through the library's own functions.  The program inserts the values
+v = 1..l in turn; its state is the number of positions filled so far.
+Placing c copies of v among n smaller entries interleaves them, and the
+pairs (new, old) contribute P(a, v) or P(v, a) by their order.  When, for
+each v, P(a, v) = alpha_v and P(v, a) = beta_v for all a < v, the
+interleavings sum to the shifted q-binomial
+
+    q^(n*c*min(alpha_v, beta_v)) * [n+c; c] in q^|beta_v - alpha_v|
+
+(Stanley, EC1 1.7).  That precondition is checked on every call; a table
+that breaks it raises instead of giving a wrong polynomial.  Enumeration
+stays for the tableau counts and as the oracle in the tests, behind the
+bound MAX_CANDIDATES.
+
 Flag side: rows are indexed by +-1..+-floor(w/2) (plus a center row 0 when
 w is odd), each of length one, with entry(-k) = l+1-entry(k).  The content
 of a tableau determines the dimension vector it contributes to.
@@ -15,7 +39,26 @@ of a tableau determines the dimension vector it contributes to.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import add, sub
+
+# Most candidate tableaux an enumerating path builds; larger requests are
+# rejected before any work.
+MAX_CANDIDATES = 10_000
+
+
+def _check_candidates(what, l, n):
+    """Raise ValueError, naming the count, when l^n candidates exceed the bound."""
+    # with l >= 2, n >= bit_length already exceeds the bound: no huge power is formed
+    if l < 2 or n < 0 or (n < MAX_CANDIDATES.bit_length() and l**n <= MAX_CANDIDATES):
+        return
+    digits = n * math.log10(l)
+    count = l**n if digits < 30 else f"about 10^{digits:.0f}"
+    raise ValueError(
+        f"{what} would build {l}^{n} = {count} candidate tableaux, "
+        f"above the bound of {MAX_CANDIDATES}"
+    )
 
 
 @dataclass(frozen=True)
@@ -74,6 +117,7 @@ def enumerate_instanton(l, w1):
     """All fixed-point tableaux, one per choice of positive-row entries."""
     if l < 2:
         raise ValueError("need at least two entry values")
+    _check_candidates("enumerate_instanton", l, w1)
     return [
         InstantonTableau.from_positive_entries(l, w1, entries)
         for entries in itertools.product(range(1, l + 1), repeat=w1)
@@ -178,18 +222,112 @@ def tangent_dimension(t, kind):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _charge_histogram(kind, tabs):
-    """{2 * charge: number of tableaux} over the given tableaux."""
-    poly = {}
-    for t in tabs:
-        e = 2 * charge(t, kind)
-        poly[e] = poly.get(e, 0) + 1
-    return poly
+def _small_tableaux(l, w1):
+    """The tableaux with one and two positive rows that fix the row-pair tables.
+
+    Returns ({e: tableau}, {(a, b): tableau}); the second is empty when
+    w1 < 2, since no pair of rows then exists, and both are when w1 = 0.
+    """
+    if l < 2:
+        raise ValueError("need at least two entry values")
+    if w1 < 0:
+        raise ValueError(f"w1 must be non-negative, got {w1}")
+    build = InstantonTableau.from_positive_entries
+    values = range(1, l + 1)
+    ones = {e: build(l, 1, (e,)) for e in values} if w1 >= 1 else {}
+    twos = {(a, b): build(l, 2, (a, b)) for a in values for b in values} if w1 >= 2 else {}
+    return ones, twos
+
+
+def _row_pair_tables(stat, small):
+    """D(e) and P(a, b) of a row-local statistic, read off the small tableaux."""
+    ones, twos = small
+    d = {e: stat(t) for e, t in ones.items()}
+    p = {(a, b): stat(t) - d[a] - d[b] for (a, b), t in twos.items()}
+    return d, p
+
+
+def _charge_exponent(kind):
+    """The t-exponent 2 * charge: 2A + B for sp, B for so."""
+    if kind not in ("sp", "so"):
+        raise ValueError(f"unknown kind {kind!r}")
+    diag = 2 if kind == "sp" else 0
+
+    def stat(t):
+        a_diag, b_off = charge_pair_counts(t)
+        return diag * a_diag + b_off
+
+    return stat
+
+
+def _twos(t):
+    return sum(1 for k in range(1, t.w1 + 1) if t.positive_entry(k) == 2)
+
+
+def _times_one_minus(coeffs, s):
+    """coeffs * (1 - q^s)."""
+    out = coeffs + [0] * s
+    out[s:] = map(sub, out[s:], coeffs)
+    return out
+
+
+def _over_one_minus(coeffs, s):
+    """coeffs / (1 - q^s), for a division known to be exact.
+
+    out[i] = coeffs[i] + out[i - s]: a running sum along each residue mod s.
+    """
+    out = coeffs[: len(coeffs) - s]
+    for r in range(s):
+        out[r::s] = itertools.accumulate(out[r::s])
+    return out
+
+
+def _content_series(l, w1, tables):
+    """{exponent: number of tableaux} of D + P over all l^w1 tableaux.
+
+    states[n] lists, by exponent, the fillings of n positions with the
+    values inserted so far.  Table entries are counts, hence >= 0, so every
+    exponent is too.
+    """
+    d, p = tables
+    if min((*d.values(), *p.values()), default=0) < 0:
+        raise AssertionError("row-pair table has a negative entry")
+    states = [[1]] + [[] for _ in range(w1)]
+    for v in range(1, l + 1):
+        before = {p[a, v] for a in range(1, v) if (a, v) in p}
+        after = {p[v, a] for a in range(1, v) if (v, a) in p}
+        if len(before) > 1 or len(after) > 1:
+            raise AssertionError(
+                f"row-pair table is not uniform below value {v}: "
+                f"P(a, {v}) takes {sorted(before)}, P({v}, a) takes {sorted(after)}"
+            )
+        alpha = before.pop() if before else 0
+        beta = after.pop() if after else 0
+        step, base = abs(beta - alpha), min(alpha, beta)
+        dv, pvv = d.get(v, 0), p.get((v, v), 0)
+        new = [[] for _ in range(w1 + 1)]
+        for n, run in enumerate(states):
+            if not run:
+                continue
+            for c in range(w1 - n + 1):
+                if c:  # run becomes states[n] * [n+c; c]
+                    if step:
+                        run = _over_one_minus(_times_one_minus(run, step * (n + c)), step * c)
+                    else:
+                        run = [x * (n + c) // c for x in run]
+                shift = c * dv + c * (c - 1) // 2 * pvv + n * c * base
+                target = new[n + c]
+                end = shift + len(run)
+                target.extend([0] * (end - len(target)))
+                target[shift:end] = map(add, target[shift:end], run)
+        states = new
+    return {e: x for e, x in enumerate(states[w1]) if x}
 
 
 def poincare_polynomial(kind, l, w1):
     """Betti generating function as {exponent: coefficient} in t."""
-    return _charge_histogram(kind, enumerate_instanton(l, w1))
+    stat = _charge_exponent(kind)
+    return _content_series(l, w1, _row_pair_tables(stat, _small_tableaux(l, w1)))
 
 
 def format_tpoly(poly):
@@ -207,17 +345,40 @@ def format_tpoly(poly):
     return " + ".join(parts)
 
 
-def betti_report(kind, l, w1):
-    """Count, Betti polynomial, and common tangent dimension."""
-    tabs = enumerate_instanton(l, w1)
-    dims = {tangent_dimension(t, kind) for t in tabs}
+def fixed_locus_report(kind, l, w1):
+    """Count, Betti polynomial and tangent dimension; for so also the components.
+
+    Every statistic runs the content program once over one shared set of
+    l + l^2 small tableaux.  The tangent dimension must come out as a single
+    monomial, i.e. constant over all l^w1 tableaux.  For so the report adds
+    the number of zero-charge points and, at l = 2, the sizes of the two
+    classes of tableaux by the parity of how many positive rows carry 2.
+    """
+    stat = _charge_exponent(kind)
+    small = _small_tableaux(l, w1)
+
+    def series(f):
+        return _content_series(l, w1, _row_pair_tables(f, small))
+
+    poly = series(stat)
+    dims = series(lambda t: tangent_dimension(t, kind))
     if len(dims) != 1:
         raise AssertionError(f"tangent dimension not constant: {sorted(dims)}")
-    return {
-        "count": len(tabs),
-        "poincare": format_tpoly(_charge_histogram(kind, tabs)),
-        "dimension": dims.pop(),
-    }
+    report = {"count": l**w1, "poincare": format_tpoly(poly), "dimension": next(iter(dims))}
+    if kind == "so":
+        report["zeroChargeCount"] = poly.get(0, 0)
+        if l == 2:
+            sizes = [0, 0]
+            for e, c in series(_twos).items():
+                sizes[e % 2] += c
+            report["parityComponents"] = sizes
+    return report
+
+
+def betti_report(kind, l, w1):
+    """Count, Betti polynomial, and common tangent dimension."""
+    report = fixed_locus_report(kind, l, w1)
+    return {key: report[key] for key in ("count", "poincare", "dimension")}
 
 
 def so_component_report(l, w1):
@@ -227,16 +388,9 @@ def so_component_report(l, w1):
     split by the parity of how many positive rows carry entry 2; both
     parity classes are reported with their sizes.
     """
-    tabs = enumerate_instanton(l, w1)
-    zero = sum(1 for t in tabs if so_charge(t) == 0)
-    report = {"count": len(tabs), "zeroChargeCount": zero}
-    if l == 2:
-        sizes = {0: 0, 1: 0}
-        for t in tabs:
-            twos = sum(1 for k in range(1, w1 + 1) if t.positive_entry(k) == 2)
-            sizes[twos % 2] += 1
-        report["parityComponents"] = [sizes[0], sizes[1]]
-    return report
+    report = fixed_locus_report("so", l, w1)
+    keys = ("count", "zeroChargeCount", "parityComponents")
+    return {key: report[key] for key in keys if key in report}
 
 
 @dataclass(frozen=True)
@@ -313,6 +467,7 @@ def flag_fixed_points(sign, l, w, v=None):
             )
             return [], diagnostics
     m = w // 2
+    _check_candidates("flag_fixed_points", l, m)
     points = []
     for choice in itertools.product(range(1, l + 1), repeat=m):
         entries = {}

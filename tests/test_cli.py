@@ -6,12 +6,14 @@ check the routing.  One fast verification suite runs for real end to end.
 """
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
 from refleq import __version__
 from refleq import cli as cli_module
+from refleq import tableaux as tableaux_module
 from refleq.cli import cli, emit_table
 from refleq.dynkin import DynkinType, info_dict
 from refleq.kclass import w0_summary_dict
@@ -148,6 +150,36 @@ class TestTableaux:
         assert got["count"] == 0
         assert got["diagnostics"]
         assert "even" in res.stderr
+
+
+    def test_oversized_flags_rejected(self):
+        start = time.perf_counter()
+        res = run_cli("tableaux", "flags", "--sign", "minus", "--l", "9", "--w1", "30")
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "9^15 = 205891132094649 candidate tableaux" in res.stderr
+
+    def test_betti_rejects_bad_sizes(self):
+        for flag, value in (("--l", "1"), ("--w1", "-1")):
+            args = {"--l": "3", "--w1": "2", flag: value}
+            res = run_cli("tableaux", "betti", "--kind", "sp", *(x for kv in args.items() for x in kv))
+            assert res.exit_code == 2, (flag, value)
+
+    def test_so_betti_runs_each_statistic_once(self, monkeypatch):
+        # one charge evaluation per small tableau: the so series, read by
+        # both the Poincare polynomial and the zero-charge count, is built once
+        calls = []
+        original = tableaux_module.charge_pair_counts
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(tableaux_module, "charge_pair_counts", counting)
+        res = run_cli("tableaux", "betti", "--kind", "so", "--l", "3", "--w1", "4")
+        assert payload(res)["zeroChargeCount"] == 4  # 3211, 3111, 2111, 1111
+        assert len(calls) == 3 + 3 * 3
 
 
 class TestRkmat:

@@ -580,3 +580,16 @@ def test_gcd_matches_sympy_up_to_sign_cold_and_warm():
             assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0, (
                 cache, str(fw), str(gw), ours, theirs
             )
+
+
+def test_warm_hash_reads_nothing():
+    # The first hash is cached; later ones read neither the terms of a Poly
+    # nor the parts of a RatFunc, so an equal fresh value still agrees.
+    p = parse_poly("h^2*u - 3*u + 1")
+    h = hash(p)
+    p.terms = None
+    assert hash(p) == h == hash(parse_poly("h^2*u - 3*u + 1"))
+    r = parse_ratfunc("(u + h) / (u - 2)")
+    h = hash(r)
+    r.num = r.den = None
+    assert hash(r) == h == hash(parse_ratfunc("(u + h) / (u - 2)"))

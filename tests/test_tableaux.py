@@ -1,5 +1,10 @@
 """Fixed-point tableaux: hand-worked examples plus structural invariants."""
 
+import functools
+import math
+import time
+from collections import Counter
+
 import pytest
 
 from refleq import tableaux
@@ -137,18 +142,22 @@ def test_betti_report_frozen():
     assert betti_report("sp", 2, 1) == {"count": 2, "poincare": "1 + t^2", "dimension": 2}
 
 
-def test_betti_report_enumerates_once(monkeypatch):
-    calls = []
-    original = tableaux.enumerate_instanton
+def test_reports_build_only_the_small_tableaux(monkeypatch):
+    # The content program reads its tables off the l tableaux with w1 = 1
+    # and the l^2 with w1 = 2; nothing of size l^w1 is built.
+    built = []
+    original = InstantonTableau.from_positive_entries
 
-    def counting(l, w1):
-        calls.append((l, w1))
-        return original(l, w1)
+    def counting(l, w1, entries):
+        built.append(entries)
+        return original(l, w1, entries)
 
-    monkeypatch.setattr(tableaux, "enumerate_instanton", counting)
-    rep = betti_report("sp", 3, 2)
-    assert calls == [(3, 2)]
-    assert rep["poincare"] == format_tpoly(poincare_polynomial("sp", 3, 2))
+    monkeypatch.setattr(InstantonTableau, "from_positive_entries", staticmethod(counting))
+    for l, w1 in ((3, 2), (4, 6), (2, 9)):
+        for report in (lambda: betti_report("sp", l, w1), lambda: so_component_report(l, w1)):
+            built.clear()
+            report()
+            assert 0 < len(built) <= l + l * l
 
 
 def test_format_tpoly():
@@ -258,3 +267,169 @@ def test_flag_mirror_entries():
 def test_flag_rejects_bad_sign():
     with pytest.raises(ValueError):
         flag_fixed_points("both", 3, 2)
+
+
+# ------------------------------------------------------- content program
+
+
+def enumerated_fixed_locus(l, w1):
+    """Poincare polynomials, tangent dimensions and so components by enumeration."""
+    polys = {"sp": {}, "so": {}}
+    dims = {"sp": set(), "so": set()}
+    zero = 0
+    parity = [0, 0]
+    for t in enumerate_instanton(l, w1):
+        a_diag, b_off = charge_pair_counts(t)
+        for kind, e in (("sp", 2 * a_diag + b_off), ("so", b_off)):
+            polys[kind][e] = polys[kind].get(e, 0) + 1
+            dims[kind].add(tangent_dimension(t, kind))
+        zero += b_off == 0
+        parity[sum(1 for k in range(1, w1 + 1) if t.positive_entry(k) == 2) % 2] += 1
+    return polys, dims, zero, parity
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_content_program_matches_enumeration(l):
+    for w1 in range(0, 5):
+        polys, dims, zero, parity = enumerated_fixed_locus(l, w1)
+        for kind in ("sp", "so"):
+            assert poincare_polynomial(kind, l, w1) == polys[kind], (kind, l, w1)
+            assert {betti_report(kind, l, w1)["dimension"]} == dims[kind], (kind, l, w1)
+        so = so_component_report(l, w1)
+        assert so["zeroChargeCount"] == zero
+        assert so.get("parityComponents") == (parity if l == 2 else None)
+
+
+@pytest.mark.parametrize("l", range(2, 9))
+def test_row_pair_tables_closed_form(l):
+    # 2*charge: D(e) = 2 g(e) with g(e) = [e >= 2] for sp and g = 0 for so,
+    # P(a, b) = 2 F(a, b) with F(a, b) = [b >= max(a, 2)].
+    small = tableaux._small_tableaux(l, 2)
+    values = range(1, l + 1)
+    for kind, g in (("sp", lambda e: int(e >= 2)), ("so", lambda e: 0)):
+        d, p = tableaux._row_pair_tables(tableaux._charge_exponent(kind), small)
+        assert d == {e: 2 * g(e) for e in values}
+        assert p == {(a, b): 2 * int(b >= max(a, 2)) for a in values for b in values}
+
+
+@functools.cache
+def q_binomial(n, k):
+    """Coefficients of the Gaussian binomial [n; k] by Pascal's rule."""
+    if k < 0 or k > n:
+        return ()
+    if k in (0, n):
+        return (1,)
+    out = [0] * (k * (n - k) + 1)
+    for i, x in enumerate(q_binomial(n - 1, k - 1)):
+        out[i] += x
+    for i, x in enumerate(q_binomial(n - 1, k)):
+        out[i + k] += x
+    return tuple(out)
+
+
+def partitions(n, parts, largest=None):
+    """Non-increasing tuples of at most `parts` positive ints summing to n."""
+    if n == 0:
+        yield ()
+    elif parts:
+        for first in range(min(n, largest or n), 0, -1):
+            for rest in partitions(n - first, parts - 1, first):
+                yield (first,) + rest
+
+
+def q_multinomial_poincare(kind, l, w1):
+    """sum over contents c of q^(sum_{v>=2} C(c_v, 2) + [sp](w1 - c_1)) [w1; c]_q.
+
+    Contents that differ by permuting c_2..c_l share a term, so each
+    partition of w1 - c_1 is weighted by its number of arrangements.
+    """
+    poly = {}
+    for c1 in range(w1 + 1):
+        for rest in partitions(w1 - c1, l - 1):
+            arrangements = math.factorial(l - 1) // math.factorial(l - 1 - len(rest))
+            for m in Counter(rest).values():
+                arrangements //= math.factorial(m)
+            coeffs, total = [1], 0
+            for c in (c1,) + rest:
+                total += c
+                factor = q_binomial(total, c)
+                prod = [0] * (len(coeffs) + len(factor) - 1)
+                for i, x in enumerate(coeffs):
+                    for j, y in enumerate(factor):
+                        prod[i + j] += x * y
+                coeffs = prod
+            shift = sum(math.comb(c, 2) for c in rest) + (w1 - c1 if kind == "sp" else 0)
+            for i, x in enumerate(coeffs):
+                if x:
+                    e = 2 * (shift + i)
+                    poly[e] = poly.get(e, 0) + arrangements * x
+    return poly
+
+
+@pytest.mark.parametrize("l", range(2, 9))
+def test_content_program_matches_q_multinomials(l):
+    for w1 in range(0, 13):
+        for kind in ("sp", "so"):
+            assert poincare_polynomial(kind, l, w1) == q_multinomial_poincare(kind, l, w1), (kind, l, w1)
+
+
+def test_content_program_inversions():
+    # P(a, b) = [a > b] gives alpha = 0 < beta = 1, the opposite order to
+    # the charge; its series is the inversion count, the q-multinomial sum.
+    def inversions(t):
+        e = [t.positive_entry(k) for k in range(1, t.w1 + 1)]
+        return sum(1 for i, x in enumerate(e) for y in e[i + 1:] if x > y)
+
+    for l, w1 in ((2, 4), (3, 4), (4, 3)):
+        tables = tableaux._row_pair_tables(inversions, tableaux._small_tableaux(l, w1))
+        expected = {}
+        for t in enumerate_instanton(l, w1):
+            expected[inversions(t)] = expected.get(inversions(t), 0) + 1
+        assert tableaux._content_series(l, w1, tables) == expected
+
+
+def test_content_program_rejects_nonuniform_table():
+    # P(1, 3) = 1 but P(2, 3) = 0: pairs below the value 3 do not agree.
+    def ones_before_threes(t):
+        e = [t.positive_entry(k) for k in range(1, t.w1 + 1)]
+        return sum(1 for i, x in enumerate(e) for y in e[i + 1:] if (x, y) == (1, 3))
+
+    tables = tableaux._row_pair_tables(ones_before_threes, tableaux._small_tableaux(3, 4))
+    with pytest.raises(AssertionError, match="not uniform below value 3"):
+        tableaux._content_series(3, 4, tables)
+
+
+def test_large_betti_report():
+    # about 1.2e18 tableaux; the dimension is w1(w1 +- 1)
+    sp = betti_report("sp", 8, 20)
+    so = betti_report("so", 8, 20)
+    assert sp["count"] == so["count"] == 8**20
+    assert (sp["dimension"], so["dimension"]) == (420, 380)
+    assert sp["poincare"].startswith("1 + 7*t^2 + ")
+
+
+def test_betti_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="two entry values"):
+        betti_report("sp", 1, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        so_component_report(3, -1)
+    with pytest.raises(ValueError, match="unknown kind"):
+        poincare_polynomial("gl", 3, 2)
+
+
+def test_enumeration_guard(monkeypatch):
+    # Oversized requests are refused before any tableau is built.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"10\^10 = 10000000000 candidate"):
+        enumerate_instanton(10, 10)
+    with pytest.raises(ValueError, match=r"9\^15 = 205891132094649 candidate"):
+        flag_fixed_points("minus", 9, 30)
+    with pytest.raises(ValueError, match=r"2\^1000000 = about 10\^301030 candidate"):
+        enumerate_instanton(2, 10**6)
+    assert time.perf_counter() - start < 1.0
+    # the bound itself is admitted
+    monkeypatch.setattr(tableaux, "MAX_CANDIDATES", 81)
+    assert len(enumerate_instanton(3, 4)) == 81
+    assert len(flag_fixed_points("minus", 9, 4)[0]) == 81
+    with pytest.raises(ValueError, match=r"3\^5 = 243"):
+        enumerate_instanton(3, 5)
