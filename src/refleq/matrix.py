@@ -8,8 +8,10 @@ overwhelmingly sparse.
 
 verify_identity compares two matrices entrywise by canonical form, which is
 a proof in itself, and reports a verdict-style dict so callers can log what
-was checked.  Grid proofs, which never form the products symbolically, work
-on factor lists and live in relations (_verify_product_identity).
+was checked; a failing verdict carries a "counterexample" with the first
+mismatching entry in sorted order and both values.  Grid proofs, which never
+form the products symbolically, work on factor lists and live in relations
+(_verify_product_identity).
 """
 
 from __future__ import annotations
@@ -303,7 +305,9 @@ def swap_conjugate(mat):
 
 def verify_identity(lhs, rhs):
     """Check lhs == rhs entrywise by canonical form.  Returns a dict verdict;
-    never raises on inequality."""
+    never raises on inequality.  When the labels agree, a failing verdict
+    carries a "counterexample": row and column labels (JSON form) and the
+    canonical strings of both sides at the first differing key."""
     if lhs.row_labels != rhs.row_labels or lhs.col_labels != rhs.col_labels:
         return {
             "holds": False,
@@ -313,11 +317,16 @@ def verify_identity(lhs, rhs):
     if lhs.entries == rhs.entries:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
     keys = set(lhs.entries) | set(rhs.entries)
-    bad = sorted(k for k in keys if lhs.entries.get(k) != rhs.entries.get(k))
-    i, j = bad[0]
+    i, j = min(k for k in keys if lhs.entries.get(k) != rhs.entries.get(k))
+    zero = RatFunc.zero()
     return {
         "holds": False,
         "mode": "symbolic",
         "detail": f"first mismatch at row {lhs.row_labels[i]!r}, col {lhs.col_labels[j]!r}",
-        "mismatches": len(bad),
+        "counterexample": {
+            "row": _label_to_json(lhs.row_labels[i]),
+            "col": _label_to_json(lhs.col_labels[j]),
+            "lhs": format_ratfunc(lhs.entries.get((i, j), zero)),
+            "rhs": format_ratfunc(rhs.entries.get((i, j), zero)),
+        },
     }

@@ -14,18 +14,19 @@ matrices over the rational-function field:
     operator built in rkmat.s_matrix.
 
 Every check returns a plain-dict verdict with at least the keys "identity",
-"l", "holds", "mode" and "detail"; failing symbolic checks also carry a
+"l", "holds", "mode" and "detail"; failing checks also carry a
 "counterexample" with the first mismatching entry and both values.  Verdicts
 are JSON-serializable so the CLI can emit them unchanged.
 
-The symbolic mode multiplies both sides out and compares canonical forms
-(matrix.verify_identity).  The multipoint mode of check_ybe and
-check_reflection never forms the products: each identity hands its two sides
-over as ordered factor lists to _verify_product_identity, the one grid-proof
-engine.  It bounds the per-variable degree of the cleared difference from the
+Each check states its identity as two ordered factor lists, lhs and rhs, and
+hands them to _prove.  The symbolic mode multiplies each list out from the
+left and compares canonical forms (matrix.verify_identity).  The multipoint
+mode never forms the products: _verify_product_identity, the one grid-proof
+engine, bounds the per-variable degree of the cleared difference from the
 factors alone, evaluates the factors on an integer grid with one more point
 per variable than that bound, and multiplies numerically, which is still a
-proof, not a sample.
+proof, not a sample.  check_ybe and check_reflection expose the mode; the
+tests run both provers on the factor lists of the other checks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .field import U, U1, U2, U3, U4, VARS, format_poly, format_ratfunc, poly_div_exact, poly_gcd, RatFunc
+from .field import U, U1, U2, U3, U4, VARS, format_poly, poly_div_exact, poly_gcd
 from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
@@ -69,6 +70,13 @@ REFLECTION_MAX_L = 5
 def _require_dim(dim):
     if dim > DIMENSION_BOUND:
         raise ValueError(f"tensor dimension {dim} exceeds the bound {DIMENSION_BOUND}")
+
+
+def _chain_shifts(n, shifts):
+    """The spectral shifts of n chain sites, one per site from shifts."""
+    if not 0 <= n <= len(shifts):
+        raise ValueError(f"chain length n={n} is outside the supported range 0..{len(shifts)}")
+    return shifts[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -116,46 +124,25 @@ def make_scenario(kind, l, boundary="standard"):
     )
 
 
-def _first_mismatch(lhs, rhs):
-    keys = sorted(set(lhs.entries) | set(rhs.entries))
-    zero = RatFunc.zero()
-    for k in keys:
-        a = lhs.entries.get(k, zero)
-        b = rhs.entries.get(k, zero)
-        if a != b:
-            i, j = k
-            return {
-                "row": _label_to_json(lhs.row_labels[i]),
-                "col": _label_to_json(lhs.col_labels[j]),
-                "lhs": format_ratfunc(a),
-                "rhs": format_ratfunc(b),
-            }
-    return None
+def _fold(factors):
+    return functools.reduce(operator.mul, factors)
 
 
-def _compare(lhs, rhs):
-    res = verify_identity(lhs, rhs)
-    out = {"holds": res["holds"], "mode": res["mode"], "detail": res.get("detail")}
-    if not res["holds"]:
-        ce = _first_mismatch(lhs, rhs)
-        if ce is not None:
-            out["counterexample"] = ce
-    return out
+def _prove(lhs, rhs, mode="symbolic"):
+    """Prove that the products of two ordered factor lists agree.
+
+    Symbolic mode multiplies each list out from the left and compares
+    canonical forms; multipoint mode hands the lists to the grid proof.
+    """
+    if mode == "symbolic":
+        return verify_identity(_fold(lhs), _fold(rhs))
+    if mode == "multipoint":
+        return _verify_product_identity(lhs, rhs)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _verdict(identity, l, cmp, **extra):
-    v = {
-        "identity": identity,
-        "l": l,
-        "holds": cmp["holds"],
-        "mode": cmp["mode"],
-        "detail": cmp.get("detail"),
-    }
-    for key in ("counterexample", "gridSize", "degreeBounds"):
-        if key in cmp:
-            v[key] = cmp[key]
-    v.update(extra)
-    return v
+    return {"identity": identity, "l": l, **cmp, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +376,7 @@ def _point_str(assignment):
 # Yang-Baxter and unitarity
 
 
-def check_ybe(l, r_builder=None, mode="symbolic", family="chain"):
+def check_ybe(l, r_builder=None, mode="symbolic"):
     """Yang-Baxter identity R12 R13 R23 = R23 R13 R12 for a difference family.
 
     r_builder(l, w) must produce the two-site matrix; the default is the
@@ -404,8 +391,7 @@ def check_ybe(l, r_builder=None, mode="symbolic", family="chain"):
         raise ValueError(
             f"symbolic Yang-Baxter is limited to l <= {SYMBOLIC_YBE_MAX_L}; use multipoint"
         )
-    labels = site_labels(l)
-    slots = [labels] * 3
+    slots = [site_labels(l)] * 3
     if mode == "symbolic":
         args = (U1 - U2, U1 - U3, U2 - U3)
     else:
@@ -413,13 +399,8 @@ def check_ybe(l, r_builder=None, mode="symbolic", family="chain"):
     r12 = embed_on_slots(builder(l, args[0]), (0, 1), slots)
     r13 = embed_on_slots(builder(l, args[1]), (0, 2), slots)
     r23 = embed_on_slots(builder(l, args[2]), (1, 2), slots)
-    if mode == "symbolic":
-        cmp = _compare(r12 * r13 * r23, r23 * r13 * r12)
-    elif mode == "multipoint":
-        cmp = _verify_product_identity([r12, r13, r23], [r23, r13, r12])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _verdict("yangBaxter", l, cmp, family=family)
+    cmp = _prove([r12, r13, r23], [r23, r13, r12], mode)
+    return _verdict("yangBaxter", l, cmp, family="chain")
 
 
 def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
@@ -440,9 +421,9 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
     fwd = r_builder(l, d)
     bwd = r_builder(l, -d)
     ident = LabeledMatrix.identity(fwd.row_labels)
-    cmp = _compare(fwd * bwd, ident)
+    cmp = _prove([fwd, bwd], [ident])
     if cmp["holds"]:
-        flip = _compare(swap_conjugate(fwd), fwd)
+        flip = _prove([swap_conjugate(fwd)], [fwd])
         if not flip["holds"]:
             cmp = {
                 "holds": False,
@@ -463,7 +444,7 @@ def check_k_unitarity(kind, l, k_builder=None):
     fwd = builder(U)
     bwd = builder(-U)
     ident = LabeledMatrix.identity(fwd.row_labels)
-    cmp = _compare(bwd * fwd, ident)
+    cmp = _prove([bwd, fwd], [ident])
     return _verdict("kUnitarity", l, cmp, kind=kind)
 
 
@@ -471,18 +452,32 @@ def check_k_unitarity(kind, l, k_builder=None):
 # reflection
 
 
-def _reflection_factors(kind, l, boundary="standard", k_builder=None):
-    """The two sides of the reflection identity as ordered factor lists."""
+def _reflection_factors(kind, l, boundary="standard", k_builder=None, n=0):
+    """The two sides of the reflection identity as ordered factor lists.
+
+    With n chain sites (slots 2..n+1, shifts u3, u4) each boundary factor is
+    the dressed operator rkmat.s_matrix on its auxiliary slot and the chain,
+    and the R factors act on the two auxiliary slots 0 and 1.  At n = 0 the
+    boundary factors are the scenario's matrix (or k_builder's).
+    """
     sc = make_scenario(kind, l, boundary=boundary)
-    boundary_k = k_builder or sc.boundary_k
-    labels = site_labels(l)
-    slots = [labels, labels]
-    k1 = embed_on_slots(boundary_k(U1), (0,), slots)
-    k2 = embed_on_slots(boundary_k(U2), (1,), slots)
+    shifts = _chain_shifts(n, (U3, U4))
+    _require_dim(l ** (2 + n))
+    slots = [site_labels(l)] * (2 + n)
+    if n:
+        chain = tuple(range(2, 2 + n))
+        k1 = embed_on_slots(s_matrix(kind, l, U1, shifts), (0,) + chain, slots)
+        k2 = embed_on_slots(s_matrix(kind, l, U2, shifts), (1,) + chain, slots)
+        on_aux = lambda m: embed_on_slots(m, (0, 1), slots)
+    else:
+        boundary_k = k_builder or sc.boundary_k
+        k1 = embed_on_slots(boundary_k(U1), (0,), slots)
+        k2 = embed_on_slots(boundary_k(U2), (1,), slots)
+        on_aux = lambda m: m
     x = U1 + U2
     d = U1 - U2
-    lhs = [k2, sc.cross_flipped(x), k1, sc.chain_r(d)]
-    rhs = [sc.twisted_pair_flipped(d), k1, sc.cross(x), k2]
+    lhs = [k2, on_aux(sc.cross_flipped(x)), k1, on_aux(sc.chain_r(d))]
+    rhs = [on_aux(sc.twisted_pair_flipped(d)), k1, on_aux(sc.cross(x)), k2]
     return lhs, rhs
 
 
@@ -495,7 +490,7 @@ def reflection_sides(kind, l, boundary="standard", k_builder=None):
     is its factor list multiplied from the left.
     """
     lhs, rhs = _reflection_factors(kind, l, boundary=boundary, k_builder=k_builder)
-    return functools.reduce(operator.mul, lhs), functools.reduce(operator.mul, rhs)
+    return _fold(lhs), _fold(rhs)
 
 
 def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=None):
@@ -516,12 +511,7 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=No
     """
     if l > REFLECTION_MAX_L:
         raise ValueError(f"reflection checks are limited to l <= {REFLECTION_MAX_L}")
-    if mode == "symbolic":
-        cmp = _compare(*reflection_sides(kind, l, boundary=boundary, k_builder=k_builder))
-    elif mode == "multipoint":
-        cmp = _verify_product_identity(*_reflection_factors(kind, l, boundary=boundary, k_builder=k_builder))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    cmp = _prove(*_reflection_factors(kind, l, boundary=boundary, k_builder=k_builder), mode)
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)
 
 
@@ -557,7 +547,7 @@ def _chain_monodromies(kind, l, n, slots):
     Each takes an auxiliary slot and a spectral argument w; chain site k
     couples to the auxiliary slot at w - u_k, with u_1, u_2 = U1, U2.
     """
-    shifts = (U1, U2)[:n]
+    shifts = _chain_shifts(n, (U1, U2))
     sites = range(2, 2 + n)
 
     def plain(aux, w):
@@ -567,6 +557,26 @@ def _chain_monodromies(kind, l, n, slots):
         return chain_product(lambda k: cross_r(kind, l, w - shifts[k - 1]), aux, sites, slots)
 
     return plain, twisted
+
+
+def _exchange_factors(l, n, variant, kind):
+    """The two sides of one exchange relation as ordered factor lists."""
+    if variant not in EXCHANGE_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    slots = [site_labels(l)] * (2 + n)
+    plain, twisted = _chain_monodromies(kind, l, n, slots)
+    _require_dim(l ** (2 + n))
+    u, v = U, U4
+    if variant == "plainPlain":
+        t1, t2, r = plain(0, u), plain(1, v), yang_r(l, u - v)
+    elif variant == "plainTwisted":
+        t1, t2, r = plain(0, u), twisted(1, -v), cross_r(kind, l, u + v)
+    elif variant == "twistedPlain":
+        t1, t2, r = twisted(0, -u), plain(1, v), cross_r_flipped(kind, l, -u - v)
+    else:
+        t1, t2, r = twisted(0, -u), twisted(1, -v), sigma_sigma_r(kind, l, v - u)
+    r = embed_on_slots(r, (0, 1), slots)
+    return [r, t1, t2], [t2, t1, r]
 
 
 def check_monodromy_exchange(l, n, variant, kind="soInstanton"):
@@ -584,23 +594,7 @@ def check_monodromy_exchange(l, n, variant, kind="soInstanton"):
     where Y is the chain R, C the cross R (flipped when the twisted factor
     sits first) and Z the R-matrix for two twisted factors.
     """
-    if variant not in EXCHANGE_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    _require_dim(l ** (2 + n))
-    labels = site_labels(l)
-    slots = [labels, labels] + [labels] * n
-    plain, twisted = _chain_monodromies(kind, l, n, slots)
-    u, v = U, U4
-    if variant == "plainPlain":
-        t1, t2, r = plain(0, u), plain(1, v), yang_r(l, u - v)
-    elif variant == "plainTwisted":
-        t1, t2, r = plain(0, u), twisted(1, -v), cross_r(kind, l, u + v)
-    elif variant == "twistedPlain":
-        t1, t2, r = twisted(0, -u), plain(1, v), cross_r_flipped(kind, l, -u - v)
-    else:
-        t1, t2, r = twisted(0, -u), twisted(1, -v), sigma_sigma_r(kind, l, v - u)
-    r = embed_on_slots(r, (0, 1), slots)
-    cmp = _compare(r * t1 * t2, t2 * t1 * r)
+    cmp = _prove(*_exchange_factors(l, n, variant, kind))
     return _verdict("monodromyExchange", l, cmp, kind=kind, variant=variant, sites=n)
 
 
@@ -614,8 +608,7 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     check, the swap-conjugated intermediate, and cross unitarity must all
     hold, and the sandwiched form must reproduce the direct one entrywise.
     """
-    labels = site_labels(l)
-    slots = [labels, labels] + [labels] * n
+    slots = [site_labels(l)] * (2 + n)
     plain, twisted = _chain_monodromies(kind, l, n, slots)
     u, v = U, U4
     direct = check_monodromy_exchange(l, n, "twistedPlain", kind=kind)
@@ -626,7 +619,7 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     c21 = embed_on_slots(cross_r_flipped(kind, l, u + v), (0, 1), slots)
     inter_lhs = c21 * t2 * s1
     inter_rhs = s1 * t2 * c21
-    inter = _compare(inter_lhs, inter_rhs)
+    inter = verify_identity(inter_lhs, inter_rhs)
     unit = check_r_unitarity(l, family="cross", kind=kind)
     # sandwiching the intermediate between two copies of C21(u+v)^{-1}
     # = C21(-u-v) must reproduce the direct relation's sides verbatim (the
@@ -634,15 +627,9 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     c21_inv = embed_on_slots(cross_r_flipped(kind, l, -u - v), (0, 1), slots)
     direct_lhs = c21_inv * s1 * t2
     direct_rhs = t2 * s1 * c21_inv
-    bridge_a = _compare(c21_inv * inter_rhs * c21_inv, direct_lhs)
-    bridge_b = _compare(c21_inv * inter_lhs * c21_inv, direct_rhs)
-    holds = (
-        direct["holds"]
-        and inter["holds"]
-        and unit["holds"]
-        and bridge_a["holds"]
-        and bridge_b["holds"]
-    )
+    bridge_a = verify_identity(c21_inv * inter_rhs * c21_inv, direct_lhs)
+    bridge_b = verify_identity(c21_inv * inter_lhs * c21_inv, direct_rhs)
+    holds = all(res["holds"] for res in (direct, inter, unit, bridge_a, bridge_b))
     detail = (
         f"direct={direct['holds']} swapped-intermediate={inter['holds']} "
         f"cross-unitarity={unit['holds']} "
@@ -663,31 +650,15 @@ def check_chain_reflection(kind, l, n=1):
     sites; the cross and chain R-matrices act on the two auxiliary slots.
     The identity has the same shape as check_reflection with each K replaced
     by the dressed S.  At n = 0 the dressed operator is the boundary matrix
-    itself (s_matrix with no chain sites), so the check delegates.
+    itself (s_matrix with no chain sites).
     """
-    if n == 0:
-        v = check_reflection(kind, l)
-        v["identity"] = "chainReflection"
-        v["sites"] = 0
-        return v
-    _require_dim(l ** (2 + n))
-    labels = site_labels(l)
-    slots = [labels, labels] + [labels] * n
-    shifts = (U3,)[:n] if n <= 1 else (U3, U4)[:n]
-    chain_positions = tuple(range(2, 2 + n))
-    s1 = embed_on_slots(s_matrix(kind, l, U1, shifts), (0,) + chain_positions, slots)
-    s2 = embed_on_slots(s_matrix(kind, l, U2, shifts), (1,) + chain_positions, slots)
-    sc = make_scenario(kind, l)
-    x = U1 + U2
-    d = U1 - U2
-    c21 = embed_on_slots(sc.cross_flipped(x), (0, 1), slots)
-    c = embed_on_slots(sc.cross(x), (0, 1), slots)
-    y = embed_on_slots(sc.chain_r(d), (0, 1), slots)
-    z21 = embed_on_slots(sc.twisted_pair_flipped(d), (0, 1), slots)
-    lhs = s2 * c21 * s1 * y
-    rhs = z21 * s1 * c * s2
-    cmp = _compare(lhs, rhs)
+    cmp = _prove(*_reflection_factors(kind, l, n=n))
     return _verdict("chainReflection", l, cmp, kind=kind, sites=n)
+
+
+def _factorization_factors(kind, l, n):
+    shifts = _chain_shifts(n, (U1, U2))
+    return [s_matrix(kind, l, U, shifts)], [s_matrix_via_transfer(kind, l, U, shifts)]
 
 
 def check_boundary_factorization(kind, l, n=1):
@@ -697,11 +668,15 @@ def check_boundary_factorization(kind, l, n=1):
     boundary matrix and chain factors; s_matrix_via_transfer instead inverts
     the twisted monodromy.  The two must agree as matrices.
     """
-    shifts = (U1, U2)[:n]
-    direct = s_matrix(kind, l, U, shifts)
-    transfer = s_matrix_via_transfer(kind, l, U, shifts)
-    cmp = _compare(direct, transfer)
+    cmp = _prove(*_factorization_factors(kind, l, n))
     return _verdict("boundaryFactorization", l, cmp, kind=kind, sites=n)
+
+
+def _constant_term_factors(kind, l, n):
+    shifts = _chain_shifts(n, (U1, U2))
+    limit = constant_term_matrix(s_matrix(kind, l, U, shifts), "u")
+    expected = embed_on_slots(sigma_matrix(kind, l), (0,), [site_labels(l)] * (1 + n))
+    return [limit], [expected]
 
 
 def check_boundary_constant_term(kind, l, n=1):
@@ -710,13 +685,7 @@ def check_boundary_constant_term(kind, l, n=1):
     The limit must be the scenario's involutive constant matrix on the
     auxiliary slot, extended by the identity over the chain sites.
     """
-    labels = site_labels(l)
-    slots = [labels] * (1 + n)
-    shifts = (U1, U2)[:n]
-    dressed = s_matrix(kind, l, U, shifts)
-    limit = constant_term_matrix(dressed, "u")
-    expected = embed_on_slots(sigma_matrix(kind, l), (0,), slots)
-    cmp = _compare(limit, expected)
+    cmp = _prove(*_constant_term_factors(kind, l, n))
     return _verdict("boundaryConstantTerm", l, cmp, kind=kind, sites=n)
 
 
@@ -804,29 +773,26 @@ def suite_items(suite="all", l=None):
     return items
 
 
+# check name -> call on a suite item; the checks are looked up by global name
+# at call time, so a wrapper installed on the module is the one that runs
+_SUITE_CHECKS = {
+    "yangBaxter": lambda it: check_ybe(it["l"], mode=it.get("mode", "symbolic")),
+    "rUnitarity": lambda it: check_r_unitarity(it["l"], family=it["family"], kind=it.get("kind")),
+    "kUnitarity": lambda it: check_k_unitarity(it["kind"], it["l"]),
+    "reflection": lambda it: check_reflection(it["kind"], it["l"], boundary=it.get("boundary", "standard")),
+    "monodromyExchange": lambda it: check_monodromy_exchange(it["l"], it["sites"], it["variant"], kind=it["kind"]),
+    "twistedPlainDerivation": lambda it: check_twisted_plain_derivation(it["l"], it["sites"], kind=it["kind"]),
+    "chainReflection": lambda it: check_chain_reflection(it["kind"], it["l"], n=it["sites"]),
+    "boundaryFactorization": lambda it: check_boundary_factorization(it["kind"], it["l"], n=it["sites"]),
+    "boundaryConstantTerm": lambda it: check_boundary_constant_term(it["kind"], it["l"], n=it["sites"]),
+}
+
+
 def run_suite_item(item):
-    check = item["check"]
-    l = item["l"]
-    if check == "yangBaxter":
-        v = check_ybe(l, mode=item.get("mode", "symbolic"))
-    elif check == "rUnitarity":
-        v = check_r_unitarity(l, family=item["family"], kind=item.get("kind"))
-    elif check == "kUnitarity":
-        v = check_k_unitarity(item["kind"], l)
-    elif check == "reflection":
-        v = check_reflection(item["kind"], l, boundary=item.get("boundary", "standard"))
-    elif check == "monodromyExchange":
-        v = check_monodromy_exchange(l, item["sites"], item["variant"], kind=item["kind"])
-    elif check == "twistedPlainDerivation":
-        v = check_twisted_plain_derivation(l, item["sites"], kind=item["kind"])
-    elif check == "chainReflection":
-        v = check_chain_reflection(item["kind"], l, n=item["sites"])
-    elif check == "boundaryFactorization":
-        v = check_boundary_factorization(item["kind"], l, n=item["sites"])
-    elif check == "boundaryConstantTerm":
-        v = check_boundary_constant_term(item["kind"], l, n=item["sites"])
-    else:
-        raise ValueError(f"unknown check {check!r}")
+    run = _SUITE_CHECKS.get(item["check"])
+    if run is None:
+        raise ValueError(f"unknown check {item['check']!r}")
+    v = run(item)
     v["expected"] = item.get("expected")
     return v
 

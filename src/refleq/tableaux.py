@@ -86,9 +86,12 @@ class InstantonTableau:
         return InstantonTableau(l, w1, tuple(sorted(rows.items())))
 
     def row(self, k):
-        for kk, entries in self.rows:
-            if kk == k:
-                return entries
+        # rows run -w1..-1, 1..w1, so row k sits at index k + w1 (- 1 if k > 0)
+        w1 = self.w1
+        if 0 < k <= w1:
+            return self.rows[k + w1 - 1][1]
+        if -w1 <= k < 0:
+            return self.rows[k + w1][1]
         raise KeyError(k)
 
     def row_indices(self):

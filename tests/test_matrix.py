@@ -147,6 +147,17 @@ def test_verify_identity_label_mismatch():
     assert not v["holds"]
 
 
+def test_verify_identity_counterexample_is_first_differing_entry():
+    a = LabeledMatrix.identity([1, 2])
+    b = a.copy()
+    b.set(2, 1, rf("h / (u + h)"))
+    b.set(2, 2, rf("u"))
+    v = verify_identity(a, b)
+    assert not v["holds"] and "mismatches" not in v
+    assert v["counterexample"] == {"row": 2, "col": 1, "lhs": "0", "rhs": "h / (u + h)"}
+    assert "counterexample" not in verify_identity(a, a.copy())
+
+
 def test_eval_entries():
     labels = [1, 2]
     m = LabeledMatrix(labels, labels, {(1, 1): rf("u / (u + h)")})

@@ -13,6 +13,11 @@ from refleq.relations import (
     EXCHANGE_VARIANTS,
     GridError,
     _build_grid,
+    _constant_term_factors,
+    _exchange_factors,
+    _factorization_factors,
+    _prove,
+    _reflection_factors,
     _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
@@ -327,6 +332,63 @@ class TestMonodromyExchange:
     def test_twisted_plain_agrees_with_its_derivation(self, kind):
         v = check_twisted_plain_derivation(2, 1, kind=kind)
         assert v["holds"], v["detail"]
+
+
+# every check whose chain takes its shifts from (u1, u2) or (u3, u4)
+CHAIN_CHECKS = {
+    "monodromyExchange": lambda n: check_monodromy_exchange(2, n, "plainPlain"),
+    "twistedPlainDerivation": lambda n: check_twisted_plain_derivation(2, n),
+    "chainReflection": lambda n: check_chain_reflection("flagPlus", 2, n=n),
+    "boundaryFactorization": lambda n: check_boundary_factorization("flagPlus", 2, n=n),
+    "boundaryConstantTerm": lambda n: check_boundary_constant_term("flagPlus", 2, n=n),
+}
+
+
+@pytest.mark.parametrize("n", [3, -1])
+@pytest.mark.parametrize("check", sorted(CHAIN_CHECKS))
+def test_unbuildable_chain_length_rejected(check, n):
+    with pytest.raises(ValueError, match=rf"n={n} is outside the supported range 0\.\.2"):
+        CHAIN_CHECKS[check](n)
+
+
+class TestBothProvers:
+    """Symbolic and multipoint proofs of the same factor lists, at l = 2.
+
+    yangBaxter and reflection are compared through their mode argument
+    above.  Left out for time: the two-site exchanges (about 5 s each in
+    multipoint) and the dressed chain reflection for spInstanton and
+    flagMinus (about 7 s each).
+    """
+
+    @staticmethod
+    def _both(lhs, rhs):
+        sym = _prove(lhs, rhs, "symbolic")
+        mp = _prove(lhs, rhs, "multipoint")
+        assert (sym["mode"], mp["mode"]) == ("symbolic", "multipoint")
+        assert sym["holds"] == mp["holds"]
+        return sym["holds"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("variant", EXCHANGE_VARIANTS)
+    def test_exchange(self, kind, variant):
+        assert self._both(*_exchange_factors(2, 1, variant, kind))
+
+    def test_mixed_exchange_sides_fail_both(self):
+        lhs, _ = _exchange_factors(2, 1, "plainPlain", "soInstanton")
+        _, rhs = _exchange_factors(2, 1, "plainTwisted", "soInstanton")
+        assert not self._both(lhs, rhs)
+
+    @pytest.mark.parametrize("kind", ["soInstanton", "flagPlus"])
+    def test_chain_reflection(self, kind):
+        assert self._both(*_reflection_factors(kind, 2, n=1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_boundary_factorization(self, kind):
+        assert self._both(*_factorization_factors(kind, 2, 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_boundary_constant_term(self, kind):
+        assert self._both(*_constant_term_factors(kind, 2, 1))
 
 
 class TestChainReflection:

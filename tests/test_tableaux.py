@@ -38,6 +38,15 @@ def test_complement_rows():
     assert t.entry(1, 2) is None
 
 
+@pytest.mark.parametrize("w1", [0, 1, 3])
+def test_row_lookup_matches_stored_rows(w1):
+    t = InstantonTableau.from_positive_entries(4, w1, (2, 4, 1)[:w1])
+    assert {k: t.row(k) for k in t.row_indices()} == dict(t.rows)
+    for missing in (0, w1 + 1, -w1 - 1):
+        with pytest.raises(KeyError):
+            t.row(missing)
+
+
 def test_enumeration_count():
     for l, w1 in SMALL_CASES:
         assert len(enumerate_instanton(l, w1)) == l**w1
