@@ -16,6 +16,7 @@ from .kclass import QLaurent, longest_reflection_transform, longest_transform_su
 from .polarization import build_instance, check_choice, replay_certificate, solve
 from .relations import (
     EXCHANGE_VARIANTS,
+    REFLECTION_MAX_L,
     check_boundary_constant_term,
     check_boundary_factorization,
     check_chain_reflection,
@@ -24,6 +25,7 @@ from .relations import (
     check_r_unitarity,
     check_reflection,
     check_ybe,
+    reflection_expectation,
 )
 from .rkmat import KINDS
 from .tableaux import (
@@ -152,13 +154,11 @@ def criterion_06_r_matrix_identities():
 
 
 def criterion_07_reflection_equation():
-    """Boundary reflection identity on the stated kind/size grid."""
+    """Boundary reflection identity wherever relations pins it to hold."""
     failures = []
-    grid = [("flagPlus", (2, 3, 4, 5)), ("flagMinus", (2, 3, 4)),
-            ("soInstanton", (2, 3)), ("spInstanton", (2,))]
-    for kind, sizes in grid:
-        for l in sizes:
-            if not check_reflection(kind, l)["holds"]:
+    for kind in KINDS:
+        for l in range(2, REFLECTION_MAX_L + 1):
+            if reflection_expectation(kind, l) and not check_reflection(kind, l)["holds"]:
                 failures.append(f"{kind} l={l}")
     for l in (2, 3, 4):
         if check_reflection("flagMinus", l, boundary="oppositePlacement")["holds"]:

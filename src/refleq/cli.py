@@ -29,7 +29,7 @@ from .field import U
 from .polarization import build_instance, choice_to_json, solve, solve_table
 from .relations import check_reflection, run_suite
 from .rkmat import KINDS, k_matrix
-from .tableaux import betti_report, fixed_locus_report, flag_fixed_points
+from .tableaux import betti_rows, fixed_locus_report, flag_fixed_points
 from .acceptance import run_acceptance
 
 _SIGN_FLAG = {"plus": "+", "minus": "-"}
@@ -78,13 +78,13 @@ def emit_table(kind, params):
     """
     if kind == "betti":
         family, l_max, w1_max = params["kind"], params["l"], params["w1"]
-        rows = []
-        for l in range(2, l_max + 1):
-            for w1 in range(0, w1_max + 1):
-                rep = betti_report(family, l, w1)
-                rows.append(
-                    {"l": l, "w1": w1, "dim": rep["dimension"], "poincare": rep["poincare"]}
-                )
+        # one row per l = 2..l_max and w1 = 0..w1_max, so a negative w1 gives none
+        sizes = range(2, l_max + 1) if w1_max >= 0 else ()
+        rows = [
+            {"l": l, "w1": w1, "dim": dim, "poincare": poincare}
+            for l in sizes
+            for w1, dim, poincare in betti_rows(family, l, w1_max)
+        ]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["l", "w1", "dim", "poincare"])
@@ -219,7 +219,7 @@ def kmatrix(ctx, kind, l):
               help="one of: all, ybe, unitarity, reflection, exchange, boundary")
 @click.option("--l", type=int, default=None)
 @click.option("--mode", type=click.Choice(["symbolic", "multipoint"]), default="symbolic")
-@click.option("--jobs", type=int, default=1)
+@click.option("--jobs", type=click.IntRange(min=1), default=1)
 @click.pass_context
 def verify(ctx, scenario, suite_name, l, mode, jobs):
     """Check one reflection scenario or run a verification suite."""

@@ -1,4 +1,4 @@
-"""Exact rational functions in h, q, u, u1, u2, u3, u4 over Q.
+"""Exact rational functions in h, u, u1, u2, u3, u4 over Q.
 
 Polynomials are dicts mapping exponent tuples to coefficients.  A coefficient
 is a plain int whenever it is integral and a Fraction only when a caller passed
@@ -8,13 +8,11 @@ division of coefficients goes through one helper that divides two ints with
 divmod and falls back to Fraction only for a non-integral quotient; nothing
 here ever produces a float.  The variable order is fixed once and for all:
 
-    VARS = (h, q, u, u1, u2, u3, u4)
+    VARS = (h, u, u1, u2, u3, u4)
 
-Only q is allowed a negative exponent (Laurent direction, used by the K-theory
-layer); RatFunc clears q-denominators on construction so num and den are honest
-polynomials.  Monomial comparison is graded lexicographic with later variables
-dominating, so the monomial u1 beats h and `2*u1 + 2*h` is the canonical print
-order for descending terms.
+Monomial comparison is graded lexicographic with later variables dominating,
+so the monomial u1 beats h and `2*u1 + 2*h` is the canonical print order for
+descending terms.
 
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
 rational so all coefficients are ints with joint content 1 and the leading
@@ -26,9 +24,9 @@ operands being canonical and therefore reduced: a product cancels gcd(n1, d2)
 and gcd(n2, d1) and is then reduced as it stands, and a sum a/b + c/d with
 g = gcd(b, d) and t = a (d/g) + c (b/g) needs only g2 = gcd(t, g) to reach
 (t/g2) / ((b/g) (d/g2)); an inverse swaps a pair that is coprime already.
-poly_gcd looks its cache up under the raw operands before any normalization,
-and exact division keeps its remainder ordered in a heap instead of rescanning
-it for the leading term.
+poly_gcd keeps one cache level, keyed by the operand pair itself and looked up
+before any normalization, and exact division keeps its remainder ordered in a
+heap instead of rescanning it for the leading term.
 """
 
 from __future__ import annotations
@@ -39,10 +37,9 @@ from math import gcd as int_gcd
 from math import lcm as int_lcm
 from operator import add, neg, sub
 
-VARS = ("h", "q", "u", "u1", "u2", "u3", "u4")
+VARS = ("h", "u", "u1", "u2", "u3", "u4")
 NVARS = len(VARS)
 VAR_INDEX = {name: i for i, name in enumerate(VARS)}
-Q_INDEX = VAR_INDEX["q"]
 
 ZERO_EXP = (0,) * NVARS
 
@@ -89,7 +86,7 @@ def _div_const(p, c):
 
 
 class Poly:
-    """Multivariate polynomial (Laurent in q) with rational coefficients.
+    """Multivariate polynomial with rational coefficients.
 
     A coefficient is an int when integral and a Fraction otherwise.
     """
@@ -104,10 +101,6 @@ class Poly:
                 if c:
                     t[tuple(exps)] = c
         self.terms = t
-
-    @staticmethod
-    def zero():
-        return Poly()
 
     @staticmethod
     def const(c):
@@ -219,12 +212,6 @@ class Poly:
         i = VAR_INDEX[name]
         return max(e[i] for e in self.terms)
 
-    def min_degree(self, name):
-        if not self.terms:
-            return 0
-        i = VAR_INDEX[name]
-        return min(e[i] for e in self.terms)
-
     def variables(self):
         used = set()
         for e in self.terms:
@@ -234,7 +221,7 @@ class Poly:
         return used
 
     def shift(self, name, power):
-        """Multiply by name**power (power may be negative; Laurent shift)."""
+        """Multiply by name**power, power >= 0."""
         if not power:
             return self
         i = VAR_INDEX[name]
@@ -270,25 +257,6 @@ class Poly:
                     v *= Fraction(assignment[VARS[i]]) ** x
             total += v
         return total
-
-    def subs_poly(self, assignment):
-        """Substitute some variables by Polys, keep the rest."""
-        result = Poly()
-        for e, c in self.terms.items():
-            term = Poly.const(c)
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                name = VARS[i]
-                if name in assignment:
-                    rep = assignment[name]
-                    if x < 0:
-                        raise ValueError("negative exponent in subs_poly")
-                    term = term * rep ** x
-                else:
-                    term = term.shift(name, x)
-            result = result + term
-        return result
 
     def content_and_integers(self):
         """Return (r, P) with self = r * P, P integer coefficients, content 1.
@@ -356,10 +324,15 @@ def format_poly(p):
 # ---------------------------------------------------------------------------
 # gcd machinery
 #
-# Recursive content/primitive-part reduction to a univariate subresultant
-# pseudo-remainder sequence (Cohen alg. 3.2.11).  Primitive PRS recomputes a
-# multivariate content gcd at every step and blows up on dense inputs; the
-# subresultant beta-factors avoid that while keeping all divisions exact.
+# Two algorithms stay.  GCDHEU (Char, Geddes & Gonnet 1989) answers almost
+# every call: it evaluates at a large integer, reconstructs a candidate and
+# proves it by trial division.  When it gives up, a recursive content /
+# primitive-part reduction feeds a univariate subresultant pseudo-remainder
+# sequence (Cohen alg. 3.2.11); primitive PRS would recompute a multivariate
+# content gcd at every step, the subresultant beta-factors keep all divisions
+# exact without that.  The PRS alone is correct but far slower on the dense
+# denominators of the chain reflection checks, so it stays the fallback
+# until a denominator factor base keeps those gcds small.
 
 
 def _to_univariate(p, name):
@@ -510,9 +483,10 @@ def _cache_gcd(key, result):
 def poly_gcd(f, g):
     """gcd over Q[h..u4], normalized to integer content 1, positive lead.
 
-    _GCD_CACHE is consulted first under the raw operands, before any
-    normalization, and every result is stored under that key too.  Cached
-    results are shared objects: no caller may mutate a returned Poly.
+    _GCD_CACHE is keyed by the operand pair (f, g) itself: a Poly hashes
+    once and compares by its terms, so the lookup comes before any
+    normalization and builds nothing.  Cached results and keys are shared
+    objects: no caller may mutate a Poly passed in or handed back.
     """
     if f.is_zero():
         return _normalize_primitive(g)
@@ -520,11 +494,10 @@ def poly_gcd(f, g):
         return _normalize_primitive(f)
     if f.is_const() or g.is_const():
         return Poly.const(1)
-    raw = (frozenset(f.terms.items()), frozenset(g.terms.items()))
-    result = _GCD_CACHE.get(raw)
+    result = _GCD_CACHE.get((f, g))
     if result is None:
         result = _gcd_nonconstant(f, g)
-        _cache_gcd(raw, result)
+        _cache_gcd((f, g), result)
     return result
 
 
@@ -550,26 +523,20 @@ def _gcd_nonconstant(f, g):
     gn = _normalize_primitive(g)
     if fn == gn:
         return fn
-    key = (frozenset(fn.terms.items()), frozenset(gn.terms.items()))
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
     if f.degree() >= g.degree() and _try_div(fn, gn) is not None:
-        result = gn
-    elif g.degree() > f.degree() and _try_div(gn, fn) is not None:
-        result = fn
-    else:
-        result = _gcd_heuristic(fn, gn)
-        if result is None:
-            name = sorted(both, key=lambda n: VAR_INDEX[n])[-1]
-            cf = _content_wrt(f, name)
-            cg = _content_wrt(g, name)
-            a = poly_div_exact(f, cf) if not cf.is_const() else f
-            b = poly_div_exact(g, cg) if not cg.is_const() else g
-            c = poly_gcd(cf, cg)
-            h = _subresultant_gcd(a, b, name)
-            result = _normalize_primitive(h * c)
-    _cache_gcd(key, result)
+        return gn
+    if g.degree() > f.degree() and _try_div(gn, fn) is not None:
+        return fn
+    result = _gcd_heuristic(fn, gn)
+    if result is None:
+        name = sorted(both, key=lambda n: VAR_INDEX[n])[-1]
+        cf = _content_wrt(f, name)
+        cg = _content_wrt(g, name)
+        a = poly_div_exact(f, cf) if not cf.is_const() else f
+        b = poly_div_exact(g, cg) if not cg.is_const() else g
+        c = poly_gcd(cf, cg)
+        h = _subresultant_gcd(a, b, name)
+        result = _normalize_primitive(h * c)
     return result
 
 
@@ -698,11 +665,6 @@ class RatFunc:
             den = Poly.const(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        # clear Laurent q-powers so num, den are real polynomials
-        qmin = min(num.min_degree("q"), den.min_degree("q"))
-        if qmin < 0:
-            num = num.shift("q", -qmin)
-            den = den.shift("q", -qmin)
         if num.terms:
             g = poly_gcd(num, den)
             if not g.is_const():
@@ -843,9 +805,6 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         return _coprime(self.den, self.num)
 
-    def degree(self, name):
-        return max(self.num.degree(name), self.den.degree(name))
-
     def variables(self):
         return self.num.variables() | self.den.variables()
 
@@ -857,10 +816,6 @@ class RatFunc:
                 f"pole of rational function at {assignment}"
             )
         return self.num.subs(assignment) / d
-
-    def subs_poly(self, assignment):
-        """Substitute variables by Polys (e.g. u -> u1 - u2)."""
-        return RatFunc(self.num.subs_poly(assignment), self.den.subs_poly(assignment))
 
     def __str__(self):
         return format_ratfunc(self)
@@ -1048,7 +1003,6 @@ def expand_at_infinity(f, name, order):
 
 # convenient pre-built generators
 H = RatFunc.var("h")
-Qv = RatFunc.var("q")
 U = RatFunc.var("u")
 U1 = RatFunc.var("u1")
 U2 = RatFunc.var("u2")

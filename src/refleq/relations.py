@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -380,10 +381,13 @@ def check_ybe(l, r_builder=None, mode="symbolic"):
     """Yang-Baxter identity R12 R13 R23 = R23 R13 R12 for a difference family.
 
     r_builder(l, w) must produce the two-site matrix; the default is the
-    rational chain R-matrix.  In symbolic mode the three spectral parameters
-    stay independent.  In multipoint mode the factors are built on the slice
-    u3 = 0; since each argument is a pairwise difference, that slice is a
-    faithful linear reparametrization of the identity, not a specialization.
+    rational chain R-matrix.  Both modes build the factors on the slice
+    u3 = 0, with arguments (u1 - u2, u1, u2) for (u1 - u2, u1 - u3, u2 - u3).
+    Every argument is a difference, so the identity depends on u1, u2, u3
+    only through x = u1 - u3 and y = u2 - u3, which are independent; the
+    slice renames x, y to u1, u2 and is a bijective reparametrization of
+    the identity, not a specialization.  This needs r_builder to depend on
+    its argument w and on h only.
     """
     builder = r_builder or (lambda ll, w: yang_r(ll, w))
     _require_dim(l ** 3)
@@ -392,10 +396,7 @@ def check_ybe(l, r_builder=None, mode="symbolic"):
             f"symbolic Yang-Baxter is limited to l <= {SYMBOLIC_YBE_MAX_L}; use multipoint"
         )
     slots = [site_labels(l)] * 3
-    if mode == "symbolic":
-        args = (U1 - U2, U1 - U3, U2 - U3)
-    else:
-        args = (U1 - U2, U1, U2)
+    args = (U1 - U2, U1, U2)
     r12 = embed_on_slots(builder(l, args[0]), (0, 1), slots)
     r13 = embed_on_slots(builder(l, args[1]), (0, 2), slots)
     r23 = embed_on_slots(builder(l, args[2]), (1, 2), slots)
@@ -802,12 +803,15 @@ def run_suite(suite="all", l=None, jobs=1):
 
     The suite passes when every pinned expectation is met; reported-only
     items (expected None) are included in the output but never fail it.
+    The pool starts at most one worker per item and per CPU, since it forks
+    all of them at once; with one worker the items run in this process.
     """
     items = suite_items(suite=suite, l=l)
-    if jobs and jobs > 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(run_suite_item, items))
     else:
         verdicts = [run_suite_item(it) for it in items]

@@ -285,12 +285,13 @@ def _over_one_minus(coeffs, s):
     return out
 
 
-def _content_series(l, w1, tables):
-    """{exponent: number of tableaux} of D + P over all l^w1 tableaux.
+def _content_states(l, w1, tables):
+    """The states of the content program after its last round.
 
     states[n] lists, by exponent, the fillings of n positions with the
-    values inserted so far.  Table entries are counts, hence >= 0, so every
-    exponent is too.
+    values inserted so far; after the last round that is the series of D + P
+    over all l^n tableaux, for every n <= w1.  Table entries are counts,
+    hence >= 0, so every exponent is too.
     """
     d, p = tables
     if min((*d.values(), *p.values()), default=0) < 0:
@@ -324,7 +325,23 @@ def _content_series(l, w1, tables):
                 target.extend([0] * (end - len(target)))
                 target[shift:end] = map(add, target[shift:end], run)
         states = new
-    return {e: x for e, x in enumerate(states[w1]) if x}
+    return states
+
+
+def _series(run):
+    return {e: x for e, x in enumerate(run) if x}
+
+
+def _content_series(l, w1, tables):
+    """{exponent: number of tableaux} of D + P over all l^w1 tableaux."""
+    return _series(_content_states(l, w1, tables)[w1])
+
+
+def _dimension(dims):
+    """The one exponent of a tangent-dimension series, which must be a monomial."""
+    if len(dims) != 1:
+        raise AssertionError(f"tangent dimension not constant: {sorted(dims)}")
+    return next(iter(dims))
 
 
 def poincare_polynomial(kind, l, w1):
@@ -365,9 +382,7 @@ def fixed_locus_report(kind, l, w1):
 
     poly = series(stat)
     dims = series(lambda t: tangent_dimension(t, kind))
-    if len(dims) != 1:
-        raise AssertionError(f"tangent dimension not constant: {sorted(dims)}")
-    report = {"count": l**w1, "poincare": format_tpoly(poly), "dimension": next(iter(dims))}
+    report = {"count": l**w1, "poincare": format_tpoly(poly), "dimension": _dimension(dims)}
     if kind == "so":
         report["zeroChargeCount"] = poly.get(0, 0)
         if l == 2:
@@ -382,6 +397,27 @@ def betti_report(kind, l, w1):
     """Count, Betti polynomial, and common tangent dimension."""
     report = fixed_locus_report(kind, l, w1)
     return {key: report[key] for key in ("count", "poincare", "dimension")}
+
+
+def betti_rows(kind, l, w1_max):
+    """[(w1, dimension, poincare)] of betti_report for w1 = 0..w1_max.
+
+    The row-pair tables are the same for every w1 >= 2, and at w1 <= 1 no
+    pair term enters, so one content run at w1_max hands back the series of
+    every smaller w1 in its last states: one charge run and one tangent run
+    serve the whole range.
+    """
+    small = _small_tableaux(l, w1_max)
+
+    def states(f):
+        return _content_states(l, w1_max, _row_pair_tables(f, small))
+
+    polys = states(_charge_exponent(kind))
+    dims = states(lambda t: tangent_dimension(t, kind))
+    return [
+        (w1, _dimension(_series(dims[w1])), format_tpoly(_series(polys[w1])))
+        for w1 in range(w1_max + 1)
+    ]
 
 
 def so_component_report(l, w1):

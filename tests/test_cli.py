@@ -136,6 +136,19 @@ class TestTableaux:
         rows, text = emit_table("betti", {"kind": "sp", "l": 3, "w1": 1})
         assert [r["l"] for r in rows] == [2, 2, 3, 3]
         assert str(rows[1]["dim"]) in text.splitlines()[2]
+        # one content run per l serves every w1; each row is still betti_report's
+        for kind in ("sp", "so"):
+            for w1_max in (0, 1, 5):
+                rows, text = emit_table("betti", {"kind": kind, "l": 4, "w1": w1_max})
+                lines = text.splitlines()
+                assert len(rows) == len(lines) - 1 == 3 * (w1_max + 1)
+                for row, line in zip(rows, lines[1:]):
+                    rep = betti_report(kind, row["l"], row["w1"])
+                    assert (row["dim"], row["poincare"]) == (rep["dimension"], rep["poincare"])
+                    assert line == f'{row["l"]},{row["w1"]},{row["dim"]},{row["poincare"]}'
+                assert [(r["l"], r["w1"]) for r in rows] == [
+                    (l, w1) for l in (2, 3, 4) for w1 in range(w1_max + 1)
+                ]
 
     def test_flag_points(self):
         res = run_cli("tableaux", "flags", "--sign", "minus", "--l", "5", "--w1", "4")
@@ -221,6 +234,13 @@ class TestVerify:
         assert run_cli("verify", "--scenario", "flagPlus", "--suite", "all").exit_code == 2
         assert run_cli("verify", "--scenario", "flagPlus").exit_code == 2
         assert run_cli("verify", "--suite", "nonsense").exit_code == 2
+
+    def test_jobs_below_one_rejected(self):
+        for value in ("0", "-1"):
+            res = run_cli("verify", "--suite", "unitarity", "--l", "2", "--jobs", value)
+            assert res.exit_code == 2, value
+            assert res.stdout == ""
+            assert f"--jobs': {value} is not in the range" in res.stderr
 
 
 class TestPolarization:

@@ -1,6 +1,8 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
+import concurrent.futures
 import json
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -439,6 +441,32 @@ class TestSuites:
         serial = run_suite(suite="unitarity", l=2)
         parallel = run_suite(suite="unitarity", l=2, jobs=2)
         assert serial == parallel
+
+    def test_huge_jobs_bounded_by_cpus(self, monkeypatch):
+        # a stand-in pool that records its size and runs in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = run_suite(suite="unitarity", l=2)
+        assert started == []
+        assert run_suite(suite="unitarity", l=2, jobs=10**9) == serial
+        assert started == [2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_suite(suite="unitarity", l=2, jobs=10**9) == serial
+        assert started == [2]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
