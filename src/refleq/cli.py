@@ -78,8 +78,9 @@ def emit_table(kind, params):
     """
     if kind == "betti":
         family, l_max, w1_max = params["kind"], params["l"], params["w1"]
-        # one row per l = 2..l_max and w1 = 0..w1_max, so a negative w1 gives none
-        sizes = range(2, l_max + 1) if w1_max >= 0 else ()
+        # one row per l = 2..l_max and w1 = 0..w1_max; an l_max below 2 is
+        # handed to betti_rows as it is, which rejects it as the JSON report does
+        sizes = range(min(l_max, 2), l_max + 1)
         rows = [
             {"l": l, "w1": w1, "dim": dim, "poincare": poincare}
             for l in sizes

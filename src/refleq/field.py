@@ -3,9 +3,7 @@
 Polynomials are dicts mapping exponent tuples to coefficients.  A coefficient
 is a plain int whenever it is integral and a Fraction only when a caller passed
 in a non-integral value (parse_poly("3/2*h"), Poly.scale(Fraction(3, 7))), so
-the canonical forms below, which are integral, do int arithmetic only.  Exact
-division of coefficients goes through one helper that divides two ints with
-divmod and falls back to Fraction only for a non-integral quotient; nothing
+the canonical forms below, which are integral, do int arithmetic only; nothing
 here ever produces a float.  The variable order is fixed once and for all:
 
     VARS = (h, u, u1, u2, u3, u4)
@@ -16,26 +14,34 @@ descending terms.
 
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
 rational so all coefficients are ints with joint content 1 and the leading
-coefficient of den is positive.  Equality is plain data equality on that form.
+coefficient of den is positive.  Equality and hashing agree with that data.
 
-Only the constructor takes the gcd of a whole num/den pair.  Products and sums
-use Henrici's algorithms (Knuth, TAOCP vol. 2, 4.5.1), which rely on the
-operands being canonical and therefore reduced: a product cancels gcd(n1, d2)
-and gcd(n2, d1) and is then reduced as it stands, and a sum a/b + c/d with
-g = gcd(b, d) and t = a (d/g) + c (b/g) needs only g2 = gcd(t, g) to reach
-(t/g2) / ((b/g) (d/g2)); an inverse swaps a pair that is coprime already.
-poly_gcd keeps one cache level, keyed by the operand pair itself and looked up
-before any normalization, and exact division keeps its remainder ordered in a
-heap instead of rescanning it for the leading term.
+The factor base.  The K- and R-matrices have poles on shifts such as
+u1 + u2 + h or u - u1 + h, so every denominator they produce is a product of
+a few linear forms.  A RatFunc keeps its denominator as a positive int times
+exponents over an interned table of primitive linear forms, plus a residual
+Poly for a factor not known to split over the table.  Products and sums are
+Henrici's algorithms on that form: exponents add, a gcd of denominators is a
+minimum of exponents, and a cancellation is a trial division by a form.  A
+trial division is exact: a nonzero integer value of t at one rational point
+of the hyperplane L = 0 proves that L does not divide t, and when the value
+is zero poly_div_exact decides.  Nothing is decided modulo a prime or at a
+float.
+
+The general gcd runs only on residuals, which arise from the constructor,
+inv() and parse_ratfunc of denominators that do not split over the table.
+It is a content / primitive-part recursion over a subresultant PRS.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from functools import reduce
 from math import gcd as int_gcd
 from math import lcm as int_lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 VARS = ("h", "u", "u1", "u2", "u3", "u4")
 NVARS = len(VARS)
@@ -181,14 +187,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return reduce(mul, [self] * n, Poly.const(1))
 
     def scale(self, c):
         c = _coef(c)
@@ -213,39 +212,12 @@ class Poly:
         return max(e[i] for e in self.terms)
 
     def variables(self):
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(VARS[i])
-        return used
-
-    def shift(self, name, power):
-        """Multiply by name**power, power >= 0."""
-        if not power:
-            return self
-        i = VAR_INDEX[name]
-        t = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += power
-            t[tuple(e2)] = c
-        p = Poly()
-        p.terms = t
-        return p
+        return {VARS[i] for e in self.terms for i, x in enumerate(e) if x}
 
     def coeff_of(self, name, power):
         """Coefficient of name**power, a Poly in the remaining variables."""
         i = VAR_INDEX[name]
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = list(e)
-                e2[i] = 0
-                t[tuple(e2)] = c
-        p = Poly()
-        p.terms = t
-        return p
+        return Poly({e[:i] + (0,) + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power})
 
     def subs(self, assignment):
         """Evaluate at a full assignment {var: Fraction} -> Fraction."""
@@ -324,34 +296,26 @@ def format_poly(p):
 # ---------------------------------------------------------------------------
 # gcd machinery
 #
-# Two algorithms stay.  GCDHEU (Char, Geddes & Gonnet 1989) answers almost
-# every call: it evaluates at a large integer, reconstructs a candidate and
-# proves it by trial division.  When it gives up, a recursive content /
-# primitive-part reduction feeds a univariate subresultant pseudo-remainder
-# sequence (Cohen alg. 3.2.11); primitive PRS would recompute a multivariate
-# content gcd at every step, the subresultant beta-factors keep all divisions
-# exact without that.  The PRS alone is correct but far slower on the dense
-# denominators of the chain reflection checks, so it stays the fallback
-# until a denominator factor base keeps those gcds small.
+# A recursive content / primitive-part reduction feeds a univariate
+# subresultant pseudo-remainder sequence (Cohen alg. 3.2.11): its
+# beta-factors keep every division exact without the multivariate content gcd
+# a primitive PRS needs at each step.  It is deterministic and needs no cache:
+# with the factor base it sees residual denominators only.
 
 
 def _to_univariate(p, name):
     """Represent p as {degree: Poly-in-other-vars} in the chosen variable."""
-    out = {}
     i = VAR_INDEX[name]
+    out = {}
     for e, c in p.terms.items():
-        d = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        coeff = out.setdefault(d, Poly())
-        coeff.terms[tuple(e2)] = coeff.terms.get(tuple(e2), 0) + c
-    return {d: c for d, c in out.items() if c.terms}
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {d: Poly(t) for d, t in out.items()}
 
 
 def _from_univariate(coeffs, name):
+    i = VAR_INDEX[name]
     p = Poly()
-    for d, c in coeffs.items():
-        p = p + c.shift(name, d)
+    p.terms = {e[:i] + (d,) + e[i + 1:]: c for d, co in coeffs.items() for e, c in co.terms.items()}
     return p
 
 
@@ -410,9 +374,7 @@ def _pseudo_rem_uni(fu, gu):
         dr = max(r)
         lr = r[dr]
         # r <- lg * r - lr * x^(dr-dg) * g
-        new = {}
-        for d, c in r.items():
-            new[d] = c * lg
+        new = {d: c * lg for d, c in r.items()}
         done += 1
         for d, c in gu.items():
             dd = d + dr - dg
@@ -453,14 +415,7 @@ def _normalize_primitive(p):
 
 def _mono_content(p):
     """Exponentwise min over terms: the largest monomial dividing p."""
-    it = iter(p.terms)
-    first = next(it)
-    mins = list(first)
-    for e in it:
-        for i, x in enumerate(e):
-            if x < mins[i]:
-                mins[i] = x
-    return tuple(mins)
+    return tuple(map(min, zip(*p.terms)))
 
 
 def _try_div(f, g):
@@ -470,35 +425,15 @@ def _try_div(f, g):
         return None
 
 
-_GCD_CACHE = {}
-_GCD_CACHE_MAX = 1 << 15
-
-
-def _cache_gcd(key, result):
-    if len(_GCD_CACHE) >= _GCD_CACHE_MAX:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = result
-
-
 def poly_gcd(f, g):
-    """gcd over Q[h..u4], normalized to integer content 1, positive lead.
-
-    _GCD_CACHE is keyed by the operand pair (f, g) itself: a Poly hashes
-    once and compares by its terms, so the lookup comes before any
-    normalization and builds nothing.  Cached results and keys are shared
-    objects: no caller may mutate a Poly passed in or handed back.
-    """
+    """gcd over Q[h..u4], normalized to integer content 1, positive lead."""
     if f.is_zero():
         return _normalize_primitive(g)
     if g.is_zero():
         return _normalize_primitive(f)
     if f.is_const() or g.is_const():
         return Poly.const(1)
-    result = _GCD_CACHE.get((f, g))
-    if result is None:
-        result = _gcd_nonconstant(f, g)
-        _cache_gcd((f, g), result)
-    return result
+    return _gcd_nonconstant(f, g)
 
 
 def _gcd_nonconstant(f, g):
@@ -513,97 +448,17 @@ def _gcd_nonconstant(f, g):
     if len(f.terms) == 1 or len(g.terms) == 1:
         # monomial gcd already extracted: nothing further in common
         return Poly.const(1)
-    fv = f.variables()
-    gv = g.variables()
-    both = fv & gv
+    both = f.variables() & g.variables()
     if not both:
         return Poly.const(1)
-    # cheap wins: equal up to scale, or one divides the other
-    fn = _normalize_primitive(f)
-    gn = _normalize_primitive(g)
-    if fn == gn:
-        return fn
-    if f.degree() >= g.degree() and _try_div(fn, gn) is not None:
-        return gn
-    if g.degree() > f.degree() and _try_div(gn, fn) is not None:
-        return fn
-    result = _gcd_heuristic(fn, gn)
-    if result is None:
-        name = sorted(both, key=lambda n: VAR_INDEX[n])[-1]
-        cf = _content_wrt(f, name)
-        cg = _content_wrt(g, name)
-        a = poly_div_exact(f, cf) if not cf.is_const() else f
-        b = poly_div_exact(g, cg) if not cg.is_const() else g
-        c = poly_gcd(cf, cg)
-        h = _subresultant_gcd(a, b, name)
-        result = _normalize_primitive(h * c)
-    return result
-
-
-def _eval_var_int(p, name, xi):
-    """Evaluate one variable at an integer; coefficients stay exact."""
-    i = VAR_INDEX[name]
-    out = {}
-    for e, c in p.terms.items():
-        e2 = list(e)
-        d = e2[i]
-        e2[i] = 0
-        key = tuple(e2)
-        out[key] = out.get(key, 0) + c * xi ** d
-    q = Poly()
-    q.terms = {e: c for e, c in out.items() if c}
-    return q
-
-
-def _mods(c, xi):
-    r = c % xi
-    if r > xi // 2:
-        r -= xi
-    return r
-
-
-def _gcd_heuristic(f, g, depth=0):
-    """GCDHEU: evaluate at a big integer, reconstruct digits, verify by
-    trial division.  Inputs integer-primitive; returns None if unlucky."""
-    fvars = sorted(f.variables() & g.variables(), key=lambda n: VAR_INDEX[n])
-    if not fvars:
-        return Poly.const(1)
-    name = fvars[-1]
-    max_f = max(abs(c) for c in f.terms.values())
-    max_g = max(abs(c) for c in g.terms.values())
-    xi = 2 * min(max_f, max_g) + 29
-    for _ in range(6):
-        fe = _eval_var_int(f, name, xi)
-        ge = _eval_var_int(g, name, xi)
-        if fe.is_zero() or ge.is_zero():
-            xi = xi * 4019 + 3
-            continue
-        if fe.is_const() and ge.is_const():
-            gamma = Poly.const(int_gcd(fe.const_value(), ge.const_value()))
-        else:
-            fe_c, fe_i = fe.content_and_integers()
-            ge_c, ge_i = ge.content_and_integers()
-            sub = _gcd_heuristic(fe_i, ge_i, depth + 1) if depth < 8 else None
-            if sub is None:
-                xi = xi * 4019 + 3
-                continue
-            gamma = sub.scale(int_gcd(fe_c, ge_c))
-        # digit reconstruction of the candidate in `name`
-        cand = Poly()
-        power = 0
-        while not gamma.is_zero():
-            digits = {e: _mods(c, xi) for e, c in gamma.terms.items()}
-            cand = cand + Poly(digits).shift(name, power)
-            gamma = Poly({e: _div(c - digits[e], xi) for e, c in gamma.terms.items()})
-            power += 1
-            if power > 64:
-                break
-        if not cand.is_zero():
-            cand = _normalize_primitive(cand)
-            if _try_div(f, cand) is not None and _try_div(g, cand) is not None:
-                return cand
-        xi = xi * 4019 + 3
-    return None
+    name = max(both, key=VAR_INDEX.get)
+    cf = _content_wrt(f, name)
+    cg = _content_wrt(g, name)
+    a = poly_div_exact(f, cf) if not cf.is_const() else f
+    b = poly_div_exact(g, cg) if not cg.is_const() else g
+    c = poly_gcd(cf, cg)
+    h = _subresultant_gcd(a, b, name)
+    return _normalize_primitive(h * c)
 
 
 def _subresultant_gcd(a, b, name):
@@ -642,86 +497,290 @@ def _subresultant_gcd(a, b, name):
 
 
 # ---------------------------------------------------------------------------
+# the factor base
+#
+# _FORMS interns linear forms, each primitive with a positive leading
+# coefficient; the variables come first, so form i < NVARS is VARS[i].
+# Whether a form L divides a polynomial t is decided exactly: t is evaluated
+# in integers at the point of the hyperplane L = 0 whose other coordinates
+# are _PT.  A nonzero value proves that L does not divide t; only a zero
+# value leads to poly_div_exact, which decides.  Exponent maps are dicts
+# {form id: exponent}, never mutated once built, so they are shared.
+
+_PT = (5, 47, 431, 3967, 36497, 335779)
+_FORMS_MAX = 1 << 12
+_EXPANDED_MAX = 1 << 10
+
+
+class _Form:
+    """A form and its hyperplane point: lead * x_k = root, the rest at _PT."""
+
+    __slots__ = ("poly", "k", "lead", "root", "value")
+
+    def __init__(self, poly):
+        top, self.lead = poly.leading()
+        self.poly, self.k = poly, top.index(1)
+        rest = sum(c * (_PT[e.index(1)] if any(e) else 1) for e, c in poly.terms.items() if e != top)
+        self.root, self.value = -rest, self.lead * _PT[self.k] + rest
+
+
+_FORMS = []
+_FORM_ID = {}
+
+
+def _intern(p):
+    """Table id of the linear form p, or None once the table is full."""
+    i = _FORM_ID.get(p)
+    if i is None and len(_FORMS) < _FORMS_MAX:
+        i = _FORM_ID[p] = len(_FORMS)
+        _FORMS.append(_Form(p))
+    return i
+
+
+for _name in VARS:
+    _intern(Poly.var(_name))
+
+
+def _vanishes_on(t, form, images):
+    """Whether t is 0 at the form's hyperplane point.  images caches, per
+    variable k, t with the other variables at _PT as {degree: coefficient};
+    Horner then runs in x_k = root / lead, cleared of lead^degree."""
+    img = images.get(form.k)
+    if img is None:
+        img = images[form.k] = {}
+        for e, c in t.terms.items():
+            for j, x in enumerate(e):
+                if x and j != form.k:
+                    c *= _PT[j] ** x
+            img[e[form.k]] = img.get(e[form.k], 0) + c
+    acc, lead_pow = 0, 1
+    for d in range(max(img), -1, -1):
+        acc = acc * form.root + img.get(d, 0) * lead_pow
+        lead_pow *= form.lead
+    return not acc
+
+
+def _divide_out(t, pairs):
+    """Divide t by the form i of each (i, n) up to n times while it divides:
+    (quotient, {form id: times it divided})."""
+    took = {}
+    images = {}
+    for i, n in pairs:
+        form = _FORMS[i]
+        while took.get(i, 0) < n and not t.is_const() and _vanishes_on(t, form, images):
+            q = _try_div(t, form.poly)
+            if q is None:
+                break
+            t, images = q, {}
+            took[i] = took.get(i, 0) + 1
+    return t, took
+
+
+def _merge(f, g, sign=1):
+    """Exponent map f times (sign 1) or over (sign -1) the map g."""
+    if not g:
+        return f
+    out = dict(f)
+    for i, e in g.items():
+        e = out.get(i, 0) + sign * e
+        if e:
+            out[i] = e
+        else:
+            del out[i]
+    return out
+
+
+def _tidy(f, r):
+    """A residual that became constant leaves; a linear one joins the table."""
+    d = r.degree() if r is not None else 2
+    if d == 0:
+        return f, None
+    i = _intern(r) if d == 1 else None
+    if i is None:
+        return f, r
+    return _merge(f, {i: 1}), None
+
+
+def _split(p):
+    """(exponents, residual) of p, primitive with a positive leading
+    coefficient: its monomial content and every table form dividing it."""
+    m = _mono_content(p)
+    f = {i: x for i, x in enumerate(m) if x}
+    if f:
+        p = Poly({tuple(map(sub, e, m)): c for e, c in p.terms.items()})
+    d = p.degree()
+    if d > 1:
+        p, took = _divide_out(p, ((i, d) for i in range(NVARS, len(_FORMS))))
+        f = _merge(f, took)
+    return _tidy(f, p)
+
+
+def _absorb(f, r, ids):
+    """(f, r) with the forms ids that divide the residual r moved into f."""
+    d = r.degree()
+    r, took = _divide_out(r, ((i, d) for i in ids))
+    return _tidy(_merge(f, took), r)
+
+
+def _cancel(n, f, r):
+    """Numerator n and denominator part (f, r) with their common factor
+    divided out: trial division by the forms, the general gcd for r."""
+    if f:
+        n, took = _divide_out(n, f.items())
+        f = _merge(f, took, -1)
+    if r is not None:
+        g = poly_gcd(n, r)
+        if not g.is_const():
+            n = poly_div_exact(n, g)
+            f, r = _tidy(f, poly_div_exact(r, g))
+    return n, f, r
+
+
+_EXPANDED = {}
+
+
+def _times(p, k, f, r):
+    """p * k * prod form^e * r: an int k, exponents f (expansion cached) and
+    a residual r or None."""
+    if f:
+        key = frozenset(f.items())
+        e = _EXPANDED.get(key)
+        if e is None:
+            if len(_EXPANDED) >= _EXPANDED_MAX:
+                _EXPANDED.clear()
+            e = _EXPANDED[key] = reduce(mul, (_FORMS[i].poly ** x for i, x in f.items()))
+        p = p * e
+    if r is not None:
+        p = p * r
+    return p if k == 1 else p.scale(k)
+
+
+# ---------------------------------------------------------------------------
 
 
 class RatFunc:
-    """Reduced rational function num/den in canonical form.
+    """Reduced rational function num / den in canonical form.
 
-    The constructor reduces num/den by their gcd.  +, -, * and inv skip that
-    gcd (Henrici): their operands are canonical, hence reduced, so the cross
-    cancellations of a product, gcd(t, g) of a sum and the swap of an inverse
-    leave a coprime pair that only needs scaling.  The results are the same canonical data the
-    constructor would give for the unreduced pair.
+    The denominator is kept factored as den = c * prod form^e * residual: a
+    positive int c, an exponent map over the form table and a residual, a
+    primitive Poly with a positive leading coefficient or None.  Only the
+    constructor and inv() split a new denominator over the table; whatever
+    does not split is the residual, and only residuals reach poly_gcd.  den,
+    the expanded Poly, is computed on first read and kept.
+
+    Products and sums are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): the
+    operands are canonical, hence reduced.  A product trial-divides each
+    numerator by the forms of the other denominator and adds the exponents.
+    A sum a/b + c/d takes g = gcd(b, d) as the minimum of the exponents,
+    t = a (d/g) + c (b/g) from cached expansions, and gcd(t, g) by trial
+    division of t.  The results are the canonical data the full gcd of the
+    unreduced pair gives.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_c", "_f", "_r", "_hash")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
             num = Poly.const(num)
-        if den is None:
-            den = Poly.const(1)
-        elif isinstance(den, (int, Fraction)):
+        if isinstance(den, (int, Fraction)):
             den = Poly.const(den)
-        if den.is_zero():
+        if den is not None and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        f, r, c = _NO_FORMS, None, 1
         if num.terms:
-            g = poly_gcd(num, den)
-            if not g.is_const():
-                num = poly_div_exact(num, g)
-                den = poly_div_exact(den, g)
-        self.num, self.den = _scale_coprime(num, den)
+            if den is not None:
+                s, den = den.content_and_integers()
+                if den.leading()[1] < 0:
+                    s, den = -s, -den
+                num = _div_const(num, s)
+                if not den.is_const():
+                    f, r = _split(den)
+            s, num = num.content_and_integers()
+            num, f, r = _cancel(num, f, r)
+            s = Fraction(s)
+            num, c = num.scale(s.numerator), s.denominator
+        self.num, self._c, self._f, self._r = num, c, f, r
+
+    def __getattr__(self, name):
+        # den is the only attribute computed on demand
+        if name != "den":
+            raise AttributeError(name)
+        self.den = _times(Poly.const(1), self._c, self._f, self._r)
+        return self.den
+
+    def __reduce__(self):
+        # form ids index this process's table
+        return RatFunc, (self.num, self.den)
 
     @staticmethod
     def zero():
-        return RatFunc(Poly())
+        return _make(Poly(), 1, _NO_FORMS, None)
 
     @staticmethod
     def one():
-        return RatFunc(Poly.const(1))
+        return RatFunc.const(1)
 
     @staticmethod
     def const(c):
-        return RatFunc(Poly.const(c))
+        c = Fraction(c)
+        return _make(Poly.const(c.numerator), c.denominator, _NO_FORMS, None)
 
     @staticmethod
     def var(name, power=1):
         if power >= 0:
-            return RatFunc(Poly.var(name, power))
-        return RatFunc(Poly.const(1), Poly.var(name, -power))
+            return _make(Poly.var(name, power), 1, _NO_FORMS, None)
+        return _make(Poly.const(1), 1, {VAR_INDEX[name]: -power}, None)
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_const(self):
-        return self.num.is_const() and self.den.is_const()
+        return self.num.is_const() and not self._f and self._r is None
 
     def const_value(self):
         """The exact value of a constant RatFunc, always a Fraction."""
-        return Fraction(self.num.const_value(), self.den.const_value())
+        if not self.is_const():
+            raise ValueError("not a constant rational function")
+        return Fraction(self.num.const_value(), self._c)
+
+    def den_factors(self):
+        """(c, {form: exponent}, residual) with den = c * prod form^exponent
+        * residual, where no form of the table divides the residual."""
+        f, r = self._f, self._r
+        if r is not None:
+            f, r = _absorb(f, r, range(NVARS, len(_FORMS)))
+        return self._c, {_FORMS[i].poly: e for i, e in f.items()}, r
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFunc.const(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self.num != other.num or self._c != other._c:
+            return False
+        if self._r is None and other._r is None:
+            # distinct forms are distinct primes: exponents are the factorization
+            return self._f == other._f
+        return self.den == other.den
 
     def __hash__(self):
+        # den enters by its value at _PT, which every factorization shares
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.num, self.den))
+            v = self._c
+            for i, e in self._f.items():
+                v *= _FORMS[i].value ** e
+            if self._r is not None:
+                v *= self._r.subs(dict(zip(VARS, _PT)))
+            self._hash = hash((self.num, v))
             return self._hash
 
     def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return _make(-self.num, self._c, self._f, self._r)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -735,54 +794,67 @@ class RatFunc:
     def _add_signed(self, o, sign):
         # Henrici: with g = gcd(b, d) and t = a (d/g) + c (b/g), only g can
         # share a factor with t, so a/b + c/d = (t/g2) / ((b/g) (d/g2)) for
-        # g2 = gcd(t, g), and that pair is coprime
-        b, d = self.den, o.den
+        # g2 = gcd(t, g), and that pair is coprime.  A form whose exponents in
+        # b and d differ divides b/g or d/g, both coprime to t, so only forms
+        # with equal exponents are tried on t.
+        a = self.num
         c = o.num if sign > 0 else -o.num
-        g = poly_gcd(b, d)
-        if g.is_const():
-            return _coprime(self.num * d + c * b, b * d)
-        bg = poly_div_exact(b, g)
-        t = self.num * poly_div_exact(d, g) + c * bg
-        g2 = poly_gcd(t, g)
-        if g2.is_const():
-            return _coprime(t, bg * d)
-        return _coprime(poly_div_exact(t, g2), bg * poly_div_exact(d, g2))
+        if not c.terms:
+            return self
+        if not a.terms:
+            return o if sign > 0 else -o
+        fb, rb, fd, rd = self._f, self._r, o._f, o._r
+        if rb is not None or rd is not None:
+            # a residual may hide a form of either side: g must see it
+            ids = fb.keys() | fd.keys()
+            if rb is not None:
+                fb, rb = _absorb(fb, rb, ids)
+            if rd is not None:
+                fd, rd = _absorb(fd, rd, ids)
+        g = {i: min(e, fd[i]) for i, e in fb.items() if i in fd}
+        gr = poly_gcd(rb, rd) if rb is not None and rd is not None else None
+        if gr is not None and gr.is_const():
+            gr = None
+        rbg = rb if gr is None else poly_div_exact(rb, gr)
+        cl = int_lcm(self._c, o._c)
+        fbg = _merge(fb, g, -1)
+        t = _times(a, cl // self._c, _merge(fd, g, -1), rd if gr is None else poly_div_exact(rd, gr))
+        t = t + _times(c, cl // o._c, fbg, rbg)
+        if not t.terms:
+            return RatFunc.zero()
+        t, g2 = _divide_out(t, ((i, e) for i, e in g.items() if fb[i] == fd[i]))
+        if gr is not None:
+            gr2 = poly_gcd(t, gr)
+            if not gr2.is_const():
+                t, rd = poly_div_exact(t, gr2), poly_div_exact(rd, gr2)
+        r = rd if rbg is None else rbg if rd is None else rbg * rd
+        return _make(t, cl, *_tidy(_merge(fbg, _merge(fd, g2, -1)), r))
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add_signed(o, 1)
+        return NotImplemented if o is None else self._add_signed(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add_signed(o, -1)
+        return NotImplemented if o is None else self._add_signed(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.num.is_zero() or o.num.is_zero():
+        if not self.num.terms or not o.num.terms:
             return RatFunc.zero()
-        # cross-cancel before multiplying out
-        g1 = poly_gcd(self.num, o.den)
-        g2 = poly_gcd(o.num, self.den)
-        n1 = self.num if g1.is_const() else poly_div_exact(self.num, g1)
-        d2 = o.den if g1.is_const() else poly_div_exact(o.den, g1)
-        n2 = o.num if g2.is_const() else poly_div_exact(o.num, g2)
-        d1 = self.den if g2.is_const() else poly_div_exact(self.den, g2)
-        # Henrici: both operands are reduced, so n1 n2 and d1 d2 are coprime
-        return _coprime(n1 * n2, d1 * d2)
+        # Henrici: after cross-cancellation n1 n2 and d1 d2 are coprime
+        n1, f2, r2 = _cancel(self.num, o._f, o._r)
+        n2, f1, r1 = _cancel(o.num, self._f, self._r)
+        r = r1 if r2 is None else r2 if r1 is None else r1 * r2
+        return _make(n1 * n2, self._c * o._c, _merge(f1, f2), r)
 
     __rmul__ = __mul__
 
@@ -796,14 +868,20 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return NotImplemented if o is None else o / self
 
     def inv(self):
+        # a coprime pair swapped: only the new denominator needs splitting
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return _coprime(self.den, self.num)
+        s, p = self.num.content_and_integers()
+        if p.leading()[1] < 0:
+            s, p = -s, -p
+        f, r = _split(p) if not p.is_const() else (_NO_FORMS, None)
+        # den / (s p) = k den / (n p) for s = n / k, n > 0
+        s = Fraction(s)
+        n, k = abs(s.numerator), s.denominator * (1 if s > 0 else -1)
+        return _make(self.den.scale(k), n, f, r)
 
     def variables(self):
         return self.num.variables() | self.den.variables()
@@ -824,29 +902,19 @@ class RatFunc:
         return f"RatFunc({format_ratfunc(self)})"
 
 
-def _scale_coprime(num, den):
-    """Scale coprime polynomials num, den by one rational to canonical form.
-
-    The pair becomes integral with joint content 1 and a positive leading den
-    coefficient; a zero num gets den 1.
-    """
-    if not num.terms:
-        return Poly(), Poly.const(1)
-    coeffs = (*num.terms.values(), *den.terms.values())
-    joint = _div(
-        int_gcd(*(c.numerator for c in coeffs)),
-        int_lcm(*(c.denominator for c in coeffs)),
-    )
-    if den.leading()[1] < 0:
-        joint = -joint
-    return _div_const(num, joint), _div_const(den, joint)
+_NO_FORMS = {}
 
 
-def _coprime(num, den):
-    """The RatFunc num/den of two coprime polynomials, built without a gcd."""
-    r = RatFunc.__new__(RatFunc)
-    r.num, r.den = _scale_coprime(num, den)
-    return r
+def _make(num, c, f, r):
+    """The RatFunc num / (c * prod form^e * r) for an integral num coprime
+    to the polynomial part of the denominator: only the content is left."""
+    if c != 1:
+        k = int_gcd(c, *num.terms.values())
+        if k != 1:
+            num, c = _div_const(num, k), c // k
+    x = RatFunc.__new__(RatFunc)
+    x.num, x._c, x._f, x._r = num, c, f, r
+    return x
 
 
 def format_ratfunc(r):
@@ -856,17 +924,11 @@ def format_ratfunc(r):
     den_s = format_poly(r.den)
     if len(r.num.terms) > 1:
         num_s = f"({num_s})"
-    if len(r.den.terms) > 1 or _den_needs_parens(r.den):
+    # a single-term den goes bare only as a power like u or h^2
+    (e, c), *more = r.den.terms.items()
+    if more or c != 1 or sum(1 for x in e if x) > 1:
         den_s = f"({den_s})"
     return f"{num_s} / {den_s}"
-
-
-def _den_needs_parens(den):
-    # single term: parenthesize unless it's a bare power like u, h^2
-    ((e, c),) = den.terms.items()
-    if c != 1:
-        return True
-    return sum(1 for x in e if x) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -881,21 +943,11 @@ def parse_ratfunc(s):
     """Parse the canonical string form back into a RatFunc."""
     s = s.strip()
     depth = 0
-    split = None
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(" / ", i):
-            split = i
-            break
-        i += 1
-    if split is None:
-        return RatFunc(parse_poly(s))
-    return RatFunc(parse_poly(s[:split]), parse_poly(s[split + 3:]))
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and s.startswith(" / ", i):
+            return RatFunc(parse_poly(s[:i]), parse_poly(s[i + 3:]))
+    return RatFunc(parse_poly(s))
 
 
 def parse_poly(s):
@@ -924,25 +976,12 @@ def _balanced_interior(s):
 
 
 def _split_terms(s):
-    terms = []
     sign = 1
     if s.startswith("-"):
-        sign = -1
-        s = s[1:]
-    cur = []
-    i = 0
-    while i < len(s):
-        if s.startswith(" + ", i):
-            terms.append((sign, "".join(cur)))
-            sign, cur, i = 1, [], i + 3
-        elif s.startswith(" - ", i):
-            terms.append((sign, "".join(cur)))
-            sign, cur, i = -1, [], i + 3
-        else:
-            cur.append(s[i])
-            i += 1
-    terms.append((sign, "".join(cur)))
-    return terms
+        sign, s = -1, s[1:]
+    parts = re.split(r" ([+-]) ", s)
+    signs = [sign] + [1 if op == "+" else -1 for op in parts[1::2]]
+    return list(zip(signs, parts[0::2]))
 
 
 def _parse_term(t):
@@ -989,9 +1028,8 @@ def expand_at_infinity(f, name, order):
         raise ValueError(
             f"expansion at infinity needs deg({name}) of num <= den, got {dn} > {dd}"
         )
-    d = dd
-    N = [RatFunc(num.coeff_of(name, d - r)) for r in range(order + 1)]
-    D = [RatFunc(den.coeff_of(name, d - r)) for r in range(order + 1)]
+    N = [RatFunc(num.coeff_of(name, dd - r)) for r in range(order + 1)]
+    D = [RatFunc(den.coeff_of(name, dd - r)) for r in range(order + 1)]
     coeffs = []
     for r in range(order + 1):
         acc = N[r]
@@ -1002,9 +1040,4 @@ def expand_at_infinity(f, name, order):
 
 
 # convenient pre-built generators
-H = RatFunc.var("h")
-U = RatFunc.var("u")
-U1 = RatFunc.var("u1")
-U2 = RatFunc.var("u2")
-U3 = RatFunc.var("u3")
-U4 = RatFunc.var("u4")
+H, U, U1, U2, U3, U4 = (RatFunc.var(name) for name in VARS)

@@ -219,17 +219,23 @@ def _build_grid(mats, active, bounds, max_retries=8):
 
 
 def _den_lcm(mat):
-    lcm = None
+    """The lcm of mat's entry denominators, up to a constant, as (exponents,
+    residual): each linear form of the field's factor base at its largest
+    exponent over the entries, times the lcm of the residuals, which no form
+    divides and only the general gcd can combine."""
+    exps, res = {}, None
     for val in mat.entries.values():
-        d = val.den
-        if d.is_const():
-            continue
-        if lcm is None:
-            lcm = d
-        else:
-            g = poly_gcd(lcm, d)
-            lcm = lcm * poly_div_exact(d, g)
-    return lcm
+        _, forms, r = val.den_factors()
+        for form, e in forms.items():
+            exps[form] = max(e, exps.get(form, 0))
+        if r is not None:
+            res = r if res is None else res * poly_div_exact(r, poly_gcd(res, r))
+    return exps, res
+
+
+def _lcm_degree(lcm, v):
+    exps, res = lcm
+    return sum(e * form.degree(v) for form, e in exps.items()) + (max(res.degree(v), 0) if res else 0)
 
 
 def _degree_zero_homogeneous(mat):
@@ -259,7 +265,7 @@ def _product_degree_bounds(lhs_factors, rhs_factors, variables):
         for mat in factors:
             lcm = _den_lcm(mat)
             for v in variables:
-                ld = max(lcm.degree(v), 0) if lcm is not None else 0
+                ld = _lcm_degree(lcm, v)
                 dn = 0
                 for val in mat.entries.values():
                     cleared = max(val.num.degree(v), 0) + ld - max(val.den.degree(v), 0)

@@ -174,10 +174,17 @@ class TestTableaux:
         assert "9^15 = 205891132094649 candidate tableaux" in res.stderr
 
     def test_betti_rejects_bad_sizes(self):
-        for flag, value in (("--l", "1"), ("--w1", "-1")):
+        # the CSV table rejects what the JSON report rejects, with its message
+        for flag, value in (("--l", "1"), ("--w1", "-1"), ("--l", "0")):
             args = {"--l": "3", "--w1": "2", flag: value}
-            res = run_cli("tableaux", "betti", "--kind", "sp", *(x for kv in args.items() for x in kv))
+            sizes = [x for kv in args.items() for x in kv]
+            res = run_cli("tableaux", "betti", "--kind", "sp", *sizes)
             assert res.exit_code == 2, (flag, value)
+            for kind in ("sp", "so"):
+                csv_res = run_cli("tableaux", "betti", "--kind", kind, *sizes, "--emit", "csv")
+                assert csv_res.exit_code == 2, (kind, flag, value)
+                assert csv_res.output == res.output
+                assert "l,w1,dim,poincare" not in csv_res.output
 
     def test_so_betti_runs_each_statistic_once(self, monkeypatch):
         # one charge evaluation per small tableau: the so series, read by

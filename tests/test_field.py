@@ -6,6 +6,8 @@ Every RatFunc operation is compared against it.  sympy provides a second,
 independent implementation for gcd and simplification spot checks.
 """
 
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -528,61 +530,197 @@ def test_poly_div_exact_with_remainder_terms_cancelling_to_zero():
     assert all(q.terms.values())
 
 
-def _mono_content_counter(monkeypatch):
-    calls = []
-    real = field._mono_content
-
-    def counting(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(field, "_mono_content", counting)
-    return calls
-
-
-def test_gcd_cache_is_consulted_before_any_normalization(monkeypatch):
-    u, h, u1 = Poly.var("u"), Poly.var("h"), Poly.var("u1")
-    f = (u + h) * (u1 - h.scale(2)) * u
-    g = ((u + h) * (u1 + h) * u).scale(6)
-    field._GCD_CACHE.clear()
-    calls = _mono_content_counter(monkeypatch)
-    cold = poly_gcd(f, g)
-    assert calls, "the cold call normalizes"
-    assert cold == u * u + u * h
-    calls.clear()
-    warm = poly_gcd(f, g)
-    assert calls == []
-    assert warm == cold
-    # the key is the operand pair: fresh Polys equal to the cold operands hit it
-    fresh_f, fresh_g = Poly(dict(f.terms)), parse_poly(str(g))
-    assert fresh_f is not f and fresh_g is not g
-    assert poly_gcd(fresh_f, fresh_g) == cold
-    assert calls == []
-
-
 def _sympy_primitive(expr, syms):
     _, prim = sympy.Poly(expr, *syms).primitive()
     return prim.as_expr()
 
 
-def test_gcd_matches_sympy_up_to_sign_cold_and_warm():
+def test_gcd_matches_sympy_up_to_sign():
     syms = sympy.symbols(" ".join(VARS))
     rng = random.Random(2718)
-    pairs = []
     for _ in range(30):
         w = random_poly(rng, max_terms=2, max_deg=1, zero_ok=False)
         fw = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False) * w
         gw = random_poly(rng, max_terms=3, max_deg=2, zero_ok=False) * w
-        pairs.append((fw, gw))
-    for cache in ("cold", "warm"):
-        if cache == "cold":
-            field._GCD_CACHE.clear()
-        for fw, gw in pairs:
-            ours = _to_sympy(poly_gcd(fw, gw), syms)
-            theirs = _sympy_primitive(sympy.gcd(_to_sympy(fw, syms), _to_sympy(gw, syms)), syms)
-            assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0, (
-                cache, str(fw), str(gw), ours, theirs
-            )
+        ours = _to_sympy(poly_gcd(fw, gw), syms)
+        theirs = _sympy_primitive(sympy.gcd(_to_sympy(fw, syms), _to_sympy(gw, syms)), syms)
+        assert sympy.expand(ours - theirs) == 0 or sympy.expand(ours + theirs) == 0, (
+            str(fw), str(gw), ours, theirs
+        )
+
+
+# The factor base: a denominator is a positive int times exponents over the
+# table of linear forms, times a residual for what does not split.  These
+# tests hold every operation to the form a full gcd of the unreduced pair
+# gives, computed here by poly_gcd alone, and to sympy's cancel.
+_LINEAR_FORMS = _FACTORS + [parse_poly("u1 + u2 + h"), parse_poly("u - u1 + h")]
+_RESIDUALS = [parse_poly(s) for s in ("u^2 + h^2", "u*u1 + h^2", "u1^2 - u*h + 2*h^2")]
+
+
+def _full_gcd_form(num, den):
+    """(num, den) reduced by poly_gcd and scaled to joint content 1 and a
+    positive leading den coefficient: the canonical data, by the old route."""
+    if num.is_zero():
+        return Poly(), Poly.const(1)
+    g = poly_gcd(num, den)
+    num, den = poly_div_exact(num, g), poly_div_exact(den, g)
+    sign = 1 if den.leading()[1] > 0 else -1
+    num, den = num.scale(sign), den.scale(sign)
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    content = Fraction(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
+    return num.scale(1 / content), den.scale(1 / content)
+
+
+def _mixed(const, picks, residual, extra, num_picks, num_terms):
+    """(num, den): a small numerator times linear forms, over const times
+    linear forms (repeats allowed) times at most one nonlinear factor."""
+    den = Poly.const(const)
+    for i in picks:
+        den = den * _LINEAR_FORMS[i]
+    if residual is not None:
+        den = den * _RESIDUALS[residual]
+    num = _poly_from_terms(num_terms) + extra
+    for i in num_picks:
+        num = num * _LINEAR_FORMS[i]
+    return num, den
+
+
+_mixed_ratfuncs = st.tuples(
+    st.sampled_from([1, 2, 3, -1, -6]),
+    st.lists(st.integers(0, len(_LINEAR_FORMS) - 1), max_size=3),
+    st.one_of(st.none(), st.integers(0, len(_RESIDUALS) - 1)),
+    st.sampled_from([Poly(), Poly.const(1), parse_poly("u1"), _RESIDUALS[0]]),
+    st.lists(st.integers(0, len(_LINEAR_FORMS) - 1), max_size=2),
+    st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * len(_HYP_VARS)), st.integers(-3, 3)), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_mixed_ratfuncs, y=_mixed_ratfuncs, op=st.sampled_from(["+", "-", "*", "/", "inv"]))
+def test_factor_base_agrees_with_full_gcd_and_sympy(x, y, op):
+    (n1, d1), (n2, d2) = _mixed(*x), _mixed(*y)
+    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    assert (a.num, a.den) == _full_gcd_form(n1, d1)
+    if op == "inv":
+        assume(not n1.is_zero())
+        ours, num, den = a.inv(), d1, n1
+    else:
+        assume(op != "/" or not n2.is_zero())
+        ours = _OPS[op](a, b)
+        num, den = {
+            "+": (n1 * d2 + n2 * d1, d1 * d2),
+            "-": (n1 * d2 - n2 * d1, d1 * d2),
+            "*": (n1 * n2, d1 * d2),
+            "/": (n1 * d2, d1 * n2),
+        }[op]
+    assert (ours.num, ours.den) == _full_gcd_form(num, den)
+    _assert_canonical_equal(ours, RatFunc(num, den))
+    assert hash(ours) == hash(RatFunc(num, den))
+    theirs_num, theirs_den = sympy.fraction(sympy.cancel(_to_sympy(num, _SYMS) / _to_sympy(den, _SYMS)))
+    ours_num, ours_den = _to_sympy(ours.num, _SYMS), _to_sympy(ours.den, _SYMS)
+    assert sympy.expand(ours_num * theirs_den - theirs_num * ours_den) == 0
+    assert sympy.cancel(ours_den / theirs_den).is_Rational
+
+
+def _counting_gcd(monkeypatch):
+    calls = []
+    real = field.poly_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(field, "poly_gcd", counting)
+    return calls
+
+
+def test_table_denominators_make_no_gcd_call(monkeypatch):
+    u, h, u1, u2 = U, H, U1, U2
+    # dividing by a linear form enters it into the table
+    a = (u1 - h) / (u + h) / (u + h) / (u1 + u2 + h)
+    b = (u - u1) / (2 * u + h) / ((u + h) * (u1 + u2 + h))
+    calls = _counting_gcd(monkeypatch)
+    product, total = a * b, a + b
+    assert calls == []
+    assert product.den_factors()[2] is None and total.den_factors()[2] is None
+    assert product == RatFunc(a.num * b.num, a.den * b.den)
+    assert total == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+    # the constructor splits a denominator over the table without a gcd too
+    calls.clear()
+    assert RatFunc(total.num, total.den) == total
+    assert RatFunc(product.num * Poly.var("u2"), product.den * Poly.var("u2")) == product
+    assert calls == []
+
+
+def test_residual_goes_to_the_general_gcd(monkeypatch):
+    r = parse_poly("u^2 + h^2")
+    RatFunc(Poly.const(1), parse_poly("u + h"))  # enters u + h into the table
+    a = RatFunc(Poly.const(1), r * parse_poly("u + h"))
+    calls = _counting_gcd(monkeypatch)
+    total = a + RatFunc(Poly.var("u"), r)
+    assert calls
+    assert total == RatFunc(Poly.var("u") * parse_poly("u + h") + Poly.const(1), r * parse_poly("u + h"))
+    c, forms, residual = total.den_factors()
+    assert (c, forms, residual) == (1, {parse_poly("u + h"): 1}, r)
+
+
+def test_a_residual_hiding_a_table_form_is_split_before_a_sum():
+    # two forms no other test uses: their product enters as a residual, then
+    # one of them joins the table; the sum must still see it as common
+    l1, l2 = parse_poly("u3 + 5*u4 + h"), parse_poly("u4 - 3*u3 + 2*h")
+    assert l1 not in field._FORM_ID and l2 not in field._FORM_ID
+    a = RatFunc(Poly.var("u"), l1 * l2)
+    assert a.den_factors() == (1, {}, l1 * l2)
+    b = RatFunc(Poly.const(1), l1)
+    assert l1 in field._FORM_ID
+    # what is left of the residual is linear, so it joins the table as well
+    assert a.den_factors() == (1, {l1: 1, l2: 1}, None)
+    for x, y in ((a, b), (b, a), (a, a * b), (a * b, b - a)):
+        for got, num, den in (
+            (x + y, x.num * y.den + y.num * x.den, x.den * y.den),
+            (x - y, x.num * y.den - y.num * x.den, x.den * y.den),
+            (x * y, x.num * y.num, x.den * y.den),
+        ):
+            assert (got.num, got.den) == _full_gcd_form(num, den), (str(x), str(y))
+    assert a + b - b == a and (a + b) * l2 == RatFunc(Poly.var("u") + l2, l1)
+
+
+def test_a_zero_at_the_test_point_is_decided_by_exact_division(monkeypatch):
+    # t vanishes at the one point of the hyperplane L = 0 that trial
+    # division evaluates at, yet L does not divide t: poly_div_exact decides
+    form_poly = parse_poly("u1 - u - h")
+    form = field._FORMS[field._intern(form_poly)]
+    x_k = Poly.var(VARS[form.k])
+    t = (x_k.scale(form.lead) - Poly.const(form.root)) * parse_poly("u + 2*h")
+    assert field._vanishes_on(t, form, {})
+    with pytest.raises(ValueError):
+        poly_div_exact(t, form_poly)
+    divisions = []
+    real = field.poly_div_exact
+
+    def recording(f, g):
+        divisions.append(g)
+        return real(f, g)
+
+    monkeypatch.setattr(field, "poly_div_exact", recording)
+    quotient = RatFunc(t) / RatFunc(form_poly)
+    assert form_poly in divisions
+    assert quotient.den == form_poly and quotient.num == t
+    assert (quotient.num, quotient.den) == _full_gcd_form(t, form_poly)
+    # a nonzero value there settles it without a division
+    divisions.clear()
+    assert not field._vanishes_on(t + Poly.const(1), form, {})
+    RatFunc(t + Poly.const(1)) / RatFunc(form_poly)
+    assert form_poly not in divisions
+
+
+def test_pickle_carries_the_value_not_the_table_ids():
+    # form ids index one process's table, so a pickle holds num and den
+    for r in (H / (U1 + U2 + H) / (U - H), RatFunc(parse_poly("u"), parse_poly("u^2 + h^2")), RatFunc.zero()):
+        state = r.__reduce__()
+        assert state == (RatFunc, (r.num, r.den))
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy == r and hash(copy) == hash(r) and str(copy) == str(r)
 
 
 def test_warm_hash_reads_nothing():

@@ -9,15 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from refleq.field import H, U, U1, RatFunc, format_ratfunc, parse_ratfunc
+from refleq import relations
+from refleq.field import H, U, U1, Poly, RatFunc, format_ratfunc, parse_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
     GridError,
+    _active_vars,
     _build_grid,
     _constant_term_factors,
     _exchange_factors,
     _factorization_factors,
+    _fold,
+    _product_degree_bounds,
     _prove,
     _reflection_factors,
     _verify_product_identity,
@@ -391,6 +395,106 @@ class TestBothProvers:
     @pytest.mark.parametrize("kind", KINDS)
     def test_boundary_constant_term(self, kind):
         assert self._both(*_constant_term_factors(kind, 2, 1))
+
+
+def _factor_lists(monkeypatch, run):
+    """The (lhs, rhs) factor lists that run() hands to _prove, unproved."""
+    captured = []
+
+    def capture(lhs, rhs, mode="symbolic"):
+        captured.append((lhs, rhs))
+        return {"holds": True, "mode": mode, "detail": "captured"}
+
+    with monkeypatch.context() as m:
+        m.setattr(relations, "_prove", capture)
+        run()
+    return captured
+
+
+# the grid-proof workload of the benchmark, measured while _den_lcm still took
+# the lcm by poly_gcd: (check, gridSize, degreeBounds of the verdict,
+# _product_degree_bounds over every active variable, h included)
+GRID_PROOF_PINS = {
+    "ybe-l5": (lambda: check_ybe(5, mode="multipoint"), 25, {"u1": 4, "u2": 4}, {"h": 6, "u1": 4, "u2": 4}),
+    "ybe-l6": (lambda: check_ybe(6, mode="multipoint"), 25, {"u1": 4, "u2": 4}, {"h": 6, "u1": 4, "u2": 4}),
+    **{
+        f"reflection-{kind}-l{l}": (
+            lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint"), 25,
+            {"u1": 4, "u2": 4}, {"h": 4, "u1": 4, "u2": 4},
+        )
+        for kind in ("flagPlus", "soInstanton")
+        for l in (2, 3)
+    },
+    "reflection-flagMinus-l2": (
+        lambda: check_reflection("flagMinus", 2, mode="multipoint"), 49,
+        {"u1": 6, "u2": 6}, {"h": 8, "u1": 6, "u2": 6},
+    ),
+    "reflection-flagMinus-l2-oppositePlacement": (
+        lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"), 1,
+        {"u1": 6, "u2": 6}, {"h": 8, "u1": 6, "u2": 6},
+    ),
+}
+
+SUITE_ITEMS_L2 = {
+    "-".join(str(v) for k, v in item.items() if k not in ("l", "expected")): item
+    for item in suite_items(l=2)
+}
+
+
+def _gcd_lcm(mat):
+    """The lcm of mat's entry denominators by the general gcd alone."""
+    lcm = Poly.const(1)
+    for val in mat.entries.values():
+        lcm = lcm * poly_div_exact(val.den, poly_gcd(lcm, val.den))
+    return lcm
+
+
+def _assert_bounds_cover_cleared_products(lhs, rhs):
+    """With D the product of every factor's lcm (by poly_gcd), lhs * D,
+    rhs * D and their difference, the cleared difference the grid proof
+    relies on, are polynomial matrices whose degree in each active variable
+    is at most _product_degree_bounds.  A difference that vanishes (the
+    identity holds) bounds nothing, so both cleared sides are held to the
+    bound as well."""
+    active = _active_vars([*lhs, *rhs])
+    bounds = _product_degree_bounds(lhs, rhs, active)
+    lcms = {id(mat): _gcd_lcm(mat) for mat in [*lhs, *rhs]}
+    clear = Poly.const(1)
+    for mat in [*lhs, *rhs]:
+        clear = clear * lcms[id(mat)]
+    left, right = _fold(lhs).entries, _fold(rhs).entries
+    zero = RatFunc.zero()
+    values = {*left.values(), *right.values()}
+    values |= {left.get(k, zero) - right.get(k, zero) for k in left.keys() | right.keys()}
+    values.discard(zero)
+    for den in {x.den for x in values}:
+        poly_div_exact(clear, den)  # raises unless the cleared entry is a polynomial
+    for x in values:
+        for v in active:
+            # x * clear = x.num * (clear / x.den)
+            assert x.num.degree(v) + clear.degree(v) - x.den.degree(v) <= bounds[v], (v, str(x))
+
+
+class TestDegreeBounds:
+    @pytest.mark.parametrize("name", sorted(GRID_PROOF_PINS))
+    def test_grid_proofs_keep_their_pinned_bounds(self, name, monkeypatch):
+        run, grid_size, bounds, all_bounds = GRID_PROOF_PINS[name]
+        v = run()
+        assert (v["gridSize"], v["degreeBounds"]) == (grid_size, bounds)
+        ((lhs, rhs),) = _factor_lists(monkeypatch, run)
+        assert _product_degree_bounds(lhs, rhs, _active_vars([*lhs, *rhs])) == all_bounds
+
+    @pytest.mark.parametrize("name", sorted(GRID_PROOF_PINS))
+    def test_grid_proof_bounds_are_sound(self, name, monkeypatch):
+        for lhs, rhs in _factor_lists(monkeypatch, GRID_PROOF_PINS[name][0]):
+            _assert_bounds_cover_cleared_products(lhs, rhs)
+
+    @pytest.mark.parametrize("name", sorted(SUITE_ITEMS_L2))
+    def test_suite_item_bounds_are_sound(self, name, monkeypatch):
+        lists = _factor_lists(monkeypatch, lambda: run_suite_item(dict(SUITE_ITEMS_L2[name])))
+        assert lists
+        for lhs, rhs in lists:
+            _assert_bounds_cover_cleared_products(lhs, rhs)
 
 
 class TestChainReflection:
