@@ -3,7 +3,9 @@
 Polynomials are dicts mapping exponent tuples to coefficients.  A coefficient
 is a plain int whenever it is integral and a Fraction only when a caller passed
 in a non-integral value (parse_poly("3/2*h"), Poly.scale(Fraction(3, 7))), so
-the canonical forms below, which are integral, do int arithmetic only; nothing
+the canonical forms below, which are integral, do int arithmetic only.  Exact
+division of coefficients goes through one helper that divides two ints with
+divmod and falls back to Fraction only for a non-integral quotient; nothing
 here ever produces a float.  The variable order is fixed once and for all:
 
     VARS = (h, u, u1, u2, u3, u4)
@@ -35,7 +37,6 @@ It is a content / primitive-part recursion over a subresultant PRS.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from functools import reduce
@@ -187,7 +188,14 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
-        return reduce(mul, [self] * n, Poly.const(1))
+        result = Poly.const(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
 
     def scale(self, c):
         c = _coef(c)
@@ -212,12 +220,39 @@ class Poly:
         return max(e[i] for e in self.terms)
 
     def variables(self):
-        return {VARS[i] for e in self.terms for i, x in enumerate(e) if x}
+        used = set()
+        for e in self.terms:
+            for i, x in enumerate(e):
+                if x:
+                    used.add(VARS[i])
+        return used
+
+    def shift(self, name, power):
+        """Multiply by name**power, power >= 0."""
+        if not power:
+            return self
+        i = VAR_INDEX[name]
+        t = {}
+        for e, c in self.terms.items():
+            e2 = list(e)
+            e2[i] += power
+            t[tuple(e2)] = c
+        p = Poly()
+        p.terms = t
+        return p
 
     def coeff_of(self, name, power):
         """Coefficient of name**power, a Poly in the remaining variables."""
         i = VAR_INDEX[name]
-        return Poly({e[:i] + (0,) + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power})
+        t = {}
+        for e, c in self.terms.items():
+            if e[i] == power:
+                e2 = list(e)
+                e2[i] = 0
+                t[tuple(e2)] = c
+        p = Poly()
+        p.terms = t
+        return p
 
     def subs(self, assignment):
         """Evaluate at a full assignment {var: Fraction} -> Fraction."""
@@ -305,17 +340,21 @@ def format_poly(p):
 
 def _to_univariate(p, name):
     """Represent p as {degree: Poly-in-other-vars} in the chosen variable."""
-    i = VAR_INDEX[name]
     out = {}
+    i = VAR_INDEX[name]
     for e, c in p.terms.items():
-        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-    return {d: Poly(t) for d, t in out.items()}
+        d = e[i]
+        e2 = list(e)
+        e2[i] = 0
+        coeff = out.setdefault(d, Poly())
+        coeff.terms[tuple(e2)] = coeff.terms.get(tuple(e2), 0) + c
+    return {d: c for d, c in out.items() if c.terms}
 
 
 def _from_univariate(coeffs, name):
-    i = VAR_INDEX[name]
     p = Poly()
-    p.terms = {e[:i] + (d,) + e[i + 1:]: c for d, co in coeffs.items() for e, c in co.terms.items()}
+    for d, c in coeffs.items():
+        p = p + c.shift(name, d)
     return p
 
 
@@ -374,7 +413,9 @@ def _pseudo_rem_uni(fu, gu):
         dr = max(r)
         lr = r[dr]
         # r <- lg * r - lr * x^(dr-dg) * g
-        new = {d: c * lg for d, c in r.items()}
+        new = {}
+        for d, c in r.items():
+            new[d] = c * lg
         done += 1
         for d, c in gu.items():
             dd = d + dr - dg
@@ -415,7 +456,14 @@ def _normalize_primitive(p):
 
 def _mono_content(p):
     """Exponentwise min over terms: the largest monomial dividing p."""
-    return tuple(map(min, zip(*p.terms)))
+    it = iter(p.terms)
+    first = next(it)
+    mins = list(first)
+    for e in it:
+        for i, x in enumerate(e):
+            if x < mins[i]:
+                mins[i] = x
+    return tuple(mins)
 
 
 def _try_div(f, g):
@@ -448,10 +496,12 @@ def _gcd_nonconstant(f, g):
     if len(f.terms) == 1 or len(g.terms) == 1:
         # monomial gcd already extracted: nothing further in common
         return Poly.const(1)
-    both = f.variables() & g.variables()
+    fv = f.variables()
+    gv = g.variables()
+    both = fv & gv
     if not both:
         return Poly.const(1)
-    name = max(both, key=VAR_INDEX.get)
+    name = sorted(both, key=lambda n: VAR_INDEX[n])[-1]
     cf = _content_wrt(f, name)
     cg = _content_wrt(g, name)
     a = poly_div_exact(f, cf) if not cf.is_const() else f
@@ -732,7 +782,7 @@ class RatFunc:
         return _make(Poly.const(1), 1, {VAR_INDEX[name]: -power}, None)
 
     def is_zero(self):
-        return not self.num.terms
+        return self.num.is_zero()
 
     def is_const(self):
         return self.num.is_const() and not self._f and self._r is None
@@ -752,7 +802,7 @@ class RatFunc:
         return self._c, {_FORMS[i].poly: e for i, e in f.items()}, r
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return not self.num.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -811,7 +861,13 @@ class RatFunc:
                 fb, rb = _absorb(fb, rb, ids)
             if rd is not None:
                 fd, rd = _absorb(fd, rd, ids)
-        g = {i: min(e, fd[i]) for i, e in fb.items() if i in fd}
+            # a side gains a form only when its residual splits completely,
+            # so one more round lets the other residual see that form
+            if rd is not None and fb.keys() - ids:
+                fd, rd = _absorb(fd, rd, fb.keys() - ids)
+            if rb is not None and fd.keys() - ids:
+                fb, rb = _absorb(fb, rb, fd.keys() - ids)
+        g ={i: min(e, fd[i]) for i, e in fb.items() if i in fd}
         gr = poly_gcd(rb, rd) if rb is not None and rd is not None else None
         if gr is not None and gr.is_const():
             gr = None
@@ -832,23 +888,29 @@ class RatFunc:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._add_signed(o, 1)
+        if o is None:
+            return NotImplemented
+        return self._add_signed(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else self._add_signed(o, -1)
+        if o is None:
+            return NotImplemented
+        return self._add_signed(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o - self
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num.terms or not o.num.terms:
+        if self.num.is_zero() or o.num.is_zero():
             return RatFunc.zero()
         # Henrici: after cross-cancellation n1 n2 and d1 d2 are coprime
         n1, f2, r2 = _cancel(self.num, o._f, o._r)
@@ -868,7 +930,9 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return NotImplemented if o is None else o / self
+        if o is None:
+            return NotImplemented
+        return o / self
 
     def inv(self):
         # a coprime pair swapped: only the new denominator needs splitting
@@ -924,11 +988,17 @@ def format_ratfunc(r):
     den_s = format_poly(r.den)
     if len(r.num.terms) > 1:
         num_s = f"({num_s})"
-    # a single-term den goes bare only as a power like u or h^2
-    (e, c), *more = r.den.terms.items()
-    if more or c != 1 or sum(1 for x in e if x) > 1:
+    if len(r.den.terms) > 1 or _den_needs_parens(r.den):
         den_s = f"({den_s})"
     return f"{num_s} / {den_s}"
+
+
+def _den_needs_parens(den):
+    # single term: parenthesize unless it's a bare power like u, h^2
+    ((e, c),) = den.terms.items()
+    if c != 1:
+        return True
+    return sum(1 for x in e if x) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -943,11 +1013,21 @@ def parse_ratfunc(s):
     """Parse the canonical string form back into a RatFunc."""
     s = s.strip()
     depth = 0
-    for i, ch in enumerate(s):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0 and s.startswith(" / ", i):
-            return RatFunc(parse_poly(s[:i]), parse_poly(s[i + 3:]))
-    return RatFunc(parse_poly(s))
+    split = None
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and s.startswith(" / ", i):
+            split = i
+            break
+        i += 1
+    if split is None:
+        return RatFunc(parse_poly(s))
+    return RatFunc(parse_poly(s[:split]), parse_poly(s[split + 3:]))
 
 
 def parse_poly(s):
@@ -976,12 +1056,25 @@ def _balanced_interior(s):
 
 
 def _split_terms(s):
+    terms = []
     sign = 1
     if s.startswith("-"):
-        sign, s = -1, s[1:]
-    parts = re.split(r" ([+-]) ", s)
-    signs = [sign] + [1 if op == "+" else -1 for op in parts[1::2]]
-    return list(zip(signs, parts[0::2]))
+        sign = -1
+        s = s[1:]
+    cur = []
+    i = 0
+    while i < len(s):
+        if s.startswith(" + ", i):
+            terms.append((sign, "".join(cur)))
+            sign, cur, i = 1, [], i + 3
+        elif s.startswith(" - ", i):
+            terms.append((sign, "".join(cur)))
+            sign, cur, i = -1, [], i + 3
+        else:
+            cur.append(s[i])
+            i += 1
+    terms.append((sign, "".join(cur)))
+    return terms
 
 
 def _parse_term(t):
@@ -1028,8 +1121,9 @@ def expand_at_infinity(f, name, order):
         raise ValueError(
             f"expansion at infinity needs deg({name}) of num <= den, got {dn} > {dd}"
         )
-    N = [RatFunc(num.coeff_of(name, dd - r)) for r in range(order + 1)]
-    D = [RatFunc(den.coeff_of(name, dd - r)) for r in range(order + 1)]
+    d = dd
+    N = [RatFunc(num.coeff_of(name, d - r)) for r in range(order + 1)]
+    D = [RatFunc(den.coeff_of(name, d - r)) for r in range(order + 1)]
     coeffs = []
     for r in range(order + 1):
         acc = N[r]
@@ -1040,4 +1134,9 @@ def expand_at_infinity(f, name, order):
 
 
 # convenient pre-built generators
-H, U, U1, U2, U3, U4 = (RatFunc.var(name) for name in VARS)
+H = RatFunc.var("h")
+U = RatFunc.var("u")
+U1 = RatFunc.var("u1")
+U2 = RatFunc.var("u2")
+U3 = RatFunc.var("u3")
+U4 = RatFunc.var("u4")

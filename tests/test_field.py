@@ -683,6 +683,19 @@ def test_a_residual_hiding_a_table_form_is_split_before_a_sum():
         ):
             assert (got.num, got.den) == _full_gcd_form(num, den), (str(x), str(y))
     assert a + b - b == a and (a + b) * l2 == RatFunc(Poly.var("u") + l2, l1)
+    # the residual of one operand splits during the sum and interns a form
+    # that the other operand's residual hides: the second must see it too
+    l3, l4 = parse_poly("u4 + 7*u3 - h"), parse_poly("2*u4 - 5*u3 + 3*h")
+    q = parse_poly("u^2 + h^2")
+    assert l3 not in field._FORM_ID and l4 not in field._FORM_ID
+    a = RatFunc(Poly.const(1), l3 * l4)
+    RatFunc(Poly.const(1), l4)
+    d = RatFunc(Poly.const(1), l3 * l4 * q)
+    assert l3 not in field._FORM_ID and d.den_factors() == (1, {l4: 1}, l3 * q)
+    for x, y in ((a, d), (d, a)):
+        for got, num in ((x + y, x.num * y.den + y.num * x.den), (x - y, x.num * y.den - y.num * x.den)):
+            assert (got.num, got.den) == _full_gcd_form(num, x.den * y.den), (str(x), str(y))
+            assert got == RatFunc(num, x.den * y.den)
 
 
 def test_a_zero_at_the_test_point_is_decided_by_exact_division(monkeypatch):
