@@ -202,7 +202,7 @@ def rkmat(ctx):
 
 @rkmat.command()
 @click.option("--kind", type=click.Choice(list(KINDS)), required=True)
-@click.option("--l", type=int, required=True)
+@click.option("--l", type=click.IntRange(min=2), required=True)
 @click.pass_context
 def kmatrix(ctx, kind, l):
     """Boundary matrix entries for one kind and size."""
@@ -218,16 +218,26 @@ def kmatrix(ctx, kind, l):
 @click.option("--scenario", type=click.Choice(list(KINDS)), default=None)
 @click.option("--suite", "suite_name", default=None,
               help="one of: all, ybe, unitarity, reflection, exchange, boundary")
-@click.option("--l", type=int, default=None)
-@click.option("--mode", type=click.Choice(["symbolic", "multipoint"]), default="symbolic")
+@click.option("--l", type=click.IntRange(min=2), default=None,
+              help="site dimension; a suite runs every requested group at this size")
+@click.option("--mode", type=click.Choice(["symbolic", "multipoint"]), default="symbolic",
+              help="prover for --scenario; suites prove symbolically and reject multipoint")
 @click.option("--jobs", type=click.IntRange(min=1), default=1)
 @click.pass_context
 def verify(ctx, scenario, suite_name, l, mode, jobs):
-    """Check one reflection scenario or run a verification suite."""
+    """Check one reflection scenario or run a verification suite.
+
+    The one size rule is the tensor dimension of each check, at most 256; a
+    check over it exits 2.  A suite holds every item to it before the first
+    runs and names the first one over it.  Without --l a suite runs every
+    group at l = 2 and every group but exchange at l = 3.
+    """
     _start(ctx)
     if (scenario is None) == (suite_name is None):
         _usage("pass exactly one of --scenario or --suite")
     if suite_name is not None:
+        if mode == "multipoint":
+            _usage("--mode multipoint is not supported with --suite; suites prove symbolically")
         try:
             payload = run_suite(suite=suite_name, l=l, jobs=jobs)
         except ValueError as e:
@@ -277,7 +287,7 @@ def polarization_solve(ctx, sign, l):
 
 
 @polarization.command("summary")
-@click.option("--l", type=int, default=6, help="largest size to include")
+@click.option("--l", type=click.IntRange(min=2), default=6, help="largest size to include")
 @click.pass_context
 def polarization_summary(ctx, l):
     """Verdict table over both signs up to the given size."""

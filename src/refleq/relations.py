@@ -61,16 +61,14 @@ EXCHANGE_VARIANTS = ("plainPlain", "plainTwisted", "twistedPlain", "twistedTwist
 
 BOUNDARY_VARIANTS = ("standard", "oppositePlacement")
 
-# total tensor dimension cap for any single check; symbolic Yang-Baxter and
-# reflection checks keep their own tighter limits on the site dimension
+# the one size rule: the total tensor dimension of any single check, in
+# either mode; a check over a larger space is rejected before it builds a factor
 DIMENSION_BOUND = 256
-SYMBOLIC_YBE_MAX_L = 3
-REFLECTION_MAX_L = 5
 
 
 def _require_dim(dim):
     if dim > DIMENSION_BOUND:
-        raise ValueError(f"tensor dimension {dim} exceeds the bound {DIMENSION_BOUND}")
+        raise ValueError(f"tensor dimension {dim} > {DIMENSION_BOUND}, the bound on any single check")
 
 
 def _chain_shifts(n, shifts):
@@ -397,10 +395,6 @@ def check_ybe(l, r_builder=None, mode="symbolic"):
     """
     builder = r_builder or (lambda ll, w: yang_r(ll, w))
     _require_dim(l ** 3)
-    if mode == "symbolic" and l > SYMBOLIC_YBE_MAX_L:
-        raise ValueError(
-            f"symbolic Yang-Baxter is limited to l <= {SYMBOLIC_YBE_MAX_L}; use multipoint"
-        )
     slots = [site_labels(l)] * 3
     args = (U1 - U2, U1, U2)
     r12 = embed_on_slots(builder(l, args[0]), (0, 1), slots)
@@ -424,6 +418,7 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
             r_builder = lambda ll, w: cross_r(kind, ll, w)
         else:
             raise ValueError(f"unknown family {family!r}")
+    _require_dim(l ** 2)
     d = U1 - U2
     fwd = r_builder(l, d)
     bwd = r_builder(l, -d)
@@ -432,12 +427,7 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
     if cmp["holds"]:
         flip = _prove([swap_conjugate(fwd)], [fwd])
         if not flip["holds"]:
-            cmp = {
-                "holds": False,
-                "mode": "symbolic",
-                "detail": "product is the identity but the family is not flip-symmetric",
-                "counterexample": flip.get("counterexample"),
-            }
+            cmp = {**flip, "detail": "product is the identity but the family is not flip-symmetric"}
     return _verdict("rUnitarity", l, cmp, family=family, kind=kind)
 
 
@@ -448,6 +438,7 @@ def check_k_unitarity(kind, l, k_builder=None):
     candidates can be screened with the same verdict plumbing.
     """
     builder = k_builder or (lambda spec: k_matrix(kind, l, spec))
+    _require_dim(l)
     fwd = builder(U)
     bwd = builder(-U)
     ident = LabeledMatrix.identity(fwd.row_labels)
@@ -516,32 +507,29 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=No
     Symbolic mode compares the multiplied sides; multipoint mode hands the
     factor lists to the grid proof and never forms the products.
     """
-    if l > REFLECTION_MAX_L:
-        raise ValueError(f"reflection checks are limited to l <= {REFLECTION_MAX_L}")
     cmp = _prove(*_reflection_factors(kind, l, boundary=boundary, k_builder=k_builder), mode)
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)
 
 
-def reflection_expectation(kind, l, boundary="standard"):
-    """Expected outcome of check_reflection: True, False, or None (reported).
+# the sizes at which the standard reflection identity is pinned to hold, per
+# kind; a change of outcome there is a regression.  spInstanton above l = 2
+# is deliberately unpinned: the identity fails there for every sign
+# convention of the cross matrix, matching the failure of the corresponding
+# polarization instances, and the suite reports it without letting it affect
+# the exit status.
+PINNED_REFLECTION = {
+    "spInstanton": (2,),
+    "soInstanton": (2, 3),
+    "flagPlus": (2, 3, 4, 5),
+    "flagMinus": (2, 3, 4),
+}
 
-    The table pins the outcomes that are treated as regressions when they
-    change.  spInstanton above l = 2 is deliberately unpinned: the identity
-    fails there for every sign convention of the cross matrix, matching the
-    failure of the corresponding polarization instances, and the suite
-    reports it without letting it affect the exit status.
-    """
+
+def reflection_expectation(kind, l, boundary="standard"):
+    """Expected outcome of check_reflection: True, False, or None (reported)."""
     if boundary == "oppositePlacement":
         return False
-    pinned = {
-        "flagPlus": (2, 3, 4, 5),
-        "flagMinus": (2, 3, 4),
-        "soInstanton": (2, 3),
-        "spInstanton": (2,),
-    }
-    if l in pinned[kind]:
-        return True
-    return None
+    return True if l in PINNED_REFLECTION[kind] else None
 
 
 # ---------------------------------------------------------------------------
@@ -605,44 +593,45 @@ def check_monodromy_exchange(l, n, variant, kind="soInstanton"):
     return _verdict("monodromyExchange", l, cmp, kind=kind, variant=variant, sites=n)
 
 
-def check_twisted_plain_derivation(l, n, kind="soInstanton"):
-    """Consistency of the two routes to the twistedPlain exchange relation.
+def _derivation_factors(l, n, kind):
+    """The route from plainTwisted to twistedPlain as three (lhs, rhs) pairs.
 
-    The twistedPlain relation can be checked directly, or derived from
-    plainTwisted by conjugating with the auxiliary swap, renaming the two
-    spectral parameters, and then moving the cross matrix across with
-    unitarity.  This runs both routes and confirms they agree: the direct
-    check, the swap-conjugated intermediate, and cross unitarity must all
-    hold, and the sandwiched form must reproduce the direct one entrywise.
+    First plainTwisted conjugated by the auxiliary swap, with the spectral
+    parameters renamed: C21(u+v) T2(v) S1(-u) = S1(-u) T2(v) C21(u+v).
+    Moving the cross matrix across by unitarity, that is sandwiching between
+    two copies of C21(u+v)^{-1} = C21(-u-v), must turn its rhs into the
+    direct lhs and its lhs into the direct rhs, verbatim.
     """
     slots = [site_labels(l)] * (2 + n)
     plain, twisted = _chain_monodromies(kind, l, n, slots)
     u, v = U, U4
-    direct = check_monodromy_exchange(l, n, "twistedPlain", kind=kind)
-    # swap-conjugated plainTwisted with the parameter names exchanged:
-    #   C21(u+v) T2(v) S1(-u) = S1(-u) T2(v) C21(u+v)
     t2 = plain(1, v)
     s1 = twisted(0, -u)
     c21 = embed_on_slots(cross_r_flipped(kind, l, u + v), (0, 1), slots)
-    inter_lhs = c21 * t2 * s1
-    inter_rhs = s1 * t2 * c21
-    inter = verify_identity(inter_lhs, inter_rhs)
-    unit = check_r_unitarity(l, family="cross", kind=kind)
-    # sandwiching the intermediate between two copies of C21(u+v)^{-1}
-    # = C21(-u-v) must reproduce the direct relation's sides verbatim (the
-    # intermediate's rhs turns into the direct lhs and vice versa)
     c21_inv = embed_on_slots(cross_r_flipped(kind, l, -u - v), (0, 1), slots)
-    direct_lhs = c21_inv * s1 * t2
-    direct_rhs = t2 * s1 * c21_inv
-    bridge_a = verify_identity(c21_inv * inter_rhs * c21_inv, direct_lhs)
-    bridge_b = verify_identity(c21_inv * inter_lhs * c21_inv, direct_rhs)
+    return [
+        ([c21, t2, s1], [s1, t2, c21]),
+        ([c21_inv, s1, t2, c21, c21_inv], [c21_inv, s1, t2]),
+        ([c21_inv, c21, t2, s1, c21_inv], [t2, s1, c21_inv]),
+    ]
+
+
+def check_twisted_plain_derivation(l, n, kind="soInstanton"):
+    """Consistency of the two routes to the twistedPlain exchange relation.
+
+    The direct check, cross unitarity and the three identities of the route
+    from plainTwisted (_derivation_factors) must all hold.
+    """
+    direct = check_monodromy_exchange(l, n, "twistedPlain", kind=kind)
+    inter, bridge_a, bridge_b = (_prove(lhs, rhs) for lhs, rhs in _derivation_factors(l, n, kind))
+    unit = check_r_unitarity(l, family="cross", kind=kind)
     holds = all(res["holds"] for res in (direct, inter, unit, bridge_a, bridge_b))
     detail = (
         f"direct={direct['holds']} swapped-intermediate={inter['holds']} "
         f"cross-unitarity={unit['holds']} "
         f"sandwich={bridge_a['holds'] and bridge_b['holds']}"
     )
-    cmp = {"holds": holds, "mode": "symbolic", "detail": detail}
+    cmp = {"holds": holds, "mode": inter["mode"], "detail": detail}
     return _verdict("twistedPlainDerivation", l, cmp, kind=kind, sites=n)
 
 
@@ -665,6 +654,7 @@ def check_chain_reflection(kind, l, n=1):
 
 def _factorization_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
+    _require_dim(l ** (1 + n))
     return [s_matrix(kind, l, U, shifts)], [s_matrix_via_transfer(kind, l, U, shifts)]
 
 
@@ -681,6 +671,7 @@ def check_boundary_factorization(kind, l, n=1):
 
 def _constant_term_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
+    _require_dim(l ** (1 + n))
     limit = constant_term_matrix(s_matrix(kind, l, U, shifts), "u")
     expected = embed_on_slots(sigma_matrix(kind, l), (0,), [site_labels(l)] * (1 + n))
     return [limit], [expected]
@@ -700,90 +691,72 @@ def check_boundary_constant_term(kind, l, n=1):
 # suites
 
 
+SUITE_GROUPS = ("ybe", "unitarity", "reflection", "exchange", "boundary")
+
+# the default suite as (l, group) pairs in run order: every group at l = 2,
+# then every group but exchange at l = 3
+_DEFAULT_RUNS = [(2, group) for group in SUITE_GROUPS] + [
+    (3, group) for group in SUITE_GROUPS if group != "exchange"
+]
+
+
+def _group_items(group, l):
+    """The descriptors of one suite group at site dimension l."""
+
+    def item(check, expected=True, **keys):
+        return {"check": check, "l": l, **keys, "expected": expected}
+
+    if group == "ybe":
+        return [item("yangBaxter")]
+    if group == "unitarity":
+        return (
+            [item("rUnitarity", family="chain")]
+            + [item("rUnitarity", family="cross", kind=kind) for kind in KINDS]
+            + [item("kUnitarity", kind=kind) for kind in KINDS]
+        )
+    if group == "reflection":
+        standard = [
+            item("reflection", reflection_expectation(kind, l), kind=kind, boundary="standard") for kind in KINDS
+        ]
+        return standard + [item("reflection", False, kind="flagMinus", boundary="oppositePlacement")]
+    items = []
+    for kind in KINDS:
+        if group == "exchange":
+            items += [
+                item("monodromyExchange", kind=kind, variant=variant, sites=sites)
+                for variant in EXCHANGE_VARIANTS
+                for sites in (1, 2)
+            ]
+            items.append(item("twistedPlainDerivation", kind=kind, sites=1))
+        else:
+            items += [
+                item("chainReflection", reflection_expectation(kind, l), kind=kind, sites=1),
+                item("boundaryFactorization", kind=kind, sites=1),
+                item("boundaryConstantTerm", kind=kind, sites=1),
+            ]
+    return items
+
+
 def suite_items(suite="all", l=None):
     """Descriptor list for run_suite, in a fixed deterministic order.
 
     Every descriptor carries the expected outcome: True or False for pinned
     results, None for reported-only experiments that never affect the suite
-    verdict.  The default sizes are l = 2 and 3; passing l restricts to one.
+    verdict.  By default every group runs at l = 2 and every group but
+    exchange at l = 3; an explicit l runs every requested group at that size.
     """
-    known = ("all", "ybe", "unitarity", "reflection", "exchange", "boundary")
-    if suite not in known:
-        raise ValueError(f"unknown suite {suite!r} (expected one of {known})")
-    sizes = (l,) if l is not None else (2, 3)
-    items = []
-
-    def want(group):
-        return suite in ("all", group)
-
-    for size in sizes:
-        if want("ybe"):
-            mode = "symbolic" if size <= 3 else "multipoint"
-            items.append({"check": "yangBaxter", "l": size, "mode": mode, "expected": True})
-        if want("unitarity"):
-            items.append({"check": "rUnitarity", "l": size, "family": "chain", "expected": True})
-            for kind in KINDS:
-                items.append(
-                    {"check": "rUnitarity", "l": size, "family": "cross", "kind": kind, "expected": True}
-                )
-            for kind in KINDS:
-                items.append({"check": "kUnitarity", "l": size, "kind": kind, "expected": True})
-        if want("reflection"):
-            for kind in KINDS:
-                items.append(
-                    {
-                        "check": "reflection",
-                        "l": size,
-                        "kind": kind,
-                        "boundary": "standard",
-                        "expected": reflection_expectation(kind, size),
-                    }
-                )
-            items.append(
-                {
-                    "check": "reflection",
-                    "l": size,
-                    "kind": "flagMinus",
-                    "boundary": "oppositePlacement",
-                    "expected": False,
-                }
-            )
-        if want("exchange") and size == 2:
-            for kind in KINDS:
-                for variant in EXCHANGE_VARIANTS:
-                    for sites in (1, 2):
-                        items.append(
-                            {
-                                "check": "monodromyExchange",
-                                "l": size,
-                                "kind": kind,
-                                "variant": variant,
-                                "sites": sites,
-                                "expected": True,
-                            }
-                        )
-                items.append(
-                    {"check": "twistedPlainDerivation", "l": size, "kind": kind, "sites": 1, "expected": True}
-                )
-        if want("boundary") and size <= 3:
-            for kind in KINDS:
-                # the spInstanton chain reflection above l = 2 is a slow
-                # reported-only failure; the plain reflection item already
-                # covers it, so the suite leaves the dressed version out
-                if not (kind == "spInstanton" and size > 2):
-                    items.append({"check": "chainReflection", "l": size, "kind": kind, "sites": 1,
-                                  "expected": reflection_expectation(kind, size)})
-                items.append({"check": "boundaryFactorization", "l": size, "kind": kind, "sites": 1,
-                              "expected": True})
-                items.append({"check": "boundaryConstantTerm", "l": size, "kind": kind, "sites": 1,
-                              "expected": True})
-    return items
+    if suite not in ("all",) + SUITE_GROUPS:
+        raise ValueError(f"unknown suite {suite!r} (expected one of {('all',) + SUITE_GROUPS})")
+    if l is not None and l < 2:
+        raise ValueError(f"l={l}: a site needs at least 2 states")
+    runs = _DEFAULT_RUNS if l is None else [(l, group) for group in SUITE_GROUPS]
+    return [item for size, group in runs if suite in ("all", group) for item in _group_items(group, size)]
 
 
 # check name -> call on a suite item; the checks are looked up by global name
 # at call time, so a wrapper installed on the module is the one that runs
 _SUITE_CHECKS = {
-    "yangBaxter": lambda it: check_ybe(it["l"], mode=it.get("mode", "symbolic")),
+    "yangBaxter": lambda it: check_ybe(it["l"]),
     "rUnitarity": lambda it: check_r_unitarity(it["l"], family=it["family"], kind=it.get("kind")),
     "kUnitarity": lambda it: check_k_unitarity(it["kind"], it["l"]),
     "reflection": lambda it: check_reflection(it["kind"], it["l"], boundary=it.get("boundary", "standard")),
@@ -792,6 +765,13 @@ _SUITE_CHECKS = {
     "chainReflection": lambda it: check_chain_reflection(it["kind"], it["l"], n=it["sites"]),
     "boundaryFactorization": lambda it: check_boundary_factorization(it["kind"], it["l"], n=it["sites"]),
     "boundaryConstantTerm": lambda it: check_boundary_constant_term(it["kind"], it["l"], n=it["sites"]),
+}
+
+# tensor slots of each check besides its chain sites: a suite item's tensor
+# dimension is l ** (slots + sites)
+_SUITE_SLOTS = {
+    "yangBaxter": 3, "rUnitarity": 2, "kUnitarity": 1, "reflection": 2, "monodromyExchange": 2,
+    "twistedPlainDerivation": 2, "chainReflection": 2, "boundaryFactorization": 1, "boundaryConstantTerm": 1,
 }
 
 
@@ -807,12 +787,21 @@ def run_suite_item(item):
 def run_suite(suite="all", l=None, jobs=1):
     """Run a verification suite and aggregate the verdicts.
 
-    The suite passes when every pinned expectation is met; reported-only
-    items (expected None) are included in the output but never fail it.
-    The pool starts at most one worker per item and per CPU, since it forks
-    all of them at once; with one worker the items run in this process.
+    Every item's tensor dimension is held to DIMENSION_BOUND before the
+    first item runs, since a pool finishes every submitted item before an
+    error surfaces.  The suite passes when every pinned expectation is met;
+    reported-only items (expected None) are included in the output but never
+    fail it.  The pool starts at most one worker per item and per CPU, since
+    it forks all of them at once; with one worker the items run in this
+    process.
     """
     items = suite_items(suite=suite, l=l)
+    for it in items:
+        try:
+            _require_dim(it["l"] ** (_SUITE_SLOTS[it["check"]] + it.get("sites", 0)))
+        except ValueError as e:
+            named = ", ".join(f"{k}={v}" for k, v in it.items() if k not in ("check", "expected"))
+            raise ValueError(f"{it['check']} ({named}): {e}") from None
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

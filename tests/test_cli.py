@@ -242,6 +242,50 @@ class TestVerify:
         assert run_cli("verify", "--scenario", "flagPlus").exit_code == 2
         assert run_cli("verify", "--suite", "nonsense").exit_code == 2
 
+    def test_explicit_l_runs_the_group_at_that_size(self):
+        res = run_cli("verify", "--suite", "exchange", "--l", "3")
+        assert res.exit_code == 0
+        verdicts = payload(res)["verdicts"]
+        assert len(verdicts) == 36 and all(v["holds"] and v["l"] == 3 for v in verdicts)
+
+    def test_no_cap_below_the_dimension_bound(self):
+        for mode in ("symbolic", "multipoint"):
+            res = run_cli("verify", "--scenario", "flagMinus", "--l", "6", "--mode", mode)
+            assert res.exit_code == 0, mode
+            assert payload(res)["holds"] is True and payload(res)["mode"] == mode
+        res = run_cli("verify", "--suite", "ybe", "--l", "6")
+        assert res.exit_code == 0
+        assert [(v["holds"], v["mode"]) for v in payload(res)["verdicts"]] == [(True, "symbolic")]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_oversized_suite_rejected_before_any_check(self, jobs):
+        res = run_cli("verify", "--suite", "all", "--l", "5", "--jobs", jobs)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "monodromyExchange" in res.stderr and "sites=2" in res.stderr
+        assert "625 > 256" in res.stderr
+
+    @pytest.mark.parametrize("group", ["all", "ybe", "unitarity", "reflection", "exchange", "boundary"])
+    def test_suite_rejects_multipoint(self, group):
+        res = run_cli("verify", "--suite", group, "--l", "2", "--mode", "multipoint")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--mode multipoint" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--scenario", "flagPlus", "--l", "0"),
+        ("verify", "--scenario", "flagPlus", "--l", "1"),
+        ("verify", "--suite", "all", "--l", "0"),
+        ("verify", "--suite", "unitarity", "--l", "1"),
+        ("rkmat", "kmatrix", "--kind", "flagPlus", "--l", "-2"),
+        ("polarization", "summary", "--l", "1"),
+    ])
+    def test_l_below_two_rejected(self, args):
+        res = run_cli(*args)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "is not in the range x>=2" in res.stderr
+
     def test_jobs_below_one_rejected(self):
         for value in ("0", "-1"):
             res = run_cli("verify", "--suite", "unitarity", "--l", "2", "--jobs", value)

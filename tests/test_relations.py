@@ -1,6 +1,7 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
 import concurrent.futures
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from refleq.relations import (
     _active_vars,
     _build_grid,
     _constant_term_factors,
+    _derivation_factors,
     _exchange_factors,
     _factorization_factors,
     _fold,
@@ -105,10 +107,10 @@ class TestYangBaxter:
         assert not mp["holds"]
         assert "point" in mp["counterexample"]
 
-    def test_symbolic_size_limit(self):
-        with pytest.raises(ValueError):
-            check_ybe(4)
-        with pytest.raises(ValueError):
+    def test_dimension_bound_is_the_only_size_limit(self):
+        # l = 4 holds in both modes; l = 7 has tensor dimension 7^3 = 343
+        assert check_ybe(4)["holds"] and check_ybe(4, mode="multipoint")["holds"]
+        with pytest.raises(ValueError, match="343 > 256"):
             check_ybe(7, mode="multipoint")
 
     def test_rejects_unknown_mode(self):
@@ -274,9 +276,10 @@ class TestReflection:
         with pytest.raises(ValueError):
             make_scenario("flagPlus", 2, boundary="oppositePlacement")
 
-    def test_size_limit(self):
-        with pytest.raises(ValueError):
-            check_reflection("flagPlus", 6)
+    def test_dimension_bound_is_the_only_size_limit(self):
+        # two sites of dimension 17 span 289 states
+        with pytest.raises(ValueError, match="289 > 256"):
+            check_reflection("flagPlus", 17)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_h_zero_sides_become_the_same_permutation(self, kind):
@@ -357,13 +360,23 @@ def test_unbuildable_chain_length_rejected(check, n):
         CHAIN_CHECKS[check](n)
 
 
+@pytest.mark.parametrize("check", sorted(relations._SUITE_SLOTS))
+def test_each_check_holds_itself_to_the_suite_dimension(check):
+    # at the first size past DIMENSION_BOUND by the suite's slot count, the
+    # check itself rejects the item with that very dimension, before building
+    item = next(it for it in suite_items(l=2) if it["check"] == check)
+    slots = relations._SUITE_SLOTS[check] + item.get("sites", 0)
+    l = next(size for size in itertools.count(2) if size ** slots > relations.DIMENSION_BOUND)
+    with pytest.raises(ValueError, match=rf"tensor dimension {l ** slots} > 256"):
+        run_suite_item({**item, "l": l})
+
+
 class TestBothProvers:
     """Symbolic and multipoint proofs of the same factor lists, at l = 2.
 
     yangBaxter and reflection are compared through their mode argument
-    above.  Left out for time: the two-site exchanges (about 5 s each in
-    multipoint) and the dressed chain reflection for spInstanton and
-    flagMinus (about 7 s each).
+    above.  Left out for time: the two-site exchanges and the dressed chain
+    reflection for spInstanton and flagMinus, about 5 s each in multipoint.
     """
 
     @staticmethod
@@ -395,6 +408,11 @@ class TestBothProvers:
     @pytest.mark.parametrize("kind", KINDS)
     def test_boundary_constant_term(self, kind):
         assert self._both(*_constant_term_factors(kind, 2, 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_twisted_plain_derivation(self, kind):
+        for lhs, rhs in _derivation_factors(2, 1, kind):
+            assert self._both(lhs, rhs)
 
 
 def _factor_lists(monkeypatch, run):
@@ -575,6 +593,38 @@ class TestSuites:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             suite_items("everything")
+
+    def test_default_items_are_pinned(self):
+        # what `verify --suite all` runs; a change here is a change of coverage
+        assert suite_items() == json.loads((Path(__file__).parent / "suite_items_default.json").read_text())
+
+    @pytest.mark.parametrize("group", ["all", "ybe", "unitarity", "reflection", "exchange", "boundary"])
+    def test_explicit_l_runs_every_requested_group(self, group):
+        for l in (2, 3, 4):
+            items = suite_items(group, l=l)
+            assert items and all(it["l"] == l for it in items)
+            assert group == "all" or all(it in suite_items("all", l=l) for it in items)
+
+    def test_explicit_l_lifts_the_old_group_gates(self):
+        assert len(suite_items("exchange", l=3)) == 36
+        sp = [it for it in suite_items("boundary", l=4) if it["check"] == "chainReflection"
+              and it["kind"] == "spInstanton"]
+        assert sp == [{"check": "chainReflection", "l": 4, "kind": "spInstanton", "sites": 1, "expected": None}]
+
+    @pytest.mark.parametrize("l", [1, 0, -2])
+    def test_l_below_two_rejected(self, l):
+        with pytest.raises(ValueError, match=f"l={l}"):
+            suite_items("all", l=l)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oversized_item_rejected_before_any_check_runs(self, jobs, monkeypatch):
+        calls = []
+        for name in dir(relations):
+            if name.startswith("check_"):
+                monkeypatch.setattr(relations, name, lambda *a, _n=name, **k: calls.append(_n))
+        with pytest.raises(ValueError, match=r"monodromyExchange \(.*sites=2\): tensor dimension 625 > 256"):
+            run_suite("all", l=5, jobs=jobs)
+        assert calls == []
 
     def test_run_suite_item_dispatch(self):
         v = run_suite_item({"check": "kUnitarity", "l": 2, "kind": "soInstanton", "expected": True})
