@@ -255,13 +255,17 @@ class Poly:
         return p
 
     def subs(self, assignment):
-        """Evaluate at a full assignment {var: Fraction} -> Fraction."""
-        total = Fraction(0)
+        """Evaluate at a full assignment {var: value}.
+
+        The value keeps the type of its inputs: integer coefficients at an
+        integer point give an int, and a Fraction anywhere gives a Fraction.
+        """
+        total = 0
         for e, c in self.terms.items():
             v = c
             for i, x in enumerate(e):
                 if x:
-                    v *= Fraction(assignment[VARS[i]]) ** x
+                    v *= assignment[VARS[i]] ** x
             total += v
         return total
 
@@ -951,13 +955,14 @@ class RatFunc:
         return self.num.variables() | self.den.variables()
 
     def eval(self, assignment):
-        """Evaluate at {var: Fraction}; raises on a pole of the REDUCED form."""
+        """Evaluate at {var: int or Fraction} -> Fraction; raises on a pole of
+        the REDUCED form."""
         d = self.den.subs(assignment)
         if d == 0:
             raise ZeroDivisionError(
                 f"pole of rational function at {assignment}"
             )
-        return self.num.subs(assignment) / d
+        return Fraction(self.num.subs(assignment), d)
 
     def __str__(self):
         return format_ratfunc(self)

@@ -23,16 +23,20 @@ hands them to _prove.  The symbolic mode multiplies each list out from the
 left and compares canonical forms (matrix.verify_identity).  The multipoint
 mode never forms the products: _verify_product_identity, the one grid-proof
 engine, bounds the per-variable degree of the cleared difference from the
-factors alone, evaluates the factors on an integer grid with one more point
-per variable than that bound, and multiplies numerically, which is still a
-proof, not a sample.  check_ybe and check_reflection expose the mode; the
-tests run both provers on the factor lists of the other checks.
+factors alone and evaluates the factors on an integer grid with one more
+point per variable than that bound.  At each point it clears each factor's
+denominators there, so the factor is a matrix of integers over the lcm D of
+its entry denominators; it multiplies matrices of integers and compares
+lhs * prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof,
+not a sample.  check_ybe and check_reflection expose the mode; the tests
+run both provers on the factor lists of the other checks.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -61,12 +65,17 @@ EXCHANGE_VARIANTS = ("plainPlain", "plainTwisted", "twistedPlain", "twistedTwist
 
 BOUNDARY_VARIANTS = ("standard", "oppositePlacement")
 
-# the one size rule: the total tensor dimension of any single check, in
-# either mode; a check over a larger space is rejected before it builds a factor
+# the one size rule: a site has at least 2 states, and the total tensor
+# dimension of any single check, in either mode, is at most DIMENSION_BOUND; a
+# check outside it is rejected before it builds a factor
 DIMENSION_BOUND = 256
 
 
-def _require_dim(dim):
+def _require_size(l, slots):
+    """Hold a check on `slots` tensor slots of dimension l to the size rule."""
+    if l < 2:
+        raise ValueError(f"l={l}: a site needs at least 2 states")
+    dim = l ** slots
     if dim > DIMENSION_BOUND:
         raise ValueError(f"tensor dimension {dim} > {DIMENSION_BOUND}, the bound on any single check")
 
@@ -196,15 +205,12 @@ def _build_grid(mats, active, bounds, max_retries=8):
         if attempt:
             offsets[bad_var] += _PRIMES[attempt - 1] * 1000
             tried[bad_var].append(offsets[bad_var])
-        points = {
-            v: [Fraction(offsets[v] + k) for k in range(bounds[v] + 1)]
-            for v in active
-        }
+        points = {v: [offsets[v] + k for k in range(bounds[v] + 1)] for v in active}
         bad_den = None
         for combo in itertools.product(*(points[v] for v in active)):
             assignment = dict(zip(active, combo))
             for v in VARS:
-                assignment.setdefault(v, Fraction(1))
+                assignment.setdefault(v, 1)
             bad_den = next((d for d in dens if d.subs(assignment) == 0), None)
             if bad_den is not None:
                 break
@@ -275,12 +281,29 @@ def _product_degree_bounds(lhs_factors, rhs_factors, variables):
     return {v: max(ln[v] + rd[v], rn[v] + ld[v]) for v in variables}
 
 
-def _rows_of(evaluated):
+def _cleared_rows(mat, assignment, memo):
+    """mat at an integer point as (rows, D): D is the lcm of the |d| over the
+    entry values n / d, and rows holds the nonzero integers n * (D // d).
+
+    memo, keyed by id(entry), holds each distinct entry's (n, d) for this
+    point, so a RatFunc shared among entries and factors is evaluated once.
+    A pole raises ZeroDivisionError, as RatFunc.eval does.
+    """
+    vals = []
+    for k, v in mat.entries.items():
+        nd = memo.get(id(v))
+        if nd is None:
+            d = v.den.subs(assignment)
+            if d == 0:
+                raise ZeroDivisionError(f"pole of rational function at {assignment}")
+            nd = memo[id(v)] = (v.num.subs(assignment), d)
+        vals.append((k, nd))
+    big = math.lcm(*(d for _, (_, d) in vals))
     rows = {}
-    for (i, j), val in evaluated.items():
-        if val:
-            rows.setdefault(i, {})[j] = val
-    return rows
+    for (i, j), (n, d) in vals:
+        if n:
+            rows.setdefault(i, {})[j] = n * (big // d)
+    return rows, big
 
 
 def _matmul_rows(a, b):
@@ -302,22 +325,31 @@ def _matmul_rows(a, b):
 
 
 def _product_at_point(factors, assignment, memo):
-    rows = None
+    """The product at an integer point as (rows, D): rows / D is the product,
+    rows an integer matrix and D the product of the factors' lcms.  memo
+    also holds each distinct factor's cleared rows for this point."""
+    rows, scale = None, 1
     for mat in factors:
-        cur = _rows_of(mat.eval_entries(assignment, memo))
+        cleared = memo.get(id(mat))
+        if cleared is None:
+            cleared = memo[id(mat)] = _cleared_rows(mat, assignment, memo)
+        cur, big = cleared
         rows = cur if rows is None else _matmul_rows(rows, cur)
-    return rows or {}
+        scale *= big
+    return rows or {}, scale
 
 
 def _verify_product_identity(lhs_factors, rhs_factors):
     """Grid proof that two ordered matrix products agree, factor by factor.
 
-    All factors must share the same (square) label set.  Entries are
-    evaluated per grid point and multiplied as sparse matrices of Fractions;
-    the grid has (degree bound + 1) points per variable, which makes full
-    agreement equivalent to the symbolic identity.  When every factor entry
-    is homogeneous of degree zero (jointly in h and the spectral variables),
-    the h = 1 slice is faithful and h is dropped from the grid.
+    All factors must share the same (square) label set.  At each grid point
+    every factor's entries are cleared of their denominators there, and the
+    products are sparse matrices of integers: lhs / D_lhs = rhs / D_rhs is
+    tested as lhs * D_rhs = rhs * D_lhs, exactly.  The grid has (degree
+    bound + 1) points per variable, which makes full agreement equivalent to
+    the symbolic identity.  When every factor entry is homogeneous of degree
+    zero (jointly in h and the spectral variables), the h = 1 slice is
+    faithful and h is dropped from the grid.
     """
     mats = list(lhs_factors) + list(rhs_factors)
     active = _active_vars(mats)
@@ -330,15 +362,18 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     n_points = 0
     for combo in itertools.product(*(points[v] for v in active)):
         assignment = dict(zip(active, combo))
-        assignment.setdefault("h", Fraction(1))
+        assignment.setdefault("h", 1)
         n_points += 1
         # embed_on_slots shares one RatFunc among many entries and factors:
         # evaluate each distinct object once per point
         memo = {}
-        lhs = _product_at_point(lhs_factors, assignment, memo)
-        rhs = _product_at_point(rhs_factors, assignment, memo)
-        if lhs != rhs:
-            i, j = _first_row_col_diff(lhs, rhs)
+        lhs, lhs_den = _product_at_point(lhs_factors, assignment, memo)
+        rhs, rhs_den = _product_at_point(rhs_factors, assignment, memo)
+        # both scales are nonzero, so the scaled sides differ in the same entries
+        g = math.gcd(lhs_den, rhs_den)
+        lhs_scaled, rhs_scaled = _scaled(lhs, rhs_den // g), _scaled(rhs, lhs_den // g)
+        if lhs_scaled != rhs_scaled:
+            i, j = _first_row_col_diff(lhs_scaled, rhs_scaled)
             return {
                 "holds": False,
                 "mode": "multipoint",
@@ -348,8 +383,8 @@ def _verify_product_identity(lhs_factors, rhs_factors):
                 "counterexample": {
                     "row": _label_to_json(ref.row_labels[i]),
                     "col": _label_to_json(ref.col_labels[j]),
-                    "lhs": str(lhs.get(i, {}).get(j, Fraction(0))),
-                    "rhs": str(rhs.get(i, {}).get(j, Fraction(0))),
+                    "lhs": str(Fraction(lhs.get(i, {}).get(j, 0), lhs_den)),
+                    "rhs": str(Fraction(rhs.get(i, {}).get(j, 0), rhs_den)),
                     "point": _point_str(assignment),
                 },
             }
@@ -361,6 +396,10 @@ def _verify_product_identity(lhs_factors, rhs_factors):
         "gridSize": n_points,
         "degreeBounds": bounds,
     }
+
+
+def _scaled(rows, s):
+    return rows if s == 1 else {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
 
 
 def _first_row_col_diff(lhs, rhs):
@@ -394,7 +433,7 @@ def check_ybe(l, r_builder=None, mode="symbolic"):
     its argument w and on h only.
     """
     builder = r_builder or (lambda ll, w: yang_r(ll, w))
-    _require_dim(l ** 3)
+    _require_size(l, 3)
     slots = [site_labels(l)] * 3
     args = (U1 - U2, U1, U2)
     r12 = embed_on_slots(builder(l, args[0]), (0, 1), slots)
@@ -418,7 +457,7 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
             r_builder = lambda ll, w: cross_r(kind, ll, w)
         else:
             raise ValueError(f"unknown family {family!r}")
-    _require_dim(l ** 2)
+    _require_size(l, 2)
     d = U1 - U2
     fwd = r_builder(l, d)
     bwd = r_builder(l, -d)
@@ -438,7 +477,7 @@ def check_k_unitarity(kind, l, k_builder=None):
     candidates can be screened with the same verdict plumbing.
     """
     builder = k_builder or (lambda spec: k_matrix(kind, l, spec))
-    _require_dim(l)
+    _require_size(l, 1)
     fwd = builder(U)
     bwd = builder(-U)
     ident = LabeledMatrix.identity(fwd.row_labels)
@@ -460,7 +499,7 @@ def _reflection_factors(kind, l, boundary="standard", k_builder=None, n=0):
     """
     sc = make_scenario(kind, l, boundary=boundary)
     shifts = _chain_shifts(n, (U3, U4))
-    _require_dim(l ** (2 + n))
+    _require_size(l, 2 + n)
     slots = [site_labels(l)] * (2 + n)
     if n:
         chain = tuple(range(2, 2 + n))
@@ -560,7 +599,7 @@ def _exchange_factors(l, n, variant, kind):
         raise ValueError(f"unknown variant {variant!r}")
     slots = [site_labels(l)] * (2 + n)
     plain, twisted = _chain_monodromies(kind, l, n, slots)
-    _require_dim(l ** (2 + n))
+    _require_size(l, 2 + n)
     u, v = U, U4
     if variant == "plainPlain":
         t1, t2, r = plain(0, u), plain(1, v), yang_r(l, u - v)
@@ -602,6 +641,7 @@ def _derivation_factors(l, n, kind):
     two copies of C21(u+v)^{-1} = C21(-u-v), must turn its rhs into the
     direct lhs and its lhs into the direct rhs, verbatim.
     """
+    _require_size(l, 2 + n)
     slots = [site_labels(l)] * (2 + n)
     plain, twisted = _chain_monodromies(kind, l, n, slots)
     u, v = U, U4
@@ -654,7 +694,7 @@ def check_chain_reflection(kind, l, n=1):
 
 def _factorization_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
-    _require_dim(l ** (1 + n))
+    _require_size(l, 1 + n)
     return [s_matrix(kind, l, U, shifts)], [s_matrix_via_transfer(kind, l, U, shifts)]
 
 
@@ -671,7 +711,7 @@ def check_boundary_factorization(kind, l, n=1):
 
 def _constant_term_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
-    _require_dim(l ** (1 + n))
+    _require_size(l, 1 + n)
     limit = constant_term_matrix(s_matrix(kind, l, U, shifts), "u")
     expected = embed_on_slots(sigma_matrix(kind, l), (0,), [site_labels(l)] * (1 + n))
     return [limit], [expected]
@@ -798,7 +838,7 @@ def run_suite(suite="all", l=None, jobs=1):
     items = suite_items(suite=suite, l=l)
     for it in items:
         try:
-            _require_dim(it["l"] ** (_SUITE_SLOTS[it["check"]] + it.get("sites", 0)))
+            _require_size(it["l"], _SUITE_SLOTS[it["check"]] + it.get("sites", 0))
         except ValueError as e:
             named = ", ".join(f"{k}={v}" for k, v in it.items() if k not in ("check", "expected"))
             raise ValueError(f"{it['check']} ({named}): {e}") from None

@@ -48,10 +48,21 @@ from operator import add, sub
 MAX_CANDIDATES = 10_000
 
 
+def _check_size(l, w1):
+    """The size rule of every tableau count: l >= 2 entry values, w1 >= 0."""
+    if l < 2:
+        raise ValueError("need at least two entry values")
+    if w1 < 0:
+        raise ValueError(f"w1 must be non-negative, got {w1}")
+
+
 def _check_candidates(what, l, n):
-    """Raise ValueError, naming the count, when l^n candidates exceed the bound."""
+    """Raise ValueError, naming the count, when l^n candidates exceed the bound.
+
+    The caller has applied _check_size, so l >= 2 and n >= 0.
+    """
     # with l >= 2, n >= bit_length already exceeds the bound: no huge power is formed
-    if l < 2 or n < 0 or (n < MAX_CANDIDATES.bit_length() and l**n <= MAX_CANDIDATES):
+    if n < MAX_CANDIDATES.bit_length() and l**n <= MAX_CANDIDATES:
         return
     digits = n * math.log10(l)
     count = l**n if digits < 30 else f"about 10^{digits:.0f}"
@@ -118,8 +129,7 @@ class InstantonTableau:
 
 def enumerate_instanton(l, w1):
     """All fixed-point tableaux, one per choice of positive-row entries."""
-    if l < 2:
-        raise ValueError("need at least two entry values")
+    _check_size(l, w1)
     _check_candidates("enumerate_instanton", l, w1)
     return [
         InstantonTableau.from_positive_entries(l, w1, entries)
@@ -231,10 +241,7 @@ def _small_tableaux(l, w1):
     Returns ({e: tableau}, {(a, b): tableau}); the second is empty when
     w1 < 2, since no pair of rows then exists, and both are when w1 = 0.
     """
-    if l < 2:
-        raise ValueError("need at least two entry values")
-    if w1 < 0:
-        raise ValueError(f"w1 must be non-negative, got {w1}")
+    _check_size(l, w1)
     build = InstantonTableau.from_positive_entries
     values = range(1, l + 1)
     ones = {e: build(l, 1, (e,)) for e in values} if w1 >= 1 else {}
@@ -469,10 +476,12 @@ def flag_fixed_points(sign, l, w, v=None):
     Returns (points, diagnostics).  With v = None the enumeration runs over
     every admissible dimension vector; otherwise only tableaux whose
     content equals v are kept.  An incompatible request yields no points
-    plus a human-readable diagnostic instead of an exception.
+    plus a human-readable diagnostic instead of an exception; a size outside
+    l >= 2, w >= 0 raises ValueError, as it does for the Betti data.
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    _check_size(l, w)
     diagnostics = []
     if sign == "minus" and w % 2:
         diagnostics.append(

@@ -173,6 +173,22 @@ class TestTableaux:
         assert res.stdout == ""
         assert "9^15 = 205891132094649 candidate tableaux" in res.stderr
 
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            (("--l", "-3", "--w1", "2"), "need at least two entry values"),
+            (("--l", "0", "--w1", "0"), "need at least two entry values"),
+            (("--l", "3", "--w1", "-1"), "w1 must be non-negative, got -1"),
+        ],
+    )
+    def test_flags_reject_bad_sizes(self, sizes, message):
+        # the size rule of tableaux betti: l >= 2 and w1 >= 0
+        for sign in ("plus", "minus"):
+            res = run_cli("tableaux", "flags", "--sign", sign, *sizes)
+            assert res.exit_code == 2, (sign, sizes)
+            assert res.stdout == ""
+            assert message in res.stderr
+
     def test_betti_rejects_bad_sizes(self):
         # the CSV table rejects what the JSON report rejects, with its message
         for flag, value in (("--l", "1"), ("--w1", "-1"), ("--l", "0")):

@@ -278,6 +278,16 @@ def test_flag_rejects_bad_sign():
         flag_fixed_points("both", 3, 2)
 
 
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize(
+    "l,w,message",
+    [(-3, 2, "two entry values"), (0, 0, "two entry values"), (1, 4, "two entry values"), (3, -1, "w1 must be")],
+)
+def test_flag_applies_the_betti_size_rule(sign, l, w, message):
+    with pytest.raises(ValueError, match=message):
+        flag_fixed_points(sign, l, w)
+
+
 # ------------------------------------------------------- content program
 
 
