@@ -215,8 +215,7 @@ def criterion_10_polarization_dichotomy():
         res = solve(inst)
         if res["verdict"] != "UNSAT" or not replay_certificate(inst, res["certificate"]):
             failures.append(f"minus l={l}: {res['verdict']}")
-        expected_method = "exhaustive" if l <= 4 else "propagation"
-        if res["method"] != expected_method:
+        if res["method"] != "propagation":
             failures.append(f"minus l={l} used {res['method']}")
     if failures:
         return _report(False, "; ".join(failures[:4]))

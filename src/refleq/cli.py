@@ -67,45 +67,6 @@ def cli(ctx):
 
 
 # ---------------------------------------------------------------------------
-# table builders (presentation only; all content comes from the modules)
-
-
-def emit_table(kind, params):
-    """Build one of the exportable tables.
-
-    Returns (payload, csv_text): csv_text is None unless the table has a
-    CSV form (only the Betti table does).
-    """
-    if kind == "betti":
-        family, l_max, w1_max = params["kind"], params["l"], params["w1"]
-        # one row per l = 2..l_max and w1 = 0..w1_max; an l_max below 2 is
-        # handed to betti_rows as it is, which rejects it as the JSON report does
-        sizes = range(min(l_max, 2), l_max + 1)
-        rows = [
-            {"l": l, "w1": w1, "dim": dim, "poincare": poincare}
-            for l in sizes
-            for w1, dim, poincare in betti_rows(family, l, w1_max)
-        ]
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["l", "w1", "dim", "poincare"])
-        for r in rows:
-            writer.writerow([r["l"], r["w1"], r["dim"], r["poincare"]])
-        return rows, buf.getvalue()
-    if kind == "kmatrix":
-        m = k_matrix(params["kind"], params["l"], U)
-        labels = list(m.row_labels)
-        entries = [
-            {"row": labels[i], "col": labels[j], "value": format_ratfunc(v)}
-            for (i, j), v in sorted(m.entries.items())
-        ]
-        return {"labels": labels, "entries": entries}, None
-    if kind == "polarization":
-        return solve_table(l_values=tuple(range(2, params["l"] + 1))), None
-    raise ValueError(f"unknown table kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -159,8 +120,15 @@ def betti(ctx, kind, l, w1, emit):
     _start(ctx)
     try:
         if emit == "csv":
-            _, text = emit_table("betti", {"kind": kind, "l": l, "w1": w1})
-            click.echo(text, nl=False)
+            # one row per size 2..l and w1 0..w1; an l below 2 is handed to
+            # betti_rows as it is, which rejects it as the JSON report does
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["l", "w1", "dim", "poincare"])
+            for size in range(min(l, 2), l + 1):
+                for row in betti_rows(kind, size, w1):
+                    writer.writerow([size, *row])
+            click.echo(buf.getvalue(), nl=False)
             ctx.exit(0)
         payload = fixed_locus_report(kind, l, w1)
         if "parityComponents" in payload:
@@ -208,10 +176,15 @@ def kmatrix(ctx, kind, l):
     """Boundary matrix entries for one kind and size."""
     _start(ctx)
     try:
-        payload, _ = emit_table("kmatrix", {"kind": kind, "l": l})
+        m = k_matrix(kind, l, U)
     except ValueError as e:
         _usage(str(e))
-    _echo_report(ctx, payload)
+    labels = list(m.row_labels)
+    entries = [
+        {"row": labels[i], "col": labels[j], "value": format_ratfunc(v)}
+        for (i, j), v in sorted(m.entries.items())
+    ]
+    _echo_report(ctx, {"labels": labels, "entries": entries})
 
 
 @cli.command()
@@ -292,11 +265,7 @@ def polarization_solve(ctx, sign, l):
 def polarization_summary(ctx, l):
     """Verdict table over both signs up to the given size."""
     _start(ctx)
-    try:
-        payload, _ = emit_table("polarization", {"l": l})
-    except ValueError as e:
-        _usage(str(e))
-    _echo_report(ctx, payload)
+    _echo_report(ctx, solve_table(l_values=tuple(range(2, l + 1))))
 
 
 @cli.command("suite")

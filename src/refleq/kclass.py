@@ -221,45 +221,23 @@ def reflect_step(t, exprs, i, zeta):
     return new_exprs, tuple(new_zeta)
 
 
-_CHAMBER_SEEDS = (
-    lambda n: tuple(-(k + 1) for k in range(n)),
-    lambda n: tuple(-p for p in _first_primes(n)),
-    lambda n: tuple(-(3 * k + 2) for k in range(n)),
-    lambda n: tuple(-(k * k + k + 1) for k in range(n)),
-)
-
-
-def _first_primes(n):
-    out = []
-    c = 2
-    while len(out) < n:
-        if all(c % p for p in out):
-            out.append(c)
-        c += 1
-    return out
-
-
 def longest_reflection_transform(t, word=None):
     """Transform of each U_j under the full longest-word reflection chain.
 
-    Returns {j: KClassExpr}.  Retries from a fresh generic chamber if the
-    walk hits a wall (which the default staircase seed can do for branched
-    diagrams).
+    Returns {j: KClassExpr}.  The walk starts from the staircase chamber
+    zeta0 = (-1, ..., -n) and never meets a wall.  For a reduced word
+    i_1 ... i_N, step k applies s_(i_k) after v = s_(i_(k+1)) ... s_(i_N)
+    and reads zeta_(i_k) = <v zeta0, alpha_(i_k)> = <zeta0, v^-1 alpha_(i_k)>.
+    v^-1 alpha_(i_k) is a positive root, and zeta0 is negative on every
+    simple root, hence on every positive root: every zeta read is negative.
     """
     if word is None:
         word = longest_word(t)
-    n = t.rank
-    last_err = None
-    for seed in _CHAMBER_SEEDS:
-        zeta = seed(n)
-        exprs = {j: KClassExpr.symbol("U", j) for j in t.vertices}
-        try:
-            for i in reversed(word):
-                exprs, zeta = reflect_step(t, exprs, i, zeta)
-            return exprs
-        except GenericityError as e:
-            last_err = e
-    raise GenericityError(f"no generic chamber found for {t}: {last_err}")
+    zeta = tuple(-k for k in range(1, t.rank + 1))
+    exprs = {j: KClassExpr.symbol("U", j) for j in t.vertices}
+    for i in reversed(word):
+        exprs, zeta = reflect_step(t, exprs, i, zeta)
+    return exprs
 
 
 def longest_transform_summary(t):

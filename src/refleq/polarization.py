@@ -275,12 +275,12 @@ def choice_from_json(rows):
 # ---------------------------------------------------------------------------
 # solving
 
-# Both solver modes are complete.  The exhaustive mode backtracks over the
-# per-point selections directly, pruning as soon as a finished point
-# disagrees with an earlier point of a shared component.  The propagation
-# mode interleaves decisions with generalized arc consistency per
-# wall-component, decided by counting +m selections per magnitude (_gac),
-# and doubles as the certificate builder for UNSAT instances.
+# solve runs the propagation search: decisions interleaved with generalized
+# arc consistency per wall-component, decided by counting +m selections per
+# magnitude (_gac); it doubles as the certificate builder for UNSAT
+# instances.  _solve_exhaustive backtracks over the per-point selections
+# directly and is kept only as the complete reference the tests compare
+# solve against.
 
 
 def _components_with_vars(inst):
@@ -509,7 +509,11 @@ def _certificate_from(inst, trail, contradiction):
 
 
 def _solve_exhaustive(inst):
-    """Complete backtracking over whole points with component pruning."""
+    """Complete backtracking over whole points with component pruning.
+
+    Reference search for the tests only: solve never calls it.  Returns the
+    first consistent choice found, or None.
+    """
     order = list(inst.points)
     # precompute, per point, the multi-point components it belongs to
     memberships = {p: [] for p in order}
@@ -555,23 +559,12 @@ def _solve_exhaustive(inst):
 def solve(inst):
     """Decide whether a consistent choice exists.
 
-    The search is exhaustive for l <= 4 and propagation above (reported as
-    result["method"]); both are complete.  SAT results carry a witness that
-    check_choice accepts; UNSAT results carry a certificate
-    replay_certificate accepts.  The exhaustive mode confirms UNSAT by
-    complete enumeration and then calls the propagation engine for the
-    certificate chain.
+    The search is _solve_propagation at every size (reported as
+    result["method"]).  SAT results carry a witness that check_choice
+    accepts; UNSAT results carry a certificate replay_certificate accepts.
     """
-    method = "exhaustive" if inst.l <= 4 else "propagation"
-    witness = _solve_exhaustive(inst) if method == "exhaustive" else None
-    if witness is not None:
-        result = {"verdict": "SAT", "witness": witness, "certificate": None}
-    else:
-        result = _solve_propagation(inst)
-        assert method == "propagation" or result["verdict"] == "UNSAT"
-    result["method"] = method
-    result["sign"] = inst.sign
-    result["l"] = inst.l
+    result = _solve_propagation(inst)
+    result["method"] = "propagation"
     if result["witness"] is not None:
         verdict = check_choice(inst, result["witness"])
         assert verdict["ok"], "solver produced an inconsistent witness"

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from refleq import __version__
 from refleq import cli as cli_module
 from refleq import tableaux as tableaux_module
-from refleq.cli import cli, emit_table
+from refleq.cli import cli
 from refleq.dynkin import DynkinType, info_dict
 from refleq.kclass import w0_summary_dict
 from refleq.polarization import build_instance, replay_certificate, solve_table
@@ -133,22 +133,22 @@ class TestTableaux:
         assert lines[1] == "2,0,0,1"
 
     def test_csv_matches_json_rows(self):
-        rows, text = emit_table("betti", {"kind": "sp", "l": 3, "w1": 1})
-        assert [r["l"] for r in rows] == [2, 2, 3, 3]
-        assert str(rows[1]["dim"]) in text.splitlines()[2]
         # one content run per l serves every w1; each row is still betti_report's
         for kind in ("sp", "so"):
             for w1_max in (0, 1, 5):
-                rows, text = emit_table("betti", {"kind": kind, "l": 4, "w1": w1_max})
-                lines = text.splitlines()
-                assert len(rows) == len(lines) - 1 == 3 * (w1_max + 1)
-                for row, line in zip(rows, lines[1:]):
-                    rep = betti_report(kind, row["l"], row["w1"])
-                    assert (row["dim"], row["poincare"]) == (rep["dimension"], rep["poincare"])
-                    assert line == f'{row["l"]},{row["w1"]},{row["dim"]},{row["poincare"]}'
-                assert [(r["l"], r["w1"]) for r in rows] == [
+                res = run_cli("tableaux", "betti", "--kind", kind, "--l", "4",
+                              "--w1", str(w1_max), "--emit", "csv")
+                assert res.exit_code == 0
+                lines = res.stdout.splitlines()
+                assert lines[0] == "l,w1,dim,poincare"
+                assert len(lines) - 1 == 3 * (w1_max + 1)
+                cells = [line.split(",") for line in lines[1:]]
+                assert [(int(l), int(w1)) for l, w1, _, _ in cells] == [
                     (l, w1) for l in (2, 3, 4) for w1 in range(w1_max + 1)
                 ]
+                for l, w1, dim, poincare in cells:
+                    rep = betti_report(kind, int(l), int(w1))
+                    assert (int(dim), poincare) == (rep["dimension"], rep["poincare"])
 
     def test_flag_points(self):
         res = run_cli("tableaux", "flags", "--sign", "minus", "--l", "5", "--w1", "4")
@@ -338,10 +338,6 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert run_cli("nonsense").exit_code == 2
-
-    def test_unknown_table_kind(self):
-        with pytest.raises(ValueError):
-            emit_table("nonsense", {})
 
     def test_version_flag(self):
         res = run_cli("--version")

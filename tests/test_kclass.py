@@ -89,6 +89,23 @@ def test_reflect_step_wall():
         reflect_step(t, exprs, 2, (-1, 0))
 
 
+def test_staircase_walk_reads_only_negative_chamber_values():
+    # the walk of longest_reflection_transform, replayed step by step: every
+    # zeta_i it reads is negative, so reflect_step's wall check never fires
+    types = [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6"]
+    steps = 0
+    for t in map(DynkinType.parse, types):
+        for word in (longest_word(t), longest_word(t, prefer_high=True)):
+            zeta = tuple(-k for k in range(1, t.rank + 1))
+            exprs = {j: KClassExpr.symbol("U", j) for j in t.vertices}
+            for i in reversed(word):
+                assert zeta[i - 1] < 0, (t, word, zeta)
+                exprs, zeta = reflect_step(t, exprs, i, zeta)
+                steps += 1
+            assert exprs == longest_reflection_transform(t, word)
+    assert steps == 1928
+
+
 def u_sym(j, coeff=None):
     return KClassExpr.symbol("U", j, coeff)
 

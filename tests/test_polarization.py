@@ -215,7 +215,7 @@ class TestSolve:
         inst = build_instance("-", 2)
         res = solve(inst)
         assert res["verdict"] == "SAT"
-        assert res["method"] == "exhaustive"
+        assert res["method"] == "propagation"
         assert check_choice(inst, res["witness"])["ok"]
 
     @pytest.mark.parametrize("l", [3, 4, 5, 6])
@@ -223,7 +223,7 @@ class TestSolve:
         inst = build_instance("-", l)
         res = solve(inst)
         assert res["verdict"] == "UNSAT"
-        assert res["method"] == ("exhaustive" if l <= 4 else "propagation")
+        assert res["method"] == "propagation"
         assert replay_certificate(inst, res["certificate"])
 
     @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -260,20 +260,24 @@ class TestSolve:
         cert = solve(build_instance("-", 3))["certificate"]
         assert not replay_certificate(build_instance("+", 3), cert)
 
-    def test_methods_agree(self):
-        for sign, l, verdict in (("-", 2, "SAT"), ("-", 3, "UNSAT"), ("+", 3, "SAT")):
-            inst = build_instance(sign, l)
-            witness = _solve_exhaustive(inst)
-            assert (witness is not None) == (verdict == "SAT")
-            if witness is not None:
-                assert check_choice(inst, witness)["ok"]
-            assert _solve_propagation(inst)["verdict"] == verdict
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_methods_agree(self, sign, l):
+        # complete enumeration is the reference: same verdict, and on SAT the
+        # very same witness, which pins what `polarization solve` prints
+        inst = build_instance(sign, l)
+        witness = _solve_exhaustive(inst)
+        res = _solve_propagation(inst)
+        assert res["verdict"] == ("SAT" if witness is not None else "UNSAT")
+        assert res["verdict"] == ("SAT" if sign == "+" or l == 2 else "UNSAT")
+        assert res["witness"] == witness
+        assert witness is None or check_choice(inst, witness)["ok"]
 
     def test_method_validation(self):
-        # the search is picked from l alone: exhaustive up to 4, propagation above
+        # one search at every size
         for l in (2, 4, 5):
             res = solve(build_instance("+", l))
-            assert res["method"] == ("exhaustive" if l <= 4 else "propagation")
+            assert res["method"] == "propagation"
 
     def test_plus_l32_sat_without_deep_recursion(self):
         # one decision per point: 1024 decisions must not grow the call stack
