@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import RatFunc, format_ratfunc, parse_ratfunc
+from .field import RatFunc, format_ratfunc
 
 
 def _label_to_json(label):
@@ -206,33 +206,6 @@ class LabeledMatrix:
                 val = memo[id(v)] = v.eval(assignment)
             out[k] = val
         return out
-
-    def to_json(self):
-        n_rows = len(self.row_labels)
-        n_cols = len(self.col_labels)
-        dense = [["0"] * n_cols for _ in range(n_rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = format_ratfunc(v)
-        return {
-            "rows": [_label_to_json(lab) for lab in self.row_labels],
-            "cols": [_label_to_json(lab) for lab in self.col_labels],
-            "entries": dense,
-        }
-
-    @staticmethod
-    def from_json(data):
-        def fix(lab):
-            return tuple(fix(x) for x in lab) if isinstance(lab, list) else lab
-
-        rows = [fix(lab) for lab in data["rows"]]
-        cols = [fix(lab) for lab in data["cols"]]
-        m = LabeledMatrix(rows, cols)
-        for i, row in enumerate(data["entries"]):
-            for j, s in enumerate(row):
-                v = parse_ratfunc(s)
-                if not v.is_zero():
-                    m.entries[(i, j)] = v
-        return m
 
     def __repr__(self):
         return f"<LabeledMatrix {len(self.row_labels)}x{len(self.col_labels)}, {len(self.entries)} nonzero>"

@@ -187,10 +187,17 @@ def instance_summary(inst):
 # choices and the consistency predicate
 
 
+# wall -> selectable label -> restriction of the label's weight to the wall,
+# built once so that the search and the replay never parse a label
+_RESTRICTION = {
+    wall: {label: phi(*label_weight(label)) for labels in PAIR_LABELS.values() for label in labels}
+    for wall, phi in WALL_PHI.items()
+}
+
+
 def _magnitude(wall, name):
     """|restriction| to the wall of either label of the pair."""
-    a, b = label_weight(PAIR_LABELS[name][0])
-    return abs(WALL_PHI[wall](a, b))
+    return abs(_RESTRICTION[wall][PAIR_LABELS[name][0]])
 
 
 def _qualifying_vars(inst, wall, component):
@@ -204,11 +211,10 @@ def _qualifying_vars(inst, wall, component):
 
 
 def _point_multiset(inst, wall, point, choice):
-    phi = WALL_PHI[wall]
+    restriction = _RESTRICTION[wall]
     values = []
     for name in inst.pairs_at[point]:
-        a, b = label_weight(choice[(point, name)])
-        v = phi(a, b)
+        v = restriction[choice[(point, name)]]
         if v != 0:
             values.append(v)
     return sorted(values)
@@ -309,7 +315,7 @@ def _gac(wall, component, qvars, fixed):
     empty range is a contradiction.  A free var is forced to +m at a point
     with max f - f = r and to -m at a point with min(f + r) = f.
     """
-    phi = WALL_PHI[wall]
+    restriction = _RESTRICTION[wall]
     counts = {}  # (m, point) -> [vars, fixed +m selections, free vars]
     for p, name in qvars:
         row = counts.setdefault((_magnitude(wall, name), p), [0, 0, 0])
@@ -317,7 +323,7 @@ def _gac(wall, component, qvars, fixed):
         label = fixed.get((p, name))
         if label is None:
             row[2] += 1
-        elif phi(*label_weight(label)) > 0:
+        elif restriction[label] > 0:
             row[1] += 1
     bounds = {}
     for m in {m for m, _ in counts}:
@@ -332,7 +338,7 @@ def _gac(wall, component, qvars, fixed):
         m = _magnitude(wall, name)
         (_, f, r), (lo, hi) = counts[(m, p)], bounds[m]
         if (p, name) not in fixed and (lo - f == r or hi == f):
-            minus, plus = sorted(PAIR_LABELS[name], key=lambda label: phi(*label_weight(label)))
+            minus, plus = sorted(PAIR_LABELS[name], key=restriction.get)
             forced[(p, name)] = plus if lo - f == r else minus
     return True, forced
 
@@ -584,8 +590,8 @@ def replay_certificate(inst, certificate):
     with the selections made so far, must leave the step's wall-component
     without any satisfying completion.  The final step must exhibit a
     component with no completion at all.  Both are decided by _gac on the
-    named component alone.  Returns True only if every step verifies in
-    both passes.
+    named component alone.  A step that selects a label outside its pair
+    fails.  Returns True only if every step verifies in both passes.
     """
     constraints_index = {
         (wall, component): tuple(qvars)
@@ -617,10 +623,10 @@ def replay_certificate(inst, certificate):
                 continue
             var = (tuple(step["point"]), step["pair"])
             label = step["selected"]
-            if flip:
-                label = partner(step["pair"], label)
-            if var[1] not in inst.pairs_at.get(var[0], ()):
+            if var[1] not in inst.pairs_at.get(var[0], ()) or label not in PAIR_LABELS[var[1]]:
                 return False
+            if flip:
+                label = partner(var[1], label)
             if kind == "forced":
                 fixed[var] = partner(var[1], label)
                 if _gac(wall, component, qvars, fixed)[0]:

@@ -39,18 +39,17 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .field import U, U1, U2, U3, U4, VARS, format_poly, poly_div_exact, poly_gcd
 from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
-    chain_product,
+    chain_factors,
     constant_term_matrix,
     cross_r,
     cross_r_flipped,
+    embedded_product,
     k_matrix,
     k_matrix_opposite_placement,
     s_matrix,
@@ -71,13 +70,14 @@ BOUNDARY_VARIANTS = ("standard", "oppositePlacement")
 DIMENSION_BOUND = 256
 
 
-def _require_size(l, slots):
-    """Hold a check on `slots` tensor slots of dimension l to the size rule."""
+def _slots(l, count):
+    """The label sequences of `count` tensor slots of dimension l, held to the size rule."""
     if l < 2:
         raise ValueError(f"l={l}: a site needs at least 2 states")
-    dim = l ** slots
+    dim = l ** count
     if dim > DIMENSION_BOUND:
         raise ValueError(f"tensor dimension {dim} > {DIMENSION_BOUND}, the bound on any single check")
+    return [site_labels(l)] * count
 
 
 def _chain_shifts(n, shifts):
@@ -91,26 +91,8 @@ def _chain_shifts(n, shifts):
 # scenarios and verdicts
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """The matrix builders entering one boundary scenario's identities.
-
-    Each builder takes the spectral argument only; the site dimension is
-    baked in.  cross builds the two-site R with the second factor twisted,
-    cross_flipped the one with the first factor twisted, and
-    twisted_pair_flipped the order-flipped R with both factors twisted.
-    """
-
-    kind: str
-    l: int
-    chain_r: Callable[[object], LabeledMatrix]
-    cross: Callable[[object], LabeledMatrix]
-    cross_flipped: Callable[[object], LabeledMatrix]
-    twisted_pair_flipped: Callable[[object], LabeledMatrix]
-    boundary_k: Callable[[object], LabeledMatrix]
-
-
 def make_scenario(kind, l, boundary="standard"):
+    """The boundary matrix builder u -> K(u) of a valid kind and boundary variant."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if boundary not in BOUNDARY_VARIANTS:
@@ -118,18 +100,8 @@ def make_scenario(kind, l, boundary="standard"):
     if boundary == "oppositePlacement":
         if kind != "flagMinus":
             raise ValueError("oppositePlacement only applies to flagMinus")
-        k_builder = lambda spec: k_matrix_opposite_placement(l, spec)
-    else:
-        k_builder = lambda spec: k_matrix(kind, l, spec)
-    return Scenario(
-        kind=kind,
-        l=l,
-        chain_r=lambda w: yang_r(l, w),
-        cross=lambda w: cross_r(kind, l, w),
-        cross_flipped=lambda w: cross_r_flipped(kind, l, w),
-        twisted_pair_flipped=lambda w: swap_conjugate(sigma_sigma_r(kind, l, w)),
-        boundary_k=k_builder,
-    )
+        return lambda spec: k_matrix_opposite_placement(l, spec)
+    return lambda spec: k_matrix(kind, l, spec)
 
 
 def _fold(factors):
@@ -433,8 +405,7 @@ def check_ybe(l, r_builder=None, mode="symbolic"):
     its argument w and on h only.
     """
     builder = r_builder or (lambda ll, w: yang_r(ll, w))
-    _require_size(l, 3)
-    slots = [site_labels(l)] * 3
+    slots = _slots(l, 3)
     args = (U1 - U2, U1, U2)
     r12 = embed_on_slots(builder(l, args[0]), (0, 1), slots)
     r13 = embed_on_slots(builder(l, args[1]), (0, 2), slots)
@@ -457,7 +428,7 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
             r_builder = lambda ll, w: cross_r(kind, ll, w)
         else:
             raise ValueError(f"unknown family {family!r}")
-    _require_size(l, 2)
+    _slots(l, 2)
     d = U1 - U2
     fwd = r_builder(l, d)
     bwd = r_builder(l, -d)
@@ -477,7 +448,7 @@ def check_k_unitarity(kind, l, k_builder=None):
     candidates can be screened with the same verdict plumbing.
     """
     builder = k_builder or (lambda spec: k_matrix(kind, l, spec))
-    _require_size(l, 1)
+    _slots(l, 1)
     fwd = builder(U)
     bwd = builder(-U)
     ident = LabeledMatrix.identity(fwd.row_labels)
@@ -497,24 +468,23 @@ def _reflection_factors(kind, l, boundary="standard", k_builder=None, n=0):
     and the R factors act on the two auxiliary slots 0 and 1.  At n = 0 the
     boundary factors are the scenario's matrix (or k_builder's).
     """
-    sc = make_scenario(kind, l, boundary=boundary)
+    boundary_k = make_scenario(kind, l, boundary=boundary)
     shifts = _chain_shifts(n, (U3, U4))
-    _require_size(l, 2 + n)
-    slots = [site_labels(l)] * (2 + n)
+    slots = _slots(l, 2 + n)
     if n:
         chain = tuple(range(2, 2 + n))
         k1 = embed_on_slots(s_matrix(kind, l, U1, shifts), (0,) + chain, slots)
         k2 = embed_on_slots(s_matrix(kind, l, U2, shifts), (1,) + chain, slots)
         on_aux = lambda m: embed_on_slots(m, (0, 1), slots)
     else:
-        boundary_k = k_builder or sc.boundary_k
+        boundary_k = k_builder or boundary_k
         k1 = embed_on_slots(boundary_k(U1), (0,), slots)
         k2 = embed_on_slots(boundary_k(U2), (1,), slots)
         on_aux = lambda m: m
     x = U1 + U2
     d = U1 - U2
-    lhs = [k2, on_aux(sc.cross_flipped(x)), k1, on_aux(sc.chain_r(d))]
-    rhs = [on_aux(sc.twisted_pair_flipped(d)), k1, on_aux(sc.cross(x)), k2]
+    lhs = [k2, on_aux(cross_r_flipped(kind, l, x)), k1, on_aux(yang_r(l, d))]
+    rhs = [on_aux(swap_conjugate(sigma_sigma_r(kind, l, d))), k1, on_aux(cross_r(kind, l, x)), k2]
     return lhs, rhs
 
 
@@ -575,31 +545,32 @@ def reflection_expectation(kind, l, boundary="standard"):
 # monodromy exchange over a chain
 
 
-def _chain_monodromies(kind, l, n, slots):
-    """Plain and twisted monodromy builders over n chain sites (slots 2..n+1).
+def _chain_monodromies(kind, l, n):
+    """Slots 0, 1 (auxiliary) and 2..n+1 (chain), and monodromy builders on them.
 
-    Each takes an auxiliary slot and a spectral argument w; chain site k
-    couples to the auxiliary slot at w - u_k, with u_1, u_2 = U1, U2.
+    plain and twisted take an auxiliary slot and a spectral argument w; chain
+    site k couples to the auxiliary slot at w - u_k, with u_1, u_2 = U1, U2.
     """
     shifts = _chain_shifts(n, (U1, U2))
+    slots = _slots(l, 2 + n)
     sites = range(2, 2 + n)
 
     def plain(aux, w):
-        return chain_product(lambda k: yang_r(l, w - shifts[k - 1]), aux, sites, slots)
+        pair = lambda k: yang_r(l, w - shifts[k - 1])
+        return embedded_product(chain_factors(pair, aux, sites), slots)
 
     def twisted(aux, w):
-        return chain_product(lambda k: cross_r(kind, l, w - shifts[k - 1]), aux, sites, slots)
+        pair = lambda k: cross_r(kind, l, w - shifts[k - 1])
+        return embedded_product(chain_factors(pair, aux, sites), slots)
 
-    return plain, twisted
+    return slots, plain, twisted
 
 
 def _exchange_factors(l, n, variant, kind):
     """The two sides of one exchange relation as ordered factor lists."""
     if variant not in EXCHANGE_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    slots = [site_labels(l)] * (2 + n)
-    plain, twisted = _chain_monodromies(kind, l, n, slots)
-    _require_size(l, 2 + n)
+    slots, plain, twisted = _chain_monodromies(kind, l, n)
     u, v = U, U4
     if variant == "plainPlain":
         t1, t2, r = plain(0, u), plain(1, v), yang_r(l, u - v)
@@ -641,9 +612,7 @@ def _derivation_factors(l, n, kind):
     two copies of C21(u+v)^{-1} = C21(-u-v), must turn its rhs into the
     direct lhs and its lhs into the direct rhs, verbatim.
     """
-    _require_size(l, 2 + n)
-    slots = [site_labels(l)] * (2 + n)
-    plain, twisted = _chain_monodromies(kind, l, n, slots)
+    slots, plain, twisted = _chain_monodromies(kind, l, n)
     u, v = U, U4
     t2 = plain(1, v)
     s1 = twisted(0, -u)
@@ -694,7 +663,7 @@ def check_chain_reflection(kind, l, n=1):
 
 def _factorization_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
-    _require_size(l, 1 + n)
+    _slots(l, 1 + n)
     return [s_matrix(kind, l, U, shifts)], [s_matrix_via_transfer(kind, l, U, shifts)]
 
 
@@ -711,9 +680,9 @@ def check_boundary_factorization(kind, l, n=1):
 
 def _constant_term_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
-    _require_size(l, 1 + n)
+    slots = _slots(l, 1 + n)
     limit = constant_term_matrix(s_matrix(kind, l, U, shifts), "u")
-    expected = embed_on_slots(sigma_matrix(kind, l), (0,), [site_labels(l)] * (1 + n))
+    expected = embed_on_slots(sigma_matrix(kind, l), (0,), slots)
     return [limit], [expected]
 
 
@@ -838,7 +807,7 @@ def run_suite(suite="all", l=None, jobs=1):
     items = suite_items(suite=suite, l=l)
     for it in items:
         try:
-            _require_size(it["l"], _SUITE_SLOTS[it["check"]] + it.get("sites", 0))
+            _slots(it["l"], _SUITE_SLOTS[it["check"]] + it.get("sites", 0))
         except ValueError as e:
             named = ", ".join(f"{k}={v}" for k, v in it.items() if k not in ("check", "expected"))
             raise ValueError(f"{it['check']} ({named}): {e}") from None

@@ -1,8 +1,9 @@
 """Rational R- and K-matrices and the boundary transfer products built from them.
 
 Single sites are copies of C^l with labels 1..l.  Tensor factors get tuple
-labels via LabeledMatrix.kron / embed_on_slots, so the two-site matrices
-below carry pair labels (s, t) with s the first (major) factor.
+labels via embed_on_slots, so the two-site matrices below carry pair labels
+(s, t) with s the first (major) factor.  embedded_product multiplies matrices
+placed on tensor slots; the monodromies and the dressed boundary use it.
 
 Four scenario kinds are supported:
 
@@ -212,21 +213,29 @@ def _chain_slot_labels(l, n):
     return [site_labels(l)] * (n + 1)
 
 
-def chain_product(pair, aux, sites, slots):
-    """Ordered product pair(n) ... pair(1) of auxiliary-to-site couplings.
+def embedded_product(factors, slots):
+    """Ordered product of (matrix, positions) factors on the tensor slots.
 
-    pair(k) is the two-site matrix coupling slot aux to chain site k, which
-    sits on slot sites[k - 1]; slots holds the label sequence of every tensor
-    slot.  The site-n factor is leftmost and the product associates from the
-    left.  With no sites the result is the identity.
+    Each matrix is placed on its positions by embed_on_slots; slots holds the
+    label sequence of every tensor slot.  The product associates from the
+    left, and with no factors it is the identity.
     """
     prod = None
-    for k in range(len(sites), 0, -1):
-        factor = embed_on_slots(pair(k), (aux, sites[k - 1]), slots)
+    for mat, positions in factors:
+        factor = embed_on_slots(mat, positions, slots)
         prod = factor if prod is None else prod * factor
     if prod is None:
         return LabeledMatrix.identity([tuple(t) for t in itertools.product(*slots)])
     return prod
+
+
+def chain_factors(pair, aux, sites):
+    """The factors pair(n) ... pair(1) of auxiliary-to-site couplings.
+
+    pair(k) is the two-site matrix coupling slot aux to chain site k, which
+    sits on slot sites[k - 1]; the site-n factor comes first.
+    """
+    return [(pair(k), (aux, sites[k - 1])) for k in range(len(sites), 0, -1)]
 
 
 def monodromy_t(l, u, us):
@@ -234,7 +243,7 @@ def monodromy_t(l, u, us):
     u = _as_rat(u)
     n = len(us)
     pair = lambda k: yang_r(l, u - _as_rat(us[k - 1]))
-    return chain_product(pair, 0, range(1, n + 1), _chain_slot_labels(l, n))
+    return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
 
 
 def twisted_monodromy(l, u, us, kind):
@@ -243,7 +252,7 @@ def twisted_monodromy(l, u, us, kind):
     n = len(us)
     zero = RatFunc.zero()
     pair = lambda k: cross_r(kind, l, zero - u - _as_rat(us[k - 1]))
-    return chain_product(pair, 0, range(1, n + 1), _chain_slot_labels(l, n))
+    return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
 
 
 def s_matrix(kind, l, u, us):
@@ -254,24 +263,15 @@ def s_matrix(kind, l, u, us):
     the plain R at u - u_k for k = n..1.
     """
     u = _as_rat(u)
-    n = len(us)
-    slots = _chain_slot_labels(l, n)
-    prod = None
-    for k in range(1, n + 1):
-        factor = embed_on_slots(cross_r_flipped(kind, l, u + _as_rat(us[k - 1])), (0, k), slots)
-        prod = factor if prod is None else prod * factor
-    k0 = embed_on_slots(k_matrix(kind, l, u), (0,), slots)
-    prod = k0 if prod is None else prod * k0
-    for k in range(n, 0, -1):
-        factor = embed_on_slots(yang_r(l, u - _as_rat(us[k - 1])), (0, k), slots)
-        prod = prod * factor
-    return prod
+    sites = range(1, len(us) + 1)
+    cross = chain_factors(lambda k: cross_r_flipped(kind, l, u + _as_rat(us[k - 1])), 0, sites)
+    plain = chain_factors(lambda k: yang_r(l, u - _as_rat(us[k - 1])), 0, sites)
+    factors = cross[::-1] + [(k_matrix(kind, l, u), (0,))] + plain
+    return embedded_product(factors, _chain_slot_labels(l, len(us)))
 
 
 def s_matrix_via_transfer(kind, l, u, us):
     """Same boundary transfer, computed as Ttwist(-u)^-1 K(u) T(u)."""
     u = _as_rat(u)
-    n = len(us)
-    slots = _chain_slot_labels(l, n)
-    k0 = embed_on_slots(k_matrix(kind, l, u), (0,), slots)
+    k0 = embed_on_slots(k_matrix(kind, l, u), (0,), _chain_slot_labels(l, len(us)))
     return twisted_monodromy(l, u, us, kind).inverse() * k0 * monodromy_t(l, u, us)

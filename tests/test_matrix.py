@@ -128,18 +128,6 @@ def test_inverse_rejects_singular():
         m.inverse()
 
 
-def test_json_round_trip():
-    pair = [(i, j) for i in [1, 2] for j in [1, 2]]
-    m = LabeledMatrix(pair, pair)
-    m.set((1, 1), (1, 1), rf("u / (u + h)"))
-    m.set((1, 2), (2, 1), rf("h / (u + h)"))
-    data = m.to_json()
-    assert data["rows"][0] == [1, 1]
-    assert data["entries"][0][0] == "u / (u + h)"
-    m2 = LabeledMatrix.from_json(data)
-    assert m2 == m
-
-
 def test_verify_identity_label_mismatch():
     a = LabeledMatrix.identity([1, 2])
     b = LabeledMatrix.identity([2, 1])

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from refleq import polarization
 from refleq.polarization import (
     PAIR_LABELS,
     PolarizationInstance,
@@ -255,6 +256,28 @@ class TestSolve:
         assert not replay_certificate(inst, flipped)
         truncated = [s for s in cert if s["kind"] != "contradiction"]
         assert not replay_certificate(inst, truncated)
+
+    @pytest.mark.parametrize("selected", ["C(1,-2)", "C(-2,-1)", "C(3,1)"])
+    def test_certificate_with_label_outside_its_pair_rejected(self, selected):
+        # another pair's label, an unnormalized spelling of C(1,2) and a
+        # malformed label, each on a forced difference-pair step
+        inst = build_instance("-", 3)
+        cert = json.loads(json.dumps(solve(inst)["certificate"]))
+        step = next(s for s in cert if s["kind"] == "forced" and s["pair"] == "difference")
+        step["selected"] = selected
+        assert not replay_certificate(inst, cert)
+
+    def test_search_and_replay_parse_no_label(self, monkeypatch):
+        # label restrictions come from the table built at import
+        def no_parse(label):
+            raise AssertionError(f"parsed {label!r}")
+
+        monkeypatch.setattr(polarization, "_parse_label", no_parse)
+        for l in (2, 3, 5):
+            inst = build_instance("-", l)
+            res = _solve_propagation(inst)
+            assert res["verdict"] == ("SAT" if l == 2 else "UNSAT")
+            assert res["witness"] or replay_certificate(inst, res["certificate"])
 
     def test_certificate_rejected_on_wrong_instance(self):
         cert = solve(build_instance("-", 3))["certificate"]

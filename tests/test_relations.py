@@ -47,6 +47,8 @@ from refleq.relations import (
 )
 from refleq.rkmat import (
     KINDS,
+    k_matrix,
+    k_matrix_opposite_placement,
     monodromy_t,
     pair_labels,
     r_bullet_sigma_opposite,
@@ -372,6 +374,22 @@ class TestReflection:
         with pytest.raises(ValueError):
             make_scenario("flagPlus", 2, boundary="oppositePlacement")
 
+    @pytest.mark.parametrize(
+        "kind,boundary,message",
+        [("bogus", "standard", "unknown kind"), ("flagMinus", "bogus", "unknown boundary variant")],
+    )
+    def test_make_scenario_rejects_unknown_names(self, kind, boundary, message):
+        with pytest.raises(ValueError, match=message):
+            make_scenario(kind, 2, boundary=boundary)
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_make_scenario_builds_the_boundary_matrix(self, l):
+        opposite = make_scenario("flagMinus", l, boundary="oppositePlacement")
+        assert opposite(U) == k_matrix_opposite_placement(l, U)
+        assert opposite(U) != k_matrix("flagMinus", l, U)
+        for kind in KINDS:
+            assert make_scenario(kind, l)(U1) == k_matrix(kind, l, U1)
+
     def test_dimension_bound_is_the_only_size_limit(self):
         # two sites of dimension 17 span 289 states
         with pytest.raises(ValueError, match="289 > 256"):
@@ -682,6 +700,14 @@ class TestBoundaryOperator:
     @pytest.mark.parametrize("l", [2, 3])
     def test_constant_term_is_involution_on_aux_slot(self, kind, l):
         assert check_boundary_constant_term(kind, l, n=1)["holds"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_two_site_chain(self, kind):
+        # s_matrix over shifts (u1, u2): both routes agree and the limit is
+        # the involution on the auxiliary slot
+        v = check_boundary_factorization(kind, 2, n=2)
+        assert v["holds"] and v["sites"] == 2
+        assert check_boundary_constant_term(kind, 2, n=2)["holds"]
 
 
 class TestSuites:

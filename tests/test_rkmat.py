@@ -1,6 +1,8 @@
 """R- and K-matrix construction, unitarity, and boundary transfer products."""
 
+import functools
 import json
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +12,11 @@ from refleq.field import H, RatFunc, U, U1, U2, format_ratfunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, swap_matrix, verify_identity
 from refleq.rkmat import (
     KINDS,
+    chain_factors,
     constant_term_matrix,
     cross_r,
     cross_r_flipped,
+    embedded_product,
     k_matrix,
     monodromy_t,
     pair_labels,
@@ -176,6 +180,30 @@ def test_twisted_monodromy_uses_cross_r():
     assert twisted_monodromy(2, U, [U1], "flagMinus") == expected
 
 
+def test_chain_factors_run_from_site_n_down():
+    calls = []
+
+    def pair(k):
+        calls.append(k)
+        return yang_r(2, U - k)
+
+    factors = chain_factors(pair, 1, (5, 7, 9))
+    assert calls == [3, 2, 1]
+    assert [positions for _, positions in factors] == [(1, 9), (1, 7), (1, 5)]
+    assert [m for m, _ in factors] == [yang_r(2, U - k) for k in (3, 2, 1)]
+    assert chain_factors(pair, 0, ()) == []
+
+
+def test_embedded_product_folds_from_the_left():
+    slots = [site_labels(2)] * 3
+    a, b, c = yang_r(2, U), yang_r(2, U1), k_matrix("flagMinus", 2, U2)
+    got = embedded_product([(a, (0, 1)), (b, (1, 2)), (c, (2,))], slots)
+    expected = embed_on_slots(a, (0, 1), slots) * embed_on_slots(b, (1, 2), slots)
+    assert got == expected * embed_on_slots(c, (2,), slots)
+    ident = LabeledMatrix.identity([(s, t) for s in (1, 2) for t in (1, 2, 3)])
+    assert embedded_product([], [site_labels(2), site_labels(3)]) == ident
+
+
 def test_s_matrix_no_sites_is_k():
     for kind in KINDS:
         slots = [site_labels(2)]
@@ -188,6 +216,21 @@ def test_s_matrix_routes_agree(kind):
     direct = s_matrix(kind, 2, U, [U1])
     via = s_matrix_via_transfer(kind, 2, U, [U1])
     assert verify_identity(direct, via)["holds"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_s_matrix_two_sites_factor_order(kind):
+    # C21(u+u1) C21(u+u2) K(u) Y(u-u2) Y(u-u1) on slots (aux, site 1, site 2),
+    # multiplied from the left
+    slots = [site_labels(2)] * 3
+    factors = [
+        embed_on_slots(cross_r_flipped(kind, 2, U + U1), (0, 1), slots),
+        embed_on_slots(cross_r_flipped(kind, 2, U + U2), (0, 2), slots),
+        embed_on_slots(k_matrix(kind, 2, U), (0,), slots),
+        embed_on_slots(yang_r(2, U - U2), (0, 2), slots),
+        embed_on_slots(yang_r(2, U - U1), (0, 1), slots),
+    ]
+    assert s_matrix(kind, 2, U, [U1, U2]) == functools.reduce(operator.mul, factors)
 
 
 @pytest.mark.parametrize("kind", KINDS)
