@@ -268,6 +268,8 @@ def run_criterion(index, progress=None):
     given, is called as progress(report, elapsed_seconds, budget_seconds)
     with budget_seconds None for an unbudgeted criterion.
     """
+    if not 1 <= index <= len(CRITERIA):
+        raise ValueError(f"criterion index {index} is outside 1..{len(CRITERIA)}")
     title, func, budget = CRITERIA[index - 1]
     start = time.monotonic()
     rep = func()

@@ -951,9 +951,6 @@ class RatFunc:
         n, k = abs(s.numerator), s.denominator * (1 if s > 0 else -1)
         return _make(self.den.scale(k), n, f, r)
 
-    def variables(self):
-        return self.num.variables() | self.den.variables()
-
     def eval(self, assignment):
         """Evaluate at {var: int or Fraction} -> Fraction; raises on a pole of
         the REDUCED form."""

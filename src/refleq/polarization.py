@@ -349,8 +349,12 @@ class _Contradiction(Exception):
         self.component = component
 
 
-def _propagate(constraints, state, trail):
-    """Run GAC to fixpoint, appending forced assignments to the trail.
+def _propagate(constraints, containing, state, trail, assumed):
+    """Run GAC to fixpoint after assumed was fixed, appending forced
+    assignments to the trail.  A pass runs a component only if one of its
+    vars (containing: var -> positions) was fixed since its last run; the
+    state before assumed is a fixpoint and _gac is idempotent, so the trail
+    is that of full passes.
 
     Each trail entry is (var, label, wall, component, reference) with
     reference the earliest same-component var already fixed whose labels pin
@@ -359,13 +363,12 @@ def _propagate(constraints, state, trail):
     component admits no completion.
     """
     order = None  # var -> trail position, built when the first var is forced
-    changed = True
-    while changed:
-        changed = False
-        for wall, component, qvars in constraints:
-            fixed = {v: state[v] for v in qvars if v in state}
-            if not fixed:
+    dirty = set(containing.get(assumed, ()))
+    while dirty:
+        for position, (wall, component, qvars) in enumerate(constraints):
+            if position not in dirty:
                 continue
+            fixed = {v: state[v] for v in qvars if v in state}
             satisfiable, forced = _gac(wall, component, qvars, fixed)
             if not satisfiable:
                 raise _Contradiction(wall, component)
@@ -385,7 +388,8 @@ def _propagate(constraints, state, trail):
                         "reference": reference,
                     }
                 )
-                changed = True
+                dirty.update(containing[var])
+            dirty.discard(position)
 
 
 def _first_reference(wall, var, fixed, order):
@@ -417,6 +421,10 @@ def _solve_propagation(inst):
     contradiction met.
     """
     constraints = _components_with_vars(inst)
+    containing = {}
+    for position, (_, _, qvars) in enumerate(constraints):
+        for v in qvars:
+            containing.setdefault(v, []).append(position)
     variables = _all_vars(inst)
     state, trail = {}, []
     stack = []  # [index of the decided var, next label to try, trail length before it]
@@ -443,7 +451,7 @@ def _solve_propagation(inst):
             state[var] = label
             trail.append({"kind": "assume", "var": var, "label": label})
             try:
-                _propagate(constraints, state, trail)
+                _propagate(constraints, containing, state, trail, var)
             except _Contradiction as c:
                 if first_refutation is None:
                     first_refutation = (list(trail), c)

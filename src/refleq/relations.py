@@ -22,9 +22,11 @@ Each check states its identity as two ordered factor lists, lhs and rhs, and
 hands them to _prove.  The symbolic mode multiplies each list out from the
 left and compares canonical forms (matrix.verify_identity).  The multipoint
 mode never forms the products: _verify_product_identity, the one grid-proof
-engine, bounds the per-variable degree of the cleared difference from the
-factors alone and evaluates the factors on an integer grid with one more
-point per variable than that bound.  At each point it clears each factor's
+engine, reads each factor once for the per-variable degree bound of the
+cleared difference and the factors of its denominators.  It evaluates the
+factors on an integer grid with one more point per variable than that bound,
+placed past Cauchy's root bound of every denominator factor, so that no
+denominator vanishes on it (_grid).  At each point it clears each factor's
 denominators there, so the factor is a matrix of integers over the lcm D of
 its entry denominators; it multiplies matrices of integers and compares
 lhs * prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof,
@@ -34,6 +36,7 @@ run both provers on the factor lists of the other checks.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -41,7 +44,7 @@ import operator
 import os
 from fractions import Fraction
 
-from .field import U, U1, U2, U3, U4, VARS, format_poly, poly_div_exact, poly_gcd
+from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, poly_div_exact, poly_gcd
 from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
@@ -91,10 +94,14 @@ def _chain_shifts(n, shifts):
 # scenarios and verdicts
 
 
-def make_scenario(kind, l, boundary="standard"):
-    """The boundary matrix builder u -> K(u) of a valid kind and boundary variant."""
+def _require_kind(kind):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+
+
+def make_scenario(kind, l, boundary="standard"):
+    """The boundary matrix builder u -> K(u) of a valid kind and boundary variant."""
+    _require_kind(kind)
     if boundary not in BOUNDARY_VARIANTS:
         raise ValueError(f"unknown boundary variant {boundary!r}")
     if boundary == "oppositePlacement":
@@ -135,98 +142,48 @@ def _verdict(identity, l, cmp, **extra):
 # already forces it to vanish identically.
 
 
-class GridError(RuntimeError):
-    """No pole-free grid was found.
-
-    Carries the variable shifted last, the denominator that still vanished
-    (canonical string) and, per active variable, the offsets tried.
-    """
-
-    def __init__(self, variable, denominator, offsets):
-        self.variable = variable
-        self.denominator = denominator
-        self.offsets = offsets
-        super().__init__(
-            f"could not build a pole-free evaluation grid: denominator {denominator} "
-            f"still vanishes after shifting {variable}; offsets tried {offsets}"
-        )
+_Factor = collections.namedtuple("_Factor", "homogeneous forms residuals num_degree den_degree")
 
 
-_PRIMES = (97, 101, 103, 107, 109, 113, 127, 131)
-
-
-def _active_vars(mats):
-    used = set()
-    for m in mats:
-        for val in m.entries.values():
-            used |= val.variables()
-    return [v for v in VARS if v in used]
-
-
-def _build_grid(mats, active, bounds, max_retries=8):
-    """Per-variable point lists such that no entry denominator vanishes
-    anywhere on the product grid.  A vanishing denominator shifts the offset
-    of one active variable it contains, then the grid is rebuilt."""
-    # each distinct non-constant denominator once, in first-entry order
-    dens = list(dict.fromkeys(
-        val.den for m in mats for val in m.entries.values() if not val.den.is_const()
-    ))
-    offsets = {v: _PRIMES[i % len(_PRIMES)] ** (i + 1) for i, v in enumerate(active)}
-    tried = {v: [o] for v, o in offsets.items()}
-    for attempt in range(max_retries):
-        if attempt:
-            offsets[bad_var] += _PRIMES[attempt - 1] * 1000
-            tried[bad_var].append(offsets[bad_var])
-        points = {v: [offsets[v] + k for k in range(bounds[v] + 1)] for v in active}
-        bad_den = None
-        for combo in itertools.product(*(points[v] for v in active)):
-            assignment = dict(zip(active, combo))
-            for v in VARS:
-                assignment.setdefault(v, 1)
-            bad_den = next((d for d in dens if d.subs(assignment) == 0), None)
-            if bad_den is not None:
-                break
-        if bad_den is None:
-            return points
-        # every variable of an entry is active except h on the h = 1 slice,
-        # where denominators are homogeneous and cannot vanish through h alone
-        bad_var = next(v for v in active if v in bad_den.variables())
-    raise GridError(bad_var, format_poly(bad_den), tried)
-
-
-def _den_lcm(mat):
-    """The lcm of mat's entry denominators, up to a constant, as (exponents,
-    residual): each linear form of the field's factor base at its largest
-    exponent over the entries, times the lcm of the residuals, which no form
-    divides and only the general gcd can combine."""
-    exps, res = {}, None
-    for val in mat.entries.values():
-        _, forms, r = val.den_factors()
-        for form, e in forms.items():
-            exps[form] = max(e, exps.get(form, 0))
+def _read_factor(mat):
+    """What the grid proof needs of mat, from one pass over its distinct
+    entries: whether each is homogeneous of degree zero jointly in all
+    variables, the distinct forms and residuals of their denominators
+    (den_factors) and, per variable in VARS order, the degree of the lcm D
+    of the denominators and the largest degree of an entry times D."""
+    homogeneous = True
+    excess = None  # per variable, the largest deg num - deg den of an entry
+    forms, residuals = {}, {}
+    for val in {id(v): v for v in mat.entries.values() if v}.values():
+        entry_excess = [n - d for n, d in zip(map(max, zip(*val.num.terms)), map(max, zip(*val.den.terms)))]
+        excess = entry_excess if excess is None else list(map(max, excess, entry_excess))
+        den_degs = {sum(e) for e in val.den.terms}
+        homogeneous = homogeneous and len(den_degs) == 1 and {sum(e) for e in val.num.terms} == den_degs
+        _, entry_forms, r = val.den_factors()
+        for form, e in entry_forms.items():
+            forms[form] = max(e, forms.get(form, 0))
         if r is not None:
-            res = r if res is None else res * poly_div_exact(r, poly_gcd(res, r))
-    return exps, res
+            residuals[r] = None
+    lcm = None
+    for r in residuals:
+        lcm = r if lcm is None else lcm * poly_div_exact(r, poly_gcd(lcm, r))
+    den_degree = tuple(
+        sum(e * form.degree(v) for form, e in forms.items()) + (max(lcm.degree(v), 0) if lcm else 0)
+        for v in VARS
+    )
+    num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
+    return _Factor(homogeneous, forms, residuals, num_degree, den_degree)
 
 
-def _lcm_degree(lcm, v):
-    exps, res = lcm
-    return sum(e * form.degree(v) for form, e in exps.items()) + (max(res.degree(v), 0) if res else 0)
+def _read_factors(mats):
+    """id(factor) -> _Factor, each distinct factor read once."""
+    return {key: _read_factor(mat) for key, mat in {id(mat): mat for mat in mats}.items()}
 
 
-def _degree_zero_homogeneous(mat):
-    for val in mat.entries.values():
-        dn = {sum(exps) for exps in val.num.terms}
-        dd = {sum(exps) for exps in val.den.terms}
-        if len(dn) > 1 or len(dd) > 1:
-            return False
-        if dn and dd and next(iter(dn)) != next(iter(dd)):
-            return False
-    return True
-
-
-def _product_degree_bounds(lhs_factors, rhs_factors, variables):
-    """Per-variable degree bound for the cleared difference of two products.
+def _product_degree_bounds(lhs_factors, rhs_factors, read):
+    """Per-variable degree bound for the cleared difference of two products;
+    read is _read_factors.  The bound is positive exactly on the variables
+    of the factors, and only those are kept, in VARS order.
 
     Scaling a factor by the lcm D of its entry denominators makes it a
     polynomial matrix; a product entry is a sum of path terms over the common
@@ -236,21 +193,53 @@ def _product_degree_bounds(lhs_factors, rhs_factors, variables):
     """
     sides = []
     for factors in (lhs_factors, rhs_factors):
-        num_deg = {v: 0 for v in variables}
-        den_deg = {v: 0 for v in variables}
-        for mat in factors:
-            lcm = _den_lcm(mat)
-            for v in variables:
-                ld = _lcm_degree(lcm, v)
-                dn = 0
-                for val in mat.entries.values():
-                    cleared = max(val.num.degree(v), 0) + ld - max(val.den.degree(v), 0)
-                    dn = max(dn, cleared)
-                num_deg[v] += dn
-                den_deg[v] += ld
-        sides.append((num_deg, den_deg))
+        num = [sum(col) for col in zip(*(read[id(mat)].num_degree for mat in factors))]
+        den = [sum(col) for col in zip(*(read[id(mat)].den_degree for mat in factors))]
+        sides.append((num, den))
     (ln, ld), (rn, rd) = sides
-    return {v: max(ln[v] + rd[v], rn[v] + ld[v]) for v in variables}
+    return {v: b for i, v in enumerate(VARS) if (b := max(ln[i] + rd[i], rn[i] + ld[i]))}
+
+
+_PRIMES = (97, 101, 103, 107, 109, 113)  # one per variable
+
+
+def _grid(read, bounds):
+    """Per-variable point lists, bounds[v] + 1 consecutive integers each, on
+    which no entry denominator vanishes; h, if off the grid, is 1, which the
+    engine allows only when the factors are homogeneous.
+
+    Each distinct form and residual P is an integer polynomial.  With x its
+    highest grid variable, P = sum c_k x^k over k <= n.  A grid variable
+    starts at its first offset (97, 101^2, 103^3, ...) and is raised until
+    its smallest value is at least 1 + |c_k| for every k < n, with |c_k|
+    bounded by its coefficients' absolute values at the largest grid values
+    of the lower variables (_magnitude); c_n is kept nonzero in turn.  At
+    an integer point with c_n != 0, |c_n| >= 1, so Cauchy's bound puts
+    every root in x below the grid: P vanishes nowhere on it.
+    """
+    grid = [VAR_INDEX[v] for v in bounds]
+    need = {i: [] for i in grid}  # grid variable -> the c_k it must dominate
+    for p in dict.fromkeys(p for f in read for p in (*f.forms, *f.residuals)):
+        # h is off the grid only when every P is homogeneous: no terms merge
+        terms = {tuple(x if i in need else 0 for i, x in enumerate(e)): c for e, c in p.terms.items()}
+        while (x := next((i for i in reversed(grid) if any(e[i] for e in terms)), None)) is not None:
+            by_power = {}
+            for e, c in terms.items():
+                by_power.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1:]] = c
+            terms = by_power.pop(max(by_power))
+            need[x] += by_power.values()
+    points, top = {}, {}
+    for n, (v, i) in enumerate(zip(bounds, grid)):
+        low = max((1 + _magnitude(c, top) for c in need[i]), default=0)
+        start = max(_PRIMES[n] ** (n + 1), low)
+        points[v] = range(start, start + bounds[v] + 1)
+        top[i] = start + bounds[v]
+    return points
+
+
+def _magnitude(terms, top):
+    """A bound on |terms| at every point with 0 < x_i <= top[i]."""
+    return sum(abs(c) * math.prod(top[i] ** x for i, x in enumerate(e) if x) for e, c in terms.items())
 
 
 def _cleared_rows(mat, assignment, memo):
@@ -323,17 +312,16 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     zero (jointly in h and the spectral variables), the h = 1 slice is
     faithful and h is dropped from the grid.
     """
-    mats = list(lhs_factors) + list(rhs_factors)
-    active = _active_vars(mats)
-    drop_h = "h" in active and all(_degree_zero_homogeneous(m) for m in mats)
+    read = _read_factors([*lhs_factors, *rhs_factors])
+    bounds = _product_degree_bounds(lhs_factors, rhs_factors, read)
+    drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
-        active = [v for v in active if v != "h"]
-    bounds = dict(sorted(_product_degree_bounds(lhs_factors, rhs_factors, active).items()))
-    points = _build_grid(mats, active, bounds)
+        del bounds["h"]
+    points = _grid(read.values(), bounds)
     ref = lhs_factors[0]
     n_points = 0
-    for combo in itertools.product(*(points[v] for v in active)):
-        assignment = dict(zip(active, combo))
+    for combo in itertools.product(*points.values()):
+        assignment = dict(zip(points, combo))
         assignment.setdefault("h", 1)
         n_points += 1
         # embed_on_slots shares one RatFunc among many entries and factors:
@@ -421,6 +409,8 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
     lets the order-flipped matrix R21 be identified with R itself, so it is
     asserted as part of the same verdict.
     """
+    if kind is not None:
+        _require_kind(kind)
     if r_builder is None:
         if family == "chain":
             r_builder = lambda ll, w: yang_r(ll, w)
@@ -447,6 +437,7 @@ def check_k_unitarity(kind, l, k_builder=None):
     k_builder(u) overrides the scenario matrix when given, so ad-hoc boundary
     candidates can be screened with the same verdict plumbing.
     """
+    _require_kind(kind)
     builder = k_builder or (lambda spec: k_matrix(kind, l, spec))
     _slots(l, 1)
     fwd = builder(U)
@@ -551,6 +542,7 @@ def _chain_monodromies(kind, l, n):
     plain and twisted take an auxiliary slot and a spectral argument w; chain
     site k couples to the auxiliary slot at w - u_k, with u_1, u_2 = U1, U2.
     """
+    _require_kind(kind)
     shifts = _chain_shifts(n, (U1, U2))
     slots = _slots(l, 2 + n)
     sites = range(2, 2 + n)

@@ -83,5 +83,10 @@ def test_budget_overrun_fails_the_criterion(monkeypatch):
 
 def test_battery_is_complete():
     assert len(CRITERIA) == 11
-    with pytest.raises(IndexError):
-        run_criterion(12)
+
+
+@pytest.mark.parametrize("index", [0, -10, 12])
+def test_index_outside_the_battery_is_rejected(index):
+    # 0 and negative indices would otherwise count from the end of CRITERIA
+    with pytest.raises(ValueError, match=rf"criterion index {index} is outside 1\.\.11"):
+        run_criterion(index)

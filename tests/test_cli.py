@@ -6,7 +6,9 @@ check the routing.  One fast verification suite runs for real end to end.
 """
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -66,6 +68,36 @@ class TestEnvelope:
         json.loads(res.stdout)  # must parse even though the check fails
         assert res.exit_code == 1
         assert "fails" in res.stderr
+
+
+# stdout of these commands, wallTimeMs removed, as written before the grid
+# engine built its grid from a root bound instead of a pole scan
+STDOUT_DIR = Path(__file__).parent / "cli_stdout"
+STDOUT_CASES = {
+    "verify-suite-all": (["verify", "--suite", "all"], 0),
+    **{
+        f"verify-{kind}-l2-multipoint": (["verify", "--scenario", kind, "--l", "2", "--mode", "multipoint"], 0)
+        for kind in ("spInstanton", "soInstanton", "flagPlus", "flagMinus")
+    },
+    "verify-spInstanton-l3-multipoint": (
+        ["verify", "--scenario", "spInstanton", "--l", "3", "--mode", "multipoint"], 1
+    ),
+    **{
+        f"polarization-solve-{sign}-l{l}": (["polarization", "solve", "--sign", sign, "--l", str(l)], 0)
+        for sign in ("plus", "minus")
+        for l in range(2, 7)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_is_pinned_byte_for_byte(name):
+    args, exit_code = STDOUT_CASES[name]
+    res = run_cli(*args)
+    assert res.exit_code == exit_code, res.output
+    stdout, n = re.subn(r',\n  "wallTimeMs": \d+\n\}\n$', "\n}\n", res.stdout)
+    assert n == 1
+    assert stdout == (STDOUT_DIR / f"{name}.json").read_text()
 
 
 class TestDelegation:

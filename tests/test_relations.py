@@ -9,24 +9,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from refleq import relations
 from refleq.field import H, U, U1, Poly, RatFunc, format_ratfunc, parse_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
-    GridError,
-    _active_vars,
-    _build_grid,
     _cleared_rows,
     _constant_term_factors,
     _derivation_factors,
     _exchange_factors,
     _factorization_factors,
     _fold,
+    _grid,
     _product_at_point,
     _product_degree_bounds,
     _prove,
+    _read_factors,
     _reflection_factors,
     _verify_product_identity,
     check_boundary_constant_term,
@@ -171,16 +172,74 @@ class TestGridEngine:
         v = _verify_product_identity([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 2}
 
-    def test_grid_error_names_variable_denominator_and_offsets(self):
-        # u1's first offset is 97, a pole of this entry; one attempt only
+    def test_grid_starts_past_a_pole_at_the_first_offset(self):
+        # u1's first offset is 97, a pole of this entry: u1 must start at 98
         m = LabeledMatrix([1], [1])
         m.set(1, 1, RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
-        with pytest.raises(GridError) as err:
-            _build_grid([m], ["u1"], {"u1": 1}, max_retries=1)
-        assert "u1" in str(err.value) and "u1 - 97" in str(err.value)
-        assert err.value.variable == "u1"
-        assert err.value.denominator == "u1 - 97"
-        assert err.value.offsets == {"u1": [97]}
+        assert _grid(_read_factors([m]).values(), {"u1": 1}) == {"u1": range(98, 100)}
+        v = _verify_product_identity([m], [m])
+        assert v["holds"] and v["degreeBounds"] == {"u1": 1}
+
+    def test_grid_keeps_the_leading_coefficient_nonzero(self):
+        # (u1 - 97) u2 - 1 vanishes nowhere on the first offsets, but its
+        # leading coefficient in u2 does at u1 = 97, where the root bound in
+        # u2 says nothing: u1 must start past 97 and u2 stays where it was
+        m = LabeledMatrix([1], [1])
+        m.set(1, 1, parse_ratfunc("1 / (u1*u2 - 97*u2 - 1)"))
+        points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
+        assert points == {"u1": range(98, 100), "u2": range(10201, 10203)}
+        assert _verify_product_identity([m], [m])["holds"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        forms=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+            min_size=1, max_size=3,
+        ),
+        residual=st.none() | st.tuples(
+            st.tuples(*[st.integers(-2, 2)] * 3), st.tuples(*[st.integers(-2, 2)] * 3),
+            st.tuples(*[st.integers(0, 2)] * 3),
+        ),
+        h_on_grid=st.booleans(),
+        bound=st.integers(0, 2),
+    )
+    def test_no_denominator_vanishes_on_the_grid(self, forms, residual, h_on_grid, bound):
+        # every denominator vanishes at a point of the grid the first offsets
+        # alone would give; the old full-grid pole scan is the oracle
+        grid_vars = ("h", "u1", "u2") if h_on_grid else ("u1", "u2")
+        first = dict(zip(grid_vars, (97, 101 ** 2, 103 ** 3)))
+        h, u1, u2 = (Poly.var(v) for v in ("h", "u1", "u2"))
+
+        def point(ks):
+            return {"h": 1, **{v: first[v] + min(k, bound) for v, k in zip(("h", "u1", "u2"), ks) if v in first}}
+
+        def linear(a, b, c):
+            return u1.scale(a) + u2.scale(b) + h.scale(c)
+
+        dens = []
+        for a, b, *ks in forms:
+            assume(a or b)
+            p = point(ks)
+            # p_h (a u1 + b u2) - (a p_u1 + b p_u2) h vanishes at p
+            dens.append(linear(a, b, 0).scale(p["h"]) - h.scale(a * p["u1"] + b * p["u2"]))
+        if residual is not None:
+            f, g = linear(*residual[0]), linear(*residual[1])
+            p = point(residual[2])
+            r = (f * g).scale(p["h"] ** 2) - (h * h).scale(f.subs(p) * g.subs(p))
+            assume(not f.is_zero() and not g.is_zero() and not r.is_zero())
+            dens.append(r)
+        labels = list(range(len(dens) + 1))
+        m = LabeledMatrix(labels, labels)
+        for i, den in enumerate(dens):
+            # degree-zero homogeneous, so h may be off the grid
+            m.set(i, i, RatFunc(Poly.var("h", den.degree()), den))
+        m.set(len(dens), len(dens), RatFunc.var("u1") if h_on_grid else RatFunc.one())
+        points = _grid(_read_factors([m]).values(), dict.fromkeys(grid_vars, bound))
+        assert list(points) == list(grid_vars)
+        for combo in itertools.product(*points.values()):
+            assignment = {"h": 1, **dict(zip(points, combo))}
+            for val in m.entries.values():
+                assert val.den.subs(assignment) != 0, (str(val), assignment)
 
     def test_each_distinct_entry_is_evaluated_once_per_point(self, monkeypatch):
         # embed_on_slots shares one RatFunc among many entries and factors
@@ -474,6 +533,30 @@ def test_unbuildable_chain_length_rejected(check, n):
         CHAIN_CHECKS[check](n)
 
 
+# every check that takes a kind, called with one outside KINDS; the first
+# three ignored it and returned "holds": True with the kind echoed
+UNKNOWN_KIND_CHECKS = {
+    "rUnitarity-chain": lambda: check_r_unitarity(2, kind="bogus"),
+    "kUnitarity-builder": lambda: check_k_unitarity(
+        "bogus", 2, k_builder=lambda u: LabeledMatrix.identity(site_labels(2))
+    ),
+    "monodromyExchange": lambda: check_monodromy_exchange(2, 1, "plainPlain", kind="bogus"),
+    "rUnitarity-cross": lambda: check_r_unitarity(2, family="cross", kind="bogus"),
+    "twistedPlainDerivation": lambda: check_twisted_plain_derivation(2, 1, kind="bogus"),
+    "kUnitarity": lambda: check_k_unitarity("bogus", 2),
+    "reflection": lambda: check_reflection("bogus", 2, mode="multipoint"),
+    "chainReflection": lambda: check_chain_reflection("bogus", 2),
+    "boundaryFactorization": lambda: check_boundary_factorization("bogus", 2),
+    "boundaryConstantTerm": lambda: check_boundary_constant_term("bogus", 2),
+}
+
+
+@pytest.mark.parametrize("check", sorted(UNKNOWN_KIND_CHECKS))
+def test_unknown_kind_rejected(check):
+    with pytest.raises(ValueError, match="unknown kind 'bogus'"):
+        UNKNOWN_KIND_CHECKS[check]()
+
+
 @pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
 @pytest.mark.parametrize(
     "call",
@@ -590,9 +673,10 @@ def _factor_lists(monkeypatch, run):
     return captured
 
 
-# the grid-proof workload of the benchmark, measured while _den_lcm still took
-# the lcm by poly_gcd: (check, gridSize, degreeBounds of the verdict,
-# _product_degree_bounds over every active variable, h included)
+# the grid-proof workload of the benchmark, measured while the lcm of a
+# factor's denominators was still taken by poly_gcd alone: (check, gridSize,
+# degreeBounds of the verdict, _product_degree_bounds over every variable of
+# the factors, h included)
 GRID_PROOF_PINS = {
     "ybe-l5": (lambda: check_ybe(5, mode="multipoint"), 25, {"u1": 4, "u2": 4}, {"h": 6, "u1": 4, "u2": 4}),
     "ybe-l6": (lambda: check_ybe(6, mode="multipoint"), 25, {"u1": 4, "u2": 4}, {"h": 6, "u1": 4, "u2": 4}),
@@ -631,12 +715,11 @@ def _gcd_lcm(mat):
 def _assert_bounds_cover_cleared_products(lhs, rhs):
     """With D the product of every factor's lcm (by poly_gcd), lhs * D,
     rhs * D and their difference, the cleared difference the grid proof
-    relies on, are polynomial matrices whose degree in each active variable
+    relies on, are polynomial matrices whose degree in each variable
     is at most _product_degree_bounds.  A difference that vanishes (the
     identity holds) bounds nothing, so both cleared sides are held to the
     bound as well."""
-    active = _active_vars([*lhs, *rhs])
-    bounds = _product_degree_bounds(lhs, rhs, active)
+    bounds = _product_degree_bounds(lhs, rhs, _read_factors([*lhs, *rhs]))
     lcms = {id(mat): _gcd_lcm(mat) for mat in [*lhs, *rhs]}
     clear = Poly.const(1)
     for mat in [*lhs, *rhs]:
@@ -649,7 +732,7 @@ def _assert_bounds_cover_cleared_products(lhs, rhs):
     for den in {x.den for x in values}:
         poly_div_exact(clear, den)  # raises unless the cleared entry is a polynomial
     for x in values:
-        for v in active:
+        for v in bounds:
             # x * clear = x.num * (clear / x.den)
             assert x.num.degree(v) + clear.degree(v) - x.den.degree(v) <= bounds[v], (v, str(x))
 
@@ -661,7 +744,7 @@ class TestDegreeBounds:
         v = run()
         assert (v["gridSize"], v["degreeBounds"]) == (grid_size, bounds)
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
-        assert _product_degree_bounds(lhs, rhs, _active_vars([*lhs, *rhs])) == all_bounds
+        assert _product_degree_bounds(lhs, rhs, _read_factors([*lhs, *rhs])) == all_bounds
 
     @pytest.mark.parametrize("name", sorted(GRID_PROOF_PINS))
     def test_grid_proof_bounds_are_sound(self, name, monkeypatch):
