@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-  field        exact multivariate rational functions over Q (h, q, u, u1..u4)
+  field        exact multivariate rational functions over Q (h, u, u1..u4)
   matrix       labeled sparse matrices over the field + identity verification
   dynkin       ADE Cartan data, longest Weyl words, diagram involutions
   kclass       q-Laurent K-theory classes and reflection functor transforms
@@ -10,6 +10,7 @@ The package is organized bottom-up:
   rkmat        the concrete R- and K-matrices
   relations    YBE / unitarity / RTT / reflection-equation checkers
   polarization wall-consistency constraint problems for polarization choices
+  acceptance   the sign-off battery shared by the tests and the CLI
   cli          the `refleq` command line tool
 """
 

@@ -23,9 +23,8 @@ import click
 
 from . import __version__
 from .dynkin import DynkinType, coxeter_number, info_dict
-from .field import format_ratfunc
+from .field import U, format_ratfunc
 from .kclass import w0_summary_dict
-from .field import U
 from .polarization import build_instance, choice_to_json, solve, solve_table
 from .relations import check_reflection, run_suite
 from .rkmat import KINDS, k_matrix
@@ -33,11 +32,6 @@ from .tableaux import betti_rows, fixed_locus_report, flag_fixed_points
 from .acceptance import run_acceptance
 
 _SIGN_FLAG = {"plus": "+", "minus": "-"}
-
-
-def _start(ctx):
-    ctx.ensure_object(dict)
-    ctx.obj.setdefault("start", time.monotonic())
 
 
 def _echo_report(ctx, payload, exit_code=0):
@@ -63,7 +57,9 @@ def _usage(message):
 @click.pass_context
 def cli(ctx):
     """Exact R-matrix, K-matrix and fixed-point computations."""
-    _start(ctx)
+    # every subcommand's context shares this obj, so the start time is set once
+    ctx.ensure_object(dict)
+    ctx.obj.setdefault("start", time.monotonic())
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +71,6 @@ def cli(ctx):
 @click.pass_context
 def dynkin(ctx, type_name):
     """Cartan data, longest word and diagram involution for an ADE type."""
-    _start(ctx)
     try:
         t = DynkinType.parse(type_name)
     except ValueError as e:
@@ -88,7 +83,6 @@ def dynkin(ctx, type_name):
 @click.pass_context
 def kclass(ctx, type_name):
     """Longest-word reflection transform on framing K-classes."""
-    _start(ctx)
     try:
         t = DynkinType.parse(type_name)
         transform = w0_summary_dict(t)
@@ -103,10 +97,8 @@ def kclass(ctx, type_name):
 
 
 @cli.group()
-@click.pass_context
-def tableaux(ctx):
+def tableaux():
     """Fixed-point tableau enumeration and Betti data."""
-    _start(ctx)
 
 
 @tableaux.command()
@@ -117,7 +109,6 @@ def tableaux(ctx):
 @click.pass_context
 def betti(ctx, kind, l, w1, emit):
     """Fixed-point count, Poincare polynomial and tangent dimension."""
-    _start(ctx)
     try:
         if emit == "csv":
             # one row per size 2..l and w1 0..w1; an l below 2 is handed to
@@ -146,7 +137,6 @@ def betti(ctx, kind, l, w1, emit):
 @click.pass_context
 def flags(ctx, sign, l, w):
     """Flag-type fixed points for the given twist sign."""
-    _start(ctx)
     try:
         points, diagnostics = flag_fixed_points(sign, l, w)
     except ValueError as e:
@@ -162,10 +152,8 @@ def flags(ctx, sign, l, w):
 
 
 @cli.group()
-@click.pass_context
-def rkmat(ctx):
+def rkmat():
     """Concrete R- and K-matrices in canonical string form."""
-    _start(ctx)
 
 
 @rkmat.command()
@@ -174,7 +162,6 @@ def rkmat(ctx):
 @click.pass_context
 def kmatrix(ctx, kind, l):
     """Boundary matrix entries for one kind and size."""
-    _start(ctx)
     try:
         m = k_matrix(kind, l, U)
     except ValueError as e:
@@ -205,7 +192,6 @@ def verify(ctx, scenario, suite_name, l, mode, jobs):
     runs and names the first one over it.  Without --l a suite runs every
     group at l = 2 and every group but exchange at l = 3.
     """
-    _start(ctx)
     if (scenario is None) == (suite_name is None):
         _usage("pass exactly one of --scenario or --suite")
     if suite_name is not None:
@@ -230,10 +216,8 @@ def verify(ctx, scenario, suite_name, l, mode, jobs):
 
 
 @cli.group()
-@click.pass_context
-def polarization(ctx):
+def polarization():
     """Wall-consistency instances for polarization choices."""
-    _start(ctx)
 
 
 @polarization.command("solve")
@@ -242,7 +226,6 @@ def polarization(ctx):
 @click.pass_context
 def polarization_solve(ctx, sign, l):
     """Decide the instance and print a witness or a refutation chain."""
-    _start(ctx)
     try:
         inst = build_instance(_SIGN_FLAG[sign], l)
         res = solve(inst)
@@ -264,7 +247,6 @@ def polarization_solve(ctx, sign, l):
 @click.pass_context
 def polarization_summary(ctx, l):
     """Verdict table over both signs up to the given size."""
-    _start(ctx)
     _echo_report(ctx, solve_table(l_values=tuple(range(2, l + 1))))
 
 
@@ -273,7 +255,6 @@ def polarization_summary(ctx, l):
 @click.pass_context
 def suite(ctx, which):
     """Run a named battery; 'acceptance' runs the full sign-off checks."""
-    _start(ctx)
 
     def progress(r, elapsed, budget):
         mark = "pass" if r["ok"] else "FAIL"

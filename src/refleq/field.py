@@ -2,11 +2,12 @@
 
 Polynomials are dicts mapping exponent tuples to coefficients.  A coefficient
 is a plain int whenever it is integral and a Fraction only when a caller passed
-in a non-integral value (parse_poly("3/2*h"), Poly.scale(Fraction(3, 7))), so
-the canonical forms below, which are integral, do int arithmetic only.  Exact
-division of coefficients goes through one helper that divides two ints with
-divmod and falls back to Fraction only for a non-integral quotient; nothing
-here ever produces a float.  The variable order is fixed once and for all:
+in a non-integral value (Poly.scale(Fraction(3, 7)), or a Fraction among the
+terms given to Poly), so the canonical forms below, which are integral, do int
+arithmetic only.  Exact division of coefficients goes through one helper that
+divides two ints with divmod and falls back to Fraction only for a
+non-integral quotient; nothing here ever produces a float.  The variable order
+is fixed once and for all:
 
     VARS = (h, u, u1, u2, u3, u4)
 
@@ -22,17 +23,19 @@ The factor base.  The K- and R-matrices have poles on shifts such as
 u1 + u2 + h or u - u1 + h, so every denominator they produce is a product of
 a few linear forms.  A RatFunc keeps its denominator as a positive int times
 exponents over an interned table of primitive linear forms, plus a residual
-Poly for a factor not known to split over the table.  Products and sums are
-Henrici's algorithms on that form: exponents add, a gcd of denominators is a
-minimum of exponents, and a cancellation is a trial division by a form.  A
-trial division is exact: a nonzero integer value of t at one rational point
-of the hyperplane L = 0 proves that L does not divide t, and when the value
-is zero poly_div_exact decides.  Nothing is decided modulo a prime or at a
-float.
+Poly for a factor not known to split over the table.  Products and sums of
+operands without a residual are Henrici's algorithms on that form: exponents
+add, a gcd of denominators is a minimum of exponents, and a cancellation is a
+trial division by a form.  A trial division is exact: a nonzero integer value
+of t at one rational point of the hyperplane L = 0 proves that L does not
+divide t, and when the value is zero poly_div_exact decides.  Nothing is
+decided modulo a prime or at a float.
 
-The general gcd runs only on residuals, which arise from the constructor,
-inv() and parse_ratfunc of denominators that do not split over the table.
-It is a content / primitive-part recursion over a subresultant PRS.
+Residuals arise only from the constructor and inv(), for denominators that do
+not split over the table.  A sum or product with a residual operand is handed
+to the constructor on the expanded polynomials, so the constructor alone
+splits and cancels residuals.  Its general gcd is a content / primitive-part
+recursion over a subresultant PRS.
 """
 
 from __future__ import annotations
@@ -218,14 +221,6 @@ class Poly:
             return max(sum(e) for e in self.terms)
         i = VAR_INDEX[name]
         return max(e[i] for e in self.terms)
-
-    def variables(self):
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(VARS[i])
-        return used
 
     def shift(self, name, power):
         """Multiply by name**power, power >= 0."""
@@ -500,12 +495,11 @@ def _gcd_nonconstant(f, g):
     if len(f.terms) == 1 or len(g.terms) == 1:
         # monomial gcd already extracted: nothing further in common
         return Poly.const(1)
-    fv = f.variables()
-    gv = g.variables()
-    both = fv & gv
+    both = [n for n in VARS if f.degree(n) > 0 and g.degree(n) > 0]
     if not both:
         return Poly.const(1)
-    name = sorted(both, key=lambda n: VAR_INDEX[n])[-1]
+    # the main variable of least degree gives the shortest remainder sequence
+    name = min(both, key=lambda n: max(f.degree(n), g.degree(n)))
     cf = _content_wrt(f, name)
     cg = _content_wrt(g, name)
     a = poly_div_exact(f, cf) if not cf.is_const() else f
@@ -646,7 +640,7 @@ def _merge(f, g, sign=1):
 
 def _tidy(f, r):
     """A residual that became constant leaves; a linear one joins the table."""
-    d = r.degree() if r is not None else 2
+    d = r.degree()
     if d == 0:
         return f, None
     i = _intern(r) if d == 1 else None
@@ -669,13 +663,6 @@ def _split(p):
     return _tidy(f, p)
 
 
-def _absorb(f, r, ids):
-    """(f, r) with the forms ids that divide the residual r moved into f."""
-    d = r.degree()
-    r, took = _divide_out(r, ((i, d) for i in ids))
-    return _tidy(_merge(f, took), r)
-
-
 def _cancel(n, f, r):
     """Numerator n and denominator part (f, r) with their common factor
     divided out: trial division by the forms, the general gcd for r."""
@@ -693,9 +680,8 @@ def _cancel(n, f, r):
 _EXPANDED = {}
 
 
-def _times(p, k, f, r):
-    """p * k * prod form^e * r: an int k, exponents f (expansion cached) and
-    a residual r or None."""
+def _times(p, k, f):
+    """p * k * prod form^e: an int k and exponents f (expansion cached)."""
     if f:
         key = frozenset(f.items())
         e = _EXPANDED.get(key)
@@ -704,8 +690,6 @@ def _times(p, k, f, r):
                 _EXPANDED.clear()
             e = _EXPANDED[key] = reduce(mul, (_FORMS[i].poly ** x for i, x in f.items()))
         p = p * e
-    if r is not None:
-        p = p * r
     return p if k == 1 else p.scale(k)
 
 
@@ -722,13 +706,15 @@ class RatFunc:
     does not split is the residual, and only residuals reach poly_gcd.  den,
     the expanded Poly, is computed on first read and kept.
 
-    Products and sums are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): the
-    operands are canonical, hence reduced.  A product trial-divides each
-    numerator by the forms of the other denominator and adds the exponents.
-    A sum a/b + c/d takes g = gcd(b, d) as the minimum of the exponents,
-    t = a (d/g) + c (b/g) from cached expansions, and gcd(t, g) by trial
-    division of t.  The results are the canonical data the full gcd of the
-    unreduced pair gives.
+    A product or sum with a residual operand is the constructor applied to
+    the expanded num and den, since a residual may hide a form interned after
+    it was split.  Every other product and sum is Henrici's (Knuth, TAOCP
+    vol. 2, 4.5.1): the operands are canonical, hence reduced.  A product
+    trial-divides each numerator by the forms of the other denominator and
+    adds the exponents.  A sum a/b + c/d takes g = gcd(b, d) as the minimum
+    of the exponents, t = a (d/g) + c (b/g) from cached expansions, and
+    gcd(t, g) by trial division of t.  The results are the canonical data the
+    full gcd of the unreduced pair gives.
     """
 
     __slots__ = ("num", "den", "_c", "_f", "_r", "_hash")
@@ -759,7 +745,7 @@ class RatFunc:
         # den is the only attribute computed on demand
         if name != "den":
             raise AttributeError(name)
-        self.den = _times(Poly.const(1), self._c, self._f, self._r)
+        self.den = _times(Poly.const(1) if self._r is None else self._r, self._c, self._f)
         return self.den
 
     def __reduce__(self):
@@ -802,7 +788,9 @@ class RatFunc:
         * residual, where no form of the table divides the residual."""
         f, r = self._f, self._r
         if r is not None:
-            f, r = _absorb(f, r, range(NVARS, len(_FORMS)))
+            # forms interned since the residual was split may divide it now
+            g, r = _split(r)
+            f = _merge(f, g)
         return self._c, {_FORMS[i].poly: e for i, e in f.items()}, r
 
     def __bool__(self):
@@ -857,38 +845,17 @@ class RatFunc:
             return self
         if not a.terms:
             return o if sign > 0 else -o
-        fb, rb, fd, rd = self._f, self._r, o._f, o._r
-        if rb is not None or rd is not None:
-            # a residual may hide a form of either side: g must see it
-            ids = fb.keys() | fd.keys()
-            if rb is not None:
-                fb, rb = _absorb(fb, rb, ids)
-            if rd is not None:
-                fd, rd = _absorb(fd, rd, ids)
-            # a side gains a form only when its residual splits completely,
-            # so one more round lets the other residual see that form
-            if rd is not None and fb.keys() - ids:
-                fd, rd = _absorb(fd, rd, fb.keys() - ids)
-            if rb is not None and fd.keys() - ids:
-                fb, rb = _absorb(fb, rb, fd.keys() - ids)
-        g ={i: min(e, fd[i]) for i, e in fb.items() if i in fd}
-        gr = poly_gcd(rb, rd) if rb is not None and rd is not None else None
-        if gr is not None and gr.is_const():
-            gr = None
-        rbg = rb if gr is None else poly_div_exact(rb, gr)
+        if self._r is not None or o._r is not None:
+            return RatFunc(a * o.den + c * self.den, self.den * o.den)
+        fb, fd = self._f, o._f
+        g = {i: min(e, fd[i]) for i, e in fb.items() if i in fd}
         cl = int_lcm(self._c, o._c)
         fbg = _merge(fb, g, -1)
-        t = _times(a, cl // self._c, _merge(fd, g, -1), rd if gr is None else poly_div_exact(rd, gr))
-        t = t + _times(c, cl // o._c, fbg, rbg)
+        t = _times(a, cl // self._c, _merge(fd, g, -1)) + _times(c, cl // o._c, fbg)
         if not t.terms:
             return RatFunc.zero()
         t, g2 = _divide_out(t, ((i, e) for i, e in g.items() if fb[i] == fd[i]))
-        if gr is not None:
-            gr2 = poly_gcd(t, gr)
-            if not gr2.is_const():
-                t, rd = poly_div_exact(t, gr2), poly_div_exact(rd, gr2)
-        r = rd if rbg is None else rbg if rd is None else rbg * rd
-        return _make(t, cl, *_tidy(_merge(fbg, _merge(fd, g2, -1)), r))
+        return _make(t, cl, _merge(fbg, _merge(fd, g2, -1)), None)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -916,11 +883,12 @@ class RatFunc:
             return NotImplemented
         if self.num.is_zero() or o.num.is_zero():
             return RatFunc.zero()
+        if self._r is not None or o._r is not None:
+            return RatFunc(self.num * o.num, self.den * o.den)
         # Henrici: after cross-cancellation n1 n2 and d1 d2 are coprime
-        n1, f2, r2 = _cancel(self.num, o._f, o._r)
-        n2, f1, r1 = _cancel(o.num, self._f, self._r)
-        r = r1 if r2 is None else r2 if r1 is None else r1 * r2
-        return _make(n1 * n2, self._c * o._c, _merge(f1, f2), r)
+        n1, f2, _ = _cancel(self.num, o._f, None)
+        n2, f1, _ = _cancel(o.num, self._f, None)
+        return _make(n1 * n2, self._c * o._c, _merge(f1, f2), None)
 
     __rmul__ = __mul__
 
@@ -1001,138 +969,6 @@ def _den_needs_parens(den):
     if c != 1:
         return True
     return sum(1 for x in e if x) > 1
-
-
-# ---------------------------------------------------------------------------
-# parsing (exact inverse of format_ratfunc / format_poly)
-
-
-class _ParseError(ValueError):
-    pass
-
-
-def parse_ratfunc(s):
-    """Parse the canonical string form back into a RatFunc."""
-    s = s.strip()
-    depth = 0
-    split = None
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(" / ", i):
-            split = i
-            break
-        i += 1
-    if split is None:
-        return RatFunc(parse_poly(s))
-    return RatFunc(parse_poly(s[:split]), parse_poly(s[split + 3:]))
-
-
-def parse_poly(s):
-    """Parse a polynomial string (terms joined by ' + ' / ' - ')."""
-    s = s.strip()
-    if s.startswith("(") and s.endswith(")") and _balanced_interior(s):
-        s = s[1:-1].strip()
-    if not s:
-        raise _ParseError("empty polynomial string")
-    out = Poly()
-    for sign, term in _split_terms(s):
-        out = out + _parse_term(term).scale(sign)
-    return out
-
-
-def _balanced_interior(s):
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0 and i != len(s) - 1:
-                return False
-    return depth == 0
-
-
-def _split_terms(s):
-    terms = []
-    sign = 1
-    if s.startswith("-"):
-        sign = -1
-        s = s[1:]
-    cur = []
-    i = 0
-    while i < len(s):
-        if s.startswith(" + ", i):
-            terms.append((sign, "".join(cur)))
-            sign, cur, i = 1, [], i + 3
-        elif s.startswith(" - ", i):
-            terms.append((sign, "".join(cur)))
-            sign, cur, i = -1, [], i + 3
-        else:
-            cur.append(s[i])
-            i += 1
-    terms.append((sign, "".join(cur)))
-    return terms
-
-
-def _parse_term(t):
-    t = t.strip()
-    if not t:
-        raise _ParseError("empty term")
-    coeff = 1
-    exps = [0] * NVARS
-    for factor in t.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise _ParseError(f"bad term {t!r}")
-        if factor[0].isdigit() or factor[0] == "-" or "/" in factor and factor[0] not in VAR_INDEX:
-            coeff *= _coef(factor)
-            continue
-        if "^" in factor:
-            name, _, p = factor.partition("^")
-            power = int(p)
-        else:
-            name, power = factor, 1
-        if name not in VAR_INDEX:
-            raise _ParseError(f"unknown variable {name!r}")
-        exps[VAR_INDEX[name]] += power
-    return Poly({tuple(exps): coeff})
-
-
-# ---------------------------------------------------------------------------
-# expansion at infinity
-
-
-def expand_at_infinity(f, name, order):
-    """Coefficients of the expansion of f in powers of 1/name at infinity.
-
-    Requires deg_name(num) <= deg_name(den); returns a list of RatFuncs
-    [c_0, c_1, ..., c_order] in the remaining variables with
-    f = sum c_r * name**(-r) + O(name**-(order+1)).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    num, den = f.num, f.den
-    dn = num.degree(name)
-    dd = den.degree(name)
-    if dn > dd:
-        raise ValueError(
-            f"expansion at infinity needs deg({name}) of num <= den, got {dn} > {dd}"
-        )
-    d = dd
-    N = [RatFunc(num.coeff_of(name, d - r)) for r in range(order + 1)]
-    D = [RatFunc(den.coeff_of(name, d - r)) for r in range(order + 1)]
-    coeffs = []
-    for r in range(order + 1):
-        acc = N[r]
-        for s in range(r):
-            acc = acc - coeffs[s] * D[r - s]
-        coeffs.append(acc / D[0])
-    return coeffs
 
 
 # convenient pre-built generators

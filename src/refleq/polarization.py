@@ -29,7 +29,6 @@ C(-b, -a), so every label is stored in a normal form.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -89,14 +88,6 @@ def normalize_label(label):
     raise ValueError(f"label {label!r} does not belong to any known pair")
 
 
-def pair_of_label(label):
-    norm = normalize_label(label)
-    for name, labels in PAIR_LABELS.items():
-        if norm in labels:
-            return name
-    raise AssertionError("normalize_label returned an unknown label")
-
-
 @dataclass(frozen=True)
 class PolarizationInstance:
     """Immutable description of one consistency problem.
@@ -112,9 +103,6 @@ class PolarizationInstance:
     points: tuple
     pairs_at: dict
     components: dict
-
-    def pair_labels(self, name):
-        return PAIR_LABELS[name]
 
     def tangent_dimension(self, point):
         return 2 * len(self.pairs_at[point])
@@ -274,19 +262,14 @@ def choice_to_json(choice):
     ]
 
 
-def choice_from_json(rows):
-    return {(tuple(row["point"]), row["pair"]): row["selected"] for row in rows}
-
-
 # ---------------------------------------------------------------------------
 # solving
 
 # solve runs the propagation search: decisions interleaved with generalized
 # arc consistency per wall-component, decided by counting +m selections per
 # magnitude (_gac); it doubles as the certificate builder for UNSAT
-# instances.  _solve_exhaustive backtracks over the per-point selections
-# directly and is kept only as the complete reference the tests compare
-# solve against.
+# instances.  The tests compare it against a complete backtracking search
+# over the per-point selections (tests/oracles.py).
 
 
 def _components_with_vars(inst):
@@ -520,54 +503,6 @@ def _certificate_from(inst, trail, contradiction):
         }
     )
     return steps
-
-
-def _solve_exhaustive(inst):
-    """Complete backtracking over whole points with component pruning.
-
-    Reference search for the tests only: solve never calls it.  Returns the
-    first consistent choice found, or None.
-    """
-    order = list(inst.points)
-    # precompute, per point, the multi-point components it belongs to
-    memberships = {p: [] for p in order}
-    for wall in WALL_NAMES:
-        for component in inst.components[wall]:
-            if len(component) < 2:
-                continue
-            for p in component:
-                memberships[p].append((wall, component))
-    position = {p: i for i, p in enumerate(order)}
-    choice = {}
-
-    def point_ok(idx):
-        p = order[idx]
-        for wall, component in memberships[p]:
-            mine = _point_multiset(inst, wall, p, choice)
-            for q in component:
-                if position[q] < idx:
-                    if _point_multiset(inst, wall, q, choice) != mine:
-                        return False
-                    break  # earlier points of the component already agree
-        return True
-
-    def dfs(idx):
-        if idx == len(order):
-            return True
-        p = order[idx]
-        names = inst.pairs_at[p]
-        for combo in itertools.product(*(PAIR_LABELS[n] for n in names)):
-            for name, label in zip(names, combo):
-                choice[(p, name)] = label
-            if point_ok(idx) and dfs(idx + 1):
-                return True
-        for name in names:
-            choice.pop((p, name), None)
-        return False
-
-    if dfs(0):
-        return dict(choice)
-    return None
 
 
 def solve(inst):

@@ -673,7 +673,7 @@ def check_boundary_factorization(kind, l, n=1):
 def _constant_term_factors(kind, l, n):
     shifts = _chain_shifts(n, (U1, U2))
     slots = _slots(l, 1 + n)
-    limit = constant_term_matrix(s_matrix(kind, l, U, shifts), "u")
+    limit = constant_term_matrix(s_matrix(kind, l, U, shifts))
     expected = embed_on_slots(sigma_matrix(kind, l), (0,), slots)
     return [limit], [expected]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .field import H, Poly, RatFunc, expand_at_infinity
+from .field import H, Poly, RatFunc
 from .matrix import LabeledMatrix, embed_on_slots, swap_conjugate
 
 KINDS = ("spInstanton", "soInstanton", "flagPlus", "flagMinus")
@@ -199,12 +199,20 @@ def sigma_sigma_r(kind, l, u):
     return yang_r(l, u)
 
 
-def constant_term_matrix(m, name="u"):
-    """Entrywise limit as name -> infinity (order-zero expansion)."""
+def constant_term_matrix(m):
+    """Entrywise limit as u -> infinity.
+
+    The limit of num / den is the ratio of their coefficients of u^deg_u(den),
+    which is 0 when num has lower degree in u; an entry whose numerator has
+    the higher degree grows and raises ValueError.
+    """
     out = LabeledMatrix(m.row_labels, m.col_labels)
     for (i, j), v in m.entries.items():
-        c0 = expand_at_infinity(v, name, 0)[0]
-        if not c0.num.is_zero():
+        d = v.den.degree("u")
+        if v.num.degree("u") > d:
+            raise ValueError(f"entry ({i}, {j}) grows as u -> infinity: {v}")
+        c0 = RatFunc(v.num.coeff_of("u", d), v.den.coeff_of("u", d))
+        if not c0.is_zero():
             out.entries[(i, j)] = c0
     return out
 

@@ -119,13 +119,6 @@ class InstantonTableau:
         """The single entry of row |k|."""
         return self.row(abs(k))[0]
 
-    def to_json(self):
-        return {
-            "rows": {str(k): list(es) for k, es in self.rows},
-            "spCharge": sp_charge(self),
-            "soCharge": so_charge(self),
-        }
-
 
 def enumerate_instanton(l, w1):
     """All fixed-point tableaux, one per choice of positive-row entries."""

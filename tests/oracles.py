@@ -1,0 +1,168 @@
+"""Reference implementations the tests hold the library to.
+
+The library never calls these.
+
+  parse_ratfunc, parse_poly   the exact inverse of field.format_ratfunc and
+                              field.format_poly, for writing test values as
+                              the strings the library prints
+  _solve_exhaustive           complete backtracking over the per-point
+                              selections of a polarization instance, the
+                              oracle for polarization.solve
+"""
+
+import itertools
+from fractions import Fraction
+
+from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc
+from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
+
+# ---------------------------------------------------------------------------
+# parsing
+
+
+class _ParseError(ValueError):
+    pass
+
+
+def parse_ratfunc(s):
+    """Parse the canonical string form back into a RatFunc."""
+    s = s.strip()
+    depth = 0
+    split = None
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0 and s.startswith(" / ", i):
+            split = i
+            break
+        i += 1
+    if split is None:
+        return RatFunc(parse_poly(s))
+    return RatFunc(parse_poly(s[:split]), parse_poly(s[split + 3:]))
+
+
+def parse_poly(s):
+    """Parse a polynomial string (terms joined by ' + ' / ' - ')."""
+    s = s.strip()
+    if s.startswith("(") and s.endswith(")") and _balanced_interior(s):
+        s = s[1:-1].strip()
+    if not s:
+        raise _ParseError("empty polynomial string")
+    out = Poly()
+    for sign, term in _split_terms(s):
+        out = out + _parse_term(term).scale(sign)
+    return out
+
+
+def _balanced_interior(s):
+    depth = 0
+    for i, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0 and i != len(s) - 1:
+                return False
+    return depth == 0
+
+
+def _split_terms(s):
+    terms = []
+    sign = 1
+    if s.startswith("-"):
+        sign = -1
+        s = s[1:]
+    cur = []
+    i = 0
+    while i < len(s):
+        if s.startswith(" + ", i):
+            terms.append((sign, "".join(cur)))
+            sign, cur, i = 1, [], i + 3
+        elif s.startswith(" - ", i):
+            terms.append((sign, "".join(cur)))
+            sign, cur, i = -1, [], i + 3
+        else:
+            cur.append(s[i])
+            i += 1
+    terms.append((sign, "".join(cur)))
+    return terms
+
+
+def _parse_term(t):
+    t = t.strip()
+    if not t:
+        raise _ParseError("empty term")
+    coeff = 1
+    exps = [0] * NVARS
+    for factor in t.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise _ParseError(f"bad term {t!r}")
+        if factor[0].isdigit() or factor[0] == "-" or "/" in factor and factor[0] not in VAR_INDEX:
+            coeff *= Fraction(factor)
+            continue
+        if "^" in factor:
+            name, _, p = factor.partition("^")
+            power = int(p)
+        else:
+            name, power = factor, 1
+        if name not in VAR_INDEX:
+            raise _ParseError(f"unknown variable {name!r}")
+        exps[VAR_INDEX[name]] += power
+    return Poly({tuple(exps): coeff})
+
+
+# ---------------------------------------------------------------------------
+# polarization
+
+
+def _solve_exhaustive(inst):
+    """Complete backtracking over whole points with component pruning.
+
+    The complete reference the tests compare solve against.  Returns the
+    first consistent choice found, or None.
+    """
+    order = list(inst.points)
+    # precompute, per point, the multi-point components it belongs to
+    memberships = {p: [] for p in order}
+    for wall in WALL_NAMES:
+        for component in inst.components[wall]:
+            if len(component) < 2:
+                continue
+            for p in component:
+                memberships[p].append((wall, component))
+    position = {p: i for i, p in enumerate(order)}
+    choice = {}
+
+    def point_ok(idx):
+        p = order[idx]
+        for wall, component in memberships[p]:
+            mine = _point_multiset(inst, wall, p, choice)
+            for q in component:
+                if position[q] < idx:
+                    if _point_multiset(inst, wall, q, choice) != mine:
+                        return False
+                    break  # earlier points of the component already agree
+        return True
+
+    def dfs(idx):
+        if idx == len(order):
+            return True
+        p = order[idx]
+        names = inst.pairs_at[p]
+        for combo in itertools.product(*(PAIR_LABELS[n] for n in names)):
+            for name, label in zip(names, combo):
+                choice[(p, name)] = label
+            if point_ok(idx) and dfs(idx + 1):
+                return True
+        for name in names:
+            choice.pop((p, name), None)
+        return False
+
+    if dfs(0):
+        return dict(choice)
+    return None

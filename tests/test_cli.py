@@ -43,6 +43,18 @@ class TestEnvelope:
         assert report["command"]["params"] == {"type_name": "A3"}
         assert isinstance(report["wallTimeMs"], int)
 
+    def test_wall_time_of_a_nested_command_covers_its_work(self, monkeypatch):
+        # the root group starts the clock once; a subgroup's command reads it
+        def slow(kind, l, w1):
+            time.sleep(0.05)
+            return {"kind": kind}
+
+        monkeypatch.setattr(cli_module, "fixed_locus_report", slow)
+        res = run_cli("tableaux", "betti", "--kind", "sp", "--l", "2", "--w1", "1")
+        assert res.exit_code == 0, res.output
+        assert payload(res) == {"kind": "sp"}
+        assert json.loads(res.stdout)["wallTimeMs"] >= 50
+
     def test_output_is_byte_identical_modulo_wall_time(self):
         def normalized(args):
             res = run_cli(*args)

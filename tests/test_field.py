@@ -16,6 +16,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_poly, parse_ratfunc
 from refleq import field
 from refleq.field import (
     H,
@@ -25,14 +26,13 @@ from refleq.field import (
     U1,
     U2,
     VARS,
-    expand_at_infinity,
     format_poly,
     format_ratfunc,
-    parse_poly,
-    parse_ratfunc,
     poly_div_exact,
     poly_gcd,
 )
+from refleq.matrix import LabeledMatrix
+from refleq.rkmat import constant_term_matrix
 
 
 class Naive:
@@ -237,61 +237,24 @@ def test_parse_rejects_a_variable_outside_the_field():
         parse_poly("q + h")
 
 
-def test_expand_at_infinity_frozen_examples():
-    h = RatFunc.var("h")
-    f = H / (U + H)
-    cs = expand_at_infinity(f, "u", 3)
-    assert cs == [RatFunc.zero(), h, -(h * h), h * h * h]
-    g = U / (U + H)
-    cs2 = expand_at_infinity(g, "u", 2)
-    assert cs2 == [RatFunc.one(), -h, h * h]
+def _limit(f):
+    """The limit of f as u -> infinity, read off a 1 x 1 constant_term_matrix."""
+    return constant_term_matrix(LabeledMatrix((1,), (1,), {(1, 1): f})).get(1, 1)
 
 
-def test_expand_reconstructs_truncation():
-    # sum of c_r u^-r matches f modulo u^-(order+1): check by clearing powers
-    rng = random.Random(11)
-    for _ in range(25):
-        num = random_poly(rng, vars_=("h",), max_terms=2, max_deg=2)
-        den = random_poly(rng, vars_=("h",), max_terms=2, max_deg=2)
-        den = den + Poly.var("u")  # ensure deg_u(den) = 1 >= deg_u(num) = 0
-        f = RatFunc(num, den)
-        order = 4
-        cs = expand_at_infinity(f, "u", order)
-        # tail := f - sum_r c_r u^-r must have u-valuation > order at infinity:
-        # u^order * tail must still vanish at u = infinity.
-        acc = f
-        upow = RatFunc.one()
-        uinv = RatFunc.one() / U
-        for c in cs:
-            acc = acc - c * upow
-            upow = upow * uinv
-        if acc.is_zero():
-            continue
-        scaled = acc * _upow(order)
-        dn = scaled.num.degree("u")
-        dd = scaled.den.degree("u")
-        assert dn < dd, f"tail too fat: {scaled}"
+def test_constant_term_frozen_examples():
+    assert _limit(H / (U + H)) == RatFunc.zero()
+    assert _limit(U / (U + H)) == RatFunc.one()
+    # the other variables stay: only u goes to infinity
+    assert _limit(H / (U - U2 + H)) == RatFunc.zero()
+    assert _limit((U * U1 + H) / (2 * U - U2)) == U1 / 2
 
 
-def _upow(k):
-    r = RatFunc.one()
-    for _ in range(k):
-        r = r * U
-    return r
-
-
-def test_expand_rejects_growing_function():
-    f = (U * U) / (U + H)
-    with pytest.raises(ValueError):
-        expand_at_infinity(f, "u", 2)
-
-
-def test_expand_in_one_variable_keeps_others():
-    f = H / (U1 - U2 + H)
-    cs = expand_at_infinity(f, "u1", 2)
-    assert cs[0] == RatFunc.zero()
-    assert cs[1] == H
-    assert cs[2] == -H * (H - U2)
+def test_constant_term_rejects_a_growing_entry():
+    with pytest.raises(ValueError, match="grows"):
+        _limit((U * U) / (U + H))
+    with pytest.raises(ValueError, match="grows"):
+        _limit(U1 * U + H)
 
 
 def test_pow_and_string_of_negative_leading():
@@ -386,6 +349,34 @@ def test_arithmetic_agrees_with_sympy_cancel(n1, d1, n2, d2, op):
     ratio = sympy.cancel(ours_den / den)
     assert ratio.is_Rational and ratio != 0
     assert all(type(c) is int for c in _coefficients(ours))
+
+
+# linear forms free of u, for u-leading coefficients that split over the table
+_U_FREE_FORMS = [parse_poly(s) for s in ("u1 + h", "u1 - h", "2*u1 + h", "u1", "h")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=_poly_terms,
+    d=_poly_terms,
+    lead=st.one_of(st.none(), st.lists(st.integers(0, len(_U_FREE_FORMS) - 1), max_size=3)),
+)
+def test_constant_term_agrees_with_sympy_limit(n, d, lead):
+    for form in _U_FREE_FORMS:
+        RatFunc(Poly.const(1), form)  # a linear denominator enters the table
+    num, den = _poly_from_terms(n), _poly_from_terms(d)
+    if lead is not None:
+        # above every u-power of num and den: the u-leading coefficient of den
+        # is the product of the forms lead picks
+        top = Poly.const(1)
+        for i in lead:
+            top = top * _U_FREE_FORMS[i]
+        den = den + top.shift("u", max(den.degree("u") + 1, num.degree("u")))
+    assume(not den.is_zero() and num.degree("u") <= den.degree("u"))
+    ours = _limit(RatFunc(num, den))
+    u = _SYMS[VARS.index("u")]
+    theirs = sympy.limit(_to_sympy(num, _SYMS) / _to_sympy(den, _SYMS), u, sympy.oo)
+    assert sympy.cancel(_to_sympy(ours.num, _SYMS) / _to_sympy(ours.den, _SYMS) - theirs) == 0
 
 
 # Henrici products and sums skip the gcd of the full result.  These tests hold
@@ -634,22 +625,54 @@ def _counting_gcd(monkeypatch):
     return calls
 
 
+def _counting_constructor(monkeypatch):
+    calls = []
+    real = RatFunc.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting)
+    return calls
+
+
 def test_table_denominators_make_no_gcd_call(monkeypatch):
     u, h, u1, u2 = U, H, U1, U2
     # dividing by a linear form enters it into the table
     a = (u1 - h) / (u + h) / (u + h) / (u1 + u2 + h)
     b = (u - u1) / (2 * u + h) / ((u + h) * (u1 + u2 + h))
     calls = _counting_gcd(monkeypatch)
-    product, total = a * b, a + b
-    assert calls == []
+    built = _counting_constructor(monkeypatch)
+    product, total, difference = a * b, a + b, a - b
+    assert calls == [] and built == []
     assert product.den_factors()[2] is None and total.den_factors()[2] is None
     assert product == RatFunc(a.num * b.num, a.den * b.den)
     assert total == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+    assert difference == RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
     # the constructor splits a denominator over the table without a gcd too
     calls.clear()
     assert RatFunc(total.num, total.den) == total
     assert RatFunc(product.num * Poly.var("u2"), product.den * Poly.var("u2")) == product
     assert calls == []
+
+
+@pytest.mark.parametrize("residual", _RESIDUALS)
+def test_a_residual_operand_goes_to_the_constructor_once(monkeypatch, residual):
+    table = (U1 - H) / (U + H) / (U1 + U2 + H)
+    with_residual = RatFunc(Poly.var("u") - Poly.var("u1"), residual * (U + H).num)
+    built = _counting_constructor(monkeypatch)
+    for x, y in ((with_residual, table), (table, with_residual), (with_residual, with_residual * U)):
+        for op, num, den in (
+            ("+", x.num * y.den + y.num * x.den, x.den * y.den),
+            ("-", x.num * y.den - y.num * x.den, x.den * y.den),
+            ("*", x.num * y.num, x.den * y.den),
+        ):
+            built.clear()
+            got = _OPS[op](x, y)
+            assert built == [(num, den)], (str(x), op, str(y))
+            assert (got.num, got.den) == _full_gcd_form(num, den)
+            _assert_canonical_equal(got, RatFunc(num, den))
 
 
 def test_residual_goes_to_the_general_gcd(monkeypatch):
@@ -683,8 +706,8 @@ def test_a_residual_hiding_a_table_form_is_split_before_a_sum():
         ):
             assert (got.num, got.den) == _full_gcd_form(num, den), (str(x), str(y))
     assert a + b - b == a and (a + b) * l2 == RatFunc(Poly.var("u") + l2, l1)
-    # the residual of one operand splits during the sum and interns a form
-    # that the other operand's residual hides: the second must see it too
+    # a's residual l3 l4 hides l4, which joins the table after a is built,
+    # and l3, which d's residual l3 q shares: sums must cancel both
     l3, l4 = parse_poly("u4 + 7*u3 - h"), parse_poly("2*u4 - 5*u3 + 3*h")
     q = parse_poly("u^2 + h^2")
     assert l3 not in field._FORM_ID and l4 not in field._FORM_ID

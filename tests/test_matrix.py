@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from refleq.field import U1, U2, U3, Poly, RatFunc, parse_ratfunc
+from oracles import parse_ratfunc
+from refleq.field import U1, U2, U3, Poly, RatFunc
 from refleq.matrix import (
     LabeledMatrix,
     embed_on_slots,

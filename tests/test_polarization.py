@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import _solve_exhaustive
 from refleq import polarization
 from refleq.polarization import (
     PAIR_LABELS,
@@ -14,16 +15,13 @@ from refleq.polarization import (
     WALL_PHI,
     _gac,
     _qualifying_vars,
-    _solve_exhaustive,
     _solve_propagation,
     build_instance,
     check_choice,
-    choice_from_json,
     choice_to_json,
     instance_summary,
     label_weight,
     normalize_label,
-    pair_of_label,
     replay_certificate,
     solve,
     solve_table,
@@ -63,10 +61,8 @@ class TestLabels:
         assert normalize_label("C(-1,2)") == "C(-2,1)"
         assert normalize_label("C(-2,-1)") == "C(1,2)"
         assert normalize_label("C(1,2)") == "C(1,2)"
-
-    def test_pair_lookup(self):
-        assert pair_of_label("C(2,-1)") == "sum"
-        assert pair_of_label("C(-1,1)") == "u1Axis"
+        assert normalize_label("C(2,-1)") in PAIR_LABELS["sum"]
+        assert normalize_label("C(-1,1)") in PAIR_LABELS["u1Axis"]
 
     def test_malformed_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -204,12 +200,6 @@ class TestCheckChoice:
         with pytest.raises(ValueError):
             check_choice(inst, choice)
 
-    def test_json_round_trip(self):
-        inst = build_instance("-", 2)
-        choice = face_choice(inst, "C(1,-2)", "C(1,2)")
-        rows = choice_to_json(choice)
-        assert choice_from_json(json.loads(json.dumps(rows))) == choice
-
 
 class TestSolve:
     def test_minus_l2_sat(self):
@@ -218,6 +208,9 @@ class TestSolve:
         assert res["verdict"] == "SAT"
         assert res["method"] == "propagation"
         assert check_choice(inst, res["witness"])["ok"]
+        # the JSON rows the CLI prints carry the whole witness
+        rows = json.loads(json.dumps(choice_to_json(res["witness"])))
+        assert {(tuple(r["point"]), r["pair"]): r["selected"] for r in rows} == res["witness"]
 
     @pytest.mark.parametrize("l", [3, 4, 5, 6])
     def test_minus_unsat_with_replayable_certificate(self, l):

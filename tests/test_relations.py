@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import parse_ratfunc
 from refleq import relations
-from refleq.field import H, U, U1, Poly, RatFunc, format_ratfunc, parse_ratfunc, poly_div_exact, poly_gcd
+from refleq.field import H, U, U1, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,

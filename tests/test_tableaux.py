@@ -56,6 +56,7 @@ def test_smallest_example_by_hand():
     # l = 2, w1 = 1: the tableau with positive entry 2 has exactly one
     # satisfied triple, the diagonal one at node (1, 1).
     t = InstantonTableau.from_positive_entries(2, 1, (2,))
+    assert t.rows == ((-1, (1,)), (1, (2,)))
     assert condition_met(t, 1, -1, 1)
     assert not condition_met(t, -1, 1, 1)
     assert charge_pair_counts(t) == (1, 0)
@@ -186,15 +187,6 @@ def test_so_parity_components():
     for w1 in range(1, 5):
         r = so_component_report(2, w1)
         assert r["parityComponents"] == [2 ** (w1 - 1), 2 ** (w1 - 1)]
-
-
-def test_instanton_json():
-    t = InstantonTableau.from_positive_entries(2, 1, (2,))
-    assert t.to_json() == {
-        "rows": {"-1": [1], "1": [2]},
-        "spCharge": 1,
-        "soCharge": 0,
-    }
 
 
 # ---------------------------------------------------------------- flags
