@@ -6,14 +6,13 @@ chain 1-2-3-4-5 with vertex 6 attached to 3, so the diagram flip fixes 3 and
 6 and swaps the arms (1,5) and (2,4).
 
 Weights are tuples of fundamental-weight coordinates; roots are tuples of
-simple-root coordinates.  Everything is exact integer/Fraction arithmetic.
+simple-root coordinates.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 _TYPE_RE = re.compile(r"^([ADE])(\d+)$")
 
@@ -75,7 +74,6 @@ def neighbors(t):
 
 def cartan_matrix(t):
     """Symmetric ADE Cartan matrix as a tuple of tuples (1-based vertices)."""
-    n = t.rank
     nb = neighbors(t)
     return tuple(
         tuple(2 if i == j else (-1 if j in nb[i] else 0) for j in t.vertices)
@@ -133,14 +131,6 @@ def reflect_weight(t, lam, i):
     return tuple(x - c * cartan[i - 1][j] for j, x in enumerate(lam))
 
 
-def reflect_root(t, beta, i):
-    cartan = cartan_matrix(t)
-    pairing = sum(beta[j] * cartan[i - 1][j] for j in range(t.rank))
-    new = list(beta)
-    new[i - 1] -= pairing
-    return tuple(new)
-
-
 def longest_word(t, prefer_high=False):
     """A reduced word for w0, rightmost letter acting first.
 
@@ -175,145 +165,6 @@ def weight_action(t, word, lam):
     for i in reversed(word):
         lam = reflect_weight(t, lam, i)
     return lam
-
-
-def w0_on_weight(t, lam):
-    return weight_action(t, longest_word(t), lam)
-
-
-def minus_invast_weight(t, lam):
-    iv = invast(t)
-    out = [0] * t.rank
-    for i in t.vertices:
-        out[iv[i] - 1] = -lam[i - 1]
-    return tuple(out)
-
-
-def apply_vertex_perm(perm, vec):
-    """Permute coordinate positions: result[perm[i]] = vec[i]."""
-    out = [0] * len(vec)
-    for i, x in enumerate(vec, start=1):
-        out[perm[i] - 1] = x
-    return tuple(out)
-
-
-def weights_from_dims(t, v, w):
-    """(lambda, mu) in fundamental-weight coordinates from dimension vectors."""
-    n = t.rank
-    if len(v) != n or len(w) != n:
-        raise ValueError("dimension vectors must match the rank")
-    cartan = cartan_matrix(t)
-    lam = tuple(w)
-    cv = [sum(cartan[i][j] * v[j] for j in range(n)) for i in range(n)]
-    mu = tuple(w[i] - cv[i] for i in range(n))
-    return lam, mu
-
-
-def dim_quiver_variety(t, v, w):
-    """v . (2w - Cv), the dimension of the associated symplectic variety."""
-    n = t.rank
-    cartan = cartan_matrix(t)
-    cv = [sum(cartan[i][j] * v[j] for j in range(n)) for i in range(n)]
-    return sum(v[i] * (2 * w[i] - cv[i]) for i in range(n))
-
-
-def w0_star(t, v, w):
-    """The dimension vector v' with w - Cv' = w0(w - Cv).
-
-    Solves the Cartan system exactly; raises ValueError if the solution is
-    not a nonnegative integer vector, which signals inconsistent input data.
-    """
-    n = t.rank
-    cartan = cartan_matrix(t)
-    _, mu = weights_from_dims(t, v, w)
-    target_mu = minus_invast_weight(t, mu)  # w0 acts as -invast on weights
-    rhs = [Fraction(w[i] - target_mu[i]) for i in range(n)]
-    a = [[Fraction(cartan[i][j]) for j in range(n)] for i in range(n)]
-    sol = _solve_exact(a, rhs)
-    out = []
-    for x in sol:
-        if x.denominator != 1:
-            raise ValueError(f"w0* dimension vector is not integral: {sol}")
-        if x < 0:
-            raise ValueError(f"w0* dimension vector has a negative entry: {sol}")
-        out.append(int(x))
-    return tuple(out)
-
-
-def _solve_exact(a, b):
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("Cartan matrix unexpectedly singular")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def sigma_on_weights(t, lam, mu, sigma_prime):
-    """(sigma lambda, sigma mu) for the involution built from sigma_prime.
-
-    sigma_prime is a vertex permutation dict (an involutive diagram
-    automorphism).  sigma acts on lambda through sigma' o invast and on mu
-    through -sigma'.
-    """
-    iv = invast(t)
-    sigma_lam = apply_vertex_perm(sigma_prime, apply_vertex_perm(iv, lam))
-    sigma_mu = tuple(-x for x in apply_vertex_perm(sigma_prime, mu))
-    return sigma_lam, sigma_mu
-
-
-@dataclass
-class EpsilonAssignment:
-    """Form types on the framing spaces fixed or paired by the involution.
-
-    signs: vertex -> +1/-1 for vertices whose framing carries a form.
-    pairs: (i, j) vertex pairs whose framings are dual to each other; the
-    shared sign of the pairing is type_sign.
-    """
-
-    type_sign: int
-    signs: dict
-    pairs: list
-
-
-def epsilon_assignment(t, sigma_prime_is_invast, type_sign):
-    """Assign form types to framing spaces, type A only.
-
-    sigma_prime_is_invast=True is the case sigma' = invast (so sigma' o invast
-    is the identity and every vertex is fixed): the signs alternate along the
-    chain starting from type_sign at vertex 1.
-
-    sigma_prime_is_invast=False is sigma' = id: vertex i pairs with n+1-i;
-    for odd rank the middle vertex keeps type_sign.
-    """
-    if type_sign not in (1, -1):
-        raise ValueError("type_sign must be +1 or -1")
-    if t.family != "A":
-        raise NotImplementedError(
-            "epsilon assignment is defined here for type A only; D/E mixed "
-            "involutions are not supported"
-        )
-    n = t.rank
-    if sigma_prime_is_invast:
-        signs = {i: type_sign * (-1) ** (i - 1) for i in t.vertices}
-        return EpsilonAssignment(type_sign, signs, [])
-    signs = {}
-    pairs = []
-    for i in t.vertices:
-        j = n + 1 - i
-        if i < j:
-            pairs.append((i, j))
-        elif i == j:
-            signs[i] = type_sign
-    return EpsilonAssignment(type_sign, signs, pairs)
 
 
 def info_dict(t):

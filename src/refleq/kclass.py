@@ -85,10 +85,6 @@ class QLaurent:
         q.coeffs = out
         return q
 
-    def bar(self):
-        """The dualization q -> q^-1."""
-        return QLaurent({-k: c for k, c in self.coeffs.items()})
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -263,8 +259,8 @@ def longest_transform_summary(t):
 def framing_permutation(t, sigma_prime):
     """How the longest transform permutes framing symbols: i -> sigma'(invast i).
 
-    The coefficient side of that move is dualized (q -> q^-1, see
-    QLaurent.bar); callers track it with the permutation.
+    The coefficient side of that move is dualized, q replaced by q^-1;
+    callers track it with the permutation.
     """
     iv = invast(t)
     return {i: sigma_prime[iv[i]] for i in t.vertices}

@@ -1,10 +1,10 @@
 """Labeled sparse matrices over the exact rational-function field.
 
-Rows and columns carry label sequences (ints, strings, or nested tuples from
-Kronecker products); all operations check label compatibility instead of bare
-dimensions.  Storage is dict-of-keys on (row_index, col_index) with zeros
-dropped, since the big tensor-product matrices in the relation checks are
-overwhelmingly sparse.
+Rows and columns carry label sequences (ints, strings, or tuples over tensor
+slots); all operations check label compatibility instead of bare dimensions.
+Storage is dict-of-keys on (row_index, col_index) with zeros dropped, since
+the big tensor-product matrices in the relation checks are overwhelmingly
+sparse.
 
 verify_identity compares two matrices entrywise by canonical form, which is
 a proof in itself, and reports a verdict-style dict so callers can log what
@@ -30,7 +30,7 @@ def _label_to_json(label):
 class LabeledMatrix:
     __slots__ = ("row_labels", "col_labels", "entries", "_row_index", "_col_index")
 
-    def __init__(self, row_labels, col_labels, entries=None):
+    def __init__(self, row_labels, col_labels):
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
         if len(set(self.row_labels)) != len(self.row_labels):
@@ -40,13 +40,6 @@ class LabeledMatrix:
         self._row_index = {lab: i for i, lab in enumerate(self.row_labels)}
         self._col_index = {lab: j for j, lab in enumerate(self.col_labels)}
         self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self.set(r, c, v)
-
-    @property
-    def shape(self):
-        return (len(self.row_labels), len(self.col_labels))
 
     def set(self, row_label, col_label, value):
         i = self._row_index[row_label]
@@ -62,11 +55,6 @@ class LabeledMatrix:
         i = self._row_index[row_label]
         j = self._col_index[col_label]
         return self.entries.get((i, j), RatFunc.zero())
-
-    def copy(self):
-        m = LabeledMatrix(self.row_labels, self.col_labels)
-        m.entries = dict(self.entries)
-        return m
 
     @staticmethod
     def identity(labels):
@@ -84,33 +72,6 @@ class LabeledMatrix:
             and self.col_labels == other.col_labels
             and self.entries == other.entries
         )
-
-    def __add__(self, other):
-        if self.row_labels != other.row_labels or self.col_labels != other.col_labels:
-            raise ValueError("label mismatch in matrix addition")
-        m = self.copy()
-        for (i, j), v in other.entries.items():
-            s = m.entries.get((i, j), RatFunc.zero()) + v
-            if s.is_zero():
-                m.entries.pop((i, j), None)
-            else:
-                m.entries[(i, j)] = s
-        return m
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = RatFunc.const(c)
-        m = LabeledMatrix(self.row_labels, self.col_labels)
-        if c.is_zero():
-            return m
-        m.entries = {k: v * c for k, v in self.entries.items()}
-        return m
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def __mul__(self, other):
         if not isinstance(other, LabeledMatrix):
@@ -139,17 +100,6 @@ class LabeledMatrix:
                 else:
                     acc[key] = prod
         m.entries = {k: v for k, v in acc.items() if not v.is_zero()}
-        return m
-
-    def kron(self, other):
-        rows = [(a, b) for a in self.row_labels for b in other.row_labels]
-        cols = [(a, b) for a in self.col_labels for b in other.col_labels]
-        m = LabeledMatrix(rows, cols)
-        nr2 = len(other.row_labels)
-        nc2 = len(other.col_labels)
-        for (i1, j1), v1 in self.entries.items():
-            for (i2, j2), v2 in other.entries.items():
-                m.entries[(i1 * nr2 + i2, j1 * nc2 + j2)] = v1 * v2
         return m
 
     def inverse(self):
@@ -247,18 +197,6 @@ def embed_on_slots(mat, positions, slot_labels):
                 full_r[o] = x
                 full_c[o] = x
             m.entries[(row_of[tuple(full_r)], row_of[tuple(full_c)])] = v
-    return m
-
-
-def swap_matrix(labels_a, labels_b):
-    """The flip P: a (x) b -> b (x) a as a LabeledMatrix on pair labels."""
-    rows = [(b, a) for b in labels_b for a in labels_a]
-    cols = [(a, b) for a in labels_a for b in labels_b]
-    m = LabeledMatrix(rows, cols)
-    one = RatFunc.one()
-    for a in labels_a:
-        for b in labels_b:
-            m.set((b, a), (a, b), one)
     return m
 
 

@@ -104,9 +104,6 @@ class PolarizationInstance:
     pairs_at: dict
     components: dict
 
-    def tangent_dimension(self, point):
-        return 2 * len(self.pairs_at[point])
-
 
 def build_instance(sign, l):
     """Instance for the given torus type sign at the fixed value w1 = 2.
@@ -154,21 +151,6 @@ def build_instance(sign, l):
     return PolarizationInstance(
         sign=sign, l=l, points=points, pairs_at=pairs_at, components=components
     )
-
-
-def instance_summary(inst):
-    dims = {inst.tangent_dimension(p) for p in inst.points}
-    return {
-        "sign": inst.sign,
-        "l": inst.l,
-        "points": len(inst.points),
-        "pairsPerPoint": len(inst.pairs_at[inst.points[0]]),
-        "tangentDimension": sorted(dims),
-        "componentCounts": {
-            wall: sorted((len(c) for c in comps), reverse=True)
-            for wall, comps in inst.components.items()
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +505,14 @@ def solve(inst):
 # ---------------------------------------------------------------------------
 # certificate replay
 
+# step kind -> the keys a step of that kind must carry
+_STEP_KEYS = {
+    "assume": frozenset(("point", "pair", "selected")),
+    "forced": frozenset(("point", "pair", "selected", "wall", "component")),
+    "contradiction": frozenset(("wall", "component")),
+    "mirror": frozenset(),
+}
+
 
 def replay_certificate(inst, certificate):
     """Independent check of an UNSAT certificate.
@@ -533,8 +523,9 @@ def replay_certificate(inst, certificate):
     with the selections made so far, must leave the step's wall-component
     without any satisfying completion.  The final step must exhibit a
     component with no completion at all.  Both are decided by _gac on the
-    named component alone.  A step that selects a label outside its pair
-    fails.  Returns True only if every step verifies in both passes.
+    named component alone.  A step of an unknown kind, one that lacks a key
+    its kind needs, and one that selects a label outside its pair fail.
+    Returns True only if every step verifies in both passes.
     """
     constraints_index = {
         (wall, component): tuple(qvars)
@@ -549,7 +540,10 @@ def replay_certificate(inst, certificate):
         state = {}
         saw_contradiction = False
         for step in certificate:
-            kind = step["kind"]
+            kind = step.get("kind")
+            needed = _STEP_KEYS.get(kind)
+            if needed is None or not step.keys() >= needed:
+                return False
             if kind == "mirror":
                 continue
             if kind in ("forced", "contradiction"):
@@ -574,8 +568,6 @@ def replay_certificate(inst, certificate):
                 fixed[var] = partner(var[1], label)
                 if _gac(wall, component, qvars, fixed)[0]:
                     return False
-            elif kind != "assume":
-                return False
             state[var] = label
         return saw_contradiction
 

@@ -438,15 +438,6 @@ class FlagTableau:
     w: int
     entries: tuple  # ((k, entry), ...) sorted by k
 
-    def entry(self, k):
-        for kk, e in self.entries:
-            if kk == k:
-                return e
-        raise KeyError(k)
-
-    def row_indices(self):
-        return tuple(k for k, _ in self.entries)
-
     def content(self):
         """Dimension vector (v_1..v_{l-1}) determined by the entry counts."""
         counts = [0] * (self.l + 1)

@@ -8,12 +8,22 @@ The library never calls these.
   _solve_exhaustive           complete backtracking over the per-point
                               selections of a polarization instance, the
                               oracle for polarization.solve
+  kron                        the Kronecker product of two LabeledMatrix
+                              values, the reference for matrix.embed_on_slots
+  swap_matrix                 the flip P on pair labels, the reference for
+                              matrix.swap_conjugate and rkmat.yang_r
+  linear_combination          the entrywise sum of scaled LabeledMatrix
+                              values, for writing such references as formulas
+  reflect_root                a simple reflection on simple-root coordinates,
+                              the reference for dynkin.longest_word
 """
 
 import itertools
 from fractions import Fraction
 
+from refleq.dynkin import cartan_matrix
 from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc
+from refleq.matrix import LabeledMatrix
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
 
 # ---------------------------------------------------------------------------
@@ -166,3 +176,57 @@ def _solve_exhaustive(inst):
     if dfs(0):
         return dict(choice)
     return None
+
+
+# ---------------------------------------------------------------------------
+# matrices
+
+
+def kron(a, b):
+    """a (x) b, with row and column labels the pairs of a's and b's labels."""
+    rows = [(x, y) for x in a.row_labels for y in b.row_labels]
+    cols = [(x, y) for x in a.col_labels for y in b.col_labels]
+    m = LabeledMatrix(rows, cols)
+    for (i1, j1), v1 in a.entries.items():
+        for (i2, j2), v2 in b.entries.items():
+            m.set((a.row_labels[i1], b.row_labels[i2]), (a.col_labels[j1], b.col_labels[j2]), v1 * v2)
+    return m
+
+
+def swap_matrix(labels_a, labels_b):
+    """The flip P: a (x) b -> b (x) a as a LabeledMatrix on pair labels."""
+    rows = [(b, a) for b in labels_b for a in labels_a]
+    cols = [(a, b) for a in labels_a for b in labels_b]
+    m = LabeledMatrix(rows, cols)
+    for a in labels_a:
+        for b in labels_b:
+            m.set((b, a), (a, b), 1)
+    return m
+
+
+def linear_combination(*terms):
+    """The sum of c * m over (c, m) terms, all on the same labels; c is an
+    int or a RatFunc."""
+    first = terms[0][1]
+    out = LabeledMatrix(first.row_labels, first.col_labels)
+    for c, m in terms:
+        if (m.row_labels, m.col_labels) != (out.row_labels, out.col_labels):
+            raise ValueError("label mismatch in a linear combination")
+        c = RatFunc.const(c) if isinstance(c, int) else c
+        for (i, j), v in m.entries.items():
+            r, k = m.row_labels[i], m.col_labels[j]
+            out.set(r, k, out.get(r, k) + c * v)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Weyl group
+
+
+def reflect_root(t, beta, i):
+    """s_i acting on simple-root coordinates (1-based vertex i)."""
+    cartan = cartan_matrix(t)
+    pairing = sum(beta[j] * cartan[i - 1][j] for j in range(t.rank))
+    new = list(beta)
+    new[i - 1] -= pairing
+    return tuple(new)

@@ -38,14 +38,6 @@ def test_q_integer_recurrence():
         assert q_integer(2) * q_integer(m) == q_integer(m + 1) + q_integer(m - 1)
 
 
-def test_qlaurent_bar():
-    assert qp(3).bar() == qp(-3)
-    for m in range(6):
-        assert q_integer(m).bar() == q_integer(m)
-    mixed = qp(2, 5) + qp(-1, -3)
-    assert mixed.bar().bar() == mixed
-
-
 def test_qlaurent_str():
     assert str(QLaurent.zero()) == "0"
     assert str(qp(5, -1)) == "-q^5"

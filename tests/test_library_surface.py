@@ -1,0 +1,75 @@
+"""Every public name in src/refleq is reached by the library or the benchmark.
+
+A public top-level function or class, or a public method, must either be
+referenced somewhere in src/refleq/ outside its own definition, or be a
+target of perfbench/tracer.py (loaded by path and left as it is).  cli.py is
+not checked, since click reaches its commands; dunders are not checked.
+
+The guard matches names, not bindings: a reference is any identifier, attribute
+or imported name in the code (docstrings and comments do not count) that
+spells the same name.  So a name shared by two definitions, such as `entry`,
+keeps both alive, and a dead method can hide behind a live one.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "refleq"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of the public top-level functions and
+    classes and the public methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree):
+    """(name, line) of every identifier the code spells."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+
+
+def test_every_public_name_is_reached():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {module: list(_references(tree)) for module, tree in trees.items()}
+    targets = {(module, attr) for module, attr, _span, _group in _load_tracer().TARGETS}
+    unreached = []
+    for module, tree in trees.items():
+        if module == "cli":
+            continue
+        for qualname, name, node in _definitions(tree):
+            if (module, qualname) in targets:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                ref == name and not (other == module and line in own)
+                for other, module_refs in refs.items()
+                for ref, line in module_refs
+            ):
+                unreached.append(f"{module}.{qualname}")
+    assert not unreached, f"reached by no library code and no benchmark target: {unreached}"

@@ -19,7 +19,6 @@ from refleq.polarization import (
     build_instance,
     check_choice,
     choice_to_json,
-    instance_summary,
     label_weight,
     normalize_label,
     replay_certificate,
@@ -74,27 +73,23 @@ class TestLabels:
 class TestInstances:
     def test_minus_l2_shape(self):
         inst = build_instance("-", 2)
-        s = instance_summary(inst)
-        assert s["points"] == 4
-        assert s["pairsPerPoint"] == 3
-        assert s["tangentDimension"] == [6]
+        assert len(inst.points) == 4
+        assert {len(inst.pairs_at[p]) for p in inst.points} == {3}
 
     def test_plus_l3_shape(self):
         inst = build_instance("+", 3)
-        s = instance_summary(inst)
-        assert s["points"] == 9
-        assert s["pairsPerPoint"] == 1
-        assert s["tangentDimension"] == [2]
+        assert len(inst.points) == 9
+        assert {len(inst.pairs_at[p]) for p in inst.points} == {1}
 
     def test_minus_axis_walls_have_full_lines(self):
-        s = instance_summary(build_instance("-", 3))
-        assert s["componentCounts"]["u1Zero"] == [3, 3, 3]
-        assert s["componentCounts"]["u2Zero"] == [3, 3, 3]
+        inst = build_instance("-", 3)
+        for wall in ("u1Zero", "u2Zero"):
+            assert sorted(len(c) for c in inst.components[wall]) == [3, 3, 3]
 
     def test_plus_axis_walls_are_isolated(self):
-        s = instance_summary(build_instance("+", 4))
-        assert s["componentCounts"]["u1Zero"] == [1] * 16
-        assert s["componentCounts"]["u2Zero"] == [1] * 16
+        inst = build_instance("+", 4)
+        for wall in ("u1Zero", "u2Zero"):
+            assert [len(c) for c in inst.components[wall]] == [1] * 16
 
     def test_swap_wall_components(self):
         inst = build_instance("-", 3)
@@ -259,6 +254,22 @@ class TestSolve:
         step = next(s for s in cert if s["kind"] == "forced" and s["pair"] == "difference")
         step["selected"] = selected
         assert not replay_certificate(inst, cert)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda cert: [{"kind": "bogus"}],
+            lambda cert: [{"kind": "assume"}],
+            lambda cert: [{"kind": "bogus"}] + cert,
+            lambda cert: [{k: v for k, v in s.items() if k != "kind"} for s in cert],
+            lambda cert: [{k: v for k, v in s.items() if (s["kind"], k) != ("forced", "wall")} for s in cert],
+        ],
+        ids=["bogus-kind-only", "assume-without-point", "bogus-kind-first", "steps-without-kind", "forced-without-wall"],
+    )
+    def test_malformed_step_rejected(self, mangle):
+        inst = build_instance("-", 3)
+        cert = json.loads(json.dumps(solve(inst)["certificate"]))
+        assert not replay_certificate(inst, mangle(cert))
 
     def test_search_and_replay_parse_no_label(self, monkeypatch):
         # label restrictions come from the table built at import

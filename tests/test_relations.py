@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_ratfunc
+from oracles import linear_combination, parse_ratfunc
 from refleq import relations
 from refleq.field import H, U, U1, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
@@ -143,17 +143,18 @@ class TestGridEngine:
 
     def test_symbolic_and_multipoint_agree_on_truth(self):
         a, b = self._square_pair(random.Random(77), [1, 2, 3])
-        lhs = (a + b) * (a + b)
-        rhs = a * a + a * b + b * a + b * b
+        s = linear_combination((1, a), (1, b))
+        lhs = s * s
+        rhs = linear_combination((1, a * a), (1, a * b), (1, b * a), (1, b * b))
         assert verify_identity(lhs, rhs)["holds"]
         v = _verify_product_identity([lhs], [rhs])
         assert v["holds"] and v["gridSize"] >= 1
-        assert _verify_product_identity([a + b, a + b], [rhs])["holds"]
+        assert _verify_product_identity([s, s], [rhs])["holds"]
 
     def test_detects_failure_in_both_modes(self):
         labels = [1, 2]
         a = LabeledMatrix.identity(labels)
-        b = a.copy()
+        b = LabeledMatrix.identity(labels)
         b.set(1, 2, parse_ratfunc("h / (u + h)"))
         for v in (verify_identity(a, b), _verify_product_identity([a], [b])):
             assert not v["holds"]
@@ -163,7 +164,7 @@ class TestGridEngine:
         # denominators vanish on naive small grids; the builder must dodge them
         m = LabeledMatrix([1], [1])
         m.set(1, 1, H / (RatFunc.var("u1") - RatFunc.var("u2")))
-        assert _verify_product_identity([m], [m.copy()])["holds"]
+        assert _verify_product_identity([m], [m])["holds"]
 
     def test_pole_in_a_later_variable_is_escaped(self):
         # u2 starts its grid at 10201, a pole of this entry; the retry must
@@ -593,6 +594,25 @@ def test_each_check_holds_itself_to_the_suite_dimension(check):
     l = next(size for size in itertools.count(2) if size ** slots > relations.DIMENSION_BOUND)
     with pytest.raises(ValueError, match=rf"tensor dimension {l ** slots} > 256"):
         run_suite_item({**item, "l": l})
+
+
+@pytest.mark.parametrize("check", sorted(relations._SUITE_CHECKS))
+def test_suite_slot_table_matches_the_slots_each_check_builds(check, monkeypatch):
+    # run_suite sizes an item by _SUITE_SLOTS before any check runs; the
+    # check's own _slots calls must reach exactly that many slots
+    counts = []
+    real_slots = relations._slots
+
+    def recording_slots(l, count):
+        counts.append(count)
+        return real_slots(l, count)
+
+    monkeypatch.setattr(relations, "_slots", recording_slots)
+    item = next(it for it in suite_items(l=2) if it["check"] == check)
+    if "sites" in item:
+        item = {**item, "sites": 1}
+    run_suite_item(item)
+    assert max(counts) == relations._SUITE_SLOTS[check] + item.get("sites", 0)
 
 
 class TestBothProvers:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from oracles import linear_combination, swap_matrix
 from refleq.field import H, RatFunc, U, U1, U2, format_ratfunc
-from refleq.matrix import LabeledMatrix, embed_on_slots, swap_matrix, verify_identity
+from refleq.matrix import LabeledMatrix, embed_on_slots, verify_identity
 from refleq.rkmat import (
     KINDS,
     chain_factors,
@@ -56,7 +57,7 @@ def test_yang_r_from_swap_oracle():
         labels = site_labels(l)
         p = swap_matrix(labels, labels)
         denom = U + H
-        oracle = LabeledMatrix.identity(pair_labels(l)).scale(U / denom) + p.scale(H / denom)
+        oracle = linear_combination((U / denom, LabeledMatrix.identity(pair_labels(l))), (H / denom, p))
         assert yang_r(l, U) == oracle
 
 

@@ -196,7 +196,7 @@ def test_flag_single_framing():
     pts, diag = flag_fixed_points("plus", 5, 1)
     assert diag == []
     assert len(pts) == 1
-    assert pts[0].entry(0) == 3
+    assert dict(pts[0].entries)[0] == 3
     assert pts[0].content() == (1, 1, 0, 0)
 
     pts, diag = flag_fixed_points("plus", 4, 1)
@@ -211,15 +211,15 @@ def test_flag_two_framings():
     # leaves the two mirror choices.
     pts, diag = flag_fixed_points("minus", 5, 2, v=(2, 2, 0, 0))
     assert diag == [] and len(pts) == 1
-    assert pts[0].entry(1) == 3 and pts[0].entry(-1) == 3
+    assert dict(pts[0].entries)[1] == 3 and dict(pts[0].entries)[-1] == 3
 
     pts, diag = flag_fixed_points("minus", 5, 2, v=(1, 1, 1, 1))
     assert diag == [] and len(pts) == 2
-    assert sorted(p.entry(1) for p in pts) == [1, 5]
+    assert sorted(dict(p.entries)[1] for p in pts) == [1, 5]
 
     pts, diag = flag_fixed_points("minus", 5, 2, v=(2, 1, 1, 0))
     assert diag == [] and len(pts) == 2
-    assert sorted(p.entry(1) for p in pts) == [2, 4]
+    assert sorted(dict(p.entries)[1] for p in pts) == [2, 4]
 
     pts, diag = flag_fixed_points("minus", 4, 2, v=(1, 1, 1))
     assert diag == [] and len(pts) == 2
@@ -260,9 +260,10 @@ def test_flag_union_partitions_by_content():
 def test_flag_mirror_entries():
     pts, _ = flag_fixed_points("plus", 5, 5)
     for p in pts:
+        entry = dict(p.entries)
         for k in (1, 2):
-            assert p.entry(-k) == 5 + 1 - p.entry(k)
-        assert p.entry(0) == 3
+            assert entry[-k] == 5 + 1 - entry[k]
+        assert entry[0] == 3
 
 
 def test_flag_rejects_bad_sign():
