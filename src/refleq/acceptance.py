@@ -141,7 +141,7 @@ def criterion_06_r_matrix_identities():
     for l in (2, 3, 4):
         if not check_r_unitarity(l)["holds"]:
             failures.append(f"chain unitarity l={l}")
-        if not check_r_unitarity(l, family="cross", kind="soInstanton")["holds"]:
+        if not check_r_unitarity(l, kind="soInstanton")["holds"]:
             failures.append(f"cross unitarity l={l}")
     for kind in KINDS:
         for l in range(2, 6):

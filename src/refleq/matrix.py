@@ -16,6 +16,7 @@ form the products symbolically, work on factor lists and live in relations
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .field import RatFunc, format_ratfunc
@@ -140,22 +141,9 @@ class LabeledMatrix:
                     m.entries[(i, j)] = inv[i][j]
         return m
 
-    def eval_entries(self, assignment, memo=None):
-        """Evaluate every entry at {var: Fraction} -> dict keyed like entries.
-
-        memo, a dict keyed by id(entry), shares values among entries (also of
-        other matrices) that hold the same RatFunc object.  It is valid for
-        one assignment only, and only while those entries stay alive.
-        """
-        if memo is None:
-            memo = {}
-        out = {}
-        for k, v in self.entries.items():
-            val = memo.get(id(v))
-            if val is None:
-                val = memo[id(v)] = v.eval(assignment)
-            out[k] = val
-        return out
+    def eval_entries(self, assignment):
+        """Evaluate every entry at {var: Fraction} -> dict keyed like entries."""
+        return {k: v.eval(assignment) for k, v in self.entries.items()}
 
     def __repr__(self):
         return f"<LabeledMatrix {len(self.row_labels)}x{len(self.col_labels)}, {len(self.entries)} nonzero>"
@@ -165,17 +153,14 @@ def embed_on_slots(mat, positions, slot_labels):
     """Extend mat (acting on the chosen tensor slots, in order) by identity.
 
     slot_labels: list of label sequences, one per tensor slot.  positions:
-    which slots mat acts on; mat's labels must be tuples over those slots
-    (or bare labels if it acts on a single slot).  The result acts on the
-    full product with tuple labels.
+    which slots mat acts on.  A tuple label of mat holds one part per
+    position and a bare label is one part, so a placed matrix can be placed
+    again.  The result acts on the full product with tuple labels.
     """
-    import itertools
-
     n = len(slot_labels)
     full_rows = [tuple(t) for t in itertools.product(*slot_labels)]
     m = LabeledMatrix(full_rows, full_rows)
     others = [i for i in range(n) if i not in positions]
-    single = len(positions) == 1
 
     row_of = {lab: i for i, lab in enumerate(full_rows)}
     sub_rows = mat.row_labels
@@ -184,8 +169,8 @@ def embed_on_slots(mat, positions, slot_labels):
     for (si, sj), v in mat.entries.items():
         r_sub = sub_rows[si]
         c_sub = sub_cols[sj]
-        r_parts = (r_sub,) if single else r_sub
-        c_parts = (c_sub,) if single else c_sub
+        r_parts = r_sub if isinstance(r_sub, tuple) else (r_sub,)
+        c_parts = c_sub if isinstance(c_sub, tuple) else (c_sub,)
         for rest in other_choices:
             full_r = [None] * n
             full_c = [None] * n

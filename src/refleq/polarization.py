@@ -505,13 +505,33 @@ def solve(inst):
 # ---------------------------------------------------------------------------
 # certificate replay
 
+
+def _is_point(x):
+    return isinstance(x, (list, tuple)) and all(type(c) is int for c in x)
+
+
+def _is_name(x):
+    return isinstance(x, str)
+
+
+# the keys of a choice and of a wall-component, each with the test its value
+# passes in the shape the solver writes
+_CHOICE_KEYS = {"point": _is_point, "pair": _is_name, "selected": _is_name}
+_WALL_KEYS = {"wall": _is_name, "component": lambda x: isinstance(x, (list, tuple)) and all(map(_is_point, x))}
 # step kind -> the keys a step of that kind must carry
 _STEP_KEYS = {
-    "assume": frozenset(("point", "pair", "selected")),
-    "forced": frozenset(("point", "pair", "selected", "wall", "component")),
-    "contradiction": frozenset(("wall", "component")),
-    "mirror": frozenset(),
+    "assume": _CHOICE_KEYS,
+    "forced": _CHOICE_KEYS | _WALL_KEYS,
+    "contradiction": _WALL_KEYS,
+    "mirror": {},
 }
+
+
+def _well_formed(step):
+    """Whether step is a dict with every key its kind needs, each passing its test."""
+    kind = step.get("kind") if isinstance(step, dict) else None
+    needed = _STEP_KEYS.get(kind) if isinstance(kind, str) else None
+    return needed is not None and all(key in step and test(step[key]) for key, test in needed.items())
 
 
 def replay_certificate(inst, certificate):
@@ -524,7 +544,8 @@ def replay_certificate(inst, certificate):
     without any satisfying completion.  The final step must exhibit a
     component with no completion at all.  Both are decided by _gac on the
     named component alone.  A step of an unknown kind, one that lacks a key
-    its kind needs, and one that selects a label outside its pair fail.
+    its kind needs or holds a value of the wrong shape (_well_formed), and
+    one that selects a label outside its pair fail.
     Returns True only if every step verifies in both passes.
     """
     constraints_index = {
@@ -540,10 +561,7 @@ def replay_certificate(inst, certificate):
         state = {}
         saw_contradiction = False
         for step in certificate:
-            kind = step.get("kind")
-            needed = _STEP_KEYS.get(kind)
-            if needed is None or not step.keys() >= needed:
-                return False
+            kind = step["kind"]
             if kind == "mirror":
                 continue
             if kind in ("forced", "contradiction"):
@@ -571,7 +589,7 @@ def replay_certificate(inst, certificate):
             state[var] = label
         return saw_contradiction
 
-    return run(flip=False) and run(flip=True)
+    return all(map(_well_formed, certificate)) and run(flip=False) and run(flip=True)
 
 
 def solve_table(l_values=(2, 3, 4, 5, 6)):

@@ -48,18 +48,18 @@ from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, poly_div_exact, po
 from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
-    chain_factors,
     constant_term_matrix,
     cross_r,
     cross_r_flipped,
-    embedded_product,
     k_matrix,
     k_matrix_opposite_placement,
+    monodromy_t,
     s_matrix,
     s_matrix_via_transfer,
     sigma_matrix,
     sigma_sigma_r,
     site_labels,
+    twisted_monodromy,
     yang_r,
 )
 
@@ -380,48 +380,39 @@ def _point_str(assignment):
 # Yang-Baxter and unitarity
 
 
-def check_ybe(l, r_builder=None, mode="symbolic"):
-    """Yang-Baxter identity R12 R13 R23 = R23 R13 R12 for a difference family.
+def check_ybe(l, mode="symbolic"):
+    """Yang-Baxter identity R12 R13 R23 = R23 R13 R12 for the chain R-matrix.
 
-    r_builder(l, w) must produce the two-site matrix; the default is the
-    rational chain R-matrix.  Both modes build the factors on the slice
-    u3 = 0, with arguments (u1 - u2, u1, u2) for (u1 - u2, u1 - u3, u2 - u3).
-    Every argument is a difference, so the identity depends on u1, u2, u3
-    only through x = u1 - u3 and y = u2 - u3, which are independent; the
-    slice renames x, y to u1, u2 and is a bijective reparametrization of
-    the identity, not a specialization.  This needs r_builder to depend on
-    its argument w and on h only.
+    Both modes build the factors on the slice u3 = 0, with arguments
+    (u1 - u2, u1, u2) for (u1 - u2, u1 - u3, u2 - u3).  Every argument is a
+    difference, so the identity depends on u1, u2, u3 only through
+    x = u1 - u3 and y = u2 - u3, which are independent; the slice renames
+    x, y to u1, u2 and is a bijective reparametrization of the identity, not
+    a specialization.
     """
-    builder = r_builder or (lambda ll, w: yang_r(ll, w))
     slots = _slots(l, 3)
-    args = (U1 - U2, U1, U2)
-    r12 = embed_on_slots(builder(l, args[0]), (0, 1), slots)
-    r13 = embed_on_slots(builder(l, args[1]), (0, 2), slots)
-    r23 = embed_on_slots(builder(l, args[2]), (1, 2), slots)
+    r12 = embed_on_slots(yang_r(l, U1 - U2), (0, 1), slots)
+    r13 = embed_on_slots(yang_r(l, U1), (0, 2), slots)
+    r23 = embed_on_slots(yang_r(l, U2), (1, 2), slots)
     cmp = _prove([r12, r13, r23], [r23, r13, r12], mode)
     return _verdict("yangBaxter", l, cmp, family="chain")
 
 
-def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
-    """R(w) R(-w) = 1 together with flip symmetry of the family.
+def check_r_unitarity(l, kind=None):
+    """R(w) R(-w) = 1 and flip symmetry for the chain R, or for kind's cross R.
 
     Flip symmetry (conjugation by the tensor swap leaves R unchanged) is what
     lets the order-flipped matrix R21 be identified with R itself, so it is
     asserted as part of the same verdict.
     """
-    if kind is not None:
-        _require_kind(kind)
-    if r_builder is None:
-        if family == "chain":
-            r_builder = lambda ll, w: yang_r(ll, w)
-        elif family == "cross":
-            r_builder = lambda ll, w: cross_r(kind, ll, w)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+    if kind is None:
+        family, builder = "chain", yang_r
+    else:
+        family, builder = "cross", lambda ll, w: cross_r(kind, ll, w)
     _slots(l, 2)
     d = U1 - U2
-    fwd = r_builder(l, d)
-    bwd = r_builder(l, -d)
+    fwd = builder(l, d)
+    bwd = builder(l, -d)
     ident = LabeledMatrix.identity(fwd.row_labels)
     cmp = _prove([fwd, bwd], [ident])
     if cmp["holds"]:
@@ -431,17 +422,11 @@ def check_r_unitarity(l, r_builder=None, family="chain", kind=None):
     return _verdict("rUnitarity", l, cmp, family=family, kind=kind)
 
 
-def check_k_unitarity(kind, l, k_builder=None):
-    """Boundary unitarity K(-u) K(u) = 1 for the scenario's one-site matrix.
-
-    k_builder(u) overrides the scenario matrix when given, so ad-hoc boundary
-    candidates can be screened with the same verdict plumbing.
-    """
-    _require_kind(kind)
-    builder = k_builder or (lambda spec: k_matrix(kind, l, spec))
+def check_k_unitarity(kind, l):
+    """Boundary unitarity K(-u) K(u) = 1 for the scenario's one-site matrix."""
     _slots(l, 1)
-    fwd = builder(U)
-    bwd = builder(-U)
+    fwd = k_matrix(kind, l, U)
+    bwd = k_matrix(kind, l, -U)
     ident = LabeledMatrix.identity(fwd.row_labels)
     cmp = _prove([bwd, fwd], [ident])
     return _verdict("kUnitarity", l, cmp, kind=kind)
@@ -451,27 +436,22 @@ def check_k_unitarity(kind, l, k_builder=None):
 # reflection
 
 
-def _reflection_factors(kind, l, boundary="standard", k_builder=None, n=0):
+def _reflection_factors(kind, l, boundary="standard", n=0):
     """The two sides of the reflection identity as ordered factor lists.
 
     With n chain sites (slots 2..n+1, shifts u3, u4) each boundary factor is
-    the dressed operator rkmat.s_matrix on its auxiliary slot and the chain,
-    and the R factors act on the two auxiliary slots 0 and 1.  At n = 0 the
-    boundary factors are the scenario's matrix (or k_builder's).
+    the dressed operator rkmat.s_matrix on its auxiliary slot and the chain;
+    at n = 0 it is the scenario's matrix on its auxiliary slot.  The R
+    factors act on the two auxiliary slots 0 and 1.
     """
     boundary_k = make_scenario(kind, l, boundary=boundary)
     shifts = _chain_shifts(n, (U3, U4))
     slots = _slots(l, 2 + n)
-    if n:
-        chain = tuple(range(2, 2 + n))
-        k1 = embed_on_slots(s_matrix(kind, l, U1, shifts), (0,) + chain, slots)
-        k2 = embed_on_slots(s_matrix(kind, l, U2, shifts), (1,) + chain, slots)
-        on_aux = lambda m: embed_on_slots(m, (0, 1), slots)
-    else:
-        boundary_k = k_builder or boundary_k
-        k1 = embed_on_slots(boundary_k(U1), (0,), slots)
-        k2 = embed_on_slots(boundary_k(U2), (1,), slots)
-        on_aux = lambda m: m
+    chain = tuple(range(2, 2 + n))
+    dressed = lambda w: s_matrix(kind, l, w, shifts) if n else boundary_k(w)
+    k1 = embed_on_slots(dressed(U1), (0,) + chain, slots)
+    k2 = embed_on_slots(dressed(U2), (1,) + chain, slots)
+    on_aux = lambda m: embed_on_slots(m, (0, 1), slots)
     x = U1 + U2
     d = U1 - U2
     lhs = [k2, on_aux(cross_r_flipped(kind, l, x)), k1, on_aux(yang_r(l, d))]
@@ -479,19 +459,18 @@ def _reflection_factors(kind, l, boundary="standard", k_builder=None, n=0):
     return lhs, rhs
 
 
-def reflection_sides(kind, l, boundary="standard", k_builder=None):
+def reflection_sides(kind, l, boundary="standard"):
     """Build the two sides of the reflection identity without comparing them.
 
     Exposed separately so invariance tests can evaluate the sides at chosen
     points (for instance h = 0, where both must become the same permutation
-    matrix).  k_builder(u) overrides the scenario boundary matrix.  Each side
-    is its factor list multiplied from the left.
+    matrix).  Each side is its factor list multiplied from the left.
     """
-    lhs, rhs = _reflection_factors(kind, l, boundary=boundary, k_builder=k_builder)
+    lhs, rhs = _reflection_factors(kind, l, boundary=boundary)
     return _fold(lhs), _fold(rhs)
 
 
-def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=None):
+def check_reflection(kind, l, mode="symbolic", boundary="standard"):
     """Two-site reflection identity for a scenario's boundary matrix.
 
     With K_a the boundary matrix on tensor slot a, C the twisted-factor cross
@@ -503,11 +482,10 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard", k_builder=No
     where the subscript 21 marks conjugation by the tensor swap.  The
     boundary argument selects the standard matrix or, for flagMinus, the
     rejected opposite-placement variant that this identity is expected to
-    rule out; k_builder substitutes an arbitrary boundary candidate instead.
-    Symbolic mode compares the multiplied sides; multipoint mode hands the
-    factor lists to the grid proof and never forms the products.
+    rule out.  Symbolic mode compares the multiplied sides; multipoint mode
+    hands the factor lists to the grid proof and never forms the products.
     """
-    cmp = _prove(*_reflection_factors(kind, l, boundary=boundary, k_builder=k_builder), mode)
+    cmp = _prove(*_reflection_factors(kind, l, boundary=boundary), mode)
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)
 
 
@@ -539,22 +517,16 @@ def reflection_expectation(kind, l, boundary="standard"):
 def _chain_monodromies(kind, l, n):
     """Slots 0, 1 (auxiliary) and 2..n+1 (chain), and monodromy builders on them.
 
-    plain and twisted take an auxiliary slot and a spectral argument w; chain
-    site k couples to the auxiliary slot at w - u_k, with u_1, u_2 = U1, U2.
+    plain(aux, w) and twisted(aux, w) place rkmat.monodromy_t(w) and
+    rkmat.twisted_monodromy(-w) on slot aux and the chain, which they couple
+    at w - u_k for site k, with u_1, u_2 = U1, U2.
     """
     _require_kind(kind)
     shifts = _chain_shifts(n, (U1, U2))
     slots = _slots(l, 2 + n)
-    sites = range(2, 2 + n)
-
-    def plain(aux, w):
-        pair = lambda k: yang_r(l, w - shifts[k - 1])
-        return embedded_product(chain_factors(pair, aux, sites), slots)
-
-    def twisted(aux, w):
-        pair = lambda k: cross_r(kind, l, w - shifts[k - 1])
-        return embedded_product(chain_factors(pair, aux, sites), slots)
-
+    chain = tuple(range(2, 2 + n))
+    plain = lambda aux, w: embed_on_slots(monodromy_t(l, w, shifts), (aux,) + chain, slots)
+    twisted = lambda aux, w: embed_on_slots(twisted_monodromy(l, -w, shifts, kind), (aux,) + chain, slots)
     return slots, plain, twisted
 
 
@@ -625,7 +597,7 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     """
     direct = check_monodromy_exchange(l, n, "twistedPlain", kind=kind)
     inter, bridge_a, bridge_b = (_prove(lhs, rhs) for lhs, rhs in _derivation_factors(l, n, kind))
-    unit = check_r_unitarity(l, family="cross", kind=kind)
+    unit = check_r_unitarity(l, kind=kind)
     holds = all(res["holds"] for res in (direct, inter, unit, bridge_a, bridge_b))
     detail = (
         f"direct={direct['holds']} swapped-intermediate={inter['holds']} "
@@ -758,7 +730,7 @@ def suite_items(suite="all", l=None):
 # at call time, so a wrapper installed on the module is the one that runs
 _SUITE_CHECKS = {
     "yangBaxter": lambda it: check_ybe(it["l"]),
-    "rUnitarity": lambda it: check_r_unitarity(it["l"], family=it["family"], kind=it.get("kind")),
+    "rUnitarity": lambda it: check_r_unitarity(it["l"], kind=it.get("kind")),
     "kUnitarity": lambda it: check_k_unitarity(it["kind"], it["l"]),
     "reflection": lambda it: check_reflection(it["kind"], it["l"], boundary=it.get("boundary", "standard")),
     "monodromyExchange": lambda it: check_monodromy_exchange(it["l"], it["sites"], it["variant"], kind=it["kind"]),

@@ -19,20 +19,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .field import H, Poly, RatFunc
+from .field import H, RatFunc
 from .matrix import LabeledMatrix, embed_on_slots, swap_conjugate
 
 KINDS = ("spInstanton", "soInstanton", "flagPlus", "flagMinus")
-
-
-def _as_rat(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to a rational function")
 
 
 def site_labels(l):
@@ -45,7 +35,6 @@ def pair_labels(l):
 
 def yang_r(l, u):
     """(u * Id + h * P) / (u + h) on the two-site space."""
-    u = _as_rat(u)
     labels = pair_labels(l)
     m = LabeledMatrix(labels, labels)
     denom = u + H
@@ -65,7 +54,6 @@ def yang_r(l, u):
 def _bullet_block(l, u, off_sign):
     """Identity except on span{(i, i)}: 1 - c on its diagonal and off_sign * c
     off it, with c = h/(u + l*h/2)."""
-    u = _as_rat(u)
     labels = pair_labels(l)
     m = LabeledMatrix.identity(labels)
     c = H / (u + H * RatFunc.const(Fraction(l, 2)))
@@ -87,13 +75,10 @@ def r_bullet_sigma_opposite(l, u):
 
     The sign of the block entries is a convention (it tracks which of the
     two halves of each dual weight pair the construction keeps).  The
-    boundary matrix k_matrix('spInstanton') is written in the convention
-    where its own off-diagonal entries are -h/(2u + l*h/2); the two-site
-    matrix that is exchange-compatible with that boundary matrix must then
-    carry the opposite sign on its block.  At l = 2 this variant is unitary
-    and the reflection identity holds with it; at l >= 3 no sign convention
-    makes the pair compatible (see relations.check_reflection), and this
-    variant is not even unitary, so it is exposed for experiments only.
+    boundary matrix k_matrix('spInstanton') has off-diagonal entries
+    -h/(2u + l*h/2), so the two-site matrix exchange-compatible with it
+    carries the opposite sign on its block.  cross_r takes this variant at
+    l = 2 only, where it is unitary; at l >= 3 it is not.
     """
     return _bullet_block(l, u, 1)
 
@@ -102,7 +87,6 @@ def _flag_minus_k(l, u, opposite):
     """The flagMinus boundary matrix: h/(2u + h) on the diagonal and
     2u/(2u + h) on the anti-diagonal, or the other way round if opposite,
     with 1 at the centre for odd l."""
-    u = _as_rat(u)
     labels = site_labels(l)
     m = LabeledMatrix(labels, labels)
     denom = u + u + H
@@ -120,23 +104,16 @@ def _flag_minus_k(l, u, opposite):
 
 def k_matrix(kind, l, u):
     """Single-site boundary matrix for the given scenario kind."""
-    u = _as_rat(u)
-    labels = site_labels(l)
-    if kind == "soInstanton":
-        return LabeledMatrix.identity(labels)
+    if kind in ("soInstanton", "flagPlus"):
+        return sigma_matrix(kind, l)
     if kind == "spInstanton":
+        labels = site_labels(l)
         m = LabeledMatrix.identity(labels)
         c = H / (u + u + H * RatFunc.const(Fraction(l, 2)))
         for i in labels:
             for j in labels:
                 prev = m.get(i, j)
                 m.set(i, j, prev - c)
-        return m
-    if kind == "flagPlus":
-        m = LabeledMatrix(labels, labels)
-        one = RatFunc.one()
-        for i in labels:
-            m.set(l + 1 - i, i, one)
         return m
     if kind == "flagMinus":
         return _flag_minus_k(l, u, opposite=False)
@@ -248,18 +225,15 @@ def chain_factors(pair, aux, sites):
 
 def monodromy_t(l, u, us):
     """T(u) = R_{0,n}(u - u_n) ... R_{0,1}(u - u_1) on slots (aux, 1..n)."""
-    u = _as_rat(u)
     n = len(us)
-    pair = lambda k: yang_r(l, u - _as_rat(us[k - 1]))
+    pair = lambda k: yang_r(l, u - us[k - 1])
     return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
 
 
 def twisted_monodromy(l, u, us, kind):
     """T_twist(-u) = R'_{0,n}(-u - u_n) ... R'_{0,1}(-u - u_1), R' = cross_r."""
-    u = _as_rat(u)
     n = len(us)
-    zero = RatFunc.zero()
-    pair = lambda k: cross_r(kind, l, zero - u - _as_rat(us[k - 1]))
+    pair = lambda k: cross_r(kind, l, -u - us[k - 1])
     return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
 
 
@@ -268,18 +242,15 @@ def s_matrix(kind, l, u, us):
 
     Left factors are the flipped twisted R at u + u_k for k = 1..n (k = 1
     leftmost), then the boundary matrix at u on the auxiliary slot, then
-    the plain R at u - u_k for k = n..1.
+    the monodromy T(u) of monodromy_t.
     """
-    u = _as_rat(u)
     sites = range(1, len(us) + 1)
-    cross = chain_factors(lambda k: cross_r_flipped(kind, l, u + _as_rat(us[k - 1])), 0, sites)
-    plain = chain_factors(lambda k: yang_r(l, u - _as_rat(us[k - 1])), 0, sites)
-    factors = cross[::-1] + [(k_matrix(kind, l, u), (0,))] + plain
-    return embedded_product(factors, _chain_slot_labels(l, len(us)))
+    cross = chain_factors(lambda k: cross_r_flipped(kind, l, u + us[k - 1]), 0, sites)
+    factors = cross[::-1] + [(k_matrix(kind, l, u), (0,))]
+    return embedded_product(factors, _chain_slot_labels(l, len(us))) * monodromy_t(l, u, us)
 
 
 def s_matrix_via_transfer(kind, l, u, us):
     """Same boundary transfer, computed as Ttwist(-u)^-1 K(u) T(u)."""
-    u = _as_rat(u)
     k0 = embed_on_slots(k_matrix(kind, l, u), (0,), _chain_slot_labels(l, len(us)))
     return twisted_monodromy(l, u, us, kind).inverse() * k0 * monodromy_t(l, u, us)

@@ -1,4 +1,5 @@
-"""Every public name in src/refleq is reached by the library or the benchmark.
+"""Every public name in src/refleq is reached by the library or the benchmark,
+and every name a module imports is used in that module.
 
 A public top-level function or class, or a public method, must either be
 referenced somewhere in src/refleq/ outside its own definition, or be a
@@ -73,3 +74,23 @@ def test_every_public_name_is_reached():
             ):
                 unreached.append(f"{module}.{qualname}")
     assert not unreached, f"reached by no library code and no benchmark target: {unreached}"
+
+
+def _imported_names(tree):
+    """(bound name, line) of every import in the module, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"imported but never used: {unused}"

@@ -271,6 +271,21 @@ class TestSolve:
         cert = json.loads(json.dumps(solve(inst)["certificate"]))
         assert not replay_certificate(inst, mangle(cert))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"point": 5}, {"point": [[1], 2]}, "step", {"component": 7}, {"pair": ["x"]}],
+        ids=["int-point", "nested-point", "string-step", "int-component", "list-pair"],
+    )
+    def test_step_of_the_wrong_shape_rejected(self, bad):
+        # one bad step, made from the first forced step, in front of a
+        # genuine certificate
+        inst = build_instance("-", 3)
+        cert = json.loads(json.dumps(solve(inst)["certificate"]))
+        assert replay_certificate(inst, cert)
+        forced = next(s for s in cert if s["kind"] == "forced")
+        step = bad if isinstance(bad, str) else {**forced, **bad}
+        assert replay_certificate(inst, [step] + cert) is False
+
     def test_search_and_replay_parse_no_label(self, monkeypatch):
         # label restrictions come from the table built at import
         def no_parse(label):

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from oracles import linear_combination, parse_ratfunc
 from refleq import relations
-from refleq.field import H, U, U1, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
+from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
+    _chain_monodromies,
     _cleared_rows,
     _constant_term_factors,
     _derivation_factors,
@@ -49,6 +50,9 @@ from refleq.relations import (
 )
 from refleq.rkmat import (
     KINDS,
+    chain_factors,
+    cross_r,
+    embedded_product,
     k_matrix,
     k_matrix_opposite_placement,
     monodromy_t,
@@ -97,19 +101,28 @@ class TestYangBaxter:
     def test_modes_agree_at_l3(self):
         assert check_ybe(3)["holds"] == check_ybe(3, mode="multipoint")["holds"]
 
+    @staticmethod
+    def _factors(builder):
+        """check_ybe's two factor lists at l = 2 for the family builder(l, w)."""
+        slots = [site_labels(2)] * 3
+        r12 = embed_on_slots(builder(2, U1 - U2), (0, 1), slots)
+        r13 = embed_on_slots(builder(2, U1), (0, 2), slots)
+        r23 = embed_on_slots(builder(2, U2), (1, 2), slots)
+        return [r12, r13, r23], [r23, r13, r12]
+
     def test_constant_identity_builder(self):
-        builder = lambda l, w: LabeledMatrix.identity(pair_labels(l))
-        assert check_ybe(2, r_builder=builder)["holds"]
-        assert check_ybe(2, r_builder=builder, mode="multipoint")["holds"]
+        lists = self._factors(lambda l, w: LabeledMatrix.identity(pair_labels(l)))
+        assert _prove(*lists)["holds"]
+        assert _prove(*lists, mode="multipoint")["holds"]
 
     def test_shifted_family_fails_both_modes(self):
         # shifting every spectral argument by h breaks the additivity the
         # identity depends on, so this must fail in both modes
-        builder = lambda l, w: yang_r(l, w + H)
-        sym = check_ybe(2, r_builder=builder)
+        lists = self._factors(lambda l, w: yang_r(l, w + H))
+        sym = _prove(*lists)
         assert not sym["holds"]
         assert "row" in sym["counterexample"] and "lhs" in sym["counterexample"]
-        mp = check_ybe(2, r_builder=builder, mode="multipoint")
+        mp = _prove(*lists, mode="multipoint")
         assert not mp["holds"]
         assert "point" in mp["counterexample"]
 
@@ -370,21 +383,17 @@ class TestUnitarity:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("l", [2, 3])
     def test_cross_r(self, kind, l):
-        v = check_r_unitarity(l, family="cross", kind=kind)
+        v = check_r_unitarity(l, kind=kind)
         assert v["holds"], f"{kind} l={l}: {v['detail']}"
 
     def test_non_unitary_builder_detected(self):
-        builder = lambda l, w: r_bullet_sigma_opposite(l, w)
-        assert not check_r_unitarity(3, r_builder=builder)["holds"]
+        fwd, bwd = r_bullet_sigma_opposite(3, U1 - U2), r_bullet_sigma_opposite(3, U2 - U1)
+        assert not _prove([fwd, bwd], [LabeledMatrix.identity(pair_labels(3))])["holds"]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("l", [2, 3, 4, 5])
     def test_boundary_k(self, kind, l):
         assert check_k_unitarity(kind, l)["holds"]
-
-    def test_identity_boundary_trivially_unitary(self):
-        builder = lambda u: LabeledMatrix.identity(site_labels(3))
-        assert check_k_unitarity("soInstanton", 3, k_builder=builder)["holds"]
 
 
 class TestReflection:
@@ -476,20 +485,19 @@ class TestReflection:
         # any involutive permutation matrix must satisfy the identity, and a
         # non-involutive one must not
         labels = site_labels(3)
+        (k2, c21, k1, y), (y21, k1_, c, k2_) = _reflection_factors("flagPlus", 3)
+        assert (k1_, k2_) == (k1, k2)
 
-        def perm_matrix(perm):
+        def holds(perm):
             mat = LabeledMatrix(labels, labels)
             for i, target in zip(labels, perm):
                 mat.set(target, i, RatFunc.one())
-            return mat
+            p1, p2 = (embed_on_slots(mat, (a,), [labels] * 2) for a in (0, 1))
+            return _prove([p2, c21, p1, y], [y21, p1, c, p2])["holds"]
 
-        involutions = [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2)]
-        for perm in involutions:
-            mat = perm_matrix(perm)
-            v = check_reflection("flagPlus", 3, k_builder=lambda u, m=mat: m)
-            assert v["holds"], f"involution {perm} rejected"
-        cycle = perm_matrix((2, 3, 1))
-        assert not check_reflection("flagPlus", 3, k_builder=lambda u: cycle)["holds"]
+        for perm in [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2)]:
+            assert holds(perm), f"involution {perm} rejected"
+        assert not holds((2, 3, 1))
 
 
 class TestMonodromyExchange:
@@ -518,6 +526,21 @@ class TestMonodromyExchange:
         assert v["holds"], v["detail"]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_placed_monodromies_equal_the_site_by_site_products(kind, l, n):
+    # the oracle places every site's R factor on the full slots on its own
+    # and multiplies the placed factors
+    slots, plain, twisted = _chain_monodromies(kind, l, n)
+    shifts, sites = (U1, U2)[:n], range(2, 2 + n)
+    for aux in (0, 1):
+        plain_factors = chain_factors(lambda k: yang_r(l, U - shifts[k - 1]), aux, sites)
+        assert plain(aux, U) == embedded_product(plain_factors, slots)
+        twisted_factors = chain_factors(lambda k: cross_r(kind, l, U - shifts[k - 1]), aux, sites)
+        assert twisted(aux, U) == embedded_product(twisted_factors, slots)
+
+
 # every check whose chain takes its shifts from (u1, u2) or (u3, u4)
 CHAIN_CHECKS = {
     "monodromyExchange": lambda n: check_monodromy_exchange(2, n, "plainPlain"),
@@ -535,15 +558,10 @@ def test_unbuildable_chain_length_rejected(check, n):
         CHAIN_CHECKS[check](n)
 
 
-# every check that takes a kind, called with one outside KINDS; the first
-# three ignored it and returned "holds": True with the kind echoed
+# every check that takes a kind, called with one outside KINDS
 UNKNOWN_KIND_CHECKS = {
-    "rUnitarity-chain": lambda: check_r_unitarity(2, kind="bogus"),
-    "kUnitarity-builder": lambda: check_k_unitarity(
-        "bogus", 2, k_builder=lambda u: LabeledMatrix.identity(site_labels(2))
-    ),
+    "rUnitarity": lambda: check_r_unitarity(2, kind="bogus"),
     "monodromyExchange": lambda: check_monodromy_exchange(2, 1, "plainPlain", kind="bogus"),
-    "rUnitarity-cross": lambda: check_r_unitarity(2, family="cross", kind="bogus"),
     "twistedPlainDerivation": lambda: check_twisted_plain_derivation(2, 1, kind="bogus"),
     "kUnitarity": lambda: check_k_unitarity("bogus", 2),
     "reflection": lambda: check_reflection("bogus", 2, mode="multipoint"),
@@ -658,7 +676,7 @@ class TestBothProvers:
         # both _prove calls of R unitarity: the product and the flip symmetry
         checks = (
             lambda: check_r_unitarity(2),
-            lambda: check_r_unitarity(2, family="cross", kind=kind),
+            lambda: check_r_unitarity(2, kind=kind),
             lambda: check_k_unitarity(kind, 2),
         )
         lists = [pair for run in checks for pair in _factor_lists(monkeypatch, run)]

@@ -213,6 +213,16 @@ def test_s_matrix_no_sites_is_k():
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("l", [2, 3])
+def test_one_tuple_labels_place_like_bare_labels(kind, l):
+    # s_matrix with no sites carries 1-tuple labels; placing it again must
+    # read each label as its one part
+    slots = [site_labels(l)] * 2
+    placed = embed_on_slots(s_matrix(kind, l, U, []), (1,), slots)
+    assert placed == embed_on_slots(k_matrix(kind, l, U), (1,), slots)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_s_matrix_routes_agree(kind):
     direct = s_matrix(kind, 2, U, [U1])
     via = s_matrix_via_transfer(kind, 2, U, [U1])
