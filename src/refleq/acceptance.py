@@ -201,15 +201,11 @@ def criterion_09_boundary_operator():
 def criterion_10_polarization_dichotomy():
     """Satisfiability pattern of the wall-consistency instances."""
     failures = []
-    for l in range(2, 7):
-        inst = build_instance("+", l)
+    for sign, l in [("+", l) for l in range(2, 7)] + [("-", 2)]:
+        inst = build_instance(sign, l)
         res = solve(inst)
         if res["verdict"] != "SAT" or not check_choice(inst, res["witness"])["ok"]:
-            failures.append(f"plus l={l}: {res['verdict']}")
-    inst = build_instance("-", 2)
-    res = solve(inst)
-    if res["verdict"] != "SAT" or not check_choice(inst, res["witness"])["ok"]:
-        failures.append(f"minus l=2: {res['verdict']}")
+            failures.append(f"{'plus' if sign == '+' else 'minus'} l={l}: {res['verdict']}")
     for l in range(3, 7):
         inst = build_instance("-", l)
         res = solve(inst)
@@ -284,9 +280,7 @@ def run_criterion(index, progress=None):
     return rep
 
 
-def run_acceptance(indices=None, progress=None):
-    """Run the full battery (or a subset) and aggregate the verdict."""
-    if indices is None:
-        indices = range(1, len(CRITERIA) + 1)
-    results = [run_criterion(i, progress) for i in indices]
+def run_acceptance(progress=None):
+    """Run the full battery and aggregate the verdict."""
+    results = [run_criterion(i, progress) for i in range(1, len(CRITERIA) + 1)]
     return {"ok": all(r["ok"] for r in results), "results": results}

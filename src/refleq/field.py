@@ -222,20 +222,6 @@ class Poly:
         i = VAR_INDEX[name]
         return max(e[i] for e in self.terms)
 
-    def shift(self, name, power):
-        """Multiply by name**power, power >= 0."""
-        if not power:
-            return self
-        i = VAR_INDEX[name]
-        t = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += power
-            t[tuple(e2)] = c
-        p = Poly()
-        p.terms = t
-        return p
-
     def coeff_of(self, name, power):
         """Coefficient of name**power, a Poly in the remaining variables."""
         i = VAR_INDEX[name]
@@ -284,25 +270,9 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _format_mono(exps, star_prefix):
-    parts = []
-    for i, x in enumerate(exps):
-        if x == 0:
-            continue
-        if x == 1:
-            parts.append(VARS[i])
-        else:
-            parts.append(f"{VARS[i]}^{x}")
-    if not parts:
-        return ""
-    s = "*".join(parts)
-    return ("*" + s) if star_prefix else s
-
-
-def _format_coeff(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _format_mono(exps):
+    """The monomial as "u*h^2", or "" for 1."""
+    return "*".join(VARS[i] if x == 1 else f"{VARS[i]}^{x}" for i, x in enumerate(exps) if x)
 
 
 def format_poly(p):
@@ -313,13 +283,14 @@ def format_poly(p):
     for n, (e, c) in enumerate(items):
         neg = c < 0
         mag = -c if neg else c
-        mono = _format_mono(e, star_prefix=(mag != 1))
-        if mag == 1 and mono:
-            body = mono.lstrip("*") if mono.startswith("*") else mono
-        elif mono:
-            body = _format_coeff(mag) + mono
+        mono = _format_mono(e)
+        # str of an int or a Fraction is "3" or "3/7"
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
         else:
-            body = _format_coeff(mag)
+            body = f"{mag}*{mono}"
         if n == 0:
             out.append(("-" if neg else "") + body)
         else:
@@ -351,9 +322,11 @@ def _to_univariate(p, name):
 
 
 def _from_univariate(coeffs, name):
+    """The inverse of _to_univariate: each coefficient is free of name and
+    nonzero, so its terms take the exponent d of name as they are."""
+    i = VAR_INDEX[name]
     p = Poly()
-    for d, c in coeffs.items():
-        p = p + c.shift(name, d)
+    p.terms = {e[:i] + (d,) + e[i + 1:]: c for d, coeff in coeffs.items() for e, c in coeff.terms.items()}
     return p
 
 
@@ -442,15 +415,20 @@ def _content_wrt(p, name):
     return c
 
 
+def _signed_content(p):
+    """(s, q) with p = s * q for a nonzero p: q has integer coefficients,
+    content 1 and a positive leading coefficient."""
+    s, q = p.content_and_integers()
+    if q.leading()[1] < 0:
+        s, q = -s, -q
+    return s, q
+
+
 def _normalize_primitive(p):
     """Scale to integer coefficients, content 1, positive leading coeff."""
     if p.is_zero():
         return p
-    _, q = p.content_and_integers()
-    _, lc = q.leading()
-    if lc < 0:
-        q = -q
-    return q
+    return _signed_content(p)[1]
 
 
 def _mono_content(p):
@@ -729,9 +707,7 @@ class RatFunc:
         f, r, c = _NO_FORMS, None, 1
         if num.terms:
             if den is not None:
-                s, den = den.content_and_integers()
-                if den.leading()[1] < 0:
-                    s, den = -s, -den
+                s, den = _signed_content(den)
                 num = _div_const(num, s)
                 if not den.is_const():
                     f, r = _split(den)
@@ -910,9 +886,7 @@ class RatFunc:
         # a coprime pair swapped: only the new denominator needs splitting
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        s, p = self.num.content_and_integers()
-        if p.leading()[1] < 0:
-            s, p = -s, -p
+        s, p = _signed_content(self.num)
         f, r = _split(p) if not p.is_const() else (_NO_FORMS, None)
         # den / (s p) = k den / (n p) for s = n / k, n > 0
         s = Fraction(s)

@@ -199,6 +199,12 @@ def swap_conjugate(mat):
 # identity verification
 
 
+def first_difference(lhs, rhs):
+    """The least key at which two entry dicts differ, or None if they agree.
+    Neither dict holds a zero, so a key on one side only is a difference."""
+    return min((k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)), default=None)
+
+
 def verify_identity(lhs, rhs):
     """Check lhs == rhs entrywise by canonical form.  Returns a dict verdict;
     never raises on inequality.  When the labels agree, a failing verdict
@@ -212,8 +218,7 @@ def verify_identity(lhs, rhs):
         }
     if lhs.entries == rhs.entries:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
-    keys = set(lhs.entries) | set(rhs.entries)
-    i, j = min(k for k in keys if lhs.entries.get(k) != rhs.entries.get(k))
+    i, j = first_difference(lhs.entries, rhs.entries)
     zero = RatFunc.zero()
     return {
         "holds": False,

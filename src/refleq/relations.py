@@ -45,7 +45,7 @@ import os
 from fractions import Fraction
 
 from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, poly_div_exact, poly_gcd
-from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, swap_conjugate, verify_identity
+from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, first_difference, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
     constant_term_matrix,
@@ -333,7 +333,8 @@ def _verify_product_identity(lhs_factors, rhs_factors):
         g = math.gcd(lhs_den, rhs_den)
         lhs_scaled, rhs_scaled = _scaled(lhs, rhs_den // g), _scaled(rhs, lhs_den // g)
         if lhs_scaled != rhs_scaled:
-            i, j = _first_row_col_diff(lhs_scaled, rhs_scaled)
+            flat = [{(r, c): v for r, row in side.items() for c, v in row.items()} for side in (lhs_scaled, rhs_scaled)]
+            i, j = first_difference(*flat)
             return {
                 "holds": False,
                 "mode": "multipoint",
@@ -360,16 +361,6 @@ def _verify_product_identity(lhs_factors, rhs_factors):
 
 def _scaled(rows, s):
     return rows if s == 1 else {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
-
-
-def _first_row_col_diff(lhs, rhs):
-    rows = sorted(set(lhs) | set(rhs))
-    for i in rows:
-        cols = sorted(set(lhs.get(i, {})) | set(rhs.get(i, {})))
-        for j in cols:
-            if lhs.get(i, {}).get(j, 0) != rhs.get(i, {}).get(j, 0):
-                return i, j
-    raise AssertionError("products compared unequal but no entry differs")
 
 
 def _point_str(assignment):
@@ -726,33 +717,28 @@ def suite_items(suite="all", l=None):
     return [item for size, group in runs if suite in ("all", group) for item in _group_items(group, size)]
 
 
-# check name -> call on a suite item; the checks are looked up by global name
-# at call time, so a wrapper installed on the module is the one that runs
+# check name -> (slots, call on a suite item).  slots counts the check's
+# tensor slots besides its chain sites, so an item's tensor dimension is
+# l ** (slots + sites).  The checks are looked up by global name at call time,
+# so a wrapper installed on the module is the one that runs.
 _SUITE_CHECKS = {
-    "yangBaxter": lambda it: check_ybe(it["l"]),
-    "rUnitarity": lambda it: check_r_unitarity(it["l"], kind=it.get("kind")),
-    "kUnitarity": lambda it: check_k_unitarity(it["kind"], it["l"]),
-    "reflection": lambda it: check_reflection(it["kind"], it["l"], boundary=it.get("boundary", "standard")),
-    "monodromyExchange": lambda it: check_monodromy_exchange(it["l"], it["sites"], it["variant"], kind=it["kind"]),
-    "twistedPlainDerivation": lambda it: check_twisted_plain_derivation(it["l"], it["sites"], kind=it["kind"]),
-    "chainReflection": lambda it: check_chain_reflection(it["kind"], it["l"], n=it["sites"]),
-    "boundaryFactorization": lambda it: check_boundary_factorization(it["kind"], it["l"], n=it["sites"]),
-    "boundaryConstantTerm": lambda it: check_boundary_constant_term(it["kind"], it["l"], n=it["sites"]),
-}
-
-# tensor slots of each check besides its chain sites: a suite item's tensor
-# dimension is l ** (slots + sites)
-_SUITE_SLOTS = {
-    "yangBaxter": 3, "rUnitarity": 2, "kUnitarity": 1, "reflection": 2, "monodromyExchange": 2,
-    "twistedPlainDerivation": 2, "chainReflection": 2, "boundaryFactorization": 1, "boundaryConstantTerm": 1,
+    "yangBaxter": (3, lambda it: check_ybe(it["l"])),
+    "rUnitarity": (2, lambda it: check_r_unitarity(it["l"], kind=it.get("kind"))),
+    "kUnitarity": (1, lambda it: check_k_unitarity(it["kind"], it["l"])),
+    "reflection": (2, lambda it: check_reflection(it["kind"], it["l"], boundary=it.get("boundary", "standard"))),
+    "monodromyExchange": (2, lambda it: check_monodromy_exchange(it["l"], it["sites"], it["variant"], kind=it["kind"])),
+    "twistedPlainDerivation": (2, lambda it: check_twisted_plain_derivation(it["l"], it["sites"], kind=it["kind"])),
+    "chainReflection": (2, lambda it: check_chain_reflection(it["kind"], it["l"], n=it["sites"])),
+    "boundaryFactorization": (1, lambda it: check_boundary_factorization(it["kind"], it["l"], n=it["sites"])),
+    "boundaryConstantTerm": (1, lambda it: check_boundary_constant_term(it["kind"], it["l"], n=it["sites"])),
 }
 
 
 def run_suite_item(item):
-    run = _SUITE_CHECKS.get(item["check"])
-    if run is None:
+    entry = _SUITE_CHECKS.get(item["check"])
+    if entry is None:
         raise ValueError(f"unknown check {item['check']!r}")
-    v = run(item)
+    v = entry[1](item)
     v["expected"] = item.get("expected")
     return v
 
@@ -771,7 +757,7 @@ def run_suite(suite="all", l=None, jobs=1):
     items = suite_items(suite=suite, l=l)
     for it in items:
         try:
-            _slots(it["l"], _SUITE_SLOTS[it["check"]] + it.get("sites", 0))
+            _slots(it["l"], _SUITE_CHECKS[it["check"]][0] + it.get("sites", 0))
         except ValueError as e:
             named = ", ".join(f"{k}={v}" for k, v in it.items() if k not in ("check", "expected"))
             raise ValueError(f"{it['check']} ({named}): {e}") from None

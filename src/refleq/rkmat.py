@@ -51,23 +51,23 @@ def yang_r(l, u):
     return m
 
 
-def _bullet_block(l, u, off_sign):
-    """Identity except on span{(i, i)}: 1 - c on its diagonal and off_sign * c
-    off it, with c = h/(u + l*h/2)."""
-    labels = pair_labels(l)
+def _block(labels, block, c, off_sign):
+    """Identity on labels except on span(block): 1 - c on its diagonal and
+    off_sign * c off it.  The entries share one diagonal and one off value,
+    so a grid proof evaluates each once per point."""
     m = LabeledMatrix.identity(labels)
-    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
     diag = RatFunc.one() - c
     off = c if off_sign > 0 else -c
-    for i in site_labels(l):
-        for j in site_labels(l):
-            m.set((i, i), (j, j), diag if i == j else off)
+    for i in block:
+        for j in block:
+            m.set(i, j, diag if i == j else off)
     return m
 
 
 def r_bullet_sigma(l, u):
     """Identity except on span{(i, i)}, where it is Id - h/(u + l*h/2) * J."""
-    return _bullet_block(l, u, -1)
+    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
+    return _block(pair_labels(l), [(i, i) for i in site_labels(l)], c, -1)
 
 
 def r_bullet_sigma_opposite(l, u):
@@ -80,7 +80,8 @@ def r_bullet_sigma_opposite(l, u):
     carries the opposite sign on its block.  cross_r takes this variant at
     l = 2 only, where it is unitary; at l >= 3 it is not.
     """
-    return _bullet_block(l, u, 1)
+    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
+    return _block(pair_labels(l), [(i, i) for i in site_labels(l)], c, 1)
 
 
 def _flag_minus_k(l, u, opposite):
@@ -107,14 +108,7 @@ def k_matrix(kind, l, u):
     if kind in ("soInstanton", "flagPlus"):
         return sigma_matrix(kind, l)
     if kind == "spInstanton":
-        labels = site_labels(l)
-        m = LabeledMatrix.identity(labels)
-        c = H / (u + u + H * RatFunc.const(Fraction(l, 2)))
-        for i in labels:
-            for j in labels:
-                prev = m.get(i, j)
-                m.set(i, j, prev - c)
-        return m
+        return _block(site_labels(l), site_labels(l), H / (u + u + H * RatFunc.const(Fraction(l, 2))), -1)
     if kind == "flagMinus":
         return _flag_minus_k(l, u, opposite=False)
     raise ValueError(f"unknown kind {kind!r}")
@@ -223,18 +217,19 @@ def chain_factors(pair, aux, sites):
     return [(pair(k), (aux, sites[k - 1])) for k in range(len(sites), 0, -1)]
 
 
+def _monodromy(l, n, pair):
+    """pair(n) ... pair(1) on slots (aux, 1..n), pair(k) coupling aux to site k."""
+    return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
+
+
 def monodromy_t(l, u, us):
     """T(u) = R_{0,n}(u - u_n) ... R_{0,1}(u - u_1) on slots (aux, 1..n)."""
-    n = len(us)
-    pair = lambda k: yang_r(l, u - us[k - 1])
-    return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
+    return _monodromy(l, len(us), lambda k: yang_r(l, u - us[k - 1]))
 
 
 def twisted_monodromy(l, u, us, kind):
     """T_twist(-u) = R'_{0,n}(-u - u_n) ... R'_{0,1}(-u - u_1), R' = cross_r."""
-    n = len(us)
-    pair = lambda k: cross_r(kind, l, -u - us[k - 1])
-    return embedded_product(chain_factors(pair, 0, range(1, n + 1)), _chain_slot_labels(l, n))
+    return _monodromy(l, len(us), lambda k: cross_r(kind, l, -u - us[k - 1]))
 
 
 def s_matrix(kind, l, u, us):

@@ -251,16 +251,11 @@ def _row_pair_tables(stat, small):
 
 
 def _charge_exponent(kind):
-    """The t-exponent 2 * charge: 2A + B for sp, B for so."""
+    """The t-exponent 2 * charge.  The kind is checked here, since at w1 = 0
+    no tableau reaches charge."""
     if kind not in ("sp", "so"):
         raise ValueError(f"unknown kind {kind!r}")
-    diag = 2 if kind == "sp" else 0
-
-    def stat(t):
-        a_diag, b_off = charge_pair_counts(t)
-        return diag * a_diag + b_off
-
-    return stat
+    return lambda t: 2 * charge(t, kind)
 
 
 def _twos(t):

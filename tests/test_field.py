@@ -373,7 +373,7 @@ def test_constant_term_agrees_with_sympy_limit(n, d, lead):
         top = Poly.const(1)
         for i in lead:
             top = top * _U_FREE_FORMS[i]
-        den = den + top.shift("u", max(den.degree("u") + 1, num.degree("u")))
+        den = den + top * Poly.var("u", max(den.degree("u") + 1, num.degree("u")))
     assume(not den.is_zero() and num.degree("u") <= den.degree("u"))
     ours = _limit(RatFunc(num, den))
     u = _SYMS[VARS.index("u")]

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import kron, parse_ratfunc, swap_matrix
 from refleq.field import U1, U2, U3, Poly, RatFunc
-from refleq.matrix import LabeledMatrix, embed_on_slots, swap_conjugate, verify_identity
+from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
 from refleq.rkmat import site_labels, yang_r
 
 
@@ -150,6 +150,25 @@ def test_verify_identity_counterexample_is_first_differing_entry():
     assert not v["holds"] and "mismatches" not in v
     assert v["counterexample"] == {"row": 2, "col": 1, "lhs": "0", "rhs": "h / (u + h)"}
     assert "counterexample" not in verify_identity(a, copied(a))
+
+
+def test_first_difference_is_the_least_differing_key():
+    assert first_difference({(0, 1): 1, (1, 0): 2}, {(0, 1): 1, (1, 0): 3}) == (1, 0)
+    # neither side holds a zero, so a key on one side only is a difference,
+    # and it wins over a later key whose values differ
+    assert first_difference({(1, 1): 4, (2, 0): 1}, {(2, 0): 2, (1, 1): 4, (0, 2): 5}) == (0, 2)
+    assert first_difference({(0, 0): 1, (3, 0): 6}, {(0, 0): 1}) == (3, 0)
+    assert first_difference({(0, 0): 1}, {(0, 0): 1}) is None
+    assert first_difference({}, {}) is None
+
+
+def test_first_difference_on_ratfunc_entries():
+    x, y = rf("h / (u + h)"), rf("u / (u + h)")
+    assert first_difference({(0, 0): x, (0, 1): y}, {(0, 0): x, (0, 1): x}) == (0, 1)
+    assert first_difference({(0, 0): x, (1, 1): y}, {(1, 1): y}) == (0, 0)
+    assert first_difference({(1, 0): y}, {(0, 1): y, (1, 0): y}) == (0, 1)
+    # equal canonical data is no difference, whichever object holds it
+    assert first_difference({(0, 0): x}, {(0, 0): rf("h / (h + u)")}) is None
 
 
 def test_eval_entries():

@@ -173,6 +173,22 @@ class TestGridEngine:
             assert not v["holds"]
             assert "detail" in v
 
+    def test_counterexample_is_the_least_differing_entry(self):
+        # at the first grid point the products differ in three entries; both
+        # provers name the least (row, col), here labels ("b", "b")
+        labels = ["c", "b", "a"]
+        ident = LabeledMatrix.identity(labels)
+        b = LabeledMatrix.identity(labels)
+        b.set("a", "c", U1 / (U1 + H))
+        b.set("b", "a", H)
+        b.set("b", "b", RatFunc.const(7))
+        v = _verify_product_identity([ident, ident], [b, ident])
+        assert not v["holds"] and v["gridSize"] == 1
+        cex = v["counterexample"]
+        assert (cex["row"], cex["col"], cex["lhs"], cex["rhs"]) == ("b", "b", "1", "7")
+        sym = verify_identity(ident, b)["counterexample"]
+        assert (sym["row"], sym["col"]) == (cex["row"], cex["col"])
+
     def test_grid_avoids_poles(self):
         # denominators vanish on naive small grids; the builder must dodge them
         m = LabeledMatrix([1], [1])
@@ -596,19 +612,19 @@ def test_site_dimension_below_two_rejected(call, mode):
 
 
 @pytest.mark.parametrize("l", [1, 0, -2])
-@pytest.mark.parametrize("check", sorted(relations._SUITE_SLOTS))
+@pytest.mark.parametrize("check", sorted(relations._SUITE_CHECKS))
 def test_each_check_rejects_site_dimension_below_two(check, l):
     item = next(it for it in suite_items(l=2) if it["check"] == check)
     with pytest.raises(ValueError, match=f"l={l}: a site needs at least 2 states"):
         run_suite_item({**item, "l": l})
 
 
-@pytest.mark.parametrize("check", sorted(relations._SUITE_SLOTS))
+@pytest.mark.parametrize("check", sorted(relations._SUITE_CHECKS))
 def test_each_check_holds_itself_to_the_suite_dimension(check):
     # at the first size past DIMENSION_BOUND by the suite's slot count, the
     # check itself rejects the item with that very dimension, before building
     item = next(it for it in suite_items(l=2) if it["check"] == check)
-    slots = relations._SUITE_SLOTS[check] + item.get("sites", 0)
+    slots = relations._SUITE_CHECKS[check][0] + item.get("sites", 0)
     l = next(size for size in itertools.count(2) if size ** slots > relations.DIMENSION_BOUND)
     with pytest.raises(ValueError, match=rf"tensor dimension {l ** slots} > 256"):
         run_suite_item({**item, "l": l})
@@ -616,7 +632,7 @@ def test_each_check_holds_itself_to_the_suite_dimension(check):
 
 @pytest.mark.parametrize("check", sorted(relations._SUITE_CHECKS))
 def test_suite_slot_table_matches_the_slots_each_check_builds(check, monkeypatch):
-    # run_suite sizes an item by _SUITE_SLOTS before any check runs; the
+    # run_suite sizes an item by its _SUITE_CHECKS slots before any check runs; the
     # check's own _slots calls must reach exactly that many slots
     counts = []
     real_slots = relations._slots
@@ -630,7 +646,7 @@ def test_suite_slot_table_matches_the_slots_each_check_builds(check, monkeypatch
     if "sites" in item:
         item = {**item, "sites": 1}
     run_suite_item(item)
-    assert max(counts) == relations._SUITE_SLOTS[check] + item.get("sites", 0)
+    assert max(counts) == relations._SUITE_CHECKS[check][0] + item.get("sites", 0)
 
 
 class TestBothProvers:

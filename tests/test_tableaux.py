@@ -12,6 +12,7 @@ from refleq.tableaux import (
     FlagTableau,
     InstantonTableau,
     betti_report,
+    charge,
     charge_pair_counts,
     condition_met,
     dim_h1_pair,
@@ -427,6 +428,20 @@ def test_betti_rejects_bad_sizes():
         so_component_report(3, -1)
     with pytest.raises(ValueError, match="unknown kind"):
         poincare_polynomial("gl", 3, 2)
+    # at w1 = 0 no tableau reaches charge, so the kind is checked up front
+    with pytest.raises(ValueError, match="unknown kind 'gl'"):
+        poincare_polynomial("gl", 3, 0)
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_charge_exponent_is_twice_the_charge(l):
+    # 2 * charge is 2A + B for sp and B for so, with (A, B) the pair counts
+    for kind in ("sp", "so"):
+        stat = tableaux._charge_exponent(kind)
+        for w1 in (0, 1, 2):
+            for t in enumerate_instanton(l, w1):
+                a_diag, b_off = charge_pair_counts(t)
+                assert stat(t) == 2 * charge(t, kind) == (2 * a_diag if kind == "sp" else 0) + b_off
 
 
 def test_enumeration_guard(monkeypatch):
