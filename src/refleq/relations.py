@@ -23,15 +23,18 @@ hands them to _prove.  The symbolic mode multiplies each list out from the
 left and compares canonical forms (matrix.verify_identity).  The multipoint
 mode never forms the products: _verify_product_identity, the one grid-proof
 engine, reads each factor once for the per-variable degree bound of the
-cleared difference and the factors of its denominators.  It evaluates the
-factors on an integer grid with one more point per variable than that bound,
-placed past Cauchy's root bound of every denominator factor, so that no
-denominator vanishes on it (_grid).  At each point it clears each factor's
-denominators there, so the factor is a matrix of integers over the lcm D of
-its entry denominators; it multiplies matrices of integers and compares
-lhs * prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof,
-not a sample.  check_ybe and check_reflection expose the mode; the tests
-run both provers on the factor lists of the other checks.
+cleared difference and the factors of its denominators.  The difference is
+cleared by prod(D_lhs) prod(D_rhs) with the linear forms the two sides share
+cancelled once, so the bound is present for every variable of the factors
+and may be 0.  It evaluates the factors on an integer grid with one more
+point per variable than that bound, placed past Cauchy's root bound of every
+denominator factor, so that no denominator vanishes on it (_grid).  At each
+point it clears each factor's denominators there, so the factor is a matrix
+of integers over the lcm D of its entry denominators; it multiplies
+matrices of integers and compares lhs * prod(D_rhs) with rhs * prod(D_lhs)
+exactly, which is still a proof, not a sample.  check_ybe and
+check_reflection expose the mode; the tests run both provers on the factor
+lists of the other checks.
 """
 
 from __future__ import annotations
@@ -182,22 +185,35 @@ def _read_factors(mats):
 
 def _product_degree_bounds(lhs_factors, rhs_factors, read):
     """Per-variable degree bound for the cleared difference of two products;
-    read is _read_factors.  The bound is positive exactly on the variables
-    of the factors, and only those are kept, in VARS order.
+    read is _read_factors.  Every variable of the factors has a bound, in
+    VARS order, and the bound may be 0; no other variable is kept.
 
     Scaling a factor by the lcm D of its entry denominators makes it a
     polynomial matrix; a product entry is a sum of path terms over the common
-    denominator prod(D_f), so after clearing, the difference has numerator
-    degree at most max over the two sides of (sum of scaled numerator degree
-    bounds on one side + sum of lcm degrees on the other).
+    denominator prod(D_f), so (lhs - rhs) prod(D_lhs) prod(D_rhs) has degree
+    at most max over the two sides of (sum of scaled numerator degree bounds
+    on one side + sum of lcm degrees on the other).  G, the product of each
+    table form to the least of its exponents in prod(D_lhs) and prod(D_rhs),
+    divides both, so the cleared difference (lhs - rhs) prod(D_lhs)
+    prod(D_rhs) / G is a polynomial matrix of degree deg_v G less; it
+    vanishes at a grid point exactly when the two products agree there,
+    since no form or residual vanishes on the grid.
     """
     sides = []
     for factors in (lhs_factors, rhs_factors):
         num = [sum(col) for col in zip(*(read[id(mat)].num_degree for mat in factors))]
         den = [sum(col) for col in zip(*(read[id(mat)].den_degree for mat in factors))]
-        sides.append((num, den))
-    (ln, ld), (rn, rd) = sides
-    return {v: b for i, v in enumerate(VARS) if (b := max(ln[i] + rd[i], rn[i] + ld[i]))}
+        forms = collections.Counter()
+        for mat in factors:
+            forms.update(read[id(mat)].forms)
+        sides.append((num, den, forms))
+    (ln, ld, lf), (rn, rd, rf) = sides
+    common = lf & rf  # form -> min of its two exponents
+    return {
+        v: b - sum(e * form.degree(v) for form, e in common.items())
+        for i, v in enumerate(VARS)
+        if (b := max(ln[i] + rd[i], rn[i] + ld[i]))
+    }
 
 
 _PRIMES = (97, 101, 103, 107, 109, 113)  # one per variable

@@ -166,26 +166,28 @@ def charge_pair_counts(t):
     return a_diag, b_off
 
 
-def sp_charge(t):
-    a_diag, b_off = charge_pair_counts(t)
-    if b_off % 2:
-        raise AssertionError(f"off-diagonal count {b_off} is odd")
-    return a_diag + b_off // 2
-
-
-def so_charge(t):
-    _, b_off = charge_pair_counts(t)
-    if b_off % 2:
-        raise AssertionError(f"off-diagonal count {b_off} is odd")
-    return b_off // 2
+def _fold_pairs(diag, off, kind):
+    """diag + off / 2 for sp, off / 2 for so.  Each unordered off-diagonal
+    pair is counted once from each of its rows, so off must be even."""
+    if off % 2:
+        raise AssertionError(f"off-diagonal sum {off} is odd")
+    if kind == "sp":
+        return diag + off // 2
+    if kind == "so":
+        return off // 2
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def charge(t, kind):
-    if kind == "sp":
-        return sp_charge(t)
-    if kind == "so":
-        return so_charge(t)
-    raise ValueError(f"unknown kind {kind!r}")
+    return _fold_pairs(*charge_pair_counts(t), kind)
+
+
+def sp_charge(t):
+    return charge(t, "sp")
+
+
+def so_charge(t):
+    return charge(t, "so")
 
 
 def dim_h1_pair(t, k, l_row):
@@ -218,14 +220,7 @@ def tangent_dimension(t, kind):
                 diag += d
             else:
                 off += d
-    if off % 2:
-        raise AssertionError(f"off-diagonal tangent sum {off} is odd")
-    half = off // 2
-    if kind == "sp":
-        return diag + half
-    if kind == "so":
-        return half
-    raise ValueError(f"unknown kind {kind!r}")
+    return _fold_pairs(diag, off, kind)
 
 
 def _small_tableaux(l, w1):

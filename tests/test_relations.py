@@ -1,5 +1,6 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -196,12 +197,14 @@ class TestGridEngine:
         assert _verify_product_identity([m], [m])["holds"]
 
     def test_pole_in_a_later_variable_is_escaped(self):
-        # u2 starts its grid at 10201, a pole of this entry; the retry must
-        # shift u2, the variable of the vanishing denominator, not u1
+        # u2's first offset is 10201, a pole of this entry; the grid must
+        # start u2, the variable of the vanishing denominator, past it, not u1
         m = LabeledMatrix([1], [1])
         m.set(1, 1, RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
+        points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
+        assert points == {"u1": range(97, 99), "u2": range(10202, 10204)}
         v = _verify_product_identity([m], [m])
-        assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 2}
+        assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 1}
 
     def test_grid_starts_past_a_pole_at_the_first_offset(self):
         # u1's first offset is 97, a pole of this entry: u1 must start at 98
@@ -209,7 +212,7 @@ class TestGridEngine:
         m.set(1, 1, RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
         assert _grid(_read_factors([m]).values(), {"u1": 1}) == {"u1": range(98, 100)}
         v = _verify_product_identity([m], [m])
-        assert v["holds"] and v["degreeBounds"] == {"u1": 1}
+        assert v["holds"] and v["degreeBounds"] == {"u1": 0}
 
     def test_grid_keeps_the_leading_coefficient_nonzero(self):
         # (u1 - 97) u2 - 1 vanishes nowhere on the first offsets, but its
@@ -340,16 +343,18 @@ class TestGridEngine:
         assert type(Poly.var("u1").subs({**point, "u1": Fraction(3)})) is Fraction
 
 
-# full multipoint verdicts, pinned while the grid engine multiplied matrices of
-# Fractions; the integer engine must give them byte for byte
+# full multipoint verdicts.  holds and every counterexample field were pinned
+# while the grid engine multiplied matrices of Fractions; gridSize,
+# degreeBounds and detail are those of the bound with the table forms the two
+# sides' denominators share cancelled.  The verdicts must match byte for byte.
 MULTIPOINT_VERDICTS = {
     "ybe-l3": (
         lambda: check_ybe(3, mode="multipoint"),
         {
             "identity": "yangBaxter", "l": 3, "holds": True, "mode": "multipoint",
-            "detail": "products agree on the full grid (25 points, bounds {'u1': 4, 'u2': 4}) "
+            "detail": "products agree on the full grid (9 points, bounds {'u1': 2, 'u2': 2}) "
                       "on the h = 1 slice (degree-zero homogeneous factors)",
-            "gridSize": 25, "degreeBounds": {"u1": 4, "u2": 4}, "family": "chain",
+            "gridSize": 9, "degreeBounds": {"u1": 2, "u2": 2}, "family": "chain",
         },
     ),
     "reflection-flagMinus-l2-oppositePlacement": (
@@ -357,7 +362,7 @@ MULTIPOINT_VERDICTS = {
         {
             "identity": "reflection", "l": 2, "holds": False, "mode": "multipoint",
             "detail": "product mismatch at grid point {h=1, u1=97, u2=10201}",
-            "gridSize": 1, "degreeBounds": {"u1": 6, "u2": 6},
+            "gridSize": 1, "degreeBounds": {"u1": 3, "u2": 3},
             "counterexample": {
                 "row": [1, 1], "col": [1, 2],
                 "lhs": "19975772056/413974940182245", "rhs": "2018408/40975446915",
@@ -371,7 +376,7 @@ MULTIPOINT_VERDICTS = {
         {
             "identity": "reflection", "l": 3, "holds": False, "mode": "multipoint",
             "detail": "product mismatch at grid point {h=1, u1=97, u2=10201}",
-            "gridSize": 1, "degreeBounds": {"u1": 6, "u2": 6},
+            "gridSize": 1, "degreeBounds": {"u1": 3, "u2": 3},
             "counterexample": {
                 "row": [1, 1], "col": [1, 2],
                 "lhs": "-158596830238/3320533881616289", "rhs": "-372662/7643444341",
@@ -728,28 +733,28 @@ def _factor_lists(monkeypatch, run):
     return captured
 
 
-# the grid-proof workload of the benchmark, measured while the lcm of a
-# factor's denominators was still taken by poly_gcd alone: (check, gridSize,
-# degreeBounds of the verdict, _product_degree_bounds over every variable of
-# the factors, h included)
+# the grid-proof workload of the benchmark, with the table forms the two
+# sides' denominators share cancelled from the cleared difference: (check,
+# gridSize, degreeBounds of the verdict, _product_degree_bounds over every
+# variable of the factors, h included)
 GRID_PROOF_PINS = {
-    "ybe-l5": (lambda: check_ybe(5, mode="multipoint"), 25, {"u1": 4, "u2": 4}, {"h": 6, "u1": 4, "u2": 4}),
-    "ybe-l6": (lambda: check_ybe(6, mode="multipoint"), 25, {"u1": 4, "u2": 4}, {"h": 6, "u1": 4, "u2": 4}),
+    "ybe-l5": (lambda: check_ybe(5, mode="multipoint"), 9, {"u1": 2, "u2": 2}, {"h": 3, "u1": 2, "u2": 2}),
+    "ybe-l6": (lambda: check_ybe(6, mode="multipoint"), 9, {"u1": 2, "u2": 2}, {"h": 3, "u1": 2, "u2": 2}),
     **{
         f"reflection-{kind}-l{l}": (
-            lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint"), 25,
-            {"u1": 4, "u2": 4}, {"h": 4, "u1": 4, "u2": 4},
+            lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint"), 9,
+            {"u1": 2, "u2": 2}, {"h": 2, "u1": 2, "u2": 2},
         )
         for kind in ("flagPlus", "soInstanton")
         for l in (2, 3)
     },
     "reflection-flagMinus-l2": (
-        lambda: check_reflection("flagMinus", 2, mode="multipoint"), 49,
-        {"u1": 6, "u2": 6}, {"h": 8, "u1": 6, "u2": 6},
+        lambda: check_reflection("flagMinus", 2, mode="multipoint"), 16,
+        {"u1": 3, "u2": 3}, {"h": 4, "u1": 3, "u2": 3},
     ),
     "reflection-flagMinus-l2-oppositePlacement": (
         lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"), 1,
-        {"u1": 6, "u2": 6}, {"h": 8, "u1": 6, "u2": 6},
+        {"u1": 3, "u2": 3}, {"h": 4, "u1": 3, "u2": 3},
     ),
 }
 
@@ -768,17 +773,31 @@ def _gcd_lcm(mat):
 
 
 def _assert_bounds_cover_cleared_products(lhs, rhs):
-    """With D the product of every factor's lcm (by poly_gcd), lhs * D,
-    rhs * D and their difference, the cleared difference the grid proof
-    relies on, are polynomial matrices whose degree in each variable
-    is at most _product_degree_bounds.  A difference that vanishes (the
-    identity holds) bounds nothing, so both cleared sides are held to the
-    bound as well."""
-    bounds = _product_degree_bounds(lhs, rhs, _read_factors([*lhs, *rhs]))
+    """With D the product of every factor's lcm (by poly_gcd) and G the
+    product of the table forms the two sides share, each to the least of its
+    exponents over the engine's factor reads, G divides the lcm product of
+    each side, and lhs * D / G, rhs * D / G and their difference, the
+    cleared difference the grid proof relies on, are polynomial matrices
+    whose degree in each variable is at most _product_degree_bounds.  A
+    difference that vanishes (the identity holds) bounds nothing, so both
+    cleared sides are held to the bound as well."""
+    read = _read_factors([*lhs, *rhs])
+    bounds = _product_degree_bounds(lhs, rhs, read)
     lcms = {id(mat): _gcd_lcm(mat) for mat in [*lhs, *rhs]}
-    clear = Poly.const(1)
-    for mat in [*lhs, *rhs]:
-        clear = clear * lcms[id(mat)]
+    side_clear, side_forms = [], []
+    for factors in (lhs, rhs):
+        clear, forms = Poly.const(1), collections.Counter()
+        for mat in factors:
+            clear = clear * lcms[id(mat)]
+            forms.update(read[id(mat)].forms)
+        side_clear.append(clear)
+        side_forms.append(forms)
+    common = Poly.const(1)
+    for form, e in (side_forms[0] & side_forms[1]).items():
+        common = common * form ** e
+    for clear in side_clear:
+        poly_div_exact(clear, common)  # raises unless G divides the side's lcm product
+    clear = poly_div_exact(side_clear[0] * side_clear[1], common)
     left, right = _fold(lhs).entries, _fold(rhs).entries
     zero = RatFunc.zero()
     values = {*left.values(), *right.values()}
@@ -812,6 +831,44 @@ class TestDegreeBounds:
         assert lists
         for lhs, rhs in lists:
             _assert_bounds_cover_cleared_products(lhs, rhs)
+
+    @staticmethod
+    def _one_entry(value):
+        m = LabeledMatrix([1], [1])
+        m.set(1, 1, value)
+        return m
+
+    def test_grid_is_not_one_point_short(self):
+        # the sides share k's form u1 - 1 twice, so the cleared difference is
+        # a's numerator minus 1, the product of u1 - x over the grid's first
+        # three points: it vanishes there, and the engine must refute at the
+        # fourth and last, which the bound of 3 puts on the grid
+        u1 = RatFunc.var("u1")
+        k = self._one_entry(RatFunc.one() / (u1 - RatFunc.one()))
+        xs = _grid(_read_factors([k]).values(), {"u1": 3})["u1"]
+        num = RatFunc.one()
+        for x in xs[:-1]:
+            num = num * (u1 - RatFunc.const(x))
+        a = self._one_entry((num + RatFunc.one()) / (u1 - RatFunc.one()))
+        v = _verify_product_identity([k, a], [k, k])
+        assert v["degreeBounds"] == {"u1": 3}
+        assert not v["holds"] and v["gridSize"] == len(xs) == 4
+        assert v["counterexample"]["point"] == f"{{h=1, u1={xs[-1]}}}"
+
+    def test_bounds_that_cancel_to_zero_keep_their_variables(self):
+        # the sides share every denominator form, so every bound is 0 and
+        # every variable of the factors, h included, stays on the grid with
+        # one point, at which a constant multiple is refuted.  Each linear
+        # denominator is divided out on its own, so both are table forms
+        den = RatFunc.one() / (U1 - U2) / (U1 + H)
+        m = self._one_entry(den)
+        v = _verify_product_identity([m], [m])
+        assert v["holds"] and v["gridSize"] == 1
+        assert v["degreeBounds"] == {"h": 0, "u1": 0, "u2": 0}
+        twice = self._one_entry(den * RatFunc.const(2))
+        w = _verify_product_identity([m], [twice])
+        assert not w["holds"] and w["gridSize"] == 1
+        assert w["counterexample"]["point"] == "{h=97, u1=10201, u2=1092727}"
 
 
 class TestChainReflection:

@@ -428,6 +428,8 @@ def test_betti_rejects_bad_sizes():
         so_component_report(3, -1)
     with pytest.raises(ValueError, match="unknown kind"):
         poincare_polynomial("gl", 3, 2)
+    with pytest.raises(ValueError, match="unknown kind"):
+        tangent_dimension(InstantonTableau.from_positive_entries(3, 1, (2,)), "gl")
     # at w1 = 0 no tableau reaches charge, so the kind is checked up front
     with pytest.raises(ValueError, match="unknown kind 'gl'"):
         poincare_polynomial("gl", 3, 0)
