@@ -1,13 +1,11 @@
 """Exact rational functions in h, u, u1, u2, u3, u4 over Q.
 
-Polynomials are dicts mapping exponent tuples to coefficients.  A coefficient
-is a plain int whenever it is integral and a Fraction only when a caller passed
-in a non-integral value (Poly.scale(Fraction(3, 7)), or a Fraction among the
-terms given to Poly), so the canonical forms below, which are integral, do int
-arithmetic only.  Exact division of coefficients goes through one helper that
-divides two ints with divmod and falls back to Fraction only for a
-non-integral quotient; nothing here ever produces a float.  The variable order
-is fixed once and for all:
+Poly is Z[h, u, u1..u4]; Q enters only as a RatFunc's content.  A Poly is a
+dict mapping exponent tuples to nonzero int coefficients, and exact division
+divides ints with divmod, so nothing here ever produces a float.  Every
+division the library makes is exact over Z (Gauss's lemma): it divides by a
+content or a primitive divisor, or it is a subresultant PRS step.  The
+variable order is fixed once and for all:
 
     VARS = (h, u, u1, u2, u3, u4)
 
@@ -16,8 +14,9 @@ so the monomial u1 beats h and `2*u1 + 2*h` is the canonical print order for
 descending terms.
 
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
-rational so all coefficients are ints with joint content 1 and the leading
-coefficient of den is positive.  Equality and hashing agree with that data.
+rational, the quotient of their contents, so all coefficients are ints with
+joint content 1 and the leading coefficient of den is positive.  Equality and
+hashing agree with that data.
 
 The factor base.  The K- and R-matrices have poles on shifts such as
 u1 + u2 + h or u - u1 + h, so every denominator they produce is a product of
@@ -45,7 +44,7 @@ from heapq import heapify, heappop, heappush
 from functools import reduce
 from math import gcd as int_gcd
 from math import lcm as int_lcm
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 VARS = ("h", "u", "u1", "u2", "u3", "u4")
 NVARS = len(VARS)
@@ -64,41 +63,25 @@ def _heap_key(exps):
     return (-sum(exps), *map(neg, reversed(exps)))
 
 
-def _coef(c):
-    """A coefficient as an int when it is integral, as a Fraction otherwise."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _div(a, b):
-    """Exact quotient a / b of two coefficients, normalized like _coef.
-
-    Two ints divide by divmod; only a non-integral quotient (or a Fraction
-    operand) goes through Fraction.  Never a float.
-    """
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _coef(Fraction(a, b))
-
-
 def _div_const(p, c):
-    """p / c for a nonzero constant c, coefficient by coefficient."""
+    """p / c for a nonzero int c; ValueError unless c divides every
+    coefficient."""
     q = Poly()
     if c == 1:
         q.terms = dict(p.terms)
-    else:
-        q.terms = {e: _div(cc, c) for e, cc in p.terms.items()}
+        return q
+    for e, cc in p.terms.items():
+        q.terms[e], r = divmod(cc, c)
+        if r:
+            raise ValueError("not an exact polynomial division")
     return q
 
 
 class Poly:
-    """Multivariate polynomial with rational coefficients.
+    """Multivariate polynomial over Z: an element of Z[h, u, u1..u4].
 
-    A coefficient is an int when integral and a Fraction otherwise.
+    Coefficients are ints, checked with operator.index, so a non-integer
+    raises TypeError; Q enters only as a RatFunc's content.
     """
 
     __slots__ = ("terms", "_hash")
@@ -107,14 +90,14 @@ class Poly:
         t = {}
         if terms:
             for exps, c in terms.items():
-                c = _coef(c)
+                c = index(c)
                 if c:
                     t[tuple(exps)] = c
         self.terms = t
 
     @staticmethod
     def const(c):
-        c = _coef(c)
+        c = index(c)
         return Poly({ZERO_EXP: c}) if c else Poly()
 
     @staticmethod
@@ -160,7 +143,7 @@ class Poly:
         for e, c in other.terms.items():
             s = t.get(e, 0) + c
             if s:
-                t[e] = s if type(s) is int else _coef(s)
+                t[e] = s
             else:
                 t.pop(e, None)
         p = Poly()
@@ -181,7 +164,7 @@ class Poly:
                 e = tuple(map(add, e1, e2))
                 s = t.get(e, 0) + c1 * c2
                 if s:
-                    t[e] = s if type(s) is int else _coef(s)
+                    t[e] = s
                 else:
                     t.pop(e, None)
         p = Poly()
@@ -201,7 +184,7 @@ class Poly:
         return result
 
     def scale(self, c):
-        c = _coef(c)
+        c = index(c)
         if not c:
             return Poly()
         return Poly({e: cc * c for e, cc in self.terms.items()})
@@ -238,8 +221,8 @@ class Poly:
     def subs(self, assignment):
         """Evaluate at a full assignment {var: value}.
 
-        The value keeps the type of its inputs: integer coefficients at an
-        integer point give an int, and a Fraction anywhere gives a Fraction.
+        Poly is over Z, so the value has the type of the point: an int at an
+        integer point, a rational at a rational one.
         """
         total = 0
         for e, c in self.terms.items():
@@ -249,19 +232,6 @@ class Poly:
                     v *= assignment[VARS[i]] ** x
             total += v
         return total
-
-    def content_and_integers(self):
-        """Return (r, P) with self = r * P, P integer coefficients, content 1.
-
-        The sign convention here is r > 0: P keeps the sign of self.  r is
-        an int when integral.  Zero poly -> (1, zero).
-        """
-        if not self.terms:
-            return 1, Poly()
-        denom = int_lcm(*(c.denominator for c in self.terms.values()))
-        numer = int_gcd(*(abs(c.numerator) for c in self.terms.values()))
-        r = _div(numer, denom)
-        return r, _div_const(self, r)
 
     def __str__(self):
         return format_poly(self)
@@ -284,7 +254,6 @@ def format_poly(p):
         neg = c < 0
         mag = -c if neg else c
         mono = _format_mono(e)
-        # str of an int or a Fraction is "3" or "3/7"
         if not mono:
             body = str(mag)
         elif mag == 1:
@@ -331,7 +300,8 @@ def _from_univariate(coeffs, name):
 
 
 def poly_div_exact(f, g):
-    """Exact division f/g; raises ValueError if g does not divide f.
+    """Exact division f/g in Z[h..u4]; raises ValueError if g does not
+    divide f there, so u / 2u raises as a remainder does.
 
     The remainder lives in a dict beside a heap of its monomials ordered by
     _mono_key, leading first (Monagan & Pearce, PASCO 2007).  Every monomial
@@ -357,9 +327,10 @@ def poly_div_exact(f, g):
         if not rc:
             continue
         diff = tuple(map(sub, re, ge))
-        if min(diff) < 0:
+        qc, rem = divmod(rc, gc)
+        if rem or min(diff) < 0:
             raise ValueError("not an exact polynomial division")
-        qc = q[diff] = _div(rc, gc)
+        q[diff] = qc
         for e, c in tail:
             e = tuple(map(add, diff, e))
             old = r.get(e)
@@ -416,16 +387,17 @@ def _content_wrt(p, name):
 
 
 def _signed_content(p):
-    """(s, q) with p = s * q for a nonzero p: q has integer coefficients,
-    content 1 and a positive leading coefficient."""
-    s, q = p.content_and_integers()
-    if q.leading()[1] < 0:
-        s, q = -s, -q
-    return s, q
+    """(s, q) with p = s * q for a nonzero p: s is the gcd of the
+    coefficients, signed by the leading one, so q has content 1 and a
+    positive leading coefficient."""
+    s = int_gcd(*p.terms.values())
+    if p.leading()[1] < 0:
+        s = -s
+    return s, _div_const(p, s)
 
 
 def _normalize_primitive(p):
-    """Scale to integer coefficients, content 1, positive leading coeff."""
+    """Divide out the signed content: content 1, positive leading coeff."""
     if p.is_zero():
         return p
     return _signed_content(p)[1]
@@ -555,9 +527,12 @@ _FORM_ID = {}
 
 
 def _intern(p):
-    """Table id of the linear form p, or None once the table is full."""
+    """Table id of the linear form p.  A full table raises: a form left out
+    would stay a residual and change what later results cancel."""
     i = _FORM_ID.get(p)
-    if i is None and len(_FORMS) < _FORMS_MAX:
+    if i is None:
+        if len(_FORMS) >= _FORMS_MAX:
+            raise RuntimeError(f"form table full: {_FORMS_MAX} linear forms (_FORMS_MAX)")
         i = _FORM_ID[p] = len(_FORMS)
         _FORMS.append(_Form(p))
     return i
@@ -621,10 +596,9 @@ def _tidy(f, r):
     d = r.degree()
     if d == 0:
         return f, None
-    i = _intern(r) if d == 1 else None
-    if i is None:
+    if d > 1:
         return f, r
-    return _merge(f, {i: 1}), None
+    return _merge(f, {_intern(r): 1}), None
 
 
 def _split(p):
@@ -698,23 +672,20 @@ class RatFunc:
     __slots__ = ("num", "den", "_c", "_f", "_r", "_hash")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = Poly.const(num)
-        if isinstance(den, (int, Fraction)):
-            den = Poly.const(den)
         if den is not None and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         f, r, c = _NO_FORMS, None, 1
         if num.terms:
+            k = int_gcd(*num.terms.values())
+            num, s = _div_const(num, k), 1
             if den is not None:
                 s, den = _signed_content(den)
-                num = _div_const(num, s)
                 if not den.is_const():
                     f, r = _split(den)
-            s, num = num.content_and_integers()
             num, f, r = _cancel(num, f, r)
-            s = Fraction(s)
-            num, c = num.scale(s.numerator), s.denominator
+            # the two contents fold into the one rational k / s
+            k = Fraction(k, s)
+            num, c = num.scale(k.numerator), k.denominator
         self.num, self._c, self._f, self._r = num, c, f, r
 
     def __getattr__(self, name):
@@ -888,10 +859,8 @@ class RatFunc:
             raise ZeroDivisionError("inverse of zero")
         s, p = _signed_content(self.num)
         f, r = _split(p) if not p.is_const() else (_NO_FORMS, None)
-        # den / (s p) = k den / (n p) for s = n / k, n > 0
-        s = Fraction(s)
-        n, k = abs(s.numerator), s.denominator * (1 if s > 0 else -1)
-        return _make(self.den.scale(k), n, f, r)
+        # den / (s p) = ±den / (|s| p)
+        return _make(self.den if s > 0 else -self.den, abs(s), f, r)
 
     def eval(self, assignment):
         """Evaluate at {var: int or Fraction} -> Fraction; raises on a pole of

@@ -17,7 +17,6 @@ form the products symbolically, work on factor lists and live in relations
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .field import RatFunc, format_ratfunc
 
@@ -45,17 +44,10 @@ class LabeledMatrix:
     def set(self, row_label, col_label, value):
         i = self._row_index[row_label]
         j = self._col_index[col_label]
-        if isinstance(value, (int, Fraction)):
-            value = RatFunc.const(value)
         if value.is_zero():
             self.entries.pop((i, j), None)
         else:
             self.entries[(i, j)] = value
-
-    def get(self, row_label, col_label):
-        i = self._row_index[row_label]
-        j = self._col_index[col_label]
-        return self.entries.get((i, j), RatFunc.zero())
 
     @staticmethod
     def identity(labels):

@@ -5,6 +5,7 @@ The library never calls these.
   parse_ratfunc, parse_poly   the exact inverse of field.format_ratfunc and
                               field.format_poly, for writing test values as
                               the strings the library prints
+  entry                       one entry of a LabeledMatrix by its labels
   _solve_exhaustive           complete backtracking over the per-point
                               selections of a polarization instance, the
                               oracle for polarization.solve
@@ -19,7 +20,6 @@ The library never calls these.
 """
 
 import itertools
-from fractions import Fraction
 
 from refleq.dynkin import cartan_matrix
 from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc
@@ -112,8 +112,9 @@ def _parse_term(t):
         factor = factor.strip()
         if not factor:
             raise _ParseError(f"bad term {t!r}")
-        if factor[0].isdigit() or factor[0] == "-" or "/" in factor and factor[0] not in VAR_INDEX:
-            coeff *= Fraction(factor)
+        if factor[0].isdigit():
+            # a Poly is over Z: its printed form never holds a fraction
+            coeff *= int(factor)
             continue
         if "^" in factor:
             name, _, p = factor.partition("^")
@@ -182,6 +183,11 @@ def _solve_exhaustive(inst):
 # matrices
 
 
+def entry(m, row_label, col_label):
+    """The entry of m at (row_label, col_label); zero when none is stored."""
+    return m.entries.get((m._row_index[row_label], m._col_index[col_label]), RatFunc.zero())
+
+
 def kron(a, b):
     """a (x) b, with row and column labels the pairs of a's and b's labels."""
     rows = [(x, y) for x in a.row_labels for y in b.row_labels]
@@ -200,7 +206,7 @@ def swap_matrix(labels_a, labels_b):
     m = LabeledMatrix(rows, cols)
     for a in labels_a:
         for b in labels_b:
-            m.set((b, a), (a, b), 1)
+            m.set((b, a), (a, b), RatFunc.one())
     return m
 
 
@@ -215,7 +221,7 @@ def linear_combination(*terms):
         c = RatFunc.const(c) if isinstance(c, int) else c
         for (i, j), v in m.entries.items():
             r, k = m.row_labels[i], m.col_labels[j]
-            out.set(r, k, out.get(r, k) + c * v)
+            out.set(r, k, entry(out, r, k) + c * v)
     return out
 
 

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_poly, parse_ratfunc
+from oracles import entry, parse_poly, parse_ratfunc
 from refleq import field
 from refleq.field import (
     H,
@@ -65,7 +65,7 @@ def random_poly(rng, vars_=("h", "u", "u1"), max_terms=3, max_deg=2, zero_ok=Tru
         for v in vars_:
             exps[VARS.index(v)] = rng.randint(0, max_deg)
         c = rng.randint(-3, 3)
-        p = p + Poly({tuple(exps): Fraction(c)})
+        p = p + Poly({tuple(exps): c})
     return p
 
 
@@ -116,7 +116,7 @@ def test_additive_and_multiplicative_identities():
 def _to_sympy(p, syms):
     expr = sympy.Integer(0)
     for e, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
+        t = sympy.Integer(c)
         for s, x in zip(syms, e):
             if x:
                 t *= s ** x
@@ -187,10 +187,14 @@ def test_canonical_string_matches_contract():
 def test_canonical_form_is_scaling_invariant():
     u, h = Poly.var("u"), Poly.var("h")
     a = RatFunc(h, u + h)
-    b = RatFunc(h.scale(Fraction(3, 7)), (u + h).scale(Fraction(3, 7)))
+    b = RatFunc(h.scale(3), (u + h).scale(3))
     c = RatFunc(-h, (u + h).scale(-1))
     assert a == b == c
     assert str(a) == "h / (u + h)"
+    # the contents of num and den fold into one rational
+    d = RatFunc(h.scale(-6), (u + h).scale(14))
+    assert d == RatFunc.const(Fraction(-3, 7)) * a == RatFunc(h.scale(-3), (u + h).scale(7))
+    assert str(d) == "-3*h / (7*u + 7*h)"
 
 
 def test_den_leading_coefficient_positive():
@@ -222,13 +226,12 @@ def test_serialization_round_trip_random():
 
 
 def test_parse_poly_handles_powers_and_fractions():
-    p = parse_poly("3/2*h^2*u - u1 + 7")
-    expected = (
-        Poly.var("h", 2) * Poly.var("u").scale(Fraction(3, 2))
-        - Poly.var("u1")
-        + Poly.const(7)
-    )
+    p = parse_poly("3*h^2*u - u1 + 7")
+    expected = Poly.var("h", 2) * Poly.var("u").scale(3) - Poly.var("u1") + Poly.const(7)
     assert p == expected
+    # a Poly is over Z, so its printed form never holds a fraction
+    with pytest.raises(ValueError):
+        parse_poly("3/2*h^2*u - u1 + 7")
 
 
 def test_parse_rejects_a_variable_outside_the_field():
@@ -241,7 +244,7 @@ def _limit(f):
     """The limit of f as u -> infinity, read off a 1 x 1 constant_term_matrix."""
     m = LabeledMatrix((1,), (1,))
     m.set(1, 1, f)
-    return constant_term_matrix(m).get(1, 1)
+    return entry(constant_term_matrix(m), 1, 1)
 
 
 def test_constant_term_frozen_examples():
@@ -280,9 +283,14 @@ def test_canonical_coefficients_are_ints():
             results.append(a / b)
         for r in results:
             assert all(type(c) is int for c in _coefficients(r)), r
-    # non-integral input still gives an integral canonical form
-    r = RatFunc(parse_poly("3/2*h^2*u - 1/3*u1"), parse_poly("5/7*u + 1/2"))
-    assert str(r) == "(63*h^2*u - 14*u1) / (30*u + 21)"
+    # non-integral content still gives an integral canonical form:
+    # (3/2 h^2 u - 1/3 u1) / (5/7 u + 1/2), once through the constructor's
+    # contents and once through rational constants
+    built = RatFunc(parse_poly("126*h^2*u - 28*u1"), parse_poly("60*u + 42"))
+    sixth, fourteenth = RatFunc.const(Fraction(1, 6)), RatFunc.const(Fraction(1, 14))
+    r = sixth * parse_poly("9*h^2*u - 2*u1") / (fourteenth * parse_poly("10*u + 7"))
+    assert r == built
+    assert str(r) == str(built) == "(63*h^2*u - 14*u1) / (30*u + 21)"
     assert all(type(c) is int for c in _coefficients(r))
 
 
@@ -295,20 +303,55 @@ def test_const_value_is_an_exact_fraction():
 
 
 def test_non_integral_poly_arithmetic_and_round_trip():
-    p = parse_poly("3/2*h^2*u - 1/3*u1 + 7")
-    assert format_poly(p) == "3/2*h^2*u - 1/3*u1 + 7"
-    assert parse_poly(format_poly(p)) == p
-    assert sorted(type(c).__name__ for c in p.terms.values()) == ["Fraction", "Fraction", "int"]
+    # 3/2 h^2 u - 1/3 u1 + 7 is a RatFunc whose content is 1/6
+    q = parse_poly("9*h^2*u - 2*u1 + 42")
+    assert format_poly(q) == "9*h^2*u - 2*u1 + 42"
+    assert parse_poly(format_poly(q)) == q
+    p = RatFunc.const(Fraction(1, 6)) * q
+    assert (p.num, p.den) == (q, Poly.const(6))
+    assert parse_ratfunc(format_ratfunc(p)) == p
     doubled = p + p
-    assert doubled == parse_poly("3*h^2*u - 2/3*u1 + 14")
-    # an integral sum of two Fractions is stored as an int
-    assert type(doubled.leading()[1]) is int
-    assert p - p == Poly()
-    six = p * Poly.const(6)
-    assert six == parse_poly("9*h^2*u - 2*u1 + 42")
-    assert all(type(c) is int for c in six.terms.values())
-    assert p.scale(Fraction(3, 7)) == parse_poly("9/14*h^2*u - 1/7*u1 + 3")
-    assert parse_poly(format_poly(p * p)) == p * p
+    assert (doubled.num, doubled.den) == (q, Poly.const(3))
+    assert p - p == RatFunc.zero()
+    six = p * 6
+    assert (six.num, six.den) == (q, Poly.const(1))
+    assert all(type(c) is int for c in _coefficients(six))
+    assert p * RatFunc.const(Fraction(3, 7)) == RatFunc(q, Poly.const(14))
+    assert parse_ratfunc(format_ratfunc(p * p)) == p * p
+
+
+def test_poly_coefficients_are_ints_and_q_lives_in_the_content():
+    u = Poly.var("u")
+    for build in (
+        lambda: Poly({(0, 1, 0, 0, 0, 0): Fraction(1, 2)}),
+        lambda: Poly({(0, 1, 0, 0, 0, 0): Fraction(4, 2)}),
+        lambda: Poly.const(0.5),
+        lambda: u.scale(Fraction(3, 7)),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    # the quotient 1/2 is not in Z[h..u4]: a remainder, as for u / (u + 1)
+    with pytest.raises(ValueError):
+        poly_div_exact(u, u.scale(2))
+    with pytest.raises(ValueError):
+        poly_div_exact(u + Poly.const(1), Poly.const(2))
+    assert RatFunc(u, u.scale(2)) == RatFunc.const(Fraction(1, 2))
+    assert RatFunc(u.scale(4), Poly.const(6)) == RatFunc.const(Fraction(2, 3)) * U
+
+
+def test_a_full_form_table_raises(monkeypatch):
+    # a form the table cannot take would stay a residual and change what
+    # later results cancel, so the cap fails loudly instead
+    known, new = parse_poly("u + h"), parse_poly("u3 + 11*u4 + 13*h")
+    RatFunc(Poly.const(1), known)
+    assert new not in field._FORM_ID
+    monkeypatch.setattr(field, "_FORMS_MAX", len(field._FORMS))
+    assert RatFunc(Poly.const(1), known).den_factors() == (1, {known: 1}, None)
+    with pytest.raises(RuntimeError, match="_FORMS_MAX"):
+        RatFunc(Poly.const(1), new)
+    with pytest.raises(RuntimeError, match="_FORMS_MAX"):
+        RatFunc(new).inv()
+    assert new not in field._FORM_ID
 
 
 # sympy cross-check: small random rational functions in h, u, u1
@@ -480,18 +523,19 @@ def test_poly_div_exact_recovers_random_quotients():
         if g.is_zero():
             continue
         if rng.random() < 0.5:
-            f = f.scale(Fraction(rng.randint(1, 5), rng.randint(2, 7)))
-            g = g.scale(Fraction(rng.choice([-1, 1]), rng.randint(2, 5)))
+            # a divisor with content: the quotient is still integral
+            f = f.scale(rng.randint(1, 5))
+            g = g.scale(rng.choice([-1, 1]) * rng.randint(2, 5))
         assert poly_div_exact(f * g, g) == f
         checked += 1
 
 
 def test_poly_div_exact_leading_term_inserted_last():
     # the divisor's first-inserted term is its smallest
-    g = Poly({(1, 0, 0, 0, 0, 0): Fraction(2, 3), (0, 1, 0, 0, 0, 0): -1, (0, 2, 1, 0, 0, 0): 3})
-    assert g == parse_poly("2/3*h - u + 3*u^2*u1")
+    g = Poly({(1, 0, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0, 0): -1, (0, 2, 1, 0, 0, 0): 3})
+    assert g == parse_poly("2*h - u + 3*u^2*u1")
     assert next(iter(g.terms)) != g.leading()[0]
-    f = parse_poly("1/2*u1^2 - h*u + 5")
+    f = parse_poly("2*u1^2 - h*u + 5")
     assert poly_div_exact(f * g, g) == f
     assert poly_div_exact(g * f, f) == g
 
@@ -559,9 +603,8 @@ def _full_gcd_form(num, den):
     num, den = poly_div_exact(num, g), poly_div_exact(den, g)
     sign = 1 if den.leading()[1] > 0 else -1
     num, den = num.scale(sign), den.scale(sign)
-    coeffs = [*num.terms.values(), *den.terms.values()]
-    content = Fraction(math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs)))
-    return num.scale(1 / content), den.scale(1 / content)
+    content = math.gcd(*num.terms.values(), *den.terms.values())
+    return tuple(Poly({e: c // content for e, c in p.terms.items()}) for p in (num, den))
 
 
 def _mixed(const, picks, residual, extra, num_picks, num_terms):

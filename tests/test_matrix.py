@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import kron, parse_ratfunc, swap_matrix
+from oracles import entry, kron, parse_ratfunc, swap_matrix
 from refleq.field import U1, U2, U3, Poly, RatFunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
 from refleq.rkmat import site_labels, yang_r
@@ -59,8 +59,8 @@ def test_kron_labels_and_values():
     b = labeled(["x"], ["x"], {("x", "x"): rf("2")})
     k = kron(a, b)
     assert k.row_labels == ((1, "x"), (2, "x"))
-    assert k.get((1, "x"), (1, "x")) == rf("2*h")
-    assert k.get((2, "x"), (2, "x")) == rf("2*u")
+    assert entry(k, (1, "x"), (1, "x")) == rf("2*h")
+    assert entry(k, (2, "x"), (2, "x")) == rf("2*u")
 
 
 def test_kron_agrees_with_embedding():
@@ -90,9 +90,9 @@ def test_embed_two_slots_of_three():
     for (a, b) in pair:
         for (c, d) in pair:
             for x in labels:
-                assert full.get((a, x, b), (c, x, d)) == m.get((a, b), (c, d))
+                assert entry(full, (a, x, b), (c, x, d)) == entry(m, (a, b), (c, d))
     # off-identity in the middle slot must vanish
-    assert full.get((1, 1, 1), (1, 2, 1)).is_zero()
+    assert entry(full, (1, 1, 1), (1, 2, 1)).is_zero()
 
 
 def test_swap_matrix_is_involution():
@@ -105,8 +105,8 @@ def test_swap_conjugate_moves_entries():
     pair = [(i, j) for i in [1, 2] for j in [1, 2]]
     m = labeled(pair, pair, {((1, 2), (2, 1)): rf("h")})
     c = swap_conjugate(m)
-    assert c.get((2, 1), (1, 2)) == rf("h")
-    assert c.get((1, 2), (2, 1)).is_zero()
+    assert entry(c, (2, 1), (1, 2)) == rf("h")
+    assert entry(c, (1, 2), (2, 1)).is_zero()
     # P * m * P with the flip built independently
     m = random_matrix(random.Random(6), pair)
     p = swap_matrix([1, 2], [1, 2])

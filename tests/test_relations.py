@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import linear_combination, parse_ratfunc
+from oracles import entry, linear_combination, parse_ratfunc
 from refleq import relations
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
@@ -151,7 +151,7 @@ class TestGridEngine:
                     if rng.random() < 0.5:
                         m.set(r, c, RatFunc.const(rng.randint(-4, 4)))
             for lab in labels:
-                m.set(lab, lab, m.get(lab, lab) + diag)
+                m.set(lab, lab, entry(m, lab, lab) + diag)
             pair.append(m)
         return pair
 
