@@ -709,6 +709,10 @@ class RatFunc:
 
     @staticmethod
     def const(c):
+        # an int or a Fraction only, as in _coerce: Fraction(0.1) is exact but
+        # is not one tenth
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"a RatFunc constant is an int or a Fraction, not {type(c).__name__}")
         c = Fraction(c)
         return _make(Poly.const(c.numerator), c.denominator, _NO_FORMS, None)
 

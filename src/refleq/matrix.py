@@ -6,19 +6,34 @@ Storage is dict-of-keys on (row_index, col_index) with zeros dropped, since
 the big tensor-product matrices in the relation checks are overwhelmingly
 sparse.
 
-verify_identity compares two matrices entrywise by canonical form, which is
-a proof in itself, and reports a verdict-style dict so callers can log what
-was checked; a failing verdict carries a "counterexample" with the first
-mismatching entry in sorted order and both values.  Grid proofs, which never
-form the products symbolically, work on factor lists and live in relations
+The product of two LabeledMatrix values reduces every entry to canonical
+form; the builders use it.  verify_identity, the symbolic prover, does not:
+it takes two ordered factor lists, clears each factor of its denominators
+once and multiplies polynomial matrices, so it never runs Henrici's sum or
+the trial-division screen, and it reduces only the entry that a failing
+verdict prints (see "identity verification" below).  Its verdict is a dict so
+callers can log what was checked; a failing verdict carries a
+"counterexample" with the first mismatching entry in sorted order and the
+canonical form of both values.  Grid proofs, which never form a product of
+polynomials, also work on factor lists and live in relations
 (_verify_product_identity).
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import math
+import operator
 
-from .field import RatFunc, format_ratfunc
+from .field import NVARS, Poly, RatFunc, format_ratfunc, poly_div_exact
+
+
+def _require_chain(a, b):
+    """Raise ValueError unless the product a b is defined: a's columns are b's rows."""
+    if a.col_labels != b.row_labels:
+        raise ValueError(f"label mismatch in matrix product: {a.col_labels[:3]}... vs {b.row_labels[:3]}...")
 
 
 def _label_to_json(label):
@@ -69,11 +84,7 @@ class LabeledMatrix:
     def __mul__(self, other):
         if not isinstance(other, LabeledMatrix):
             return NotImplemented
-        if self.col_labels != other.row_labels:
-            raise ValueError(
-                "label mismatch in matrix product: "
-                f"{self.col_labels[:3]}... vs {other.row_labels[:3]}..."
-            )
+        _require_chain(self, other)
         by_row = {}
         for (i, k), v in other.entries.items():
             by_row.setdefault(i, []).append((k, v))
@@ -189,6 +200,23 @@ def swap_conjugate(mat):
 
 # ---------------------------------------------------------------------------
 # identity verification
+#
+# Products are compared fraction-free, as in Bareiss's elimination (Math. Comp.
+# 22 (1968) 565): work in the polynomial ring and divide once at the end.
+# Each distinct factor f is scaled by a common multiple D_f of its entry
+# denominators, read off their factored form (den_factors): the lcm of the
+# integer parts, each table form to its largest exponent and each distinct
+# residual once.  Any nonzero common multiple keeps the comparison exact, so
+# no gcd is taken.  P_f = f D_f is a matrix of polynomials, and the P_f are
+# multiplied with no gcd, no trial division and no RatFunc.  lhs = rhs exactly
+# when P_lhs prod(D_rhs) / G = P_rhs prod(D_lhs) / G, where G is the part of
+# the two denominator products that they share.  Every scale is nonzero, so
+# the scaled sides differ in the same entries as the canonical products, and
+# only the entry that a failing verdict prints is reduced.
+#
+# Inside a product a monomial is one int, its exponents packed into fields
+# wide enough for the product's total degree, so that multiplying two
+# monomials is adding two ints and no field carries into the next.
 
 
 def first_difference(lhs, rhs):
@@ -197,29 +225,179 @@ def first_difference(lhs, rhs):
     return min((k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)), default=None)
 
 
-def verify_identity(lhs, rhs):
-    """Check lhs == rhs entrywise by canonical form.  Returns a dict verdict;
-    never raises on inequality.  When the labels agree, a failing verdict
-    carries a "counterexample": row and column labels (JSON form) and the
-    canonical strings of both sides at the first differing key."""
-    if lhs.row_labels != rhs.row_labels or lhs.col_labels != rhs.col_labels:
+def _expand(c, den, memo):
+    """c * prod p^e over the Counter den {Poly: e}, as one Poly; memo holds
+    the product of each map."""
+    key = frozenset(den.items())
+    p = memo.get(key)
+    if p is None:
+        p = memo[key] = functools.reduce(operator.mul, (q ** e for q, e in den.items()), Poly.const(1))
+    return p.scale(c)
+
+
+_Cleared = collections.namedtuple("_Cleared", "c den entries degree")
+
+
+def _clear(mat, memo):
+    """One factor cleared of its denominators: c * prod p^e over the Counter
+    den is a common multiple D of its entry denominators, entries maps the id
+    of each distinct entry v to the Poly v * D, and degree is the largest
+    total degree of those."""
+    dens = {}
+    for v in mat.entries.values():
+        if id(v) not in dens:
+            c, forms, r = v.den_factors()
+            dens[id(v)] = (v, c, collections.Counter(forms if r is None else {**forms, r: 1}))
+    c = math.lcm(*(vc for _, vc, _ in dens.values()))
+    den = functools.reduce(operator.or_, (vden for _, _, vden in dens.values()), collections.Counter())
+    entries = {key: v.num * _expand(c // vc, den - vden, memo) for key, (v, vc, vden) in dens.items()}
+    return _Cleared(c, den, entries, max((p.degree() for p in entries.values()), default=0))
+
+
+def _pack(p, bits):
+    """p's terms keyed by packed monomials, bits bits per exponent."""
+    return {sum(x << (bits * i) for i, x in enumerate(e)): c for e, c in p.terms.items()}
+
+
+def _unpack(terms, bits):
+    """The Poly whose terms _pack(p, bits) gave."""
+    mask = (1 << bits) - 1
+    return Poly({tuple(m >> (bits * i) & mask for i in range(NVARS)): c for m, c in terms.items()})
+
+
+def _poly_matmul(a, b):
+    """a b for matrices {row: {col: packed terms}} with no zero entry; each
+    sum accumulates in a plain dict and is not normalized."""
+    out = {}
+    for i, arow in a.items():
+        acc = {}
+        for k, x in arow.items():
+            brow = b.get(k)
+            if brow is None:
+                continue
+            for j, y in brow.items():
+                t = acc.get(j)
+                if t is None:
+                    t = acc[j] = {}
+                for m1, c1 in x.items():
+                    for m2, c2 in y.items():
+                        m = m1 + m2
+                        t[m] = t.get(m, 0) + c1 * c2
+        row = {}
+        for j, t in acc.items():
+            t = {m: c for m, c in t.items() if c}
+            if t:
+                row[j] = t
+        if row:
+            out[i] = row
+    return out
+
+
+def _cleared_product(factors, cleared, bits):
+    """The product of the cleared factors as {row: {col: packed terms}}."""
+    mats = []
+    for mat in factors:
+        entries = {key: _pack(p, bits) for key, p in cleared[id(mat)].entries.items()}
+        rows = {}
+        for (i, j), v in mat.entries.items():
+            if entries[id(v)]:
+                rows.setdefault(i, {})[j] = entries[id(v)]
+        mats.append(rows)
+    return functools.reduce(_poly_matmul, mats)
+
+
+def _scaled(rows, scale, bits):
+    """rows times the Poly scale, as a product with a diagonal matrix."""
+    if scale == Poly.const(1):
+        return rows
+    t = _pack(scale, bits)
+    return _poly_matmul(rows, {j: {j: t} for row in rows.values() for j in row})
+
+
+def _entry_difference(lhs, rhs):
+    """(key, lhs value, rhs value) at the first key where two dicts of
+    canonical entries differ, or None if they agree."""
+    if lhs == rhs:
+        return None
+    key = first_difference(lhs, rhs)
+    zero = RatFunc.zero()
+    return key, lhs.get(key, zero), rhs.get(key, zero)
+
+
+def _product_difference(lhs_factors, rhs_factors):
+    """_entry_difference for two products, by the fraction-free route above:
+    only the two entries it returns are reduced."""
+    memo = {}
+    cleared = {id(mat): _clear(mat, memo) for mat in (*lhs_factors, *rhs_factors)}
+    sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
+    (lc, lden), (rc, rden) = ((math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in sides)
+    g, shared = math.gcd(lc, rc), lden & rden
+    scales = (_expand(rc // g, rden - shared, memo), _expand(lc // g, lden - shared, memo))
+    # no monomial of either scaled product has a larger total degree, so no
+    # packed exponent overflows its field
+    top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
+    bits = max(1, top.bit_length())
+    products = [_cleared_product(factors, cleared, bits) for factors in (lhs_factors, rhs_factors)]
+    scaled = [_scaled(rows, scale, bits) for rows, scale in zip(products, scales)]
+    if scaled[0] == scaled[1]:
+        return None
+    flat = [{(i, j): t for i, row in rows.items() for j, t in row.items()} for rows in scaled]
+    i, j = key = first_difference(*flat)
+    # only this entry is reduced, each side over its own prod(D)
+    return key, *(
+        _reduce(_unpack(rows.get(i, {}).get(j, {}), bits), c, den, memo)
+        for rows, c, den in ((products[0], lc, lden), (products[1], rc, rden))
+    )
+
+
+def _reduce(num, c, den, memo):
+    """The RatFunc num / (c * prod p^e over the Counter den).  Each residual p
+    (a p of degree above 1), lowest degree first, is divided out of num as
+    often as it divides it, so the constructor's gcd sees only what is left."""
+    den = collections.Counter(den)
+    for p in sorted((p for p in den if p.degree() > 1), key=Poly.degree):
+        while den[p] and num:
+            try:
+                num = poly_div_exact(num, p)
+            except ValueError:
+                break
+            den[p] -= 1
+    return RatFunc(num, _expand(c, +den, memo))
+
+
+def verify_identity(lhs_factors, rhs_factors):
+    """Check that the products of two ordered factor lists agree.  Returns a
+    dict verdict; never raises on inequality.  When the labels agree, a
+    failing verdict carries a "counterexample": row and column labels (JSON
+    form) and the canonical strings of both products at the first differing
+    key.  A single matrix is a one-factor list."""
+    for factors in (lhs_factors, rhs_factors):
+        for a, b in zip(factors, factors[1:]):
+            _require_chain(a, b)
+    lhs, rhs = lhs_factors[0], rhs_factors[0]
+    if lhs.row_labels != rhs.row_labels or lhs_factors[-1].col_labels != rhs_factors[-1].col_labels:
         return {
             "holds": False,
             "mode": "symbolic",
             "detail": "label mismatch between the two sides",
         }
-    if lhs.entries == rhs.entries:
+    if len(lhs_factors) == len(rhs_factors) == 1:
+        # no product to form: the canonical entries are at hand
+        diff = _entry_difference(lhs.entries, rhs.entries)
+    else:
+        diff = _product_difference(lhs_factors, rhs_factors)
+    if diff is None:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
-    i, j = first_difference(lhs.entries, rhs.entries)
-    zero = RatFunc.zero()
+    (i, j), lhs_value, rhs_value = diff
+    row, col = lhs.row_labels[i], lhs_factors[-1].col_labels[j]
     return {
         "holds": False,
         "mode": "symbolic",
-        "detail": f"first mismatch at row {lhs.row_labels[i]!r}, col {lhs.col_labels[j]!r}",
+        "detail": f"first mismatch at row {row!r}, col {col!r}",
         "counterexample": {
-            "row": _label_to_json(lhs.row_labels[i]),
-            "col": _label_to_json(lhs.col_labels[j]),
-            "lhs": format_ratfunc(lhs.entries.get((i, j), zero)),
-            "rhs": format_ratfunc(rhs.entries.get((i, j), zero)),
+            "row": _label_to_json(row),
+            "col": _label_to_json(col),
+            "lhs": format_ratfunc(lhs_value),
+            "rhs": format_ratfunc(rhs_value),
         },
     }

@@ -19,16 +19,19 @@ Every check returns a plain-dict verdict with at least the keys "identity",
 are JSON-serializable so the CLI can emit them unchanged.
 
 Each check states its identity as two ordered factor lists, lhs and rhs, and
-hands them to _prove.  The symbolic mode multiplies each list out from the
-left and compares canonical forms (matrix.verify_identity).  The multipoint
-mode never forms the products: _verify_product_identity, the one grid-proof
-engine, reads each factor once for the per-variable degree bound of the
-cleared difference and the factors of its denominators.  The difference is
-cleared by prod(D_lhs) prod(D_rhs) with the linear forms the two sides share
-cancelled once, so the bound is present for every variable of the factors
-and may be 0.  It evaluates the factors on an integer grid with one more
-point per variable than that bound, placed past Cauchy's root bound of every
-denominator factor, so that no denominator vanishes on it (_grid).  At each
+hands them to _prove.  The symbolic mode (matrix.verify_identity) clears each
+factor of its denominators once, multiplies the polynomial matrices and
+compares lhs * prod(D_rhs) with rhs * prod(D_lhs), with the part the two
+share divided out; it never evaluates at a point, and it reduces only the
+entry that a failing verdict prints.  The multipoint mode never forms the
+products: _verify_product_identity, the one grid-proof engine, reads each
+factor once for the per-variable degree bound of the cleared difference and
+the factors of its denominators.  The difference is cleared by prod(D_lhs)
+prod(D_rhs) with the linear forms the two sides share cancelled once, so
+the bound is present for every variable of the factors and may be 0.  It
+evaluates the factors on an integer grid with one more point per variable
+than that bound, placed past Cauchy's root bound of every denominator
+factor, so that no denominator vanishes on it (_grid).  At each
 point it clears each factor's denominators there, so the factor is a matrix
 of integers over the lcm D of its entry denominators; it multiplies
 matrices of integers and compares lhs * prod(D_rhs) with rhs * prod(D_lhs)
@@ -121,11 +124,11 @@ def _fold(factors):
 def _prove(lhs, rhs, mode="symbolic"):
     """Prove that the products of two ordered factor lists agree.
 
-    Symbolic mode multiplies each list out from the left and compares
-    canonical forms; multipoint mode hands the lists to the grid proof.
+    Symbolic mode hands the lists to the fraction-free product comparison
+    (matrix.verify_identity); multipoint mode hands them to the grid proof.
     """
     if mode == "symbolic":
-        return verify_identity(_fold(lhs), _fold(rhs))
+        return verify_identity(lhs, rhs)
     if mode == "multipoint":
         return _verify_product_identity(lhs, rhs)
     raise ValueError(f"unknown mode {mode!r}")
@@ -138,8 +141,7 @@ def _verdict(identity, l, cmp, **extra):
 # ---------------------------------------------------------------------------
 # multipoint product verification
 
-# Verifying A1 A2 A3 = B1 B2 B3 symbolically means normalizing every entry of
-# both six-factor products.  The grid route below avoids that: the cleared
+# The grid route below never forms a product of polynomials: the cleared
 # difference of the two sides is a polynomial whose per-variable degree we can
 # bound from the factors alone, so agreement on a large enough integer grid
 # already forces it to vanish identically.
@@ -489,8 +491,10 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard"):
     where the subscript 21 marks conjugation by the tensor swap.  The
     boundary argument selects the standard matrix or, for flagMinus, the
     rejected opposite-placement variant that this identity is expected to
-    rule out.  Symbolic mode compares the multiplied sides; multipoint mode
-    hands the factor lists to the grid proof and never forms the products.
+    rule out.  Both modes hand the factor lists to a prover (_prove):
+    symbolic mode multiplies polynomial matrices, and multipoint mode
+    evaluates the factors on the grid and never forms a product of
+    polynomials.
     """
     cmp = _prove(*_reflection_factors(kind, l, boundary=boundary), mode)
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)

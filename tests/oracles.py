@@ -15,15 +15,20 @@ The library never calls these.
                               matrix.swap_conjugate and rkmat.yang_r
   linear_combination          the entrywise sum of scaled LabeledMatrix
                               values, for writing such references as formulas
+  fold_and_compare            two factor lists multiplied out entry by entry
+                              in canonical form and compared, the reference
+                              for matrix.verify_identity
   reflect_root                a simple reflection on simple-root coordinates,
                               the reference for dynkin.longest_word
 """
 
+import functools
 import itertools
+import operator
 
 from refleq.dynkin import cartan_matrix
-from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc
-from refleq.matrix import LabeledMatrix
+from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, format_ratfunc
+from refleq.matrix import LabeledMatrix, _label_to_json
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
 
 # ---------------------------------------------------------------------------
@@ -223,6 +228,31 @@ def linear_combination(*terms):
             r, k = m.row_labels[i], m.col_labels[j]
             out.set(r, k, entry(out, r, k) + c * v)
     return out
+
+
+def fold_and_compare(lhs_factors, rhs_factors):
+    """matrix.verify_identity's verdict by the canonical route: each list is
+    multiplied out from the left with LabeledMatrix.__mul__, which reduces
+    every entry of every partial product, and the products are compared entry
+    by entry; the counterexample is at the least differing key."""
+    lhs, rhs = (functools.reduce(operator.mul, factors) for factors in (lhs_factors, rhs_factors))
+    if lhs.row_labels != rhs.row_labels or lhs.col_labels != rhs.col_labels:
+        return {"holds": False, "mode": "symbolic", "detail": "label mismatch between the two sides"}
+    if lhs.entries == rhs.entries:
+        return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
+    i, j = min(k for k in lhs.entries.keys() | rhs.entries.keys() if lhs.entries.get(k) != rhs.entries.get(k))
+    zero = RatFunc.zero()
+    return {
+        "holds": False,
+        "mode": "symbolic",
+        "detail": f"first mismatch at row {lhs.row_labels[i]!r}, col {lhs.col_labels[j]!r}",
+        "counterexample": {
+            "row": _label_to_json(lhs.row_labels[i]),
+            "col": _label_to_json(lhs.col_labels[j]),
+            "lhs": format_ratfunc(lhs.entries.get((i, j), zero)),
+            "rhs": format_ratfunc(rhs.entries.get((i, j), zero)),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

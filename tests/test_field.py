@@ -302,6 +302,16 @@ def test_const_value_is_an_exact_fraction():
     assert type(v) is Fraction and v == Fraction(3, 2)
 
 
+def test_const_takes_ints_and_fractions_only():
+    # a float would enter the canonical form as its binary value
+    for c in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError):
+            RatFunc.const(c)
+        with pytest.raises(TypeError):
+            U + c
+    assert RatFunc.const(True) == RatFunc.one()
+
+
 def test_non_integral_poly_arithmetic_and_round_trip():
     # 3/2 h^2 u - 1/3 u1 + 7 is a RatFunc whose content is 1/6
     q = parse_poly("9*h^2*u - 2*u1 + 42")

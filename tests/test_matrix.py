@@ -1,9 +1,11 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import entry, kron, parse_ratfunc, swap_matrix
+from oracles import entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq.field import U1, U2, U3, Poly, RatFunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
 from refleq.rkmat import site_labels, yang_r
@@ -137,7 +139,7 @@ def test_inverse_rejects_singular():
 def test_verify_identity_label_mismatch():
     a = LabeledMatrix.identity([1, 2])
     b = LabeledMatrix.identity([2, 1])
-    v = verify_identity(a, b)
+    v = verify_identity([a], [b])
     assert not v["holds"]
 
 
@@ -146,10 +148,10 @@ def test_verify_identity_counterexample_is_first_differing_entry():
     b = copied(a)
     b.set(2, 1, rf("h / (u + h)"))
     b.set(2, 2, rf("u"))
-    v = verify_identity(a, b)
+    v = verify_identity([a], [b])
     assert not v["holds"] and "mismatches" not in v
     assert v["counterexample"] == {"row": 2, "col": 1, "lhs": "0", "rhs": "h / (u + h)"}
-    assert "counterexample" not in verify_identity(a, copied(a))
+    assert "counterexample" not in verify_identity([a], [copied(a)])
 
 
 def test_first_difference_is_the_least_differing_key():
@@ -218,3 +220,88 @@ def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
     assert len(calls) <= len(distinct)
     monkeypatch.undo()
     assert product == _schoolbook_product(r12, r13)
+
+
+# entries for random factors: two residual denominators (irreducible, so they
+# never split over the linear forms), two linear forms, an integer
+# denominator and polynomials
+ENTRY_POOL = (
+    "h / (u^2 + h*u1 + 1)",
+    "(u + 1) / (u1^2 + u2^2 + h)",
+    "u1 / (u + h)",
+    "(u2 - h) / (u1 - u2)",
+    "3 / 2",
+    "u + 2*h",
+    "1",
+)
+
+
+def random_factor(rng, labels, density=0.5):
+    m = LabeledMatrix(labels, labels)
+    for r in labels:
+        for c in labels:
+            if rng.random() < density:
+                m.set(r, c, rf(rng.choice(ENTRY_POOL)) * RatFunc.const(rng.choice((-3, -1, 1, 2))))
+    return m
+
+
+def _with_residual_difference(product):
+    """A copy of product that first differs from it at its least entry with a
+    residual denominator, and that entry's key; None when it has none."""
+    keys = sorted(k for k, v in product.entries.items() if v.den_factors()[2] is not None)
+    if not keys:
+        return None
+    changed = copied(product)
+    # a form denominator cannot cancel the residual of the sum
+    changed.entries[keys[0]] = product.entries[keys[0]] + rf("u1 / (u + h)")
+    return changed, keys[0]
+
+
+def test_product_verdict_matches_the_folded_products_on_residual_denominators():
+    # the first differing entry has a residual denominator on both sides, so
+    # its counterexample strings come from the one reduction the route makes
+    labels = ["a", "b", "c"]
+    ident = LabeledMatrix.identity(labels)
+    seen = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        lhs = [random_factor(rng, labels) for _ in range(2 + seed % 2)]
+        product = functools.reduce(operator.mul, lhs)
+        found = _with_residual_difference(product)
+        if found is None:
+            continue
+        changed, (i, j) = found
+        seen += 1
+        for rhs in ([product], [changed], [ident, changed]):
+            v = verify_identity(lhs, rhs)
+            # the oracle folds [product] as it would fold lhs, without
+            # multiplying lhs out again
+            assert v == fold_and_compare([product], rhs), (seed, len(rhs))
+        cex = v["counterexample"]
+        assert (cex["row"], cex["col"]) == (labels[i], labels[j])
+        assert " / (" in cex["lhs"] and " / (" in cex["rhs"]
+    assert seen >= 8
+
+
+def test_product_verdict_on_high_degrees():
+    # exponents far past one packed field of small products
+    labels = [1, 2]
+    cube = rf("u1 + h") * rf("u1 + h") * rf("u1 + h")
+    a = labeled(labels, labels, {(1, 1): rf("u^40") / cube, (1, 2): rf("h^70"), (2, 2): rf("u2^9")})
+    b = labeled(labels, labels, {(1, 1): cube, (2, 1): rf("u1^100 - 1"), (2, 2): rf("1 / u^5")})
+    wrong = copied(a * b)
+    wrong.set(1, 2, rf("h^70 / u^4"))
+    for rhs in ([a * b], [wrong], [wrong, LabeledMatrix.identity(labels)]):
+        assert verify_identity([a, b], rhs) == fold_and_compare([a, b], rhs)
+    assert verify_identity([a, b], [a * b])["holds"]
+    assert verify_identity([a, b], [wrong])["counterexample"]["lhs"] == "h^70 / u^5"
+
+
+def test_product_labels_are_checked_inside_each_list():
+    a = LabeledMatrix.identity([1, 2])
+    b = LabeledMatrix.identity([2, 1])
+    with pytest.raises(ValueError, match="label mismatch in matrix product"):
+        verify_identity([a, b], [a])
+    # the two sides may disagree on their outer labels only
+    assert verify_identity([a, a], [b, b]) == fold_and_compare([a, a], [b, b])
+    assert verify_identity([a, a], [b, b])["detail"] == "label mismatch between the two sides"

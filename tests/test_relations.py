@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import entry, linear_combination, parse_ratfunc
-from refleq import relations
+from oracles import entry, fold_and_compare, linear_combination, parse_ratfunc
+from refleq import field, relations
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
@@ -160,7 +160,8 @@ class TestGridEngine:
         s = linear_combination((1, a), (1, b))
         lhs = s * s
         rhs = linear_combination((1, a * a), (1, a * b), (1, b * a), (1, b * b))
-        assert verify_identity(lhs, rhs)["holds"]
+        assert verify_identity([lhs], [rhs])["holds"]
+        assert verify_identity([s, s], [rhs])["holds"]
         v = _verify_product_identity([lhs], [rhs])
         assert v["holds"] and v["gridSize"] >= 1
         assert _verify_product_identity([s, s], [rhs])["holds"]
@@ -170,7 +171,7 @@ class TestGridEngine:
         a = LabeledMatrix.identity(labels)
         b = LabeledMatrix.identity(labels)
         b.set(1, 2, parse_ratfunc("h / (u + h)"))
-        for v in (verify_identity(a, b), _verify_product_identity([a], [b])):
+        for v in (verify_identity([a], [b]), _verify_product_identity([a], [b])):
             assert not v["holds"]
             assert "detail" in v
 
@@ -187,7 +188,7 @@ class TestGridEngine:
         assert not v["holds"] and v["gridSize"] == 1
         cex = v["counterexample"]
         assert (cex["row"], cex["col"], cex["lhs"], cex["rhs"]) == ("b", "b", "1", "7")
-        sym = verify_identity(ident, b)["counterexample"]
+        sym = verify_identity([ident, ident], [b, ident])["counterexample"]
         assert (sym["row"], sym["col"]) == (cex["row"], cex["col"])
 
     def test_grid_avoids_poles(self):
@@ -731,6 +732,83 @@ def _factor_lists(monkeypatch, run):
         m.setattr(relations, "_prove", capture)
         run()
     return captured
+
+
+class TestFractionFreeProver:
+    """The symbolic prover against the canonical route it replaced.
+
+    matrix.verify_identity multiplies polynomial matrices and reduces only
+    the entry it prints; oracles.fold_and_compare multiplies RatFunc matrices
+    entry by entry.  Their verdicts must agree key by key and string by
+    string.
+    """
+
+    def test_every_symbolic_proof_of_the_suite(self, monkeypatch):
+        lists = _factor_lists(monkeypatch, lambda: run_suite("all"))
+        assert len(lists) == 120
+        for n, (lhs, rhs) in enumerate(lists):
+            assert verify_identity(lhs, rhs) == fold_and_compare(lhs, rhs), n
+
+    @pytest.mark.parametrize("l", [3, 4])
+    def test_failing_sp_instanton_reflection(self, l):
+        lists = _reflection_factors("spInstanton", l)
+        v = verify_identity(*lists)
+        assert not v["holds"] and "counterexample" in v
+        assert v == fold_and_compare(*lists)
+
+    @staticmethod
+    def _counted(monkeypatch, lists):
+        """The verdict on lists, and the calls it made to the trial-division
+        screen, Henrici's sum and the general gcd, keyed by name and by
+        whether a RatFunc constructor was running; "RatFunc" counts those."""
+        counts = collections.Counter()
+        inside = [0]
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name, inside[0] > 0] += 1
+                return fn(*args)
+
+            return wrapper
+
+        real_init = RatFunc.__init__
+
+        def init(self, *args):
+            counts["RatFunc"] += 1
+            inside[0] += 1
+            try:
+                real_init(self, *args)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(field, "_vanishes_on", counted("_vanishes_on", field._vanishes_on))
+        monkeypatch.setattr(field, "poly_gcd", counted("poly_gcd", field.poly_gcd))
+        monkeypatch.setattr(RatFunc, "_add_signed", counted("_add_signed", RatFunc._add_signed))
+        monkeypatch.setattr(RatFunc, "__init__", init)
+        v = _prove(*lists)
+        monkeypatch.undo()
+        return v, counts
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _exchange_factors(2, 2, "plainPlain", "soInstanton"),
+            lambda: _reflection_factors("flagPlus", 2, n=1),
+        ],
+        ids=["exchange-n2", "chain-reflection"],
+    )
+    def test_a_holding_proof_reduces_nothing(self, build, monkeypatch):
+        v, counts = self._counted(monkeypatch, build())
+        assert v["holds"]
+        assert not counts
+
+    def test_a_failing_proof_reduces_only_the_printed_entry(self, monkeypatch):
+        v, counts = self._counted(monkeypatch, _reflection_factors("spInstanton", 3))
+        assert not v["holds"]
+        # one construction per side, and every screen call inside them
+        assert counts.pop("RatFunc") == 2
+        assert counts["_vanishes_on", True] > 0
+        assert not [key for key in counts if not key[1]]
 
 
 # the grid-proof workload of the benchmark, with the table forms the two

@@ -226,7 +226,7 @@ def test_one_tuple_labels_place_like_bare_labels(kind, l):
 def test_s_matrix_routes_agree(kind):
     direct = s_matrix(kind, 2, U, [U1])
     via = s_matrix_via_transfer(kind, 2, U, [U1])
-    assert verify_identity(direct, via)["holds"]
+    assert verify_identity([direct], [via])["holds"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
