@@ -226,8 +226,8 @@ def first_difference(lhs, rhs):
 
 
 def _expand(c, den, memo):
-    """c * prod p^e over the Counter den {Poly: e}, as one Poly; memo holds
-    the product of each map."""
+    """c * prod p^e over den {Poly: e}, as one Poly; memo holds the product
+    of each map."""
     key = frozenset(den.items())
     p = memo.get(key)
     if p is None:
@@ -247,10 +247,17 @@ def _clear(mat, memo):
     for v in mat.entries.values():
         if id(v) not in dens:
             c, forms, r = v.den_factors()
-            dens[id(v)] = (v, c, collections.Counter(forms if r is None else {**forms, r: 1}))
+            dens[id(v)] = (v, c, forms if r is None else {**forms, r: 1})
     c = math.lcm(*(vc for _, vc, _ in dens.values()))
-    den = functools.reduce(operator.or_, (vden for _, _, vden in dens.values()), collections.Counter())
-    entries = {key: v.num * _expand(c // vc, den - vden, memo) for key, (v, vc, vden) in dens.items()}
+    den = collections.Counter()
+    for _, _, vden in dens.values():
+        for p, e in vden.items():
+            if e > den[p]:
+                den[p] = e
+    entries = {
+        key: v.num * _expand(c // vc, {p: e - vden.get(p, 0) for p, e in den.items() if e > vden.get(p, 0)}, memo)
+        for key, (v, vc, vden) in dens.items()
+    }
     return _Cleared(c, den, entries, max((p.degree() for p in entries.values()), default=0))
 
 
