@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 
-from .field import NVARS, Poly, RatFunc, format_ratfunc, poly_div_exact
+from .field import NVARS, Poly, RatFunc, format_ratfunc
 
 
 def _require_chain(a, b):
@@ -352,24 +352,9 @@ def _product_difference(lhs_factors, rhs_factors):
     i, j = key = first_difference(*flat)
     # only this entry is reduced, each side over its own prod(D)
     return key, *(
-        _reduce(_unpack(rows.get(i, {}).get(j, {}), bits), c, den, memo)
+        RatFunc(_unpack(rows.get(i, {}).get(j, {}), bits), _expand(c, den, memo))
         for rows, c, den in ((products[0], lc, lden), (products[1], rc, rden))
     )
-
-
-def _reduce(num, c, den, memo):
-    """The RatFunc num / (c * prod p^e over the Counter den).  Each residual p
-    (a p of degree above 1), lowest degree first, is divided out of num as
-    often as it divides it, so the constructor's gcd sees only what is left."""
-    den = collections.Counter(den)
-    for p in sorted((p for p in den if p.degree() > 1), key=Poly.degree):
-        while den[p] and num:
-            try:
-                num = poly_div_exact(num, p)
-            except ValueError:
-                break
-            den[p] -= 1
-    return RatFunc(num, _expand(c, +den, memo))
 
 
 def verify_identity(lhs_factors, rhs_factors):
