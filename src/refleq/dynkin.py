@@ -7,12 +7,18 @@ chain 1-2-3-4-5 with vertex 6 attached to 3, so the diagram flip fixes 3 and
 
 Weights are tuples of fundamental-weight coordinates; roots are tuples of
 simple-root coordinates.  Everything is exact integer arithmetic.
+
+The per-type data (neighbours, Cartan matrix, positive roots, longest
+words) is computed once per process and shared by every caller, so it is
+returned only as immutable values.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 _TYPE_RE = re.compile(r"^([ADE])(\d+)$")
 
@@ -63,15 +69,18 @@ def adjacency(t):
     return {frozenset(e) for e in edges}
 
 
+@functools.cache
 def neighbors(t):
+    """{vertex: frozenset of adjacent vertices}, read-only and shared."""
     out = {i: set() for i in t.vertices}
     for e in adjacency(t):
         a, b = tuple(e)
         out[a].add(b)
         out[b].add(a)
-    return out
+    return MappingProxyType({i: frozenset(nb) for i, nb in out.items()})
 
 
+@functools.cache
 def cartan_matrix(t):
     """Symmetric ADE Cartan matrix as a tuple of tuples (1-based vertices)."""
     nb = neighbors(t)
@@ -104,8 +113,12 @@ def invast(t):
     return {1: 5, 2: 4, 3: 3, 4: 2, 5: 1, 6: 6}
 
 
+@functools.cache
 def positive_roots(t):
-    """All positive roots in simple-root coordinates, by reflection closure."""
+    """All positive roots in simple-root coordinates, by reflection closure.
+
+    Returned as a sorted tuple.
+    """
     n = t.rank
     cartan = cartan_matrix(t)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -121,7 +134,7 @@ def positive_roots(t):
             if new not in seen:
                 seen.add(new)
                 frontier.append(new)
-    return sorted(r for r in seen if all(x >= 0 for x in r))
+    return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
 
 
 def reflect_weight(t, lam, i):
@@ -131,6 +144,7 @@ def reflect_weight(t, lam, i):
     return tuple(x - c * cartan[i - 1][j] for j, x in enumerate(lam))
 
 
+@functools.cache
 def longest_word(t, prefer_high=False):
     """A reduced word for w0, rightmost letter acting first.
 

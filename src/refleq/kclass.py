@@ -72,9 +72,17 @@ class QLaurent:
         return self + (-other)
 
     def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # times c*q^k: shift every exponent by k
+            ((k2, c2),) = b.items()
+            q = QLaurent()
+            q.coeffs = {k1 + k2: c1 * c2 for k1, c1 in a.items()}
+            return q
         out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = k1 + k2
                 s = out.get(k, 0) + c1 * c2
                 if s:
@@ -194,25 +202,24 @@ def reflect_step(t, exprs, i, zeta):
     zeta is the current chamber vector (1-based tuple).  The q-power sign is
     +1 when zeta_i < 0, -1 when zeta_i > 0; zeta_i = 0 is a wall and raises
     GenericityError.
+
+    On an ADE diagram a_ii = 2, a_ij = -1 on an edge and 0 elsewhere, so
+    U_j - q^eps [a_ij] U_i reads -q^(2 eps) U_i at j = i (1 - q^eps [2] =
+    -q^(2 eps)), U_j + q^eps U_i at a neighbour j, and U_j everywhere else:
+    only those rows are rebuilt, each by a monomial shift.
     """
     zi = zeta[i - 1]
     if zi == 0:
         raise GenericityError(f"chamber wall: zeta_{i} = 0")
     eps = 1 if zi < 0 else -1
-    qe = QLaurent.q_power(eps)
-    cartan = cartan_matrix(t)
     base_i = exprs[i]
-    new_exprs = {}
-    for j in t.vertices:
-        factor = qe * q_integer(cartan[i - 1][j - 1])
-        if factor:
-            new_exprs[j] = exprs[j] - base_i.scale(factor)
-        else:
-            new_exprs[j] = exprs[j]
-    nb = neighbors(t)[i]
+    lifted = base_i.scale(QLaurent.q_power(eps))
+    new_exprs = dict(exprs)
+    new_exprs[i] = base_i.scale(QLaurent.q_power(2 * eps, -1))
     new_zeta = list(zeta)
     new_zeta[i - 1] = -zi
-    for j in nb:
+    for j in neighbors(t)[i]:
+        new_exprs[j] = exprs[j] + lifted
         new_zeta[j - 1] = zeta[j - 1] + zi
     return new_exprs, tuple(new_zeta)
 

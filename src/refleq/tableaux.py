@@ -121,12 +121,25 @@ class InstantonTableau:
 
 
 def enumerate_instanton(l, w1):
-    """All fixed-point tableaux, one per choice of positive-row entries."""
+    """All fixed-point tableaux, one per choice of positive-row entries.
+
+    The same tableaux, in the same order, as from_positive_entries over
+    itertools.product; each row -k is read from a table of complements,
+    and the rows are laid out -w1..-1, 1..w1 as that constructor sorts them.
+    """
     _check_size(l, w1)
     _check_candidates("enumerate_instanton", l, w1)
+    values = range(1, l + 1)
+    complement = {e: tuple(x for x in values if x != e) for e in values}
+    below = range(w1, 0, -1)
     return [
-        InstantonTableau.from_positive_entries(l, w1, entries)
-        for entries in itertools.product(range(1, l + 1), repeat=w1)
+        InstantonTableau(
+            l,
+            w1,
+            tuple([(-k, complement[entries[k - 1]]) for k in below]
+                  + [(k, (e,)) for k, e in enumerate(entries, 1)]),
+        )
+        for entries in itertools.product(values, repeat=w1)
     ]
 
 

@@ -20,14 +20,18 @@ The library never calls these.
                               for matrix.verify_identity
   reflect_root                a simple reflection on simple-root coordinates,
                               the reference for dynkin.longest_word
+  reflect_step_generic        U_j - q^eps [a_ij] U_i at every vertex j, with
+                              the Cartan entries read off the edge set on
+                              every call, the reference for kclass.reflect_step
 """
 
 import functools
 import itertools
 import operator
 
-from refleq.dynkin import cartan_matrix
+from refleq.dynkin import adjacency, cartan_matrix
 from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, format_ratfunc
+from refleq.kclass import GenericityError, QLaurent, q_integer
 from refleq.matrix import LabeledMatrix, _label_to_json
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
 
@@ -266,3 +270,31 @@ def reflect_root(t, beta, i):
     new = list(beta)
     new[i - 1] -= pairing
     return tuple(new)
+
+
+# ---------------------------------------------------------------------------
+# K-classes
+
+
+def reflect_step_generic(t, exprs, i, zeta):
+    """One reflection at vertex i, row by row through the Cartan matrix.
+
+    Every U_j becomes U_j - q^eps [a_ij] U_i and every zeta_j becomes
+    zeta_j - a_ij zeta_i, with eps = +1 when zeta_i < 0 and -1 when
+    zeta_i > 0.  The entries a_ij come from adjacency(t) on every call.
+    """
+    edges = adjacency(t)
+
+    def a(j):
+        return 2 if j == i else (-1 if frozenset((i, j)) in edges else 0)
+
+    zi = zeta[i - 1]
+    if zi == 0:
+        raise GenericityError(f"chamber wall: zeta_{i} = 0")
+    qe = QLaurent.q_power(1 if zi < 0 else -1)
+    new_exprs = {}
+    for j in t.vertices:
+        factor = qe * q_integer(a(j))
+        new_exprs[j] = exprs[j] - exprs[i].scale(factor) if factor else exprs[j]
+    new_zeta = tuple(zeta[j - 1] - a(j) * zi for j in t.vertices)
+    return new_exprs, new_zeta

@@ -99,6 +99,11 @@ STDOUT_CASES = {
         for sign in ("plus", "minus")
         for l in range(2, 7)
     },
+    # written before the Dynkin data was cached per type, the reflection step
+    # rebuilt only the rows it touches and tableaux came from a complement table
+    **{f"kclass-{t}": (["kclass", "--type", t], 0) for t in ("A8", "D8", "E6")},
+    **{f"dynkin-{t}": (["dynkin", "--type", t], 0) for t in ("D8", "E6")},
+    "suite-acceptance": (["suite", "acceptance"], 0),
 }
 
 

@@ -11,6 +11,7 @@ from refleq.dynkin import (
     info_dict,
     invast,
     longest_word,
+    neighbors,
     positive_roots,
     weight_action,
 )
@@ -153,3 +154,27 @@ def test_info_dict_shape():
     assert d["invast"] == {"1": 4, "2": 3, "3": 2, "4": 1}
     assert d["cartan"][0] == [2, -1, 0, 0]
 
+
+def test_cached_type_data_is_immutable_and_shared():
+    # every caller gets the same per-type objects, so none of them may change
+    for t in ALL_TYPES + [DynkinType("D", 8)]:
+        again = DynkinType.parse(str(t))
+        cartan = cartan_matrix(t)
+        assert isinstance(cartan, tuple) and all(isinstance(row, tuple) for row in cartan)
+        roots = positive_roots(t)
+        assert isinstance(roots, tuple) and all(isinstance(r, tuple) for r in roots)
+        nb = neighbors(t)
+        assert all(isinstance(v, frozenset) for v in nb.values())
+        assert sorted(nb) == list(t.vertices)
+        with pytest.raises(TypeError):
+            nb[1] = frozenset()
+        assert nb == {
+            i: frozenset(j for j in t.vertices if cartan[i - 1][j - 1] == -1) for i in t.vertices
+        }
+        for prefer_high in (False, True):
+            word = longest_word(t, prefer_high=prefer_high)
+            assert isinstance(word, tuple)
+            assert longest_word(again, prefer_high=prefer_high) is word
+        assert cartan_matrix(again) is cartan
+        assert positive_roots(again) is roots
+        assert neighbors(again) is nb

@@ -1,7 +1,10 @@
 """Reflection transforms on K-classes, checked against hand-worked walks."""
 
+import random
+
 import pytest
 
+from oracles import reflect_step_generic
 from refleq.dynkin import DynkinType, coxeter_number, invast, longest_word
 from refleq.kclass import (
     GenericityError,
@@ -168,3 +171,55 @@ def test_w0_summary_dict_a4():
         "3": [2, "-q^5"],
         "4": [1, "-q^5"],
     }
+
+
+def naive_product(a, b):
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return QLaurent(out)
+
+
+def random_laurent(rng, terms):
+    return QLaurent({rng.randint(-6, 6): rng.choice((-5, -3, -2, -1, 1, 2, 4, 7)) for _ in range(terms)})
+
+
+def test_one_term_product_is_the_general_product():
+    rng = random.Random(23)
+    for _ in range(400):
+        mono = QLaurent.q_power(rng.randint(-7, 7), rng.choice((-6, -2, -1, 1, 3, 9)))
+        other = random_laurent(rng, rng.randint(0, 5))
+        expected = naive_product(mono, other)
+        assert mono * other == expected
+        assert other * mono == expected
+        assert mono * mono == naive_product(mono, mono)
+    assert QLaurent.q_power(-3, 2) * QLaurent.zero() == QLaurent.zero()
+    assert QLaurent.q_power(-2, -3) * (qp(1, 4) + qp(-5, -1)) == qp(-1, -12) + qp(-7, 3)
+
+
+def random_expr(rng, t):
+    parts = {}
+    for _ in range(rng.randint(0, 4)):
+        sym = (rng.choice("WVU"), rng.choice(t.vertices))
+        parts[sym] = random_laurent(rng, rng.randint(1, 3))
+    return KClassExpr(parts)
+
+
+ORACLE_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_reflect_step_matches_the_generic_step(name):
+    # start rows that mix W, V and U symbols: the u_class values and random
+    # expressions, reflected at every vertex with zeta_i of either sign
+    t = DynkinType.parse(name)
+    rng = random.Random(name)
+    starts = [{j: u_class(t, j) for j in t.vertices}]
+    starts += [{j: random_expr(rng, t) for j in t.vertices} for _ in range(3)]
+    for exprs in starts:
+        for i in t.vertices:
+            for sign in (-1, 1):
+                zeta = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in t.vertices)
+                zeta = zeta[: i - 1] + (sign * abs(zeta[i - 1]),) + zeta[i:]
+                assert reflect_step(t, exprs, i, zeta) == reflect_step_generic(t, exprs, i, zeta)

@@ -1,6 +1,7 @@
 """Fixed-point tableaux: hand-worked examples plus structural invariants."""
 
 import functools
+import itertools
 import math
 import time
 from collections import Counter
@@ -51,6 +52,22 @@ def test_row_lookup_matches_stored_rows(w1):
 def test_enumeration_count():
     for l, w1 in SMALL_CASES:
         assert len(enumerate_instanton(l, w1)) == l**w1
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_enumeration_matches_the_validating_constructor(l):
+    # the rows built from the complement table are from_positive_entries',
+    # tableau by tableau and in itertools.product order
+    for w1 in range(5):
+        expected = [
+            InstantonTableau.from_positive_entries(l, w1, entries)
+            for entries in itertools.product(range(1, l + 1), repeat=w1)
+        ]
+        got = enumerate_instanton(l, w1)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a == b
+            assert a.rows == b.rows
 
 
 def test_smallest_example_by_hand():
