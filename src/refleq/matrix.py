@@ -357,22 +357,31 @@ def _product_difference(lhs_factors, rhs_factors):
     )
 
 
+def _label_mismatch(lhs_factors, rhs_factors, mode):
+    """The label checks of both provers: raise ValueError unless each side's
+    product is defined, and return the failing verdict of the given mode when
+    the two products carry different labels, else None."""
+    for factors in (lhs_factors, rhs_factors):
+        for a, b in zip(factors, factors[1:]):
+            _require_chain(a, b)
+    if (
+        lhs_factors[0].row_labels != rhs_factors[0].row_labels
+        or lhs_factors[-1].col_labels != rhs_factors[-1].col_labels
+    ):
+        return {"holds": False, "mode": mode, "detail": "label mismatch between the two sides"}
+    return None
+
+
 def verify_identity(lhs_factors, rhs_factors):
     """Check that the products of two ordered factor lists agree.  Returns a
     dict verdict; never raises on inequality.  When the labels agree, a
     failing verdict carries a "counterexample": row and column labels (JSON
     form) and the canonical strings of both products at the first differing
     key.  A single matrix is a one-factor list."""
-    for factors in (lhs_factors, rhs_factors):
-        for a, b in zip(factors, factors[1:]):
-            _require_chain(a, b)
+    mismatch = _label_mismatch(lhs_factors, rhs_factors, "symbolic")
+    if mismatch:
+        return mismatch
     lhs, rhs = lhs_factors[0], rhs_factors[0]
-    if lhs.row_labels != rhs.row_labels or lhs_factors[-1].col_labels != rhs_factors[-1].col_labels:
-        return {
-            "holds": False,
-            "mode": "symbolic",
-            "detail": "label mismatch between the two sides",
-        }
     if len(lhs_factors) == len(rhs_factors) == 1:
         # no product to form: the canonical entries are at hand
         diff = _entry_difference(lhs.entries, rhs.entries)

@@ -33,9 +33,14 @@ evaluates the factors on an integer grid with one more point per variable
 than that bound, placed past Cauchy's root bound of every denominator
 factor, so that no denominator vanishes on it (_grid).  At each
 point it clears each factor's denominators there, so the factor is a matrix
-of integers over the lcm D of its entry denominators; it multiplies
-matrices of integers and compares lhs * prod(D_rhs) with rhs * prod(D_lhs)
-exactly, which is still a proof, not a sample.  check_ybe and
+of integers over the lcm D of its entry denominators, and compares lhs *
+prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof, not a
+sample.  It multiplies only one row per orbit of the label permutations that
+every factor commutes with (_orbit_representatives): Yang's R commutes with
+g (x) g, the cross factors with the permutations that keep their signs, so
+both products take the same values on every row of an orbit, and agreement
+on one row of each orbit is agreement everywhere.  Both provers check the
+factor labels the same way (matrix._label_mismatch).  check_ybe and
 check_reflection expose the mode; the tests run both provers on the factor
 lists of the other checks.
 """
@@ -51,7 +56,15 @@ import os
 from fractions import Fraction
 
 from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, poly_div_exact, poly_gcd
-from .matrix import LabeledMatrix, _label_to_json, embed_on_slots, first_difference, swap_conjugate, verify_identity
+from .matrix import (
+    LabeledMatrix,
+    _label_mismatch,
+    _label_to_json,
+    embed_on_slots,
+    first_difference,
+    swap_conjugate,
+    verify_identity,
+)
 from .rkmat import (
     KINDS,
     constant_term_matrix,
@@ -260,113 +273,173 @@ def _magnitude(terms, top):
     return sum(abs(c) * math.prod(top[i] ** x for i, x in enumerate(e) if x) for e, c in terms.items())
 
 
-def _cleared_rows(mat, assignment, memo):
-    """mat at an integer point as (rows, D): D is the lcm of the |d| over the
-    entry values n / d, and rows holds the nonzero integers n * (D // d).
+def _orbit_representatives(factors):
+    """The least row index of each orbit of the label symmetry that every
+    factor has, in increasing order; every row index when some factor's row
+    or column labels differ from the first factor's row labels.
 
-    memo, keyed by id(entry), holds each distinct entry's (n, d) for this
-    point, so a RatFunc shared among entries and factors is evaluated once.
-    A pole raises ZeroDivisionError, as RatFunc.eval does.
+    A label is a tuple of sites (a bare label is a 1-tuple), and the
+    transposition (a b) of two sites swaps them in every slot at once.  It
+    is accepted when it maps the labels to labels and, for every distinct
+    factor F and every stored entry (i, j) -> v, F holds an entry equal to v
+    at the permuted key.  The transposition is an involution, so that is
+    F[s i, s j] = F[i, j] at every key, zero entries included.  A pair of
+    sites already in one component of the accepted transpositions is not
+    tested: they generate the product of the symmetric groups on the
+    components, which is the group every holding transposition generates.
+    Two labels lie in one orbit of that group exactly when they have the
+    same pattern: per slot, the component of its site and the first slot
+    that holds the same site.
     """
-    vals = []
-    for k, v in mat.entries.items():
-        nd = memo.get(id(v))
-        if nd is None:
-            d = v.den.subs(assignment)
-            if d == 0:
-                raise ZeroDivisionError(f"pole of rational function at {assignment}")
-            nd = memo[id(v)] = (v.num.subs(assignment), d)
-        vals.append((k, nd))
-    big = math.lcm(*(d for _, (_, d) in vals))
+    labels = factors[0].row_labels
+    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
+        return range(len(labels))
+    parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
+    index = {p: i for i, p in enumerate(parts)}
+    entries = [m.entries for m in {id(m): m for m in factors}.values()]
+    root = {x: x for p in parts for x in p}  # site -> its parent in the components
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in itertools.combinations(root, 2):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        swap = {a: b, b: a}
+        perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
+        # dict equality takes e is v before e == v, value by value
+        if None not in perm and all({(perm[i], perm[j]): v for (i, j), v in ent.items()} == ent for ent in entries):
+            root[rb] = ra
+    reps = {}
+    for i, p in enumerate(parts):
+        reps.setdefault(tuple((find(x), p.index(x)) for x in p), i)
+    return sorted(reps.values())
+
+
+def _row_index(mat):
+    """mat's stored entries as {row: [(col, id(entry))]}."""
     rows = {}
-    for (i, j), (n, d) in vals:
-        if n:
-            rows.setdefault(i, {})[j] = n * (big // d)
-    return rows, big
+    for (i, j), v in mat.entries.items():
+        rows.setdefault(i, []).append((j, id(v)))
+    return rows
 
 
-def _matmul_rows(a, b):
+def _clear_at(entries, assignment):
+    """Every factor at an integer point, cleared of its denominators there.
+
+    entries maps the id of each distinct factor to its distinct entries,
+    {id(entry): entry}.  The result maps it to (values, D): D is the lcm of
+    the |d| over the factor's entry values n / d, and values maps id(entry)
+    to the integer n * (D // d).  An entry shared among factors is evaluated
+    once.  A pole raises ZeroDivisionError, as RatFunc.eval does.
+    """
+    evaluated, cleared = {}, {}
+    for key, distinct in entries.items():
+        for eid, v in distinct.items():
+            if eid not in evaluated:
+                d = v.den.subs(assignment)
+                if d == 0:
+                    raise ZeroDivisionError(f"pole of rational function at {assignment}")
+                evaluated[eid] = (v.num.subs(assignment), d)
+        big = math.lcm(*(evaluated[eid][1] for eid in distinct))
+        cleared[key] = ({eid: n * (big // d) for eid in distinct for n, d in (evaluated[eid],)}, big)
+    return cleared
+
+
+def _product_rows(factors, rows, index, cleared):
+    """The given rows of the product of the cleared factors, {row: {col:
+    int}} with no zero entry and no empty row.  Each row is carried left to
+    right through the factors and reads only the factor rows it reaches;
+    index is _row_index and cleared is _clear_at, keyed by id(factor)."""
     out = {}
-    for i, arow in a.items():
-        acc = {}
-        for k, av in arow.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            for j, bv in brow.items():
-                cur = acc.get(j)
-                cur = av * bv if cur is None else cur + av * bv
-                acc[j] = cur
-        row = {j: v for j, v in acc.items() if v}
-        if row:
-            out[i] = row
+    for i in rows:
+        acc = {i: 1}
+        for mat in factors:
+            mat_rows, values = index[id(mat)], cleared[id(mat)][0]
+            nxt = {}
+            for k, a in acc.items():
+                for j, eid in mat_rows.get(k, ()):
+                    c = values[eid]
+                    if c:
+                        nxt[j] = nxt.get(j, 0) + a * c
+            acc = {j: x for j, x in nxt.items() if x}
+        if acc:
+            out[i] = acc
     return out
-
-
-def _product_at_point(factors, assignment, memo):
-    """The product at an integer point as (rows, D): rows / D is the product,
-    rows an integer matrix and D the product of the factors' lcms.  memo
-    also holds each distinct factor's cleared rows for this point."""
-    rows, scale = None, 1
-    for mat in factors:
-        cleared = memo.get(id(mat))
-        if cleared is None:
-            cleared = memo[id(mat)] = _cleared_rows(mat, assignment, memo)
-        cur, big = cleared
-        rows = cur if rows is None else _matmul_rows(rows, cur)
-        scale *= big
-    return rows or {}, scale
 
 
 def _verify_product_identity(lhs_factors, rhs_factors):
     """Grid proof that two ordered matrix products agree, factor by factor.
 
-    All factors must share the same (square) label set.  At each grid point
-    every factor's entries are cleared of their denominators there, and the
-    products are sparse matrices of integers: lhs / D_lhs = rhs / D_rhs is
-    tested as lhs * D_rhs = rhs * D_lhs, exactly.  The grid has (degree
-    bound + 1) points per variable, which makes full agreement equivalent to
-    the symbolic identity.  When every factor entry is homogeneous of degree
-    zero (jointly in h and the spectral variables), the h = 1 slice is
-    faithful and h is dropped from the grid.
+    The labels are checked as in the symbolic prover (matrix._label_mismatch).
+    At each grid point every factor's entries are cleared of their
+    denominators there, and the products are sparse matrices of integers:
+    lhs / D_lhs = rhs / D_rhs is tested as lhs * D_rhs = rhs * D_lhs,
+    exactly.  The grid has (degree bound + 1) points per variable, which
+    makes full agreement equivalent to the symbolic identity.  When every
+    factor entry is homogeneous of degree zero (jointly in h and the
+    spectral variables), the h = 1 slice is faithful and h is dropped from
+    the grid.
+
+    Only one row per orbit of the label symmetry every factor has is
+    multiplied (_orbit_representatives).  Each factor commutes with that
+    group, so both products, both scales and both scaled sides are
+    invariant under it, at every grid point: the scaled sides agree on
+    every row once they agree on one row of each orbit.  At the first point
+    where they differ, the same kernel runs on every row, and the
+    counterexample is the least differing entry there.
     """
+    mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
+    if mismatch:
+        return mismatch
     read = _read_factors([*lhs_factors, *rhs_factors])
     bounds = _product_degree_bounds(lhs_factors, rhs_factors, read)
     drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
         del bounds["h"]
     points = _grid(read.values(), bounds)
-    ref = lhs_factors[0]
+    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
+    index = {key: _row_index(mat) for key, mat in factors.items()}
+    # embed_on_slots shares one RatFunc among many entries and factors:
+    # _clear_at evaluates each distinct object once per point
+    entries = {key: {id(v): v for v in mat.entries.values()} for key, mat in factors.items()}
+    reps = _orbit_representatives(list(factors.values()))
+    every = range(len(lhs_factors[0].row_labels))
     n_points = 0
     for combo in itertools.product(*points.values()):
         assignment = dict(zip(points, combo))
         assignment.setdefault("h", 1)
         n_points += 1
-        # embed_on_slots shares one RatFunc among many entries and factors:
-        # evaluate each distinct object once per point
-        memo = {}
-        lhs, lhs_den = _product_at_point(lhs_factors, assignment, memo)
-        rhs, rhs_den = _product_at_point(rhs_factors, assignment, memo)
+        cleared = _clear_at(entries, assignment)
+        lhs_den, rhs_den = (math.prod(cleared[id(mat)][1] for mat in side) for side in (lhs_factors, rhs_factors))
         # both scales are nonzero, so the scaled sides differ in the same entries
         g = math.gcd(lhs_den, rhs_den)
-        lhs_scaled, rhs_scaled = _scaled(lhs, rhs_den // g), _scaled(rhs, lhs_den // g)
-        if lhs_scaled != rhs_scaled:
-            flat = [{(r, c): v for r, row in side.items() for c, v in row.items()} for side in (lhs_scaled, rhs_scaled)]
-            i, j = first_difference(*flat)
-            return {
-                "holds": False,
-                "mode": "multipoint",
-                "detail": f"product mismatch at grid point {_point_str(assignment)}",
-                "gridSize": n_points,
-                "degreeBounds": bounds,
-                "counterexample": {
-                    "row": _label_to_json(ref.row_labels[i]),
-                    "col": _label_to_json(ref.col_labels[j]),
-                    "lhs": str(Fraction(lhs.get(i, {}).get(j, 0), lhs_den)),
-                    "rhs": str(Fraction(rhs.get(i, {}).get(j, 0), rhs_den)),
-                    "point": _point_str(assignment),
-                },
-            }
+        scales = (rhs_den // g, lhs_den // g)
+        sides = (lhs_factors, rhs_factors)
+        lhs, rhs = (_scaled(_product_rows(side, reps, index, cleared), s) for side, s in zip(sides, scales))
+        if lhs == rhs:
+            continue
+        lhs, rhs = (_scaled(_product_rows(side, every, index, cleared), s) for side, s in zip(sides, scales))
+        flat = ({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs))
+        i, j = first_difference(*flat)
+        common = lhs_den * scales[0]  # the denominator of both scaled sides
+        return {
+            "holds": False,
+            "mode": "multipoint",
+            "detail": f"product mismatch at grid point {_point_str(assignment)}",
+            "gridSize": n_points,
+            "degreeBounds": bounds,
+            "counterexample": {
+                "row": _label_to_json(lhs_factors[0].row_labels[i]),
+                "col": _label_to_json(lhs_factors[-1].col_labels[j]),
+                "lhs": str(Fraction(lhs.get(i, {}).get(j, 0), common)),
+                "rhs": str(Fraction(rhs.get(i, {}).get(j, 0), common)),
+                "point": _point_str(assignment),
+            },
+        }
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     return {
         "holds": True,

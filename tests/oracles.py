@@ -18,6 +18,9 @@ The library never calls these.
   fold_and_compare            two factor lists multiplied out entry by entry
                               in canonical form and compared, the reference
                               for matrix.verify_identity
+  full_row_grid_proof         the grid proof with every row of both products
+                              multiplied at every point, the reference for
+                              relations._verify_product_identity
   reflect_root                a simple reflection on simple-root coordinates,
                               the reference for dynkin.longest_word
   reflect_step_generic        U_j - q^eps [a_ij] U_i at every vertex j, with
@@ -27,13 +30,16 @@ The library never calls these.
 
 import functools
 import itertools
+import math
 import operator
+from fractions import Fraction
 
 from refleq.dynkin import adjacency, cartan_matrix
 from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, format_ratfunc
 from refleq.kclass import GenericityError, QLaurent, q_integer
-from refleq.matrix import LabeledMatrix, _label_to_json
+from refleq.matrix import LabeledMatrix, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
+from refleq.relations import _grid, _point_str, _product_degree_bounds, _read_factors
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -256,6 +262,110 @@ def fold_and_compare(lhs_factors, rhs_factors):
             "lhs": format_ratfunc(lhs.entries.get((i, j), zero)),
             "rhs": format_ratfunc(rhs.entries.get((i, j), zero)),
         },
+    }
+
+
+def _cleared_rows(mat, assignment, memo):
+    """mat at an integer point as (rows, D): D is the lcm of the |d| over the
+    entry values n / d, and rows holds the nonzero integers n * (D // d).
+    memo, keyed by id(entry), holds each distinct entry's (n, d)."""
+    vals = []
+    for k, v in mat.entries.items():
+        nd = memo.get(id(v))
+        if nd is None:
+            d = v.den.subs(assignment)
+            if d == 0:
+                raise ZeroDivisionError(f"pole of rational function at {assignment}")
+            nd = memo[id(v)] = (v.num.subs(assignment), d)
+        vals.append((k, nd))
+    big = math.lcm(*(d for _, (_, d) in vals))
+    rows = {}
+    for (i, j), (n, d) in vals:
+        if n:
+            rows.setdefault(i, {})[j] = n * (big // d)
+    return rows, big
+
+
+def _matmul_rows(a, b):
+    out = {}
+    for i, arow in a.items():
+        acc = {}
+        for k, av in arow.items():
+            for j, bv in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + av * bv
+        row = {j: v for j, v in acc.items() if v}
+        if row:
+            out[i] = row
+    return out
+
+
+def _product_at_point(factors, assignment, memo):
+    """The product at an integer point as (rows, D): rows / D is the
+    product, rows an integer matrix and D the product of the factors' lcms."""
+    rows, scale = None, 1
+    for mat in factors:
+        cleared = memo.get(id(mat))
+        if cleared is None:
+            cleared = memo[id(mat)] = _cleared_rows(mat, assignment, memo)
+        cur, big = cleared
+        rows = cur if rows is None else _matmul_rows(rows, cur)
+        scale *= big
+    return rows or {}, scale
+
+
+def _scaled(rows, s):
+    return {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
+
+
+def full_row_grid_proof(lhs_factors, rhs_factors):
+    """relations._verify_product_identity's verdict with both products
+    multiplied in full at every grid point: the same label checks, degree
+    bounds and grid, every row of every integer product, and the
+    counterexample at the least differing entry of the first point where
+    the scaled products differ."""
+    mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
+    if mismatch:
+        return mismatch
+    read = _read_factors([*lhs_factors, *rhs_factors])
+    bounds = _product_degree_bounds(lhs_factors, rhs_factors, read)
+    drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
+    if drop_h:
+        del bounds["h"]
+    points = _grid(read.values(), bounds)
+    n_points = 0
+    for combo in itertools.product(*points.values()):
+        assignment = dict(zip(points, combo))
+        assignment.setdefault("h", 1)
+        n_points += 1
+        memo = {}
+        lhs, lhs_den = _product_at_point(lhs_factors, assignment, memo)
+        rhs, rhs_den = _product_at_point(rhs_factors, assignment, memo)
+        g = math.gcd(lhs_den, rhs_den)
+        lhs_scaled, rhs_scaled = _scaled(lhs, rhs_den // g), _scaled(rhs, lhs_den // g)
+        if lhs_scaled != rhs_scaled:
+            flat = [{(r, c): v for r, row in side.items() for c, v in row.items()} for side in (lhs_scaled, rhs_scaled)]
+            i, j = first_difference(*flat)
+            return {
+                "holds": False,
+                "mode": "multipoint",
+                "detail": f"product mismatch at grid point {_point_str(assignment)}",
+                "gridSize": n_points,
+                "degreeBounds": bounds,
+                "counterexample": {
+                    "row": _label_to_json(lhs_factors[0].row_labels[i]),
+                    "col": _label_to_json(lhs_factors[-1].col_labels[j]),
+                    "lhs": str(Fraction(lhs.get(i, {}).get(j, 0), lhs_den)),
+                    "rhs": str(Fraction(rhs.get(i, {}).get(j, 0), rhs_den)),
+                    "point": _point_str(assignment),
+                },
+            }
+    slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
+    return {
+        "holds": True,
+        "mode": "multipoint",
+        "detail": f"products agree on the full grid ({n_points} points, bounds {bounds}){slice_note}",
+        "gridSize": n_points,
+        "degreeBounds": bounds,
     }
 
 

@@ -13,25 +13,27 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import entry, fold_and_compare, linear_combination, parse_ratfunc
+from oracles import entry, fold_and_compare, full_row_grid_proof, linear_combination, parse_ratfunc
 from refleq import field, relations
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
     _chain_monodromies,
-    _cleared_rows,
+    _clear_at,
     _constant_term_factors,
     _derivation_factors,
     _exchange_factors,
     _factorization_factors,
     _fold,
     _grid,
-    _product_at_point,
+    _orbit_representatives,
     _product_degree_bounds,
+    _product_rows,
     _prove,
     _read_factors,
     _reflection_factors,
+    _row_index,
     _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
@@ -66,6 +68,21 @@ from refleq.rkmat import (
 # canonical entry strings of symbolic products, pinned before RatFunc products
 # and sums stopped taking the gcd of the full result
 CANONICAL_PRODUCTS = json.loads((Path(__file__).parent / "products_canonical.json").read_text())
+
+
+def _grid_proof(lhs, rhs):
+    """The grid proof's verdict on two factor lists, held to the verdict of
+    oracles.full_row_grid_proof, which multiplies every row at every point."""
+    v = _verify_product_identity(lhs, rhs)
+    assert v == full_row_grid_proof(lhs, rhs)
+    return v
+
+
+@pytest.fixture(autouse=True)
+def _grid_proofs_match_the_full_row_oracle(monkeypatch):
+    # every multipoint proof that a test here runs through _prove is held to
+    # the oracle as well
+    monkeypatch.setattr(relations, "_verify_product_identity", _grid_proof)
 
 
 def _canonical_rows(m):
@@ -162,16 +179,16 @@ class TestGridEngine:
         rhs = linear_combination((1, a * a), (1, a * b), (1, b * a), (1, b * b))
         assert verify_identity([lhs], [rhs])["holds"]
         assert verify_identity([s, s], [rhs])["holds"]
-        v = _verify_product_identity([lhs], [rhs])
+        v = _grid_proof([lhs], [rhs])
         assert v["holds"] and v["gridSize"] >= 1
-        assert _verify_product_identity([s, s], [rhs])["holds"]
+        assert _grid_proof([s, s], [rhs])["holds"]
 
     def test_detects_failure_in_both_modes(self):
         labels = [1, 2]
         a = LabeledMatrix.identity(labels)
         b = LabeledMatrix.identity(labels)
         b.set(1, 2, parse_ratfunc("h / (u + h)"))
-        for v in (verify_identity([a], [b]), _verify_product_identity([a], [b])):
+        for v in (verify_identity([a], [b]), _grid_proof([a], [b])):
             assert not v["holds"]
             assert "detail" in v
 
@@ -184,7 +201,7 @@ class TestGridEngine:
         b.set("a", "c", U1 / (U1 + H))
         b.set("b", "a", H)
         b.set("b", "b", RatFunc.const(7))
-        v = _verify_product_identity([ident, ident], [b, ident])
+        v = _grid_proof([ident, ident], [b, ident])
         assert not v["holds"] and v["gridSize"] == 1
         cex = v["counterexample"]
         assert (cex["row"], cex["col"], cex["lhs"], cex["rhs"]) == ("b", "b", "1", "7")
@@ -195,7 +212,7 @@ class TestGridEngine:
         # denominators vanish on naive small grids; the builder must dodge them
         m = LabeledMatrix([1], [1])
         m.set(1, 1, H / (RatFunc.var("u1") - RatFunc.var("u2")))
-        assert _verify_product_identity([m], [m])["holds"]
+        assert _grid_proof([m], [m])["holds"]
 
     def test_pole_in_a_later_variable_is_escaped(self):
         # u2's first offset is 10201, a pole of this entry; the grid must
@@ -204,7 +221,7 @@ class TestGridEngine:
         m.set(1, 1, RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
         points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
         assert points == {"u1": range(97, 99), "u2": range(10202, 10204)}
-        v = _verify_product_identity([m], [m])
+        v = _grid_proof([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 1}
 
     def test_grid_starts_past_a_pole_at_the_first_offset(self):
@@ -212,7 +229,7 @@ class TestGridEngine:
         m = LabeledMatrix([1], [1])
         m.set(1, 1, RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
         assert _grid(_read_factors([m]).values(), {"u1": 1}) == {"u1": range(98, 100)}
-        v = _verify_product_identity([m], [m])
+        v = _grid_proof([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 0}
 
     def test_grid_keeps_the_leading_coefficient_nonzero(self):
@@ -223,7 +240,7 @@ class TestGridEngine:
         m.set(1, 1, parse_ratfunc("1 / (u1*u2 - 97*u2 - 1)"))
         points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
         assert points == {"u1": range(98, 100), "u2": range(10201, 10203)}
-        assert _verify_product_identity([m], [m])["holds"]
+        assert _grid_proof([m], [m])["holds"]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -316,12 +333,14 @@ class TestGridEngine:
         values = m.eval_entries(point)
         assert all(type(x) is Fraction for x in values.values())
         assert values[(0, 0)] == Fraction(-1, 4)
-        rows, big = _cleared_rows(m, point, {})
+        cleared = _clear_at({id(m): {id(v): v for v in m.entries.values()}}, point)
+        ints, big = cleared[id(m)]
         assert big == 60
-        assert all(type(n) is int for row in rows.values() for n in row.values())
-        assert {(i, j): Fraction(n, big) for i, row in rows.items() for j, n in row.items()} == values
-        product, scale = _product_at_point([m, m, m], point, {})
-        assert scale == 60 ** 3
+        assert all(type(n) is int for n in ints.values())
+        assert {k: Fraction(ints[id(v)], big) for k, v in m.entries.items()} == values
+        index = {id(m): _row_index(m)}
+        product = _product_rows([m, m, m], range(len(labels)), index, cleared)
+        scale = big ** 3
         assert all(type(n) is int for row in product.values() for n in row.values())
         expected = (m * m * m).eval_entries(point)
         assert {(i, j): Fraction(n, scale) for i, row in product.items() for j, n in row.items()} == {
@@ -332,7 +351,7 @@ class TestGridEngine:
         m = LabeledMatrix([1], [1])
         m.set(1, 1, parse_ratfunc("h / (u1 - 7)"))
         with pytest.raises(ZeroDivisionError):
-            _cleared_rows(m, {"h": 1, "u1": 7}, {})
+            _clear_at({id(m): {id(v): v for v in m.entries.values()}}, {"h": 1, "u1": 7})
 
     def test_eval_at_an_integer_point_is_a_fraction(self):
         point = {"h": 1, "u": 4, "u1": 3, "u2": 2}
@@ -663,8 +682,8 @@ class TestBothProvers:
     every kind and variant, one two-site exchange per variant, the dressed
     chain reflection, the boundary operator, the twistedPlain derivation and
     the unitarity factor lists for every kind.  The largest multipoint
-    proofs, the dressed chain reflection and the two-site exchanges with
-    1089-1225 grid points, take 0.6-0.8 s each with integer products.
+    proofs, the dressed chain reflection with 125-180 grid points and the
+    two-site exchanges with 144, take 0.02-0.04 s each.
     """
 
     @staticmethod
@@ -928,7 +947,7 @@ class TestDegreeBounds:
         for x in xs[:-1]:
             num = num * (u1 - RatFunc.const(x))
         a = self._one_entry((num + RatFunc.one()) / (u1 - RatFunc.one()))
-        v = _verify_product_identity([k, a], [k, k])
+        v = _grid_proof([k, a], [k, k])
         assert v["degreeBounds"] == {"u1": 3}
         assert not v["holds"] and v["gridSize"] == len(xs) == 4
         assert v["counterexample"]["point"] == f"{{h=1, u1={xs[-1]}}}"
@@ -940,13 +959,160 @@ class TestDegreeBounds:
         # denominator is divided out on its own, so both are table forms
         den = RatFunc.one() / (U1 - U2) / (U1 + H)
         m = self._one_entry(den)
-        v = _verify_product_identity([m], [m])
+        v = _grid_proof([m], [m])
         assert v["holds"] and v["gridSize"] == 1
         assert v["degreeBounds"] == {"h": 0, "u1": 0, "u2": 0}
         twice = self._one_entry(den * RatFunc.const(2))
-        w = _verify_product_identity([m], [twice])
+        w = _grid_proof([m], [twice])
         assert not w["holds"] and w["gridSize"] == 1
         assert w["counterexample"]["point"] == "{h=97, u1=10201, u2=1092727}"
+
+
+def _with_entry(mat, key, value):
+    """A copy of mat with the entry at the index pair key set to value."""
+    m = LabeledMatrix(mat.row_labels, mat.col_labels)
+    m.entries = {**mat.entries, key: value}
+    return m
+
+
+def _ybe_factors(l):
+    """check_ybe's factors R12, R13, R23 at site dimension l."""
+    slots = [site_labels(l)] * 3
+    return (
+        embed_on_slots(yang_r(l, U1 - U2), (0, 1), slots),
+        embed_on_slots(yang_r(l, U1), (0, 2), slots),
+        embed_on_slots(yang_r(l, U2), (1, 2), slots),
+    )
+
+
+class TestOrbitReduction:
+    """The grid proof multiplies one row per orbit of the label symmetry
+    that every factor has; oracles.full_row_grid_proof multiplies every row
+    at every point.  Their verdicts must agree key by key and string by
+    string."""
+
+    ORACLE_CASES = {
+        **{f"verdict-{name}": run for name, (run, _) in MULTIPOINT_VERDICTS.items()},
+        **{f"pin-{name}": pin[0] for name, pin in GRID_PROOF_PINS.items()},
+        **{
+            f"chainReflection-{kind}-l{l}": lambda k=kind, ll=l: check_chain_reflection(k, ll, n=1)
+            for kind in ("flagPlus", "soInstanton", "spInstanton")
+            for l in (3, 4)
+        },
+        **{
+            f"reflection-spInstanton-l{l}": lambda ll=l: check_reflection("spInstanton", ll, mode="multipoint")
+            for l in (3, 4)
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_verdict_equals_the_full_row_oracle(self, name, monkeypatch):
+        lists = _factor_lists(monkeypatch, self.ORACLE_CASES[name])
+        assert lists
+        for lhs, rhs in lists:
+            v = _verify_product_identity(lhs, rhs)
+            assert v == full_row_grid_proof(lhs, rhs)
+            if "spInstanton-l" in name:
+                assert not v["holds"] and "counterexample" in v
+
+    @pytest.mark.parametrize(
+        "build,count",
+        [
+            *((lambda l=l: _ybe_factors(l), 5) for l in (3, 4, 5, 6)),
+            (lambda: sum(_reflection_factors("flagPlus", 3), []), 5),
+            (lambda: sum(_reflection_factors("soInstanton", 3), []), 2),
+            (lambda: sum(_reflection_factors("flagPlus", 3, n=1), []), 14),
+            (lambda: sum(_reflection_factors("soInstanton", 3, n=1), []), 5),
+            (lambda: sum(_reflection_factors("flagMinus", 3, n=2), []), 41),
+        ],
+        ids=["ybe-l3", "ybe-l4", "ybe-l5", "ybe-l6", "reflection-flagPlus-l3", "reflection-soInstanton-l3",
+             "chainReflection-flagPlus-l3", "chainReflection-soInstanton-l3", "chainReflection-flagMinus-l3-n2"],
+    )
+    def test_representative_counts(self, build, count):
+        factors = list(build())
+        reps = _orbit_representatives(factors)
+        assert len(reps) == count
+        assert reps == sorted(reps) and reps[0] == 0
+
+    def test_ybe_representatives_are_the_least_labels(self):
+        r12, r13, r23 = _ybe_factors(3)
+        reps = _orbit_representatives([r12, r13, r23])
+        assert [r12.row_labels[i] for i in reps] == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
+
+    @pytest.mark.parametrize("l", [5, 6])
+    def test_ybe_multiplies_five_rows_per_side_per_point(self, l, monkeypatch):
+        counts = []
+        real = relations._product_rows
+
+        def counting(factors, rows, index, cleared):
+            counts.append(len(rows))
+            return real(factors, rows, index, cleared)
+
+        monkeypatch.setattr(relations, "_product_rows", counting)
+        v = check_ybe(l, mode="multipoint")
+        assert v["holds"] and v["gridSize"] == 9
+        assert counts == [5] * (2 * v["gridSize"])
+
+    # R12's entry at rows (2, 3, 2) -> (3, 2, 2); that row lies outside the
+    # representatives (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)
+    PLANTED = ((2, 3, 2), (3, 2, 2))
+
+    def test_a_planted_asymmetry_is_refuted(self):
+        r12, r13, r23 = _ybe_factors(3)
+        reps = _orbit_representatives([r12, r13, r23])
+        key = i, _ = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
+        assert i not in reps and key in r12.entries
+        planted = _with_entry(r12, key, r12.entries[key] + RatFunc.one())
+        lhs, rhs = [planted, r13, r23], [r23, r13, planted]
+        # every transposition of sites moves the planted entry to a key that
+        # still holds the old value, so the engine must drop all three
+        assert _orbit_representatives([planted, r13, r23]) == list(range(27))
+        v = _verify_product_identity(lhs, rhs)
+        assert not v["holds"]
+        assert v == full_row_grid_proof(lhs, rhs)
+        assert not verify_identity(lhs, rhs)["holds"]
+        # the rows of the unplanted symmetry never reach the planted row: an
+        # engine that kept those transpositions would find the two sides equal
+        factors = {id(m): m for m in (*lhs, *rhs)}
+        index = {k: _row_index(m) for k, m in factors.items()}
+        distinct = {k: {id(x): x for x in m.entries.values()} for k, m in factors.items()}
+        cleared = _clear_at(distinct, {"h": 1, "u1": 97, "u2": 10201})
+        assert _product_rows(lhs, reps, index, cleared) == _product_rows(rhs, reps, index, cleared)
+
+    def test_an_equal_but_distinct_entry_keeps_the_symmetry(self):
+        r12, r13, r23 = _ybe_factors(3)
+        key = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
+        value = r12.entries[key]
+        twin = parse_ratfunc(format_ratfunc(value))
+        assert twin is not value and twin == value
+        copy = _with_entry(r12, key, twin)
+        assert len(_orbit_representatives([copy, r13, r23])) == 5
+        assert _grid_proof([copy, r13, r23], [r23, r13, copy])["holds"]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
+def test_both_provers_check_labels(mode):
+    i2 = LabeledMatrix.identity([1, 2])
+    # the lhs product I2 I3 is not defined
+    with pytest.raises(ValueError, match="label mismatch in matrix product"):
+        _prove([i2, LabeledMatrix.identity([1, 2, 3])], [i2], mode)
+    v = _prove([i2], [LabeledMatrix.identity([2, 1])], mode)
+    assert v == {"holds": False, "mode": mode, "detail": "label mismatch between the two sides"}
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
+def test_a_rectangular_counterexample_names_the_product_column(mode):
+    # (2 x 3) (3 x 2) against a 2 x 2 matrix: the product's columns are
+    # "x", "y", not the first factor's
+    a = LabeledMatrix([1, 2], [1, 2, 3])
+    b = LabeledMatrix([1, 2, 3], ["x", "y"])
+    c = LabeledMatrix([1, 2], ["x", "y"])
+    a.set(1, 3, RatFunc.one())
+    b.set(3, "y", U1)
+    c.set(1, "y", U1 + RatFunc.one())
+    v = _prove([a, b], [c], mode)
+    assert not v["holds"]
+    assert (v["counterexample"]["row"], v["counterexample"]["col"]) == (1, "y")
 
 
 class TestChainReflection:
