@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from operator import mul
 from types import MappingProxyType
 
 _TYPE_RE = re.compile(r"^([ADE])(\d+)$")
@@ -115,26 +116,25 @@ def invast(t):
 
 @functools.cache
 def positive_roots(t):
-    """All positive roots in simple-root coordinates, by reflection closure.
+    """All positive roots in simple-root coordinates, as a sorted tuple.
 
-    Returned as a sorted tuple.
+    Every supported type is simply laced, so for a positive root beta other
+    than alpha_i, beta + alpha_i is a root exactly when <beta, alpha_i> = -1.
+    The roots grow from the simple ones by that rule, one height at a time.
     """
     n = t.rank
     cartan = cartan_matrix(t)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for i in range(n):
-            pairing = sum(beta[j] * cartan[i][j] for j in range(n))
-            new = list(beta)
-            new[i] -= pairing
-            new = tuple(new)
-            if new not in seen:
-                seen.add(new)
-                frontier.append(new)
-    return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
+    layer = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    roots = []
+    while layer:
+        roots += layer
+        up = set()
+        for beta in layer:
+            for i, row in enumerate(cartan):
+                if sum(map(mul, beta, row)) == -1:
+                    up.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        layer = list(up)
+    return tuple(sorted(roots))
 
 
 def reflect_weight(t, lam, i):

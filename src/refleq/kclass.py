@@ -147,12 +147,14 @@ class KClassExpr:
     def __add__(self, other):
         out = dict(self.parts)
         for sym, c in other.parts.items():
-            s = out.get(sym, QLaurent.zero()) + c
+            s = out[sym] + c if sym in out else c
             if s:
                 out[sym] = s
             else:
-                out.pop(sym, None)
-        return KClassExpr(out)
+                del out[sym]
+        e = KClassExpr()
+        e.parts = out
+        return e
 
     def __sub__(self, other):
         return self + other.scale(QLaurent({0: -1}))
@@ -160,7 +162,10 @@ class KClassExpr:
     def scale(self, c):
         if c.is_zero():
             return KClassExpr()
-        return KClassExpr({sym: cc * c for sym, cc in self.parts.items()})
+        # Z[q, q^-1] has no zero divisors, so no coefficient times c is zero
+        e = KClassExpr()
+        e.parts = {sym: cc * c for sym, cc in self.parts.items()}
+        return e
 
     def single_symbol(self):
         """(symbol, coeff) if the expression is one term, else None."""

@@ -8,9 +8,9 @@ combinatorial condition on ordered row pairs produces two charge counts
 t^(2*charge).
 
 Betti data come from a dynamic program over contents, not from the l^w1
-tableaux.  It rests on row locality: condition_met and dim_h1_pair read
-only the two rows they compare and whether one lies above the other, and
-rows +-i are fixed by the entry e_i alone.  So each statistic used here
+tableaux.  It rests on row locality: the charge and tangent-dimension rules
+read only the two rows they compare and whether one lies above the other,
+and rows +-i are fixed by the entry e_i alone.  So each statistic used here
 (2*charge = 2A + B for sp and B for so, the tangent dimension, the number
 of entries equal to 2) equals
 
@@ -105,9 +105,6 @@ class InstantonTableau:
             return self.rows[k + w1][1]
         raise KeyError(k)
 
-    def row_indices(self):
-        return tuple(k for k, _ in self.rows)
-
     def entry(self, k, a):
         """T(k, a), 1-based column; None when the node does not exist."""
         r = self.row(k)
@@ -163,19 +160,27 @@ def condition_met(t, k, l_row, a):
 
 
 def charge_pair_counts(t):
-    """(A, B): satisfied triples (k, l, a) split by l == -k vs l != -k."""
+    """(A, B): satisfied triples (k, l, a) split by l == -k vs l != -k.
+
+    condition_met's rule on the row tuples: T(k, a) beats column a of a row
+    below or column a + 1 of a row above, and is not in that row.
+    """
     a_diag = 0
     b_off = 0
-    for k in t.row_indices():
-        for a in range(1, len(t.row(k)) + 1):
-            for l_row in t.row_indices():
-                if l_row == k:
-                    continue
-                if condition_met(t, k, l_row, a):
-                    if l_row == -k:
-                        a_diag += 1
-                    else:
-                        b_off += 1
+    rows = t.rows
+    for i, (k, row) in enumerate(rows):
+        for j, (l_row, other) in enumerate(rows):
+            if j == i:
+                continue
+            # rows are sorted by k, so j < i is a row below
+            n = 0
+            for val, o in zip(row, other if j < i else other[1:]):
+                if o < val and val not in other:
+                    n += 1
+            if l_row == -k:
+                a_diag += n
+            else:
+                b_off += n
     return a_diag, b_off
 
 
@@ -203,36 +208,25 @@ def so_charge(t):
     return charge(t, "so")
 
 
-def dim_h1_pair(t, k, l_row):
-    """Deformation-space dimension for the ordered row pair (k, l_row).
-
-    Depends only on whether k and l_row have the same sign and whether the
-    two positive-row entries coincide.
-    """
-    same_entry = t.positive_entry(k) == t.positive_entry(l_row)
-    if k * l_row > 0:
-        return 0 if same_entry else 1
-    return 1 if same_entry else 0
-
-
 def tangent_dimension(t, kind):
     """Tangent dimension at the fixed point.
 
-    Ordered pairs (k, -k) count fully in the symplectic case and not at
-    all in the orthogonal one; all other ordered pairs contribute half.
+    The ordered row pair (k, l) contributes when the signs of k and l agree
+    and their positive-row entries do not, or the other way round: (k, -k)
+    in full for sp and not at all for so, every other pair half.
     """
-    idx = t.row_indices()
+    signed = [(s * k, row[0]) for k, row in t.rows[t.w1:] for s in (1, -1)]
     diag = 0
     off = 0
-    for k in idx:
-        for l_row in idx:
+    for k, e in signed:
+        for l_row, f in signed:
             if l_row == k:
                 continue
-            d = dim_h1_pair(t, k, l_row)
-            if l_row == -k:
-                diag += d
-            else:
-                off += d
+            if (k * l_row > 0) != (e == f):
+                if l_row == -k:
+                    diag += 1
+                else:
+                    off += 1
     return _fold_pairs(diag, off, kind)
 
 

@@ -21,8 +21,19 @@ The library never calls these.
   full_row_grid_proof         the grid proof with every row of both products
                               multiplied at every point, the reference for
                               relations._verify_product_identity
+  charge_pair_counts_by_nodes condition_met called at every node against
+                              every other row, the reference for
+                              tableaux.charge_pair_counts
+  dim_h1_pair                 the deformation dimension of one ordered row
+                              pair, read through the tableau's accessors
+  tangent_dimension_by_pairs  dim_h1_pair summed over the ordered row pairs,
+                              the reference for tableaux.tangent_dimension
   reflect_root                a simple reflection on simple-root coordinates,
                               the reference for dynkin.longest_word
+  positive_roots_by_closure   the closure of the simple roots under every
+                              simple reflection, negative roots included, cut
+                              to the positive half: the reference for
+                              dynkin.positive_roots
   reflect_step_generic        U_j - q^eps [a_ij] U_i at every vertex j, with
                               the Cartan entries read off the edge set on
                               every call, the reference for kclass.reflect_step
@@ -40,6 +51,7 @@ from refleq.kclass import GenericityError, QLaurent, q_integer
 from refleq.matrix import LabeledMatrix, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
 from refleq.relations import _grid, _point_str, _product_degree_bounds, _read_factors
+from refleq.tableaux import _fold_pairs, condition_met
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -370,6 +382,62 @@ def full_row_grid_proof(lhs_factors, rhs_factors):
 
 
 # ---------------------------------------------------------------------------
+# tableau statistics
+
+
+def _row_indices(t):
+    return [k for k, _ in t.rows]
+
+
+def charge_pair_counts_by_nodes(t):
+    """(A, B): condition_met at every node (k, a) against every row l != k,
+    split by l == -k vs l != -k."""
+    a_diag = 0
+    b_off = 0
+    for k in _row_indices(t):
+        for a in range(1, len(t.row(k)) + 1):
+            for l_row in _row_indices(t):
+                if l_row == k:
+                    continue
+                if condition_met(t, k, l_row, a):
+                    if l_row == -k:
+                        a_diag += 1
+                    else:
+                        b_off += 1
+    return a_diag, b_off
+
+
+def dim_h1_pair(t, k, l_row):
+    """Deformation-space dimension for the ordered row pair (k, l_row).
+
+    Depends only on whether k and l_row have the same sign and whether the
+    two positive-row entries coincide.
+    """
+    same_entry = t.positive_entry(k) == t.positive_entry(l_row)
+    if k * l_row > 0:
+        return 0 if same_entry else 1
+    return 1 if same_entry else 0
+
+
+def tangent_dimension_by_pairs(t, kind):
+    """dim_h1_pair over the ordered row pairs: (k, -k) in full for sp and
+    not at all for so, every other pair half."""
+    idx = _row_indices(t)
+    diag = 0
+    off = 0
+    for k in idx:
+        for l_row in idx:
+            if l_row == k:
+                continue
+            d = dim_h1_pair(t, k, l_row)
+            if l_row == -k:
+                diag += d
+            else:
+                off += d
+    return _fold_pairs(diag, off, kind)
+
+
+# ---------------------------------------------------------------------------
 # Weyl group
 
 
@@ -380,6 +448,22 @@ def reflect_root(t, beta, i):
     new = list(beta)
     new[i - 1] -= pairing
     return tuple(new)
+
+
+def positive_roots_by_closure(t):
+    """The positive roots as a sorted tuple: every root is reached from the
+    simple roots by simple reflections, the negative half is then dropped."""
+    simple = [tuple(1 if j == i else 0 for j in t.vertices) for i in t.vertices]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for i in t.vertices:
+            new = reflect_root(t, beta, i)
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return tuple(sorted(r for r in seen if all(x >= 0 for x in r)))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,14 @@ STDOUT_CASES = {
     **{f"kclass-{t}": (["kclass", "--type", t], 0) for t in ("A8", "D8", "E6")},
     **{f"dynkin-{t}": (["dynkin", "--type", t], 0) for t in ("D8", "E6")},
     "suite-acceptance": (["suite", "acceptance"], 0),
+    # written before the tableau statistics read the row tuples directly
+    **{
+        f"tableaux-betti-{kind}-l{l}-w{w1}": (
+            ["tableaux", "betti", "--kind", kind, "--l", str(l), "--w1", str(w1)], 0
+        )
+        for kind, l, w1 in (("sp", 5, 5), ("so", 4, 5), ("so", 2, 3))
+    },
+    "tableaux-flags-minus-l5-w4": (["tableaux", "flags", "--sign", "minus", "--l", "5", "--w1", "4"], 0),
 }
 
 
@@ -115,6 +123,13 @@ def test_stdout_is_pinned_byte_for_byte(name):
     stdout, n = re.subn(r',\n  "wallTimeMs": \d+\n\}\n$', "\n}\n", res.stdout)
     assert n == 1
     assert stdout == (STDOUT_DIR / f"{name}.json").read_text()
+
+
+def test_csv_stdout_is_pinned_byte_for_byte():
+    # the csv rows carry no envelope and no wall time
+    res = run_cli("tableaux", "betti", "--kind", "sp", "--l", "4", "--w1", "2", "--emit", "csv")
+    assert res.exit_code == 0, res.output
+    assert res.stdout == (STDOUT_DIR / "tableaux-betti-sp-l4-w2-csv.csv").read_text()
 
 
 class TestDelegation:

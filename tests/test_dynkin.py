@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import reflect_root
+from oracles import positive_roots_by_closure, reflect_root
 from refleq.dynkin import (
     DynkinType,
     adjacency,
@@ -73,12 +73,20 @@ def test_coxeter_numbers():
     assert coxeter_number(DynkinType("E", 6)) == 12
 
 
+ROOT_TYPES = [DynkinType.parse(f"A{n}") for n in range(1, 9)]
+ROOT_TYPES += [DynkinType.parse(f"D{n}") for n in range(4, 9)] + [DynkinType("E", 6)]
+
+
 def test_positive_root_counts():
     # closed forms: A_n n(n+1)/2, D_n n(n-1), E6 36
-    assert len(positive_roots(DynkinType("A", 4))) == 10
-    assert len(positive_roots(DynkinType("D", 4))) == 12
-    assert len(positive_roots(DynkinType("D", 5))) == 20
-    assert len(positive_roots(DynkinType("E", 6))) == 36
+    for t in ROOT_TYPES:
+        n = t.rank
+        assert len(positive_roots(t)) == {"A": n * (n + 1) // 2, "D": n * (n - 1), "E": 36}[t.family], t
+
+
+@pytest.mark.parametrize("t", ROOT_TYPES, ids=str)
+def test_positive_roots_match_the_reflection_closure(t):
+    assert positive_roots(t) == positive_roots_by_closure(t)
 
 
 def test_invast_is_diagram_automorphism():

@@ -206,6 +206,35 @@ def random_expr(rng, t):
     return KClassExpr(parts)
 
 
+def test_sums_and_scales_equal_the_filtered_constructor():
+    # __add__ and scale build their dicts without the constructor's zero
+    # filter; they must still give its result and store no zero coefficient,
+    # on sums that cancel and on scales by zero too
+    rng = random.Random(25)
+    t = DynkinType.parse("D5")
+    cancelled = 0
+    for n in range(600):
+        a = random_expr(rng, t)
+        b = random_expr(rng, t)
+        if n % 3 == 0:  # cancel some or all of a's terms
+            b = b + KClassExpr({sym: -c for sym, c in a.parts.items() if rng.random() < 0.7})
+        before = (str(a), str(b))
+        total = a + b
+        symbols = set(a.parts) | set(b.parts)
+        assert total == KClassExpr(
+            {sym: a.parts.get(sym, QLaurent.zero()) + b.parts.get(sym, QLaurent.zero()) for sym in symbols}
+        )
+        cancelled += len(symbols) - len(total.parts)
+        c = random_laurent(rng, rng.randint(0, 3)) if n % 5 else QLaurent.zero()
+        scaled = a.scale(c)
+        assert scaled == KClassExpr({sym: cc * c for sym, cc in a.parts.items()})
+        for expr in (total, scaled, a - b):
+            assert all(isinstance(cc, QLaurent) and not cc.is_zero() for cc in expr.parts.values())
+        assert (str(a), str(b)) == before
+    assert cancelled > 100
+    assert (a - a).parts == {} and a.scale(QLaurent.zero()).parts == {}
+
+
 ORACLE_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6"]
 
 

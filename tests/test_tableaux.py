@@ -3,11 +3,13 @@
 import functools
 import itertools
 import math
+import random
 import time
 from collections import Counter
 
 import pytest
 
+from oracles import charge_pair_counts_by_nodes, dim_h1_pair, tangent_dimension_by_pairs
 from refleq import tableaux
 from refleq.tableaux import (
     FlagTableau,
@@ -16,7 +18,6 @@ from refleq.tableaux import (
     charge,
     charge_pair_counts,
     condition_met,
-    dim_h1_pair,
     enumerate_instanton,
     flag_fixed_points,
     format_tpoly,
@@ -43,7 +44,7 @@ def test_complement_rows():
 @pytest.mark.parametrize("w1", [0, 1, 3])
 def test_row_lookup_matches_stored_rows(w1):
     t = InstantonTableau.from_positive_entries(4, w1, (2, 4, 1)[:w1])
-    assert {k: t.row(k) for k in t.row_indices()} == dict(t.rows)
+    assert {k: t.row(k) for k, _ in t.rows} == dict(t.rows)
     for missing in (0, w1 + 1, -w1 - 1):
         with pytest.raises(KeyError):
             t.row(missing)
@@ -107,8 +108,8 @@ def test_row_pair_symmetry():
     # identity, so it is checked at the count level.
     for l, w1 in SMALL_CASES:
         for t in enumerate_instanton(l, w1):
-            for k in t.row_indices():
-                for l_row in t.row_indices():
+            for k, _ in t.rows:
+                for l_row, _ in t.rows:
                     if l_row == k:
                         continue
                     assert pair_count(t, k, l_row) == pair_count(t, -l_row, -k)
@@ -133,6 +134,60 @@ def test_poincare_total_mass():
         for kind in ("sp", "so"):
             poly = poincare_polynomial(kind, l, w1)
             assert sum(poly.values()) == l**w1
+
+
+def assert_statistics_match_the_oracles(t):
+    assert charge_pair_counts(t) == charge_pair_counts_by_nodes(t), t.rows
+    for kind in ("sp", "so"):
+        assert tangent_dimension(t, kind) == tangent_dimension_by_pairs(t, kind), (kind, t.rows)
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_statistics_match_the_accessor_oracles(l):
+    for w1 in range(5):
+        for t in enumerate_instanton(l, w1):
+            assert_statistics_match_the_oracles(t)
+
+
+def test_statistics_match_the_accessor_oracles_on_random_tableaux():
+    rng = random.Random(25)
+    for _ in range(200):
+        l, w1 = rng.randint(2, 9), rng.randint(0, 8)
+        assert_statistics_match_the_oracles(
+            InstantonTableau.from_positive_entries(l, w1, [rng.randint(1, l) for _ in range(w1)])
+        )
+
+
+def test_charge_loop_is_condition_met_node_by_node():
+    # Rows of any length and content, not only complements, so the loop is
+    # held to the public rule itself rather than to the tableaux it meets.
+    def tableau(rows):
+        w1 = len(rows) // 2
+        return InstantonTableau(6, w1, tuple(zip([*range(-w1, 0), *range(1, w1 + 1)], rows)))
+
+    seen = set()
+    for val in range(1, 6):
+        for below in itertools.product(range(1, 5), repeat=2):
+            # node (1, 1) against column 1 of the row below: the nodes of row
+            # -1 would compare column a + 1 of a row of length one
+            t = tableau([below, (val,)])
+            node = condition_met(t, 1, -1, 1)
+            assert sum(charge_pair_counts(t)) == node, t.rows
+            seen.add(("below", node))
+        for y in range(1, 6):
+            # node (-1, 1) against column 2 of the row above: the 0 in row 1
+            # beats nothing, and row 1's column 2 has no partner below
+            t = tableau([(val,), (0, y)])
+            node = condition_met(t, -1, 1, 1)
+            assert sum(charge_pair_counts(t)) == node, t.rows
+            seen.add(("above", node))
+    assert len(seen) == 4
+    # and on many rows the split by l == -k is condition_met's, node for node
+    rng = random.Random(7)
+    for _ in range(500):
+        rows = [tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4))) for _ in range(2 * rng.randint(1, 3))]
+        t = tableau(rows)
+        assert charge_pair_counts(t) == charge_pair_counts_by_nodes(t), rows
 
 
 def test_dim_h1_four_cases():
