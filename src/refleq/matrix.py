@@ -9,14 +9,15 @@ sparse.
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  verify_identity, the symbolic prover, does not:
 it takes two ordered factor lists, clears each factor of its denominators
-once and multiplies polynomial matrices, so it never runs Henrici's sum or
-the trial-division screen, and it reduces only the entry that a failing
-verdict prints (see "identity verification" below).  Its verdict is a dict so
-callers can log what was checked; a failing verdict carries a
-"counterexample" with the first mismatching entry in sorted order and the
-canonical form of both values.  Grid proofs, which never form a product of
-polynomials, also work on factor lists and live in relations
-(_verify_product_identity).
+once and carries one row per orbit of the factors' common label symmetry
+(_orbit_representatives) through a product of polynomial matrices, so it
+never runs Henrici's sum or the trial-division screen, and it reduces only
+the entry that a failing verdict prints (see "identity verification" below).
+Its verdict is a dict so callers can log what was checked; a failing verdict
+carries a "counterexample" with the first mismatching entry in sorted order
+and the canonical form of both values.  Grid proofs, which never form a
+product of polynomials, also work on factor lists, use the same orbit
+reduction and live in relations (_verify_product_identity).
 """
 
 from __future__ import annotations
@@ -212,7 +213,9 @@ def swap_conjugate(mat):
 # when P_lhs prod(D_rhs) / G = P_rhs prod(D_lhs) / G, where G is the part of
 # the two denominator products that they share.  Every scale is nonzero, so
 # the scaled sides differ in the same entries as the canonical products, and
-# only the entry that a failing verdict prints is reduced.
+# only the entry that a failing verdict prints is reduced.  Only one row per
+# orbit of the factors' common label symmetry is multiplied: the other rows
+# of the first factor never enter the chain (_orbit_representatives).
 #
 # Inside a product a monomial is one int, its exponents packed into fields
 # wide enough for the product's total degree, so that multiplying two
@@ -300,14 +303,16 @@ def _poly_matmul(a, b):
     return out
 
 
-def _cleared_product(factors, cleared, bits):
-    """The product of the cleared factors as {row: {col: packed terms}}."""
+def _cleared_product(factors, cleared, bits, reps):
+    """The rows reps of the product of the cleared factors as {row: {col:
+    packed terms}}: only those rows of the first factor enter the chain."""
+    keep = set(reps)
     mats = []
-    for mat in factors:
+    for n, mat in enumerate(factors):
         entries = {key: _pack(p, bits) for key, p in cleared[id(mat)].entries.items()}
         rows = {}
         for (i, j), v in mat.entries.items():
-            if entries[id(v)]:
+            if (n or i in keep) and entries[id(v)]:
                 rows.setdefault(i, {})[j] = entries[id(v)]
         mats.append(rows)
     return functools.reduce(_poly_matmul, mats)
@@ -333,7 +338,10 @@ def _entry_difference(lhs, rhs):
 
 def _product_difference(lhs_factors, rhs_factors):
     """_entry_difference for two products, by the fraction-free route above:
-    only the two entries it returns are reduced."""
+    only one row per orbit is multiplied (_orbit_representatives, which
+    gives the soundness argument), and only the two entries it returns are
+    reduced."""
+    reps = _orbit_representatives([*lhs_factors, *rhs_factors])
     memo = {}
     cleared = {id(mat): _clear(mat, memo) for mat in (*lhs_factors, *rhs_factors)}
     sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
@@ -344,7 +352,7 @@ def _product_difference(lhs_factors, rhs_factors):
     # packed exponent overflows its field
     top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
     bits = max(1, top.bit_length())
-    products = [_cleared_product(factors, cleared, bits) for factors in (lhs_factors, rhs_factors)]
+    products = [_cleared_product(factors, cleared, bits, reps) for factors in (lhs_factors, rhs_factors)]
     scaled = [_scaled(rows, scale, bits) for rows, scale in zip(products, scales)]
     if scaled[0] == scaled[1]:
         return None
@@ -370,6 +378,64 @@ def _label_mismatch(lhs_factors, rhs_factors, mode):
     ):
         return {"holds": False, "mode": mode, "detail": "label mismatch between the two sides"}
     return None
+
+
+def _orbit_representatives(factors):
+    """The least row index of each orbit of the label symmetry that every
+    factor has, in increasing order; every row index when some factor's row
+    or column labels differ from the first factor's row labels.
+
+    A label is a tuple of sites (a bare label is a 1-tuple), and the
+    transposition (a b) of two sites swaps them in every slot at once.  It
+    is accepted when it maps the labels to labels and, for every distinct
+    factor F and every stored entry (i, j) -> v, F holds an entry equal to v
+    at the permuted key.  The transposition is an involution, so that is
+    F[s i, s j] = F[i, j] at every key, zero entries included.  A pair of
+    sites already in one component of the accepted transpositions is not
+    tested: they generate the product of the symmetric groups on the
+    components, which is the group every holding transposition generates.
+    Two labels lie in one orbit of that group exactly when they have the
+    same pattern: per slot, the component of its site and the first slot
+    that holds the same site.
+
+    Both provers multiply only these rows, and this is why that is sound.
+    Every factor commutes with the group G found here, and so do both
+    products and the scalars the provers scale them by.  So the difference
+    Delta of the two scaled sides satisfies Delta[pi i, pi j] = Delta[i, j]
+    for every pi in G.  If row r of Delta is nonzero, so is every row of r's
+    orbit, the least one included, and that row is at most r.  So the
+    sides agree everywhere when they agree on the representative rows, the
+    least differing row is a representative, and its least differing column
+    lies in that row: the first differing entry in sorted order, which both
+    provers print as the counterexample, is the one a full-row product
+    would give.
+    """
+    labels = factors[0].row_labels
+    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
+        return range(len(labels))
+    parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
+    index = {p: i for i, p in enumerate(parts)}
+    entries = [m.entries for m in {id(m): m for m in factors}.values()]
+    root = {x: x for p in parts for x in p}  # site -> its parent in the components
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in itertools.combinations(root, 2):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        swap = {a: b, b: a}
+        perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
+        # dict equality takes e is v before e == v, value by value
+        if None not in perm and all({(perm[i], perm[j]): v for (i, j), v in ent.items()} == ent for ent in entries):
+            root[rb] = ra
+    reps = {}
+    for i, p in enumerate(parts):
+        reps.setdefault(tuple((find(x), p.index(x)) for x in p), i)
+    return sorted(reps.values())
 
 
 def verify_identity(lhs_factors, rhs_factors):

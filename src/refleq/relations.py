@@ -35,12 +35,13 @@ factor, so that no denominator vanishes on it (_grid).  At each
 point it clears each factor's denominators there, so the factor is a matrix
 of integers over the lcm D of its entry denominators, and compares lhs *
 prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof, not a
-sample.  It multiplies only one row per orbit of the label permutations that
-every factor commutes with (_orbit_representatives): Yang's R commutes with
-g (x) g, the cross factors with the permutations that keep their signs, so
-both products take the same values on every row of an orbit, and agreement
-on one row of each orbit is agreement everywhere.  Both provers check the
-factor labels the same way (matrix._label_mismatch).  check_ybe and
+sample.  Both provers multiply only one row per orbit of the label
+permutations that every factor commutes with (matrix._orbit_representatives):
+Yang's R commutes with g (x) g, the cross factors with the permutations that
+keep their signs.  Agreement on those rows is agreement everywhere, and a
+failing proof reads its counterexample, the least differing entry, off them
+with no pass over the other rows.  Both provers check the factor labels the
+same way (matrix._label_mismatch).  check_ybe and
 check_reflection expose the mode; the tests run both provers on the factor
 lists of the other checks.
 """
@@ -60,6 +61,7 @@ from .matrix import (
     LabeledMatrix,
     _label_mismatch,
     _label_to_json,
+    _orbit_representatives,
     embed_on_slots,
     first_difference,
     swap_conjugate,
@@ -273,52 +275,6 @@ def _magnitude(terms, top):
     return sum(abs(c) * math.prod(top[i] ** x for i, x in enumerate(e) if x) for e, c in terms.items())
 
 
-def _orbit_representatives(factors):
-    """The least row index of each orbit of the label symmetry that every
-    factor has, in increasing order; every row index when some factor's row
-    or column labels differ from the first factor's row labels.
-
-    A label is a tuple of sites (a bare label is a 1-tuple), and the
-    transposition (a b) of two sites swaps them in every slot at once.  It
-    is accepted when it maps the labels to labels and, for every distinct
-    factor F and every stored entry (i, j) -> v, F holds an entry equal to v
-    at the permuted key.  The transposition is an involution, so that is
-    F[s i, s j] = F[i, j] at every key, zero entries included.  A pair of
-    sites already in one component of the accepted transpositions is not
-    tested: they generate the product of the symmetric groups on the
-    components, which is the group every holding transposition generates.
-    Two labels lie in one orbit of that group exactly when they have the
-    same pattern: per slot, the component of its site and the first slot
-    that holds the same site.
-    """
-    labels = factors[0].row_labels
-    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
-        return range(len(labels))
-    parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
-    index = {p: i for i, p in enumerate(parts)}
-    entries = [m.entries for m in {id(m): m for m in factors}.values()]
-    root = {x: x for p in parts for x in p}  # site -> its parent in the components
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for a, b in itertools.combinations(root, 2):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        swap = {a: b, b: a}
-        perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
-        # dict equality takes e is v before e == v, value by value
-        if None not in perm and all({(perm[i], perm[j]): v for (i, j), v in ent.items()} == ent for ent in entries):
-            root[rb] = ra
-    reps = {}
-    for i, p in enumerate(parts):
-        reps.setdefault(tuple((find(x), p.index(x)) for x in p), i)
-    return sorted(reps.values())
-
-
 def _row_index(mat):
     """mat's stored entries as {row: [(col, id(entry))]}."""
     rows = {}
@@ -385,12 +341,11 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     the grid.
 
     Only one row per orbit of the label symmetry every factor has is
-    multiplied (_orbit_representatives).  Each factor commutes with that
-    group, so both products, both scales and both scaled sides are
-    invariant under it, at every grid point: the scaled sides agree on
-    every row once they agree on one row of each orbit.  At the first point
-    where they differ, the same kernel runs on every row, and the
-    counterexample is the least differing entry there.
+    multiplied (matrix._orbit_representatives, which gives the soundness
+    argument): the scaled sides agree on every row once they agree on the
+    representative rows, and at the first point where they differ, the
+    least differing entry lies in a representative row.  That entry, read
+    off the rows already multiplied, is the counterexample.
     """
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
@@ -407,7 +362,6 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     # _clear_at evaluates each distinct object once per point
     entries = {key: {id(v): v for v in mat.entries.values()} for key, mat in factors.items()}
     reps = _orbit_representatives(list(factors.values()))
-    every = range(len(lhs_factors[0].row_labels))
     n_points = 0
     for combo in itertools.product(*points.values()):
         assignment = dict(zip(points, combo))
@@ -422,7 +376,6 @@ def _verify_product_identity(lhs_factors, rhs_factors):
         lhs, rhs = (_scaled(_product_rows(side, reps, index, cleared), s) for side, s in zip(sides, scales))
         if lhs == rhs:
             continue
-        lhs, rhs = (_scaled(_product_rows(side, every, index, cleared), s) for side, s in zip(sides, scales))
         flat = ({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs))
         i, j = first_difference(*flat)
         common = lhs_den * scales[0]  # the denominator of both scaled sides

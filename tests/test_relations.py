@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import entry, fold_and_compare, full_row_grid_proof, linear_combination, parse_ratfunc
-from refleq import field, relations
+from refleq import field, matrix, relations
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
-from refleq.matrix import LabeledMatrix, _label_to_json, embed_on_slots, verify_identity
+from refleq.matrix import LabeledMatrix, _label_to_json, _orbit_representatives, embed_on_slots, verify_identity
 from refleq.relations import (
     EXCHANGE_VARIANTS,
     _chain_monodromies,
@@ -27,7 +27,6 @@ from refleq.relations import (
     _factorization_factors,
     _fold,
     _grid,
-    _orbit_representatives,
     _product_degree_bounds,
     _product_rows,
     _prove,
@@ -768,12 +767,40 @@ class TestFractionFreeProver:
         for n, (lhs, rhs) in enumerate(lists):
             assert verify_identity(lhs, rhs) == fold_and_compare(lhs, rhs), n
 
+    # the oracle takes about 17 s on the chain at l = 5 (2-core machine), so
+    # the cases stop at l = 4
+    @pytest.mark.parametrize("n", [0, 1], ids=["reflection", "chain-n1"])
     @pytest.mark.parametrize("l", [3, 4])
-    def test_failing_sp_instanton_reflection(self, l):
-        lists = _reflection_factors("spInstanton", l)
+    def test_failing_sp_instanton_reflection(self, l, n):
+        lists = _reflection_factors("spInstanton", l, n=n)
         v = verify_identity(*lists)
         assert not v["holds"] and "counterexample" in v
         assert v == fold_and_compare(*lists)
+
+    @pytest.mark.parametrize(
+        "build,count,total",
+        [
+            (lambda: _reflection_factors("flagMinus", 3, n=2), 41, 81),
+            (lambda: _exchange_factors(4, 2, "twistedTwisted", "flagMinus"), 15, 256),
+        ],
+        ids=["chainReflection-flagMinus-l3-n2", "exchange-twistedTwisted-flagMinus-l4-n2"],
+    )
+    def test_only_representative_rows_are_multiplied(self, build, count, total, monkeypatch):
+        # every product row is carried left to right from a row of the first
+        # factor, so the left operands of the products hold every row taken
+        lhs, rhs = build()
+        reps = _orbit_representatives([*lhs, *rhs])
+        taken = set()
+        real = matrix._poly_matmul
+
+        def recording(a, b):
+            taken.update(a)
+            return real(a, b)
+
+        monkeypatch.setattr(matrix, "_poly_matmul", recording)
+        assert verify_identity(lhs, rhs)["holds"]
+        assert (len(reps), len(lhs[0].row_labels)) == (count, total)
+        assert taken == set(reps)
 
     @staticmethod
     def _counted(monkeypatch, lists):
@@ -1053,6 +1080,31 @@ class TestOrbitReduction:
         assert v["holds"] and v["gridSize"] == 9
         assert counts == [5] * (2 * v["gridSize"])
 
+    FAILING_GRID_PROOFS = {
+        "chainReflection-spInstanton-l5-n1": lambda: check_chain_reflection("spInstanton", 5, n=1),
+        "reflection-flagMinus-l2-oppositePlacement": lambda: check_reflection(
+            "flagMinus", 2, mode="multipoint", boundary="oppositePlacement"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAILING_GRID_PROOFS))
+    def test_a_failing_grid_proof_makes_no_full_row_pass(self, name, monkeypatch):
+        run = self.FAILING_GRID_PROOFS[name]
+        ((lhs, rhs),) = _factor_lists(monkeypatch, run)
+        reps = _orbit_representatives([*lhs, *rhs])
+        calls = []
+        real = relations._product_rows
+
+        def recording(factors, rows, index, cleared):
+            calls.append(list(rows))
+            return real(factors, rows, index, cleared)
+
+        monkeypatch.setattr(relations, "_product_rows", recording)
+        v = _verify_product_identity(lhs, rhs)
+        assert not v["holds"] and "counterexample" in v
+        assert len(reps) < len(lhs[0].row_labels)
+        assert calls == [reps] * (2 * v["gridSize"])
+
     # R12's entry at rows (2, 3, 2) -> (3, 2, 2); that row lies outside the
     # representatives (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)
     PLANTED = ((2, 3, 2), (3, 2, 2))
@@ -1078,6 +1130,32 @@ class TestOrbitReduction:
         distinct = {k: {id(x): x for x in m.entries.values()} for k, m in factors.items()}
         cleared = _clear_at(distinct, {"h": 1, "u1": 97, "u2": 10201})
         assert _product_rows(lhs, reps, index, cleared) == _product_rows(rhs, reps, index, cleared)
+
+    def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
+        # R12 perturbed alike at every image of the planted key under the
+        # site permutations keeps its symmetry, so both provers still
+        # multiply five rows, and both must still print the least differing
+        # entry that the full-row routes find, in a representative row
+        r12, r13, r23 = _ybe_factors(3)
+        reps = _orbit_representatives([r12, r13, r23])
+        key = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
+        assert key[0] not in reps
+        index, (row, col) = r12._row_index, self.PLANTED
+        orbit = {
+            (index[tuple(p[x - 1] for x in row)], index[tuple(p[x - 1] for x in col)])
+            for p in itertools.permutations((1, 2, 3))
+        }
+        assert len(orbit) == 6 and len({r12.entries[k] for k in orbit}) == 1
+        planted = LabeledMatrix(r12.row_labels, r12.col_labels)
+        planted.entries = {**r12.entries, **dict.fromkeys(orbit, r12.entries[key] + RatFunc.one())}
+        lhs, rhs = [planted, r13, r23], [r23, r13, planted]
+        assert _orbit_representatives([planted, r13, r23]) == reps
+        rep_labels = [_label_to_json(r12.row_labels[i]) for i in reps]
+        sym, grid = verify_identity(lhs, rhs), _verify_product_identity(lhs, rhs)
+        assert sym == fold_and_compare(lhs, rhs)
+        assert grid == full_row_grid_proof(lhs, rhs)
+        for v in (sym, grid):
+            assert not v["holds"] and v["counterexample"]["row"] in rep_labels
 
     def test_an_equal_but_distinct_entry_keeps_the_symmetry(self):
         r12, r13, r23 = _ybe_factors(3)
