@@ -341,9 +341,10 @@ def _product_difference(lhs_factors, rhs_factors):
     only one row per orbit is multiplied (_orbit_representatives, which
     gives the soundness argument), and only the two entries it returns are
     reduced."""
+    distinct = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
     reps = _orbit_representatives([*lhs_factors, *rhs_factors])
     memo = {}
-    cleared = {id(mat): _clear(mat, memo) for mat in (*lhs_factors, *rhs_factors)}
+    cleared = {key: _clear(mat, memo) for key, mat in distinct.items()}
     sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
     (lc, lden), (rc, rden) = ((math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in sides)
     g, shared = math.gcd(lc, rc), lden & rden

@@ -1,6 +1,6 @@
 """Verification of the exchange identities between the R- and K-matrices.
 
-Five families of identities are checked here, all as exact statements about
+Seven families of identities are checked here, all as exact statements about
 matrices over the rational-function field:
 
   * the quantum Yang-Baxter identity for a two-site R-matrix family,
@@ -11,7 +11,11 @@ matrices over the rational-function field:
   * the exchange relations between auxiliary-space monodromies over a finite
     chain (plain/plain through twisted/twisted),
   * the chain-level reflection identity satisfied by the dressed boundary
-    operator built in rkmat.s_matrix.
+    operator built in rkmat.s_matrix,
+  * the factorization of that operator, S(u) = T_tw(-u)^-1 K(u) T(u),
+    proved as T_tw(-u) S(u) = K(u) T(u) so that no matrix is inverted,
+  * the boundary constant term: S(u) tends to the scenario's involution on
+    the auxiliary slot as u grows.
 
 Every check returns a plain-dict verdict with at least the keys "identity",
 "l", "holds", "mode" and "detail"; failing checks also carry a
@@ -76,7 +80,6 @@ from .rkmat import (
     k_matrix_opposite_placement,
     monodromy_t,
     s_matrix,
-    s_matrix_via_transfer,
     sigma_matrix,
     sigma_sigma_r,
     site_labels,
@@ -663,17 +666,25 @@ def check_chain_reflection(kind, l, n=1):
 
 
 def _factorization_factors(kind, l, n):
+    """The two sides of T_tw(-u) S(u) = K(u) T(u) as ordered factor lists."""
     shifts = _chain_shifts(n, (U1, U2))
-    _slots(l, 1 + n)
-    return [s_matrix(kind, l, U, shifts)], [s_matrix_via_transfer(kind, l, U, shifts)]
+    k0 = embed_on_slots(k_matrix(kind, l, U), (0,), _slots(l, 1 + n))
+    return [twisted_monodromy(l, U, shifts, kind), s_matrix(kind, l, U, shifts)], [k0, monodromy_t(l, U, shifts)]
 
 
 def check_boundary_factorization(kind, l, n=1):
-    """The dressed boundary operator equals its transfer-style factorization.
+    """The dressed boundary operator factors as S(u) = T_tw(-u)^-1 K(u) T(u).
 
-    s_matrix builds the operator as an ordered product of cross factors, the
-    boundary matrix and chain factors; s_matrix_via_transfer instead inverts
-    the twisted monodromy.  The two must agree as matrices.
+    S(u) is rkmat.s_matrix, the ordered product of the cross factors, the
+    boundary matrix K(u) on the auxiliary slot and the monodromy T(u);
+    T_tw(-u) is rkmat.twisted_monodromy.  The check proves the product
+    identity T_tw(-u) S(u) = K(u) T(u), which needs no inverse.  It is
+    equivalent to the factorization: T_tw(-u) is a product of cross factors
+    C(-u - u_k), and each is invertible, with inverse C(u + u_k), by the
+    cross unitarity that check_r_unitarity proves.  So T_tw(-u) is
+    invertible, and multiplying the identity by its inverse on the left
+    gives the factorization, and conversely.  At n = 0, T_tw(-u) and T(u)
+    are the identity and both sides are K(u).
     """
     cmp = _prove(*_factorization_factors(kind, l, n))
     return _verdict("boundaryFactorization", l, cmp, kind=kind, sites=n)

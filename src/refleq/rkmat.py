@@ -246,6 +246,13 @@ def s_matrix(kind, l, u, us):
 
 
 def s_matrix_via_transfer(kind, l, u, us):
-    """Same boundary transfer, computed as Ttwist(-u)^-1 K(u) T(u)."""
+    """Same boundary transfer, computed as Ttwist(-u)^-1 K(u) T(u).
+
+    No check calls this: relations.check_boundary_factorization proves the
+    inverse-free identity Ttwist(-u) S(u) = K(u) T(u) instead.  It stays
+    only as the tests' second route to s_matrix and as a target of the
+    benchmark tracer, until the tracer stops wrapping it (ROADMAP.md, the
+    benchmark item).
+    """
     k0 = embed_on_slots(k_matrix(kind, l, u), (0,), _chain_slot_labels(l, len(us)))
     return twisted_monodromy(l, u, us, kind).inverse() * k0 * monodromy_t(l, u, us)

@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -680,7 +682,8 @@ class TestBothProvers:
     above.  Every other check is compared here: the one-site exchanges for
     every kind and variant, one two-site exchange per variant, the dressed
     chain reflection, the boundary operator, the twistedPlain derivation and
-    the unitarity factor lists for every kind.  The largest multipoint
+    the unitarity factor lists for every kind.  The boundary factorization
+    also runs at l = 3 and with 0 to 2 chain sites.  The largest multipoint
     proofs, the dressed chain reflection with 125-180 grid points and the
     two-site exchanges with 144, take 0.02-0.04 s each.
     """
@@ -724,9 +727,12 @@ class TestBothProvers:
         for lhs, rhs in lists:
             assert self._both(lhs, rhs)
 
+    # the multipoint proofs at l = 3, n = 2 take 0.09-0.85 s each
     @pytest.mark.parametrize("kind", KINDS)
-    def test_boundary_factorization(self, kind):
-        assert self._both(*_factorization_factors(kind, 2, 1))
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_boundary_factorization(self, kind, l, n):
+        assert self._both(*_factorization_factors(kind, l, n))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_boundary_constant_term(self, kind):
@@ -834,6 +840,25 @@ class TestFractionFreeProver:
         v = _prove(*lists)
         monkeypatch.undo()
         return v, counts
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: check_ybe(3), *(lambda v=v: _prove(*_exchange_factors(2, 1, v, "flagMinus")) for v in EXCHANGE_VARIANTS)],
+        ids=["ybe-l3", *(f"exchange-{v}-n1" for v in EXCHANGE_VARIANTS)],
+    )
+    def test_each_distinct_factor_is_cleared_once(self, run, monkeypatch):
+        # both sides hold the same three factors, so clearing per occurrence
+        # would make six calls
+        cleared = []
+        real = matrix._clear
+
+        def counting(mat, memo):
+            cleared.append(id(mat))
+            return real(mat, memo)
+
+        monkeypatch.setattr(matrix, "_clear", counting)
+        assert run()["holds"]
+        assert len(cleared) == len(set(cleared)) == 3
 
     @pytest.mark.parametrize(
         "build",
@@ -1209,22 +1234,89 @@ class TestChainReflection:
 
 class TestBoundaryOperator:
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [0, 1, 2])
     @pytest.mark.parametrize("l", [2, 3])
-    def test_factorization_routes_agree(self, kind, l):
-        assert check_boundary_factorization(kind, l, n=1)["holds"]
+    def test_factorization_identity_holds(self, kind, l, n):
+        # T_tw(-u) S(u) = K(u) T(u); TestBothProvers runs the multipoint proofs
+        v = check_boundary_factorization(kind, l, n=n)
+        assert v["holds"] and v["sites"] == n
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_factorization_with_the_opposite_placement_fails(self, n):
+        # the inverse-free lists are not vacuous: the flagMinus boundary
+        # placed the other way round on the right-hand side breaks them
+        lhs, (_, t) = _factorization_factors("flagMinus", 2, n)
+        k0 = embed_on_slots(k_matrix_opposite_placement(2, U), (0,), [site_labels(2)] * (1 + n))
+        for mode in ("symbolic", "multipoint"):
+            assert not _prove(lhs, [k0, t], mode)["holds"], mode
 
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("l", [2, 3])
-    def test_constant_term_is_involution_on_aux_slot(self, kind, l):
-        assert check_boundary_constant_term(kind, l, n=1)["holds"]
+    def test_constant_term_is_involution_on_aux_slot(self, kind, l, n):
+        v = check_boundary_constant_term(kind, l, n=n)
+        assert v["holds"] and v["sites"] == n
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_two_site_chain(self, kind):
-        # s_matrix over shifts (u1, u2): both routes agree and the limit is
-        # the involution on the auxiliary slot
-        v = check_boundary_factorization(kind, 2, n=2)
-        assert v["holds"] and v["sites"] == 2
-        assert check_boundary_constant_term(kind, 2, n=2)["holds"]
+
+# Run in a fresh interpreter, where the form table is empty: once a check has
+# interned the linear forms of a denominator, a later one no longer splits it
+# into a residual, so an in-session run could miss one.  n = 2 runs first
+# for the same reason.
+_NO_INVERSE_GUARD = """
+import collections, json
+from refleq import field, matrix, relations
+from refleq.acceptance import run_acceptance
+from refleq.rkmat import KINDS
+
+counts = collections.Counter()
+
+def counted(name, fn):
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
+
+real_split = field._split
+
+def split(p):
+    exponents, residual = real_split(p)
+    counts["residual"] += residual is not None
+    return exponents, residual
+
+matrix.LabeledMatrix.inverse = counted("inverse", matrix.LabeledMatrix.inverse)
+field.poly_gcd = counted("poly_gcd", field.poly_gcd)
+relations.poly_gcd = counted("poly_gcd", relations.poly_gcd)
+field._split = split
+stages = {}
+
+def stage(name):
+    stages[name] = +counts
+    counts.clear()
+
+for n in (2, 1, 0):
+    for l in (2, 3):
+        for kind in KINDS:
+            assert relations.check_boundary_factorization(kind, l, n=n)["holds"]
+stage("boundaryFactorization")
+assert relations.run_suite("all")["ok"]
+stage("suite")
+assert run_acceptance()["ok"]
+stage("acceptance")
+print(json.dumps(stages))
+"""
+
+
+def test_no_verdict_inverts_a_matrix_or_takes_a_gcd():
+    src = Path(relations.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_INVERSE_GUARD],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(out.stdout) == {"boundaryFactorization": {}, "suite": {}, "acceptance": {}}
 
 
 class TestSuites:
