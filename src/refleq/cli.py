@@ -10,16 +10,21 @@ available for Betti tables only (--emit csv), in which case the raw table
 is printed instead of the JSON wrapper.  Exit codes: 0 on success, 1 when
 a requested verification does not hold, 2 on usage errors.  Diagnostics go
 to stderr; stdout carries nothing but the payload.
+
+Each command function takes the parsed arguments and returns the exit code.
+The arguments also carry the command's own parser (_parser), which names the
+command and reports its usage errors, and the start time (_start); every
+other field is an option, echoed in the report as the command's params.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import sys
 import time
-
-import click
 
 from . import __version__
 from .dynkin import DynkinType, coxeter_number, info_dict
@@ -34,83 +39,58 @@ from .acceptance import run_acceptance
 _SIGN_FLAG = {"plus": "+", "minus": "-"}
 
 
-def _echo_report(ctx, payload, exit_code=0):
+def _report(args, payload, exit_code=0):
+    """Print the JSON report of the parsed command and return exit_code."""
     report = {
         "command": {
-            "path": ctx.command_path,
-            "params": {k: v for k, v in sorted(ctx.params.items())},
+            "path": args._parser.prog,
+            "params": {k: v for k, v in sorted(vars(args).items()) if not k.startswith("_")},
         },
         "results": payload,
         "toolVersion": __version__,
-        "wallTimeMs": int((time.monotonic() - ctx.obj["start"]) * 1000),
+        "wallTimeMs": int((time.monotonic() - args._start) * 1000),
     }
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
-    ctx.exit(exit_code)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return exit_code
 
 
-def _usage(message):
-    raise click.UsageError(message)
-
-
-@click.group(name="refleq")
-@click.version_option(version=__version__, prog_name="refleq")
-@click.pass_context
-def cli(ctx):
-    """Exact R-matrix, K-matrix and fixed-point computations."""
-    # every subcommand's context shares this obj, so the start time is set once
-    ctx.ensure_object(dict)
-    ctx.obj.setdefault("start", time.monotonic())
+def _warn(message):
+    print(message, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-@cli.command()
-@click.option("--type", "type_name", required=True, help="ADE type, e.g. A3 or D4")
-@click.pass_context
-def dynkin(ctx, type_name):
+def dynkin(args):
     """Cartan data, longest word and diagram involution for an ADE type."""
     try:
-        t = DynkinType.parse(type_name)
+        t = DynkinType.parse(args.type_name)
     except ValueError as e:
-        _usage(f"--type: {e}")
-    _echo_report(ctx, info_dict(t))
+        args._parser.error(f"--type: {e}")
+    return _report(args, info_dict(t))
 
 
-@cli.command()
-@click.option("--type", "type_name", required=True, help="ADE type, e.g. A3 or D4")
-@click.pass_context
-def kclass(ctx, type_name):
+def kclass(args):
     """Longest-word reflection transform on framing K-classes."""
     try:
-        t = DynkinType.parse(type_name)
+        t = DynkinType.parse(args.type_name)
         transform = w0_summary_dict(t)
     except ValueError as e:
-        _usage(f"--type: {e}")
+        args._parser.error(f"--type: {e}")
     payload = {
-        "type": type_name,
+        "type": args.type_name,
         "coxeterNumber": coxeter_number(t),
         "transform": transform,
     }
-    _echo_report(ctx, payload)
+    return _report(args, payload)
 
 
-@cli.group()
-def tableaux():
-    """Fixed-point tableau enumeration and Betti data."""
-
-
-@tableaux.command()
-@click.option("--kind", type=click.Choice(["sp", "so"]), required=True)
-@click.option("--l", type=int, required=True)
-@click.option("--w1", type=int, required=True)
-@click.option("--emit", type=click.Choice(["json", "csv"]), default="json")
-@click.pass_context
-def betti(ctx, kind, l, w1, emit):
+def betti(args):
     """Fixed-point count, Poincare polynomial and tangent dimension."""
+    kind, l, w1 = args.kind, args.l, args.w1
     try:
-        if emit == "csv":
+        if args.emit == "csv":
             # one row per size 2..l and w1 0..w1; an l below 2 is handed to
             # betti_rows as it is, which rejects it as the JSON report does
             buf = io.StringIO()
@@ -119,72 +99,48 @@ def betti(ctx, kind, l, w1, emit):
             for size in range(min(l, 2), l + 1):
                 for row in betti_rows(kind, size, w1):
                     writer.writerow([size, *row])
-            click.echo(buf.getvalue(), nl=False)
-            ctx.exit(0)
+            sys.stdout.write(buf.getvalue())
+            return 0
         payload = fixed_locus_report(kind, l, w1)
         if "parityComponents" in payload:
             payload["sizes"] = payload.pop("parityComponents")
             payload["components"] = len(payload["sizes"])
     except ValueError as e:
-        _usage(str(e))
-    _echo_report(ctx, payload)
+        args._parser.error(str(e))
+    return _report(args, payload)
 
 
-@tableaux.command()
-@click.option("--sign", type=click.Choice(["plus", "minus"]), required=True)
-@click.option("--l", type=int, required=True)
-@click.option("--w1", "w", type=int, required=True, help="total framing dimension")
-@click.pass_context
-def flags(ctx, sign, l, w):
+def flags(args):
     """Flag-type fixed points for the given twist sign."""
     try:
-        points, diagnostics = flag_fixed_points(sign, l, w)
+        points, diagnostics = flag_fixed_points(args.sign, args.l, args.w)
     except ValueError as e:
-        _usage(str(e))
+        args._parser.error(str(e))
     for note in diagnostics:
-        click.echo(note, err=True)
+        _warn(note)
     payload = {
         "count": len(points),
         "points": [p.to_json() for p in points],
         "diagnostics": diagnostics,
     }
-    _echo_report(ctx, payload)
+    return _report(args, payload)
 
 
-@cli.group()
-def rkmat():
-    """Concrete R- and K-matrices in canonical string form."""
-
-
-@rkmat.command()
-@click.option("--kind", type=click.Choice(list(KINDS)), required=True)
-@click.option("--l", type=click.IntRange(min=2), required=True)
-@click.pass_context
-def kmatrix(ctx, kind, l):
+def kmatrix(args):
     """Boundary matrix entries for one kind and size."""
     try:
-        m = k_matrix(kind, l, U)
+        m = k_matrix(args.kind, args.l, U)
     except ValueError as e:
-        _usage(str(e))
+        args._parser.error(str(e))
     labels = list(m.row_labels)
     entries = [
         {"row": labels[i], "col": labels[j], "value": format_ratfunc(v)}
         for (i, j), v in sorted(m.entries.items())
     ]
-    _echo_report(ctx, {"labels": labels, "entries": entries})
+    return _report(args, {"labels": labels, "entries": entries})
 
 
-@cli.command()
-@click.option("--scenario", type=click.Choice(list(KINDS)), default=None)
-@click.option("--suite", "suite_name", default=None,
-              help="one of: all, ybe, unitarity, reflection, exchange, boundary")
-@click.option("--l", type=click.IntRange(min=2), default=None,
-              help="site dimension; a suite runs every requested group at this size")
-@click.option("--mode", type=click.Choice(["symbolic", "multipoint"]), default="symbolic",
-              help="prover for --scenario; suites prove symbolically and reject multipoint")
-@click.option("--jobs", type=click.IntRange(min=1), default=1)
-@click.pass_context
-def verify(ctx, scenario, suite_name, l, mode, jobs):
+def verify(args):
     """Check one reflection scenario or run a verification suite.
 
     The one size rule is the tensor dimension of each check, at most 256; a
@@ -192,82 +148,151 @@ def verify(ctx, scenario, suite_name, l, mode, jobs):
     runs and names the first one over it.  Without --l a suite runs every
     group at l = 2 and every group but exchange at l = 3.
     """
+    scenario, suite_name, l = args.scenario, args.suite_name, args.l
     if (scenario is None) == (suite_name is None):
-        _usage("pass exactly one of --scenario or --suite")
+        args._parser.error("pass exactly one of --scenario or --suite")
     if suite_name is not None:
-        if mode == "multipoint":
-            _usage("--mode multipoint is not supported with --suite; suites prove symbolically")
+        if args.mode == "multipoint":
+            args._parser.error("--mode multipoint is not supported with --suite; suites prove symbolically")
         try:
-            payload = run_suite(suite=suite_name, l=l, jobs=jobs)
+            payload = run_suite(suite=suite_name, l=l, jobs=args.jobs)
         except ValueError as e:
-            _usage(f"--suite: {e}")
+            args._parser.error(f"--suite: {e}")
         if not payload["ok"]:
-            click.echo("suite verdicts deviate from pinned expectations", err=True)
-        _echo_report(ctx, payload, exit_code=0 if payload["ok"] else 1)
+            _warn("suite verdicts deviate from pinned expectations")
+        return _report(args, payload, exit_code=0 if payload["ok"] else 1)
     if l is None:
-        _usage("--scenario requires --l")
+        args._parser.error("--scenario requires --l")
     try:
-        payload = check_reflection(scenario, l, mode=mode)
+        payload = check_reflection(scenario, l, mode=args.mode)
     except ValueError as e:
-        _usage(str(e))
+        args._parser.error(str(e))
     if not payload["holds"]:
-        click.echo(f"reflection fails for {scenario} at l={l}", err=True)
-    _echo_report(ctx, payload, exit_code=0 if payload["holds"] else 1)
+        _warn(f"reflection fails for {scenario} at l={l}")
+    return _report(args, payload, exit_code=0 if payload["holds"] else 1)
 
 
-@cli.group()
-def polarization():
-    """Wall-consistency instances for polarization choices."""
-
-
-@polarization.command("solve")
-@click.option("--sign", type=click.Choice(["plus", "minus"]), required=True)
-@click.option("--l", type=int, required=True)
-@click.pass_context
-def polarization_solve(ctx, sign, l):
+def polarization_solve(args):
     """Decide the instance and print a witness or a refutation chain."""
     try:
-        inst = build_instance(_SIGN_FLAG[sign], l)
+        inst = build_instance(_SIGN_FLAG[args.sign], args.l)
         res = solve(inst)
     except ValueError as e:
-        _usage(str(e))
+        args._parser.error(str(e))
     payload = {
-        "sign": sign,
-        "l": l,
+        "sign": args.sign,
+        "l": args.l,
         "verdict": res["verdict"],
         "method": res["method"],
         "witness": choice_to_json(res["witness"]) if res["witness"] else None,
         "certificate": res["certificate"],
     }
-    _echo_report(ctx, payload)
+    return _report(args, payload)
 
 
-@polarization.command("summary")
-@click.option("--l", type=click.IntRange(min=2), default=6, help="largest size to include")
-@click.pass_context
-def polarization_summary(ctx, l):
+def polarization_summary(args):
     """Verdict table over both signs up to the given size."""
-    _echo_report(ctx, solve_table(l_values=tuple(range(2, l + 1))))
+    return _report(args, solve_table(l_values=tuple(range(2, args.l + 1))))
 
 
-@cli.command("suite")
-@click.argument("which", type=click.Choice(["acceptance"]))
-@click.pass_context
-def suite(ctx, which):
+def suite(args):
     """Run a named battery; 'acceptance' runs the full sign-off checks."""
 
     def progress(r, elapsed, budget):
         mark = "pass" if r["ok"] else "FAIL"
         limit = f" of {budget}s budget" if budget is not None else ""
-        click.echo(f"[{mark}] {r['criterion']:2d} {r['title']} ({elapsed:.3f}s{limit})", err=True)
+        _warn(f"[{mark}] {r['criterion']:2d} {r['title']} ({elapsed:.3f}s{limit})")
 
     payload = run_acceptance(progress=progress)
-    _echo_report(ctx, payload, exit_code=0 if payload["ok"] else 1)
+    return _report(args, payload, exit_code=0 if payload["ok"] else 1)
 
 
-def main():
-    cli(prog_name="refleq")
+# ---------------------------------------------------------------------------
+# the parser
+
+
+class _AtLeast(argparse.Action):
+    """An integer option below whose minimum a value is a usage error."""
+
+    def __init__(self, option_strings, dest, minimum, **kwargs):
+        super().__init__(option_strings, dest, type=int, **kwargs)
+        self.minimum = minimum
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.minimum:
+            parser.error(f"Invalid value for '{option_string}': {value} is not in the range x>={self.minimum}.")
+        setattr(namespace, self.dest, value)
+
+
+def _parser():
+    """The root parser; every command's parser holds its function as _run."""
+    root = argparse.ArgumentParser(
+        prog="refleq", description="Exact R-matrix, K-matrix and fixed-point computations.", allow_abbrev=False
+    )
+    root.add_argument("--version", action="version", version=f"refleq, version {__version__}")
+    top = root.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name, description):
+        parser = top.add_parser(name, help=description, description=description, allow_abbrev=False)
+        return parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(subparsers, run, name=None):
+        doc = "\n".join(line.strip() for line in (run.__doc__ or "").splitlines())
+        parser = subparsers.add_parser(
+            name or run.__name__, help=doc.partition("\n")[0], description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False,
+        )
+        parser.set_defaults(_run=run, _parser=parser)
+        return parser
+
+    for run in (dynkin, kclass):
+        p = command(top, run)
+        p.add_argument("--type", dest="type_name", metavar="TYPE", required=True, help="ADE type, e.g. A3 or D4")
+
+    tableaux = group("tableaux", "Fixed-point tableau enumeration and Betti data.")
+    p = command(tableaux, betti)
+    p.add_argument("--kind", choices=["sp", "so"], required=True)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--w1", type=int, required=True)
+    p.add_argument("--emit", choices=["json", "csv"], default="json")
+    p = command(tableaux, flags)
+    p.add_argument("--sign", choices=["plus", "minus"], required=True)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--w1", dest="w", metavar="W1", type=int, required=True, help="total framing dimension")
+
+    p = command(group("rkmat", "Concrete R- and K-matrices in canonical string form."), kmatrix)
+    p.add_argument("--kind", choices=list(KINDS), required=True)
+    p.add_argument("--l", action=_AtLeast, minimum=2, required=True)
+
+    p = command(top, verify)
+    p.add_argument("--scenario", choices=list(KINDS), default=None)
+    p.add_argument("--suite", dest="suite_name", metavar="SUITE", default=None,
+                   help="one of: all, ybe, unitarity, reflection, exchange, boundary")
+    p.add_argument("--l", action=_AtLeast, minimum=2, default=None,
+                   help="site dimension; a suite runs every requested group at this size")
+    p.add_argument("--mode", choices=["symbolic", "multipoint"], default="symbolic",
+                   help="prover for --scenario; suites prove symbolically and reject multipoint")
+    p.add_argument("--jobs", action=_AtLeast, minimum=1, default=1)
+
+    polarization = group("polarization", "Wall-consistency instances for polarization choices.")
+    p = command(polarization, polarization_solve, "solve")
+    p.add_argument("--sign", choices=["plus", "minus"], required=True)
+    p.add_argument("--l", type=int, required=True)
+    p = command(polarization, polarization_summary, "summary")
+    p.add_argument("--l", action=_AtLeast, minimum=2, default=6, help="largest size to include")
+
+    command(top, suite).add_argument("which", choices=["acceptance"])
+    return root
+
+
+def main(argv=None):
+    """Run the command line argv (sys.argv[1:] by default); returns the exit code."""
+    args, unknown = _parser().parse_known_args(argv, argparse.Namespace(_start=time.monotonic()))
+    if unknown:
+        # reported with the usage of the command they were given to
+        args._parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args._run(args)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -17,30 +17,32 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 from types import MappingProxyType
 
 _TYPE_RE = re.compile(r"^([ADE])(\d+)$")
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    family: str
-    rank: int
+class DynkinType(namedtuple("DynkinType", "family rank")):
+    """A supported ADE type, checked when it is built; immutable and hashed
+    by its fields, so equal types share the per-type caches."""
 
-    def __post_init__(self):
-        if self.family == "A":
-            if self.rank < 1:
+    __slots__ = ()
+
+    def __new__(cls, family, rank):
+        if family == "A":
+            if rank < 1:
                 raise ValueError("type A needs rank >= 1")
-        elif self.family == "D":
-            if self.rank < 4:
+        elif family == "D":
+            if rank < 4:
                 raise ValueError("type D needs rank >= 4")
-        elif self.family == "E":
-            if self.rank != 6:
+        elif family == "E":
+            if rank != 6:
                 raise ValueError("only E6 is supported")
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
+        return super().__new__(cls, family, rank)
 
     @staticmethod
     def parse(s):

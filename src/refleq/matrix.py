@@ -303,13 +303,14 @@ def _poly_matmul(a, b):
     return out
 
 
-def _cleared_product(factors, cleared, bits, reps):
+def _cleared_product(factors, packed, reps):
     """The rows reps of the product of the cleared factors as {row: {col:
-    packed terms}}: only those rows of the first factor enter the chain."""
+    packed terms}}: only those rows of the first factor enter the chain.
+    packed maps the id of each factor to its cleared entries, packed."""
     keep = set(reps)
     mats = []
     for n, mat in enumerate(factors):
-        entries = {key: _pack(p, bits) for key, p in cleared[id(mat)].entries.items()}
+        entries = packed[id(mat)]
         rows = {}
         for (i, j), v in mat.entries.items():
             if (n or i in keep) and entries[id(v)]:
@@ -353,7 +354,9 @@ def _product_difference(lhs_factors, rhs_factors):
     # packed exponent overflows its field
     top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
     bits = max(1, top.bit_length())
-    products = [_cleared_product(factors, cleared, bits, reps) for factors in (lhs_factors, rhs_factors)]
+    # a factor both sides share is packed once
+    packed = {key: {k: _pack(p, bits) for k, p in x.entries.items()} for key, x in cleared.items()}
+    products = [_cleared_product(factors, packed, reps) for factors in (lhs_factors, rhs_factors)]
     scaled = [_scaled(rows, scale, bits) for rows, scale in zip(products, scales)]
     if scaled[0] == scaled[1]:
         return None

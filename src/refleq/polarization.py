@@ -30,7 +30,7 @@ C(-b, -a), so every label is stored in a normal form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 SIGNS = ("+", "-")
 
@@ -88,8 +88,7 @@ def normalize_label(label):
     raise ValueError(f"label {label!r} does not belong to any known pair")
 
 
-@dataclass(frozen=True)
-class PolarizationInstance:
+class PolarizationInstance(namedtuple("PolarizationInstance", "sign l points pairs_at components")):
     """Immutable description of one consistency problem.
 
     pairs_at maps each point to the names of the pairs present there;
@@ -98,11 +97,7 @@ class PolarizationInstance:
     constrain anything, but singletons are kept for completeness).
     """
 
-    sign: str
-    l: int
-    points: tuple
-    pairs_at: dict
-    components: dict
+    __slots__ = ()
 
 
 def build_instance(sign, l):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 # Most candidate tableaux an enumerating path builds; larger requests are
@@ -72,11 +72,10 @@ def _check_candidates(what, l, n):
     )
 
 
-@dataclass(frozen=True)
-class InstantonTableau:
-    l: int
-    w1: int
-    rows: tuple  # ((k, entries), ...) sorted by k
+class InstantonTableau(namedtuple("InstantonTableau", "l w1 rows")):
+    """An immutable fixed-point tableau; rows is ((k, entries), ...) sorted by k."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_positive_entries(l, w1, entries):
@@ -429,11 +428,10 @@ def so_component_report(l, w1):
     return {key: report[key] for key in keys if key in report}
 
 
-@dataclass(frozen=True)
-class FlagTableau:
-    l: int
-    w: int
-    entries: tuple  # ((k, entry), ...) sorted by k
+class FlagTableau(namedtuple("FlagTableau", "l w entries")):
+    """An immutable flag fixed point; entries is ((k, entry), ...) sorted by k."""
+
+    __slots__ = ()
 
     def content(self):
         """Dimension vector (v_1..v_{l-1}) determined by the entry counts."""

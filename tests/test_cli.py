@@ -5,18 +5,22 @@ the library function it must delegate to or stub that function out and
 check the routing.  One fast verification suite runs for real end to end.
 """
 
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from refleq import __version__
 from refleq import cli as cli_module
 from refleq import tableaux as tableaux_module
-from refleq.cli import cli
 from refleq.dynkin import DynkinType, info_dict
 from refleq.kclass import w0_summary_dict
 from refleq.polarization import build_instance, replay_certificate, solve_table
@@ -24,7 +28,17 @@ from refleq.tableaux import betti_report
 
 
 def run_cli(*args):
-    return CliRunner().invoke(cli, list(args))
+    """Run the CLI in process: stdout, stderr, output (stdout then stderr)
+    and exit_code, whether main returned it or raised SystemExit."""
+    # newline=None reads the CSV writer's \r\n line ends as \n
+    out, err = io.StringIO(newline=None), io.StringIO(newline=None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            exit_code = cli_module.main(list(args))
+        except SystemExit as e:
+            exit_code = e.code
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return SimpleNamespace(stdout=stdout, stderr=stderr, output=stdout + stderr, exit_code=exit_code)
 
 
 def payload(result):
@@ -403,7 +417,61 @@ class TestUsage:
     def test_unknown_subcommand(self):
         assert run_cli("nonsense").exit_code == 2
 
+    def test_unknown_option_names_its_command(self):
+        res = run_cli("tableaux", "betti", "--kind", "sp", "--l", "2", "--w1", "1", "--typ", "A3")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("usage: refleq tableaux betti ")
+        assert "unrecognized arguments: --typ A3" in res.stderr
+
     def test_version_flag(self):
         res = run_cli("--version")
         assert res.exit_code == 0
         assert __version__ in res.stdout
+        assert res.stdout == f"refleq, version {__version__}\n"
+
+    # every command, with the options its --help must name
+    COMMANDS = {
+        ("dynkin",): ["--type"],
+        ("kclass",): ["--type"],
+        ("tableaux", "betti"): ["--kind", "--l", "--w1", "--emit"],
+        ("tableaux", "flags"): ["--sign", "--l", "--w1"],
+        ("rkmat", "kmatrix"): ["--kind", "--l"],
+        ("verify",): ["--scenario", "--suite", "--l", "--mode", "--jobs"],
+        ("polarization", "solve"): ["--sign", "--l"],
+        ("polarization", "summary"): ["--l"],
+        ("suite",): ["acceptance"],
+    }
+
+    @pytest.mark.parametrize("path", sorted(COMMANDS), ids=" ".join)
+    def test_help_names_every_option(self, path):
+        res = run_cli(*path, "--help")
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert res.stdout.startswith(f"usage: refleq {' '.join(path)} ")
+        for option in self.COMMANDS[path]:
+            assert option in res.stdout, option
+
+    def test_help_lists_every_command(self):
+        # the table above covers every command the parser has
+        groups = {}
+        for path in self.COMMANDS:
+            for i, name in enumerate(path):
+                groups.setdefault(path[:i], set()).add(name)
+        for group, names in groups.items():
+            res = run_cli(*group, "--help")
+            assert res.exit_code == 0
+            listed = set(re.findall(r"^    (\S+)", res.stdout, re.M))
+            assert listed == names, group
+
+
+def test_import_loads_the_library_and_no_heavy_stdlib():
+    # a fresh interpreter, so nothing the test session imported counts
+    src = Path(cli_module.__file__).parent
+    code = "import json, sys, refleq.cli; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"click", "dataclasses", "inspect"}
+    library = {"refleq", *(f"refleq.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__")}
+    assert library <= loaded, library - loaded

@@ -35,6 +35,10 @@ def test_type_validation():
         DynkinType("E", 7)
     with pytest.raises(ValueError):
         DynkinType("B", 2)
+    with pytest.raises(ValueError):
+        DynkinType("A", 0)
+    with pytest.raises(ValueError):
+        DynkinType(family="D", rank=3)
     assert str(DynkinType.parse("A4")) == "A4"
     with pytest.raises(ValueError):
         DynkinType.parse("F4")

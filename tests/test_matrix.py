@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
+from refleq import matrix as matrix_module
 from refleq.field import U1, U2, U3, Poly, RatFunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
 from refleq.rkmat import site_labels, yang_r
@@ -220,6 +221,32 @@ def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
     assert len(calls) <= len(distinct)
     monkeypatch.undo()
     assert product == _schoolbook_product(r12, r13)
+
+
+def test_symbolic_proof_packs_each_distinct_entry_once(monkeypatch):
+    # every Yang-Baxter factor sits on both sides; each is cleared once and
+    # each of its cleared entries is packed once, not once per side
+    slots = [site_labels(2)] * 3
+    r12 = embed_on_slots(yang_r(2, U1 - U2), (0, 1), slots)
+    r13 = embed_on_slots(yang_r(2, U1 - U3), (0, 2), slots)
+    r23 = embed_on_slots(yang_r(2, U2 - U3), (1, 2), slots)
+    cleared, packed = [], []
+    real_clear, real_pack = matrix_module._clear, matrix_module._pack
+
+    def counting_clear(mat, memo):
+        cleared.append(real_clear(mat, memo))
+        return cleared[-1]
+
+    def counting_pack(p, bits):
+        packed.append(p)
+        return real_pack(p, bits)
+
+    monkeypatch.setattr(matrix_module, "_clear", counting_clear)
+    monkeypatch.setattr(matrix_module, "_pack", counting_pack)
+    assert verify_identity([r12, r13, r23], [r23, r13, r12])["holds"]
+    assert len(cleared) == 3
+    distinct = [p for c in cleared for p in c.entries.values()]
+    assert sorted(map(id, packed)) == sorted(map(id, distinct))
 
 
 # entries for random factors: two residual denominators (irreducible, so they
