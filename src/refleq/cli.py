@@ -272,7 +272,8 @@ def _parser():
                    help="site dimension; a suite runs every requested group at this size")
     p.add_argument("--mode", choices=["symbolic", "multipoint"], default="symbolic",
                    help="prover for --scenario; suites prove symbolically and reject multipoint")
-    p.add_argument("--jobs", action=_AtLeast, minimum=1, default=1)
+    p.add_argument("--jobs", action=_AtLeast, minimum=1, default=1,
+                   help="worker processes for a suite; 1 runs every item in this process")
 
     polarization = group("polarization", "Wall-consistency instances for polarization choices.")
     p = command(polarization, polarization_solve, "solve")

@@ -12,10 +12,18 @@ Four scenario kinds are supported:
 
 Every boundary matrix tends to an involutive constant matrix as the
 spectral parameter grows; sigma_matrix returns that limit directly.
+
+The builders of single R- and K-matrices and of the chain operators are
+memoized per argument tuple (RatFunc hashing and equality are canonical), so
+a process builds each operator once.  A builder's result is shared by every
+caller and is read-only: nothing may call set on it or assign its entries.
+monodromy_t, twisted_monodromy and s_matrix take the sites us as any
+sequence and key their cache on it as a tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -33,6 +41,7 @@ def pair_labels(l):
     return tuple((s, t) for s in site_labels(l) for t in site_labels(l))
 
 
+@functools.cache
 def yang_r(l, u):
     """(u * Id + h * P) / (u + h) on the two-site space."""
     labels = pair_labels(l)
@@ -64,12 +73,14 @@ def _block(labels, block, c, off_sign):
     return m
 
 
+@functools.cache
 def r_bullet_sigma(l, u):
     """Identity except on span{(i, i)}, where it is Id - h/(u + l*h/2) * J."""
     c = H / (u + H * RatFunc.const(Fraction(l, 2)))
     return _block(pair_labels(l), [(i, i) for i in site_labels(l)], c, -1)
 
 
+@functools.cache
 def r_bullet_sigma_opposite(l, u):
     """r_bullet_sigma with the off-diagonal block entries negated.
 
@@ -84,6 +95,7 @@ def r_bullet_sigma_opposite(l, u):
     return _block(pair_labels(l), [(i, i) for i in site_labels(l)], c, 1)
 
 
+@functools.cache
 def _flag_minus_k(l, u, opposite):
     """The flagMinus boundary matrix: h/(2u + h) on the diagonal and
     2u/(2u + h) on the anti-diagonal, or the other way round if opposite,
@@ -103,6 +115,7 @@ def _flag_minus_k(l, u, opposite):
     return m
 
 
+@functools.cache
 def k_matrix(kind, l, u):
     """Single-site boundary matrix for the given scenario kind."""
     if kind in ("soInstanton", "flagPlus"):
@@ -114,6 +127,7 @@ def k_matrix(kind, l, u):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+@functools.cache
 def k_matrix_opposite_placement(l, u):
     """flagMinus boundary matrix with diagonal and anti-diagonal exchanged.
 
@@ -125,6 +139,7 @@ def k_matrix_opposite_placement(l, u):
     return _flag_minus_k(l, u, opposite=True)
 
 
+@functools.cache
 def sigma_matrix(kind, l):
     """Limit of k_matrix at large spectral parameter: an involutive constant."""
     labels = site_labels(l)
@@ -139,6 +154,7 @@ def sigma_matrix(kind, l):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+@functools.cache
 def cross_r(kind, l, u):
     """Two-site R with one twisted factor (acts as R before index flipping).
 
@@ -158,6 +174,7 @@ def cross_r(kind, l, u):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+@functools.cache
 def cross_r_flipped(kind, l, u):
     """The flipped-index variant P * cross_r * P."""
     return swap_conjugate(cross_r(kind, l, u))
@@ -224,11 +241,21 @@ def _monodromy(l, n, pair):
 
 def monodromy_t(l, u, us):
     """T(u) = R_{0,n}(u - u_n) ... R_{0,1}(u - u_1) on slots (aux, 1..n)."""
+    return _monodromy_t(l, u, tuple(us))
+
+
+@functools.cache
+def _monodromy_t(l, u, us):
     return _monodromy(l, len(us), lambda k: yang_r(l, u - us[k - 1]))
 
 
 def twisted_monodromy(l, u, us, kind):
     """T_twist(-u) = R'_{0,n}(-u - u_n) ... R'_{0,1}(-u - u_1), R' = cross_r."""
+    return _twisted_monodromy(l, u, tuple(us), kind)
+
+
+@functools.cache
+def _twisted_monodromy(l, u, us, kind):
     return _monodromy(l, len(us), lambda k: cross_r(kind, l, -u - us[k - 1]))
 
 
@@ -239,6 +266,11 @@ def s_matrix(kind, l, u, us):
     leftmost), then the boundary matrix at u on the auxiliary slot, then
     the monodromy T(u) of monodromy_t.
     """
+    return _s_matrix(kind, l, u, tuple(us))
+
+
+@functools.cache
+def _s_matrix(kind, l, u, us):
     sites = range(1, len(us) + 1)
     cross = chain_factors(lambda k: cross_r_flipped(kind, l, u + us[k - 1]), 0, sites)
     factors = cross[::-1] + [(k_matrix(kind, l, u), (0,))]

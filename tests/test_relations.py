@@ -1342,6 +1342,12 @@ class TestSuites:
         parallel = run_suite(suite="unitarity", l=2, jobs=2)
         assert serial == parallel
 
+    def test_parallel_all_matches_warm_serial(self):
+        # the serial run warms the builder caches, which forked workers
+        # inherit; sharing them must not change a verdict
+        serial = run_suite(suite="all")
+        assert run_suite(suite="all", jobs=2) == serial
+
     def test_huge_jobs_bounded_by_cpus(self, monkeypatch):
         # a stand-in pool that records its size and runs in this process
         started = []

@@ -3,14 +3,17 @@
 import functools
 import json
 import operator
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from oracles import entry, linear_combination, swap_matrix
+from refleq import acceptance, rkmat
 from refleq.field import H, RatFunc, U, U1, U2, format_ratfunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, verify_identity
+from refleq.relations import check_boundary_factorization, check_chain_reflection, run_suite
 from refleq.rkmat import (
     KINDS,
     chain_factors,
@@ -270,3 +273,58 @@ def test_k_matrix_coefficients_are_ints(kind, l):
     for v in k_matrix(kind, l, U).entries.values():
         coeffs = list(v.num.terms.values()) + list(v.den.terms.values())
         assert all(type(c) is int for c in coeffs), format_ratfunc(v)
+
+
+# every builder memoized per argument tuple; the chain operators cache a
+# private body keyed on the sites as a tuple
+CACHED_BUILDERS = (
+    "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "_flag_minus_k", "k_matrix",
+    "k_matrix_opposite_placement", "sigma_matrix", "cross_r", "cross_r_flipped",
+    "_monodromy_t", "_twisted_monodromy", "_s_matrix",
+)
+
+
+def test_cached_builders_are_the_listed_ones():
+    cached = {name for name, f in vars(rkmat).items() if hasattr(f, "cache_info")}
+    assert cached == set(CACHED_BUILDERS)
+
+
+def test_chain_operators_key_sites_as_a_tuple():
+    assert monodromy_t(2, U, [U1]) is monodromy_t(2, U, (U1,))
+    assert twisted_monodromy(2, U, [U1, U2], "flagMinus") is twisted_monodromy(2, U, (U1, U2), "flagMinus")
+    assert s_matrix("spInstanton", 2, U, [U1]) is s_matrix("spInstanton", 2, U, (U1,))
+
+
+def test_shared_results_stay_equal_to_fresh_builds(monkeypatch):
+    # record every builder result the checks are handed, then rebuild each
+    # through the uncached body: a caller that wrote to a shared result
+    # would leave it different from its fresh build
+    built = {}
+    modules = [m for name, m in sys.modules.items() if name == "refleq" or name.startswith("refleq.")]
+    for name in CACHED_BUILDERS:
+        cached = getattr(rkmat, name)
+
+        def spy(*args, _name=name, _cached=cached, **kwargs):
+            result = _cached(*args, **kwargs)
+            built.setdefault((_name, args, tuple(sorted(kwargs.items()))), result)
+            return result
+
+        for module in modules:
+            if vars(module).get(name) is cached:
+                monkeypatch.setattr(module, name, spy)
+
+    assert run_suite("all")["ok"]
+    assert acceptance.run_acceptance()["ok"]
+    for kind in KINDS:
+        assert check_boundary_factorization(kind, 2, n=2)["holds"]
+        assert check_chain_reflection(kind, 2, n=2)["holds"]
+    monkeypatch.undo()
+
+    # _flag_minus_k is reached only through k_matrix and
+    # k_matrix_opposite_placement, whose results it is
+    assert {name for name, _, _ in built} >= set(CACHED_BUILDERS) - {"_flag_minus_k"}
+    for (name, args, kwargs), result in built.items():
+        cached = getattr(rkmat, name)
+        assert cached(*args, **dict(kwargs)) is result
+        # equal labels and entries
+        assert result == cached.__wrapped__(*args, **dict(kwargs)), (name, args)
