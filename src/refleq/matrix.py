@@ -6,6 +6,14 @@ Storage is dict-of-keys on (row_index, col_index) with zeros dropped, since
 the big tensor-product matrices in the relation checks are overwhelmingly
 sparse.
 
+embed_on_slots places an operator on some tensor slots, extended by the
+identity on the others.  It keys each placed entry by index arithmetic
+(mixed-radix offsets over the slots), on label tuples built once per slot
+tuple and shared, and the placement records the operator it places.  Work
+that depends only on the entry values, or on the label symmetry, reads that
+operator instead of the placement: the symmetry search below, the clearing
+of the symbolic prover and the factor reads of the grid engine.
+
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  verify_identity, the symbolic prover, does not:
 it takes two ordered factor lists, clears each factor of its denominators
@@ -17,7 +25,8 @@ Its verdict is a dict so callers can log what was checked; a failing verdict
 carries a "counterexample" with the first mismatching entry in sorted order
 and the canonical form of both values.  Grid proofs, which never form a
 product of polynomials, also work on factor lists, use the same orbit
-reduction and live in relations (_verify_product_identity).
+reduction, tested on each placement's operator, and live in relations
+(_verify_product_identity).
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 
 from .field import NVARS, Poly, RatFunc, format_ratfunc
 
@@ -44,7 +54,20 @@ def _label_to_json(label):
 
 
 class LabeledMatrix:
-    __slots__ = ("row_labels", "col_labels", "entries", "_row_index", "_col_index")
+    """A matrix with labeled rows and columns, entries {(i, j): RatFunc}.
+
+    A placement (embed_on_slots) records in operator the operator it places,
+    so that the provers read entry values and test label symmetries on the
+    operator instead of the placement; every other matrix holds None there.
+    A placement's entries and its record's are read-only mappings, so an
+    edit that bypasses set raises.  set on a placement swaps in a fresh
+    dict and drops the record, since an edited placement is no longer its
+    operator extended by identity.  The one edit left unchecked is
+    assigning a new mapping to a placement's entries, which must also set
+    operator to None.
+    """
+
+    __slots__ = ("row_labels", "col_labels", "entries", "operator", "_row_index", "_col_index")
 
     def __init__(self, row_labels, col_labels):
         self.row_labels = tuple(row_labels)
@@ -56,10 +79,22 @@ class LabeledMatrix:
         self._row_index = {lab: i for i, lab in enumerate(self.row_labels)}
         self._col_index = {lab: j for j, lab in enumerate(self.col_labels)}
         self.entries = {}
+        self.operator = None
+
+    @classmethod
+    def _indexed(cls, row_labels, row_index, col_labels, col_index, entries, operator=None):
+        """A matrix on label tuples already checked and indexed; it shares
+        them and their index dicts, which nothing writes."""
+        m = cls.__new__(cls)
+        m.row_labels, m._row_index, m.col_labels, m._col_index = row_labels, row_index, col_labels, col_index
+        m.entries, m.operator = entries, operator
+        return m
 
     def set(self, row_label, col_label, value):
         i = self._row_index[row_label]
         j = self._col_index[col_label]
+        if self.operator is not None:
+            self.entries, self.operator = dict(self.entries), None
         if value.is_zero():
             self.entries.pop((i, j), None)
         else:
@@ -153,40 +188,78 @@ class LabeledMatrix:
         return f"<LabeledMatrix {len(self.row_labels)}x{len(self.col_labels)}, {len(self.entries)} nonzero>"
 
 
+_TensorLabels = collections.namedtuple("_TensorLabels", "labels index offsets")
+
+
+@functools.cache
+def _tensor_labels(slots):
+    """The labels of the tensor product of slots, a tuple of label tuples,
+    in row-major order, their index, and per slot {label: offset}: a full
+    label's index is the sum of its parts' offsets, each part's index in
+    its slot times the slot's stride (mixed radix, the last slot fastest).
+    Built once per slot tuple, shared by every placement on it and
+    read-only."""
+    if any(len(set(s)) != len(s) for s in slots):
+        raise ValueError("duplicate row labels")
+    labels = tuple(itertools.product(*slots))
+    strides = [math.prod(map(len, slots[k + 1:])) for k in range(len(slots))]
+    offsets = [{x: i * stride for i, x in enumerate(s)} for s, stride in zip(slots, strides)]
+    return _TensorLabels(labels, {lab: i for i, lab in enumerate(labels)}, offsets)
+
+
 def embed_on_slots(mat, positions, slot_labels):
     """Extend mat (acting on the chosen tensor slots, in order) by identity.
 
     slot_labels: list of label sequences, one per tensor slot.  positions:
-    which slots mat acts on.  A tuple label of mat holds one part per
-    position and a bare label is one part, so a placed matrix can be placed
-    again.  The result acts on the full product with tuple labels.
+    which slots mat acts on, distinct.  A tuple label of mat holds one part
+    per position and a bare label is one part, so a placed matrix can be
+    placed again; anything else raises ValueError.  The result acts on the
+    full product with tuple labels and shares mat's entry values.  Its
+    entry keys are index sums: a label of mat contributes its parts'
+    offsets on the positions, and each assignment of the other slots one
+    more offset.  The result records the operator it places, a read-only
+    copy of mat at mat's own size, with no record of its own even when mat
+    is a placement, so no later edit of mat reaches it.
     """
-    n = len(slot_labels)
-    full_rows = [tuple(t) for t in itertools.product(*slot_labels)]
-    m = LabeledMatrix(full_rows, full_rows)
-    others = [i for i in range(n) if i not in positions]
+    tensor = _tensor_labels(tuple(map(tuple, slot_labels)))
+    positions = tuple(positions)
+    n = len(tensor.offsets)
+    if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
+        raise ValueError(f"positions {positions} are not distinct slots of 0..{n - 1}")
+    on = [tensor.offsets[p] for p in positions]
 
-    row_of = {lab: i for i, lab in enumerate(full_rows)}
-    sub_rows = mat.row_labels
-    sub_cols = mat.col_labels
-    other_choices = list(itertools.product(*(slot_labels[i] for i in others)))
-    for (si, sj), v in mat.entries.items():
-        r_sub = sub_rows[si]
-        c_sub = sub_cols[sj]
-        r_parts = r_sub if isinstance(r_sub, tuple) else (r_sub,)
-        c_parts = c_sub if isinstance(c_sub, tuple) else (c_sub,)
-        for rest in other_choices:
-            full_r = [None] * n
-            full_c = [None] * n
-            for p, x in zip(positions, r_parts):
-                full_r[p] = x
-            for p, x in zip(positions, c_parts):
-                full_c[p] = x
-            for o, x in zip(others, rest):
-                full_r[o] = x
-                full_c[o] = x
-            m.entries[(row_of[tuple(full_r)], row_of[tuple(full_c)])] = v
-    return m
+    def offsets(labels):
+        out = []
+        for lab in labels:
+            parts = lab if isinstance(lab, tuple) else (lab,)
+            if len(parts) != len(positions):
+                raise ValueError(f"label {lab!r} has {len(parts)} parts for positions {positions}")
+            try:
+                out.append(sum(map(operator.getitem, on, parts)))
+            except KeyError:
+                raise ValueError(f"label {lab!r} is not on slots {positions}") from None
+        return out
+
+    rows = offsets(mat.row_labels)
+    cols = rows if mat.col_labels is mat.row_labels else offsets(mat.col_labels)
+    rest = [0]  # the offsets of the assignments of the other slots, in product order
+    for o, slot in enumerate(tensor.offsets):
+        if o not in positions:
+            rest = [r + x for r in rest for x in slot.values()]
+    entries = {}
+    for (i, j), v in mat.entries.items():
+        r, c = rows[i], cols[j]
+        for o in rest:
+            entries[r + o, c + o] = v
+    if not rest:  # an empty slot among the others: nothing is placed
+        return LabeledMatrix._indexed(tensor.labels, tensor.index, tensor.labels, tensor.index, entries)
+    # a placement's read-only entries are never written, so its record can
+    # share them
+    frozen = mat.entries if mat.operator is not None else types.MappingProxyType(dict(mat.entries))
+    record = LabeledMatrix._indexed(mat.row_labels, mat._row_index, mat.col_labels, mat._col_index, frozen)
+    return LabeledMatrix._indexed(
+        tensor.labels, tensor.index, tensor.labels, tensor.index, types.MappingProxyType(entries), record
+    )
 
 
 def swap_conjugate(mat):
@@ -303,20 +376,25 @@ def _poly_matmul(a, b):
     return out
 
 
-def _cleared_product(factors, packed, reps):
+def _row_table(mat, packed):
+    """mat's stored entries as {row: {col: packed terms}} with no zero
+    entry; packed maps the id of each distinct entry to its cleared terms,
+    packed."""
+    rows = {}
+    for (i, j), v in mat.entries.items():
+        t = packed[id(v)]
+        if t:
+            rows.setdefault(i, {})[j] = t
+    return rows
+
+
+def _cleared_product(factors, tables, reps):
     """The rows reps of the product of the cleared factors as {row: {col:
     packed terms}}: only those rows of the first factor enter the chain.
-    packed maps the id of each factor to its cleared entries, packed."""
+    tables maps the id of each factor to its _row_table."""
     keep = set(reps)
-    mats = []
-    for n, mat in enumerate(factors):
-        entries = packed[id(mat)]
-        rows = {}
-        for (i, j), v in mat.entries.items():
-            if (n or i in keep) and entries[id(v)]:
-                rows.setdefault(i, {})[j] = entries[id(v)]
-        mats.append(rows)
-    return functools.reduce(_poly_matmul, mats)
+    first = {i: row for i, row in tables[id(factors[0])].items() if i in keep}
+    return functools.reduce(_poly_matmul, [tables[id(mat)] for mat in factors[1:]], first)
 
 
 def _scaled(rows, scale, bits):
@@ -343,9 +421,11 @@ def _product_difference(lhs_factors, rhs_factors):
     gives the soundness argument), and only the two entries it returns are
     reduced."""
     distinct = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
-    reps = _orbit_representatives([*lhs_factors, *rhs_factors])
+    reps = _orbit_representatives(list(distinct.values()))
     memo = {}
-    cleared = {key: _clear(mat, memo) for key, mat in distinct.items()}
+    # clearing reads only the entry values, which a placement shares with
+    # the operator it places
+    cleared = {key: _clear(_operator(mat), memo) for key, mat in distinct.items()}
     sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
     (lc, lden), (rc, rden) = ((math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in sides)
     g, shared = math.gcd(lc, rc), lden & rden
@@ -354,9 +434,11 @@ def _product_difference(lhs_factors, rhs_factors):
     # packed exponent overflows its field
     top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
     bits = max(1, top.bit_length())
-    # a factor both sides share is packed once
+    # a factor both sides share is packed once, and its row table is built
+    # once for both
     packed = {key: {k: _pack(p, bits) for k, p in x.entries.items()} for key, x in cleared.items()}
-    products = [_cleared_product(factors, packed, reps) for factors in (lhs_factors, rhs_factors)]
+    tables = {key: _row_table(mat, packed[key]) for key, mat in distinct.items()}
+    products = [_cleared_product(factors, tables, reps) for factors in (lhs_factors, rhs_factors)]
     scaled = [_scaled(rows, scale, bits) for rows, scale in zip(products, scales)]
     if scaled[0] == scaled[1]:
         return None
@@ -384,23 +466,64 @@ def _label_mismatch(lhs_factors, rhs_factors, mode):
     return None
 
 
+def _operator(mat):
+    """The operator a placement records, or mat itself."""
+    return mat if mat.operator is None else mat.operator
+
+
+def _label_parts(labels):
+    """Each label as its tuple of sites; a bare label is a 1-tuple."""
+    return [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
+
+
+def _permuted(parts, index, swap):
+    """The index of each label's image under the site map swap, for labels
+    given as _label_parts and their {parts: index}; None when an image is
+    no label."""
+    perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
+    return None if None in perm else perm
+
+
+def _commutes(entries, rperm, cperm):
+    """Whether the entries hold at every permuted key the entry they hold at
+    the key, for row and column permutations from _permuted."""
+    if rperm is None or cperm is None:
+        return False
+    # dict equality takes e is v before e == v, value by value
+    return {(rperm[i], cperm[j]): v for (i, j), v in entries.items()} == entries
+
+
 def _orbit_representatives(factors):
     """The least row index of each orbit of the label symmetry that every
     factor has, in increasing order; every row index when some factor's row
-    or column labels differ from the first factor's row labels.
+    or column labels differ from the first factor's row labels, or when
+    those labels are not the product of their slots' site sets.
 
     A label is a tuple of sites (a bare label is a 1-tuple), and the
-    transposition (a b) of two sites swaps them in every slot at once.  It
-    is accepted when it maps the labels to labels and, for every distinct
-    factor F and every stored entry (i, j) -> v, F holds an entry equal to v
-    at the permuted key.  The transposition is an involution, so that is
-    F[s i, s j] = F[i, j] at every key, zero entries included.  A pair of
-    sites already in one component of the accepted transpositions is not
-    tested: they generate the product of the symmetric groups on the
-    components, which is the group every holding transposition generates.
-    Two labels lie in one orbit of that group exactly when they have the
-    same pattern: per slot, the component of its site and the first slot
-    that holds the same site.
+    transposition s = (a b) of two sites swaps them in every slot at once.
+    The labels are the product of the site sets S_k of their slots, so s
+    maps them to labels exactly when it maps every S_k to itself.  Then it
+    is accepted when every distinct factor F commutes with it: F holds an
+    entry equal to v at the permuted key of every stored entry (i, j) -> v.
+    The transposition is an involution, so that is F[s i, s j] = F[i, j] at
+    every key, zero entries included.  A placement F = M (x) I of an
+    operator M on some slots (embed_on_slots; the record survives no set) is
+    tested on M: s acts on F as s on M's slots times s on the others, I
+    commutes with the latter, and F[(s r, s q), (s c, s q')] = M[s r, s c]
+    delta(q, q'), so F commutes with s exactly when M does, provided s maps
+    M's labels to M's labels.  When it does not, the test on M fails, which
+    keeps more rows and never fewer.  A placement of a placement is tested
+    on the inner placement at its own size, since the record of a placement
+    is the matrix it placed: the inner identity slots may hold fewer sites
+    than the outer slots, and the label test on the inner placement is what
+    rejects a transposition that leaves them.  A pair of sites already in
+    one component of the accepted transpositions is not tested: they
+    generate the product of the symmetric groups on the components, which is
+    the group every holding transposition generates.  Two labels lie in one
+    orbit of that group exactly when they have the same pattern: per slot,
+    the component of its site and the first slot that holds the same site.
+    A label set that is not such a product keeps every row, which is the
+    trivial group and sound.
 
     Both provers multiply only these rows, and this is why that is sound.
     Every factor commutes with the group G found here, and so do both
@@ -417,9 +540,21 @@ def _orbit_representatives(factors):
     labels = factors[0].row_labels
     if any(m.row_labels != labels or m.col_labels != labels for m in factors):
         return range(len(labels))
-    parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
-    index = {p: i for i, p in enumerate(parts)}
-    entries = [m.entries for m in {id(m): m for m in factors}.values()]
+    parts = _label_parts(labels)
+    if not parts or any(len(p) != len(parts[0]) for p in parts):
+        return range(len(labels))
+    sites = [set(column) for column in zip(*parts)]  # per slot
+    if len(labels) != math.prod(map(len, sites)):
+        return range(len(labels))
+    # each distinct operator, and each factor that places none at full size,
+    # with the numbers of its row and column label tuples; each distinct
+    # label tuple is permuted once per transposition
+    numbers = {}
+    tested = [
+        (m.entries, numbers.setdefault(m.row_labels, len(numbers)), numbers.setdefault(m.col_labels, len(numbers)))
+        for m in {id(m): m for m in map(_operator, factors)}.values()
+    ]
+    views = [(p, {x: i for i, x in enumerate(p)}) for p in map(_label_parts, numbers)]
     root = {x: x for p in parts for x in p}  # site -> its parent in the components
 
     def find(x):
@@ -429,16 +564,16 @@ def _orbit_representatives(factors):
 
     for a, b in itertools.combinations(root, 2):
         ra, rb = find(a), find(b)
-        if ra == rb:
+        if ra == rb or any((a in s) != (b in s) for s in sites):
             continue
         swap = {a: b, b: a}
-        perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
-        # dict equality takes e is v before e == v, value by value
-        if None not in perm and all({(perm[i], perm[j]): v for (i, j), v in ent.items()} == ent for ent in entries):
+        perms = [_permuted(p, index, swap) for p, index in views]
+        if all(_commutes(entries, perms[rows], perms[cols]) for entries, rows, cols in tested):
             root[rb] = ra
+    component = {x: find(x) for x in root}
     reps = {}
     for i, p in enumerate(parts):
-        reps.setdefault(tuple((find(x), p.index(x)) for x in p), i)
+        reps.setdefault((tuple(map(component.get, p)), tuple(map(p.index, p))), i)
     return sorted(reps.values())
 
 

@@ -30,9 +30,11 @@ share divided out; it never evaluates at a point, and it reduces only the
 entry that a failing verdict prints.  The multipoint mode never forms the
 products: _verify_product_identity, the one grid-proof engine, reads each
 factor once for the per-variable degree bound of the cleared difference and
-the factors of its denominators.  The difference is cleared by prod(D_lhs)
-prod(D_rhs) with the linear forms the two sides share cancelled once, so
-the bound is present for every variable of the factors and may be 0.  It
+the factors of its denominators, and reads a placed factor's entry values
+off the operator it places (matrix.embed_on_slots).  The difference is
+cleared by prod(D_lhs) prod(D_rhs) with the linear forms the two sides
+share cancelled once, so the bound is present for every variable of the
+factors and may be 0.  It
 evaluates the factors on an integer grid with one more point per variable
 than that bound, placed past Cauchy's root bound of every denominator
 factor, so that no denominator vanishes on it (_grid).  At each
@@ -42,9 +44,10 @@ prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof, not a
 sample.  Both provers multiply only one row per orbit of the label
 permutations that every factor commutes with (matrix._orbit_representatives):
 Yang's R commutes with g (x) g, the cross factors with the permutations that
-keep their signs.  Agreement on those rows is agreement everywhere, and a
-failing proof reads its counterexample, the least differing entry, off them
-with no pass over the other rows.  Both provers check the factor labels the
+keep their signs; a placed factor is tested on its operator.  Agreement on
+those rows is agreement everywhere, and a failing proof reads its
+counterexample, the least differing entry, off them with no pass over the
+other rows.  Both provers check the factor labels the
 same way (matrix._label_mismatch).  check_ybe and
 check_reflection expose the mode; the tests run both provers on the factor
 lists of the other checks.
@@ -65,6 +68,7 @@ from .matrix import (
     LabeledMatrix,
     _label_mismatch,
     _label_to_json,
+    _operator,
     _orbit_representatives,
     embed_on_slots,
     first_difference,
@@ -165,19 +169,23 @@ def _verdict(identity, l, cmp, **extra):
 # already forces it to vanish identically.
 
 
-_Factor = collections.namedtuple("_Factor", "homogeneous forms residuals num_degree den_degree")
+_Factor = collections.namedtuple("_Factor", "entries homogeneous forms residuals num_degree den_degree")
 
 
 def _read_factor(mat):
-    """What the grid proof needs of mat, from one pass over its distinct
-    entries: whether each is homogeneous of degree zero jointly in all
-    variables, the distinct forms and residuals of their denominators
-    (den_factors) and, per variable in VARS order, the degree of the lcm D
-    of the denominators and the largest degree of an entry times D."""
+    """What the grid proof needs of mat, from one pass over its entries: its
+    distinct entries {id(entry): entry}, whether each nonzero one is
+    homogeneous of degree zero jointly in all variables, the distinct forms
+    and residuals of their denominators (den_factors) and, per variable in
+    VARS order, the degree of the lcm D of the denominators and the largest
+    degree of an entry times D."""
+    entries = {id(v): v for v in mat.entries.values()}
     homogeneous = True
     excess = None  # per variable, the largest deg num - deg den of an entry
     forms, residuals = {}, {}
-    for val in {id(v): v for v in mat.entries.values() if v}.values():
+    for val in entries.values():
+        if not val:
+            continue
         entry_excess = [n - d for n, d in zip(map(max, zip(*val.num.terms)), map(max, zip(*val.den.terms)))]
         excess = entry_excess if excess is None else list(map(max, excess, entry_excess))
         den_degs = {sum(e) for e in val.den.terms}
@@ -190,17 +198,19 @@ def _read_factor(mat):
     lcm = None
     for r in residuals:
         lcm = r if lcm is None else lcm * poly_div_exact(r, poly_gcd(lcm, r))
-    den_degree = tuple(
-        sum(e * form.degree(v) for form, e in forms.items()) + (max(lcm.degree(v), 0) if lcm else 0)
-        for v in VARS
-    )
+    den_degree = (0,) * NVARS
+    for p, e in (*forms.items(), *([(lcm, 1)] if lcm else [])):
+        # a nonzero Poly's degree in each variable, in VARS order
+        den_degree = tuple(d + e * x for d, x in zip(den_degree, map(max, zip(*p.terms))))
     num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
-    return _Factor(homogeneous, forms, residuals, num_degree, den_degree)
+    return _Factor(entries, homogeneous, forms, residuals, num_degree, den_degree)
 
 
 def _read_factors(mats):
-    """id(factor) -> _Factor, each distinct factor read once."""
-    return {key: _read_factor(mat) for key, mat in {id(mat): mat for mat in mats}.items()}
+    """id(factor) -> _Factor, each distinct factor read once.  The read
+    depends only on the entry values, which a placement shares with the
+    operator it places, so it reads that operator (matrix._operator)."""
+    return {key: _read_factor(_operator(mat)) for key, mat in {id(mat): mat for mat in mats}.items()}
 
 
 def _product_degree_bounds(lhs_factors, rhs_factors, read):
@@ -353,17 +363,17 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
         return mismatch
-    read = _read_factors([*lhs_factors, *rhs_factors])
+    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
+    read = _read_factors(factors.values())
     bounds = _product_degree_bounds(lhs_factors, rhs_factors, read)
     drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
         del bounds["h"]
     points = _grid(read.values(), bounds)
-    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
     index = {key: _row_index(mat) for key, mat in factors.items()}
     # embed_on_slots shares one RatFunc among many entries and factors:
     # _clear_at evaluates each distinct object once per point
-    entries = {key: {id(v): v for v in mat.entries.values()} for key, mat in factors.items()}
+    entries = {key: f.entries for key, f in read.items()}
     reps = _orbit_representatives(list(factors.values()))
     n_points = 0
     for combo in itertools.product(*points.values()):

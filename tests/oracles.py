@@ -11,6 +11,12 @@ The library never calls these.
                               oracle for polarization.solve
   kron                        the Kronecker product of two LabeledMatrix
                               values, the reference for matrix.embed_on_slots
+  embed_by_tuples             a placement built label tuple by label tuple,
+                              the reference for matrix.embed_on_slots
+  full_size_orbit_representatives
+                              the symmetry search on every factor at full
+                              size, the reference for
+                              matrix._orbit_representatives
   swap_matrix                 the flip P on pair labels, the reference for
                               matrix.swap_conjugate and rkmat.yang_r
   linear_combination          the entrywise sum of scaled LabeledMatrix
@@ -224,6 +230,66 @@ def kron(a, b):
         for (i2, j2), v2 in b.entries.items():
             m.set((a.row_labels[i1], b.row_labels[i2]), (a.col_labels[j1], b.col_labels[j2]), v1 * v2)
     return m
+
+
+def embed_by_tuples(mat, positions, slot_labels):
+    """mat extended by identity from its positions to every slot, each
+    entry keyed by looking up its full row and column label tuples."""
+    n = len(slot_labels)
+    full_rows = [tuple(t) for t in itertools.product(*slot_labels)]
+    m = LabeledMatrix(full_rows, full_rows)
+    others = [i for i in range(n) if i not in positions]
+    row_of = {lab: i for i, lab in enumerate(full_rows)}
+    other_choices = list(itertools.product(*(slot_labels[i] for i in others)))
+    for (si, sj), v in mat.entries.items():
+        r_sub, c_sub = mat.row_labels[si], mat.col_labels[sj]
+        r_parts = r_sub if isinstance(r_sub, tuple) else (r_sub,)
+        c_parts = c_sub if isinstance(c_sub, tuple) else (c_sub,)
+        for rest in other_choices:
+            full_r = [None] * n
+            full_c = [None] * n
+            for p, x in zip(positions, r_parts):
+                full_r[p] = x
+            for p, x in zip(positions, c_parts):
+                full_c[p] = x
+            for o, x in zip(others, rest):
+                full_r[o] = x
+                full_c[o] = x
+            m.entries[(row_of[tuple(full_r)], row_of[tuple(full_c)])] = v
+    return m
+
+
+def full_size_orbit_representatives(factors):
+    """The least row index of each orbit of the site transpositions that
+    every factor commutes with, each transposition tested on every label
+    and on every stored entry of every distinct factor at full size; every
+    row index when some factor's labels differ from the first factor's row
+    labels."""
+    labels = factors[0].row_labels
+    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
+        return list(range(len(labels)))
+    parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
+    index = {p: i for i, p in enumerate(parts)}
+    entries = [m.entries for m in {id(m): m for m in factors}.values()]
+    root = {x: x for p in parts for x in p}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in itertools.combinations(root, 2):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        swap = {a: b, b: a}
+        perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
+        if None not in perm and all({(perm[i], perm[j]): v for (i, j), v in ent.items()} == ent for ent in entries):
+            root[rb] = ra
+    reps = {}
+    for i, p in enumerate(parts):
+        reps.setdefault(tuple((find(x), p.index(x)) for x in p), i)
+    return sorted(reps.values())
 
 
 def swap_matrix(labels_a, labels_b):

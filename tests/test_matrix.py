@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
+from oracles import embed_by_tuples, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq import matrix as matrix_module
-from refleq.field import U1, U2, U3, Poly, RatFunc
+from refleq.field import U, U1, U2, U3, U4, Poly, RatFunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
-from refleq.rkmat import site_labels, yang_r
+from refleq.rkmat import k_matrix, s_matrix, site_labels, yang_r
 
 
 def rf(s):
@@ -96,6 +96,96 @@ def test_embed_two_slots_of_three():
                 assert entry(full, (a, x, b), (c, x, d)) == entry(m, (a, b), (c, d))
     # off-identity in the middle slot must vanish
     assert entry(full, (1, 1, 1), (1, 2, 1)).is_zero()
+
+
+def _assert_same_placement(mat, positions, slots):
+    placed, reference = embed_on_slots(mat, positions, slots), embed_by_tuples(mat, positions, slots)
+    assert (placed.row_labels, placed.col_labels) == (reference.row_labels, reference.col_labels)
+    assert placed._row_index == reference._row_index and placed._col_index == reference._col_index
+    assert placed.entries == reference.entries
+    # both provers dedupe entries by id, so a placement must share mat's values
+    assert all(placed.entries[k] is v for k, v in reference.entries.items())
+    return placed
+
+
+@pytest.mark.parametrize(
+    "build,positions,slots",
+    [
+        (lambda: s_matrix("flagMinus", 2, U, (U3, U4)), (1, 2, 3), [site_labels(2)] * 4),
+        (lambda: s_matrix("soInstanton", 3, U, (U3,)), (1, 2), [site_labels(3)] * 3),
+        (lambda: yang_r(3, U1), (1, 0), [site_labels(3)] * 3),
+        (lambda: yang_r(2, U1 - U2), (2, 0), [site_labels(2)] * 3),
+        (lambda: k_matrix("spInstanton", 3, U), (0,), [site_labels(3)]),
+        (lambda: k_matrix("flagMinus", 3, U), (1,), [site_labels(2), site_labels(3), site_labels(4)]),
+        (lambda: kron(k_matrix("flagMinus", 2, U), k_matrix("spInstanton", 3, U1)), (2, 0), [[1, 2, 3], ["x"], [1, 2]]),
+    ],
+    ids=["s_matrix-chain-n2", "s_matrix-chain-n1", "positions-1-0", "positions-2-0", "one-slot",
+         "unequal-slots", "unequal-slots-reversed"],
+)
+def test_placement_matches_the_tuple_by_tuple_oracle(build, positions, slots):
+    mat = build()
+    placed = _assert_same_placement(mat, positions, slots)
+    assert placed.operator is not mat and placed.operator.entries == mat.entries
+    # a placement of a placement records the placement it places, at its own
+    # size and with no record of its own
+    again = _assert_same_placement(placed, range(1, len(slots) + 1), [["a", "b"], *slots])
+    assert again.operator.row_labels is placed.row_labels and again.operator.entries == placed.entries
+    assert again.operator.operator is None
+
+
+def test_placements_share_their_label_tuples():
+    slots = [site_labels(3)] * 3
+    r12, r23 = embed_on_slots(yang_r(3, U1), (0, 1), slots), embed_on_slots(yang_r(3, U2), (1, 2), slots)
+    assert r12.row_labels is r23.row_labels is r12.col_labels
+    assert r12._row_index is r23._row_index
+
+
+@pytest.mark.parametrize(
+    "positions,slot_count,match",
+    [
+        ((0, 0), 3, "not distinct"),
+        ((0, 5), 3, "not distinct slots of 0..2"),
+        ((0,), 3, "has 2 parts for positions"),
+        ((0, 1, 2), 3, "has 2 parts for positions"),
+    ],
+    ids=["repeated-position", "position-out-of-range", "too-few-positions", "too-many-positions"],
+)
+def test_a_malformed_placement_is_rejected(positions, slot_count, match):
+    with pytest.raises(ValueError, match=match):
+        embed_on_slots(yang_r(2, U), positions, [site_labels(2)] * slot_count)
+
+
+def test_a_label_off_its_slot_is_rejected():
+    with pytest.raises(ValueError, match="is not on slots"):
+        embed_on_slots(yang_r(3, U), (0, 1), [site_labels(2)] * 2)
+
+
+def test_set_drops_the_operator_record_and_the_record_is_a_copy():
+    m = labeled([1, 2], [1, 2], {(1, 1): rf("u"), (2, 1): rf("h")})
+    placed = embed_on_slots(m, (0,), [[1, 2], [1, 2]])
+    m.set(1, 2, rf("u1"))
+    # no later edit of the source reaches the record
+    assert placed.operator.entries == {(0, 0): rf("u"), (1, 0): rf("h")}
+    before = placed.entries
+    placed.set((1, 1), (1, 2), rf("u2"))
+    assert placed.operator is None and entry(placed, (1, 1), (1, 2)) == rf("u2")
+    # set swapped in a fresh dict: the old mapping still reads as placed
+    assert len(before) == 4 and len(placed.entries) == 5
+    placed.set((1, 1), (1, 2), RatFunc.zero())
+    assert placed.entries == before
+
+
+def test_a_placement_and_its_record_reject_a_write_that_bypasses_set():
+    placed = embed_on_slots(labeled([1, 2], [1, 2], {(1, 1): rf("u")}), (0,), [[1, 2], [1, 2]])
+    for mat in (placed, placed.operator):
+        value = next(iter(mat.entries.values()))
+        with pytest.raises(TypeError):
+            mat.entries[(1, 1)] = value
+        with pytest.raises(AttributeError):
+            mat.entries.pop((0, 0))
+    with pytest.raises(TypeError):
+        placed.operator.set(2, 2, rf("u"))
+    assert placed.operator.entries == {(0, 0): rf("u")}
 
 
 def test_swap_matrix_is_involution():

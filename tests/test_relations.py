@@ -15,7 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import entry, fold_and_compare, full_row_grid_proof, linear_combination, parse_ratfunc
+from oracles import (
+    entry,
+    fold_and_compare,
+    full_row_grid_proof,
+    full_size_orbit_representatives,
+    linear_combination,
+    parse_ratfunc,
+)
 from refleq import field, matrix, relations
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, _orbit_representatives, embed_on_slots, verify_identity
@@ -1182,6 +1189,44 @@ class TestOrbitReduction:
         for v in (sym, grid):
             assert not v["holds"] and v["counterexample"]["row"] in rep_labels
 
+    def test_an_edit_through_set_searches_the_placement_at_full_size(self):
+        r12, r13, r23 = _ybe_factors(3)
+        record = r12.operator
+        row, col = self.PLANTED
+        r12.set(row, col, entry(r12, row, col) + RatFunc.one())
+        assert r12.operator is None
+        lhs, rhs = [r12, r13, r23], [r23, r13, r12]
+        reps = _orbit_representatives([*lhs, *rhs])
+        assert list(reps) == full_size_orbit_representatives([*lhs, *rhs]) == list(range(27))
+        v = _verify_product_identity(lhs, rhs)
+        assert not v["holds"] and v == full_row_grid_proof(lhs, rhs)
+        assert verify_identity(lhs, rhs) == fold_and_compare(lhs, rhs)
+        # the edited placement with its old record kept would be searched on
+        # yang_r, whose symmetry the edit broke
+        stale = LabeledMatrix._indexed(r12.row_labels, r12._row_index, r12.col_labels, r12._col_index, r12.entries, record)
+        assert len(_orbit_representatives([stale, r13, r23])) == 5
+
+    def test_a_placement_of_a_narrower_placement_keeps_its_inner_slots(self):
+        # P1 places the identity on slot 0 of slots {1, 2} x {1}; P2 places
+        # P1 on slots {1, 2} x {1, 2}, so P2 = diag(1, 0, 1, 0).  The swap
+        # (1 2) maps the outer slots to themselves and commutes with P1's
+        # operator, but maps P1's label (1, 1) to (2, 2), which is no label
+        # of P1: it must be rejected, or rows (1, 1) and (1, 2) would stand
+        # for (2, 1), where P2 and Q differ
+        p1 = embed_on_slots(LabeledMatrix.identity([1, 2]), (0,), [[1, 2], [1]])
+        p2 = embed_on_slots(p1, (0, 1), [[1, 2], [1, 2]])
+        q = LabeledMatrix(p2.row_labels, p2.col_labels)
+        for lab in ((1, 1), (2, 2)):
+            q.set(lab, lab, RatFunc.one())
+        assert [entry(p2, lab, lab) for lab in p2.row_labels] == [RatFunc.one(), RatFunc.zero()] * 2
+        for lhs, rhs in (([p2], [q]), ([q, p2], [p2]), ([p2, p2], [q])):
+            factors = [*lhs, *rhs]
+            assert list(_orbit_representatives(factors)) == full_size_orbit_representatives(factors) == [0, 1, 2, 3]
+            sym, grid = verify_identity(lhs, rhs), _verify_product_identity(lhs, rhs)
+            assert sym == fold_and_compare(lhs, rhs) and grid == full_row_grid_proof(lhs, rhs)
+            assert not sym["holds"] and not grid["holds"]
+            assert sym["counterexample"]["row"] == grid["counterexample"]["row"] == [2, 1]
+
     def test_an_equal_but_distinct_entry_keeps_the_symmetry(self):
         r12, r13, r23 = _ybe_factors(3)
         key = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
@@ -1191,6 +1236,57 @@ class TestOrbitReduction:
         copy = _with_entry(r12, key, twin)
         assert len(_orbit_representatives([copy, r13, r23])) == 5
         assert _grid_proof([copy, r13, r23], [r23, r13, copy])["holds"]
+
+
+# the check lists whose factor lists the representatives are compared on:
+# the whole suite, the symbolic chain checks and the grid proofs
+REPRESENTATIVE_RUNS = {
+    "suite-all": [lambda: run_suite("all")],
+    "symbolic-chain": [
+        *(
+            lambda k=kind, v=variant, n=n: check_monodromy_exchange(2, n, v, kind=k)
+            for kind in KINDS
+            for variant in EXCHANGE_VARIANTS
+            for n in (1, 2)
+        ),
+        *(lambda k=kind: check_chain_reflection(k, 2, n=1) for kind in KINDS),
+        *(lambda k=kind: check_boundary_factorization(k, 2, n=1) for kind in KINDS),
+        *(lambda k=kind: check_boundary_constant_term(k, 2, n=1) for kind in KINDS),
+        lambda: check_reflection("flagMinus", 2, boundary="oppositePlacement"),
+    ],
+    "grid-proof": [
+        *(lambda ll=l: check_ybe(ll, mode="multipoint") for l in (3, 4, 5, 6)),
+        *(lambda k=kind: check_chain_reflection(k, 3, n=1) for kind in KINDS),
+        *(lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint") for kind in KINDS for l in (2, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("source", sorted(REPRESENTATIVE_RUNS))
+def test_representatives_match_the_full_size_search(source, monkeypatch):
+    # the search on each placement's operator finds the rows that testing
+    # every factor at full size finds, on every factor list these checks
+    # hand to a prover
+    lists = [pair for run in REPRESENTATIVE_RUNS[source] for pair in _factor_lists(monkeypatch, run)]
+    assert lists
+    for lhs, rhs in lists:
+        factors = [*lhs, *rhs]
+        assert list(_orbit_representatives(factors)) == full_size_orbit_representatives(factors)
+
+
+def test_a_grid_proof_reads_each_distinct_factor_once_on_its_operator(monkeypatch):
+    ((lhs, rhs),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
+    read = []
+    real = relations._read_factor
+
+    def recording(mat):
+        read.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(relations, "_read_factor", recording)
+    assert _verify_product_identity(lhs, rhs)["holds"]
+    assert len(read) == 3
+    assert {id(m) for m in read} == {id(f.operator) for f in lhs}
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
