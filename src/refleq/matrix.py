@@ -4,12 +4,12 @@ Rows and columns carry label sequences (ints, strings, or tuples over tensor
 slots); all operations check label compatibility instead of bare dimensions.
 Storage is dict-of-keys on (row_index, col_index) with zeros dropped, since
 the big tensor-product matrices in the relation checks are overwhelmingly
-sparse.
+sparse, and a matrix is a read-only value (LabeledMatrix).
 
 embed_on_slots places an operator on some tensor slots, extended by the
 identity on the others.  It keys each placed entry by index arithmetic
 (mixed-radix offsets over the slots), on label tuples built once per slot
-tuple and shared, and the placement records the operator it places.  Work
+tuple and shared, and the placement records the matrix it places.  Work
 that depends only on the entry values, or on the label symmetry, reads that
 operator instead of the placement: the symmetry search below, the clearing
 of the symbolic prover and the factor reads of the grid engine.
@@ -54,59 +54,51 @@ def _label_to_json(label):
 
 
 class LabeledMatrix:
-    """A matrix with labeled rows and columns, entries {(i, j): RatFunc}.
+    """A matrix with labeled rows and columns and its nonzero entries.
 
-    A placement (embed_on_slots) records in operator the operator it places,
-    so that the provers read entry values and test label symmetries on the
-    operator instead of the placement; every other matrix holds None there.
-    A placement's entries and its record's are read-only mappings, so an
-    edit that bypasses set raises.  set on a placement swaps in a fresh
-    dict and drops the record, since an edited placement is no longer its
-    operator extended by identity.  The one edit left unchecked is
-    assigning a new mapping to a placement's entries, which must also set
-    operator to None.
+    LabeledMatrix(row_labels, col_labels, entries) takes entries keyed by
+    (row label, col label) pairs, as a mapping or as pairs, and drops the
+    zeros; entries maps (row index, col index) to each nonzero RatFunc.
+
+    A LabeledMatrix is a value: entries is a read-only mapping and no field
+    is reassigned, so a matrix may be shared, as the memoized rkmat builders
+    share theirs, and an edit makes a new matrix.  A placement
+    (embed_on_slots) records in operator the matrix it places, by reference,
+    so that the provers read entry values and test label symmetries on it
+    instead of the placement; every other matrix holds None there.
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "operator", "_row_index", "_col_index")
+    __slots__ = ("row_labels", "col_labels", "entries", "operator")
 
-    def __init__(self, row_labels, col_labels):
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        if len(set(self.row_labels)) != len(self.row_labels):
+    def __new__(cls, row_labels, col_labels, entries=()):
+        rows = tuple(row_labels)
+        # an iterable is read once, so the same iterable names both sides
+        cols = rows if col_labels is row_labels else tuple(col_labels)
+        row_index = {lab: i for i, lab in enumerate(rows)}
+        col_index = {lab: j for j, lab in enumerate(cols)}
+        if len(row_index) != len(rows):
             raise ValueError("duplicate row labels")
-        if len(set(self.col_labels)) != len(self.col_labels):
+        if len(col_index) != len(cols):
             raise ValueError("duplicate column labels")
-        self._row_index = {lab: i for i, lab in enumerate(self.row_labels)}
-        self._col_index = {lab: j for j, lab in enumerate(self.col_labels)}
-        self.entries = {}
-        self.operator = None
+        return cls._indexed(
+            rows, cols, {(row_index[r], col_index[c]): v for (r, c), v in dict(entries).items() if not v.is_zero()}
+        )
 
     @classmethod
-    def _indexed(cls, row_labels, row_index, col_labels, col_index, entries, operator=None):
-        """A matrix on label tuples already checked and indexed; it shares
-        them and their index dicts, which nothing writes."""
-        m = cls.__new__(cls)
-        m.row_labels, m._row_index, m.col_labels, m._col_index = row_labels, row_index, col_labels, col_index
-        m.entries, m.operator = entries, operator
+    def _indexed(cls, row_labels, col_labels, entries, operator=None):
+        """A matrix on label tuples already checked, with entries a dict
+        keyed by index pairs that holds no zero and that nothing else
+        writes."""
+        m = object.__new__(cls)
+        m.row_labels, m.col_labels = row_labels, col_labels
+        m.entries, m.operator = types.MappingProxyType(entries), operator
         return m
-
-    def set(self, row_label, col_label, value):
-        i = self._row_index[row_label]
-        j = self._col_index[col_label]
-        if self.operator is not None:
-            self.entries, self.operator = dict(self.entries), None
-        if value.is_zero():
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = value
 
     @staticmethod
     def identity(labels):
-        m = LabeledMatrix(labels, labels)
+        labels = tuple(labels)
         one = RatFunc.one()
-        for i in range(len(m.row_labels)):
-            m.entries[(i, i)] = one
-        return m
+        return LabeledMatrix(labels, labels, {(x, x): one for x in labels})
 
     def __eq__(self, other):
         if not isinstance(other, LabeledMatrix):
@@ -124,7 +116,6 @@ class LabeledMatrix:
         by_row = {}
         for (i, k), v in other.entries.items():
             by_row.setdefault(i, []).append((k, v))
-        m = LabeledMatrix(self.row_labels, other.col_labels)
         acc = {}
         # embed_on_slots repeats a few values over many entries; RatFunc
         # hashing and equality are canonical data, so equal pairs share a product
@@ -139,8 +130,8 @@ class LabeledMatrix:
                     acc[key] = acc[key] + prod
                 else:
                     acc[key] = prod
-        m.entries = {k: v for k, v in acc.items() if not v.is_zero()}
-        return m
+        entries = {k: v for k, v in acc.items() if not v.is_zero()}
+        return LabeledMatrix._indexed(self.row_labels, other.col_labels, entries)
 
     def inverse(self):
         """Gauss-Jordan inverse; raises ValueError if singular."""
@@ -173,12 +164,8 @@ class LabeledMatrix:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        m = LabeledMatrix(self.row_labels, self.col_labels)
-        for i in range(n):
-            for j in range(n):
-                if not inv[i][j].is_zero():
-                    m.entries[(i, j)] = inv[i][j]
-        return m
+        entries = {(i, j): x for i, row in enumerate(inv) for j, x in enumerate(row) if not x.is_zero()}
+        return LabeledMatrix._indexed(self.row_labels, self.col_labels, entries)
 
     def eval_entries(self, assignment):
         """Evaluate every entry at {var: Fraction} -> dict keyed like entries."""
@@ -188,23 +175,18 @@ class LabeledMatrix:
         return f"<LabeledMatrix {len(self.row_labels)}x{len(self.col_labels)}, {len(self.entries)} nonzero>"
 
 
-_TensorLabels = collections.namedtuple("_TensorLabels", "labels index offsets")
-
-
 @functools.cache
 def _tensor_labels(slots):
     """The labels of the tensor product of slots, a tuple of label tuples,
-    in row-major order, their index, and per slot {label: offset}: a full
-    label's index is the sum of its parts' offsets, each part's index in
-    its slot times the slot's stride (mixed radix, the last slot fastest).
-    Built once per slot tuple, shared by every placement on it and
-    read-only."""
+    in row-major order, and per slot {label: offset}: a full label's index
+    is the sum of its parts' offsets, each part's index in its slot times
+    the slot's stride (mixed radix, the last slot fastest).  Built once per
+    slot tuple, shared by every placement on it and read-only."""
     if any(len(set(s)) != len(s) for s in slots):
         raise ValueError("duplicate row labels")
-    labels = tuple(itertools.product(*slots))
     strides = [math.prod(map(len, slots[k + 1:])) for k in range(len(slots))]
     offsets = [{x: i * stride for i, x in enumerate(s)} for s, stride in zip(slots, strides)]
-    return _TensorLabels(labels, {lab: i for i, lab in enumerate(labels)}, offsets)
+    return tuple(itertools.product(*slots)), offsets
 
 
 def embed_on_slots(mat, positions, slot_labels):
@@ -217,16 +199,16 @@ def embed_on_slots(mat, positions, slot_labels):
     full product with tuple labels and shares mat's entry values.  Its
     entry keys are index sums: a label of mat contributes its parts'
     offsets on the positions, and each assignment of the other slots one
-    more offset.  The result records the operator it places, a read-only
-    copy of mat at mat's own size, with no record of its own even when mat
-    is a placement, so no later edit of mat reaches it.
+    more offset.  The result records mat itself as the operator it places,
+    a placement included, unless an empty slot among the others leaves
+    nothing placed.
     """
-    tensor = _tensor_labels(tuple(map(tuple, slot_labels)))
+    tensor, slot_offsets = _tensor_labels(tuple(map(tuple, slot_labels)))
     positions = tuple(positions)
-    n = len(tensor.offsets)
+    n = len(slot_offsets)
     if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
         raise ValueError(f"positions {positions} are not distinct slots of 0..{n - 1}")
-    on = [tensor.offsets[p] for p in positions]
+    on = [slot_offsets[p] for p in positions]
 
     def offsets(labels):
         out = []
@@ -243,7 +225,7 @@ def embed_on_slots(mat, positions, slot_labels):
     rows = offsets(mat.row_labels)
     cols = rows if mat.col_labels is mat.row_labels else offsets(mat.col_labels)
     rest = [0]  # the offsets of the assignments of the other slots, in product order
-    for o, slot in enumerate(tensor.offsets):
+    for o, slot in enumerate(slot_offsets):
         if o not in positions:
             rest = [r + x for r in rest for x in slot.values()]
     entries = {}
@@ -251,25 +233,13 @@ def embed_on_slots(mat, positions, slot_labels):
         r, c = rows[i], cols[j]
         for o in rest:
             entries[r + o, c + o] = v
-    if not rest:  # an empty slot among the others: nothing is placed
-        return LabeledMatrix._indexed(tensor.labels, tensor.index, tensor.labels, tensor.index, entries)
-    # a placement's read-only entries are never written, so its record can
-    # share them
-    frozen = mat.entries if mat.operator is not None else types.MappingProxyType(dict(mat.entries))
-    record = LabeledMatrix._indexed(mat.row_labels, mat._row_index, mat.col_labels, mat._col_index, frozen)
-    return LabeledMatrix._indexed(
-        tensor.labels, tensor.index, tensor.labels, tensor.index, types.MappingProxyType(entries), record
-    )
+    return LabeledMatrix._indexed(tensor, tensor, entries, mat if rest else None)
 
 
 def swap_conjugate(mat):
     """P * mat * P for mat on a flip-closed set of pair labels."""
-    m = LabeledMatrix(mat.row_labels, mat.col_labels)
-    for (i, j), v in mat.entries.items():
-        a, b = mat.row_labels[i]
-        c, d = mat.col_labels[j]
-        m.set((b, a), (d, c), v)
-    return m
+    rows, cols = mat.row_labels, mat.col_labels
+    return LabeledMatrix(rows, cols, {(rows[i][::-1], cols[j][::-1]): v for (i, j), v in mat.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +477,23 @@ def _orbit_representatives(factors):
     entry equal to v at the permuted key of every stored entry (i, j) -> v.
     The transposition is an involution, so that is F[s i, s j] = F[i, j] at
     every key, zero entries included.  A placement F = M (x) I of an
-    operator M on some slots (embed_on_slots; the record survives no set) is
-    tested on M: s acts on F as s on M's slots times s on the others, I
-    commutes with the latter, and F[(s r, s q), (s c, s q')] = M[s r, s c]
-    delta(q, q'), so F commutes with s exactly when M does, provided s maps
-    M's labels to M's labels.  When it does not, the test on M fails, which
-    keeps more rows and never fewer.  A placement of a placement is tested
-    on the inner placement at its own size, since the record of a placement
-    is the matrix it placed: the inner identity slots may hold fewer sites
-    than the outer slots, and the label test on the inner placement is what
-    rejects a transposition that leaves them.  A pair of sites already in
-    one component of the accepted transpositions is not tested: they
-    generate the product of the symmetric groups on the components, which is
-    the group every holding transposition generates.  Two labels lie in one
-    orbit of that group exactly when they have the same pattern: per slot,
-    the component of its site and the first slot that holds the same site.
-    A label set that is not such a product keeps every row, which is the
-    trivial group and sound.
+    operator M on some slots (embed_on_slots; both are values, so F stays
+    M (x) I) is tested on M: s acts on F as s on M's slots times s on the
+    others, I commutes with the latter, and F[(s r, s q), (s c, s q')] =
+    M[s r, s c] delta(q, q'), so F commutes with s exactly when M does,
+    provided s maps M's labels to M's labels.  When it does not, the test on
+    M fails, which keeps more rows and never fewer.  A placement of a
+    placement is tested on the inner placement at its own size, since the
+    record of a placement is the matrix it placed: the inner identity slots
+    may hold fewer sites than the outer slots, and the label test on the
+    inner placement is what rejects a transposition that leaves them.  A
+    pair of sites already in one component of the accepted transpositions
+    is not tested: they generate the product of the symmetric groups on the
+    components, which is the group every holding transposition generates.
+    Two labels lie in one orbit of that group exactly when they have the
+    same pattern: per slot, the component of its site and the first slot
+    that holds the same site.  A label set that is not such a product keeps
+    every row, which is the trivial group and sound.
 
     Both provers multiply only these rows, and this is why that is sound.
     Every factor commutes with the group G found here, and so do both

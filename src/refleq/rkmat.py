@@ -16,7 +16,9 @@ spectral parameter grows; sigma_matrix returns that limit directly.
 The builders of single R- and K-matrices and of the chain operators are
 memoized per argument tuple (RatFunc hashing and equality are canonical), so
 a process builds each operator once.  A builder's result is shared by every
-caller and is read-only: nothing may call set on it or assign its entries.
+caller, as a LabeledMatrix is a read-only value.  Each builder constructs
+its matrix once, with one object per distinct entry value, since the grid
+engine evaluates each distinct object once per point.
 monodromy_t, twisted_monodromy and s_matrix take the sites us as any
 sequence and key their cache on it as a tuple.
 """
@@ -44,33 +46,33 @@ def pair_labels(l):
 @functools.cache
 def yang_r(l, u):
     """(u * Id + h * P) / (u + h) on the two-site space."""
-    labels = pair_labels(l)
-    m = LabeledMatrix(labels, labels)
     denom = u + H
     stay = u / denom
     hop = H / denom
     one = RatFunc.one()
+    entries = {}
     for s in site_labels(l):
         for t in site_labels(l):
             if s == t:
-                m.set((s, s), (s, s), one)
+                entries[(s, s), (s, s)] = one
             else:
-                m.set((s, t), (s, t), stay)
-                m.set((t, s), (s, t), hop)
-    return m
+                entries[(s, t), (s, t)] = stay
+                entries[(t, s), (s, t)] = hop
+    labels = pair_labels(l)
+    return LabeledMatrix(labels, labels, entries)
 
 
 def _block(labels, block, c, off_sign):
     """Identity on labels except on span(block): 1 - c on its diagonal and
-    off_sign * c off it.  The entries share one diagonal and one off value,
-    so a grid proof evaluates each once per point."""
-    m = LabeledMatrix.identity(labels)
-    diag = RatFunc.one() - c
+    off_sign * c off it."""
+    one = RatFunc.one()
+    diag = one - c
     off = c if off_sign > 0 else -c
+    entries = {(x, x): one for x in labels}
     for i in block:
         for j in block:
-            m.set(i, j, diag if i == j else off)
-    return m
+            entries[i, j] = diag if i == j else off
+    return LabeledMatrix(labels, labels, entries)
 
 
 @functools.cache
@@ -101,18 +103,18 @@ def _flag_minus_k(l, u, opposite):
     2u/(2u + h) on the anti-diagonal, or the other way round if opposite,
     with 1 at the centre for odd l."""
     labels = site_labels(l)
-    m = LabeledMatrix(labels, labels)
     denom = u + u + H
     diag, anti = H / denom, (u + u) / denom
     if opposite:
         diag, anti = anti, diag
+    entries = {}
     for i in labels:
         if l + 1 - i == i:
-            m.set(i, i, RatFunc.one())
+            entries[i, i] = RatFunc.one()
         else:
-            m.set(i, i, diag)
-            m.set(l + 1 - i, i, anti)
-    return m
+            entries[i, i] = diag
+            entries[l + 1 - i, i] = anti
+    return LabeledMatrix(labels, labels, entries)
 
 
 @functools.cache
@@ -146,11 +148,8 @@ def sigma_matrix(kind, l):
     if kind in ("spInstanton", "soInstanton"):
         return LabeledMatrix.identity(labels)
     if kind in ("flagPlus", "flagMinus"):
-        m = LabeledMatrix(labels, labels)
         one = RatFunc.one()
-        for i in labels:
-            m.set(l + 1 - i, i, one)
-        return m
+        return LabeledMatrix(labels, labels, {(l + 1 - i, i): one for i in labels})
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -194,15 +193,14 @@ def constant_term_matrix(m):
     which is 0 when num has lower degree in u; an entry whose numerator has
     the higher degree grows and raises ValueError.
     """
-    out = LabeledMatrix(m.row_labels, m.col_labels)
+    limits, entries = {}, {}
     for (i, j), v in m.entries.items():
         d = v.den.degree("u")
         if v.num.degree("u") > d:
             raise ValueError(f"entry ({i}, {j}) grows as u -> infinity: {v}")
         c0 = RatFunc(v.num.coeff_of("u", d), v.den.coeff_of("u", d))
-        if not c0.is_zero():
-            out.entries[(i, j)] = c0
-    return out
+        entries[m.row_labels[i], m.col_labels[j]] = limits.setdefault(c0, c0)
+    return LabeledMatrix(m.row_labels, m.col_labels, entries)
 
 
 def _chain_slot_labels(l, n):

@@ -218,18 +218,28 @@ def _solve_exhaustive(inst):
 
 def entry(m, row_label, col_label):
     """The entry of m at (row_label, col_label); zero when none is stored."""
-    return m.entries.get((m._row_index[row_label], m._col_index[col_label]), RatFunc.zero())
+    return m.entries.get((m.row_labels.index(row_label), m.col_labels.index(col_label)), RatFunc.zero())
+
+
+def edited(m, changes):
+    """A new matrix equal to m except at the index pairs of changes, which
+    hold the given values."""
+    entries = {**m.entries, **changes}
+    return LabeledMatrix(
+        m.row_labels, m.col_labels, {(m.row_labels[i], m.col_labels[j]): v for (i, j), v in entries.items()}
+    )
 
 
 def kron(a, b):
     """a (x) b, with row and column labels the pairs of a's and b's labels."""
     rows = [(x, y) for x in a.row_labels for y in b.row_labels]
     cols = [(x, y) for x in a.col_labels for y in b.col_labels]
-    m = LabeledMatrix(rows, cols)
-    for (i1, j1), v1 in a.entries.items():
-        for (i2, j2), v2 in b.entries.items():
-            m.set((a.row_labels[i1], b.row_labels[i2]), (a.col_labels[j1], b.col_labels[j2]), v1 * v2)
-    return m
+    entries = {
+        ((a.row_labels[i1], b.row_labels[i2]), (a.col_labels[j1], b.col_labels[j2])): v1 * v2
+        for (i1, j1), v1 in a.entries.items()
+        for (i2, j2), v2 in b.entries.items()
+    }
+    return LabeledMatrix(rows, cols, entries)
 
 
 def embed_by_tuples(mat, positions, slot_labels):
@@ -237,9 +247,8 @@ def embed_by_tuples(mat, positions, slot_labels):
     entry keyed by looking up its full row and column label tuples."""
     n = len(slot_labels)
     full_rows = [tuple(t) for t in itertools.product(*slot_labels)]
-    m = LabeledMatrix(full_rows, full_rows)
+    entries = {}
     others = [i for i in range(n) if i not in positions]
-    row_of = {lab: i for i, lab in enumerate(full_rows)}
     other_choices = list(itertools.product(*(slot_labels[i] for i in others)))
     for (si, sj), v in mat.entries.items():
         r_sub, c_sub = mat.row_labels[si], mat.col_labels[sj]
@@ -255,8 +264,8 @@ def embed_by_tuples(mat, positions, slot_labels):
             for o, x in zip(others, rest):
                 full_r[o] = x
                 full_c[o] = x
-            m.entries[(row_of[tuple(full_r)], row_of[tuple(full_c)])] = v
-    return m
+            entries[tuple(full_r), tuple(full_c)] = v
+    return LabeledMatrix(full_rows, full_rows, entries)
 
 
 def full_size_orbit_representatives(factors):
@@ -296,26 +305,23 @@ def swap_matrix(labels_a, labels_b):
     """The flip P: a (x) b -> b (x) a as a LabeledMatrix on pair labels."""
     rows = [(b, a) for b in labels_b for a in labels_a]
     cols = [(a, b) for a in labels_a for b in labels_b]
-    m = LabeledMatrix(rows, cols)
-    for a in labels_a:
-        for b in labels_b:
-            m.set((b, a), (a, b), RatFunc.one())
-    return m
+    one = RatFunc.one()
+    return LabeledMatrix(rows, cols, {((b, a), (a, b)): one for a in labels_a for b in labels_b})
 
 
 def linear_combination(*terms):
     """The sum of c * m over (c, m) terms, all on the same labels; c is an
     int or a RatFunc."""
     first = terms[0][1]
-    out = LabeledMatrix(first.row_labels, first.col_labels)
+    out = {}
     for c, m in terms:
-        if (m.row_labels, m.col_labels) != (out.row_labels, out.col_labels):
+        if (m.row_labels, m.col_labels) != (first.row_labels, first.col_labels):
             raise ValueError("label mismatch in a linear combination")
         c = RatFunc.const(c) if isinstance(c, int) else c
         for (i, j), v in m.entries.items():
-            r, k = m.row_labels[i], m.col_labels[j]
-            out.set(r, k, entry(out, r, k) + c * v)
-    return out
+            key = m.row_labels[i], m.col_labels[j]
+            out[key] = out.get(key, RatFunc.zero()) + c * v
+    return LabeledMatrix(first.row_labels, first.col_labels, out)
 
 
 def fold_and_compare(lhs_factors, rhs_factors):

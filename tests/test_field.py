@@ -242,9 +242,7 @@ def test_parse_rejects_a_variable_outside_the_field():
 
 def _limit(f):
     """The limit of f as u -> infinity, read off a 1 x 1 constant_term_matrix."""
-    m = LabeledMatrix((1,), (1,))
-    m.set(1, 1, f)
-    return entry(constant_term_matrix(m), 1, 1)
+    return entry(constant_term_matrix(LabeledMatrix((1,), (1,), {(1, 1): f})), 1, 1)
 
 
 def test_constant_term_frozen_examples():

@@ -5,39 +5,24 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import embed_by_tuples, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
+from oracles import edited, embed_by_tuples, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq import matrix as matrix_module
 from refleq.field import U, U1, U2, U3, U4, Poly, RatFunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
-from refleq.rkmat import k_matrix, s_matrix, site_labels, yang_r
+from refleq.rkmat import constant_term_matrix, k_matrix, s_matrix, site_labels, yang_r
 
 
 def rf(s):
     return parse_ratfunc(s)
 
 
-def labeled(rows, cols, entries):
-    """A LabeledMatrix holding {(row label, col label): value} entries."""
-    m = LabeledMatrix(rows, cols)
-    for (r, c), v in entries.items():
-        m.set(r, c, v)
-    return m
-
-
-def copied(m):
-    """An equal LabeledMatrix that shares no state with m."""
-    c = LabeledMatrix(m.row_labels, m.col_labels)
-    c.entries = dict(m.entries)
-    return c
-
-
 def random_matrix(rng, labels, density=0.6):
-    m = LabeledMatrix(labels, labels)
+    entries = {}
     for r in labels:
         for c in labels:
             if rng.random() < density:
-                m.set(r, c, RatFunc.const(rng.randint(-4, 4)))
-    return m
+                entries[r, c] = RatFunc.const(rng.randint(-4, 4))
+    return LabeledMatrix(labels, labels, entries)
 
 
 def test_labels_checked_on_multiply():
@@ -46,6 +31,26 @@ def test_labels_checked_on_multiply():
     with pytest.raises(ValueError):
         a * a
     assert (b * b).row_labels == (b * b).col_labels == (1, 2)
+
+
+def test_labels_are_read_once():
+    # one iterable for both sides, read once
+    ident = LabeledMatrix.identity(iter([1, 2]))
+    assert ident.row_labels == ident.col_labels == (1, 2)
+    assert dict(ident.entries) == {(0, 0): RatFunc.one(), (1, 1): RatFunc.one()}
+    labels = iter("ab")
+    assert LabeledMatrix(labels, labels, {("a", "b"): rf("h")}).col_labels == ("a", "b")
+
+
+def test_the_constructor_drops_zeros_and_checks_labels():
+    m = LabeledMatrix([1, 2], ["x"], [((1, "x"), rf("u")), ((2, "x"), RatFunc.zero())])
+    assert dict(m.entries) == {(0, 0): rf("u")}
+    with pytest.raises(ValueError, match="duplicate row labels"):
+        LabeledMatrix([1, 1], [1])
+    with pytest.raises(ValueError, match="duplicate column labels"):
+        LabeledMatrix([1], [2, 2])
+    with pytest.raises(KeyError):
+        LabeledMatrix([1], [1], {(1, 2): rf("u")})
 
 
 def test_identity_and_multiplication():
@@ -58,8 +63,8 @@ def test_identity_and_multiplication():
 
 
 def test_kron_labels_and_values():
-    a = labeled([1, 2], [1, 2], {(1, 1): rf("h"), (2, 2): rf("u")})
-    b = labeled(["x"], ["x"], {("x", "x"): rf("2")})
+    a = LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("h"), (2, 2): rf("u")})
+    b = LabeledMatrix(["x"], ["x"], {("x", "x"): rf("2")})
     k = kron(a, b)
     assert k.row_labels == ((1, "x"), (2, "x"))
     assert entry(k, (1, "x"), (1, "x")) == rf("2*h")
@@ -83,11 +88,9 @@ def test_embed_two_slots_of_three():
     rng = random.Random(10)
     labels = [1, 2]
     pair = [(i, j) for i in labels for j in labels]
-    m = LabeledMatrix(pair, pair)
-    for r in pair:
-        for c in pair:
-            if rng.random() < 0.5:
-                m.set(r, c, RatFunc.const(rng.randint(1, 5)))
+    m = LabeledMatrix(
+        pair, pair, {(r, c): RatFunc.const(rng.randint(1, 5)) for r in pair for c in pair if rng.random() < 0.5}
+    )
     full = embed_on_slots(m, [0, 2], [labels, labels, labels])
     # entry ((a, x, b), (c, x, d)) must equal m[(a,b),(c,d)]
     for (a, b) in pair:
@@ -101,7 +104,6 @@ def test_embed_two_slots_of_three():
 def _assert_same_placement(mat, positions, slots):
     placed, reference = embed_on_slots(mat, positions, slots), embed_by_tuples(mat, positions, slots)
     assert (placed.row_labels, placed.col_labels) == (reference.row_labels, reference.col_labels)
-    assert placed._row_index == reference._row_index and placed._col_index == reference._col_index
     assert placed.entries == reference.entries
     # both provers dedupe entries by id, so a placement must share mat's values
     assert all(placed.entries[k] is v for k, v in reference.entries.items())
@@ -125,19 +127,16 @@ def _assert_same_placement(mat, positions, slots):
 def test_placement_matches_the_tuple_by_tuple_oracle(build, positions, slots):
     mat = build()
     placed = _assert_same_placement(mat, positions, slots)
-    assert placed.operator is not mat and placed.operator.entries == mat.entries
-    # a placement of a placement records the placement it places, at its own
-    # size and with no record of its own
+    assert placed.operator is mat
+    # a placement of a placement records the placement it places
     again = _assert_same_placement(placed, range(1, len(slots) + 1), [["a", "b"], *slots])
-    assert again.operator.row_labels is placed.row_labels and again.operator.entries == placed.entries
-    assert again.operator.operator is None
+    assert again.operator is placed
 
 
 def test_placements_share_their_label_tuples():
     slots = [site_labels(3)] * 3
     r12, r23 = embed_on_slots(yang_r(3, U1), (0, 1), slots), embed_on_slots(yang_r(3, U2), (1, 2), slots)
     assert r12.row_labels is r23.row_labels is r12.col_labels
-    assert r12._row_index is r23._row_index
 
 
 @pytest.mark.parametrize(
@@ -160,32 +159,40 @@ def test_a_label_off_its_slot_is_rejected():
         embed_on_slots(yang_r(3, U), (0, 1), [site_labels(2)] * 2)
 
 
-def test_set_drops_the_operator_record_and_the_record_is_a_copy():
-    m = labeled([1, 2], [1, 2], {(1, 1): rf("u"), (2, 1): rf("h")})
+def test_a_placement_records_the_matrix_it_places():
+    m = LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u"), (2, 1): rf("h")})
     placed = embed_on_slots(m, (0,), [[1, 2], [1, 2]])
-    m.set(1, 2, rf("u1"))
-    # no later edit of the source reaches the record
-    assert placed.operator.entries == {(0, 0): rf("u"), (1, 0): rf("h")}
-    before = placed.entries
-    placed.set((1, 1), (1, 2), rf("u2"))
-    assert placed.operator is None and entry(placed, (1, 1), (1, 2)) == rf("u2")
-    # set swapped in a fresh dict: the old mapping still reads as placed
-    assert len(before) == 4 and len(placed.entries) == 5
-    placed.set((1, 1), (1, 2), RatFunc.zero())
-    assert placed.entries == before
+    assert placed.operator is m and embed_on_slots(placed, (0, 1), [[1, 2], [1, 2]]).operator is placed
+    assert m.operator is None and (m * m).operator is None
+    # an empty slot among the others places nothing, and records nothing
+    empty = embed_on_slots(m, (0,), [[1, 2], []])
+    assert empty.operator is None and not empty.entries
 
 
-def test_a_placement_and_its_record_reject_a_write_that_bypasses_set():
-    placed = embed_on_slots(labeled([1, 2], [1, 2], {(1, 1): rf("u")}), (0,), [[1, 2], [1, 2]])
-    for mat in (placed, placed.operator):
-        value = next(iter(mat.entries.values()))
+def test_every_kind_of_matrix_rejects_writes():
+    slots = [site_labels(2)] * 2
+    r = yang_r(2, U1 - U2)
+    placed = embed_on_slots(r, (0, 1), slots)
+    kinds = {
+        "built": r,
+        "constructed": LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u")}),
+        "identity": LabeledMatrix.identity([1, 2]),
+        "product": placed * placed,
+        "placement": placed,
+        "operator": placed.operator,
+        "swap-conjugate": swap_conjugate(r),
+        "inverse": LabeledMatrix.identity([1, 2]).inverse(),
+        "constant-term": constant_term_matrix(k_matrix("flagMinus", 2, U)),
+    }
+    for name, mat in kinds.items():
+        assert not hasattr(mat, "set"), name
+        key, value = next(iter(mat.entries.items()))
         with pytest.raises(TypeError):
-            mat.entries[(1, 1)] = value
+            mat.entries[key] = value
+        with pytest.raises(TypeError):
+            del mat.entries[key]
         with pytest.raises(AttributeError):
-            mat.entries.pop((0, 0))
-    with pytest.raises(TypeError):
-        placed.operator.set(2, 2, rf("u"))
-    assert placed.operator.entries == {(0, 0): rf("u")}
+            mat.entries.pop(key)
 
 
 def test_swap_matrix_is_involution():
@@ -196,7 +203,7 @@ def test_swap_matrix_is_involution():
 
 def test_swap_conjugate_moves_entries():
     pair = [(i, j) for i in [1, 2] for j in [1, 2]]
-    m = labeled(pair, pair, {((1, 2), (2, 1)): rf("h")})
+    m = LabeledMatrix(pair, pair, {((1, 2), (2, 1)): rf("h")})
     c = swap_conjugate(m)
     assert entry(c, (2, 1), (1, 2)) == rf("h")
     assert entry(c, (1, 2), (2, 1)).is_zero()
@@ -210,19 +217,20 @@ def test_inverse_round_trip():
     rng = random.Random(21)
     labels = [0, 1, 2, 3]
     # unipotent + diagonal: invertible by construction
-    m = LabeledMatrix.identity(labels)
+    entries = {(i, i): RatFunc.one() for i in labels}
     for i in labels:
         for j in labels:
             if i < j and rng.random() < 0.7:
-                m.set(i, j, RatFunc.var("h") * RatFunc.const(rng.randint(1, 3)))
-    m.set(2, 2, rf("u + h"))
+                entries[i, j] = RatFunc.var("h") * RatFunc.const(rng.randint(1, 3))
+    entries[2, 2] = rf("u + h")
+    m = LabeledMatrix(labels, labels, entries)
     inv = m.inverse()
     assert m * inv == LabeledMatrix.identity(labels)
     assert inv * m == LabeledMatrix.identity(labels)
 
 
 def test_inverse_rejects_singular():
-    m = labeled([1, 2], [1, 2], {(1, 1): rf("h"), (2, 2): rf("0")})
+    m = LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("h"), (2, 2): rf("0")})
     with pytest.raises(ValueError):
         m.inverse()
 
@@ -236,13 +244,11 @@ def test_verify_identity_label_mismatch():
 
 def test_verify_identity_counterexample_is_first_differing_entry():
     a = LabeledMatrix.identity([1, 2])
-    b = copied(a)
-    b.set(2, 1, rf("h / (u + h)"))
-    b.set(2, 2, rf("u"))
+    b = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one(), (2, 1): rf("h / (u + h)"), (2, 2): rf("u")})
     v = verify_identity([a], [b])
     assert not v["holds"] and "mismatches" not in v
     assert v["counterexample"] == {"row": 2, "col": 1, "lhs": "0", "rhs": "h / (u + h)"}
-    assert "counterexample" not in verify_identity([a], [copied(a)])
+    assert "counterexample" not in verify_identity([a], [LabeledMatrix.identity([1, 2])])
 
 
 def test_first_difference_is_the_least_differing_key():
@@ -266,7 +272,7 @@ def test_first_difference_on_ratfunc_entries():
 
 def test_eval_entries():
     labels = [1, 2]
-    m = labeled(labels, labels, {(1, 1): rf("u / (u + h)")})
+    m = LabeledMatrix(labels, labels, {(1, 1): rf("u / (u + h)")})
     from refleq.field import VARS
 
     vals = m.eval_entries({v: Fraction(1) for v in VARS})
@@ -275,7 +281,7 @@ def test_eval_entries():
 
 def _schoolbook_product(a, b):
     """Unmemoized dense product: every entry is a sum of entry products."""
-    m = LabeledMatrix(a.row_labels, b.col_labels)
+    entries = {}
     for i, r in enumerate(a.row_labels):
         for j, c in enumerate(b.col_labels):
             total = RatFunc.zero()
@@ -283,8 +289,8 @@ def _schoolbook_product(a, b):
                 x, y = a.entries.get((i, k)), b.entries.get((k, j))
                 if x is not None and y is not None:
                     total = total + x * y
-            m.set(r, c, total)
-    return m
+            entries[r, c] = total
+    return LabeledMatrix(a.row_labels, b.col_labels, entries)
 
 
 def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
@@ -354,12 +360,12 @@ ENTRY_POOL = (
 
 
 def random_factor(rng, labels, density=0.5):
-    m = LabeledMatrix(labels, labels)
+    entries = {}
     for r in labels:
         for c in labels:
             if rng.random() < density:
-                m.set(r, c, rf(rng.choice(ENTRY_POOL)) * RatFunc.const(rng.choice((-3, -1, 1, 2))))
-    return m
+                entries[r, c] = rf(rng.choice(ENTRY_POOL)) * RatFunc.const(rng.choice((-3, -1, 1, 2)))
+    return LabeledMatrix(labels, labels, entries)
 
 
 def _with_residual_difference(product):
@@ -368,10 +374,8 @@ def _with_residual_difference(product):
     keys = sorted(k for k, v in product.entries.items() if v.den_factors()[2] is not None)
     if not keys:
         return None
-    changed = copied(product)
     # a form denominator cannot cancel the residual of the sum
-    changed.entries[keys[0]] = product.entries[keys[0]] + rf("u1 / (u + h)")
-    return changed, keys[0]
+    return edited(product, {keys[0]: product.entries[keys[0]] + rf("u1 / (u + h)")}), keys[0]
 
 
 def test_product_verdict_matches_the_folded_products_on_residual_denominators():
@@ -404,10 +408,9 @@ def test_product_verdict_on_high_degrees():
     # exponents far past one packed field of small products
     labels = [1, 2]
     cube = rf("u1 + h") * rf("u1 + h") * rf("u1 + h")
-    a = labeled(labels, labels, {(1, 1): rf("u^40") / cube, (1, 2): rf("h^70"), (2, 2): rf("u2^9")})
-    b = labeled(labels, labels, {(1, 1): cube, (2, 1): rf("u1^100 - 1"), (2, 2): rf("1 / u^5")})
-    wrong = copied(a * b)
-    wrong.set(1, 2, rf("h^70 / u^4"))
+    a = LabeledMatrix(labels, labels, {(1, 1): rf("u^40") / cube, (1, 2): rf("h^70"), (2, 2): rf("u2^9")})
+    b = LabeledMatrix(labels, labels, {(1, 1): cube, (2, 1): rf("u1^100 - 1"), (2, 2): rf("1 / u^5")})
+    wrong = edited(a * b, {(0, 1): rf("h^70 / u^4")})
     for rhs in ([a * b], [wrong], [wrong, LabeledMatrix.identity(labels)]):
         assert verify_identity([a, b], rhs) == fold_and_compare([a, b], rhs)
     assert verify_identity([a, b], [a * b])["holds"]

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    edited,
     entry,
     fold_and_compare,
     full_row_grid_proof,
@@ -163,6 +164,16 @@ class TestYangBaxter:
             check_ybe(2, mode="numeric")
 
 
+def one_entry(value):
+    """The 1 x 1 matrix holding value, on the label 1."""
+    return LabeledMatrix([1], [1], {(1, 1): value})
+
+
+def label_index(mat, row, col):
+    """The index pair of mat's entry at row and col labels."""
+    return mat.row_labels.index(row), mat.col_labels.index(col)
+
+
 class TestGridEngine:
     @staticmethod
     def _square_pair(rng, labels):
@@ -170,14 +181,14 @@ class TestGridEngine:
         u = RatFunc.var("u")
         pair = []
         for diag in (h, u / (u + h)):
-            m = LabeledMatrix(labels, labels)
+            entries = {}
             for r in labels:
                 for c in labels:
                     if rng.random() < 0.5:
-                        m.set(r, c, RatFunc.const(rng.randint(-4, 4)))
+                        entries[r, c] = RatFunc.const(rng.randint(-4, 4))
             for lab in labels:
-                m.set(lab, lab, entry(m, lab, lab) + diag)
-            pair.append(m)
+                entries[lab, lab] = entries.get((lab, lab), RatFunc.zero()) + diag
+            pair.append(LabeledMatrix(labels, labels, entries))
         return pair
 
     def test_symbolic_and_multipoint_agree_on_truth(self):
@@ -194,8 +205,8 @@ class TestGridEngine:
     def test_detects_failure_in_both_modes(self):
         labels = [1, 2]
         a = LabeledMatrix.identity(labels)
-        b = LabeledMatrix.identity(labels)
-        b.set(1, 2, parse_ratfunc("h / (u + h)"))
+        ones = {(x, x): RatFunc.one() for x in labels}
+        b = LabeledMatrix(labels, labels, {**ones, (1, 2): parse_ratfunc("h / (u + h)")})
         for v in (verify_identity([a], [b]), _grid_proof([a], [b])):
             assert not v["holds"]
             assert "detail" in v
@@ -205,10 +216,9 @@ class TestGridEngine:
         # provers name the least (row, col), here labels ("b", "b")
         labels = ["c", "b", "a"]
         ident = LabeledMatrix.identity(labels)
-        b = LabeledMatrix.identity(labels)
-        b.set("a", "c", U1 / (U1 + H))
-        b.set("b", "a", H)
-        b.set("b", "b", RatFunc.const(7))
+        ones = {(x, x): RatFunc.one() for x in labels}
+        edits = {("a", "c"): U1 / (U1 + H), ("b", "a"): H, ("b", "b"): RatFunc.const(7)}
+        b = LabeledMatrix(labels, labels, {**ones, **edits})
         v = _grid_proof([ident, ident], [b, ident])
         assert not v["holds"] and v["gridSize"] == 1
         cex = v["counterexample"]
@@ -218,15 +228,13 @@ class TestGridEngine:
 
     def test_grid_avoids_poles(self):
         # denominators vanish on naive small grids; the builder must dodge them
-        m = LabeledMatrix([1], [1])
-        m.set(1, 1, H / (RatFunc.var("u1") - RatFunc.var("u2")))
+        m = one_entry(H / (RatFunc.var("u1") - RatFunc.var("u2")))
         assert _grid_proof([m], [m])["holds"]
 
     def test_pole_in_a_later_variable_is_escaped(self):
         # u2's first offset is 10201, a pole of this entry; the grid must
         # start u2, the variable of the vanishing denominator, past it, not u1
-        m = LabeledMatrix([1], [1])
-        m.set(1, 1, RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
+        m = one_entry(RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
         points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
         assert points == {"u1": range(97, 99), "u2": range(10202, 10204)}
         v = _grid_proof([m], [m])
@@ -234,8 +242,7 @@ class TestGridEngine:
 
     def test_grid_starts_past_a_pole_at_the_first_offset(self):
         # u1's first offset is 97, a pole of this entry: u1 must start at 98
-        m = LabeledMatrix([1], [1])
-        m.set(1, 1, RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
+        m = one_entry(RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
         assert _grid(_read_factors([m]).values(), {"u1": 1}) == {"u1": range(98, 100)}
         v = _grid_proof([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 0}
@@ -244,8 +251,7 @@ class TestGridEngine:
         # (u1 - 97) u2 - 1 vanishes nowhere on the first offsets, but its
         # leading coefficient in u2 does at u1 = 97, where the root bound in
         # u2 says nothing: u1 must start past 97 and u2 stays where it was
-        m = LabeledMatrix([1], [1])
-        m.set(1, 1, parse_ratfunc("1 / (u1*u2 - 97*u2 - 1)"))
+        m = one_entry(parse_ratfunc("1 / (u1*u2 - 97*u2 - 1)"))
         points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
         assert points == {"u1": range(98, 100), "u2": range(10201, 10203)}
         assert _grid_proof([m], [m])["holds"]
@@ -289,11 +295,10 @@ class TestGridEngine:
             assume(not f.is_zero() and not g.is_zero() and not r.is_zero())
             dens.append(r)
         labels = list(range(len(dens) + 1))
-        m = LabeledMatrix(labels, labels)
-        for i, den in enumerate(dens):
-            # degree-zero homogeneous, so h may be off the grid
-            m.set(i, i, RatFunc(Poly.var("h", den.degree()), den))
-        m.set(len(dens), len(dens), RatFunc.var("u1") if h_on_grid else RatFunc.one())
+        # degree-zero homogeneous, so h may be off the grid
+        entries = {(i, i): RatFunc(Poly.var("h", den.degree()), den) for i, den in enumerate(dens)}
+        entries[len(dens), len(dens)] = RatFunc.var("u1") if h_on_grid else RatFunc.one()
+        m = LabeledMatrix(labels, labels, entries)
         points = _grid(_read_factors([m]).values(), dict.fromkeys(grid_vars, bound))
         assert list(points) == list(grid_vars)
         for combo in itertools.product(*points.values()):
@@ -332,11 +337,12 @@ class TestGridEngine:
     def test_cleared_rows_are_integers_over_the_lcm(self):
         # four denominators at the point: u1 - 7 -> -4, u1 + u2 -> 5, 3 and 6
         labels = [1, 2]
-        m = LabeledMatrix(labels, labels)
-        m.set(1, 1, parse_ratfunc("h / (u1 - 7)"))
-        m.set(1, 2, parse_ratfunc("u2 / (u1 + u2)"))
-        m.set(2, 1, parse_ratfunc("u1 / 3"))
-        m.set(2, 2, RatFunc.const(Fraction(-5, 6)))
+        m = LabeledMatrix(labels, labels, {
+            (1, 1): parse_ratfunc("h / (u1 - 7)"),
+            (1, 2): parse_ratfunc("u2 / (u1 + u2)"),
+            (2, 1): parse_ratfunc("u1 / 3"),
+            (2, 2): RatFunc.const(Fraction(-5, 6)),
+        })
         point = {"h": 1, "u1": 3, "u2": 2}
         values = m.eval_entries(point)
         assert all(type(x) is Fraction for x in values.values())
@@ -356,8 +362,7 @@ class TestGridEngine:
         }
 
     def test_cleared_rows_raise_on_a_pole(self):
-        m = LabeledMatrix([1], [1])
-        m.set(1, 1, parse_ratfunc("h / (u1 - 7)"))
+        m = one_entry(parse_ratfunc("h / (u1 - 7)"))
         with pytest.raises(ZeroDivisionError):
             _clear_at({id(m): {id(v): v for v in m.entries.values()}}, {"h": 1, "u1": 7})
 
@@ -538,9 +543,7 @@ class TestReflection:
         assert (k1_, k2_) == (k1, k2)
 
         def holds(perm):
-            mat = LabeledMatrix(labels, labels)
-            for i, target in zip(labels, perm):
-                mat.set(target, i, RatFunc.one())
+            mat = LabeledMatrix(labels, labels, {(target, i): RatFunc.one() for i, target in zip(labels, perm)})
             p1, p2 = (embed_on_slots(mat, (a,), [labels] * 2) for a in (0, 1))
             return _prove([p2, c21, p1, y], [y21, p1, c, p2])["holds"]
 
@@ -988,24 +991,18 @@ class TestDegreeBounds:
         for lhs, rhs in lists:
             _assert_bounds_cover_cleared_products(lhs, rhs)
 
-    @staticmethod
-    def _one_entry(value):
-        m = LabeledMatrix([1], [1])
-        m.set(1, 1, value)
-        return m
-
     def test_grid_is_not_one_point_short(self):
         # the sides share k's form u1 - 1 twice, so the cleared difference is
         # a's numerator minus 1, the product of u1 - x over the grid's first
         # three points: it vanishes there, and the engine must refute at the
         # fourth and last, which the bound of 3 puts on the grid
         u1 = RatFunc.var("u1")
-        k = self._one_entry(RatFunc.one() / (u1 - RatFunc.one()))
+        k = one_entry(RatFunc.one() / (u1 - RatFunc.one()))
         xs = _grid(_read_factors([k]).values(), {"u1": 3})["u1"]
         num = RatFunc.one()
         for x in xs[:-1]:
             num = num * (u1 - RatFunc.const(x))
-        a = self._one_entry((num + RatFunc.one()) / (u1 - RatFunc.one()))
+        a = one_entry((num + RatFunc.one()) / (u1 - RatFunc.one()))
         v = _grid_proof([k, a], [k, k])
         assert v["degreeBounds"] == {"u1": 3}
         assert not v["holds"] and v["gridSize"] == len(xs) == 4
@@ -1017,21 +1014,14 @@ class TestDegreeBounds:
         # one point, at which a constant multiple is refuted.  Each linear
         # denominator is divided out on its own, so both are table forms
         den = RatFunc.one() / (U1 - U2) / (U1 + H)
-        m = self._one_entry(den)
+        m = one_entry(den)
         v = _grid_proof([m], [m])
         assert v["holds"] and v["gridSize"] == 1
         assert v["degreeBounds"] == {"h": 0, "u1": 0, "u2": 0}
-        twice = self._one_entry(den * RatFunc.const(2))
+        twice = one_entry(den * RatFunc.const(2))
         w = _grid_proof([m], [twice])
         assert not w["holds"] and w["gridSize"] == 1
         assert w["counterexample"]["point"] == "{h=97, u1=10201, u2=1092727}"
-
-
-def _with_entry(mat, key, value):
-    """A copy of mat with the entry at the index pair key set to value."""
-    m = LabeledMatrix(mat.row_labels, mat.col_labels)
-    m.entries = {**mat.entries, key: value}
-    return m
 
 
 def _ybe_factors(l):
@@ -1144,9 +1134,9 @@ class TestOrbitReduction:
     def test_a_planted_asymmetry_is_refuted(self):
         r12, r13, r23 = _ybe_factors(3)
         reps = _orbit_representatives([r12, r13, r23])
-        key = i, _ = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
+        key = i, _ = label_index(r12, *self.PLANTED)
         assert i not in reps and key in r12.entries
-        planted = _with_entry(r12, key, r12.entries[key] + RatFunc.one())
+        planted = edited(r12, {key: r12.entries[key] + RatFunc.one()})
         lhs, rhs = [planted, r13, r23], [r23, r13, planted]
         # every transposition of sites moves the planted entry to a key that
         # still holds the old value, so the engine must drop all three
@@ -1170,16 +1160,15 @@ class TestOrbitReduction:
         # entry that the full-row routes find, in a representative row
         r12, r13, r23 = _ybe_factors(3)
         reps = _orbit_representatives([r12, r13, r23])
-        key = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
+        key = label_index(r12, *self.PLANTED)
         assert key[0] not in reps
-        index, (row, col) = r12._row_index, self.PLANTED
+        row, col = self.PLANTED
         orbit = {
-            (index[tuple(p[x - 1] for x in row)], index[tuple(p[x - 1] for x in col)])
+            label_index(r12, tuple(p[x - 1] for x in row), tuple(p[x - 1] for x in col))
             for p in itertools.permutations((1, 2, 3))
         }
         assert len(orbit) == 6 and len({r12.entries[k] for k in orbit}) == 1
-        planted = LabeledMatrix(r12.row_labels, r12.col_labels)
-        planted.entries = {**r12.entries, **dict.fromkeys(orbit, r12.entries[key] + RatFunc.one())}
+        planted = edited(r12, dict.fromkeys(orbit, r12.entries[key] + RatFunc.one()))
         lhs, rhs = [planted, r13, r23], [r23, r13, planted]
         assert _orbit_representatives([planted, r13, r23]) == reps
         rep_labels = [_label_to_json(r12.row_labels[i]) for i in reps]
@@ -1189,22 +1178,19 @@ class TestOrbitReduction:
         for v in (sym, grid):
             assert not v["holds"] and v["counterexample"]["row"] in rep_labels
 
-    def test_an_edit_through_set_searches_the_placement_at_full_size(self):
+    def test_an_edited_placement_is_searched_at_full_size(self):
+        # an edit of a placement is a new matrix that records no operator, so
+        # the search tests it at full size, not on yang_r, whose symmetry the
+        # edit broke
         r12, r13, r23 = _ybe_factors(3)
-        record = r12.operator
-        row, col = self.PLANTED
-        r12.set(row, col, entry(r12, row, col) + RatFunc.one())
-        assert r12.operator is None
-        lhs, rhs = [r12, r13, r23], [r23, r13, r12]
+        edit = edited(r12, {label_index(r12, *self.PLANTED): entry(r12, *self.PLANTED) + RatFunc.one()})
+        assert edit.operator is None and r12.operator is not None
+        lhs, rhs = [edit, r13, r23], [r23, r13, edit]
         reps = _orbit_representatives([*lhs, *rhs])
         assert list(reps) == full_size_orbit_representatives([*lhs, *rhs]) == list(range(27))
         v = _verify_product_identity(lhs, rhs)
         assert not v["holds"] and v == full_row_grid_proof(lhs, rhs)
         assert verify_identity(lhs, rhs) == fold_and_compare(lhs, rhs)
-        # the edited placement with its old record kept would be searched on
-        # yang_r, whose symmetry the edit broke
-        stale = LabeledMatrix._indexed(r12.row_labels, r12._row_index, r12.col_labels, r12._col_index, r12.entries, record)
-        assert len(_orbit_representatives([stale, r13, r23])) == 5
 
     def test_a_placement_of_a_narrower_placement_keeps_its_inner_slots(self):
         # P1 places the identity on slot 0 of slots {1, 2} x {1}; P2 places
@@ -1215,9 +1201,7 @@ class TestOrbitReduction:
         # for (2, 1), where P2 and Q differ
         p1 = embed_on_slots(LabeledMatrix.identity([1, 2]), (0,), [[1, 2], [1]])
         p2 = embed_on_slots(p1, (0, 1), [[1, 2], [1, 2]])
-        q = LabeledMatrix(p2.row_labels, p2.col_labels)
-        for lab in ((1, 1), (2, 2)):
-            q.set(lab, lab, RatFunc.one())
+        q = LabeledMatrix(p2.row_labels, p2.col_labels, {(lab, lab): RatFunc.one() for lab in ((1, 1), (2, 2))})
         assert [entry(p2, lab, lab) for lab in p2.row_labels] == [RatFunc.one(), RatFunc.zero()] * 2
         for lhs, rhs in (([p2], [q]), ([q, p2], [p2]), ([p2, p2], [q])):
             factors = [*lhs, *rhs]
@@ -1229,11 +1213,11 @@ class TestOrbitReduction:
 
     def test_an_equal_but_distinct_entry_keeps_the_symmetry(self):
         r12, r13, r23 = _ybe_factors(3)
-        key = r12._row_index[self.PLANTED[0]], r12._col_index[self.PLANTED[1]]
+        key = label_index(r12, *self.PLANTED)
         value = r12.entries[key]
         twin = parse_ratfunc(format_ratfunc(value))
         assert twin is not value and twin == value
-        copy = _with_entry(r12, key, twin)
+        copy = edited(r12, {key: twin})
         assert len(_orbit_representatives([copy, r13, r23])) == 5
         assert _grid_proof([copy, r13, r23], [r23, r13, copy])["holds"]
 
@@ -1303,12 +1287,9 @@ def test_both_provers_check_labels(mode):
 def test_a_rectangular_counterexample_names_the_product_column(mode):
     # (2 x 3) (3 x 2) against a 2 x 2 matrix: the product's columns are
     # "x", "y", not the first factor's
-    a = LabeledMatrix([1, 2], [1, 2, 3])
-    b = LabeledMatrix([1, 2, 3], ["x", "y"])
-    c = LabeledMatrix([1, 2], ["x", "y"])
-    a.set(1, 3, RatFunc.one())
-    b.set(3, "y", U1)
-    c.set(1, "y", U1 + RatFunc.one())
+    a = LabeledMatrix([1, 2], [1, 2, 3], {(1, 3): RatFunc.one()})
+    b = LabeledMatrix([1, 2, 3], ["x", "y"], {(3, "y"): U1})
+    c = LabeledMatrix([1, 2], ["x", "y"], {(1, "y"): U1 + RatFunc.one()})
     v = _prove([a, b], [c], mode)
     assert not v["holds"]
     assert (v["counterexample"]["row"], v["counterexample"]["col"]) == (1, "y")

@@ -13,9 +13,16 @@ from oracles import entry, linear_combination, swap_matrix
 from refleq import acceptance, rkmat
 from refleq.field import H, RatFunc, U, U1, U2, format_ratfunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, verify_identity
-from refleq.relations import check_boundary_factorization, check_chain_reflection, run_suite
+from refleq.relations import (
+    check_boundary_factorization,
+    check_chain_reflection,
+    check_reflection,
+    check_ybe,
+    run_suite,
+)
 from refleq.rkmat import (
     KINDS,
+    _block,
     chain_factors,
     constant_term_matrix,
     cross_r,
@@ -328,3 +335,44 @@ def test_shared_results_stay_equal_to_fresh_builds(monkeypatch):
         assert cached(*args, **dict(kwargs)) is result
         # equal labels and entries
         assert result == cached.__wrapped__(*args, **dict(kwargs)), (name, args)
+
+
+def test_a_shared_result_rejects_writes_and_later_proofs_hold():
+    # check_ybe(2) and check_reflection("flagMinus", 2) place these very
+    # objects, so a write that went through would flip their verdicts
+    for mat in (yang_r(2, U1 - U2), k_matrix("flagMinus", 2, U1)):
+        assert not hasattr(mat, "set")
+        key = next(iter(mat.entries))
+        with pytest.raises(TypeError):
+            mat.entries[key] = ZERO
+    assert check_ybe(2)["holds"]
+    assert check_reflection("flagMinus", 2)["holds"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LabeledMatrix.identity(site_labels(3)),
+        lambda: yang_r(3, U),
+        lambda: r_bullet_sigma(3, U),
+        lambda: r_bullet_sigma_opposite(2, U),
+        lambda: _block(site_labels(3), [1, 3], H / U, 1),
+        *(lambda k=kind: k_matrix(k, 3, U) for kind in KINDS),
+        lambda: k_matrix("flagMinus", 2, U),
+        lambda: rkmat.k_matrix_opposite_placement(3, U),
+        lambda: sigma_matrix("flagPlus", 3),
+        lambda: cross_r_flipped("spInstanton", 2, U),
+        lambda: constant_term_matrix(s_matrix("flagMinus", 2, U, (U1,))),
+    ],
+    ids=["identity", "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "_block",
+         *(f"k_matrix-{kind}" for kind in KINDS), "k_matrix-flagMinus-even", "k_matrix_opposite_placement",
+         "sigma_matrix", "cross_r_flipped", "constant_term_matrix"],
+)
+def test_a_builder_holds_one_object_per_distinct_entry_value(build):
+    # the grid engine evaluates each distinct object once per point
+    values = list(build().entries.values())
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+def test_yang_r_holds_three_objects():
+    assert len({id(v) for v in yang_r(3, U).entries.values()}) == 3
