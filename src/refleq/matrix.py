@@ -61,8 +61,8 @@ class LabeledMatrix:
     zeros; entries maps (row index, col index) to each nonzero RatFunc.
 
     A LabeledMatrix is a value: entries is a read-only mapping and no field
-    is reassigned, so a matrix may be shared, as the memoized rkmat builders
-    share theirs, and an edit makes a new matrix.  A placement
+    can be reassigned or deleted, so a matrix may be shared, as the memoized
+    rkmat builders share theirs, and an edit makes a new matrix.  A placement
     (embed_on_slots) records in operator the matrix it places, by reference,
     so that the provers read entry values and test label symmetries on it
     instead of the placement; every other matrix holds None there.
@@ -90,9 +90,16 @@ class LabeledMatrix:
         keyed by index pairs that holds no zero and that nothing else
         writes."""
         m = object.__new__(cls)
-        m.row_labels, m.col_labels = row_labels, col_labels
-        m.entries, m.operator = types.MappingProxyType(entries), operator
+        object.__setattr__(m, "row_labels", row_labels)
+        object.__setattr__(m, "col_labels", col_labels)
+        object.__setattr__(m, "entries", types.MappingProxyType(entries))
+        object.__setattr__(m, "operator", operator)
         return m
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"LabeledMatrix is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def identity(labels):

@@ -77,15 +77,22 @@ def _coeff(index, k):
     return 1 if index > 0 else -1
 
 
+# (i, j) of each selectable label C(i, j) and of its mirror (-j, -i) -> the label
+_NORMAL_FORM = {
+    ij: label
+    for labels in PAIR_LABELS.values()
+    for label in labels
+    for i, j in [_parse_label(label)]
+    for ij in ((i, j), (-j, -i))
+}
+
+
 def normalize_label(label):
     """Normal form under the identification C(a, b) = C(-b, -a)."""
-    i, j = _parse_label(label)
-    for name, labels in PAIR_LABELS.items():
-        for cand in labels:
-            ci, cj = _parse_label(cand)
-            if (i, j) in ((ci, cj), (-cj, -ci)):
-                return cand
-    raise ValueError(f"label {label!r} does not belong to any known pair")
+    try:
+        return _NORMAL_FORM[_parse_label(label)]
+    except KeyError:
+        raise ValueError(f"label {label!r} does not belong to any known pair") from None
 
 
 class PolarizationInstance(namedtuple("PolarizationInstance", "sign l points pairs_at components")):

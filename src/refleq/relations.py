@@ -731,39 +731,46 @@ _DEFAULT_RUNS = [(2, group) for group in SUITE_GROUPS] + [
 ]
 
 
+def suite_item(check, l, expected=True, **keys):
+    """A descriptor for run_suite_item: check, its arguments and its pinned outcome."""
+    return {"check": check, "l": l, **keys, "expected": expected}
+
+
+def describe_item(item):
+    """An item's check and its arguments, as in "reflection (l=2, kind=flagMinus)"."""
+    named = ", ".join(f"{k}={v}" for k, v in item.items() if k not in ("check", "expected"))
+    return f"{item['check']} ({named})"
+
+
 def _group_items(group, l):
     """The descriptors of one suite group at site dimension l."""
-
-    def item(check, expected=True, **keys):
-        return {"check": check, "l": l, **keys, "expected": expected}
-
     if group == "ybe":
-        return [item("yangBaxter")]
+        return [suite_item("yangBaxter", l)]
     if group == "unitarity":
         return (
-            [item("rUnitarity", family="chain")]
-            + [item("rUnitarity", family="cross", kind=kind) for kind in KINDS]
-            + [item("kUnitarity", kind=kind) for kind in KINDS]
+            [suite_item("rUnitarity", l, family="chain")]
+            + [suite_item("rUnitarity", l, family="cross", kind=kind) for kind in KINDS]
+            + [suite_item("kUnitarity", l, kind=kind) for kind in KINDS]
         )
     if group == "reflection":
-        standard = [
-            item("reflection", reflection_expectation(kind, l), kind=kind, boundary="standard") for kind in KINDS
-        ]
-        return standard + [item("reflection", False, kind="flagMinus", boundary="oppositePlacement")]
+        return [
+            suite_item("reflection", l, reflection_expectation(kind, l), kind=kind, boundary="standard")
+            for kind in KINDS
+        ] + [suite_item("reflection", l, False, kind="flagMinus", boundary="oppositePlacement")]
     items = []
     for kind in KINDS:
         if group == "exchange":
             items += [
-                item("monodromyExchange", kind=kind, variant=variant, sites=sites)
+                suite_item("monodromyExchange", l, kind=kind, variant=variant, sites=sites)
                 for variant in EXCHANGE_VARIANTS
                 for sites in (1, 2)
             ]
-            items.append(item("twistedPlainDerivation", kind=kind, sites=1))
+            items.append(suite_item("twistedPlainDerivation", l, kind=kind, sites=1))
         else:
             items += [
-                item("chainReflection", reflection_expectation(kind, l), kind=kind, sites=1),
-                item("boundaryFactorization", kind=kind, sites=1),
-                item("boundaryConstantTerm", kind=kind, sites=1),
+                suite_item("chainReflection", l, reflection_expectation(kind, l), kind=kind, sites=1),
+                suite_item("boundaryFactorization", l, kind=kind, sites=1),
+                suite_item("boundaryConstantTerm", l, kind=kind, sites=1),
             ]
     return items
 
@@ -789,7 +796,7 @@ def suite_items(suite="all", l=None):
 # l ** (slots + sites).  The checks are looked up by global name at call time,
 # so a wrapper installed on the module is the one that runs.
 _SUITE_CHECKS = {
-    "yangBaxter": (3, lambda it: check_ybe(it["l"])),
+    "yangBaxter": (3, lambda it: check_ybe(it["l"], it.get("mode", "symbolic"))),
     "rUnitarity": (2, lambda it: check_r_unitarity(it["l"], kind=it.get("kind"))),
     "kUnitarity": (1, lambda it: check_k_unitarity(it["kind"], it["l"])),
     "reflection": (2, lambda it: check_reflection(it["kind"], it["l"], boundary=it.get("boundary", "standard"))),
@@ -826,8 +833,7 @@ def run_suite(suite="all", l=None, jobs=1):
         try:
             _slots(it["l"], _SUITE_CHECKS[it["check"]][0] + it.get("sites", 0))
         except ValueError as e:
-            named = ", ".join(f"{k}={v}" for k, v in it.items() if k not in ("check", "expected"))
-            raise ValueError(f"{it['check']} ({named}): {e}") from None
+            raise ValueError(f"{describe_item(it)}: {e}") from None
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -7,7 +7,7 @@ message carries the runner's detail line verbatim.
 
 import pytest
 
-from refleq import acceptance
+from refleq import acceptance, relations
 from refleq.acceptance import CRITERIA, run_criterion
 
 
@@ -74,11 +74,40 @@ def test_progress_receives_the_timings():
 
 
 def test_budget_overrun_fails_the_criterion(monkeypatch):
-    stub = ("stub", lambda: {"ok": True, "detail": "fine"}, -1.0)
+    stub = ("stub", lambda: iter(()), -1.0, "fine")
     monkeypatch.setattr(acceptance, "CRITERIA", (stub,))
     rep = run_criterion(1)
     assert rep["ok"] is False
     assert rep["detail"].startswith("fine [exceeded -1.0s budget: ")
+
+
+def test_a_failing_criterion_reports_its_first_four_failures(monkeypatch):
+    stub = ("stub", lambda: (f"failure {i}" for i in range(6)), None, "fine")
+    monkeypatch.setattr(acceptance, "CRITERIA", (stub,))
+    rep = run_criterion(1)
+    assert rep == {
+        "ok": False,
+        "detail": "failure 0; failure 1; failure 2; failure 3",
+        "criterion": 1,
+        "title": "stub",
+    }
+
+
+def test_a_failing_suite_item_fails_its_criterion_by_name(monkeypatch):
+    # criterion 6 runs its Yang-Baxter items through relations.run_suite_item,
+    # which looks check_ybe up on the module at call time
+    def failing_ybe(l, mode="symbolic"):
+        return {"identity": "yangBaxter", "l": l, "holds": False, "mode": mode, "detail": "stub"}
+
+    monkeypatch.setattr(relations, "check_ybe", failing_ybe)
+    rep = run_criterion(6)
+    assert rep["ok"] is False
+    assert rep["detail"].split("; ") == [
+        "yangBaxter (l=2): holds is False",
+        "yangBaxter (l=3): holds is False",
+        "yangBaxter (l=4, mode=multipoint): holds is False",
+        "yangBaxter (l=5, mode=multipoint): holds is False",
+    ]
 
 
 def test_battery_is_complete():

@@ -193,6 +193,11 @@ def test_every_kind_of_matrix_rejects_writes():
             del mat.entries[key]
         with pytest.raises(AttributeError):
             mat.entries.pop(key)
+        for field in LabeledMatrix.__slots__:
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(mat, field, getattr(mat, field))
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(mat, field)
 
 
 def test_swap_matrix_is_involution():

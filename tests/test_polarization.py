@@ -63,6 +63,17 @@ class TestLabels:
         assert normalize_label("C(2,-1)") in PAIR_LABELS["sum"]
         assert normalize_label("C(-1,1)") in PAIR_LABELS["u1Axis"]
 
+    @pytest.mark.parametrize("label", [label for labels in PAIR_LABELS.values() for label in labels])
+    def test_each_selectable_label_is_the_normal_form_of_itself_and_its_mirror(self, label):
+        i, j = polarization._parse_label(label)
+        assert normalize_label(label) == label
+        assert normalize_label(f"C({-j},{-i})") == label
+
+    @pytest.mark.parametrize("label", ["C(1,1)", "C(-1,-1)", "C(2,2)", "C(-2,-2)"])
+    def test_labels_outside_every_pair_rejected(self, label):
+        with pytest.raises(ValueError, match="does not belong to any known pair"):
+            normalize_label(label)
+
     def test_malformed_labels_rejected(self):
         with pytest.raises(ValueError):
             label_weight("C(3,1)")

@@ -345,6 +345,8 @@ def test_a_shared_result_rejects_writes_and_later_proofs_hold():
         key = next(iter(mat.entries))
         with pytest.raises(TypeError):
             mat.entries[key] = ZERO
+        with pytest.raises(AttributeError, match="read-only"):
+            mat.entries = {k: v for k, v in mat.entries.items() if k != key}
     assert check_ybe(2)["holds"]
     assert check_reflection("flagMinus", 2)["holds"]
 
