@@ -10,6 +10,11 @@ with eps = +1 exactly when the current chamber value zeta_i is negative,
 and updates the chamber by the simple Weyl reflection.  Composing along a
 reduced word for w0 (rightmost letter first) gives the longest transform;
 on a generic chamber it sends U_j to a single term -q^c U_{invast(j)}.
+
+A KClassExpr takes {symbol: QLaurent} and stores the flat terms
+{(symbol, q_exponent): nonzero int}; a sum adds integers key by key, and
+times c*q^k (shifted) moves every exponent by k.  parts, the
+{symbol: QLaurent} view, is a copy built on each read.
 """
 
 from __future__ import annotations
@@ -72,17 +77,9 @@ class QLaurent:
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:  # times c*q^k: shift every exponent by k
-            ((k2, c2),) = b.items()
-            q = QLaurent()
-            q.coeffs = {k1 + k2: c1 * c2 for k1, c1 in a.items()}
-            return q
         out = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 s = out.get(k, 0) + c1 * c2
                 if s:
@@ -128,56 +125,70 @@ def q_integer(m):
 class KClassExpr:
     """Finite Z[q,q^-1]-linear combination of W/V/U symbols."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("terms",)
 
     def __init__(self, parts=None):
-        self.parts = {}
+        self.terms = {}
         if parts:
             for sym, c in parts.items():
-                if c:
-                    self.parts[sym] = c
+                for k, n in c.coeffs.items():
+                    self.terms[sym, k] = n
 
     @staticmethod
     def symbol(kind, i, coeff=None):
         return KClassExpr({(kind, i): coeff if coeff is not None else QLaurent.one()})
 
+    @property
+    def parts(self):
+        out = {}
+        for (sym, k), n in self.terms.items():
+            out.setdefault(sym, {})[k] = n
+        return {sym: QLaurent(c) for sym, c in out.items()}
+
     def __eq__(self, other):
-        return isinstance(other, KClassExpr) and self.parts == other.parts
+        return isinstance(other, KClassExpr) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.parts)
-        for sym, c in other.parts.items():
-            s = out[sym] + c if sym in out else c
+        out = dict(self.terms)
+        for key, n in other.terms.items():
+            s = out.get(key, 0) + n
             if s:
-                out[sym] = s
+                out[key] = s
             else:
-                del out[sym]
+                del out[key]
         e = KClassExpr()
-        e.parts = out
+        e.terms = out
         return e
 
     def __sub__(self, other):
-        return self + other.scale(QLaurent({0: -1}))
+        return self + other.shifted(0, -1)
+
+    def shifted(self, k, sign):
+        """This expression times sign * q^k (sign a nonzero integer)."""
+        e = KClassExpr()
+        e.terms = {(sym, j + k): sign * n for (sym, j), n in self.terms.items()}
+        return e
 
     def scale(self, c):
-        if c.is_zero():
-            return KClassExpr()
-        # Z[q, q^-1] has no zero divisors, so no coefficient times c is zero
-        e = KClassExpr()
-        e.parts = {sym: cc * c for sym, cc in self.parts.items()}
-        return e
+        """This expression times c: the sum of its shifts by c's terms."""
+        out = KClassExpr()
+        for k, n in c.coeffs.items():
+            out = out + self.shifted(k, n)
+        return out
 
     def single_symbol(self):
         """(symbol, coeff) if the expression is one term, else None."""
-        if len(self.parts) != 1:
+        parts = self.parts
+        if len(parts) != 1:
             return None
-        ((sym, c),) = self.parts.items()
+        ((sym, c),) = parts.items()
         return sym, c
 
     def __str__(self):
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             return "0"
-        items = sorted(self.parts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        items = sorted(parts.items(), key=lambda kv: (kv[0][0], kv[0][1]))
         return " + ".join(f"({c})*{kind}{i}" for (kind, i), c in items)
 
     def __repr__(self):
@@ -218,9 +229,9 @@ def reflect_step(t, exprs, i, zeta):
         raise GenericityError(f"chamber wall: zeta_{i} = 0")
     eps = 1 if zi < 0 else -1
     base_i = exprs[i]
-    lifted = base_i.scale(QLaurent.q_power(eps))
+    lifted = base_i.shifted(eps, 1)
     new_exprs = dict(exprs)
-    new_exprs[i] = base_i.scale(QLaurent.q_power(2 * eps, -1))
+    new_exprs[i] = base_i.shifted(2 * eps, -1)
     new_zeta = list(zeta)
     new_zeta[i - 1] = -zi
     for j in neighbors(t)[i]:

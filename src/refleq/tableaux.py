@@ -120,23 +120,18 @@ def enumerate_instanton(l, w1):
     """All fixed-point tableaux, one per choice of positive-row entries.
 
     The same tableaux, in the same order, as from_positive_entries over
-    itertools.product; each row -k is read from a table of complements,
-    and the rows are laid out -w1..-1, 1..w1 as that constructor sorts them.
+    itertools.product.  Rows grow from shared prefixes: step k extends each
+    (rows -k+1..-1, rows 1..k-1) pair by every entry e, e varying fastest,
+    with row -k (the complement of e) in front and row k = (e,) behind.
     """
     _check_size(l, w1)
     _check_candidates("enumerate_instanton", l, w1)
     values = range(1, l + 1)
-    complement = {e: tuple(x for x in values if x != e) for e in values}
-    below = range(w1, 0, -1)
-    return [
-        InstantonTableau(
-            l,
-            w1,
-            tuple([(-k, complement[entries[k - 1]]) for k in below]
-                  + [(k, (e,)) for k, e in enumerate(entries, 1)]),
-        )
-        for entries in itertools.product(values, repeat=w1)
-    ]
+    layer = [((), ())]
+    for k in range(1, w1 + 1):
+        rows = [(((-k, tuple(x for x in values if x != e)),), ((k, (e,)),)) for e in values]
+        layer = [(lo + neg, pos + hi) for neg, pos in layer for lo, hi in rows]
+    return [InstantonTableau(l, w1, neg + pos) for neg, pos in layer]
 
 
 def condition_met(t, k, l_row, a):

@@ -252,3 +252,38 @@ def test_reflect_step_matches_the_generic_step(name):
                 zeta = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in t.vertices)
                 zeta = zeta[: i - 1] + (sign * abs(zeta[i - 1]),) + zeta[i:]
                 assert reflect_step(t, exprs, i, zeta) == reflect_step_generic(t, exprs, i, zeta)
+
+
+def test_longest_walk_needs_no_laurent_arithmetic(monkeypatch):
+    # the walk shifts flat (symbol, exponent) terms: with QLaurent products
+    # and sums and KClassExpr.scale all raising, it still runs on both
+    # reduced words and the summary still reads -q^h U_invast(j)
+    def refuse(*args):
+        raise AssertionError("Laurent arithmetic in the longest walk")
+
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(QLaurent, name, refuse)
+    monkeypatch.setattr(KClassExpr, "scale", refuse)
+    for t in map(DynkinType.parse, ("E6", "D8")):
+        low = longest_reflection_transform(t, longest_word(t))
+        high = longest_reflection_transform(t, longest_word(t, prefer_high=True))
+        assert low == high
+        h = coxeter_number(t)
+        iv = invast(t)
+        assert longest_transform_summary(t) == {j: (iv[j], qp(h, -1)) for j in t.vertices}
+        assert {j: str(e) for j, e in low.items()} == {j: f"(-q^{h})*U{iv[j]}" for j in t.vertices}
+    with pytest.raises(AssertionError):
+        KClassExpr.symbol("U", 1).scale(qp(1))
+
+
+def test_parts_is_a_copy():
+    expr = u_class(DynkinType.parse("D5"), 2)
+    before = str(expr)
+    same = KClassExpr(expr.parts)
+    parts = expr.parts
+    parts[("W", 2)] = qp(7, 3)
+    parts[("U", 1)] = qp(0)
+    parts[("V", 2)].coeffs[5] = 1
+    del parts[("V", 1)]
+    assert expr == same and str(expr) == before
+    assert expr.parts == same.parts and expr.parts is not expr.parts
