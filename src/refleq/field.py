@@ -725,15 +725,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_const(self):
-        return self.num.is_const() and not self._f and self._r is None
-
-    def const_value(self):
-        """The exact value of a constant RatFunc, always a Fraction."""
-        if not self.is_const():
-            raise ValueError("not a constant rational function")
-        return Fraction(self.num.const_value(), self._c)
-
     def den_factors(self):
         """(c, {form: exponent}, residual) with den = c * prod form^exponent
         * residual, where no form of the table divides the residual."""

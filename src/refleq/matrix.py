@@ -359,9 +359,7 @@ def _row_table(mat, packed):
     packed."""
     rows = {}
     for (i, j), v in mat.entries.items():
-        t = packed[id(v)]
-        if t:
-            rows.setdefault(i, {})[j] = t
+        rows.setdefault(i, {})[j] = packed[id(v)]
     return rows
 
 

@@ -440,10 +440,9 @@ def _certificate_from(inst, trail, contradiction):
     flipping every selected label refutes the opposite assumption, so both
     branches of the assumption are covered.
     """
-    by_var = {entry["var"]: entry for entry in trail if "var" in entry}
-    state = {entry["var"]: entry["label"] for entry in trail if "var" in entry}
+    by_var = {entry["var"]: entry for entry in trail}
     qvars = _qualifying_vars(inst, contradiction.wall, contradiction.component)
-    needed = set(v for v in qvars if v in state)
+    needed = set(v for v in qvars if v in by_var)
     frontier = list(needed)
     while frontier:
         var = frontier.pop()
@@ -456,7 +455,7 @@ def _certificate_from(inst, trail, contradiction):
                 frontier.append(ref_var)
     steps = []
     for entry in trail:
-        if "var" not in entry or entry["var"] not in needed:
+        if entry["var"] not in needed:
             continue
         step = {
             "kind": entry["kind"],

@@ -29,17 +29,15 @@ compares lhs * prod(D_rhs) with rhs * prod(D_lhs), with the part the two
 share divided out; it never evaluates at a point, and it reduces only the
 entry that a failing verdict prints.  The multipoint mode never forms the
 products: _verify_product_identity, the one grid-proof engine, reads each
-factor once for the per-variable degree bound of the cleared difference and
-the factors of its denominators, and reads a placed factor's entry values
-off the operator it places (matrix.embed_on_slots).  The difference is
-cleared by prod(D_lhs) prod(D_rhs) with the linear forms the two sides
-share cancelled once, so the bound is present for every variable of the
-factors and may be 0.  It
-evaluates the factors on an integer grid with one more point per variable
-than that bound, placed past Cauchy's root bound of every denominator
-factor, so that no denominator vanishes on it (_grid).  At each
-point it clears each factor's denominators there, so the factor is a matrix
-of integers over the lcm D of its entry denominators, and compares lhs *
+factor once, on the operator a placement places (matrix.embed_on_slots),
+into its denominator map (_read_factor) and degrees.  Clearing the
+difference by the maps' products, with the part the two sides share
+cancelled once, bounds its degree in every variable of the factors (the
+bound may be 0).  It evaluates the factors on an integer grid with one more
+point per variable than that bound, past Cauchy's root bound of every key of
+the maps, so that no denominator vanishes on it (_grid).  At each point it
+clears each factor's denominators there, so the factor is a matrix of
+integers over the lcm D of its entry denominators, and compares lhs *
 prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof, not a
 sample.  Both provers multiply only one row per orbit of the label
 permutations that every factor commutes with (matrix._orbit_representatives):
@@ -47,10 +45,9 @@ Yang's R commutes with g (x) g, the cross factors with the permutations that
 keep their signs; a placed factor is tested on its operator.  Agreement on
 those rows is agreement everywhere, and a failing proof reads its
 counterexample, the least differing entry, off them with no pass over the
-other rows.  Both provers check the factor labels the
-same way (matrix._label_mismatch).  check_ybe and
-check_reflection expose the mode; the tests run both provers on the factor
-lists of the other checks.
+other rows.  Both provers check the factor labels the same way
+(matrix._label_mismatch).  check_ybe and check_reflection expose the mode;
+the tests run both provers on the factor lists of the other checks.
 """
 
 from __future__ import annotations
@@ -169,41 +166,45 @@ def _verdict(identity, l, cmp, **extra):
 # already forces it to vanish identically.
 
 
-_Factor = collections.namedtuple("_Factor", "entries homogeneous forms residuals num_degree den_degree")
+_Factor = collections.namedtuple("_Factor", "entries homogeneous den num_degree den_degree")
 
 
 def _read_factor(mat):
     """What the grid proof needs of mat, from one pass over its entries: its
-    distinct entries {id(entry): entry}, whether each nonzero one is
-    homogeneous of degree zero jointly in all variables, the distinct forms
-    and residuals of their denominators (den_factors) and, per variable in
-    VARS order, the degree of the lcm D of the denominators and the largest
-    degree of an entry times D."""
+    distinct entries {id(entry): entry}, whether each is homogeneous of
+    degree zero jointly in all variables, its denominator map den and, per
+    variable in VARS order, the degree of D and the largest degree of an
+    entry times D.
+
+    den is a Counter {Poly: exponent}, the shape of matrix._Cleared.den:
+    each table form of the entry denominators (den_factors) at its largest
+    exponent, and the lcm of their distinct residuals (by poly_gcd) at 1.
+    Its product D is a common multiple of the entry denominators, up to an
+    integer, and vanishes exactly where one of them does."""
     entries = {id(v): v for v in mat.entries.values()}
     homogeneous = True
     excess = None  # per variable, the largest deg num - deg den of an entry
-    forms, residuals = {}, {}
+    den, residuals = collections.Counter(), {}
     for val in entries.values():
-        if not val:
-            continue
         entry_excess = [n - d for n, d in zip(map(max, zip(*val.num.terms)), map(max, zip(*val.den.terms)))]
         excess = entry_excess if excess is None else list(map(max, excess, entry_excess))
         den_degs = {sum(e) for e in val.den.terms}
         homogeneous = homogeneous and len(den_degs) == 1 and {sum(e) for e in val.num.terms} == den_degs
-        _, entry_forms, r = val.den_factors()
-        for form, e in entry_forms.items():
-            forms[form] = max(e, forms.get(form, 0))
+        _, forms, r = val.den_factors()
+        den |= forms
         if r is not None:
             residuals[r] = None
     lcm = None
     for r in residuals:
         lcm = r if lcm is None else lcm * poly_div_exact(r, poly_gcd(lcm, r))
+    if lcm is not None:
+        den[lcm] = 1
     den_degree = (0,) * NVARS
-    for p, e in (*forms.items(), *([(lcm, 1)] if lcm else [])):
+    for p, e in den.items():
         # a nonzero Poly's degree in each variable, in VARS order
         den_degree = tuple(d + e * x for d, x in zip(den_degree, map(max, zip(*p.terms))))
     num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
-    return _Factor(entries, homogeneous, forms, residuals, num_degree, den_degree)
+    return _Factor(entries, homogeneous, den, num_degree, den_degree)
 
 
 def _read_factors(mats):
@@ -218,29 +219,25 @@ def _product_degree_bounds(lhs_factors, rhs_factors, read):
     read is _read_factors.  Every variable of the factors has a bound, in
     VARS order, and the bound may be 0; no other variable is kept.
 
-    Scaling a factor by the lcm D of its entry denominators makes it a
-    polynomial matrix; a product entry is a sum of path terms over the common
-    denominator prod(D_f), so (lhs - rhs) prod(D_lhs) prod(D_rhs) has degree
-    at most max over the two sides of (sum of scaled numerator degree bounds
-    on one side + sum of lcm degrees on the other).  G, the product of each
-    table form to the least of its exponents in prod(D_lhs) and prod(D_rhs),
-    divides both, so the cleared difference (lhs - rhs) prod(D_lhs)
+    Scaling a factor by the product D of its denominator map (_read_factor)
+    makes it a polynomial matrix; a product entry is a sum of path terms over
+    the common denominator prod(D_f), so (lhs - rhs) prod(D_lhs) prod(D_rhs)
+    has degree at most max over the two sides of (sum of scaled numerator
+    degree bounds on one side + sum of D degrees on the other).  G, each key
+    to the least of its exponents in the two sides' maps (lden & rden, as in
+    matrix.verify_identity), divides both, so (lhs - rhs) prod(D_lhs)
     prod(D_rhs) / G is a polynomial matrix of degree deg_v G less; it
-    vanishes at a grid point exactly when the two products agree there,
-    since no form or residual vanishes on the grid.
+    vanishes at a grid point exactly when the two products agree there.
     """
     sides = []
     for factors in (lhs_factors, rhs_factors):
         num = [sum(col) for col in zip(*(read[id(mat)].num_degree for mat in factors))]
-        den = [sum(col) for col in zip(*(read[id(mat)].den_degree for mat in factors))]
-        forms = collections.Counter()
-        for mat in factors:
-            forms.update(read[id(mat)].forms)
-        sides.append((num, den, forms))
-    (ln, ld, lf), (rn, rd, rf) = sides
-    common = lf & rf  # form -> min of its two exponents
+        deg = [sum(col) for col in zip(*(read[id(mat)].den_degree for mat in factors))]
+        sides.append((num, deg, sum((read[id(mat)].den for mat in factors), collections.Counter())))
+    (ln, ld, lden), (rn, rd, rden) = sides
+    common = lden & rden  # key -> min of its two exponents
     return {
-        v: b - sum(e * form.degree(v) for form, e in common.items())
+        v: b - sum(e * p.degree(v) for p, e in common.items())
         for i, v in enumerate(VARS)
         if (b := max(ln[i] + rd[i], rn[i] + ld[i]))
     }
@@ -251,21 +248,21 @@ _PRIMES = (97, 101, 103, 107, 109, 113)  # one per variable
 
 def _grid(read, bounds):
     """Per-variable point lists, bounds[v] + 1 consecutive integers each, on
-    which no entry denominator vanishes; h, if off the grid, is 1, which the
-    engine allows only when the factors are homogeneous.
+    which no key of a denominator map (_read_factor) vanishes; h, if off the
+    grid, is 1, which the engine allows only when the factors are homogeneous.
 
-    Each distinct form and residual P is an integer polynomial.  With x its
-    highest grid variable, P = sum c_k x^k over k <= n.  A grid variable
-    starts at its first offset (97, 101^2, 103^3, ...) and is raised until
-    its smallest value is at least 1 + |c_k| for every k < n, with |c_k|
-    bounded by its coefficients' absolute values at the largest grid values
-    of the lower variables (_magnitude); c_n is kept nonzero in turn.  At
-    an integer point with c_n != 0, |c_n| >= 1, so Cauchy's bound puts
-    every root in x below the grid: P vanishes nowhere on it.
+    Each distinct key P is an integer polynomial.  With x its highest grid
+    variable, P = sum c_k x^k over k <= n.  A grid variable starts at its
+    first offset (97, 101^2, 103^3, ...) and is raised until its smallest
+    value is at least 1 + |c_k| for every k < n, with |c_k| bounded by its
+    coefficients' absolute values at the largest grid values of the lower
+    variables (_magnitude); c_n is kept nonzero in turn.  At an integer point
+    with c_n != 0, |c_n| >= 1, so Cauchy's bound puts every root in x below
+    the grid: P vanishes nowhere on it.
     """
     grid = [VAR_INDEX[v] for v in bounds]
     need = {i: [] for i in grid}  # grid variable -> the c_k it must dominate
-    for p in dict.fromkeys(p for f in read for p in (*f.forms, *f.residuals)):
+    for p in dict.fromkeys(p for f in read for p in f.den):
         # h is off the grid only when every P is homogeneous: no terms merge
         terms = {tuple(x if i in need else 0 for i, x in enumerate(e)): c for e, c in p.terms.items()}
         while (x := next((i for i in reversed(grid) if any(e[i] for e in terms)), None)) is not None:
@@ -553,10 +550,8 @@ PINNED_REFLECTION = {
 }
 
 
-def reflection_expectation(kind, l, boundary="standard"):
-    """Expected outcome of check_reflection: True, False, or None (reported)."""
-    if boundary == "oppositePlacement":
-        return False
+def reflection_expectation(kind, l):
+    """Expected outcome of the standard check_reflection: True or None (reported)."""
     return True if l in PINNED_REFLECTION[kind] else None
 
 

@@ -492,7 +492,6 @@ class TestReflection:
     def test_opposite_placement_fails(self, l):
         v = check_reflection("flagMinus", l, boundary="oppositePlacement")
         assert not v["holds"]
-        assert reflection_expectation("flagMinus", l, boundary="oppositePlacement") is False
 
     def test_opposite_placement_restricted_to_flag_minus(self):
         with pytest.raises(ValueError):
@@ -933,27 +932,28 @@ def _gcd_lcm(mat):
 
 def _assert_bounds_cover_cleared_products(lhs, rhs):
     """With D the product of every factor's lcm (by poly_gcd) and G the
-    product of the table forms the two sides share, each to the least of its
-    exponents over the engine's factor reads, G divides the lcm product of
-    each side, and lhs * D / G, rhs * D / G and their difference, the
-    cleared difference the grid proof relies on, are polynomial matrices
-    whose degree in each variable is at most _product_degree_bounds.  A
-    difference that vanishes (the identity holds) bounds nothing, so both
-    cleared sides are held to the bound as well."""
+    product of the keys the two sides' denominator maps share, each to the
+    least of its exponents over the engine's factor reads (.den), G divides
+    the lcm product of each side, and lhs * D / G, rhs * D / G and their
+    difference, the cleared difference the grid proof relies on, are
+    polynomial matrices whose degree in each variable is at most
+    _product_degree_bounds.  A difference that vanishes (the identity
+    holds) bounds nothing, so both cleared sides are held to the bound as
+    well."""
     read = _read_factors([*lhs, *rhs])
     bounds = _product_degree_bounds(lhs, rhs, read)
     lcms = {id(mat): _gcd_lcm(mat) for mat in [*lhs, *rhs]}
-    side_clear, side_forms = [], []
+    side_clear, side_dens = [], []
     for factors in (lhs, rhs):
-        clear, forms = Poly.const(1), collections.Counter()
+        clear, den = Poly.const(1), collections.Counter()
         for mat in factors:
             clear = clear * lcms[id(mat)]
-            forms.update(read[id(mat)].forms)
+            den.update(read[id(mat)].den)
         side_clear.append(clear)
-        side_forms.append(forms)
+        side_dens.append(den)
     common = Poly.const(1)
-    for form, e in (side_forms[0] & side_forms[1]).items():
-        common = common * form ** e
+    for p, e in (side_dens[0] & side_dens[1]).items():
+        common = common * p ** e
     for clear in side_clear:
         poly_div_exact(clear, common)  # raises unless G divides the side's lcm product
     clear = poly_div_exact(side_clear[0] * side_clear[1], common)
@@ -1022,6 +1022,57 @@ class TestDegreeBounds:
         w = _grid_proof([m], [twice])
         assert not w["holds"] and w["gridSize"] == 1
         assert w["counterexample"]["point"] == "{h=97, u1=10201, u2=1092727}"
+
+    def test_bounds_do_not_depend_on_what_the_process_ran_before(self):
+        # the denominator (U1 - U2)(U1 + H) is one residual in a fresh
+        # interpreter, which has neither linear form in its table, and two
+        # table forms once the suite has interned them; one denominator map
+        # per factor cancels it whole either way
+        fresh = json.loads(_fresh_stdout(_RESIDUAL_GRID_PROOF))
+        assert run_suite("all")["ok"]
+        m = one_entry(RatFunc.one() / ((U1 - U2) * (U1 + H)))
+        v = _grid_proof([m], [m])
+        assert [v["degreeBounds"], v["gridSize"], v["detail"]] == fresh
+        assert v["holds"] and v["gridSize"] == 1 and v["degreeBounds"] == {"h": 0, "u1": 0, "u2": 0}
+        _assert_bounds_cover_cleared_products([m], [m])
+
+    def test_bounds_cover_factors_with_several_residuals(self):
+        # p and q are irreducible, so they stay residuals in every process,
+        # and a's map holds the lcm p q of its residuals p and p q
+        p, q = U1 * U2 + H * H + RatFunc.one(), U1 * U1 + U2 + RatFunc.one()
+        a = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one() / p, (2, 2): RatFunc.one() / (p * q)})
+        b = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one() / q, (2, 2): U1 / p})
+        assert _grid_proof([a, b], [b, a])["holds"]
+        _assert_bounds_cover_cleared_products([a, b], [b, a])
+
+
+# the grid proof of test_bounds_do_not_depend_on_what_the_process_ran_before,
+# for a new interpreter, whose form table holds neither linear form
+_RESIDUAL_GRID_PROOF = """
+import json
+from refleq.field import H, U1, U2, RatFunc
+from refleq.matrix import LabeledMatrix
+from refleq.relations import _verify_product_identity
+
+m = LabeledMatrix([1], [1], {(1, 1): RatFunc.one() / ((U1 - U2) * (U1 + H))})
+v = _verify_product_identity([m], [m])
+print(json.dumps([v["degreeBounds"], v["gridSize"], v["detail"]]))
+"""
+
+
+def _fresh_stdout(code):
+    """The stdout of code run in a new interpreter that imports this
+    checkout's refleq."""
+    src = Path(relations.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 def _ybe_factors(l):
@@ -1384,16 +1435,7 @@ print(json.dumps(stages))
 
 
 def test_no_verdict_inverts_a_matrix_or_takes_a_gcd():
-    src = Path(relations.__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _NO_INVERSE_GUARD],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert json.loads(out.stdout) == {"boundaryFactorization": {}, "suite": {}, "acceptance": {}}
+    assert json.loads(_fresh_stdout(_NO_INVERSE_GUARD)) == {"boundaryFactorization": {}, "suite": {}, "acceptance": {}}
 
 
 class TestSuites:
