@@ -160,21 +160,11 @@ class KClassExpr:
         e.terms = out
         return e
 
-    def __sub__(self, other):
-        return self + other.shifted(0, -1)
-
     def shifted(self, k, sign):
         """This expression times sign * q^k (sign a nonzero integer)."""
         e = KClassExpr()
         e.terms = {(sym, j + k): sign * n for (sym, j), n in self.terms.items()}
         return e
-
-    def scale(self, c):
-        """This expression times c: the sum of its shifts by c's terms."""
-        out = KClassExpr()
-        for k, n in c.coeffs.items():
-            out = out + self.shifted(k, n)
-        return out
 
     def single_symbol(self):
         """(symbol, coeff) if the expression is one term, else None."""

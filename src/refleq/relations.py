@@ -32,14 +32,14 @@ products: _verify_product_identity, the one grid-proof engine, reads each
 factor once, on the operator a placement places (matrix.embed_on_slots),
 into its denominator map (_read_factor) and degrees.  Clearing the
 difference by the maps' products, with the part the two sides share
-cancelled once, bounds its degree in every variable of the factors (the
-bound may be 0).  It evaluates the factors on an integer grid with one more
-point per variable than that bound, past Cauchy's root bound of every key of
-the maps, so that no denominator vanishes on it (_grid).  At each point it
-clears each factor's denominators there, so the factor is a matrix of
-integers over the lcm D of its entry denominators, and compares lhs *
-prod(D_rhs) with rhs * prod(D_lhs) exactly, which is still a proof, not a
-sample.  Both provers multiply only one row per orbit of the label
+cancelled once, gives a polynomial matrix and bounds its degree in every
+variable of the factors (the bound may be 0).  The engine evaluates that
+polynomial, not the factors: at each point of the grid {0, ..., bound} per
+variable it takes every factor times the product D of its map, entry by
+entry as a polynomial (_clear_at), so no point is a pole, and compares lhs *
+prod(D_rhs) with rhs * prod(D_lhs), shared part cancelled, exactly in
+integers.  Agreement on the whole grid is a proof, not a sample.  Both
+provers multiply only one row per orbit of the label
 permutations that every factor commutes with (matrix._orbit_representatives):
 Yang's R commutes with g (x) g, the cross factors with the permutations that
 keep their signs; a placed factor is tested on its operator.  Agreement on
@@ -58,9 +58,8 @@ import itertools
 import math
 import operator
 import os
-from fractions import Fraction
 
-from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, poly_div_exact, poly_gcd
+from .field import NVARS, U, U1, U2, U3, U4, VARS, poly_div_exact, poly_gcd
 from .matrix import (
     LabeledMatrix,
     _label_mismatch,
@@ -160,43 +159,52 @@ def _verdict(identity, l, cmp, **extra):
 # ---------------------------------------------------------------------------
 # multipoint product verification
 
-# The grid route below never forms a product of polynomials: the cleared
-# difference of the two sides is a polynomial whose per-variable degree we can
-# bound from the factors alone, so agreement on a large enough integer grid
-# already forces it to vanish identically.
 
-
-_Factor = collections.namedtuple("_Factor", "entries homogeneous den num_degree den_degree")
+_Factor = collections.namedtuple("_Factor", "entries homogeneous c den num_degree den_degree")
 
 
 def _read_factor(mat):
     """What the grid proof needs of mat, from one pass over its entries: its
-    distinct entries {id(entry): entry}, whether each is homogeneous of
-    degree zero jointly in all variables, its denominator map den and, per
-    variable in VARS order, the degree of D and the largest degree of an
-    entry times D.
+    distinct entries, whether each is homogeneous of degree zero jointly in
+    all variables, its content c and denominator map den and, per variable
+    in VARS order, the degree of D and the largest degree of an entry times
+    D.
 
     den is a Counter {Poly: exponent}, the shape of matrix._Cleared.den:
     each table form of the entry denominators (den_factors) at its largest
-    exponent, and the lcm of their distinct residuals (by poly_gcd) at 1.
-    Its product D is a common multiple of the entry denominators, up to an
-    integer, and vanishes exactly where one of them does."""
-    entries = {id(v): v for v in mat.entries.values()}
+    exponent, and the lcm L of their distinct residuals (by poly_gcd) at 1.
+    With c the lcm of the entries' contents, D = c * prod p^e over den is a
+    common multiple of the entry denominators.  entries maps id(v) to (v, k,
+    m), where v * D = v.num * k * prod p^e over m: k = c // c_v, m holds
+    each form at E - e_v where that is positive, and L / r_v at 1 (L itself
+    when v has no residual r_v).  That is matrix._clear's formula, left
+    unexpanded."""
+    distinct = {}
     homogeneous = True
     excess = None  # per variable, the largest deg num - deg den of an entry
     den, residuals = collections.Counter(), {}
-    for val in entries.values():
+    for val in mat.entries.values():
+        if id(val) in distinct:
+            continue
         entry_excess = [n - d for n, d in zip(map(max, zip(*val.num.terms)), map(max, zip(*val.den.terms)))]
         excess = entry_excess if excess is None else list(map(max, excess, entry_excess))
         den_degs = {sum(e) for e in val.den.terms}
         homogeneous = homogeneous and len(den_degs) == 1 and {sum(e) for e in val.num.terms} == den_degs
-        _, forms, r = val.den_factors()
+        c_v, forms, r = val.den_factors()
+        distinct[id(val)] = (val, c_v, forms, r)
         den |= forms
         if r is not None:
             residuals[r] = None
     lcm = None
     for r in residuals:
         lcm = r if lcm is None else lcm * poly_div_exact(r, poly_gcd(lcm, r))
+    c = math.lcm(*(c_v for _, c_v, _, _ in distinct.values()))
+    entries = {}
+    for key, (val, c_v, forms, r) in distinct.items():
+        m = {p: e - forms.get(p, 0) for p, e in den.items() if e > forms.get(p, 0)}
+        if lcm is not None:
+            m[lcm if r is None else poly_div_exact(lcm, r)] = 1
+        entries[key] = (val, c // c_v, m)
     if lcm is not None:
         den[lcm] = 1
     den_degree = (0,) * NVARS
@@ -204,7 +212,7 @@ def _read_factor(mat):
         # a nonzero Poly's degree in each variable, in VARS order
         den_degree = tuple(d + e * x for d, x in zip(den_degree, map(max, zip(*p.terms))))
     num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
-    return _Factor(entries, homogeneous, den, num_degree, den_degree)
+    return _Factor(entries, homogeneous, c, den, num_degree, den_degree)
 
 
 def _read_factors(mats):
@@ -226,8 +234,8 @@ def _product_degree_bounds(lhs_factors, rhs_factors, read):
     degree bounds on one side + sum of D degrees on the other).  G, each key
     to the least of its exponents in the two sides' maps (lden & rden, as in
     matrix.verify_identity), divides both, so (lhs - rhs) prod(D_lhs)
-    prod(D_rhs) / G is a polynomial matrix of degree deg_v G less; it
-    vanishes at a grid point exactly when the two products agree there.
+    prod(D_rhs) / G is a polynomial matrix of degree deg_v G less.  It is
+    the difference the grid engine evaluates (_verify_product_identity).
     """
     sides = []
     for factors in (lhs_factors, rhs_factors):
@@ -243,48 +251,6 @@ def _product_degree_bounds(lhs_factors, rhs_factors, read):
     }
 
 
-_PRIMES = (97, 101, 103, 107, 109, 113)  # one per variable
-
-
-def _grid(read, bounds):
-    """Per-variable point lists, bounds[v] + 1 consecutive integers each, on
-    which no key of a denominator map (_read_factor) vanishes; h, if off the
-    grid, is 1, which the engine allows only when the factors are homogeneous.
-
-    Each distinct key P is an integer polynomial.  With x its highest grid
-    variable, P = sum c_k x^k over k <= n.  A grid variable starts at its
-    first offset (97, 101^2, 103^3, ...) and is raised until its smallest
-    value is at least 1 + |c_k| for every k < n, with |c_k| bounded by its
-    coefficients' absolute values at the largest grid values of the lower
-    variables (_magnitude); c_n is kept nonzero in turn.  At an integer point
-    with c_n != 0, |c_n| >= 1, so Cauchy's bound puts every root in x below
-    the grid: P vanishes nowhere on it.
-    """
-    grid = [VAR_INDEX[v] for v in bounds]
-    need = {i: [] for i in grid}  # grid variable -> the c_k it must dominate
-    for p in dict.fromkeys(p for f in read for p in f.den):
-        # h is off the grid only when every P is homogeneous: no terms merge
-        terms = {tuple(x if i in need else 0 for i, x in enumerate(e)): c for e, c in p.terms.items()}
-        while (x := next((i for i in reversed(grid) if any(e[i] for e in terms)), None)) is not None:
-            by_power = {}
-            for e, c in terms.items():
-                by_power.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1:]] = c
-            terms = by_power.pop(max(by_power))
-            need[x] += by_power.values()
-    points, top = {}, {}
-    for n, (v, i) in enumerate(zip(bounds, grid)):
-        low = max((1 + _magnitude(c, top) for c in need[i]), default=0)
-        start = max(_PRIMES[n] ** (n + 1), low)
-        points[v] = range(start, start + bounds[v] + 1)
-        top[i] = start + bounds[v]
-    return points
-
-
-def _magnitude(terms, top):
-    """A bound on |terms| at every point with 0 < x_i <= top[i]."""
-    return sum(abs(c) * math.prod(top[i] ** x for i, x in enumerate(e) if x) for e, c in terms.items())
-
-
 def _row_index(mat):
     """mat's stored entries as {row: [(col, id(entry))]}."""
     rows = {}
@@ -293,25 +259,31 @@ def _row_index(mat):
     return rows
 
 
-def _clear_at(entries, assignment):
-    """Every factor at an integer point, cleared of its denominators there.
+def _den_at(den, assignment, memo):
+    """prod p^e over the Counter den at an integer point; memo holds each
+    key's value there, so a key shared among maps is evaluated once."""
+    out = 1
+    for p, e in den.items():
+        x = memo.get(p)
+        if x is None:
+            x = memo[p] = p.subs(assignment)
+        out *= x ** e
+    return out
 
-    entries maps the id of each distinct factor to its distinct entries,
-    {id(entry): entry}.  The result maps it to (values, D): D is the lcm of
-    the |d| over the factor's entry values n / d, and values maps id(entry)
-    to the integer n * (D // d).  An entry shared among factors is evaluated
-    once.  A pole raises ZeroDivisionError, as RatFunc.eval does.
-    """
-    evaluated, cleared = {}, {}
-    for key, distinct in entries.items():
-        for eid, v in distinct.items():
-            if eid not in evaluated:
-                d = v.den.subs(assignment)
-                if d == 0:
-                    raise ZeroDivisionError(f"pole of rational function at {assignment}")
-                evaluated[eid] = (v.num.subs(assignment), d)
-        big = math.lcm(*(evaluated[eid][1] for eid in distinct))
-        cleared[key] = ({eid: n * (big // d) for eid in distinct for n, d in (evaluated[eid],)}, big)
+
+def _clear_at(read, assignment, memo):
+    """Every factor of read (_read_factors) times its D at an integer point,
+    {id(factor): {id(entry): int}}, as v.num * k * prod p^e over m: no
+    division, so no pole.  memo is the point's _den_at memo, and a
+    numerator is evaluated once, however many factors share the entry."""
+    nums, cleared = {}, {}
+    for key, f in read.items():
+        values = cleared[key] = {}
+        for eid, (v, k, m) in f.entries.items():
+            x = nums.get(eid)
+            if x is None:
+                x = nums[eid] = v.num.subs(assignment)
+            values[eid] = x * k * _den_at(m, assignment, memo)
     return cleared
 
 
@@ -324,7 +296,7 @@ def _product_rows(factors, rows, index, cleared):
     for i in rows:
         acc = {i: 1}
         for mat in factors:
-            mat_rows, values = index[id(mat)], cleared[id(mat)][0]
+            mat_rows, values = index[id(mat)], cleared[id(mat)]
             nxt = {}
             for k, a in acc.items():
                 for j, eid in mat_rows.get(k, ()):
@@ -341,21 +313,23 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     """Grid proof that two ordered matrix products agree, factor by factor.
 
     The labels are checked as in the symbolic prover (matrix._label_mismatch).
-    At each grid point every factor's entries are cleared of their
-    denominators there, and the products are sparse matrices of integers:
-    lhs / D_lhs = rhs / D_rhs is tested as lhs * D_rhs = rhs * D_lhs,
-    exactly.  The grid has (degree bound + 1) points per variable, which
-    makes full agreement equivalent to the symbolic identity.  When every
-    factor entry is homogeneous of degree zero (jointly in h and the
-    spectral variables), the h = 1 slice is faithful and h is dropped from
-    the grid.
+    Each side's product P of the factors f * D_f (_read_factor) is a
+    polynomial matrix.  With each side's contents and maps summed, g =
+    gcd(lc, rc) and G = lden & rden, the scales s_lhs = (rc // g) prod(rden
+    - G) and s_rhs = (lc // g) prod(lden - G) make P_lhs s_lhs - P_rhs s_rhs
+    the polynomial matrix that _product_degree_bounds bounds by d_v.  It is
+    evaluated in integers on the grid {0, ..., d_v}, where a factor may have
+    a pole.  A polynomial of degree at most d_v in each variable that
+    vanishes on a product of d_v + 1 values per variable is zero (Alon,
+    Combin. Probab. Comput. 8 (1999), Lemma 2.1).  When every factor entry
+    is homogeneous of degree zero, the difference is homogeneous, so h = 1
+    is a faithful slice and h leaves the grid.
 
     Only one row per orbit of the label symmetry every factor has is
     multiplied (matrix._orbit_representatives, which gives the soundness
-    argument): the scaled sides agree on every row once they agree on the
-    representative rows, and at the first point where they differ, the
-    least differing entry lies in a representative row.  That entry, read
-    off the rows already multiplied, is the counterexample.
+    argument): the least differing entry at the first differing point lies
+    in a representative row.  It is the counterexample, with the two
+    cleared sides' integers there.
     """
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
@@ -366,29 +340,30 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
         del bounds["h"]
-    points = _grid(read.values(), bounds)
     index = {key: _row_index(mat) for key, mat in factors.items()}
-    # embed_on_slots shares one RatFunc among many entries and factors:
-    # _clear_at evaluates each distinct object once per point
-    entries = {key: f.entries for key, f in read.items()}
     reps = _orbit_representatives(list(factors.values()))
-    n_points = 0
-    for combo in itertools.product(*points.values()):
-        assignment = dict(zip(points, combo))
+    sides = (lhs_factors, rhs_factors)
+    (lc, lden), (rc, rden) = (
+        (math.prod(read[id(mat)].c for mat in side), sum((read[id(mat)].den for mat in side), collections.Counter()))
+        for side in sides
+    )
+    g, shared = math.gcd(lc, rc), lden & rden
+    scales = ((rc // g, rden - shared), (lc // g, lden - shared))
+    for n_points, combo in enumerate(itertools.product(*(range(b + 1) for b in bounds.values())), 1):
+        assignment = dict(zip(bounds, combo))
         assignment.setdefault("h", 1)
-        n_points += 1
-        cleared = _clear_at(entries, assignment)
-        lhs_den, rhs_den = (math.prod(cleared[id(mat)][1] for mat in side) for side in (lhs_factors, rhs_factors))
-        # both scales are nonzero, so the scaled sides differ in the same entries
-        g = math.gcd(lhs_den, rhs_den)
-        scales = (rhs_den // g, lhs_den // g)
-        sides = (lhs_factors, rhs_factors)
-        lhs, rhs = (_scaled(_product_rows(side, reps, index, cleared), s) for side, s in zip(sides, scales))
+        # embed_on_slots shares one RatFunc among many entries and factors,
+        # and one key among many maps: each is evaluated once per point
+        memo = {}
+        cleared = _clear_at(read, assignment, memo)
+        lhs, rhs = (
+            _scaled(_product_rows(side, reps, index, cleared), k * _den_at(den, assignment, memo))
+            for side, (k, den) in zip(sides, scales)
+        )
         if lhs == rhs:
             continue
         flat = ({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs))
         i, j = first_difference(*flat)
-        common = lhs_den * scales[0]  # the denominator of both scaled sides
         return {
             "holds": False,
             "mode": "multipoint",
@@ -398,8 +373,8 @@ def _verify_product_identity(lhs_factors, rhs_factors):
             "counterexample": {
                 "row": _label_to_json(lhs_factors[0].row_labels[i]),
                 "col": _label_to_json(lhs_factors[-1].col_labels[j]),
-                "lhs": str(Fraction(lhs.get(i, {}).get(j, 0), common)),
-                "rhs": str(Fraction(rhs.get(i, {}).get(j, 0), common)),
+                "lhs": str(lhs.get(i, {}).get(j, 0)),
+                "rhs": str(rhs.get(i, {}).get(j, 0)),
                 "point": _point_str(assignment),
             },
         }
@@ -414,6 +389,9 @@ def _verify_product_identity(lhs_factors, rhs_factors):
 
 
 def _scaled(rows, s):
+    """rows times the integer s; a zero scale leaves no row."""
+    if s == 0:
+        return {}
     return rows if s == 1 else {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
 
 

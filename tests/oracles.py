@@ -45,18 +45,18 @@ The library never calls these.
                               every call, the reference for kclass.reflect_step
 """
 
+import collections
 import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from refleq.dynkin import adjacency, cartan_matrix
-from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, format_ratfunc
+from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, format_ratfunc, poly_div_exact
 from refleq.kclass import GenericityError, QLaurent, q_integer
 from refleq.matrix import LabeledMatrix, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
-from refleq.relations import _grid, _point_str, _product_degree_bounds, _read_factors
+from refleq.relations import _point_str, _product_degree_bounds, _read_factors
 from refleq.tableaux import _fold_pairs, condition_met
 
 # ---------------------------------------------------------------------------
@@ -349,25 +349,18 @@ def fold_and_compare(lhs_factors, rhs_factors):
     }
 
 
-def _cleared_rows(mat, assignment, memo):
-    """mat at an integer point as (rows, D): D is the lcm of the |d| over the
-    entry values n / d, and rows holds the nonzero integers n * (D // d).
-    memo, keyed by id(entry), holds each distinct entry's (n, d)."""
-    vals = []
-    for k, v in mat.entries.items():
-        nd = memo.get(id(v))
-        if nd is None:
-            d = v.den.subs(assignment)
-            if d == 0:
-                raise ZeroDivisionError(f"pole of rational function at {assignment}")
-            nd = memo[id(v)] = (v.num.subs(assignment), d)
-        vals.append((k, nd))
-    big = math.lcm(*(d for _, (_, d) in vals))
-    rows = {}
-    for (i, j), (n, d) in vals:
-        if n:
-            rows.setdefault(i, {})[j] = n * (big // d)
-    return rows, big
+def _expand(c, den):
+    """The Poly c * prod p^e over the Counter den."""
+    out = Poly.const(c)
+    for p, e in den.items():
+        out = out * p ** e
+    return out
+
+
+def _cleared_polys(mat, d):
+    """mat times the polynomial d, a multiple of every entry denominator:
+    {(row, col): Poly}, each entry cleared on its own by exact division."""
+    return {k: poly_div_exact(d, v.den) * v.num for k, v in mat.entries.items()}
 
 
 def _matmul_rows(a, b):
@@ -383,30 +376,30 @@ def _matmul_rows(a, b):
     return out
 
 
-def _product_at_point(factors, assignment, memo):
-    """The product at an integer point as (rows, D): rows / D is the
-    product, rows an integer matrix and D the product of the factors' lcms."""
-    rows, scale = None, 1
+def _product_at_point(factors, cleared, scale, assignment):
+    """scale times the product of the cleared factors at an integer point,
+    as {row: {col: nonzero int}}; cleared maps id(factor) to _cleared_polys."""
+    s = scale.subs(assignment)
+    rows = None
     for mat in factors:
-        cleared = memo.get(id(mat))
-        if cleared is None:
-            cleared = memo[id(mat)] = _cleared_rows(mat, assignment, memo)
-        cur, big = cleared
+        cur = {}
+        for (i, j), p in cleared[id(mat)].items():
+            x = p.subs(assignment)
+            if x:
+                cur.setdefault(i, {})[j] = x
         rows = cur if rows is None else _matmul_rows(rows, cur)
-        scale *= big
-    return rows or {}, scale
-
-
-def _scaled(rows, s):
-    return {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
+    return {i: {j: v * s for j, v in row.items()} for i, row in rows.items()} if s else {}
 
 
 def full_row_grid_proof(lhs_factors, rhs_factors):
     """relations._verify_product_identity's verdict with both products
     multiplied in full at every grid point: the same label checks, degree
-    bounds and grid, every row of every integer product, and the
-    counterexample at the least differing entry of the first point where
-    the scaled products differ."""
+    bounds and grid {0, ..., bound} per variable; each factor f cleared by
+    D_f = c_f * prod den_f entry by entry, as (D_f / v.den) * v.num; each
+    side scaled by the other side's D product over the part the two share,
+    expanded as one Poly; every row of every integer product; and the
+    counterexample at the least differing entry of the first point where the
+    scaled products differ."""
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
         return mismatch
@@ -415,19 +408,23 @@ def full_row_grid_proof(lhs_factors, rhs_factors):
     drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
         del bounds["h"]
-    points = _grid(read.values(), bounds)
+    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
+    cleared = {key: _cleared_polys(mat, _expand(read[key].c, read[key].den)) for key, mat in factors.items()}
+    (lc, lden), (rc, rden) = (
+        (math.prod(read[id(mat)].c for mat in side), sum((read[id(mat)].den for mat in side), collections.Counter()))
+        for side in (lhs_factors, rhs_factors)
+    )
+    g, shared = math.gcd(lc, rc), lden & rden
+    lhs_scale, rhs_scale = _expand(rc // g, rden - shared), _expand(lc // g, lden - shared)
     n_points = 0
-    for combo in itertools.product(*points.values()):
-        assignment = dict(zip(points, combo))
+    for combo in itertools.product(*(range(b + 1) for b in bounds.values())):
+        assignment = dict(zip(bounds, combo))
         assignment.setdefault("h", 1)
         n_points += 1
-        memo = {}
-        lhs, lhs_den = _product_at_point(lhs_factors, assignment, memo)
-        rhs, rhs_den = _product_at_point(rhs_factors, assignment, memo)
-        g = math.gcd(lhs_den, rhs_den)
-        lhs_scaled, rhs_scaled = _scaled(lhs, rhs_den // g), _scaled(rhs, lhs_den // g)
-        if lhs_scaled != rhs_scaled:
-            flat = [{(r, c): v for r, row in side.items() for c, v in row.items()} for side in (lhs_scaled, rhs_scaled)]
+        lhs = _product_at_point(lhs_factors, cleared, lhs_scale, assignment)
+        rhs = _product_at_point(rhs_factors, cleared, rhs_scale, assignment)
+        if lhs != rhs:
+            flat = [{(r, c): v for r, row in side.items() for c, v in row.items()} for side in (lhs, rhs)]
             i, j = first_difference(*flat)
             return {
                 "holds": False,
@@ -438,8 +435,8 @@ def full_row_grid_proof(lhs_factors, rhs_factors):
                 "counterexample": {
                     "row": _label_to_json(lhs_factors[0].row_labels[i]),
                     "col": _label_to_json(lhs_factors[-1].col_labels[j]),
-                    "lhs": str(Fraction(lhs.get(i, {}).get(j, 0), lhs_den)),
-                    "rhs": str(Fraction(rhs.get(i, {}).get(j, 0), rhs_den)),
+                    "lhs": str(lhs.get(i, {}).get(j, 0)),
+                    "rhs": str(rhs.get(i, {}).get(j, 0)),
                     "point": _point_str(assignment),
                 },
             }
@@ -542,6 +539,14 @@ def positive_roots_by_closure(t):
 # K-classes
 
 
+def _minus_times(a, b, c):
+    """a - b * c for K-class expressions a, b and a q-Laurent polynomial c,
+    as a sum of b's shifts by c's terms."""
+    for k, n in c.coeffs.items():
+        a = a + b.shifted(k, -n)
+    return a
+
+
 def reflect_step_generic(t, exprs, i, zeta):
     """One reflection at vertex i, row by row through the Cartan matrix.
 
@@ -558,9 +563,6 @@ def reflect_step_generic(t, exprs, i, zeta):
     if zi == 0:
         raise GenericityError(f"chamber wall: zeta_{i} = 0")
     qe = QLaurent.q_power(1 if zi < 0 else -1)
-    new_exprs = {}
-    for j in t.vertices:
-        factor = qe * q_integer(a(j))
-        new_exprs[j] = exprs[j] - exprs[i].scale(factor) if factor else exprs[j]
+    new_exprs = {j: _minus_times(exprs[j], exprs[i], qe * q_integer(a(j))) for j in t.vertices}
     new_zeta = tuple(zeta[j - 1] - a(j) * zi for j in t.vertices)
     return new_exprs, new_zeta

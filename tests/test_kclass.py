@@ -206,10 +206,10 @@ def random_expr(rng, t):
     return KClassExpr(parts)
 
 
-def test_sums_and_scales_equal_the_filtered_constructor():
-    # __add__ and scale build their dicts without the constructor's zero
+def test_sums_and_shifts_equal_the_filtered_constructor():
+    # __add__ and shifted build their dicts without the constructor's zero
     # filter; they must still give its result and store no zero coefficient,
-    # on sums that cancel and on scales by zero too
+    # on sums that cancel too
     rng = random.Random(25)
     t = DynkinType.parse("D5")
     cancelled = 0
@@ -225,14 +225,18 @@ def test_sums_and_scales_equal_the_filtered_constructor():
             {sym: a.parts.get(sym, QLaurent.zero()) + b.parts.get(sym, QLaurent.zero()) for sym in symbols}
         )
         cancelled += len(symbols) - len(total.parts)
-        c = random_laurent(rng, rng.randint(0, 3)) if n % 5 else QLaurent.zero()
-        scaled = a.scale(c)
-        assert scaled == KClassExpr({sym: cc * c for sym, cc in a.parts.items()})
-        for expr in (total, scaled, a - b):
+        k, sign = rng.randint(-4, 4), rng.choice((-3, -1, 1, 2))
+        shifted = a.shifted(k, sign)
+        assert shifted == KClassExpr({sym: cc * qp(k, sign) for sym, cc in a.parts.items()})
+        difference = a + b.shifted(0, -1)
+        assert difference == KClassExpr(
+            {sym: a.parts.get(sym, QLaurent.zero()) - b.parts.get(sym, QLaurent.zero()) for sym in symbols}
+        )
+        for expr in (total, shifted, difference):
             assert all(isinstance(cc, QLaurent) and not cc.is_zero() for cc in expr.parts.values())
         assert (str(a), str(b)) == before
     assert cancelled > 100
-    assert (a - a).parts == {} and a.scale(QLaurent.zero()).parts == {}
+    assert (a + a.shifted(0, -1)).parts == {}
 
 
 ORACLE_TYPES = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6"]
@@ -256,14 +260,13 @@ def test_reflect_step_matches_the_generic_step(name):
 
 def test_longest_walk_needs_no_laurent_arithmetic(monkeypatch):
     # the walk shifts flat (symbol, exponent) terms: with QLaurent products
-    # and sums and KClassExpr.scale all raising, it still runs on both
-    # reduced words and the summary still reads -q^h U_invast(j)
+    # and sums raising, it still runs on both reduced words and the summary
+    # still reads -q^h U_invast(j)
     def refuse(*args):
         raise AssertionError("Laurent arithmetic in the longest walk")
 
     for name in ("__mul__", "__add__"):
         monkeypatch.setattr(QLaurent, name, refuse)
-    monkeypatch.setattr(KClassExpr, "scale", refuse)
     for t in map(DynkinType.parse, ("E6", "D8")):
         low = longest_reflection_transform(t, longest_word(t))
         high = longest_reflection_transform(t, longest_word(t, prefer_high=True))
@@ -273,7 +276,7 @@ def test_longest_walk_needs_no_laurent_arithmetic(monkeypatch):
         assert longest_transform_summary(t) == {j: (iv[j], qp(h, -1)) for j in t.vertices}
         assert {j: str(e) for j, e in low.items()} == {j: f"(-q^{h})*U{iv[j]}" for j in t.vertices}
     with pytest.raises(AssertionError):
-        KClassExpr.symbol("U", 1).scale(qp(1))
+        qp(1) * qp(1)
 
 
 def test_parts_is_a_copy():

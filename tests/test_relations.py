@@ -36,7 +36,6 @@ from refleq.relations import (
     _exchange_factors,
     _factorization_factors,
     _fold,
-    _grid,
     _product_degree_bounds,
     _product_rows,
     _prove,
@@ -212,99 +211,114 @@ class TestGridEngine:
             assert "detail" in v
 
     def test_counterexample_is_the_least_differing_entry(self):
-        # at the first grid point the products differ in three entries; both
-        # provers name the least (row, col), here labels ("b", "b")
+        # the lhs is scaled by b's denominator u1 + h, so at the first grid
+        # point, h = u1 = 0, both cleared sides vanish; at the second, h = 0
+        # and u1 = 1, they differ in two entries, and both provers name the
+        # least (row, col), here labels ("b", "b")
         labels = ["c", "b", "a"]
         ident = LabeledMatrix.identity(labels)
         ones = {(x, x): RatFunc.one() for x in labels}
         edits = {("a", "c"): U1 / (U1 + H), ("b", "a"): H, ("b", "b"): RatFunc.const(7)}
         b = LabeledMatrix(labels, labels, {**ones, **edits})
         v = _grid_proof([ident, ident], [b, ident])
-        assert not v["holds"] and v["gridSize"] == 1
+        assert not v["holds"] and v["gridSize"] == 2
         cex = v["counterexample"]
-        assert (cex["row"], cex["col"], cex["lhs"], cex["rhs"]) == ("b", "b", "1", "7")
+        assert (cex["row"], cex["col"], cex["lhs"], cex["rhs"], cex["point"]) == ("b", "b", "1", "7", "{h=0, u1=1}")
         sym = verify_identity([ident, ident], [b, ident])["counterexample"]
         assert (sym["row"], sym["col"]) == (cex["row"], cex["col"])
 
-    def test_grid_avoids_poles(self):
-        # denominators vanish on naive small grids; the builder must dodge them
+    def test_grid_crosses_poles(self):
+        # the grid {0, 1, ...} per variable holds points with u1 = u2, where
+        # the entry has a pole; the engine evaluates the cleared polynomials
         m = one_entry(H / (RatFunc.var("u1") - RatFunc.var("u2")))
         assert _grid_proof([m], [m])["holds"]
 
-    def test_pole_in_a_later_variable_is_escaped(self):
-        # u2's first offset is 10201, a pole of this entry; the grid must
-        # start u2, the variable of the vanishing denominator, past it, not u1
+    def test_pole_in_a_later_variable(self):
         m = one_entry(RatFunc.var("u1") + RatFunc.one() / (RatFunc.var("u2") - RatFunc.const(10201)))
-        points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
-        assert points == {"u1": range(97, 99), "u2": range(10202, 10204)}
         v = _grid_proof([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 1, "u2": 1}
 
-    def test_grid_starts_past_a_pole_at_the_first_offset(self):
-        # u1's first offset is 97, a pole of this entry: u1 must start at 98
+    def test_pole_at_a_constant(self):
         m = one_entry(RatFunc.one() / (RatFunc.var("u1") - RatFunc.const(97)))
-        assert _grid(_read_factors([m]).values(), {"u1": 1}) == {"u1": range(98, 100)}
         v = _grid_proof([m], [m])
         assert v["holds"] and v["degreeBounds"] == {"u1": 0}
 
-    def test_grid_keeps_the_leading_coefficient_nonzero(self):
-        # (u1 - 97) u2 - 1 vanishes nowhere on the first offsets, but its
-        # leading coefficient in u2 does at u1 = 97, where the root bound in
-        # u2 says nothing: u1 must start past 97 and u2 stays where it was
+    def test_leading_coefficient_that_vanishes(self):
+        # the leading coefficient of the denominator in u2 vanishes at u1 = 97
         m = one_entry(parse_ratfunc("1 / (u1*u2 - 97*u2 - 1)"))
-        points = _grid(_read_factors([m]).values(), {"u1": 1, "u2": 1})
-        assert points == {"u1": range(98, 100), "u2": range(10201, 10203)}
         assert _grid_proof([m], [m])["holds"]
 
     @settings(max_examples=80, deadline=None)
     @given(
         forms=st.lists(
-            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
             min_size=1, max_size=3,
         ),
         residual=st.none() | st.tuples(
             st.tuples(*[st.integers(-2, 2)] * 3), st.tuples(*[st.integers(-2, 2)] * 3),
-            st.tuples(*[st.integers(0, 2)] * 3),
+            st.tuples(*[st.integers(0, 1)] * 3),
         ),
         h_on_grid=st.booleans(),
-        bound=st.integers(0, 2),
     )
-    def test_no_denominator_vanishes_on_the_grid(self, forms, residual, h_on_grid, bound):
-        # every denominator vanishes at a point of the grid the first offsets
-        # alone would give; the old full-grid pole scan is the oracle
+    def test_grid_verdict_equals_the_symbolic_one_across_poles(self, forms, residual, h_on_grid):
+        # every denominator of m vanishes at a point of the grid: m m = m^2
+        # must hold, and fail with one entry of m^2 perturbed, in both modes
         grid_vars = ("h", "u1", "u2") if h_on_grid else ("u1", "u2")
-        first = dict(zip(grid_vars, (97, 101 ** 2, 103 ** 3)))
         h, u1, u2 = (Poly.var(v) for v in ("h", "u1", "u2"))
 
         def point(ks):
-            return {"h": 1, **{v: first[v] + min(k, bound) for v, k in zip(("h", "u1", "u2"), ks) if v in first}}
+            return {"h": 1, **{v: k for v, k in zip(("h", "u1", "u2"), ks) if v in grid_vars}}
 
         def linear(a, b, c):
             return u1.scale(a) + u2.scale(b) + h.scale(c)
 
-        dens = []
+        dens, poles = [], []
         for a, b, *ks in forms:
-            assume(a or b)
             p = point(ks)
             # p_h (a u1 + b u2) - (a p_u1 + b p_u2) h vanishes at p
-            dens.append(linear(a, b, 0).scale(p["h"]) - h.scale(a * p["u1"] + b * p["u2"]))
+            den = linear(a, b, 0).scale(p["h"]) - h.scale(a * p["u1"] + b * p["u2"])
+            assume(not den.is_zero())
+            dens.append(den)
+            poles.append(p)
         if residual is not None:
             f, g = linear(*residual[0]), linear(*residual[1])
             p = point(residual[2])
             r = (f * g).scale(p["h"] ** 2) - (h * h).scale(f.subs(p) * g.subs(p))
             assume(not f.is_zero() and not g.is_zero() and not r.is_zero())
             dens.append(r)
+            poles.append(p)
         labels = list(range(len(dens) + 1))
         # degree-zero homogeneous, so h may be off the grid
         entries = {(i, i): RatFunc(Poly.var("h", den.degree()), den) for i, den in enumerate(dens)}
         entries[len(dens), len(dens)] = RatFunc.var("u1") if h_on_grid else RatFunc.one()
         m = LabeledMatrix(labels, labels, entries)
-        points = _grid(_read_factors([m]).values(), dict.fromkeys(grid_vars, bound))
-        assert list(points) == list(grid_vars)
-        for combo in itertools.product(*points.values()):
-            assignment = {"h": 1, **dict(zip(points, combo))}
-            for val in m.entries.values():
-                assert val.den.subs(assignment) != 0, (str(val), assignment)
+        square = m * m
+        v = _grid_proof([m, m], [square])
+        assert v["holds"] and verify_identity([m, m], [square])["holds"]
+        bounds = v["degreeBounds"]
+        for den, p in zip(dens, poles):
+            assert den.subs(p) == 0 and all(x <= bounds.get(var, 1) for var, x in p.items())
+        bad = edited(square, {(0, 0): square.entries[0, 0] + entries[0, 0]})
+        w = _grid_proof([m, m], [bad])
+        assert not w["holds"] and not verify_identity([m, m], [bad])["holds"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_vanishing_scale_leaves_no_row(self, kind):
+        # where a side's scale vanishes, that side's cleared product is zero:
+        # it has no row, not rows of explicit zeros.  The n = 1 factorization
+        # reaches such points for every kind
+        lhs, rhs = _factorization_factors(kind, 2, 1)
+        v = _verify_product_identity(lhs, rhs)
+        assert v["holds"] and v == full_row_grid_proof(lhs, rhs)
+
+    def test_a_scale_that_vanishes_at_the_first_point(self):
+        # x y = 1 with x = 1 / (u1 + h) and y = u1 + h: the rhs scale is
+        # u1 + h, 0 at the first grid point, where the cleared lhs is 0 too
+        x = one_entry(RatFunc.one() / (U1 + H))
+        y = one_entry(U1 + H)
+        one = one_entry(RatFunc.one())
+        v = _verify_product_identity([x, y], [one])
+        assert v["holds"] and v["gridSize"] > 1 and v == full_row_grid_proof([x, y], [one])
 
     def test_each_distinct_entry_is_evaluated_once_per_point(self, monkeypatch):
         # embed_on_slots shares one RatFunc among many entries and factors
@@ -334,8 +348,10 @@ class TestGridEngine:
         assert calls and len(calls) == len(set(calls))
         assert len(calls) <= len(distinct) * v["gridSize"]
 
-    def test_cleared_rows_are_integers_over_the_lcm(self):
-        # four denominators at the point: u1 - 7 -> -4, u1 + u2 -> 5, 3 and 6
+    def test_cleared_rows_are_the_values_times_d(self):
+        # value = v(x) * D(x) for every entry v, with D = c * prod den the
+        # factor's common denominator; D vanishes at (h, u1, u2) = (1, 7, 2)
+        # and at (1, 3, -3), and the cleared rows are integers there too
         labels = [1, 2]
         m = LabeledMatrix(labels, labels, {
             (1, 1): parse_ratfunc("h / (u1 - 7)"),
@@ -343,28 +359,29 @@ class TestGridEngine:
             (2, 1): parse_ratfunc("u1 / 3"),
             (2, 2): RatFunc.const(Fraction(-5, 6)),
         })
-        point = {"h": 1, "u1": 3, "u2": 2}
-        values = m.eval_entries(point)
-        assert all(type(x) is Fraction for x in values.values())
-        assert values[(0, 0)] == Fraction(-1, 4)
-        cleared = _clear_at({id(m): {id(v): v for v in m.entries.values()}}, point)
-        ints, big = cleared[id(m)]
-        assert big == 60
-        assert all(type(n) is int for n in ints.values())
-        assert {k: Fraction(ints[id(v)], big) for k, v in m.entries.items()} == values
+        read = _read_factors([m])
+        (f,) = read.values()
+        assert f.c == 6
+        d = Poly.const(f.c)
+        for p, e in f.den.items():
+            d = d * p ** e
         index = {id(m): _row_index(m)}
-        product = _product_rows([m, m, m], range(len(labels)), index, cleared)
-        scale = big ** 3
-        assert all(type(n) is int for row in product.values() for n in row.values())
-        expected = (m * m * m).eval_entries(point)
-        assert {(i, j): Fraction(n, scale) for i, row in product.items() for j, n in row.items()} == {
-            k: x for k, x in expected.items() if x
-        }
-
-    def test_cleared_rows_raise_on_a_pole(self):
-        m = one_entry(parse_ratfunc("h / (u1 - 7)"))
-        with pytest.raises(ZeroDivisionError):
-            _clear_at({id(m): {id(v): v for v in m.entries.values()}}, {"h": 1, "u1": 7})
+        for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
+            cleared = _clear_at(read, point, {})
+            values = cleared[id(m)]
+            assert all(type(n) is int for n in values.values())
+            product = _product_rows([m, m, m], range(len(labels)), index, cleared)
+            assert all(type(n) is int for row in product.values() for n in row.values())
+            dx = d.subs(point)
+            if not dx:
+                continue
+            assert {k: values[id(v)] for k, v in m.entries.items()} == {
+                k: x * dx for k, x in m.eval_entries(point).items()
+            }
+            assert {(i, j): n for i, row in product.items() for j, n in row.items()} == {
+                k: x * dx ** 3 for k, x in (m * m * m).eval_entries(point).items() if x
+            }
+        assert d.subs({"h": 1, "u1": 7, "u2": 2}) == d.subs({"h": 1, "u1": 3, "u2": -3}) == 0
 
     def test_eval_at_an_integer_point_is_a_fraction(self):
         point = {"h": 1, "u": 4, "u1": 3, "u2": 2}
@@ -376,10 +393,12 @@ class TestGridEngine:
         assert type(Poly.var("u1").subs({**point, "u1": Fraction(3)})) is Fraction
 
 
-# full multipoint verdicts.  holds and every counterexample field were pinned
-# while the grid engine multiplied matrices of Fractions; gridSize,
-# degreeBounds and detail are those of the bound with the table forms the two
-# sides' denominators share cancelled.  The verdicts must match byte for byte.
+# full multipoint verdicts.  holds and every passing field were pinned while
+# the grid engine multiplied matrices of Fractions; gridSize, degreeBounds and
+# detail are those of the bound with the table forms the two sides'
+# denominators share cancelled.  A failing verdict's point is on the grid
+# {0, ..., bound}, and its lhs and rhs are the two cleared sides' integers
+# there.  The verdicts must match byte for byte.
 MULTIPOINT_VERDICTS = {
     "ybe-l3": (
         lambda: check_ybe(3, mode="multipoint"),
@@ -394,12 +413,10 @@ MULTIPOINT_VERDICTS = {
         lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"),
         {
             "identity": "reflection", "l": 2, "holds": False, "mode": "multipoint",
-            "detail": "product mismatch at grid point {h=1, u1=97, u2=10201}",
-            "gridSize": 1, "degreeBounds": {"u1": 3, "u2": 3},
+            "detail": "product mismatch at grid point {h=1, u1=0, u2=1}",
+            "gridSize": 2, "degreeBounds": {"u1": 3, "u2": 3},
             "counterexample": {
-                "row": [1, 1], "col": [1, 2],
-                "lhs": "19975772056/413974940182245", "rhs": "2018408/40975446915",
-                "point": "{h=1, u1=97, u2=10201}",
+                "row": [1, 1], "col": [1, 2], "lhs": "-4", "rhs": "0", "point": "{h=1, u1=0, u2=1}",
             },
             "kind": "flagMinus", "boundary": "oppositePlacement",
         },
@@ -408,12 +425,10 @@ MULTIPOINT_VERDICTS = {
         lambda: check_reflection("spInstanton", 3, mode="multipoint"),
         {
             "identity": "reflection", "l": 3, "holds": False, "mode": "multipoint",
-            "detail": "product mismatch at grid point {h=1, u1=97, u2=10201}",
-            "gridSize": 1, "degreeBounds": {"u1": 3, "u2": 3},
+            "detail": "product mismatch at grid point {h=1, u1=0, u2=1}",
+            "gridSize": 2, "degreeBounds": {"u1": 3, "u2": 3},
             "counterexample": {
-                "row": [1, 1], "col": [1, 2],
-                "lhs": "-158596830238/3320533881616289", "rhs": "-372662/7643444341",
-                "point": "{h=1, u1=97, u2=10201}",
+                "row": [1, 1], "col": [1, 2], "lhs": "40", "rhs": "0", "point": "{h=1, u1=0, u2=1}",
             },
             "kind": "spInstanton", "boundary": "standard",
         },
@@ -911,7 +926,7 @@ GRID_PROOF_PINS = {
         {"u1": 3, "u2": 3}, {"h": 4, "u1": 3, "u2": 3},
     ),
     "reflection-flagMinus-l2-oppositePlacement": (
-        lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"), 1,
+        lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"), 2,
         {"u1": 3, "u2": 3}, {"h": 4, "u1": 3, "u2": 3},
     ),
 }
@@ -998,7 +1013,7 @@ class TestDegreeBounds:
         # fourth and last, which the bound of 3 puts on the grid
         u1 = RatFunc.var("u1")
         k = one_entry(RatFunc.one() / (u1 - RatFunc.one()))
-        xs = _grid(_read_factors([k]).values(), {"u1": 3})["u1"]
+        xs = range(4)
         num = RatFunc.one()
         for x in xs[:-1]:
             num = num * (u1 - RatFunc.const(x))
@@ -1011,8 +1026,10 @@ class TestDegreeBounds:
     def test_bounds_that_cancel_to_zero_keep_their_variables(self):
         # the sides share every denominator form, so every bound is 0 and
         # every variable of the factors, h included, stays on the grid with
-        # one point, at which a constant multiple is refuted.  Each linear
-        # denominator is divided out on its own, so both are table forms
+        # one point, 0.  Both entries have a pole there, and a constant
+        # multiple is still refuted, since the engine compares the cleared
+        # sides.  Each linear denominator is divided out on its own, so both
+        # are table forms
         den = RatFunc.one() / (U1 - U2) / (U1 + H)
         m = one_entry(den)
         v = _grid_proof([m], [m])
@@ -1021,7 +1038,7 @@ class TestDegreeBounds:
         twice = one_entry(den * RatFunc.const(2))
         w = _grid_proof([m], [twice])
         assert not w["holds"] and w["gridSize"] == 1
-        assert w["counterexample"]["point"] == "{h=97, u1=10201, u2=1092727}"
+        assert w["counterexample"]["point"] == "{h=0, u1=0, u2=0}"
 
     def test_bounds_do_not_depend_on_what_the_process_ran_before(self):
         # the denominator (U1 - U2)(U1 + H) is one residual in a fresh
@@ -1200,8 +1217,7 @@ class TestOrbitReduction:
         # engine that kept those transpositions would find the two sides equal
         factors = {id(m): m for m in (*lhs, *rhs)}
         index = {k: _row_index(m) for k, m in factors.items()}
-        distinct = {k: {id(x): x for x in m.entries.values()} for k, m in factors.items()}
-        cleared = _clear_at(distinct, {"h": 1, "u1": 97, "u2": 10201})
+        cleared = _clear_at(_read_factors(factors.values()), {"h": 1, "u1": 2, "u2": 3}, {})
         assert _product_rows(lhs, reps, index, cleared) == _product_rows(rhs, reps, index, cleared)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
