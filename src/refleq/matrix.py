@@ -12,7 +12,7 @@ identity on the others.  It keys each placed entry by index arithmetic
 tuple and shared, and the placement records the matrix it places.  Work
 that depends only on the entry values, or on the label symmetry, reads that
 operator instead of the placement: the symmetry search below, the clearing
-of the symbolic prover and the factor reads of the grid engine.
+of the symbolic prover and the factor reads of the multipoint engine.
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  verify_identity, the symbolic prover, does not:
@@ -23,8 +23,8 @@ never runs Henrici's sum or the trial-division screen, and it reduces only
 the entry that a failing verdict prints (see "identity verification" below).
 Its verdict is a dict so callers can log what was checked; a failing verdict
 carries a "counterexample" with the first mismatching entry in sorted order
-and the canonical form of both values.  Grid proofs, which never form a
-product of polynomials, also work on factor lists, use the same orbit
+and the canonical form of both values.  Multipoint proofs, which never form
+a product of polynomials, also work on factor lists, use the same orbit
 reduction, tested on each placement's operator, and live in relations
 (_verify_product_identity).
 """
@@ -65,10 +65,16 @@ class LabeledMatrix:
     rkmat builders share theirs, and an edit makes a new matrix.  A placement
     (embed_on_slots) records in operator the matrix it places, by reference,
     so that the provers read entry values and test label symmetries on it
-    instead of the placement; every other matrix holds None there.
+    instead of the placement, and in offsets where it places it: (rows,
+    cols, digits), with rows[i] and cols[j] the index offsets of the
+    operator's row i and column j, and digits the (stride, size) of each
+    slot it acts on.  The operator part of a row index r is then the sum of
+    (r // stride % size) * stride, which is rows[i] for one operator row i,
+    and the rest of r is the offset of the other slots, shared by the row's
+    columns.  Every other matrix holds None in both.
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "operator")
+    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets")
 
     def __new__(cls, row_labels, col_labels, entries=()):
         rows = tuple(row_labels)
@@ -85,7 +91,7 @@ class LabeledMatrix:
         )
 
     @classmethod
-    def _indexed(cls, row_labels, col_labels, entries, operator=None):
+    def _indexed(cls, row_labels, col_labels, entries, operator=None, offsets=None):
         """A matrix on label tuples already checked, with entries a dict
         keyed by index pairs that holds no zero and that nothing else
         writes."""
@@ -94,6 +100,7 @@ class LabeledMatrix:
         object.__setattr__(m, "col_labels", col_labels)
         object.__setattr__(m, "entries", types.MappingProxyType(entries))
         object.__setattr__(m, "operator", operator)
+        object.__setattr__(m, "offsets", offsets)
         return m
 
     def __setattr__(self, name, *value):
@@ -185,15 +192,16 @@ class LabeledMatrix:
 @functools.cache
 def _tensor_labels(slots):
     """The labels of the tensor product of slots, a tuple of label tuples,
-    in row-major order, and per slot {label: offset}: a full label's index
-    is the sum of its parts' offsets, each part's index in its slot times
-    the slot's stride (mixed radix, the last slot fastest).  Built once per
-    slot tuple, shared by every placement on it and read-only."""
+    in row-major order, per slot {label: offset} and the slots' strides: a
+    full label's index is the sum of its parts' offsets, each part's index
+    in its slot times the slot's stride (mixed radix, the last slot
+    fastest).  Built once per slot tuple, shared by every placement on it
+    and read-only."""
     if any(len(set(s)) != len(s) for s in slots):
         raise ValueError("duplicate row labels")
-    strides = [math.prod(map(len, slots[k + 1:])) for k in range(len(slots))]
+    strides = tuple(math.prod(map(len, slots[k + 1:])) for k in range(len(slots)))
     offsets = [{x: i * stride for i, x in enumerate(s)} for s, stride in zip(slots, strides)]
-    return tuple(itertools.product(*slots)), offsets
+    return tuple(itertools.product(*slots)), offsets, strides
 
 
 def embed_on_slots(mat, positions, slot_labels):
@@ -207,10 +215,10 @@ def embed_on_slots(mat, positions, slot_labels):
     entry keys are index sums: a label of mat contributes its parts'
     offsets on the positions, and each assignment of the other slots one
     more offset.  The result records mat itself as the operator it places,
-    a placement included, unless an empty slot among the others leaves
-    nothing placed.
+    a placement included, and those offsets (LabeledMatrix), unless an
+    empty slot among the others leaves nothing placed.
     """
-    tensor, slot_offsets = _tensor_labels(tuple(map(tuple, slot_labels)))
+    tensor, slot_offsets, strides = _tensor_labels(tuple(map(tuple, slot_labels)))
     positions = tuple(positions)
     n = len(slot_offsets)
     if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
@@ -227,7 +235,7 @@ def embed_on_slots(mat, positions, slot_labels):
                 out.append(sum(map(operator.getitem, on, parts)))
             except KeyError:
                 raise ValueError(f"label {lab!r} is not on slots {positions}") from None
-        return out
+        return tuple(out)
 
     rows = offsets(mat.row_labels)
     cols = rows if mat.col_labels is mat.row_labels else offsets(mat.col_labels)
@@ -240,7 +248,10 @@ def embed_on_slots(mat, positions, slot_labels):
         r, c = rows[i], cols[j]
         for o in rest:
             entries[r + o, c + o] = v
-    return LabeledMatrix._indexed(tensor, tensor, entries, mat if rest else None)
+    if not rest:
+        return LabeledMatrix._indexed(tensor, tensor, entries)
+    digits = tuple((strides[p], len(slot_offsets[p])) for p in positions)
+    return LabeledMatrix._indexed(tensor, tensor, entries, mat, (rows, cols, digits))
 
 
 def swap_conjugate(mat):

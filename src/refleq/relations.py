@@ -19,7 +19,8 @@ matrices over the rational-function field:
 
 Every check returns a plain-dict verdict with at least the keys "identity",
 "l", "holds", "mode" and "detail"; failing checks also carry a
-"counterexample" with the first mismatching entry and both values.  Verdicts
+"counterexample" with the first mismatching entry and both values (in
+multipoint mode, a monomial and its two coefficients).  Verdicts
 are JSON-serializable so the CLI can emit them unchanged.
 
 Each check states its identity as two ordered factor lists, lhs and rhs, and
@@ -28,17 +29,19 @@ factor of its denominators once, multiplies the polynomial matrices and
 compares lhs * prod(D_rhs) with rhs * prod(D_lhs), with the part the two
 share divided out; it never evaluates at a point, and it reduces only the
 entry that a failing verdict prints.  The multipoint mode never forms the
-products: _verify_product_identity, the one grid-proof engine, reads each
+products: _verify_product_identity, the one multipoint engine, reads each
 factor once, on the operator a placement places (matrix.embed_on_slots),
-into its denominator map (_read_factor) and degrees.  Clearing the
-difference by the maps' products, with the part the two sides share
-cancelled once, gives a polynomial matrix and bounds its degree in every
-variable of the factors (the bound may be 0).  The engine evaluates that
-polynomial, not the factors: at each point of the grid {0, ..., bound} per
-variable it takes every factor times the product D of its map, entry by
-entry as a polynomial (_clear_at), so no point is a pole, and compares lhs *
-prod(D_rhs) with rhs * prod(D_lhs), shared part cancelled, exactly in
-integers.  Agreement on the whole grid is a proof, not a sample.  Both
+into its denominator map, degrees, rows and height (_read_factor).
+Clearing the difference by the maps' products, with the part the two sides
+share cancelled once, gives a polynomial matrix and bounds its degree in
+every variable of the factors (the bound may be 0); the heights bound its
+coefficients.  The engine evaluates that polynomial, not the factors, at
+one integer point, the Kronecker point of those bounds: it takes every
+factor times the product D of its map, entry by entry as a polynomial
+(_clear_at), so a pole is no concern, and compares lhs * prod(D_rhs) with
+rhs * prod(D_lhs), shared part cancelled, exactly in integers.  At that
+point a polynomial within the bounds is the integer whose digits are its
+coefficients, so agreement there is a proof, not a sample.  Both
 provers multiply only one row per orbit of the label
 permutations that every factor commutes with (matrix._orbit_representatives):
 Yang's R commutes with g (x) g, the cross factors with the permutations that
@@ -54,12 +57,11 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import operator
 import os
 
-from .field import NVARS, U, U1, U2, U3, U4, VARS, poly_div_exact, poly_gcd
+from .field import NVARS, U, U1, U2, U3, U4, VARS, _format_mono, poly_div_exact, poly_gcd
 from .matrix import (
     LabeledMatrix,
     _label_mismatch,
@@ -143,7 +145,8 @@ def _prove(lhs, rhs, mode="symbolic"):
     """Prove that the products of two ordered factor lists agree.
 
     Symbolic mode hands the lists to the fraction-free product comparison
-    (matrix.verify_identity); multipoint mode hands them to the grid proof.
+    (matrix.verify_identity); multipoint mode hands them to the proof at one
+    Kronecker point (_verify_product_identity).
     """
     if mode == "symbolic":
         return verify_identity(lhs, rhs)
@@ -160,15 +163,26 @@ def _verdict(identity, l, cmp, **extra):
 # multipoint product verification
 
 
-_Factor = collections.namedtuple("_Factor", "entries homogeneous c den num_degree den_degree")
+_Factor = collections.namedtuple("_Factor", "entries homogeneous c den num_degree den_degree rows height")
+
+
+def _norm(p):
+    """||p||_1, the sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p.terms.values()))
+
+
+def _den_norm(den):
+    """A bound on ||prod p^e||_1 over the map den: ||.||_1 is
+    submultiplicative."""
+    return math.prod(_norm(p) ** e for p, e in den.items())
 
 
 def _read_factor(mat):
-    """What the grid proof needs of mat, from one pass over its entries: its
-    distinct entries, whether each is homogeneous of degree zero jointly in
-    all variables, its content c and denominator map den and, per variable
-    in VARS order, the degree of D and the largest degree of an entry times
-    D.
+    """What the multipoint proof needs of mat, from one pass over its
+    entries: its distinct entries, whether each is homogeneous of degree
+    zero jointly in all variables, its content c and denominator map den,
+    per variable in VARS order the degree of D and the largest degree of an
+    entry times D, its stored entries by row and its height.
 
     den is a Counter {Poly: exponent}, the shape of matrix._Cleared.den:
     each table form of the entry denominators (den_factors) at its largest
@@ -178,12 +192,15 @@ def _read_factor(mat):
     m), where v * D = v.num * k * prod p^e over m: k = c // c_v, m holds
     each form at E - e_v where that is positive, and L / r_v at 1 (L itself
     when v has no residual r_v).  That is matrix._clear's formula, left
-    unexpanded."""
-    distinct = {}
+    unexpanded.  rows is {row: [(col, id(entry))]}, and height is the
+    largest row sum of ||v.num||_1 * k * prod ||p||_1^e over m, a bound on
+    every row sum of ||v * D||_1."""
+    distinct, rows = {}, {}
     homogeneous = True
     excess = None  # per variable, the largest deg num - deg den of an entry
     den, residuals = collections.Counter(), {}
-    for val in mat.entries.values():
+    for (i, j), val in mat.entries.items():
+        rows.setdefault(i, []).append((j, id(val)))
         if id(val) in distinct:
             continue
         entry_excess = [n - d for n, d in zip(map(max, zip(*val.num.terms)), map(max, zip(*val.den.terms)))]
@@ -199,12 +216,13 @@ def _read_factor(mat):
     for r in residuals:
         lcm = r if lcm is None else lcm * poly_div_exact(r, poly_gcd(lcm, r))
     c = math.lcm(*(c_v for _, c_v, _, _ in distinct.values()))
-    entries = {}
+    entries, norms = {}, {}
     for key, (val, c_v, forms, r) in distinct.items():
         m = {p: e - forms.get(p, 0) for p, e in den.items() if e > forms.get(p, 0)}
         if lcm is not None:
             m[lcm if r is None else poly_div_exact(lcm, r)] = 1
         entries[key] = (val, c // c_v, m)
+        norms[key] = _norm(val.num) * (c // c_v) * _den_norm(m)
     if lcm is not None:
         den[lcm] = 1
     den_degree = (0,) * NVARS
@@ -212,7 +230,8 @@ def _read_factor(mat):
         # a nonzero Poly's degree in each variable, in VARS order
         den_degree = tuple(d + e * x for d, x in zip(den_degree, map(max, zip(*p.terms))))
     num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
-    return _Factor(entries, homogeneous, c, den, num_degree, den_degree)
+    height = max((sum(norms[eid] for _, eid in row) for row in rows.values()), default=0)
+    return _Factor(entries, homogeneous, c, den, num_degree, den_degree, rows, height)
 
 
 def _read_factors(mats):
@@ -235,7 +254,8 @@ def _product_degree_bounds(lhs_factors, rhs_factors, read):
     to the least of its exponents in the two sides' maps (lden & rden, as in
     matrix.verify_identity), divides both, so (lhs - rhs) prod(D_lhs)
     prod(D_rhs) / G is a polynomial matrix of degree deg_v G less.  It is
-    the difference the grid engine evaluates (_verify_product_identity).
+    the difference the multipoint engine evaluates (_verify_product_identity),
+    and each of its two terms has the same bound.
     """
     sides = []
     for factors in (lhs_factors, rhs_factors):
@@ -251,12 +271,31 @@ def _product_degree_bounds(lhs_factors, rhs_factors, read):
     }
 
 
-def _row_index(mat):
-    """mat's stored entries as {row: [(col, id(entry))]}."""
-    rows = {}
-    for (i, j), v in mat.entries.items():
-        rows.setdefault(i, []).append((j, id(v)))
-    return rows
+class _Rows(dict):
+    """A factor's stored entries by row, {row: [(col, id(entry))]}, from
+    rows, those of the operator it places (_read_factor); a row with no
+    entry reads as ().  A placement's row is made on its first read: row r
+    has operator part rows[i] and shift o = r - rows[i] (LabeledMatrix
+    offsets), and it holds (cols[j] + o, id) for each (j, id) of the
+    operator's row i, so no placement is indexed at full size."""
+
+    __slots__ = ("rows", "row_of", "cols", "digits")
+
+    def __init__(self, mat, rows):
+        if mat.offsets is None:
+            super().__init__(rows)
+            self.digits = None
+        else:
+            offsets, self.cols, self.digits = mat.offsets
+            self.rows, self.row_of = rows, {x: i for i, x in enumerate(offsets)}
+
+    def __missing__(self, r):
+        if self.digits is None:
+            return ()
+        base = sum(r // stride % size * stride for stride, size in self.digits)
+        o = r - base
+        row = self[r] = [(self.cols[j] + o, eid) for j, eid in self.rows.get(self.row_of.get(base), ())]
+        return row
 
 
 def _den_at(den, assignment, memo):
@@ -291,7 +330,7 @@ def _product_rows(factors, rows, index, cleared):
     """The given rows of the product of the cleared factors, {row: {col:
     int}} with no zero entry and no empty row.  Each row is carried left to
     right through the factors and reads only the factor rows it reaches;
-    index is _row_index and cleared is _clear_at, keyed by id(factor)."""
+    index is _Rows and cleared is _clear_at, keyed by id(factor)."""
     out = {}
     for i in rows:
         acc = {i: 1}
@@ -299,7 +338,7 @@ def _product_rows(factors, rows, index, cleared):
             mat_rows, values = index[id(mat)], cleared[id(mat)]
             nxt = {}
             for k, a in acc.items():
-                for j, eid in mat_rows.get(k, ()):
+                for j, eid in mat_rows[k]:
                     c = values[eid]
                     if c:
                         nxt[j] = nxt.get(j, 0) + a * c
@@ -309,27 +348,48 @@ def _product_rows(factors, rows, index, cleared):
     return out
 
 
+def _digit(x, shift, width):
+    """The digit at bit shift (a multiple of width) of x written in balanced
+    base 2^width, every digit below 2^(width - 1) in absolute value: those
+    digits are unique, and the lower ones sum to the residue of x mod
+    2^shift of least absolute value."""
+    half = 1 << shift >> 1
+    low = ((x + half) & ((1 << shift) - 1)) - half
+    top = 1 << width - 1
+    return ((((x - low) >> shift) + top) & ((1 << width) - 1)) - top
+
+
 def _verify_product_identity(lhs_factors, rhs_factors):
-    """Grid proof that two ordered matrix products agree, factor by factor.
+    """Proof at one integer point that two ordered matrix products agree,
+    factor by factor.
 
     The labels are checked as in the symbolic prover (matrix._label_mismatch).
     Each side's product P of the factors f * D_f (_read_factor) is a
     polynomial matrix.  With each side's contents and maps summed, g =
     gcd(lc, rc) and G = lden & rden, the scales s_lhs = (rc // g) prod(rden
     - G) and s_rhs = (lc // g) prod(lden - G) make P_lhs s_lhs - P_rhs s_rhs
-    the polynomial matrix that _product_degree_bounds bounds by d_v.  It is
-    evaluated in integers on the grid {0, ..., d_v}, where a factor may have
-    a pole.  A polynomial of degree at most d_v in each variable that
-    vanishes on a product of d_v + 1 values per variable is zero (Alon,
-    Combin. Probab. Comput. 8 (1999), Lemma 2.1).  When every factor entry
+    the polynomial matrix that _product_degree_bounds bounds by d_v, and
+    each of its two terms has degree at most d_v too.  ||.||_1 is
+    submultiplicative, so no coefficient of either term exceeds H = sum over
+    the sides of ||s||_1 prod height_f (_read_factor), each factor's largest
+    row sum of entry norms.  With K = bit_length(H) + 2, every coefficient
+    of either term and of their difference is below 2^(K - 1) in absolute
+    value, so a polynomial's value at the Kronecker point u_v = 2^(K s_v),
+    s_v = prod (d_w + 1) over the variables w before v, holds its
+    coefficients as balanced base-2^K digits, one per monomial (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 3rd ed., 8.4): the
+    difference vanishes exactly when its value there does.  Both terms are
+    evaluated there in integers, by the factor values v.num * k * prod p^e
+    (_clear_at), so a factor's pole is no concern.  When every factor entry
     is homogeneous of degree zero, the difference is homogeneous, so h = 1
-    is a faithful slice and h leaves the grid.
+    is a faithful slice and h leaves the point.
 
     Only one row per orbit of the label symmetry every factor has is
     multiplied (matrix._orbit_representatives, which gives the soundness
-    argument): the least differing entry at the first differing point lies
-    in a representative row.  It is the counterexample, with the two
-    cleared sides' integers there.
+    argument): the least entry in which the two terms differ lies in a
+    representative row.  It is the counterexample, with the least monomial
+    (later variables dominating, as in the point) whose two coefficients
+    differ, and those coefficients, read off the digits.
     """
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
@@ -340,7 +400,7 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
         del bounds["h"]
-    index = {key: _row_index(mat) for key, mat in factors.items()}
+    index = {key: _Rows(mat, read[key].rows) for key, mat in factors.items()}
     reps = _orbit_representatives(list(factors.values()))
     sides = (lhs_factors, rhs_factors)
     (lc, lden), (rc, rden) = (
@@ -349,54 +409,57 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     )
     g, shared = math.gcd(lc, rc), lden & rden
     scales = ((rc // g, rden - shared), (lc // g, lden - shared))
-    for n_points, combo in enumerate(itertools.product(*(range(b + 1) for b in bounds.values())), 1):
-        assignment = dict(zip(bounds, combo))
-        assignment.setdefault("h", 1)
-        # embed_on_slots shares one RatFunc among many entries and factors,
-        # and one key among many maps: each is evaluated once per point
-        memo = {}
-        cleared = _clear_at(read, assignment, memo)
-        lhs, rhs = (
-            _scaled(_product_rows(side, reps, index, cleared), k * _den_at(den, assignment, memo))
-            for side, (k, den) in zip(sides, scales)
-        )
-        if lhs == rhs:
-            continue
-        flat = ({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs))
-        i, j = first_difference(*flat)
-        return {
-            "holds": False,
-            "mode": "multipoint",
-            "detail": f"product mismatch at grid point {_point_str(assignment)}",
-            "gridSize": n_points,
-            "degreeBounds": bounds,
-            "counterexample": {
-                "row": _label_to_json(lhs_factors[0].row_labels[i]),
-                "col": _label_to_json(lhs_factors[-1].col_labels[j]),
-                "lhs": str(lhs.get(i, {}).get(j, 0)),
-                "rhs": str(rhs.get(i, {}).get(j, 0)),
-                "point": _point_str(assignment),
-            },
-        }
+    height = sum(
+        k * _den_norm(den) * math.prod(read[id(mat)].height for mat in side) for side, (k, den) in zip(sides, scales)
+    )
+    width = height.bit_length() + 2
+    point, size = {"h": 1}, 1
+    for v, d in bounds.items():
+        point[v] = 1 << width * size
+        size *= d + 1
+    # embed_on_slots shares one RatFunc among many entries and factors, and
+    # one key among many maps: each is evaluated once
+    memo = {}
+    cleared = _clear_at(read, point, memo)
+    lhs, rhs = (
+        _scaled(_product_rows(side, reps, index, cleared), k * _den_at(den, point, memo))
+        for side, (k, den) in zip(sides, scales)
+    )
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
+    where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"
+    if lhs == rhs:
+        return {"holds": True, "mode": "multipoint", "detail": f"cleared sides agree at {where}", "gridSize": 1,
+                "degreeBounds": bounds}
+    flat = ({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs))
+    i, j = first_difference(*flat)
+    x, y = lhs.get(i, {}).get(j, 0), rhs.get(i, {}).get(j, 0)
+    # the lowest digit of x - y is the first in which x and y differ
+    shift = ((x - y) & (y - x)).bit_length() - 1
+    shift -= shift % width
+    position, exps = shift // width, dict.fromkeys(VARS, 0)
+    for v, d in bounds.items():
+        position, exps[v] = divmod(position, d + 1)
     return {
-        "holds": True,
+        "holds": False,
         "mode": "multipoint",
-        "detail": f"products agree on the full grid ({n_points} points, bounds {bounds}){slice_note}",
-        "gridSize": n_points,
+        "detail": f"cleared sides differ at {where}",
+        "gridSize": 1,
         "degreeBounds": bounds,
+        "counterexample": {
+            "row": _label_to_json(lhs_factors[0].row_labels[i]),
+            "col": _label_to_json(lhs_factors[-1].col_labels[j]),
+            "monomial": _format_mono(tuple(exps.values())) or "1",
+            "lhs": str(_digit(x, shift, width)),
+            "rhs": str(_digit(y, shift, width)),
+        },
     }
 
 
 def _scaled(rows, s):
-    """rows times the integer s; a zero scale leaves no row."""
-    if s == 0:
-        return {}
+    """rows times the integer s, a scale's value at the Kronecker point.  A
+    scale is a nonzero polynomial within the bounds, and below the height
+    when its side has a row, so s is not 0 there."""
     return rows if s == 1 else {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
-
-
-def _point_str(assignment):
-    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +570,8 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard"):
     rejected opposite-placement variant that this identity is expected to
     rule out.  Both modes hand the factor lists to a prover (_prove):
     symbolic mode multiplies polynomial matrices, and multipoint mode
-    evaluates the factors on the grid and never forms a product of
-    polynomials.
+    evaluates the cleared factors at one Kronecker point and never forms a
+    product of polynomials.
     """
     cmp = _prove(*_reflection_factors(kind, l, boundary=boundary), mode)
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)

@@ -17,8 +17,8 @@ The builders of single R- and K-matrices and of the chain operators are
 memoized per argument tuple (RatFunc hashing and equality are canonical), so
 a process builds each operator once.  A builder's result is shared by every
 caller, as a LabeledMatrix is a read-only value.  Each builder constructs
-its matrix once, with one object per distinct entry value, since the grid
-engine evaluates each distinct object once per point.
+its matrix once, with one object per distinct entry value, since the
+multipoint engine evaluates each distinct object once.
 monodromy_t, twisted_monodromy and s_matrix take the sites us as any
 sequence and key their cache on it as a tuple.
 """

@@ -26,7 +26,12 @@ The library never calls these.
                               for matrix.verify_identity
   full_row_grid_proof         the grid proof with every row of both products
                               multiplied at every point, the reference for
+                              the holds and degreeBounds of
                               relations._verify_product_identity
+  polynomial_counterexample   a failing multipoint counterexample read off
+                              the cleared sides expanded as polynomials, the
+                              replay of those that
+                              relations._verify_product_identity prints
   charge_pair_counts_by_nodes condition_met called at every node against
                               every other row, the reference for
                               tableaux.charge_pair_counts
@@ -52,11 +57,11 @@ import math
 import operator
 
 from refleq.dynkin import adjacency, cartan_matrix
-from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, format_ratfunc, poly_div_exact
+from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, _format_mono, format_ratfunc, poly_div_exact
 from refleq.kclass import GenericityError, QLaurent, q_integer
 from refleq.matrix import LabeledMatrix, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
-from refleq.relations import _point_str, _product_degree_bounds, _read_factors
+from refleq.relations import _product_degree_bounds, _read_factors
 from refleq.tableaux import _fold_pairs, condition_met
 
 # ---------------------------------------------------------------------------
@@ -391,15 +396,37 @@ def _product_at_point(factors, cleared, scale, assignment):
     return {i: {j: v * s for j, v in row.items()} for i, row in rows.items()} if s else {}
 
 
+def _point_str(assignment):
+    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
+
+
+def _cleared_sides(lhs_factors, rhs_factors, read):
+    """Each factor f cleared by D_f = c_f * prod den_f entry by entry, as
+    (D_f / v.den) * v.num, keyed by id(f) (_cleared_polys), and the two
+    sides' scales: each the other side's D product over the part the two
+    share, expanded as one Poly; read is relations._read_factors."""
+    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
+    cleared = {key: _cleared_polys(mat, _expand(read[key].c, read[key].den)) for key, mat in factors.items()}
+    (lc, lden), (rc, rden) = (
+        (math.prod(read[id(mat)].c for mat in side), sum((read[id(mat)].den for mat in side), collections.Counter()))
+        for side in (lhs_factors, rhs_factors)
+    )
+    g, shared = math.gcd(lc, rc), lden & rden
+    return cleared, (_expand(rc // g, rden - shared), _expand(lc // g, lden - shared))
+
+
 def full_row_grid_proof(lhs_factors, rhs_factors):
-    """relations._verify_product_identity's verdict with both products
-    multiplied in full at every grid point: the same label checks, degree
-    bounds and grid {0, ..., bound} per variable; each factor f cleared by
-    D_f = c_f * prod den_f entry by entry, as (D_f / v.den) * v.num; each
-    side scaled by the other side's D product over the part the two share,
-    expanded as one Poly; every row of every integer product; and the
+    """The grid proof of two factor lists, with both products multiplied in
+    full at every grid point, the reference for the holds and degreeBounds
+    of relations._verify_product_identity: the same label checks and degree
+    bounds, and the grid {0, ..., bound} per variable (h = 1 when it leaves
+    the bounds); each factor cleared and each side scaled as in
+    _cleared_sides; every row of every integer product; and the
     counterexample at the least differing entry of the first point where the
-    scaled products differ."""
+    scaled products differ.  A polynomial of degree at most d_v in each
+    variable that vanishes on a product of d_v + 1 values per variable is
+    zero (Alon, Combin. Probab. Comput. 8 (1999), Lemma 2.1), so agreement
+    on the whole grid is a proof."""
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
         return mismatch
@@ -408,14 +435,7 @@ def full_row_grid_proof(lhs_factors, rhs_factors):
     drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
     if drop_h:
         del bounds["h"]
-    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
-    cleared = {key: _cleared_polys(mat, _expand(read[key].c, read[key].den)) for key, mat in factors.items()}
-    (lc, lden), (rc, rden) = (
-        (math.prod(read[id(mat)].c for mat in side), sum((read[id(mat)].den for mat in side), collections.Counter()))
-        for side in (lhs_factors, rhs_factors)
-    )
-    g, shared = math.gcd(lc, rc), lden & rden
-    lhs_scale, rhs_scale = _expand(rc // g, rden - shared), _expand(lc // g, lden - shared)
+    cleared, (lhs_scale, rhs_scale) = _cleared_sides(lhs_factors, rhs_factors, read)
     n_points = 0
     for combo in itertools.product(*(range(b + 1) for b in bounds.values())):
         assignment = dict(zip(bounds, combo))
@@ -447,6 +467,51 @@ def full_row_grid_proof(lhs_factors, rhs_factors):
         "detail": f"products agree on the full grid ({n_points} points, bounds {bounds}){slice_note}",
         "gridSize": n_points,
         "degreeBounds": bounds,
+    }
+
+
+def _at_h1(p):
+    """p with h = 1."""
+    out = {}
+    for e, c in p.terms.items():
+        key = (0, *e[1:])
+        out[key] = out.get(key, 0) + c
+    return Poly(out)
+
+
+def polynomial_counterexample(lhs_factors, rhs_factors, verdict):
+    """A failing multipoint verdict's counterexample, recomputed in its row
+    from the two cleared sides expanded as polynomials (_cleared_sides),
+    with h = 1 when the verdict's bounds leave h out: the least column where
+    they differ and, in that entry, the least monomial whose two
+    coefficients differ, later variables dominating, with both
+    coefficients."""
+    read = _read_factors([*lhs_factors, *rhs_factors])
+    cleared, scales = _cleared_sides(lhs_factors, rhs_factors, read)
+    row = verdict["counterexample"]["row"]
+    i = [_label_to_json(lab) for lab in lhs_factors[0].row_labels].index(row)
+    sides = []
+    for factors, scale in zip((lhs_factors, rhs_factors), scales):
+        acc = {i: scale}
+        for mat in factors:
+            nxt = {}
+            for (r, c), p in cleared[id(mat)].items():
+                if r in acc:
+                    nxt[c] = nxt.get(c, Poly()) + acc[r] * p
+            acc = nxt
+        if "h" not in verdict["degreeBounds"]:
+            acc = {c: _at_h1(p) for c, p in acc.items()}
+        sides.append(acc)
+    lhs, rhs = sides
+    j = min(c for c in lhs.keys() | rhs.keys() if lhs.get(c, Poly()) != rhs.get(c, Poly()))
+    a, b = lhs.get(j, Poly()), rhs.get(j, Poly())
+    e = min((e for e in a.terms.keys() | b.terms.keys() if a.terms.get(e) != b.terms.get(e)), key=lambda e: e[::-1])
+    return {
+        "row": row,
+        "col": _label_to_json(lhs_factors[-1].col_labels[j]),
+        "monomial": _format_mono(e) or "1",
+        "lhs": str(a.terms.get(e, 0)),
+        "rhs": str(b.terms.get(e, 0)),
     }
 
 

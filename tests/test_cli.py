@@ -97,10 +97,11 @@ class TestEnvelope:
 
 
 # stdout of these commands, wallTimeMs removed, as written before the grid
-# engine built its grid from a root bound instead of a pole scan; the failing
-# multipoint verdict was rewritten when the engine came to evaluate the cleared
-# polynomials on the grid {0, ..., bound}, and its counterexample gives the two
-# cleared sides' integers there
+# engine built its grid from a root bound instead of a pole scan; the
+# multipoint verdicts were rewritten when the engine came to evaluate the
+# cleared sides at one Kronecker point, whose K and size in bits the detail
+# names, and the failing one's counterexample gives a monomial and its two
+# coefficients in the cleared sides
 STDOUT_DIR = Path(__file__).parent / "cli_stdout"
 STDOUT_CASES = {
     "verify-suite-all": (["verify", "--suite", "all"], 0),

@@ -4,6 +4,7 @@ import collections
 import concurrent.futures
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -23,8 +24,9 @@ from oracles import (
     full_size_orbit_representatives,
     linear_combination,
     parse_ratfunc,
+    polynomial_counterexample,
 )
-from refleq import field, matrix, relations
+from refleq import acceptance, field, matrix, relations
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import LabeledMatrix, _label_to_json, _orbit_representatives, embed_on_slots, verify_identity
 from refleq.relations import (
@@ -41,7 +43,7 @@ from refleq.relations import (
     _prove,
     _read_factors,
     _reflection_factors,
-    _row_index,
+    _Rows,
     _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
@@ -79,11 +81,28 @@ CANONICAL_PRODUCTS = json.loads((Path(__file__).parent / "products_canonical.jso
 
 
 def _grid_proof(lhs, rhs):
-    """The grid proof's verdict on two factor lists, held to the verdict of
-    oracles.full_row_grid_proof, which multiplies every row at every point."""
+    """The multipoint verdict on two factor lists, held to
+    oracles.full_row_grid_proof, which multiplies every row at every point
+    of the grid: the same holds and degreeBounds.  A failing verdict names
+    the least entry whose cleared polynomials differ, so it comes no later
+    than the entry the grid finds at its first differing point, and its
+    counterexample replays on the expanded cleared sides
+    (oracles.polynomial_counterexample)."""
     v = _verify_product_identity(lhs, rhs)
-    assert v == full_row_grid_proof(lhs, rhs)
+    grid = full_row_grid_proof(lhs, rhs)
+    assert (v["holds"], v.get("degreeBounds")) == (grid["holds"], grid.get("degreeBounds"))
+    if "counterexample" in v:
+        rows = [_label_to_json(lab) for lab in lhs[0].row_labels]
+        cols = [_label_to_json(lab) for lab in lhs[-1].col_labels]
+        at = lambda cex: (rows.index(cex["row"]), cols.index(cex["col"]))
+        assert at(v["counterexample"]) <= at(grid["counterexample"])
+        assert v["counterexample"] == polynomial_counterexample(lhs, rhs, v)
     return v
+
+
+def _assert_proved_alike(lhs, rhs):
+    """_grid_proof on two factor lists, with the symbolic prover's holds."""
+    assert _grid_proof(lhs, rhs)["holds"] == verify_identity(lhs, rhs)["holds"]
 
 
 @pytest.fixture(autouse=True)
@@ -149,8 +168,7 @@ class TestYangBaxter:
         assert not sym["holds"]
         assert "row" in sym["counterexample"] and "lhs" in sym["counterexample"]
         mp = _prove(*lists, mode="multipoint")
-        assert not mp["holds"]
-        assert "point" in mp["counterexample"]
+        assert not mp["holds"] and "monomial" in mp["counterexample"]
 
     def test_dimension_bound_is_the_only_size_limit(self):
         # l = 4 holds in both modes; l = 7 has tensor dimension 7^3 = 343
@@ -211,19 +229,25 @@ class TestGridEngine:
             assert "detail" in v
 
     def test_counterexample_is_the_least_differing_entry(self):
-        # the lhs is scaled by b's denominator u1 + h, so at the first grid
-        # point, h = u1 = 0, both cleared sides vanish; at the second, h = 0
-        # and u1 = 1, they differ in two entries, and both provers name the
-        # least (row, col), here labels ("b", "b")
+        # the lhs is scaled by b's denominator u1 + h, so the cleared sides
+        # are (u1 + h) I and (u1 + h) b: they differ in three entries, and
+        # both provers name the least (row, col), here labels ("b", "b"),
+        # where they hold u1 + h and 7 u1 + 7 h.  h comes before u1 at the
+        # point, so h is the least monomial whose coefficients differ.  On
+        # the grid, both sides vanish at the first point, h = u1 = 0, and
+        # differ in two entries at the second, h = 0 and u1 = 1
         labels = ["c", "b", "a"]
         ident = LabeledMatrix.identity(labels)
         ones = {(x, x): RatFunc.one() for x in labels}
         edits = {("a", "c"): U1 / (U1 + H), ("b", "a"): H, ("b", "b"): RatFunc.const(7)}
         b = LabeledMatrix(labels, labels, {**ones, **edits})
         v = _grid_proof([ident, ident], [b, ident])
-        assert not v["holds"] and v["gridSize"] == 2
+        assert not v["holds"] and v["gridSize"] == 1
         cex = v["counterexample"]
-        assert (cex["row"], cex["col"], cex["lhs"], cex["rhs"], cex["point"]) == ("b", "b", "1", "7", "{h=0, u1=1}")
+        assert cex == {"row": "b", "col": "b", "monomial": "h", "lhs": "1", "rhs": "7"}
+        grid = full_row_grid_proof([ident, ident], [b, ident])
+        assert grid["gridSize"] == 2
+        assert grid["counterexample"] == {"row": "b", "col": "b", "lhs": "1", "rhs": "7", "point": "{h=0, u1=1}"}
         sym = verify_identity([ident, ident], [b, ident])["counterexample"]
         assert (sym["row"], sym["col"]) == (cex["row"], cex["col"])
 
@@ -306,19 +330,20 @@ class TestGridEngine:
     def test_a_vanishing_scale_leaves_no_row(self, kind):
         # where a side's scale vanishes, that side's cleared product is zero:
         # it has no row, not rows of explicit zeros.  The n = 1 factorization
-        # reaches such points for every kind
+        # reaches such points of the oracle's grid for every kind
         lhs, rhs = _factorization_factors(kind, 2, 1)
-        v = _verify_product_identity(lhs, rhs)
-        assert v["holds"] and v == full_row_grid_proof(lhs, rhs)
+        assert _grid_proof(lhs, rhs)["holds"]
 
     def test_a_scale_that_vanishes_at_the_first_point(self):
         # x y = 1 with x = 1 / (u1 + h) and y = u1 + h: the rhs scale is
-        # u1 + h, 0 at the first grid point, where the cleared lhs is 0 too
+        # u1 + h, 0 at the first grid point, where the cleared lhs is 0 too,
+        # so the grid goes on; the Kronecker point is no such point
         x = one_entry(RatFunc.one() / (U1 + H))
         y = one_entry(U1 + H)
         one = one_entry(RatFunc.one())
-        v = _verify_product_identity([x, y], [one])
-        assert v["holds"] and v["gridSize"] > 1 and v == full_row_grid_proof([x, y], [one])
+        v = _grid_proof([x, y], [one])
+        assert v["holds"] and v["gridSize"] == 1
+        assert full_row_grid_proof([x, y], [one])["gridSize"] > 1
 
     def test_each_distinct_entry_is_evaluated_once_per_point(self, monkeypatch):
         # embed_on_slots shares one RatFunc among many entries and factors
@@ -365,7 +390,7 @@ class TestGridEngine:
         d = Poly.const(f.c)
         for p, e in f.den.items():
             d = d * p ** e
-        index = {id(m): _row_index(m)}
+        index = {id(m): _Rows(m, f.rows)}
         for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
             cleared = _clear_at(read, point, {})
             values = cleared[id(m)]
@@ -393,31 +418,31 @@ class TestGridEngine:
         assert type(Poly.var("u1").subs({**point, "u1": Fraction(3)})) is Fraction
 
 
-# full multipoint verdicts.  holds and every passing field were pinned while
-# the grid engine multiplied matrices of Fractions; gridSize, degreeBounds and
-# detail are those of the bound with the table forms the two sides'
-# denominators share cancelled.  A failing verdict's point is on the grid
-# {0, ..., bound}, and its lhs and rhs are the two cleared sides' integers
-# there.  The verdicts must match byte for byte.
+# full multipoint verdicts.  holds was pinned while the grid engine
+# multiplied matrices of Fractions; degreeBounds is the bound with the table
+# forms the two sides' denominators share cancelled.  The proof evaluates at
+# one Kronecker point, whose K and size in bits the detail names.  A failing
+# verdict's counterexample is a monomial of the least differing entry and its
+# two coefficients in the cleared sides.  The verdicts must match byte for
+# byte.
 MULTIPOINT_VERDICTS = {
     "ybe-l3": (
         lambda: check_ybe(3, mode="multipoint"),
         {
             "identity": "yangBaxter", "l": 3, "holds": True, "mode": "multipoint",
-            "detail": "products agree on the full grid (9 points, bounds {'u1': 2, 'u2': 2}) "
+            "detail": "cleared sides agree at the Kronecker point (K = 7, 63 bits, bounds {'u1': 2, 'u2': 2}) "
                       "on the h = 1 slice (degree-zero homogeneous factors)",
-            "gridSize": 9, "degreeBounds": {"u1": 2, "u2": 2}, "family": "chain",
+            "gridSize": 1, "degreeBounds": {"u1": 2, "u2": 2}, "family": "chain",
         },
     ),
     "reflection-flagMinus-l2-oppositePlacement": (
         lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"),
         {
             "identity": "reflection", "l": 2, "holds": False, "mode": "multipoint",
-            "detail": "product mismatch at grid point {h=1, u1=0, u2=1}",
-            "gridSize": 2, "degreeBounds": {"u1": 3, "u2": 3},
-            "counterexample": {
-                "row": [1, 1], "col": [1, 2], "lhs": "-4", "rhs": "0", "point": "{h=1, u1=0, u2=1}",
-            },
+            "detail": "cleared sides differ at the Kronecker point (K = 10, 160 bits, bounds {'u1': 3, 'u2': 3}) "
+                      "on the h = 1 slice (degree-zero homogeneous factors)",
+            "gridSize": 1, "degreeBounds": {"u1": 3, "u2": 3},
+            "counterexample": {"row": [1, 1], "col": [1, 2], "monomial": "u1^2", "lhs": "0", "rhs": "-4"},
             "kind": "flagMinus", "boundary": "oppositePlacement",
         },
     ),
@@ -425,11 +450,10 @@ MULTIPOINT_VERDICTS = {
         lambda: check_reflection("spInstanton", 3, mode="multipoint"),
         {
             "identity": "reflection", "l": 3, "holds": False, "mode": "multipoint",
-            "detail": "product mismatch at grid point {h=1, u1=0, u2=1}",
-            "gridSize": 2, "degreeBounds": {"u1": 3, "u2": 3},
-            "counterexample": {
-                "row": [1, 1], "col": [1, 2], "lhs": "40", "rhs": "0", "point": "{h=1, u1=0, u2=1}",
-            },
+            "detail": "cleared sides differ at the Kronecker point (K = 15, 240 bits, bounds {'u1': 3, 'u2': 3}) "
+                      "on the h = 1 slice (degree-zero homogeneous factors)",
+            "gridSize": 1, "degreeBounds": {"u1": 3, "u2": 3},
+            "counterexample": {"row": [1, 1], "col": [1, 2], "monomial": "u1", "lhs": "6", "rhs": "14"},
             "kind": "spInstanton", "boundary": "standard",
         },
     ),
@@ -907,26 +931,26 @@ class TestFractionFreeProver:
 
 
 # the grid-proof workload of the benchmark, with the table forms the two
-# sides' denominators share cancelled from the cleared difference: (check,
-# gridSize, degreeBounds of the verdict, _product_degree_bounds over every
-# variable of the factors, h included)
+# sides' denominators share cancelled from the cleared difference: (check, K
+# of its Kronecker point, degreeBounds of the verdict, _product_degree_bounds
+# over every variable of the factors, h included).  Every proof evaluates at
+# one point, so its gridSize is 1
 GRID_PROOF_PINS = {
-    "ybe-l5": (lambda: check_ybe(5, mode="multipoint"), 9, {"u1": 2, "u2": 2}, {"h": 3, "u1": 2, "u2": 2}),
-    "ybe-l6": (lambda: check_ybe(6, mode="multipoint"), 9, {"u1": 2, "u2": 2}, {"h": 3, "u1": 2, "u2": 2}),
+    "ybe-l5": (lambda: check_ybe(5, mode="multipoint"), 7, {"u1": 2, "u2": 2}, {"h": 3, "u1": 2, "u2": 2}),
+    "ybe-l6": (lambda: check_ybe(6, mode="multipoint"), 7, {"u1": 2, "u2": 2}, {"h": 3, "u1": 2, "u2": 2}),
     **{
         f"reflection-{kind}-l{l}": (
-            lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint"), 9,
+            lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint"), width,
             {"u1": 2, "u2": 2}, {"h": 2, "u1": 2, "u2": 2},
         )
-        for kind in ("flagPlus", "soInstanton")
-        for l in (2, 3)
+        for kind, l, width in (("flagPlus", 2, 7), ("flagPlus", 3, 7), ("soInstanton", 2, 7), ("soInstanton", 3, 8))
     },
     "reflection-flagMinus-l2": (
-        lambda: check_reflection("flagMinus", 2, mode="multipoint"), 16,
+        lambda: check_reflection("flagMinus", 2, mode="multipoint"), 10,
         {"u1": 3, "u2": 3}, {"h": 4, "u1": 3, "u2": 3},
     ),
     "reflection-flagMinus-l2-oppositePlacement": (
-        lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"), 2,
+        lambda: check_reflection("flagMinus", 2, mode="multipoint", boundary="oppositePlacement"), 10,
         {"u1": 3, "u2": 3}, {"h": 4, "u1": 3, "u2": 3},
     ),
 }
@@ -988,9 +1012,11 @@ def _assert_bounds_cover_cleared_products(lhs, rhs):
 class TestDegreeBounds:
     @pytest.mark.parametrize("name", sorted(GRID_PROOF_PINS))
     def test_grid_proofs_keep_their_pinned_bounds(self, name, monkeypatch):
-        run, grid_size, bounds, all_bounds = GRID_PROOF_PINS[name]
+        run, width, bounds, all_bounds = GRID_PROOF_PINS[name]
         v = run()
-        assert (v["gridSize"], v["degreeBounds"]) == (grid_size, bounds)
+        assert (v["gridSize"], v["degreeBounds"]) == (1, bounds)
+        bits = width * math.prod(d + 1 for d in bounds.values())
+        assert f"the Kronecker point (K = {width}, {bits} bits, bounds {bounds})" in v["detail"]
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
         assert _product_degree_bounds(lhs, rhs, _read_factors([*lhs, *rhs])) == all_bounds
 
@@ -1009,8 +1035,11 @@ class TestDegreeBounds:
     def test_grid_is_not_one_point_short(self):
         # the sides share k's form u1 - 1 twice, so the cleared difference is
         # a's numerator minus 1, the product of u1 - x over the grid's first
-        # three points: it vanishes there, and the engine must refute at the
-        # fourth and last, which the bound of 3 puts on the grid
+        # three points: it vanishes there, and the grid oracle must refute at
+        # the fourth and last, which the bound of 3 puts on the grid.  The
+        # engine refutes at its one point: the difference is u1^3 - 3 u1^2 +
+        # 2 u1, and the sides' constant terms agree, so its least monomial
+        # is u1
         u1 = RatFunc.var("u1")
         k = one_entry(RatFunc.one() / (u1 - RatFunc.one()))
         xs = range(4)
@@ -1020,16 +1049,35 @@ class TestDegreeBounds:
         a = one_entry((num + RatFunc.one()) / (u1 - RatFunc.one()))
         v = _grid_proof([k, a], [k, k])
         assert v["degreeBounds"] == {"u1": 3}
-        assert not v["holds"] and v["gridSize"] == len(xs) == 4
-        assert v["counterexample"]["point"] == f"{{h=1, u1={xs[-1]}}}"
+        assert not v["holds"] and v["gridSize"] == 1
+        assert v["counterexample"] == {"row": 1, "col": 1, "monomial": "u1", "lhs": "2", "rhs": "0"}
+        grid = full_row_grid_proof([k, a], [k, k])
+        assert not grid["holds"] and grid["gridSize"] == len(xs) == 4
+        assert grid["counterexample"]["point"] == f"{{h=1, u1={xs[-1]}}}"
+
+    def test_the_height_bound_is_needed(self):
+        # the cleared difference u1 - 2^k vanishes at u1 = 2^k, the point
+        # that K = k would build; the sides' heights 1 and 2^k give H = 1 +
+        # 2^k and K = k + 3, where the engine must refute, at the constant
+        # term
+        k = 12
+        lhs, rhs = one_entry(U1), one_entry(RatFunc.const(2 ** k))
+        read = _read_factors([lhs, rhs])
+        index = {id(m): _Rows(m, read[id(m)].rows) for m in (lhs, rhs)}
+        cleared = _clear_at(read, {"h": 1, "u1": 1 << k}, {})
+        assert _product_rows([lhs], [0], index, cleared) == _product_rows([rhs], [0], index, cleared)
+        v = _grid_proof([lhs], [rhs])
+        assert not v["holds"] and v["degreeBounds"] == {"u1": 1}
+        assert v["detail"] == f"cleared sides differ at the Kronecker point (K = {k + 3}, {2 * (k + 3)} bits, bounds {{'u1': 1}})"
+        assert v["counterexample"] == {"row": 1, "col": 1, "monomial": "1", "lhs": "0", "rhs": str(2 ** k)}
 
     def test_bounds_that_cancel_to_zero_keep_their_variables(self):
         # the sides share every denominator form, so every bound is 0 and
-        # every variable of the factors, h included, stays on the grid with
-        # one point, 0.  Both entries have a pole there, and a constant
-        # multiple is still refuted, since the engine compares the cleared
-        # sides.  Each linear denominator is divided out on its own, so both
-        # are table forms
+        # every variable of the factors, h included, stays on the point, and
+        # on the oracle's grid with one point, 0.  Both entries have a pole
+        # there, and a constant multiple is still refuted, since both compare
+        # the cleared sides.  Each linear denominator is divided out on its
+        # own, so both are table forms
         den = RatFunc.one() / (U1 - U2) / (U1 + H)
         m = one_entry(den)
         v = _grid_proof([m], [m])
@@ -1038,7 +1086,8 @@ class TestDegreeBounds:
         twice = one_entry(den * RatFunc.const(2))
         w = _grid_proof([m], [twice])
         assert not w["holds"] and w["gridSize"] == 1
-        assert w["counterexample"]["point"] == "{h=0, u1=0, u2=0}"
+        assert w["counterexample"] == {"row": 1, "col": 1, "monomial": "1", "lhs": "-1", "rhs": "-2"}
+        assert full_row_grid_proof([m], [twice])["counterexample"]["point"] == "{h=0, u1=0, u2=0}"
 
     def test_bounds_do_not_depend_on_what_the_process_ran_before(self):
         # the denominator (U1 - U2)(U1 + H) is one residual in a fresh
@@ -1103,10 +1152,12 @@ def _ybe_factors(l):
 
 
 class TestOrbitReduction:
-    """The grid proof multiplies one row per orbit of the label symmetry
-    that every factor has; oracles.full_row_grid_proof multiplies every row
-    at every point.  Their verdicts must agree key by key and string by
-    string."""
+    """The multipoint proof multiplies one row per orbit of the label
+    symmetry that every factor has; oracles.full_row_grid_proof multiplies
+    every row at every point of the grid.  They must give the same holds
+    and degreeBounds, a failing proof's counterexample must replay on the
+    expanded cleared sides (oracles.polynomial_counterexample), and holds
+    must be the symbolic prover's."""
 
     ORACLE_CASES = {
         **{f"verdict-{name}": run for name, (run, _) in MULTIPOINT_VERDICTS.items()},
@@ -1127,10 +1178,25 @@ class TestOrbitReduction:
         lists = _factor_lists(monkeypatch, self.ORACLE_CASES[name])
         assert lists
         for lhs, rhs in lists:
-            v = _verify_product_identity(lhs, rhs)
-            assert v == full_row_grid_proof(lhs, rhs)
+            _assert_proved_alike(lhs, rhs)
             if "spInstanton-l" in name:
+                v = _verify_product_identity(lhs, rhs)
                 assert not v["holds"] and "counterexample" in v
+
+    @pytest.mark.parametrize("source", ["suite-all", "acceptance"])
+    def test_every_suite_and_acceptance_list_is_proved_alike(self, source, monkeypatch):
+        if source == "suite-all":
+            runs = [lambda: run_suite("all")]
+        else:
+            items = (
+                acceptance._R_MATRIX_IDENTITIES + acceptance._REFLECTION_EQUATION
+                + acceptance._MONODROMY_EXCHANGE + acceptance._BOUNDARY_OPERATOR
+            )
+            runs = [lambda it=it: run_suite_item(dict(it)) for it in items]
+        lists = [pair for run in runs for pair in _factor_lists(monkeypatch, run)]
+        assert lists
+        for lhs, rhs in lists:
+            _assert_proved_alike(lhs, rhs)
 
     @pytest.mark.parametrize(
         "build,count",
@@ -1167,8 +1233,8 @@ class TestOrbitReduction:
 
         monkeypatch.setattr(relations, "_product_rows", counting)
         v = check_ybe(l, mode="multipoint")
-        assert v["holds"] and v["gridSize"] == 9
-        assert counts == [5] * (2 * v["gridSize"])
+        assert v["holds"] and v["gridSize"] == 1
+        assert counts == [5, 5]
 
     FAILING_GRID_PROOFS = {
         "chainReflection-spInstanton-l5-n1": lambda: check_chain_reflection("spInstanton", 5, n=1),
@@ -1193,7 +1259,21 @@ class TestOrbitReduction:
         v = _verify_product_identity(lhs, rhs)
         assert not v["holds"] and "counterexample" in v
         assert len(reps) < len(lhs[0].row_labels)
-        assert calls == [reps] * (2 * v["gridSize"])
+        assert calls == [reps, reps]
+
+    REPLAYED_PROOFS = {
+        **FAILING_GRID_PROOFS,
+        "reflection-spInstanton-l3": lambda: check_reflection("spInstanton", 3, mode="multipoint"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPLAYED_PROOFS))
+    def test_a_failing_proof_replays_without_the_engine(self, name, monkeypatch):
+        # the printed monomial's two coefficients in the printed entry of the
+        # two cleared sides, expanded as polynomials by the oracle
+        ((lhs, rhs),) = _factor_lists(monkeypatch, self.REPLAYED_PROOFS[name])
+        v = _verify_product_identity(lhs, rhs)
+        assert not v["holds"]
+        assert v["counterexample"] == polynomial_counterexample(lhs, rhs, v)
 
     # R12's entry at rows (2, 3, 2) -> (3, 2, 2); that row lies outside the
     # representatives (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)
@@ -1209,15 +1289,15 @@ class TestOrbitReduction:
         # every transposition of sites moves the planted entry to a key that
         # still holds the old value, so the engine must drop all three
         assert _orbit_representatives([planted, r13, r23]) == list(range(27))
-        v = _verify_product_identity(lhs, rhs)
+        v = _grid_proof(lhs, rhs)
         assert not v["holds"]
-        assert v == full_row_grid_proof(lhs, rhs)
         assert not verify_identity(lhs, rhs)["holds"]
         # the rows of the unplanted symmetry never reach the planted row: an
         # engine that kept those transpositions would find the two sides equal
         factors = {id(m): m for m in (*lhs, *rhs)}
-        index = {k: _row_index(m) for k, m in factors.items()}
-        cleared = _clear_at(_read_factors(factors.values()), {"h": 1, "u1": 2, "u2": 3}, {})
+        read = _read_factors(factors.values())
+        index = {k: _Rows(m, read[k].rows) for k, m in factors.items()}
+        cleared = _clear_at(read, {"h": 1, "u1": 2, "u2": 3}, {})
         assert _product_rows(lhs, reps, index, cleared) == _product_rows(rhs, reps, index, cleared)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
@@ -1239,9 +1319,8 @@ class TestOrbitReduction:
         lhs, rhs = [planted, r13, r23], [r23, r13, planted]
         assert _orbit_representatives([planted, r13, r23]) == reps
         rep_labels = [_label_to_json(r12.row_labels[i]) for i in reps]
-        sym, grid = verify_identity(lhs, rhs), _verify_product_identity(lhs, rhs)
+        sym, grid = verify_identity(lhs, rhs), _grid_proof(lhs, rhs)
         assert sym == fold_and_compare(lhs, rhs)
-        assert grid == full_row_grid_proof(lhs, rhs)
         for v in (sym, grid):
             assert not v["holds"] and v["counterexample"]["row"] in rep_labels
 
@@ -1255,8 +1334,8 @@ class TestOrbitReduction:
         lhs, rhs = [edit, r13, r23], [r23, r13, edit]
         reps = _orbit_representatives([*lhs, *rhs])
         assert list(reps) == full_size_orbit_representatives([*lhs, *rhs]) == list(range(27))
-        v = _verify_product_identity(lhs, rhs)
-        assert not v["holds"] and v == full_row_grid_proof(lhs, rhs)
+        v = _grid_proof(lhs, rhs)
+        assert not v["holds"]
         assert verify_identity(lhs, rhs) == fold_and_compare(lhs, rhs)
 
     def test_a_placement_of_a_narrower_placement_keeps_its_inner_slots(self):
@@ -1273,8 +1352,8 @@ class TestOrbitReduction:
         for lhs, rhs in (([p2], [q]), ([q, p2], [p2]), ([p2, p2], [q])):
             factors = [*lhs, *rhs]
             assert list(_orbit_representatives(factors)) == full_size_orbit_representatives(factors) == [0, 1, 2, 3]
-            sym, grid = verify_identity(lhs, rhs), _verify_product_identity(lhs, rhs)
-            assert sym == fold_and_compare(lhs, rhs) and grid == full_row_grid_proof(lhs, rhs)
+            sym, grid = verify_identity(lhs, rhs), _grid_proof(lhs, rhs)
+            assert sym == fold_and_compare(lhs, rhs)
             assert not sym["holds"] and not grid["holds"]
             assert sym["counterexample"]["row"] == grid["counterexample"]["row"] == [2, 1]
 
@@ -1408,7 +1487,7 @@ class TestBoundaryOperator:
 # for the same reason.
 _NO_INVERSE_GUARD = """
 import collections, json
-from refleq import field, matrix, relations
+from refleq import acceptance, field, matrix, relations
 from refleq.acceptance import run_acceptance
 from refleq.rkmat import KINDS
 
