@@ -7,12 +7,15 @@ the big tensor-product matrices in the relation checks are overwhelmingly
 sparse, and a matrix is a read-only value (LabeledMatrix).
 
 embed_on_slots places an operator on some tensor slots, extended by the
-identity on the others.  It keys each placed entry by index arithmetic
-(mixed-radix offsets over the slots), on label tuples built once per slot
-tuple and shared, and the placement records the matrix it places.  Work
-that depends only on the entry values, or on the label symmetry, reads that
-operator instead of the placement: the symmetry search below, the clearing
-of the symbolic prover and the factor reads of the multipoint engine.
+identity on the others.  A placement is a view: it records the matrix it
+places and where (mixed-radix offsets over the slots, on label tuples built
+once per slot tuple and shared), and it builds its full-size entry map only
+when something reads its entries.  Work that depends only on the entry
+values, or on the label symmetry, reads that operator instead of the
+placement, and keeps what it read on the operator (_kept): the symmetry
+verdicts of the search below, the clearing and packing of the symbolic
+prover and the factor reads of the multipoint engine.  Both provers read a
+placement's rows through one operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  verify_identity, the symbolic prover, does not:
@@ -25,8 +28,7 @@ Its verdict is a dict so callers can log what was checked; a failing verdict
 carries a "counterexample" with the first mismatching entry in sorted order
 and the canonical form of both values.  Multipoint proofs, which never form
 a product of polynomials, also work on factor lists, use the same orbit
-reduction, tested on each placement's operator, and live in relations
-(_verify_product_identity).
+reduction and row view, and live in relations (_verify_product_identity).
 """
 
 from __future__ import annotations
@@ -64,17 +66,33 @@ class LabeledMatrix:
     can be reassigned or deleted, so a matrix may be shared, as the memoized
     rkmat builders share theirs, and an edit makes a new matrix.  A placement
     (embed_on_slots) records in operator the matrix it places, by reference,
-    so that the provers read entry values and test label symmetries on it
-    instead of the placement, and in offsets where it places it: (rows,
-    cols, digits), with rows[i] and cols[j] the index offsets of the
-    operator's row i and column j, and digits the (stride, size) of each
-    slot it acts on.  The operator part of a row index r is then the sum of
-    (r // stride % size) * stride, which is rows[i] for one operator row i,
-    and the rest of r is the offset of the other slots, shared by the row's
-    columns.  Every other matrix holds None in both.
+    and in offsets where it places it: (rows, cols, digits), with rows[i] and
+    cols[j] the index offsets of the operator's row i and column j, and
+    digits the (stride, size) of each slot it acts on.  The operator part of
+    a row index r is then the sum of (r // stride % size) * stride, which is
+    rows[i] for one operator row i, and the rest of r is the offset of the
+    other slots, shared by the row's columns.  Every other matrix holds None
+    in both.
+
+    A placement's entries are built at full size on their first read
+    (_placed_entries) and kept, as RatFunc.den is.  The readers that build
+    them are the canonical product (rkmat.embedded_product and every other
+    use of *), ==, inverse, eval_entries and swap_conjugate, verify_identity
+    on a side of one factor, and, for a placement of a placement, the
+    provers' reads of its operator: the symmetry test, the multipoint read
+    and the clearing take the inner placement at its own size.  The provers
+    read every placement's rows through _Rows, at operator size.
+
+    Four private slots hold what a proof reads of a matrix, each filled on
+    first use by _kept and kept for the life of the matrix: _read, the
+    multipoint engine's read (relations._read_factor); _cleared, the
+    symbolic prover's (_clear); _packed, its rows packed per field width
+    (_packed_rows); and _symmetry, its verdict per site transposition
+    (_commutes_with).
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets")
+    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_read", "_cleared", "_packed",
+                 "_symmetry")
 
     def __new__(cls, row_labels, col_labels, entries=()):
         rows = tuple(row_labels)
@@ -94,14 +112,24 @@ class LabeledMatrix:
     def _indexed(cls, row_labels, col_labels, entries, operator=None, offsets=None):
         """A matrix on label tuples already checked, with entries a dict
         keyed by index pairs that holds no zero and that nothing else
-        writes."""
+        writes; a placement passes None, and its operator and offsets."""
         m = object.__new__(cls)
         object.__setattr__(m, "row_labels", row_labels)
         object.__setattr__(m, "col_labels", col_labels)
-        object.__setattr__(m, "entries", types.MappingProxyType(entries))
+        if entries is not None:
+            object.__setattr__(m, "entries", types.MappingProxyType(entries))
         object.__setattr__(m, "operator", operator)
         object.__setattr__(m, "offsets", offsets)
         return m
+
+    def __getattr__(self, name):
+        # only a placement's entries are computed here; the private slots
+        # are filled by _kept
+        if name != "entries":
+            raise AttributeError(name)
+        entries = types.MappingProxyType(_placed_entries(self))
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"LabeledMatrix is read-only: cannot set or delete {name!r}")
@@ -214,9 +242,14 @@ def embed_on_slots(mat, positions, slot_labels):
     full product with tuple labels and shares mat's entry values.  Its
     entry keys are index sums: a label of mat contributes its parts'
     offsets on the positions, and each assignment of the other slots one
-    more offset.  The result records mat itself as the operator it places,
-    a placement included, and those offsets (LabeledMatrix), unless an
-    empty slot among the others leaves nothing placed.
+    more offset.  The result is a view (LabeledMatrix): it records mat
+    itself as the operator it places, a placement included, and those
+    offsets, and it builds its entries only when they are read, by a
+    product, ==, inverse, eval_entries or swap_conjugate, by verify_identity
+    on a side of one factor, or by a prover reading it as the operator of a
+    placement of it; the provers read placements by row instead (_Rows).
+    An empty slot among the others leaves nothing placed and a plain empty
+    matrix.
     """
     tensor, slot_offsets, strides = _tensor_labels(tuple(map(tuple, slot_labels)))
     positions = tuple(positions)
@@ -239,19 +272,47 @@ def embed_on_slots(mat, positions, slot_labels):
 
     rows = offsets(mat.row_labels)
     cols = rows if mat.col_labels is mat.row_labels else offsets(mat.col_labels)
-    rest = [0]  # the offsets of the assignments of the other slots, in product order
-    for o, slot in enumerate(slot_offsets):
-        if o not in positions:
-            rest = [r + x for r in rest for x in slot.values()]
+    if any(not slot for o, slot in enumerate(slot_offsets) if o not in positions):
+        return LabeledMatrix._indexed(tensor, tensor, {})
+    digits = tuple((strides[p], len(slot_offsets[p])) for p in positions)
+    return LabeledMatrix._indexed(tensor, tensor, None, mat, (rows, cols, digits))
+
+
+def _placed_entries(mat):
+    """A placement's entries at full size: each entry of its operator at
+    every offset of the other slots, the indices whose digits on the
+    placed slots are 0, in the operator's entry order and then in
+    increasing offset."""
+    rows, cols, digits = mat.offsets
+    rest = [o for o in range(len(mat.row_labels)) if not any(o // stride % size for stride, size in digits)]
     entries = {}
-    for (i, j), v in mat.entries.items():
+    for (i, j), v in mat.operator.entries.items():
         r, c = rows[i], cols[j]
         for o in rest:
             entries[r + o, c + o] = v
-    if not rest:
-        return LabeledMatrix._indexed(tensor, tensor, entries)
-    digits = tuple((strides[p], len(slot_offsets[p])) for p in positions)
-    return LabeledMatrix._indexed(tensor, tensor, entries, mat, (rows, cols, digits))
+    return entries
+
+
+def _kept(mat, slot, make):
+    """The private slot of mat (LabeledMatrix), filled with make(mat) on its
+    first read and kept: a matrix is a value, so what a proof reads of it
+    is read once per process, however many proofs and placements share it.
+
+    A read that goes through den_factors (relations._read_factor, _clear)
+    splits each residual denominator over the forms interned when it runs,
+    and a form interned later may split it further.  The kept read stays
+    sound: its map, every table form at its largest exponent and the
+    residuals whole (or their lcm), is still a common multiple D of the
+    entry denominators, since a finer split changes how D is written, not
+    what it is a multiple of, and any nonzero common multiple keeps both
+    provers exact.  Only the degree bounds can read larger than a fresh
+    read's, where the other side's map holds the parts of a residual that
+    this map keeps whole, and a larger bound is still a bound."""
+    value = getattr(mat, slot, None)
+    if value is None:
+        value = make(mat)
+        object.__setattr__(mat, slot, value)
+    return value
 
 
 def swap_conjugate(mat):
@@ -276,7 +337,9 @@ def swap_conjugate(mat):
 # the scaled sides differ in the same entries as the canonical products, and
 # only the entry that a failing verdict prints is reduced.  Only one row per
 # orbit of the factors' common label symmetry is multiplied: the other rows
-# of the first factor never enter the chain (_orbit_representatives).
+# of the first factor never enter the chain (_orbit_representatives).  A
+# placement's rows are read off its operator's (_Rows), and each operator is
+# cleared once per process and packed once per field width (_kept).
 #
 # Inside a product a monomial is one int, its exponents packed into fields
 # wide enough for the product's total degree, so that multiplying two
@@ -302,7 +365,7 @@ def _expand(c, den, memo):
 _Cleared = collections.namedtuple("_Cleared", "c den entries degree")
 
 
-def _clear(mat, memo):
+def _clear(mat):
     """One factor cleared of its denominators: c * prod p^e over the Counter
     den is a common multiple D of its entry denominators, entries maps the id
     of each distinct entry v to the Poly v * D, and degree is the largest
@@ -318,6 +381,7 @@ def _clear(mat, memo):
         for p, e in vden.items():
             if e > den[p]:
                 den[p] = e
+    memo = {}
     entries = {
         key: v.num * _expand(c // vc, {p: e - vden.get(p, 0) for p, e in den.items() if e > vden.get(p, 0)}, memo)
         for key, (v, vc, vden) in dens.items()
@@ -336,17 +400,60 @@ def _unpack(terms, bits):
     return Poly({tuple(m >> (bits * i) & mask for i in range(NVARS)): c for m, c in terms.items()})
 
 
+def _packed_rows(mat, bits):
+    """mat's cleared entries (_clear, kept on mat) by row, {row: [(col,
+    packed terms)]}, bits bits per exponent; kept on mat per width, so each
+    distinct entry of an operator is packed once per width and process."""
+    tables = _kept(mat, "_packed", lambda m: {})
+    rows = tables.get(bits)
+    if rows is None:
+        packed = {key: _pack(p, bits) for key, p in _kept(mat, "_cleared", _clear).entries.items()}
+        rows = tables[bits] = {}
+        for (i, j), v in mat.entries.items():
+            rows.setdefault(i, []).append((j, packed[id(v)]))
+    return rows
+
+
+class _Rows(dict):
+    """A factor's stored entries by row, {row: [(col, x)]}, from rows, the
+    same table of the matrix itself or of the operator it places, at that
+    operator's size; a row with no entry reads as ().  Both provers read
+    every factor through this view: the multipoint engine with x the id of
+    an entry (relations._read_factor), the symbolic prover with x its
+    packed cleared terms (_packed_rows).  A placement's row is made on its
+    first read: row r has operator part rows[i] and shift o = r - rows[i]
+    (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each (j, x)
+    of the operator's row i, so a proof builds only the placement rows that
+    its representative rows reach, and no placement at full size."""
+
+    __slots__ = ("rows", "row_of", "cols", "digits")
+
+    def __init__(self, mat, rows):
+        if mat.offsets is None:
+            super().__init__(rows)
+            self.digits = None
+        else:
+            offsets, self.cols, self.digits = mat.offsets
+            self.rows, self.row_of = rows, {x: i for i, x in enumerate(offsets)}
+
+    def __missing__(self, r):
+        if self.digits is None:
+            return ()
+        base = sum(r // stride % size * stride for stride, size in self.digits)
+        o = r - base
+        row = self[r] = [(self.cols[j] + o, x) for j, x in self.rows.get(self.row_of.get(base), ())]
+        return row
+
+
 def _poly_matmul(a, b):
-    """a b for matrices {row: {col: packed terms}} with no zero entry; each
-    sum accumulates in a plain dict and is not normalized."""
+    """a b for a matrix {row: {col: packed terms}} and a row view b (_Rows,
+    or a dict that holds every column of a), with no zero entry; each sum
+    accumulates in a plain dict and is not normalized."""
     out = {}
     for i, arow in a.items():
         acc = {}
         for k, x in arow.items():
-            brow = b.get(k)
-            if brow is None:
-                continue
-            for j, y in brow.items():
+            for j, y in b[k]:
                 t = acc.get(j)
                 if t is None:
                     t = acc[j] = {}
@@ -364,23 +471,13 @@ def _poly_matmul(a, b):
     return out
 
 
-def _row_table(mat, packed):
-    """mat's stored entries as {row: {col: packed terms}} with no zero
-    entry; packed maps the id of each distinct entry to its cleared terms,
-    packed."""
-    rows = {}
-    for (i, j), v in mat.entries.items():
-        rows.setdefault(i, {})[j] = packed[id(v)]
-    return rows
-
-
-def _cleared_product(factors, tables, reps):
+def _cleared_product(factors, views, reps):
     """The rows reps of the product of the cleared factors as {row: {col:
     packed terms}}: only those rows of the first factor enter the chain.
-    tables maps the id of each factor to its _row_table."""
-    keep = set(reps)
-    first = {i: row for i, row in tables[id(factors[0])].items() if i in keep}
-    return functools.reduce(_poly_matmul, [tables[id(mat)] for mat in factors[1:]], first)
+    views maps the id of each factor to its _Rows of packed terms."""
+    first = views[id(factors[0])]
+    rows = {i: dict(first[i]) for i in reps if first[i]}
+    return functools.reduce(_poly_matmul, [views[id(mat)] for mat in factors[1:]], rows)
 
 
 def _scaled(rows, scale, bits):
@@ -388,7 +485,7 @@ def _scaled(rows, scale, bits):
     if scale == Poly.const(1):
         return rows
     t = _pack(scale, bits)
-    return _poly_matmul(rows, {j: {j: t} for row in rows.values() for j in row})
+    return _poly_matmul(rows, {j: [(j, t)] for row in rows.values() for j in row})
 
 
 def _entry_difference(lhs, rhs):
@@ -408,23 +505,20 @@ def _product_difference(lhs_factors, rhs_factors):
     reduced."""
     distinct = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
     reps = _orbit_representatives(list(distinct.values()))
-    memo = {}
     # clearing reads only the entry values, which a placement shares with
-    # the operator it places
-    cleared = {key: _clear(_operator(mat), memo) for key, mat in distinct.items()}
+    # the operator it places; each operator is cleared once per process
+    cleared = {key: _kept(_operator(mat), "_cleared", _clear) for key, mat in distinct.items()}
     sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
     (lc, lden), (rc, rden) = ((math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in sides)
     g, shared = math.gcd(lc, rc), lden & rden
+    memo = {}
     scales = (_expand(rc // g, rden - shared, memo), _expand(lc // g, lden - shared, memo))
     # no monomial of either scaled product has a larger total degree, so no
     # packed exponent overflows its field
     top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
     bits = max(1, top.bit_length())
-    # a factor both sides share is packed once, and its row table is built
-    # once for both
-    packed = {key: {k: _pack(p, bits) for k, p in x.entries.items()} for key, x in cleared.items()}
-    tables = {key: _row_table(mat, packed[key]) for key, mat in distinct.items()}
-    products = [_cleared_product(factors, tables, reps) for factors in (lhs_factors, rhs_factors)]
+    views = {key: _Rows(mat, _packed_rows(_operator(mat), bits)) for key, mat in distinct.items()}
+    products = [_cleared_product(factors, views, reps) for factors in (lhs_factors, rhs_factors)]
     scaled = [_scaled(rows, scale, bits) for rows, scale in zip(products, scales)]
     if scaled[0] == scaled[1]:
         return None
@@ -457,26 +551,68 @@ def _operator(mat):
     return mat if mat.operator is None else mat.operator
 
 
-def _label_parts(labels):
-    """Each label as its tuple of sites; a bare label is a 1-tuple."""
-    return [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
+class _Labels:
+    """What the symmetry search reads of one label tuple, built once per
+    tuple (_label_structure): parts, each label as its tuple of sites (a
+    bare label is a 1-tuple); sites, every site in order of first
+    appearance; slots, per site the slots whose site set holds it, or None
+    when the labels are not all of one length or not the product of their
+    slots' site sets, so a transposition maps every slot's site set to
+    itself exactly when it swaps two sites with the same slots; and what
+    the search fills in as it goes: index, {parts: index}, on the first
+    permutation; perms, the permutation of the labels by each transposition
+    (_permuted); and reps, the representatives of each partition of the
+    sites into components (_orbit_representatives)."""
+
+    __slots__ = ("parts", "sites", "slots", "index", "perms", "reps")
+
+    def __init__(self, labels):
+        self.parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
+        self.sites = list(dict.fromkeys(itertools.chain.from_iterable(self.parts)))
+        self.slots = None
+        if len(set(map(len, self.parts))) == 1:
+            per_slot = [set(column) for column in zip(*self.parts)]
+            if len(self.parts) == math.prod(map(len, per_slot)):
+                self.slots = {x: tuple(x in s for s in per_slot) for x in self.sites}
+        self.index, self.perms, self.reps = None, {}, {}
 
 
-def _permuted(parts, index, swap):
-    """The index of each label's image under the site map swap, for labels
-    given as _label_parts and their {parts: index}; None when an image is
-    no label."""
-    perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
-    return None if None in perm else perm
+_label_structure = functools.cache(_Labels)
 
 
-def _commutes(entries, rperm, cperm):
-    """Whether the entries hold at every permuted key the entry they hold at
-    the key, for row and column permutations from _permuted."""
-    if rperm is None or cperm is None:
-        return False
-    # dict equality takes e is v before e == v, value by value
-    return {(rperm[i], cperm[j]): v for (i, j), v in entries.items()} == entries
+def _permuted(shape, a, b):
+    """The index of each label's image under the transposition of sites a
+    and b, for a _label_structure, or None when an image is no label; kept
+    on the structure."""
+    perm = shape.perms.get((a, b), False)
+    if perm is False:
+        if shape.index is None:
+            shape.index = dict(zip(shape.parts, itertools.count()))
+        swap = {a: b, b: a}
+        perm = [shape.index.get(tuple([swap.get(x, x) for x in p])) for p in shape.parts]
+        perm = shape.perms[a, b] = None if None in perm else perm
+    return perm
+
+
+def _commutes_with(mat, a, b):
+    """Whether mat holds an equal entry at the image of every stored entry
+    (i, j) -> v under the transposition of sites a and b, and maps its row
+    and column labels to labels; decided once per matrix and pair, and kept
+    on mat (_kept)."""
+    verdicts = _kept(mat, "_symmetry", lambda m: {})
+    held = verdicts.get((a, b))
+    if held is None:
+        rows = _label_structure(mat.row_labels)
+        cols = rows if mat.col_labels is mat.row_labels else _label_structure(mat.col_labels)
+        rperm, cperm = _permuted(rows, a, b), _permuted(cols, a, b)
+        entries = mat.entries
+        # dict equality takes e is v before e == v, value by value
+        held = verdicts[a, b] = (
+            rperm is not None
+            and cperm is not None
+            and {(rperm[i], cperm[j]): v for (i, j), v in entries.items()} == entries
+        )
+    return held
 
 
 def _orbit_representatives(factors):
@@ -509,7 +645,11 @@ def _orbit_representatives(factors):
     Two labels lie in one orbit of that group exactly when they have the
     same pattern: per slot, the component of its site and the first slot
     that holds the same site.  A label set that is not such a product keeps
-    every row, which is the trivial group and sound.
+    every row, which is the trivial group and sound.  Whether a matrix
+    commutes with a transposition depends on that matrix alone, so each
+    verdict is kept on the matrix tested (_commutes_with), and the label
+    data and the representatives of each partition into components on the
+    label tuple (_label_structure).
 
     Both provers multiply only these rows, and this is why that is sound.
     Every factor commutes with the group G found here, and so do both
@@ -526,41 +666,31 @@ def _orbit_representatives(factors):
     labels = factors[0].row_labels
     if any(m.row_labels != labels or m.col_labels != labels for m in factors):
         return range(len(labels))
-    parts = _label_parts(labels)
-    if not parts or any(len(p) != len(parts[0]) for p in parts):
+    shape = _label_structure(labels)
+    if shape.slots is None:
         return range(len(labels))
-    sites = [set(column) for column in zip(*parts)]  # per slot
-    if len(labels) != math.prod(map(len, sites)):
-        return range(len(labels))
-    # each distinct operator, and each factor that places none at full size,
-    # with the numbers of its row and column label tuples; each distinct
-    # label tuple is permuted once per transposition
-    numbers = {}
-    tested = [
-        (m.entries, numbers.setdefault(m.row_labels, len(numbers)), numbers.setdefault(m.col_labels, len(numbers)))
-        for m in {id(m): m for m in map(_operator, factors)}.values()
-    ]
-    views = [(p, {x: i for i, x in enumerate(p)}) for p in map(_label_parts, numbers)]
-    root = {x: x for p in parts for x in p}  # site -> its parent in the components
+    # each distinct operator, and each factor that places none at full size
+    tested = {id(m): m for m in map(_operator, factors)}.values()
+    root = {x: x for x in shape.sites}  # site -> its parent in the components
 
     def find(x):
         while root[x] != x:
             x = root[x]
         return x
 
-    for a, b in itertools.combinations(root, 2):
+    for a, b in itertools.combinations(shape.sites, 2):
         ra, rb = find(a), find(b)
-        if ra == rb or any((a in s) != (b in s) for s in sites):
-            continue
-        swap = {a: b, b: a}
-        perms = [_permuted(p, index, swap) for p, index in views]
-        if all(_commutes(entries, perms[rows], perms[cols]) for entries, rows, cols in tested):
+        if ra != rb and shape.slots[a] == shape.slots[b] and all(_commutes_with(m, a, b) for m in tested):
             root[rb] = ra
-    component = {x: find(x) for x in root}
-    reps = {}
-    for i, p in enumerate(parts):
-        reps.setdefault((tuple(map(component.get, p)), tuple(map(p.index, p))), i)
-    return sorted(reps.values())
+    key = tuple(map(find, shape.sites))
+    reps = shape.reps.get(key)
+    if reps is None:
+        component = dict(zip(shape.sites, key))
+        first = {}
+        for i, p in enumerate(shape.parts):
+            first.setdefault((tuple(map(component.get, p)), tuple(map(p.index, p))), i)
+        reps = shape.reps[key] = sorted(first.values())
+    return reps
 
 
 def verify_identity(lhs_factors, rhs_factors):

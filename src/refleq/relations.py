@@ -30,8 +30,9 @@ compares lhs * prod(D_rhs) with rhs * prod(D_lhs), with the part the two
 share divided out; it never evaluates at a point, and it reduces only the
 entry that a failing verdict prints.  The multipoint mode never forms the
 products: _verify_product_identity, the one multipoint engine, reads each
-factor once, on the operator a placement places (matrix.embed_on_slots),
-into its denominator map, degrees, rows and height (_read_factor).
+factor on the operator a placement places (matrix.embed_on_slots), into its
+denominator map, degrees, rows and height (_read_factor), and keeps the
+read on that operator, so a process reads each operator once.
 Clearing the difference by the maps' products, with the part the two sides
 share cancelled once, gives a polynomial matrix and bounds its degree in
 every variable of the factors (the bound may be 0); the heights bound its
@@ -64,10 +65,12 @@ import os
 from .field import NVARS, U, U1, U2, U3, U4, VARS, _format_mono, poly_div_exact, poly_gcd
 from .matrix import (
     LabeledMatrix,
+    _kept,
     _label_mismatch,
     _label_to_json,
     _operator,
     _orbit_representatives,
+    _Rows,
     embed_on_slots,
     first_difference,
     swap_conjugate,
@@ -84,6 +87,7 @@ from .rkmat import (
     s_matrix,
     sigma_matrix,
     sigma_sigma_r,
+    sigma_sigma_r_flipped,
     site_labels,
     twisted_monodromy,
     yang_r,
@@ -225,20 +229,40 @@ def _read_factor(mat):
         norms[key] = _norm(val.num) * (c // c_v) * _den_norm(m)
     if lcm is not None:
         den[lcm] = 1
-    den_degree = (0,) * NVARS
-    for p, e in den.items():
-        # a nonzero Poly's degree in each variable, in VARS order
-        den_degree = tuple(d + e * x for d, x in zip(den_degree, map(max, zip(*p.terms))))
+    den_degree = _map_degree(den)
     num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
     height = max((sum(norms[eid] for _, eid in row) for row in rows.values()), default=0)
     return _Factor(entries, homogeneous, c, den, num_degree, den_degree, rows, height)
 
 
+def _map_degree(den):
+    """The degree of prod p^e over the map den in each variable, in VARS
+    order."""
+    degree = (0,) * NVARS
+    for p, e in den.items():
+        # a nonzero Poly's degree in each variable, in VARS order
+        degree = tuple(d + e * x for d, x in zip(degree, map(max, zip(*p.terms))))
+    return degree
+
+
+def _side_map(factors, read):
+    """A side's content and denominator map: the product of its factors'
+    contents and the sum of their maps (read is _read_factors)."""
+    c, den = 1, collections.Counter()
+    for mat in factors:
+        f = read[id(mat)]
+        c *= f.c
+        den.update(f.den)
+    return c, den
+
+
 def _read_factors(mats):
-    """id(factor) -> _Factor, each distinct factor read once.  The read
-    depends only on the entry values, which a placement shares with the
-    operator it places, so it reads that operator (matrix._operator)."""
-    return {key: _read_factor(_operator(mat)) for key, mat in {id(mat): mat for mat in mats}.items()}
+    """id(factor) -> _Factor for each distinct factor.  The read depends
+    only on the entry values, which a placement shares with the operator it
+    places, so it reads that operator (matrix._operator), once per process:
+    the read is kept on it (matrix._kept, which says why a kept read stays
+    sound)."""
+    return {key: _kept(_operator(mat), "_read", _read_factor) for key, mat in {id(mat): mat for mat in mats}.items()}
 
 
 def _product_degree_bounds(lhs_factors, rhs_factors, read):
@@ -261,41 +285,10 @@ def _product_degree_bounds(lhs_factors, rhs_factors, read):
     for factors in (lhs_factors, rhs_factors):
         num = [sum(col) for col in zip(*(read[id(mat)].num_degree for mat in factors))]
         deg = [sum(col) for col in zip(*(read[id(mat)].den_degree for mat in factors))]
-        sides.append((num, deg, sum((read[id(mat)].den for mat in factors), collections.Counter())))
+        sides.append((num, deg, _side_map(factors, read)[1]))
     (ln, ld, lden), (rn, rd, rden) = sides
-    common = lden & rden  # key -> min of its two exponents
-    return {
-        v: b - sum(e * p.degree(v) for p, e in common.items())
-        for i, v in enumerate(VARS)
-        if (b := max(ln[i] + rd[i], rn[i] + ld[i]))
-    }
-
-
-class _Rows(dict):
-    """A factor's stored entries by row, {row: [(col, id(entry))]}, from
-    rows, those of the operator it places (_read_factor); a row with no
-    entry reads as ().  A placement's row is made on its first read: row r
-    has operator part rows[i] and shift o = r - rows[i] (LabeledMatrix
-    offsets), and it holds (cols[j] + o, id) for each (j, id) of the
-    operator's row i, so no placement is indexed at full size."""
-
-    __slots__ = ("rows", "row_of", "cols", "digits")
-
-    def __init__(self, mat, rows):
-        if mat.offsets is None:
-            super().__init__(rows)
-            self.digits = None
-        else:
-            offsets, self.cols, self.digits = mat.offsets
-            self.rows, self.row_of = rows, {x: i for i, x in enumerate(offsets)}
-
-    def __missing__(self, r):
-        if self.digits is None:
-            return ()
-        base = sum(r // stride % size * stride for stride, size in self.digits)
-        o = r - base
-        row = self[r] = [(self.cols[j] + o, eid) for j, eid in self.rows.get(self.row_of.get(base), ())]
-        return row
+    cut = _map_degree(lden & rden)  # lden & rden: key -> min of its two exponents
+    return {v: b - cut[i] for i, v in enumerate(VARS) if (b := max(ln[i] + rd[i], rn[i] + ld[i]))}
 
 
 def _den_at(den, assignment, memo):
@@ -403,10 +396,7 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     index = {key: _Rows(mat, read[key].rows) for key, mat in factors.items()}
     reps = _orbit_representatives(list(factors.values()))
     sides = (lhs_factors, rhs_factors)
-    (lc, lden), (rc, rden) = (
-        (math.prod(read[id(mat)].c for mat in side), sum((read[id(mat)].den for mat in side), collections.Counter()))
-        for side in sides
-    )
+    (lc, lden), (rc, rden) = (_side_map(side, read) for side in sides)
     g, shared = math.gcd(lc, rc), lden & rden
     scales = ((rc // g, rden - shared), (lc // g, lden - shared))
     height = sum(
@@ -541,7 +531,7 @@ def _reflection_factors(kind, l, boundary="standard", n=0):
     x = U1 + U2
     d = U1 - U2
     lhs = [k2, on_aux(cross_r_flipped(kind, l, x)), k1, on_aux(yang_r(l, d))]
-    rhs = [on_aux(swap_conjugate(sigma_sigma_r(kind, l, d))), k1, on_aux(cross_r(kind, l, x)), k2]
+    rhs = [on_aux(sigma_sigma_r_flipped(kind, l, d)), k1, on_aux(cross_r(kind, l, x)), k2]
     return lhs, rhs
 
 

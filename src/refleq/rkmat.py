@@ -18,7 +18,15 @@ memoized per argument tuple (RatFunc hashing and equality are canonical), so
 a process builds each operator once.  A builder's result is shared by every
 caller, as a LabeledMatrix is a read-only value.  Each builder constructs
 its matrix once, with one object per distinct entry value, since the
-multipoint engine evaluates each distinct object once.
+multipoint engine evaluates each distinct object once.  Each operator also
+keeps what the provers read of it (matrix._kept): the multipoint read, the
+symbolic clearing and its packed rows per field width, and its verdict per
+site transposition.  So a process does that work once per operator, and
+a later proof, or another placement of the same operator, finds it done;
+cache_clear on a builder makes new operators, which read afresh.
+embedded_product multiplies placements, and the product reads each
+placement's full-size entries; those placement views are dropped with
+the product's other intermediates.
 monodromy_t, twisted_monodromy and s_matrix take the sites us as any
 sequence and key their cache on it as a tuple.
 """
@@ -184,6 +192,20 @@ def sigma_sigma_r(kind, l, u):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     return yang_r(l, u)
+
+
+def sigma_sigma_r_flipped(kind, l, u):
+    """The flipped-index variant P * sigma_sigma_r * P.  As sigma_sigma_r is
+    the plain Yangian R in every kind, one matrix per (l, u) serves every
+    kind."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _yang_r_flipped(l, u)
+
+
+@functools.cache
+def _yang_r_flipped(l, u):
+    return swap_conjugate(yang_r(l, u))
 
 
 def constant_term_matrix(m):

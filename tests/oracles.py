@@ -13,6 +13,10 @@ The library never calls these.
                               values, the reference for matrix.embed_on_slots
   embed_by_tuples             a placement built label tuple by label tuple,
                               the reference for matrix.embed_on_slots
+  embed_eagerly               a placement's entry map built at once by index
+                              arithmetic, in the order a placement builds it
+                              on its first read, the reference for
+                              matrix._placed_entries
   full_size_orbit_representatives
                               the symmetry search on every factor at full
                               size, the reference for
@@ -271,6 +275,32 @@ def embed_by_tuples(mat, positions, slot_labels):
                 full_c[o] = x
             entries[tuple(full_r), tuple(full_c)] = v
     return LabeledMatrix(full_rows, full_rows, entries)
+
+
+def embed_eagerly(mat, positions, slot_labels):
+    """The entries of mat placed on positions of the slots, as {(row
+    index, col index): value}: each entry of mat, in mat's order, at its
+    parts' offsets plus each offset of the other slots, in increasing
+    order.  An offset is a slot's label index times the slot's stride, the
+    product of the later slots' sizes."""
+    sizes = [len(slot) for slot in slot_labels]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    on = [{x: i * strides[p] for i, x in enumerate(slot_labels[p])} for p in positions]
+
+    def offset(lab):
+        parts = lab if isinstance(lab, tuple) else (lab,)
+        return sum(slot[x] for slot, x in zip(on, parts))
+
+    rest = [0]
+    for o, slot in enumerate(slot_labels):
+        if o not in positions:
+            rest = [r + i * strides[o] for r in rest for i in range(len(slot))]
+    entries = {}
+    for (i, j), v in mat.entries.items():
+        r, c = offset(mat.row_labels[i]), offset(mat.col_labels[j])
+        for o in rest:
+            entries[r + o, c + o] = v
+    return entries
 
 
 def full_size_orbit_representatives(factors):

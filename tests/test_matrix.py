@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import edited, embed_by_tuples, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
+from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq import matrix as matrix_module
 from refleq.field import U, U1, U2, U3, U4, Poly, RatFunc
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
+from refleq.relations import _verify_product_identity
 from refleq.rkmat import constant_term_matrix, k_matrix, s_matrix, site_labels, yang_r
 
 
@@ -105,6 +106,9 @@ def _assert_same_placement(mat, positions, slots):
     placed, reference = embed_on_slots(mat, positions, slots), embed_by_tuples(mat, positions, slots)
     assert (placed.row_labels, placed.col_labels) == (reference.row_labels, reference.col_labels)
     assert placed.entries == reference.entries
+    # the map a placement builds on its first read is the eager one, key by
+    # key and in the same order
+    assert list(placed.entries.items()) == list(embed_eagerly(mat, positions, slots).items())
     # both provers dedupe entries by id, so a placement must share mat's values
     assert all(placed.entries[k] is v for k, v in reference.entries.items())
     return placed
@@ -169,10 +173,43 @@ def test_a_placement_records_the_matrix_it_places():
     assert empty.operator is None and not empty.entries
 
 
-def test_every_kind_of_matrix_rejects_writes():
-    slots = [site_labels(2)] * 2
-    r = yang_r(2, U1 - U2)
+def _counting_fills(monkeypatch):
+    """The placements whose entry maps are built from now on, in order."""
+    fills = []
+    real = matrix_module._placed_entries
+
+    def counting(mat):
+        fills.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(matrix_module, "_placed_entries", counting)
+    return fills
+
+
+def _assert_rejects_writes(mat):
+    """Every field and private slot of mat rejects assignment and deletion."""
+    for field in LabeledMatrix.__slots__:
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(mat, field, None)
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(mat, field)
+
+
+def test_every_kind_of_matrix_rejects_writes(monkeypatch):
+    slots = [site_labels(2)] * 3
+    # a fresh operator, so that the proofs below fill its private slots
+    r = yang_r.__wrapped__(2, U1 - U2)
+    fills = _counting_fills(monkeypatch)
+    unread = embed_on_slots(r, (0, 1), slots)
+    _assert_rejects_writes(unread)
+    assert not fills and not hasattr(unread, "set")
     placed = embed_on_slots(r, (0, 1), slots)
+    factors = [placed, embed_on_slots(yang_r(2, U1), (0, 2), slots), embed_on_slots(yang_r(2, U2), (1, 2), slots)]
+    assert verify_identity(factors, factors[::-1])["holds"]
+    assert _verify_product_identity(factors, factors[::-1])["holds"]
+    assert not fills
+    # both proofs kept what they read on the operator, in its private slots
+    assert all(getattr(r, slot, None) is not None for slot in ("_read", "_cleared", "_packed", "_symmetry"))
     kinds = {
         "built": r,
         "constructed": LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u")}),
@@ -184,6 +221,8 @@ def test_every_kind_of_matrix_rejects_writes():
         "inverse": LabeledMatrix.identity([1, 2]).inverse(),
         "constant-term": constant_term_matrix(k_matrix("flagMinus", 2, U)),
     }
+    # the product read the placement's entries, and nothing else built any
+    assert fills == [placed]
     for name, mat in kinds.items():
         assert not hasattr(mat, "set"), name
         key, value = next(iter(mat.entries.items()))
@@ -193,11 +232,11 @@ def test_every_kind_of_matrix_rejects_writes():
             del mat.entries[key]
         with pytest.raises(AttributeError):
             mat.entries.pop(key)
-        for field in LabeledMatrix.__slots__:
-            with pytest.raises(AttributeError, match="read-only"):
-                setattr(mat, field, getattr(mat, field))
-            with pytest.raises(AttributeError, match="read-only"):
-                delattr(mat, field)
+        _assert_rejects_writes(mat)
+    # the placement built its map once and kept it
+    assert fills == [placed] and placed.entries is placed.entries
+    assert dict(unread.entries) == dict(placed.entries) and fills == [placed, unread]
+    _assert_rejects_writes(unread)
 
 
 def test_swap_matrix_is_involution():
@@ -324,19 +363,21 @@ def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
     assert product == _schoolbook_product(r12, r13)
 
 
-def test_symbolic_proof_packs_each_distinct_entry_once(monkeypatch):
-    # every Yang-Baxter factor sits on both sides; each is cleared once and
-    # each of its cleared entries is packed once, not once per side
+def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(monkeypatch):
+    # every Yang-Baxter factor sits on both sides, and a second proof, on new
+    # placements of the same operators, finds them read: each operator is
+    # cleared once and each of its cleared entries packed once, at the one
+    # field width these proofs use
     slots = [site_labels(2)] * 3
-    r12 = embed_on_slots(yang_r(2, U1 - U2), (0, 1), slots)
-    r13 = embed_on_slots(yang_r(2, U1 - U3), (0, 2), slots)
-    r23 = embed_on_slots(yang_r(2, U2 - U3), (1, 2), slots)
-    cleared, packed = [], []
+    # fresh operators, which no earlier proof has read
+    ops = [yang_r.__wrapped__(2, U1 - U2), yang_r.__wrapped__(2, U1 - U3), yang_r.__wrapped__(2, U2 - U3)]
+    cleared, packed = {}, []
     real_clear, real_pack = matrix_module._clear, matrix_module._pack
 
-    def counting_clear(mat, memo):
-        cleared.append(real_clear(mat, memo))
-        return cleared[-1]
+    def counting_clear(mat):
+        assert id(mat) not in cleared
+        cleared[id(mat)] = real_clear(mat)
+        return cleared[id(mat)]
 
     def counting_pack(p, bits):
         packed.append(p)
@@ -344,9 +385,11 @@ def test_symbolic_proof_packs_each_distinct_entry_once(monkeypatch):
 
     monkeypatch.setattr(matrix_module, "_clear", counting_clear)
     monkeypatch.setattr(matrix_module, "_pack", counting_pack)
-    assert verify_identity([r12, r13, r23], [r23, r13, r12])["holds"]
-    assert len(cleared) == 3
-    distinct = [p for c in cleared for p in c.entries.values()]
+    for _ in range(2):
+        r12, r13, r23 = (embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2))))
+        assert verify_identity([r12, r13, r23], [r23, r13, r12])["holds"]
+    assert set(cleared) == {id(op) for op in ops}
+    distinct = [p for c in cleared.values() for p in c.entries.values()]
     assert sorted(map(id, packed)) == sorted(map(id, distinct))
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     edited,
+    embed_eagerly,
     entry,
     fold_and_compare,
     full_row_grid_proof,
@@ -26,9 +27,16 @@ from oracles import (
     parse_ratfunc,
     polynomial_counterexample,
 )
-from refleq import acceptance, field, matrix, relations
+from refleq import acceptance, field, matrix, relations, rkmat
 from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
-from refleq.matrix import LabeledMatrix, _label_to_json, _orbit_representatives, embed_on_slots, verify_identity
+from refleq.matrix import (
+    LabeledMatrix,
+    _label_to_json,
+    _orbit_representatives,
+    _Rows,
+    embed_on_slots,
+    verify_identity,
+)
 from refleq.relations import (
     EXCHANGE_VARIANTS,
     _chain_monodromies,
@@ -43,7 +51,6 @@ from refleq.relations import (
     _prove,
     _read_factors,
     _reflection_factors,
-    _Rows,
     _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
@@ -806,6 +813,26 @@ def _factor_lists(monkeypatch, run):
     return captured
 
 
+ACCEPTANCE_LIST_ITEMS = (
+    acceptance._R_MATRIX_IDENTITIES + acceptance._REFLECTION_EQUATION
+    + acceptance._MONODROMY_EXCHANGE + acceptance._BOUNDARY_OPERATOR
+)
+
+
+def _clear_builders():
+    """Empty every rkmat builder cache, so the next checks build new
+    operators, with nothing read of them yet."""
+    for f in vars(rkmat).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
+def _suite_and_acceptance_lists(monkeypatch):
+    """Every factor list of run_suite("all") and of acceptance criteria 6-9."""
+    runs = [lambda: run_suite("all"), *(lambda it=it: run_suite_item(dict(it)) for it in ACCEPTANCE_LIST_ITEMS)]
+    return [pair for run in runs for pair in _factor_lists(monkeypatch, run)]
+
+
 class TestFractionFreeProver:
     """The symbolic prover against the canonical route it replaced.
 
@@ -890,23 +917,28 @@ class TestFractionFreeProver:
         return v, counts
 
     @pytest.mark.parametrize(
-        "run",
-        [lambda: check_ybe(3), *(lambda v=v: _prove(*_exchange_factors(2, 1, v, "flagMinus")) for v in EXCHANGE_VARIANTS)],
+        "build",
+        [lambda: _ybe_factors(3), *(lambda v=v: _exchange_factors(2, 1, v, "flagMinus")[0] for v in EXCHANGE_VARIANTS)],
         ids=["ybe-l3", *(f"exchange-{v}-n1" for v in EXCHANGE_VARIANTS)],
     )
-    def test_each_distinct_factor_is_cleared_once(self, run, monkeypatch):
+    def test_each_operator_is_cleared_at_most_once_per_process(self, build, monkeypatch):
         # both sides hold the same three factors, so clearing per occurrence
-        # would make six calls
+        # would make six calls; a second proof, on new placements of the
+        # same operators, makes none
+        _clear_builders()
         cleared = []
         real = matrix._clear
 
-        def counting(mat, memo):
+        def counting(mat):
             cleared.append(id(mat))
-            return real(mat, memo)
+            return real(mat)
 
         monkeypatch.setattr(matrix, "_clear", counting)
-        assert run()["holds"]
+        for _ in range(2):
+            factors = list(build())
+            assert verify_identity(factors, factors[::-1])["holds"]
         assert len(cleared) == len(set(cleared)) == 3
+        assert set(cleared) == {id(matrix._operator(m)) for m in factors}
 
     @pytest.mark.parametrize(
         "build",
@@ -1188,11 +1220,7 @@ class TestOrbitReduction:
         if source == "suite-all":
             runs = [lambda: run_suite("all")]
         else:
-            items = (
-                acceptance._R_MATRIX_IDENTITIES + acceptance._REFLECTION_EQUATION
-                + acceptance._MONODROMY_EXCHANGE + acceptance._BOUNDARY_OPERATOR
-            )
-            runs = [lambda it=it: run_suite_item(dict(it)) for it in items]
+            runs = [lambda it=it: run_suite_item(dict(it)) for it in ACCEPTANCE_LIST_ITEMS]
         lists = [pair for run in runs for pair in _factor_lists(monkeypatch, run)]
         assert lists
         for lhs, rhs in lists:
@@ -1404,8 +1432,65 @@ def test_representatives_match_the_full_size_search(source, monkeypatch):
         assert list(_orbit_representatives(factors)) == full_size_orbit_representatives(factors)
 
 
-def test_a_grid_proof_reads_each_distinct_factor_once_on_its_operator(monkeypatch):
-    ((lhs, rhs),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
+def test_a_placement_builds_the_eager_map(monkeypatch):
+    # every placement a factor list holds, and every placement it places,
+    # builds on its first read the map the eager loop builds: the same keys
+    # in the same order, holding the operator's very values
+    placed = {}
+    for module in (relations, rkmat):
+        real = module.embed_on_slots
+
+        def recording(mat, positions, slot_labels, _real=real):
+            result = _real(mat, positions, slot_labels)
+            placed[id(result)] = (result, mat, tuple(positions), [tuple(s) for s in slot_labels])
+            return result
+
+        monkeypatch.setattr(module, "embed_on_slots", recording)
+    _clear_builders()
+    lists = _suite_and_acceptance_lists(monkeypatch)
+    checked = set()
+    for lhs, rhs in lists:
+        for mat in (*lhs, *rhs):
+            while mat.operator is not None and id(mat) not in checked:
+                checked.add(id(mat))
+                result, operator, positions, slots = placed[id(mat)]
+                assert result is mat and operator is mat.operator
+                eager = embed_eagerly(operator, positions, slots)
+                assert list(mat.entries.items()) == list(eager.items())
+                assert all(mat.entries[k] is v for k, v in eager.items())
+                mat = operator
+    assert len(checked) > 100
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_ybe(6, mode="multipoint"),
+        *(lambda k=kind: check_reflection(k, 3, mode="multipoint") for kind in ("flagPlus", "soInstanton")),
+        lambda: check_ybe(6),
+        lambda: check_reflection("flagPlus", 3),
+    ],
+    ids=["ybe-l6-multipoint", "reflection-flagPlus-l3-multipoint", "reflection-soInstanton-l3-multipoint",
+         "ybe-l6-symbolic", "reflection-flagPlus-l3-symbolic"],
+)
+def test_a_proof_builds_no_placement_map(run, monkeypatch):
+    # both provers read a placement's rows off its operator (matrix._Rows),
+    # so a proof whose factors are placements of operators builds no map
+    monkeypatch.setattr(relations, "_verify_product_identity", _verify_product_identity)
+    fills = []
+    real = matrix._placed_entries
+
+    def counting(mat):
+        fills.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(matrix, "_placed_entries", counting)
+    assert run()["holds"]
+    assert not fills
+
+
+def test_a_grid_proof_reads_each_operator_at_most_once_per_process(monkeypatch):
+    _clear_builders()
     read = []
     real = relations._read_factor
 
@@ -1414,9 +1499,42 @@ def test_a_grid_proof_reads_each_distinct_factor_once_on_its_operator(monkeypatc
         return real(mat)
 
     monkeypatch.setattr(relations, "_read_factor", recording)
-    assert _verify_product_identity(lhs, rhs)["holds"]
+    # two proofs on the same placements, then one on new placements of the
+    # same operators: the first reads each operator, the others none
+    ((lhs, rhs),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
+    for _ in range(2):
+        assert _verify_product_identity(lhs, rhs)["holds"]
+    ((again, _),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
+    assert {id(m) for m in again}.isdisjoint(map(id, lhs))
+    assert _verify_product_identity(again, again[::-1])["holds"]
     assert len(read) == 3
-    assert {id(m) for m in read} == {id(f.operator) for f in lhs}
+    assert {id(m) for m in read} == {id(f.operator) for f in lhs} == {id(f.operator) for f in again}
+
+
+def test_kept_reads_leave_every_verdict_unchanged(monkeypatch):
+    # both provers' verdicts on every suite and acceptance factor list, on
+    # operators read for the first time, then on the same operators again,
+    # and then on new operators, must agree byte for byte
+    def verdicts(lists):
+        return json.dumps([[verify_identity(lhs, rhs), _verify_product_identity(lhs, rhs)] for lhs, rhs in lists])
+
+    _clear_builders()
+    lists = _suite_and_acceptance_lists(monkeypatch)
+    cold = verdicts(lists)
+    calls = collections.Counter()
+    for module, name in ((relations, "_read_factor"), (matrix, "_clear")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda mat, _real=real, _name=name: calls.update([_name]) or _real(mat))
+    warm = verdicts(lists)
+    # the second run reads and clears nothing again
+    assert not calls
+    monkeypatch.undo()
+    _clear_builders()
+    fresh = _suite_and_acceptance_lists(monkeypatch)
+    operators = lambda pairs: {id(m.operator) for lhs, rhs in pairs for m in (*lhs, *rhs) if m.operator is not None}
+    assert operators(lists).isdisjoint(operators(fresh))
+    assert cold == warm == verdicts(fresh)
+    assert len(lists) > 200 and '"holds": false' in cold
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
@@ -1487,7 +1605,7 @@ class TestBoundaryOperator:
 # for the same reason.
 _NO_INVERSE_GUARD = """
 import collections, json
-from refleq import acceptance, field, matrix, relations
+from refleq import acceptance, field, matrix, relations, rkmat
 from refleq.acceptance import run_acceptance
 from refleq.rkmat import KINDS
 

@@ -37,6 +37,7 @@ from refleq.rkmat import (
     s_matrix_via_transfer,
     sigma_matrix,
     sigma_sigma_r,
+    sigma_sigma_r_flipped,
     site_labels,
     twisted_monodromy,
     yang_r,
@@ -145,6 +146,16 @@ def test_cross_r_wiring():
     assert cross_r("flagMinus", 2, U) == yang_r(2, U)
     for kind in KINDS:
         assert sigma_sigma_r(kind, 2, U) == yang_r(2, U)
+
+
+def test_flipped_sigma_sigma_r_is_one_matrix_for_every_kind():
+    p = swap_matrix(site_labels(3), site_labels(3))
+    flipped = sigma_sigma_r_flipped("flagPlus", 3, U1 - U2)
+    assert flipped == p * yang_r(3, U1 - U2) * p
+    for kind in KINDS:
+        assert sigma_sigma_r_flipped(kind, 3, U1 - U2) is flipped
+    with pytest.raises(ValueError, match="unknown kind"):
+        sigma_sigma_r_flipped("bogus", 3, U1 - U2)
 
 
 def test_bullet_opposite_block():
@@ -286,7 +297,7 @@ def test_k_matrix_coefficients_are_ints(kind, l):
 # private body keyed on the sites as a tuple
 CACHED_BUILDERS = (
     "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "_flag_minus_k", "k_matrix",
-    "k_matrix_opposite_placement", "sigma_matrix", "cross_r", "cross_r_flipped",
+    "k_matrix_opposite_placement", "sigma_matrix", "cross_r", "cross_r_flipped", "_yang_r_flipped",
     "_monodromy_t", "_twisted_monodromy", "_s_matrix",
 )
 
