@@ -155,7 +155,7 @@ def verify(args):
         if args.mode == "multipoint":
             args._parser.error("--mode multipoint is not supported with --suite; suites prove symbolically")
         try:
-            payload = run_suite(suite=suite_name, l=l, jobs=args.jobs)
+            payload = run_suite(suite=suite_name, l=l)
         except ValueError as e:
             args._parser.error(f"--suite: {e}")
         if not payload["ok"]:
@@ -272,8 +272,6 @@ def _parser():
                    help="site dimension; a suite runs every requested group at this size")
     p.add_argument("--mode", choices=["symbolic", "multipoint"], default="symbolic",
                    help="prover for --scenario; suites prove symbolically and reject multipoint")
-    p.add_argument("--jobs", action=_AtLeast, minimum=1, default=1,
-                   help="worker processes for a suite; 1 runs every item in this process")
 
     polarization = group("polarization", "Wall-consistency instances for polarization choices.")
     p = command(polarization, polarization_solve, "solve")

@@ -60,7 +60,6 @@ import collections
 import functools
 import math
 import operator
-import os
 
 from .field import NVARS, U, U1, U2, U3, U4, VARS, _format_mono, poly_div_exact, poly_gcd
 from .matrix import (
@@ -843,16 +842,14 @@ def run_suite_item(item):
     return v
 
 
-def run_suite(suite="all", l=None, jobs=1):
+def run_suite(suite="all", l=None):
     """Run a verification suite and aggregate the verdicts.
 
     Every item's tensor dimension is held to DIMENSION_BOUND before the
-    first item runs, since a pool finishes every submitted item before an
-    error surfaces.  The suite passes when every pinned expectation is met;
+    first item runs, so an oversized suite is rejected before any work
+    starts.  The suite passes when every pinned expectation is met;
     reported-only items (expected None) are included in the output but never
-    fail it.  The pool starts at most one worker per item and per CPU, since
-    it forks all of them at once; with one worker the items run in this
-    process.
+    fail it.
     """
     items = suite_items(suite=suite, l=l)
     for it in items:
@@ -860,13 +857,6 @@ def run_suite(suite="all", l=None, jobs=1):
             _slots(it["l"], _SUITE_CHECKS[it["check"]][0] + it.get("sites", 0))
         except ValueError as e:
             raise ValueError(f"{describe_item(it)}: {e}") from None
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(run_suite_item, items))
-    else:
-        verdicts = [run_suite_item(it) for it in items]
+    verdicts = [run_suite_item(it) for it in items]
     ok = all(v["holds"] == v["expected"] for v in verdicts if v["expected"] is not None)
     return {"suite": suite, "ok": ok, "verdicts": verdicts}

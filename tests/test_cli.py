@@ -355,13 +355,16 @@ class TestVerify:
         assert res.exit_code == 0
         assert [(v["holds"], v["mode"]) for v in payload(res)["verdicts"]] == [(True, "symbolic")]
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_oversized_suite_rejected_before_any_check(self, jobs):
-        res = run_cli("verify", "--suite", "all", "--l", "5", "--jobs", jobs)
+    @pytest.mark.parametrize("group, l, item, size", [
+        ("all", "5", "monodromyExchange (l=5, kind=spInstanton, variant=plainPlain, sites=2)", "625 > 256"),
+        ("exchange", "6", "monodromyExchange (l=6, kind=spInstanton, variant=plainPlain, sites=2)", "1296 > 256"),
+        ("boundary", "7", "chainReflection (l=7, kind=spInstanton, sites=1)", "343 > 256"),
+    ], ids=["all-l5", "exchange-l6", "boundary-l7"])
+    def test_oversized_suite_rejected_before_any_check(self, group, l, item, size):
+        res = run_cli("verify", "--suite", group, "--l", l)
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert "monodromyExchange" in res.stderr and "sites=2" in res.stderr
-        assert "625 > 256" in res.stderr
+        assert f"{item}: tensor dimension {size}" in res.stderr
 
     @pytest.mark.parametrize("group", ["all", "ybe", "unitarity", "reflection", "exchange", "boundary"])
     def test_suite_rejects_multipoint(self, group):
@@ -383,13 +386,6 @@ class TestVerify:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert "is not in the range x>=2" in res.stderr
-
-    def test_jobs_below_one_rejected(self):
-        for value in ("0", "-1"):
-            res = run_cli("verify", "--suite", "unitarity", "--l", "2", "--jobs", value)
-            assert res.exit_code == 2, value
-            assert res.stdout == ""
-            assert f"--jobs': {value} is not in the range" in res.stderr
 
 
 class TestPolarization:
@@ -421,12 +417,16 @@ class TestUsage:
     def test_unknown_subcommand(self):
         assert run_cli("nonsense").exit_code == 2
 
-    def test_unknown_option_names_its_command(self):
-        res = run_cli("tableaux", "betti", "--kind", "sp", "--l", "2", "--w1", "1", "--typ", "A3")
+    @pytest.mark.parametrize("path, args, unknown", [
+        (("tableaux", "betti"), ("--kind", "sp", "--l", "2", "--w1", "1", "--typ", "A3"), "--typ A3"),
+        (("verify",), ("--suite", "all", "--l", "2", "--jobs", "2"), "--jobs 2"),
+    ], ids=["tableaux betti", "verify"])
+    def test_unknown_option_names_its_command(self, path, args, unknown):
+        res = run_cli(*path, *args)
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("usage: refleq tableaux betti ")
-        assert "unrecognized arguments: --typ A3" in res.stderr
+        assert res.stderr.startswith(f"usage: refleq {' '.join(path)} ")
+        assert f"unrecognized arguments: {unknown}" in res.stderr
 
     def test_version_flag(self):
         res = run_cli("--version")
@@ -441,7 +441,7 @@ class TestUsage:
         ("tableaux", "betti"): ["--kind", "--l", "--w1", "--emit"],
         ("tableaux", "flags"): ["--sign", "--l", "--w1"],
         ("rkmat", "kmatrix"): ["--kind", "--l"],
-        ("verify",): ["--scenario", "--suite", "--l", "--mode", "--jobs"],
+        ("verify",): ["--scenario", "--suite", "--l", "--mode"],
         ("polarization", "solve"): ["--sign", "--l"],
         ("polarization", "summary"): ["--l"],
         ("suite",): ["acceptance"],

@@ -20,12 +20,14 @@ from oracles import entry, parse_poly, parse_ratfunc
 from refleq import field
 from refleq.field import (
     H,
+    NVARS,
     Poly,
     RatFunc,
     U,
     U1,
     U2,
     VARS,
+    VAR_INDEX,
     format_poly,
     format_ratfunc,
     poly_div_exact,
@@ -537,8 +539,14 @@ def test_poly_div_exact_recovers_random_quotients():
 
 
 def test_poly_div_exact_leading_term_inserted_last():
+    def exponent(**powers):
+        e = [0] * NVARS
+        for name, power in powers.items():
+            e[VAR_INDEX[name]] = power
+        return tuple(e)
+
     # the divisor's first-inserted term is its smallest
-    g = Poly({(1, 0, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0, 0): -1, (0, 2, 1, 0, 0, 0): 3})
+    g = Poly({exponent(h=1): 2, exponent(u=1): -1, exponent(u=2, u1=1): 3})
     assert g == parse_poly("2*h - u + 3*u^2*u1")
     assert next(iter(g.terms)) != g.leading()[0]
     f = parse_poly("2*u1^2 - h*u + 5")

@@ -1,7 +1,6 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
 import collections
-import concurrent.futures
 import itertools
 import json
 import math
@@ -1669,43 +1668,6 @@ class TestSuites:
         sp = [v for v in out["verdicts"] if v.get("kind") == "spInstanton"]
         assert sp and not sp[0]["holds"] and sp[0]["expected"] is None
 
-    def test_parallel_matches_serial(self):
-        serial = run_suite(suite="unitarity", l=2)
-        parallel = run_suite(suite="unitarity", l=2, jobs=2)
-        assert serial == parallel
-
-    def test_parallel_all_matches_warm_serial(self):
-        # the serial run warms the builder caches, which forked workers
-        # inherit; sharing them must not change a verdict
-        serial = run_suite(suite="all")
-        assert run_suite(suite="all", jobs=2) == serial
-
-    def test_huge_jobs_bounded_by_cpus(self, monkeypatch):
-        # a stand-in pool that records its size and runs in this process
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        serial = run_suite(suite="unitarity", l=2)
-        assert started == []
-        assert run_suite(suite="unitarity", l=2, jobs=10**9) == serial
-        assert started == [2]
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert run_suite(suite="unitarity", l=2, jobs=10**9) == serial
-        assert started == [2]
-
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             suite_items("everything")
@@ -1732,15 +1694,37 @@ class TestSuites:
         with pytest.raises(ValueError, match=f"l={l}"):
             suite_items("all", l=l)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_oversized_item_rejected_before_any_check_runs(self, jobs, monkeypatch):
+    @pytest.mark.parametrize("suite, l, match", [
+        ("all", 5, r"monodromyExchange \(.*sites=2\): tensor dimension 625 > 256"),
+        ("exchange", 6, r"monodromyExchange \(.*sites=2\): tensor dimension 1296 > 256"),
+        ("ybe", 7, r"yangBaxter \(l=7\): tensor dimension 343 > 256"),
+    ], ids=["all-l5", "exchange-l6", "ybe-l7"])
+    def test_oversized_item_rejected_before_any_check_runs(self, suite, l, match, monkeypatch):
         calls = []
         for name in dir(relations):
             if name.startswith("check_"):
                 monkeypatch.setattr(relations, name, lambda *a, _n=name, **k: calls.append(_n))
-        with pytest.raises(ValueError, match=r"monodromyExchange \(.*sites=2\): tensor dimension 625 > 256"):
-            run_suite("all", l=5, jobs=jobs)
+        with pytest.raises(ValueError, match=match):
+            run_suite(suite, l=l)
         assert calls == []
+
+    def test_verdicts_follow_the_item_order(self):
+        items = suite_items("unitarity", l=2)
+        assert run_suite("unitarity", l=2)["verdicts"] == [run_suite_item(it) for it in items]
+
+    def test_only_a_missed_pinned_expectation_fails_the_suite(self, monkeypatch):
+        # a stand-in verdict that misses the expectation of the one item named
+        def run_item(it, missed):
+            holds = it["expected"] if it["expected"] is not None else True
+            return {"holds": not holds if it is missed else holds, "expected": it["expected"]}
+
+        items = suite_items("reflection", l=3)
+        monkeypatch.setattr(relations, "suite_items", lambda suite, l: items)
+        pinned = next(it for it in items if it["expected"] is not None)
+        reported = next(it for it in items if it["expected"] is None)
+        for missed, ok in ((None, True), (reported, True), (pinned, False)):
+            monkeypatch.setattr(relations, "run_suite_item", lambda it: run_item(it, missed))
+            assert run_suite("reflection", l=3)["ok"] is ok
 
     def test_run_suite_item_dispatch(self):
         v = run_suite_item({"check": "kUnitarity", "l": 2, "kind": "soInstanton", "expected": True})
