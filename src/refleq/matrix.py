@@ -13,9 +13,9 @@ once per slot tuple and shared), and it builds its full-size entry map only
 when something reads its entries.  Work that depends only on the entry
 values, or on the label symmetry, reads that operator instead of the
 placement, and keeps what it read on the operator (_kept): the symmetry
-verdicts of the search below, the clearing and packing of the symbolic
-prover and the factor reads of the multipoint engine.  Both provers read a
-placement's rows through one operator-size view (_Rows).
+verdicts of the search below, the clearing that both provers read every
+factor through (_clearing) and the symbolic prover's packing of it.  Both
+provers read a placement's rows through one operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  verify_identity, the symbolic prover, does not:
@@ -27,8 +27,9 @@ the entry that a failing verdict prints (see "identity verification" below).
 Its verdict is a dict so callers can log what was checked; a failing verdict
 carries a "counterexample" with the first mismatching entry in sorted order
 and the canonical form of both values.  Multipoint proofs, which never form
-a product of polynomials, also work on factor lists, use the same orbit
-reduction and row view, and live in relations (_verify_product_identity).
+a product of polynomials, also work on factor lists, use the same
+clearing, scales, orbit reduction and row view, and live in relations
+(_verify_product_identity).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import operator
 import types
 
-from .field import NVARS, Poly, RatFunc, format_ratfunc
+from .field import NVARS, VARS, ZERO_EXP, Poly, RatFunc, format_ratfunc
 
 
 def _require_chain(a, b):
@@ -79,20 +80,18 @@ class LabeledMatrix:
     them are the canonical product (rkmat.embedded_product and every other
     use of *), ==, inverse, eval_entries and swap_conjugate, verify_identity
     on a side of one factor, and, for a placement of a placement, the
-    provers' reads of its operator: the symmetry test, the multipoint read
-    and the clearing take the inner placement at its own size.  The provers
-    read every placement's rows through _Rows, at operator size.
+    provers' reads of its operator: the symmetry test and the clearing take
+    the inner placement at its own size.  The provers read every
+    placement's rows through _Rows, at operator size.
 
-    Four private slots hold what a proof reads of a matrix, each filled on
-    first use by _kept and kept for the life of the matrix: _read, the
-    multipoint engine's read (relations._read_factor); _cleared, the
-    symbolic prover's (_clear); _packed, its rows packed per field width
-    (_packed_rows); and _symmetry, its verdict per site transposition
-    (_commutes_with).
+    Three private slots hold what a proof reads of a matrix, each filled on
+    first use by _kept and kept for the life of the matrix: _cleared, the
+    clearing both provers read it through (_clear); _packed, the symbolic
+    prover's rows of it packed per field width (_packed_rows); and
+    _symmetry, its verdict per site transposition (_commutes_with).
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_read", "_cleared", "_packed",
-                 "_symmetry")
+    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_packed", "_symmetry")
 
     def __new__(cls, row_labels, col_labels, entries=()):
         rows = tuple(row_labels)
@@ -298,16 +297,16 @@ def _kept(mat, slot, make):
     first read and kept: a matrix is a value, so what a proof reads of it
     is read once per process, however many proofs and placements share it.
 
-    A read that goes through den_factors (relations._read_factor, _clear)
-    splits each residual denominator over the forms interned when it runs,
-    and a form interned later may split it further.  The kept read stays
-    sound: its map, every table form at its largest exponent and the
-    residuals whole (or their lcm), is still a common multiple D of the
-    entry denominators, since a finer split changes how D is written, not
-    what it is a multiple of, and any nonzero common multiple keeps both
-    provers exact.  Only the degree bounds can read larger than a fresh
-    read's, where the other side's map holds the parts of a residual that
-    this map keeps whole, and a larger bound is still a bound."""
+    The clearing (_clear) reads den_factors, which splits each residual
+    denominator over the forms interned when it runs, and a form interned
+    later may split it further.  The kept clearing stays sound: its map,
+    every table form at its largest exponent and the residuals whole, is
+    still a common multiple D of the entry denominators, since a finer
+    split changes how D is written, not what it is a multiple of, and any
+    nonzero common multiple keeps both provers exact.  Only the degree
+    bounds can read larger than a fresh read's, where the other side's map
+    holds the parts of a residual that this map keeps whole, and a larger
+    bound is still a bound."""
     value = getattr(mat, slot, None)
     if value is None:
         value = make(mat)
@@ -339,7 +338,8 @@ def swap_conjugate(mat):
 # orbit of the factors' common label symmetry is multiplied: the other rows
 # of the first factor never enter the chain (_orbit_representatives).  A
 # placement's rows are read off its operator's (_Rows), and each operator is
-# cleared once per process and packed once per field width (_kept).
+# cleared once per process (_clearing, which the multipoint engine reads as
+# well) and packed once per field width (_kept).
 #
 # Inside a product a monomial is one int, its exponents packed into fields
 # wide enough for the product's total degree, so that multiplying two
@@ -362,16 +362,25 @@ def _expand(c, den, memo):
     return p.scale(c)
 
 
-_Cleared = collections.namedtuple("_Cleared", "c den entries degree")
+_Cleared = collections.namedtuple("_Cleared", "c den entries rows degree degrees variables homogeneous height")
 
 
 def _clear(mat):
-    """One factor cleared of its denominators: c * prod p^e over the Counter
-    den is a common multiple D of its entry denominators, entries maps the id
-    of each distinct entry v to the Poly v * D, and degree is the largest
-    total degree of those."""
-    dens = {}
-    for v in mat.entries.values():
+    """One factor cleared of its denominators, with what both provers read
+    of it: c * prod p^e over the Counter den is a common multiple D of its
+    entry denominators, entries maps the id of each distinct entry v to the
+    Poly v * D, and rows is its stored entries by row, {row: [(col,
+    id(v))]}.  Then what the provers bound by: degree, the largest total
+    degree of an entry v * D; degrees, per variable in VARS order, the
+    largest degree of one; variables, the variables of its entries (those
+    of some v * D or of a key of den); homogeneous, whether every entry v
+    is homogeneous of degree zero jointly in all variables, which holds
+    exactly when every key of den is homogeneous and every v * D is
+    homogeneous of D's degree; and height, the largest row sum of ||v *
+    D||_1, the sum of the absolute values of its coefficients."""
+    dens, rows = {}, {}
+    for (i, j), v in mat.entries.items():
+        rows.setdefault(i, []).append((j, id(v)))
         if id(v) not in dens:
             c, forms, r = v.den_factors()
             dens[id(v)] = (v, c, forms if r is None else {**forms, r: 1})
@@ -386,7 +395,40 @@ def _clear(mat):
         key: v.num * _expand(c // vc, {p: e - vden.get(p, 0) for p, e in den.items() if e > vden.get(p, 0)}, memo)
         for key, (v, vc, vden) in dens.items()
     }
-    return _Cleared(c, den, entries, max((p.degree() for p in entries.values()), default=0))
+    norms = {key: sum(map(abs, p.terms.values())) for key, p in entries.items()}
+    exps = [e for p in entries.values() for e in p.terms]
+    degrees = tuple(map(max, zip(ZERO_EXP, *exps)))
+    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *[e for p in den for e in p.terms]))))
+    # D is homogeneous when every key of den is, of degree the sum of the
+    # keys' degrees times their exponents
+    totals, key_totals = set(map(sum, exps)), [set(map(sum, p.terms)) for p in den]
+    homogeneous = all(len(t) == 1 for t in key_totals) and totals <= {
+        sum(e * min(t) for t, e in zip(key_totals, den.values()))
+    }
+    height = max([sum([norms[key] for _, key in row]) for row in rows.values()], default=0)
+    return _Cleared(c, den, entries, rows, max(totals, default=0), degrees, variables, homogeneous, height)
+
+
+def _clearing(mat):
+    """mat's clearing (_clear).  It reads only the entry values, which a
+    placement shares with the operator it places, so it is read off that
+    operator, once per process (_kept)."""
+    return _kept(_operator(mat), "_cleared", _clear)
+
+
+def _scales(lhs, rhs):
+    """The two sides' scales, for lhs and rhs lists of _Cleared: each
+    side's content and map are the product of its factors' contents and the
+    sum of their maps, (lc, lden) and (rc, rden); with g = gcd(lc, rc) and G
+    = lden & rden, each key at the least of its two exponents (the part the
+    sides share), the lhs scale is (rc // g) prod(rden - G) and the rhs
+    scale (lc // g) prod(lden - G), each expanded as one Poly.  Returns the
+    two (content, map) pairs and the two scales."""
+    (lc, lden), (rc, rden) = maps = [
+        (math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in (lhs, rhs)
+    ]
+    g, shared, memo = math.gcd(lc, rc), lden & rden, {}
+    return maps, (_expand(rc // g, rden - shared, memo), _expand(lc // g, lden - shared, memo))
 
 
 def _pack(p, bits):
@@ -407,10 +449,9 @@ def _packed_rows(mat, bits):
     tables = _kept(mat, "_packed", lambda m: {})
     rows = tables.get(bits)
     if rows is None:
-        packed = {key: _pack(p, bits) for key, p in _kept(mat, "_cleared", _clear).entries.items()}
-        rows = tables[bits] = {}
-        for (i, j), v in mat.entries.items():
-            rows.setdefault(i, []).append((j, packed[id(v)]))
+        cleared = _kept(mat, "_cleared", _clear)
+        packed = {key: _pack(p, bits) for key, p in cleared.entries.items()}
+        rows = tables[bits] = {i: [(j, packed[key]) for j, key in row] for i, row in cleared.rows.items()}
     return rows
 
 
@@ -419,12 +460,13 @@ class _Rows(dict):
     same table of the matrix itself or of the operator it places, at that
     operator's size; a row with no entry reads as ().  Both provers read
     every factor through this view: the multipoint engine with x the id of
-    an entry (relations._read_factor), the symbolic prover with x its
-    packed cleared terms (_packed_rows).  A placement's row is made on its
-    first read: row r has operator part rows[i] and shift o = r - rows[i]
-    (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each (j, x)
-    of the operator's row i, so a proof builds only the placement rows that
-    its representative rows reach, and no placement at full size."""
+    an entry (_Cleared.rows), the symbolic prover with x its packed cleared
+    terms (_packed_rows, built from that table).  A placement's row is made
+    on its first read: row r has operator part rows[i] and shift o = r -
+    rows[i] (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each
+    (j, x) of the operator's row i, so a proof builds only the placement
+    rows that its representative rows reach, and no placement at full
+    size."""
 
     __slots__ = ("rows", "row_of", "cols", "digits")
 
@@ -505,14 +547,9 @@ def _product_difference(lhs_factors, rhs_factors):
     reduced."""
     distinct = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
     reps = _orbit_representatives(list(distinct.values()))
-    # clearing reads only the entry values, which a placement shares with
-    # the operator it places; each operator is cleared once per process
-    cleared = {key: _kept(_operator(mat), "_cleared", _clear) for key, mat in distinct.items()}
+    cleared = {key: _clearing(mat) for key, mat in distinct.items()}
     sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
-    (lc, lden), (rc, rden) = ((math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in sides)
-    g, shared = math.gcd(lc, rc), lden & rden
-    memo = {}
-    scales = (_expand(rc // g, rden - shared, memo), _expand(lc // g, lden - shared, memo))
+    maps, scales = _scales(*sides)
     # no monomial of either scaled product has a larger total degree, so no
     # packed exponent overflows its field
     top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
@@ -526,8 +563,8 @@ def _product_difference(lhs_factors, rhs_factors):
     i, j = key = first_difference(*flat)
     # only this entry is reduced, each side over its own prod(D)
     return key, *(
-        RatFunc(_unpack(rows.get(i, {}).get(j, {}), bits), _expand(c, den, memo))
-        for rows, c, den in ((products[0], lc, lden), (products[1], rc, rden))
+        RatFunc(_unpack(rows.get(i, {}).get(j, {}), bits), _expand(c, den, {}))
+        for rows, (c, den) in zip(products, maps)
     )
 
 

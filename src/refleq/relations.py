@@ -24,52 +24,51 @@ multipoint mode, a monomial and its two coefficients).  Verdicts
 are JSON-serializable so the CLI can emit them unchanged.
 
 Each check states its identity as two ordered factor lists, lhs and rhs, and
-hands them to _prove.  The symbolic mode (matrix.verify_identity) clears each
-factor of its denominators once, multiplies the polynomial matrices and
-compares lhs * prod(D_rhs) with rhs * prod(D_lhs), with the part the two
-share divided out; it never evaluates at a point, and it reduces only the
-entry that a failing verdict prints.  The multipoint mode never forms the
-products: _verify_product_identity, the one multipoint engine, reads each
-factor on the operator a placement places (matrix.embed_on_slots), into its
-denominator map, degrees, rows and height (_read_factor), and keeps the
-read on that operator, so a process reads each operator once.
-Clearing the difference by the maps' products, with the part the two sides
-share cancelled once, gives a polynomial matrix and bounds its degree in
-every variable of the factors (the bound may be 0); the heights bound its
-coefficients.  The engine evaluates that polynomial, not the factors, at
-one integer point, the Kronecker point of those bounds: it takes every
-factor times the product D of its map, entry by entry as a polynomial
-(_clear_at), so a pole is no concern, and compares lhs * prod(D_rhs) with
-rhs * prod(D_lhs), shared part cancelled, exactly in integers.  At that
-point a polynomial within the bounds is the integer whose digits are its
-coefficients, so agreement there is a proof, not a sample.  Both
-provers multiply only one row per orbit of the label
-permutations that every factor commutes with (matrix._orbit_representatives):
-Yang's R commutes with g (x) g, the cross factors with the permutations that
-keep their signs; a placed factor is tested on its operator.  Agreement on
-those rows is agreement everywhere, and a failing proof reads its
-counterexample, the least differing entry, off them with no pass over the
-other rows.  Both provers check the factor labels the same way
-(matrix._label_mismatch).  check_ybe and check_reflection expose the mode;
-the tests run both provers on the factor lists of the other checks.
+hands them to _prove.  Both provers read each factor through one clearing,
+kept on the operator a placement places (matrix._clearing, matrix._clear):
+a common multiple D of its entry denominators, as a content and a
+denominator map, and each distinct entry times D as a polynomial, with its
+degrees, rows and height.  The symbolic mode (matrix.verify_identity)
+multiplies the polynomial matrices and compares lhs * prod(D_rhs) with rhs
+* prod(D_lhs), with the part the two share divided out (matrix._scales);
+it never evaluates at a point, and it reduces only the entry that a failing
+verdict prints.  The multipoint mode never forms the products:
+_verify_product_identity, the one multipoint engine, bounds the same
+scaled difference's degree in every variable of the factors by the cleared
+entries' degrees plus the scale's (the bound may be 0), and its
+coefficients by the clearing's row heights.  It evaluates that polynomial,
+not the factors, at one integer point, the Kronecker point of those bounds,
+from the cleared entries and scales (_kronecker_value), so a pole is no
+concern, and compares the two sides exactly in integers.  At that point a
+polynomial within the bounds is the integer whose digits are its
+coefficients, so agreement there is a proof, not a sample.  Both provers
+multiply only one row per orbit of the label permutations that every factor
+commutes with (matrix._orbit_representatives): Yang's R commutes with g (x)
+g, the cross factors with the permutations that keep their signs; a placed
+factor is tested on its operator.  Agreement on those rows is agreement
+everywhere, and a failing proof reads its counterexample, the least
+differing entry, off them with no pass over the other rows.  Both provers
+check the factor labels the same way (matrix._label_mismatch).  check_ybe
+and check_reflection expose the mode; the tests run both provers on the
+factor lists of the other checks.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
 
-from .field import NVARS, U, U1, U2, U3, U4, VARS, _format_mono, poly_div_exact, poly_gcd
+from . import field
+from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, _format_mono
 from .matrix import (
     LabeledMatrix,
-    _kept,
+    _clearing,
     _label_mismatch,
     _label_to_json,
-    _operator,
     _orbit_representatives,
     _Rows,
+    _scales,
     embed_on_slots,
     first_difference,
     swap_conjugate,
@@ -91,6 +90,10 @@ from .rkmat import (
     twisted_monodromy,
     yang_r,
 )
+
+# bound by name for the benchmark's tracer, which wraps it here; nothing in
+# this module calls it
+poly_gcd = field.poly_gcd
 
 EXCHANGE_VARIANTS = ("plainPlain", "plainTwisted", "twistedPlain", "twistedTwisted")
 
@@ -166,163 +169,19 @@ def _verdict(identity, l, cmp, **extra):
 # multipoint product verification
 
 
-_Factor = collections.namedtuple("_Factor", "entries homogeneous c den num_degree den_degree rows height")
-
-
-def _norm(p):
-    """||p||_1, the sum of the absolute values of p's coefficients."""
-    return sum(map(abs, p.terms.values()))
-
-
-def _den_norm(den):
-    """A bound on ||prod p^e||_1 over the map den: ||.||_1 is
-    submultiplicative."""
-    return math.prod(_norm(p) ** e for p, e in den.items())
-
-
-def _read_factor(mat):
-    """What the multipoint proof needs of mat, from one pass over its
-    entries: its distinct entries, whether each is homogeneous of degree
-    zero jointly in all variables, its content c and denominator map den,
-    per variable in VARS order the degree of D and the largest degree of an
-    entry times D, its stored entries by row and its height.
-
-    den is a Counter {Poly: exponent}, the shape of matrix._Cleared.den:
-    each table form of the entry denominators (den_factors) at its largest
-    exponent, and the lcm L of their distinct residuals (by poly_gcd) at 1.
-    With c the lcm of the entries' contents, D = c * prod p^e over den is a
-    common multiple of the entry denominators.  entries maps id(v) to (v, k,
-    m), where v * D = v.num * k * prod p^e over m: k = c // c_v, m holds
-    each form at E - e_v where that is positive, and L / r_v at 1 (L itself
-    when v has no residual r_v).  That is matrix._clear's formula, left
-    unexpanded.  rows is {row: [(col, id(entry))]}, and height is the
-    largest row sum of ||v.num||_1 * k * prod ||p||_1^e over m, a bound on
-    every row sum of ||v * D||_1."""
-    distinct, rows = {}, {}
-    homogeneous = True
-    excess = None  # per variable, the largest deg num - deg den of an entry
-    den, residuals = collections.Counter(), {}
-    for (i, j), val in mat.entries.items():
-        rows.setdefault(i, []).append((j, id(val)))
-        if id(val) in distinct:
-            continue
-        entry_excess = [n - d for n, d in zip(map(max, zip(*val.num.terms)), map(max, zip(*val.den.terms)))]
-        excess = entry_excess if excess is None else list(map(max, excess, entry_excess))
-        den_degs = {sum(e) for e in val.den.terms}
-        homogeneous = homogeneous and len(den_degs) == 1 and {sum(e) for e in val.num.terms} == den_degs
-        c_v, forms, r = val.den_factors()
-        distinct[id(val)] = (val, c_v, forms, r)
-        den |= forms
-        if r is not None:
-            residuals[r] = None
-    lcm = None
-    for r in residuals:
-        lcm = r if lcm is None else lcm * poly_div_exact(r, poly_gcd(lcm, r))
-    c = math.lcm(*(c_v for _, c_v, _, _ in distinct.values()))
-    entries, norms = {}, {}
-    for key, (val, c_v, forms, r) in distinct.items():
-        m = {p: e - forms.get(p, 0) for p, e in den.items() if e > forms.get(p, 0)}
-        if lcm is not None:
-            m[lcm if r is None else poly_div_exact(lcm, r)] = 1
-        entries[key] = (val, c // c_v, m)
-        norms[key] = _norm(val.num) * (c // c_v) * _den_norm(m)
-    if lcm is not None:
-        den[lcm] = 1
-    den_degree = _map_degree(den)
-    num_degree = tuple(max(0, d + x) for d, x in zip(den_degree, excess)) if excess else (0,) * NVARS
-    height = max((sum(norms[eid] for _, eid in row) for row in rows.values()), default=0)
-    return _Factor(entries, homogeneous, c, den, num_degree, den_degree, rows, height)
-
-
-def _map_degree(den):
-    """The degree of prod p^e over the map den in each variable, in VARS
-    order."""
-    degree = (0,) * NVARS
-    for p, e in den.items():
-        # a nonzero Poly's degree in each variable, in VARS order
-        degree = tuple(d + e * x for d, x in zip(degree, map(max, zip(*p.terms))))
-    return degree
-
-
-def _side_map(factors, read):
-    """A side's content and denominator map: the product of its factors'
-    contents and the sum of their maps (read is _read_factors)."""
-    c, den = 1, collections.Counter()
-    for mat in factors:
-        f = read[id(mat)]
-        c *= f.c
-        den.update(f.den)
-    return c, den
-
-
-def _read_factors(mats):
-    """id(factor) -> _Factor for each distinct factor.  The read depends
-    only on the entry values, which a placement shares with the operator it
-    places, so it reads that operator (matrix._operator), once per process:
-    the read is kept on it (matrix._kept, which says why a kept read stays
-    sound)."""
-    return {key: _kept(_operator(mat), "_read", _read_factor) for key, mat in {id(mat): mat for mat in mats}.items()}
-
-
-def _product_degree_bounds(lhs_factors, rhs_factors, read):
-    """Per-variable degree bound for the cleared difference of two products;
-    read is _read_factors.  Every variable of the factors has a bound, in
-    VARS order, and the bound may be 0; no other variable is kept.
-
-    Scaling a factor by the product D of its denominator map (_read_factor)
-    makes it a polynomial matrix; a product entry is a sum of path terms over
-    the common denominator prod(D_f), so (lhs - rhs) prod(D_lhs) prod(D_rhs)
-    has degree at most max over the two sides of (sum of scaled numerator
-    degree bounds on one side + sum of D degrees on the other).  G, each key
-    to the least of its exponents in the two sides' maps (lden & rden, as in
-    matrix.verify_identity), divides both, so (lhs - rhs) prod(D_lhs)
-    prod(D_rhs) / G is a polynomial matrix of degree deg_v G less.  It is
-    the difference the multipoint engine evaluates (_verify_product_identity),
-    and each of its two terms has the same bound.
-    """
-    sides = []
-    for factors in (lhs_factors, rhs_factors):
-        num = [sum(col) for col in zip(*(read[id(mat)].num_degree for mat in factors))]
-        deg = [sum(col) for col in zip(*(read[id(mat)].den_degree for mat in factors))]
-        sides.append((num, deg, _side_map(factors, read)[1]))
-    (ln, ld, lden), (rn, rd, rden) = sides
-    cut = _map_degree(lden & rden)  # lden & rden: key -> min of its two exponents
-    return {v: b - cut[i] for i, v in enumerate(VARS) if (b := max(ln[i] + rd[i], rn[i] + ld[i]))}
-
-
-def _den_at(den, assignment, memo):
-    """prod p^e over the Counter den at an integer point; memo holds each
-    key's value there, so a key shared among maps is evaluated once."""
-    out = 1
-    for p, e in den.items():
-        x = memo.get(p)
-        if x is None:
-            x = memo[p] = p.subs(assignment)
-        out *= x ** e
-    return out
-
-
-def _clear_at(read, assignment, memo):
-    """Every factor of read (_read_factors) times its D at an integer point,
-    {id(factor): {id(entry): int}}, as v.num * k * prod p^e over m: no
-    division, so no pole.  memo is the point's _den_at memo, and a
-    numerator is evaluated once, however many factors share the entry."""
-    nums, cleared = {}, {}
-    for key, f in read.items():
-        values = cleared[key] = {}
-        for eid, (v, k, m) in f.entries.items():
-            x = nums.get(eid)
-            if x is None:
-                x = nums[eid] = v.num.subs(assignment)
-            values[eid] = x * k * _den_at(m, assignment, memo)
-    return cleared
+def _kronecker_value(p, shifts):
+    """The Poly p at a Kronecker point, where the variable at index i of
+    VARS is 2^shifts[i] (1 at shift 0): each term c * prod u^e is c shifted
+    left by sum e_i shifts[i], so no power is taken."""
+    return sum(c << sum(map(operator.mul, e, shifts)) for e, c in p.terms.items())
 
 
 def _product_rows(factors, rows, index, cleared):
     """The given rows of the product of the cleared factors, {row: {col:
     int}} with no zero entry and no empty row.  Each row is carried left to
     right through the factors and reads only the factor rows it reaches;
-    index is _Rows and cleared is _clear_at, keyed by id(factor)."""
+    index is _Rows and cleared the factors' cleared entry values, {id(entry):
+    int}, both keyed by id(factor)."""
     out = {}
     for i in rows:
         acc = {i: 1}
@@ -356,25 +215,31 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     factor by factor.
 
     The labels are checked as in the symbolic prover (matrix._label_mismatch).
-    Each side's product P of the factors f * D_f (_read_factor) is a
-    polynomial matrix.  With each side's contents and maps summed, g =
-    gcd(lc, rc) and G = lden & rden, the scales s_lhs = (rc // g) prod(rden
-    - G) and s_rhs = (lc // g) prod(lden - G) make P_lhs s_lhs - P_rhs s_rhs
-    the polynomial matrix that _product_degree_bounds bounds by d_v, and
-    each of its two terms has degree at most d_v too.  ||.||_1 is
-    submultiplicative, so no coefficient of either term exceeds H = sum over
-    the sides of ||s||_1 prod height_f (_read_factor), each factor's largest
-    row sum of entry norms.  With K = bit_length(H) + 2, every coefficient
-    of either term and of their difference is below 2^(K - 1) in absolute
-    value, so a polynomial's value at the Kronecker point u_v = 2^(K s_v),
-    s_v = prod (d_w + 1) over the variables w before v, holds its
-    coefficients as balanced base-2^K digits, one per monomial (von zur
-    Gathen and Gerhard, Modern Computer Algebra, 3rd ed., 8.4): the
-    difference vanishes exactly when its value there does.  Both terms are
-    evaluated there in integers, by the factor values v.num * k * prod p^e
-    (_clear_at), so a factor's pole is no concern.  When every factor entry
-    is homogeneous of degree zero, the difference is homogeneous, so h = 1
-    is a faithful slice and h leaves the point.
+    Each factor f is read through the clearing the symbolic prover keeps on
+    its operator (matrix._clearing): f * D_f is a polynomial matrix, so
+    each side's product P of them is one.  With the two sides' scales of
+    the symbolic prover (matrix._scales), s_lhs = (rc // g) prod(rden - G)
+    and s_rhs = (lc // g) prod(lden - G), P_lhs s_lhs - P_rhs s_rhs is the
+    cleared difference (lhs - rhs) prod(D_lhs) prod(D_rhs) / G.  An entry of
+    P s is a sum of products of one cleared entry per factor and the scale,
+    so its degree in a variable is at most the sum over the side's factors
+    of their cleared entries' largest degree in it plus the scale's; d_v,
+    the larger of the two sides' sums, bounds both terms and their
+    difference.  Every variable of the factors has a bound, and it may be
+    0.  ||.||_1 is submultiplicative, so the infinity norm it induces on
+    matrices is too, and no coefficient of either term exceeds H = sum over
+    the sides of ||s||_1 prod height_f, each factor's largest row sum of
+    ||v * D_f||_1.  With K = bit_length(H) + 2, every coefficient of either
+    term and of their difference is below 2^(K - 1) in absolute value, so a
+    polynomial's value at the Kronecker point u_v = 2^(K s_v), s_v = prod
+    (d_w + 1) over the variables w before v, holds its coefficients as
+    balanced base-2^K digits, one per monomial (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 3rd ed., 8.4): the difference vanishes exactly
+    when its value there does.  Both terms are evaluated there in integers,
+    from the cleared entries and the scales (_kronecker_value), so a
+    factor's pole is no concern.  When every factor entry is homogeneous of
+    degree zero, the difference is homogeneous, so h = 1 is a faithful
+    slice and h leaves the point.
 
     Only one row per orbit of the label symmetry every factor has is
     multiplied (matrix._orbit_representatives, which gives the soundness
@@ -387,32 +252,39 @@ def _verify_product_identity(lhs_factors, rhs_factors):
     if mismatch:
         return mismatch
     factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
-    read = _read_factors(factors.values())
-    bounds = _product_degree_bounds(lhs_factors, rhs_factors, read)
-    drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
+    cleared = {key: _clearing(mat) for key, mat in factors.items()}
+    sides = (lhs_factors, rhs_factors)
+    _, scales = _scales(*([cleared[id(mat)] for mat in side] for side in sides))
+    # per side, each variable's degree: its factors' cleared entries' and
+    # its scale's (a nonzero Poly's degree per variable is a column maximum)
+    degrees = (
+        map(sum, zip(*(cleared[id(mat)].degrees for mat in side), map(max, zip(*scale.terms))))
+        for side, scale in zip(sides, scales)
+    )
+    variables = frozenset().union(*(x.variables for x in cleared.values()))
+    bounds = {v: max(a, b) for v, a, b in zip(VARS, *degrees) if v in variables}
+    drop_h = "h" in bounds and all(x.homogeneous for x in cleared.values())
     if drop_h:
         del bounds["h"]
-    index = {key: _Rows(mat, read[key].rows) for key, mat in factors.items()}
+    index = {key: _Rows(mat, cleared[key].rows) for key, mat in factors.items()}
     reps = _orbit_representatives(list(factors.values()))
-    sides = (lhs_factors, rhs_factors)
-    (lc, lden), (rc, rden) = (_side_map(side, read) for side in sides)
-    g, shared = math.gcd(lc, rc), lden & rden
-    scales = ((rc // g, rden - shared), (lc // g, lden - shared))
     height = sum(
-        k * _den_norm(den) * math.prod(read[id(mat)].height for mat in side) for side, (k, den) in zip(sides, scales)
+        sum(map(abs, scale.terms.values())) * math.prod(cleared[id(mat)].height for mat in side)
+        for side, scale in zip(sides, scales)
     )
     width = height.bit_length() + 2
-    point, size = {"h": 1}, 1
+    shifts, size = [0] * NVARS, 1
     for v, d in bounds.items():
-        point[v] = 1 << width * size
+        shifts[VAR_INDEX[v]] = width * size
         size *= d + 1
-    # embed_on_slots shares one RatFunc among many entries and factors, and
-    # one key among many maps: each is evaluated once
-    memo = {}
-    cleared = _clear_at(read, point, memo)
+    # placements of one operator share its clearing, whose entries are
+    # each evaluated once
+    distinct = {id(x): x for x in cleared.values()}
+    values = {k: {key: _kronecker_value(p, shifts) for key, p in x.entries.items()} for k, x in distinct.items()}
+    at = {key: values[id(x)] for key, x in cleared.items()}
     lhs, rhs = (
-        _scaled(_product_rows(side, reps, index, cleared), k * _den_at(den, point, memo))
-        for side, (k, den) in zip(sides, scales)
+        _scaled(_product_rows(side, reps, index, at), _kronecker_value(scale, shifts))
+        for side, scale in zip(sides, scales)
     )
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"

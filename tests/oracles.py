@@ -28,9 +28,15 @@ The library never calls these.
   fold_and_compare            two factor lists multiplied out entry by entry
                               in canonical form and compared, the reference
                               for matrix.verify_identity
+  d_degree_bounds             the degree bounds of a cleared difference by
+                              the D-degree formula over matrix._clear's
+                              denominator maps, the reference for the
+                              cleared-degree bounds of
+                              relations._verify_product_identity
   full_row_grid_proof         the grid proof with every row of both products
-                              multiplied at every point, the reference for
-                              the holds and degreeBounds of
+                              multiplied at every point of the grid of
+                              d_degree_bounds, the reference for the holds
+                              and degreeBounds of
                               relations._verify_product_identity
   polynomial_counterexample   a failing multipoint counterexample read off
                               the cleared sides expanded as polynomials, the
@@ -61,11 +67,10 @@ import math
 import operator
 
 from refleq.dynkin import adjacency, cartan_matrix
-from refleq.field import NVARS, VAR_INDEX, Poly, RatFunc, _format_mono, format_ratfunc, poly_div_exact
+from refleq.field import NVARS, VAR_INDEX, VARS, Poly, RatFunc, _format_mono, format_ratfunc, poly_div_exact
 from refleq.kclass import GenericityError, QLaurent, q_integer
-from refleq.matrix import LabeledMatrix, _label_mismatch, _label_to_json, first_difference
+from refleq.matrix import LabeledMatrix, _clear, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
-from refleq.relations import _product_degree_bounds, _read_factors
 from refleq.tableaux import _fold_pairs, condition_met
 
 # ---------------------------------------------------------------------------
@@ -430,17 +435,78 @@ def _point_str(assignment):
     return "{" + ", ".join(f"{k}={v}" for k, v in sorted(assignment.items())) + "}"
 
 
-def _cleared_sides(lhs_factors, rhs_factors, read):
-    """Each factor f cleared by D_f = c_f * prod den_f entry by entry, as
-    (D_f / v.den) * v.num, keyed by id(f) (_cleared_polys), and the two
-    sides' scales: each the other side's D product over the part the two
-    share, expanded as one Poly; read is relations._read_factors."""
-    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
-    cleared = {key: _cleared_polys(mat, _expand(read[key].c, read[key].den)) for key, mat in factors.items()}
-    (lc, lden), (rc, rden) = (
-        (math.prod(read[id(mat)].c for mat in side), sum((read[id(mat)].den for mat in side), collections.Counter()))
-        for side in (lhs_factors, rhs_factors)
+def _map_degree(den):
+    """The degree of prod p^e over the Counter den in each variable, in
+    VARS order."""
+    degree = [0] * NVARS
+    for p, e in den.items():
+        degree = [d + e * max(x[i] for x in p.terms) for i, d in enumerate(degree)]
+    return degree
+
+
+def _maps(factors):
+    """{id(factor): (c, den)}, each distinct factor's content and
+    denominator map as matrix._clear reads them, read afresh on the factor
+    itself (a placement at full size)."""
+    return {id(mat): _clear(mat)[:2] for mat in factors}
+
+
+def _side_maps(sides, maps):
+    """Each side's content and map: the product of its factors' contents
+    and the sum of their maps."""
+    return [
+        (math.prod(maps[id(mat)][0] for mat in side), sum((maps[id(mat)][1] for mat in side), collections.Counter()))
+        for side in sides
+    ]
+
+
+def d_degree_bounds(lhs_factors, rhs_factors):
+    """The per-variable degree bound of the cleared difference (lhs - rhs)
+    prod(D_lhs) prod(D_rhs) / G by the D-degree formula, over the maps of
+    matrix._clear.  Per side, ln sums over its factors each one's bound on
+    the degree of an entry times its D, the largest deg v.num - deg v.den of
+    an entry plus deg D (at least 0), and ld sums deg D.  A path term of a
+    side's product over prod(D_lhs) prod(D_rhs) has degree at most ln + rd
+    (or rn + ld), and G = lden & rden divides both, so the bound is max(ln +
+    rd, rn + ld) - deg G.  Every variable where max(ln + rd, rn + ld) is not
+    0 is kept, h included, and no other."""
+    maps = _maps([*lhs_factors, *rhs_factors])
+    sums = []
+    for side in (lhs_factors, rhs_factors):
+        num, deg = [0] * NVARS, [0] * NVARS
+        for mat in side:
+            d = _map_degree(maps[id(mat)][1])
+            excess = [
+                max((v.num.degree(name) - v.den.degree(name) for v in mat.entries.values()), default=0)
+                for name in VARS
+            ]
+            num = [n + max(0, x + e) for n, x, e in zip(num, d, excess)]
+            deg = [a + b for a, b in zip(deg, d)]
+        sums.append((num, deg))
+    (ln, ld), (rn, rd) = sums
+    (_, lden), (_, rden) = _side_maps((lhs_factors, rhs_factors), maps)
+    cut = _map_degree(lden & rden)
+    return {v: b - cut[i] for i, v in enumerate(VARS) if (b := max(ln[i] + rd[i], rn[i] + ld[i]))}
+
+
+def _homogeneous(mat):
+    """Whether every entry of mat is homogeneous of degree zero jointly in
+    all variables."""
+    return all(
+        len(d := {sum(e) for e in v.den.terms}) == 1 and {sum(e) for e in v.num.terms} == d
+        for v in mat.entries.values()
     )
+
+
+def _cleared_sides(lhs_factors, rhs_factors):
+    """Each factor f cleared by D_f = c_f * prod den_f (matrix._clear's
+    map) entry by entry, as (D_f / v.den) * v.num, keyed by id(f)
+    (_cleared_polys), and the two sides' scales: each the other side's D
+    product over the part the two share, expanded as one Poly."""
+    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
+    maps = _maps(factors.values())
+    cleared = {key: _cleared_polys(mat, _expand(*maps[key])) for key, mat in factors.items()}
+    (lc, lden), (rc, rden) = _side_maps((lhs_factors, rhs_factors), maps)
     g, shared = math.gcd(lc, rc), lden & rden
     return cleared, (_expand(rc // g, rden - shared), _expand(lc // g, lden - shared))
 
@@ -448,24 +514,24 @@ def _cleared_sides(lhs_factors, rhs_factors, read):
 def full_row_grid_proof(lhs_factors, rhs_factors):
     """The grid proof of two factor lists, with both products multiplied in
     full at every grid point, the reference for the holds and degreeBounds
-    of relations._verify_product_identity: the same label checks and degree
-    bounds, and the grid {0, ..., bound} per variable (h = 1 when it leaves
-    the bounds); each factor cleared and each side scaled as in
-    _cleared_sides; every row of every integer product; and the
-    counterexample at the least differing entry of the first point where the
-    scaled products differ.  A polynomial of degree at most d_v in each
+    of relations._verify_product_identity: the same label checks, the
+    bounds of d_degree_bounds with h left out when every factor entry is
+    homogeneous of degree zero, and the grid {0, ..., bound} per variable
+    (h = 1 when it leaves the bounds); each factor cleared and each side
+    scaled as in _cleared_sides; every row of every integer product; and
+    the counterexample at the least differing entry of the first point
+    where the scaled products differ.  A polynomial of degree at most d_v in each
     variable that vanishes on a product of d_v + 1 values per variable is
     zero (Alon, Combin. Probab. Comput. 8 (1999), Lemma 2.1), so agreement
     on the whole grid is a proof."""
     mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
     if mismatch:
         return mismatch
-    read = _read_factors([*lhs_factors, *rhs_factors])
-    bounds = _product_degree_bounds(lhs_factors, rhs_factors, read)
-    drop_h = "h" in bounds and all(f.homogeneous for f in read.values())
+    bounds = d_degree_bounds(lhs_factors, rhs_factors)
+    drop_h = "h" in bounds and all(map(_homogeneous, (*lhs_factors, *rhs_factors)))
     if drop_h:
         del bounds["h"]
-    cleared, (lhs_scale, rhs_scale) = _cleared_sides(lhs_factors, rhs_factors, read)
+    cleared, (lhs_scale, rhs_scale) = _cleared_sides(lhs_factors, rhs_factors)
     n_points = 0
     for combo in itertools.product(*(range(b + 1) for b in bounds.values())):
         assignment = dict(zip(bounds, combo))
@@ -516,8 +582,7 @@ def polynomial_counterexample(lhs_factors, rhs_factors, verdict):
     they differ and, in that entry, the least monomial whose two
     coefficients differ, later variables dominating, with both
     coefficients."""
-    read = _read_factors([*lhs_factors, *rhs_factors])
-    cleared, scales = _cleared_sides(lhs_factors, rhs_factors, read)
+    cleared, scales = _cleared_sides(lhs_factors, rhs_factors)
     row = verdict["counterexample"]["row"]
     i = [_label_to_json(lab) for lab in lhs_factors[0].row_labels].index(row)
     sides = []

@@ -209,7 +209,7 @@ def test_every_kind_of_matrix_rejects_writes(monkeypatch):
     assert _verify_product_identity(factors, factors[::-1])["holds"]
     assert not fills
     # both proofs kept what they read on the operator, in its private slots
-    assert all(getattr(r, slot, None) is not None for slot in ("_read", "_cleared", "_packed", "_symmetry"))
+    assert all(getattr(r, slot, None) is not None for slot in ("_cleared", "_packed", "_symmetry"))
     kinds = {
         "built": r,
         "constructed": LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u")}),

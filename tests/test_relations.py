@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    d_degree_bounds,
     edited,
     embed_eagerly,
     entry,
@@ -23,13 +24,16 @@ from oracles import (
     full_row_grid_proof,
     full_size_orbit_representatives,
     linear_combination,
+    parse_poly,
     parse_ratfunc,
     polynomial_counterexample,
 )
 from refleq import acceptance, field, matrix, relations, rkmat
-from refleq.field import H, U, U1, U2, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
+from refleq.field import H, U, U1, U2, VARS, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import (
     LabeledMatrix,
+    _clear,
+    _clearing,
     _label_to_json,
     _orbit_representatives,
     _Rows,
@@ -39,16 +43,14 @@ from refleq.matrix import (
 from refleq.relations import (
     EXCHANGE_VARIANTS,
     _chain_monodromies,
-    _clear_at,
     _constant_term_factors,
     _derivation_factors,
     _exchange_factors,
     _factorization_factors,
     _fold,
-    _product_degree_bounds,
+    _kronecker_value,
     _product_rows,
     _prove,
-    _read_factors,
     _reflection_factors,
     _verify_product_identity,
     check_boundary_constant_term,
@@ -352,32 +354,43 @@ class TestGridEngine:
         assert full_row_grid_proof([x, y], [one])["gridSize"] > 1
 
     def test_each_distinct_entry_is_evaluated_once_per_point(self, monkeypatch):
-        # embed_on_slots shares one RatFunc among many entries and factors
+        # embed_on_slots shares one RatFunc among many entries and factors,
+        # and the engine evaluates each distinct cleared entry of each
+        # distinct operator once at the Kronecker point, and each side's
+        # scale once; the rhs places R12's operator a second time
         labels = site_labels(2)
         slots = [labels] * 3
         u1, u2 = RatFunc.var("u1"), RatFunc.var("u2")
         r12 = embed_on_slots(yang_r(2, u1 - u2), (0, 1), slots)
         r13 = embed_on_slots(yang_r(2, u1), (0, 2), slots)
         r23 = embed_on_slots(yang_r(2, u2), (1, 2), slots)
+        again = embed_on_slots(yang_r(2, u1 - u2), (0, 1), slots)
+        assert again is not r12 and again.operator is r12.operator
         factors = [r12, r13, r23]
         distinct = {id(v) for m in factors for v in m.entries.values()}
         stored = sum(len(m.entries) for m in factors)
         assert len(distinct) < stored
-        # the engine reads an entry's value through its numerator's subs
-        numerators = {id(v.num) for m in factors for v in m.entries.values()}
+        cleared = {id(p) for m in factors for p in _clearing(m).entries.values()}
         calls = []
-        real_subs = Poly.subs
+        real = relations._kronecker_value
 
-        def counting_subs(self, assignment):
-            if id(self) in numerators:
-                calls.append((id(self), tuple(sorted(assignment.items()))))
-            return real_subs(self, assignment)
+        def counting(p, shifts):
+            calls.append(id(p))
+            return real(p, shifts)
 
-        monkeypatch.setattr(Poly, "subs", counting_subs)
-        v = _verify_product_identity(factors, factors[::-1])
-        assert v["holds"]
-        assert calls and len(calls) == len(set(calls))
-        assert len(calls) <= len(distinct) * v["gridSize"]
+        monkeypatch.setattr(relations, "_kronecker_value", counting)
+        v = _verify_product_identity(factors, [r23, r13, again])
+        assert v["holds"] and v["gridSize"] == 1
+        entry_calls = [p for p in calls if p in cleared]
+        assert sorted(entry_calls) == sorted(cleared)
+        assert len(calls) - len(entry_calls) == 2
+        assert len(cleared) <= len(distinct)
+
+    def test_kronecker_value_is_the_value_at_powers_of_two(self):
+        p = parse_poly("3*u1^2*u2 - 5*h*u1 + 7*u2^3 - 1")
+        for shifts in ([0, 0, 4, 9, 0, 0], [2, 0, 1, 3, 0, 0], [0] * 6):
+            point = {v: 1 << s for v, s in zip(VARS, shifts)}
+            assert _kronecker_value(p, shifts) == p.subs(point)
 
     def test_cleared_rows_are_the_values_times_d(self):
         # value = v(x) * D(x) for every entry v, with D = c * prod den the
@@ -390,18 +403,16 @@ class TestGridEngine:
             (2, 1): parse_ratfunc("u1 / 3"),
             (2, 2): RatFunc.const(Fraction(-5, 6)),
         })
-        read = _read_factors([m])
-        (f,) = read.values()
-        assert f.c == 6
-        d = Poly.const(f.c)
-        for p, e in f.den.items():
+        cleared = _clear(m)
+        assert cleared.c == 6
+        d = Poly.const(cleared.c)
+        for p, e in cleared.den.items():
             d = d * p ** e
-        index = {id(m): _Rows(m, f.rows)}
+        index = {id(m): _Rows(m, cleared.rows)}
         for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
-            cleared = _clear_at(read, point, {})
-            values = cleared[id(m)]
+            values = {key: p.subs(point) for key, p in cleared.entries.items()}
             assert all(type(n) is int for n in values.values())
-            product = _product_rows([m, m, m], range(len(labels)), index, cleared)
+            product = _product_rows([m, m, m], range(len(labels)), index, {id(m): values})
             assert all(type(n) is int for row in product.values() for n in row.values())
             dx = d.subs(point)
             if not dx:
@@ -963,7 +974,7 @@ class TestFractionFreeProver:
 
 # the grid-proof workload of the benchmark, with the table forms the two
 # sides' denominators share cancelled from the cleared difference: (check, K
-# of its Kronecker point, degreeBounds of the verdict, _product_degree_bounds
+# of its Kronecker point, degreeBounds of the verdict, oracles.d_degree_bounds
 # over every variable of the factors, h included).  Every proof evaluates at
 # one point, so its gridSize is 1
 GRID_PROOF_PINS = {
@@ -1001,32 +1012,31 @@ def _gcd_lcm(mat):
 
 
 def _assert_bounds_cover_cleared_products(lhs, rhs):
-    """With D the product of every factor's lcm (by poly_gcd) and G the
-    product of the keys the two sides' denominator maps share, each to the
-    least of its exponents over the engine's factor reads (.den), G divides
-    the lcm product of each side, and lhs * D / G, rhs * D / G and their
-    difference, the cleared difference the grid proof relies on, are
-    polynomial matrices whose degree in each variable is at most
-    _product_degree_bounds.  A difference that vanishes (the identity
+    """With D_f = c * prod p^e over factor f's map as matrix._clear reads
+    it, a multiple of the lcm of f's entry denominators (by poly_gcd), D the
+    product of every factor's D_f and G the product of the keys the two
+    sides' maps share, each to the least of its exponents, lhs * D / G, rhs
+    * D / G and their difference, the cleared difference the grid proof
+    relies on, are polynomial matrices whose degree in each variable is at
+    most oracles.d_degree_bounds.  A difference that vanishes (the identity
     holds) bounds nothing, so both cleared sides are held to the bound as
-    well."""
-    read = _read_factors([*lhs, *rhs])
-    bounds = _product_degree_bounds(lhs, rhs, read)
-    lcms = {id(mat): _gcd_lcm(mat) for mat in [*lhs, *rhs]}
-    side_clear, side_dens = [], []
+    well.  The engine's cleared-degree bounds are held to d_degree_bounds
+    wherever a test proves a list through _grid_proof."""
+    bounds = d_degree_bounds(lhs, rhs)
+    maps = {id(mat): _clear(mat) for mat in [*lhs, *rhs]}
+    clear, side_dens = Poly.const(1), []
     for factors in (lhs, rhs):
-        clear, den = Poly.const(1), collections.Counter()
+        den = collections.Counter()
         for mat in factors:
-            clear = clear * lcms[id(mat)]
-            den.update(read[id(mat)].den)
-        side_clear.append(clear)
+            d = Poly.const(maps[id(mat)].c)
+            for p, e in maps[id(mat)].den.items():
+                d = d * p ** e
+            poly_div_exact(d, _gcd_lcm(mat))  # raises unless D_f is a multiple of the lcm
+            clear = clear * d
+            den.update(maps[id(mat)].den)
         side_dens.append(den)
-    common = Poly.const(1)
     for p, e in (side_dens[0] & side_dens[1]).items():
-        common = common * p ** e
-    for clear in side_clear:
-        poly_div_exact(clear, common)  # raises unless G divides the side's lcm product
-    clear = poly_div_exact(side_clear[0] * side_clear[1], common)
+        clear = poly_div_exact(clear, p ** e)
     left, right = _fold(lhs).entries, _fold(rhs).entries
     zero = RatFunc.zero()
     values = {*left.values(), *right.values()}
@@ -1049,7 +1059,8 @@ class TestDegreeBounds:
         bits = width * math.prod(d + 1 for d in bounds.values())
         assert f"the Kronecker point (K = {width}, {bits} bits, bounds {bounds})" in v["detail"]
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
-        assert _product_degree_bounds(lhs, rhs, _read_factors([*lhs, *rhs])) == all_bounds
+        assert d_degree_bounds(lhs, rhs) == all_bounds
+        assert _verify_product_identity(lhs, rhs)["degreeBounds"] == bounds
 
     @pytest.mark.parametrize("name", sorted(GRID_PROOF_PINS))
     def test_grid_proof_bounds_are_sound(self, name, monkeypatch):
@@ -1093,10 +1104,11 @@ class TestDegreeBounds:
         # term
         k = 12
         lhs, rhs = one_entry(U1), one_entry(RatFunc.const(2 ** k))
-        read = _read_factors([lhs, rhs])
-        index = {id(m): _Rows(m, read[id(m)].rows) for m in (lhs, rhs)}
-        cleared = _clear_at(read, {"h": 1, "u1": 1 << k}, {})
-        assert _product_rows([lhs], [0], index, cleared) == _product_rows([rhs], [0], index, cleared)
+        cleared = {id(m): _clear(m) for m in (lhs, rhs)}
+        index = {id(m): _Rows(m, cleared[id(m)].rows) for m in (lhs, rhs)}
+        shifts = [0, 0, k, 0, 0, 0]  # u1 = 2^k
+        at = {key: {e: _kronecker_value(p, shifts) for e, p in x.entries.items()} for key, x in cleared.items()}
+        assert _product_rows([lhs], [0], index, at) == _product_rows([rhs], [0], index, at)
         v = _grid_proof([lhs], [rhs])
         assert not v["holds"] and v["degreeBounds"] == {"u1": 1}
         assert v["detail"] == f"cleared sides differ at the Kronecker point (K = {k + 3}, {2 * (k + 3)} bits, bounds {{'u1': 1}})"
@@ -1134,12 +1146,17 @@ class TestDegreeBounds:
         _assert_bounds_cover_cleared_products([m], [m])
 
     def test_bounds_cover_factors_with_several_residuals(self):
-        # p and q are irreducible, so they stay residuals in every process,
-        # and a's map holds the lcm p q of its residuals p and p q
+        # p and q are irreducible, so they stay residuals in every process.
+        # a's map holds both of its residuals, p and p q, whole, so its D is
+        # their product p^2 q, not their lcm p q: the bounds are larger than
+        # the lcm's ({"h": 2, "u1": 5, "u2": 2}), and they still cover the
+        # cleared products
         p, q = U1 * U2 + H * H + RatFunc.one(), U1 * U1 + U2 + RatFunc.one()
         a = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one() / p, (2, 2): RatFunc.one() / (p * q)})
         b = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one() / q, (2, 2): U1 / p})
-        assert _grid_proof([a, b], [b, a])["holds"]
+        assert _clear(a).den == collections.Counter({p.num: 1, (p * q).num: 1})
+        v = _grid_proof([a, b], [b, a])
+        assert v["holds"] and v["degreeBounds"] == {"h": 4, "u1": 6, "u2": 3}
         _assert_bounds_cover_cleared_products([a, b], [b, a])
 
 
@@ -1322,10 +1339,11 @@ class TestOrbitReduction:
         # the rows of the unplanted symmetry never reach the planted row: an
         # engine that kept those transpositions would find the two sides equal
         factors = {id(m): m for m in (*lhs, *rhs)}
-        read = _read_factors(factors.values())
-        index = {k: _Rows(m, read[k].rows) for k, m in factors.items()}
-        cleared = _clear_at(read, {"h": 1, "u1": 2, "u2": 3}, {})
-        assert _product_rows(lhs, reps, index, cleared) == _product_rows(rhs, reps, index, cleared)
+        cleared = {k: _clearing(m) for k, m in factors.items()}
+        index = {k: _Rows(m, cleared[k].rows) for k, m in factors.items()}
+        point = {"h": 1, "u1": 2, "u2": 3}
+        at = {k: {e: p.subs(point) for e, p in x.entries.items()} for k, x in cleared.items()}
+        assert _product_rows(lhs, reps, index, at) == _product_rows(rhs, reps, index, at)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
         # R12 perturbed alike at every image of the planted key under the
@@ -1489,25 +1507,28 @@ def test_a_proof_builds_no_placement_map(run, monkeypatch):
 
 
 def test_a_grid_proof_reads_each_operator_at_most_once_per_process(monkeypatch):
+    # both provers read a factor through the one clearing kept on its
+    # operator: two multipoint proofs on the same placements, one on new
+    # placements of the same operators, then symbolic proofs of the same
+    # lists clear each of the three operators once, and no more
     _clear_builders()
-    read = []
-    real = relations._read_factor
+    cleared = []
+    real = matrix._clear
 
     def recording(mat):
-        read.append(mat)
+        cleared.append(mat)
         return real(mat)
 
-    monkeypatch.setattr(relations, "_read_factor", recording)
-    # two proofs on the same placements, then one on new placements of the
-    # same operators: the first reads each operator, the others none
+    monkeypatch.setattr(matrix, "_clear", recording)
     ((lhs, rhs),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
     for _ in range(2):
         assert _verify_product_identity(lhs, rhs)["holds"]
     ((again, _),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
     assert {id(m) for m in again}.isdisjoint(map(id, lhs))
     assert _verify_product_identity(again, again[::-1])["holds"]
-    assert len(read) == 3
-    assert {id(m) for m in read} == {id(f.operator) for f in lhs} == {id(f.operator) for f in again}
+    assert verify_identity(lhs, rhs)["holds"] and verify_identity(again, again[::-1])["holds"]
+    assert len(cleared) == 3
+    assert {id(m) for m in cleared} == {id(f.operator) for f in lhs} == {id(f.operator) for f in again}
 
 
 def test_kept_reads_leave_every_verdict_unchanged(monkeypatch):
@@ -1521,11 +1542,10 @@ def test_kept_reads_leave_every_verdict_unchanged(monkeypatch):
     lists = _suite_and_acceptance_lists(monkeypatch)
     cold = verdicts(lists)
     calls = collections.Counter()
-    for module, name in ((relations, "_read_factor"), (matrix, "_clear")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda mat, _real=real, _name=name: calls.update([_name]) or _real(mat))
+    real = matrix._clear
+    monkeypatch.setattr(matrix, "_clear", lambda mat: calls.update(["_clear"]) or real(mat))
     warm = verdicts(lists)
-    # the second run reads and clears nothing again
+    # the second run clears nothing again
     assert not calls
     monkeypatch.undo()
     _clear_builders()
