@@ -86,9 +86,9 @@ def criterion_05_longest_reflection_composite():
         for j, (image, coeff) in summary.items():
             if image != iv[j] or coeff != expected_coeff:
                 yield f"{name}: U_{j} -> ({image}, {coeff})"
-        low = longest_reflection_transform(t, longest_word(t))
+        # the summary holds the low word's transform, each a single term
         high = longest_reflection_transform(t, longest_word(t, prefer_high=True))
-        if any(low[j] != high[j] for j in t.vertices):
+        if any(high[j].single_symbol() != (("U", image), coeff) for j, (image, coeff) in summary.items()):
             yield f"{name}: two reduced words disagree"
 
 

@@ -26,18 +26,28 @@ interleavings sum to the shifted q-binomial
 
     q^(n*c*min(alpha_v, beta_v)) * [n+c; c] in q^|beta_v - alpha_v|
 
-(Stanley, EC1 1.7).  That precondition is checked on every call; a table
-that breaks it raises instead of giving a wrong polynomial.  Enumeration
+(Stanley, EC1 1.7).  That precondition is checked on every run; a table
+that breaks it raises instead of giving a wrong polynomial.  A run at w1
+hands back the series of every smaller w1 as well.  The tables depend only
+on (statistic, kind, l) once w1 >= 2, so the process keeps them, and the
+small tableaux they are read off (_row_pair_tables, _small_tableaux); the
+Poincare polynomial, the reports and the Betti table all read through
+_betti_states, which runs the program over the kept tables.  Enumeration
 stays for the tableau counts and as the oracle in the tests, behind the
 bound MAX_CANDIDATES.
 
 Flag side: rows are indexed by +-1..+-floor(w/2) (plus a center row 0 when
 w is odd), each of length one, with entry(-k) = l+1-entry(k).  The content
-of a tableau determines the dimension vector it contributes to.
+of a tableau determines the dimension vector it contributes to, and it
+depends only on how many positive rows take their entry from each class
+{e, l+1-e}.  So the points of a given dimension vector are built directly,
+class counts first, with no filter over the l^floor(w/2) candidates; the
+filter is the oracle in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -56,20 +66,30 @@ def _check_size(l, w1):
         raise ValueError(f"w1 must be non-negative, got {w1}")
 
 
+def _count_above_bound(digits, count):
+    """A count of tableaux, as text, when it exceeds MAX_CANDIDATES; else None.
+
+    digits is the count's log10.  Past 30 digits the text is 'about 10^N'
+    and count, a callable that forms the exact number, is not called, so no
+    huge number is formed.
+    """
+    if digits >= 30:
+        return f"about 10^{digits:.0f}"
+    exact = count()
+    return str(exact) if exact > MAX_CANDIDATES else None
+
+
 def _check_candidates(what, l, n):
     """Raise ValueError, naming the count, when l^n candidates exceed the bound.
 
     The caller has applied _check_size, so l >= 2 and n >= 0.
     """
-    # with l >= 2, n >= bit_length already exceeds the bound: no huge power is formed
-    if n < MAX_CANDIDATES.bit_length() and l**n <= MAX_CANDIDATES:
-        return
-    digits = n * math.log10(l)
-    count = l**n if digits < 30 else f"about 10^{digits:.0f}"
-    raise ValueError(
-        f"{what} would build {l}^{n} = {count} candidate tableaux, "
-        f"above the bound of {MAX_CANDIDATES}"
-    )
+    count = _count_above_bound(n * math.log10(l), lambda: l**n)
+    if count:
+        raise ValueError(
+            f"{what} would build {l}^{n} = {count} candidate tableaux, "
+            f"above the bound of {MAX_CANDIDATES}"
+        )
 
 
 class InstantonTableau(namedtuple("InstantonTableau", "l w1 rows")):
@@ -224,38 +244,52 @@ def tangent_dimension(t, kind):
     return _fold_pairs(diag, off, kind)
 
 
-def _small_tableaux(l, w1):
-    """The tableaux with one and two positive rows that fix the row-pair tables.
+def _charge_exponent(t, kind):
+    """The t-exponent 2 * charge."""
+    return 2 * charge(t, kind)
+
+
+def _twos(t, kind):
+    """The number of positive rows that carry 2, the same for either kind."""
+    return sum(1 for k in range(1, t.w1 + 1) if t.positive_entry(k) == 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_tableaux(l, n):
+    """The tableaux with one and two positive rows that fix the row-pair
+    tables, kept per (l, n) for n = min(w1, 2) and shared by every statistic.
 
     Returns ({e: tableau}, {(a, b): tableau}); the second is empty when
-    w1 < 2, since no pair of rows then exists, and both are when w1 = 0.
+    n < 2, since no pair of rows then exists, and both are when n = 0.
     """
-    _check_size(l, w1)
     build = InstantonTableau.from_positive_entries
     values = range(1, l + 1)
-    ones = {e: build(l, 1, (e,)) for e in values} if w1 >= 1 else {}
-    twos = {(a, b): build(l, 2, (a, b)) for a in values for b in values} if w1 >= 2 else {}
+    ones = {e: build(l, 1, (e,)) for e in values} if n >= 1 else {}
+    twos = {(a, b): build(l, 2, (a, b)) for a in values for b in values} if n >= 2 else {}
     return ones, twos
 
 
-def _row_pair_tables(stat, small):
-    """D(e) and P(a, b) of a row-local statistic, read off the small tableaux."""
-    ones, twos = small
-    d = {e: stat(t) for e, t in ones.items()}
-    p = {(a, b): stat(t) - d[a] - d[b] for (a, b), t in twos.items()}
+@functools.lru_cache(maxsize=None)
+def _row_pair_tables(stat, kind, l, n):
+    """D(e) and P(a, b) of a row-local statistic stat(t, kind), read off the
+    small tableaux once per (stat, kind, l, n)."""
+    ones, twos = _small_tableaux(l, n)
+    d = {e: stat(t, kind) for e, t in ones.items()}
+    p = {(a, b): stat(t, kind) - d[a] - d[b] for (a, b), t in twos.items()}
     return d, p
 
 
-def _charge_exponent(kind):
-    """The t-exponent 2 * charge.  The kind is checked here, since at w1 = 0
-    no tableau reaches charge."""
+def _betti_states(stat, kind, l, w1):
+    """states[n] of stat's content program for every n <= w1.
+
+    The tables are the same for every w1 >= 2, and at w1 <= 1 no pair term
+    enters, so they are kept per min(w1, 2).  The kind is checked here,
+    since at w1 = 0 no tableau reaches a statistic.
+    """
     if kind not in ("sp", "so"):
         raise ValueError(f"unknown kind {kind!r}")
-    return lambda t: 2 * charge(t, kind)
-
-
-def _twos(t):
-    return sum(1 for k in range(1, t.w1 + 1) if t.positive_entry(k) == 2)
+    _check_size(l, w1)
+    return _content_states(l, w1, _row_pair_tables(stat, kind, l, min(w1, 2)))
 
 
 def _times_one_minus(coeffs, s):
@@ -323,11 +357,6 @@ def _series(run):
     return {e: x for e, x in enumerate(run) if x}
 
 
-def _content_series(l, w1, tables):
-    """{exponent: number of tableaux} of D + P over all l^w1 tableaux."""
-    return _series(_content_states(l, w1, tables)[w1])
-
-
 def _dimension(dims):
     """The one exponent of a tangent-dimension series, which must be a monomial."""
     if len(dims) != 1:
@@ -337,8 +366,7 @@ def _dimension(dims):
 
 def poincare_polynomial(kind, l, w1):
     """Betti generating function as {exponent: coefficient} in t."""
-    stat = _charge_exponent(kind)
-    return _content_series(l, w1, _row_pair_tables(stat, _small_tableaux(l, w1)))
+    return _series(_betti_states(_charge_exponent, kind, l, w1)[w1])
 
 
 def format_tpoly(poly):
@@ -359,26 +387,21 @@ def format_tpoly(poly):
 def fixed_locus_report(kind, l, w1):
     """Count, Betti polynomial and tangent dimension; for so also the components.
 
-    Every statistic runs the content program once over one shared set of
-    l + l^2 small tableaux.  The tangent dimension must come out as a single
+    The statistics read their tables off one shared set of l + l^2 small
+    tableaux, kept per (l, min(w1, 2)) (_betti_states).  The tangent dimension must come out as a single
     monomial, i.e. constant over all l^w1 tableaux.  For so the report adds
     the number of zero-charge points and, at l = 2, the sizes of the two
     classes of tableaux by the parity of how many positive rows carry 2.
     """
-    stat = _charge_exponent(kind)
-    small = _small_tableaux(l, w1)
-
-    def series(f):
-        return _content_series(l, w1, _row_pair_tables(f, small))
-
-    poly = series(stat)
-    dims = series(lambda t: tangent_dimension(t, kind))
+    parity = kind == "so" and l == 2
+    stats = (_charge_exponent, tangent_dimension) + ((_twos,) if parity else ())
+    poly, dims, *twos = (_series(_betti_states(stat, kind, l, w1)[w1]) for stat in stats)
     report = {"count": l**w1, "poincare": format_tpoly(poly), "dimension": _dimension(dims)}
     if kind == "so":
         report["zeroChargeCount"] = poly.get(0, 0)
-        if l == 2:
+        if parity:
             sizes = [0, 0]
-            for e, c in series(_twos).items():
+            for e, c in twos[0].items():
                 sizes[e % 2] += c
             report["parityComponents"] = sizes
     return report
@@ -395,16 +418,11 @@ def betti_rows(kind, l, w1_max):
 
     The row-pair tables are the same for every w1 >= 2, and at w1 <= 1 no
     pair term enters, so one content run at w1_max hands back the series of
-    every smaller w1 in its last states: one charge run and one tangent run
-    serve the whole range.
+    every smaller w1 in its last states: one charge run and one tangent run,
+    over the tables kept for (kind, l), serve the whole range.
     """
-    small = _small_tableaux(l, w1_max)
-
-    def states(f):
-        return _content_states(l, w1_max, _row_pair_tables(f, small))
-
-    polys = states(_charge_exponent(kind))
-    dims = states(lambda t: tangent_dimension(t, kind))
+    polys = _betti_states(_charge_exponent, kind, l, w1_max)
+    dims = _betti_states(tangent_dimension, kind, l, w1_max)
     return [
         (w1, _dimension(_series(dims[w1])), format_tpoly(_series(polys[w1])))
         for w1 in range(w1_max + 1)
@@ -444,14 +462,73 @@ class FlagTableau(namedtuple("FlagTableau", "l w entries")):
         return {"rows": {str(k): [e] for k, e in self.entries}, "v": list(self.content())}
 
 
+def _content_choices(l, m, need):
+    """Every choice of m positive-row entries with need[c] rows in class c.
+
+    Entry e is in class min(e, l+1-e) - 1, with its mirror l+1-e.  The
+    choices come in lexicographic order, as itertools.product gives them,
+    from a depth-first walk that tries the entries of a position in
+    increasing order and takes one only while its class has rows left; every
+    branch it enters ends in a choice.
+    """
+    cls = [None] + [min(e, l + 1 - e) - 1 for e in range(1, l + 1)]
+    left = list(need)
+    choice, out = [], []
+    e = 1
+    while True:
+        if len(choice) == m:
+            out.append(tuple(choice))
+            e = l + 1
+        while e <= l and not left[cls[e]]:
+            e += 1
+        if e <= l:
+            left[cls[e]] -= 1
+            choice.append(e)
+            e = 1
+        elif choice:
+            e = choice.pop()
+            left[cls[e]] += 1
+            e += 1
+        else:
+            return out
+
+
+def _check_content_count(l, m, need, v):
+    """Raise ValueError, naming the count, when more choices than
+    MAX_CANDIDATES have the class counts need.
+
+    The count is the multinomial m! / prod(need[c]!), times 2 for every row
+    whose class has two entries: all but the middle class of an odd l.
+    """
+    doubled = sum(need[: l // 2])
+    digits = (math.lgamma(m + 1) - sum(math.lgamma(n + 1) for n in need)) / math.log(10)
+    digits += doubled * math.log10(2)
+    totals = itertools.accumulate(need)
+    count = _count_above_bound(
+        digits, lambda: math.prod(map(math.comb, totals, need)) << doubled
+    )
+    if count:
+        raise ValueError(
+            f"flag_fixed_points would build {count} tableaux of content {v}, "
+            f"above the bound of {MAX_CANDIDATES}"
+        )
+
+
 def flag_fixed_points(sign, l, w, v=None):
     """Flag fixed-point tableaux for the given twist sign.
 
     Returns (points, diagnostics).  With v = None the enumeration runs over
     every admissible dimension vector; otherwise only tableaux whose
-    content equals v are kept.  An incompatible request yields no points
+    content equals v are built.  An incompatible request yields no points
     plus a human-readable diagnostic instead of an exception; a size outside
     l >= 2, w >= 0 raises ValueError, as it does for the Betti data.
+
+    A row and its mirror hold an entry e and l+1-e, so both count one row of
+    the class {e, l+1-e}, and v fixes how many of the m = floor(w/2) positive
+    rows each class gets.  The points come in the lexicographic order of
+    their positive-row entries, and each request is bounded before any
+    tableau is built: by l^m for v = None, by its exact point count for a
+    given v.
     """
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
@@ -467,7 +544,11 @@ def flag_fixed_points(sign, l, w, v=None):
             f"a center row needs the middle entry value (l+1)/2, but l = {l} is even"
         )
         return [], diagnostics
-    if v is not None:
+    m = w // 2
+    if v is None:
+        _check_candidates("flag_fixed_points", l, m)
+        choices = itertools.product(range(1, l + 1), repeat=m)
+    else:
         v = tuple(v)
         if len(v) != l - 1:
             diagnostics.append(f"dimension vector must have length {l - 1}, got {len(v)}")
@@ -488,17 +569,23 @@ def flag_fixed_points(sign, l, w, v=None):
                 f"(some v_i-1 - v_i is negative): {v}"
             )
             return [], diagnostics
-    m = w // 2
-    _check_candidates("flag_fixed_points", l, m)
-    points = []
-    for choice in itertools.product(range(1, l + 1), repeat=m):
-        entries = {}
-        for k in range(1, m + 1):
-            entries[k] = choice[k - 1]
-            entries[-k] = l + 1 - choice[k - 1]
-        if w % 2:
-            entries[0] = (l + 1) // 2
-        tab = FlagTableau(l, w, tuple(sorted(entries.items())))
-        if v is None or tab.content() == v:
-            points.append(tab)
+        # steps[c] counts the entries equal to c + 1, and the twist makes the
+        # counts of mirror entries equal: a class takes steps[c] rows, the
+        # middle one of an odd l half its entries, less the center row's
+        need = steps[: (l + 1) // 2]
+        if l % 2:
+            need[-1] //= 2
+        _check_content_count(l, m, need, v)
+        choices = _content_choices(l, m, need)
+    center = ((0, (l + 1) // 2),) if w % 2 else ()
+    points = [
+        FlagTableau(
+            l,
+            w,
+            tuple((-k, l + 1 - choice[k - 1]) for k in range(m, 0, -1))
+            + center
+            + tuple((k, choice[k - 1]) for k in range(1, m + 1)),
+        )
+        for choice in choices
+    ]
     return points, diagnostics

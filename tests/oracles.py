@@ -49,6 +49,10 @@ The library never calls these.
                               pair, read through the tableau's accessors
   tangent_dimension_by_pairs  dim_h1_pair summed over the ordered row pairs,
                               the reference for tableaux.tangent_dimension
+  flag_points_by_filter       every flag fixed point built over
+                              itertools.product and kept when its content
+                              is v, the reference for
+                              tableaux.flag_fixed_points
   reflect_root                a simple reflection on simple-root coordinates,
                               the reference for dynkin.longest_word
   positive_roots_by_closure   the closure of the simple roots under every
@@ -71,7 +75,7 @@ from refleq.field import NVARS, VAR_INDEX, VARS, Poly, RatFunc, _format_mono, fo
 from refleq.kclass import GenericityError, QLaurent, q_integer
 from refleq.matrix import LabeledMatrix, _clear, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
-from refleq.tableaux import _fold_pairs, condition_met
+from refleq.tableaux import FlagTableau, _fold_pairs, condition_met
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -664,6 +668,25 @@ def tangent_dimension_by_pairs(t, kind):
             else:
                 off += d
     return _fold_pairs(diag, off, kind)
+
+
+def flag_points_by_filter(l, w, v=None):
+    """The flag fixed points of content v (all when v is None), in the
+    itertools.product order of their positive-row entries; the caller has
+    checked that the sign, w and v are compatible."""
+    m = w // 2
+    points = []
+    for choice in itertools.product(range(1, l + 1), repeat=m):
+        entries = {}
+        for k in range(1, m + 1):
+            entries[k] = choice[k - 1]
+            entries[-k] = l + 1 - choice[k - 1]
+        if w % 2:
+            entries[0] = (l + 1) // 2
+        tab = FlagTableau(l, w, tuple(sorted(entries.items())))
+        if v is None or tab.content() == tuple(v):
+            points.append(tab)
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,9 @@ class TestTableaux:
 
     def test_so_betti_runs_each_statistic_once(self, monkeypatch):
         # one charge evaluation per small tableau: the so series, read by
-        # both the Poincare polynomial and the zero-charge count, is built once
+        # both the Poincare polynomial and the zero-charge count, is built
+        # once, and its tables are kept, so a second report at (so, 3)
+        # evaluates nothing
         calls = []
         original = tableaux_module.charge_pair_counts
 
@@ -294,10 +296,16 @@ class TestTableaux:
             calls.append(t)
             return original(t)
 
+        tableaux_module._row_pair_tables.cache_clear()
+        tableaux_module._small_tableaux.cache_clear()
         monkeypatch.setattr(tableaux_module, "charge_pair_counts", counting)
         res = run_cli("tableaux", "betti", "--kind", "so", "--l", "3", "--w1", "4")
         assert payload(res)["zeroChargeCount"] == 4  # 3211, 3111, 2111, 1111
         assert len(calls) == 3 + 3 * 3
+        calls.clear()
+        res = run_cli("tableaux", "betti", "--kind", "so", "--l", "3", "--w1", "2")
+        assert payload(res)["zeroChargeCount"] == 4  # 11, 21, 31, 32
+        assert calls == []
 
 
 class TestRkmat:

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import charge_pair_counts_by_nodes, dim_h1_pair, tangent_dimension_by_pairs
+from oracles import charge_pair_counts_by_nodes, dim_h1_pair, flag_points_by_filter, tangent_dimension_by_pairs
 from refleq import tableaux
 from refleq.tableaux import (
     FlagTableau,
@@ -225,9 +225,16 @@ def test_betti_report_frozen():
     assert betti_report("sp", 2, 1) == {"count": 2, "poincare": "1 + t^2", "dimension": 2}
 
 
+def _clear_kept_tables():
+    tableaux._row_pair_tables.cache_clear()
+    tableaux._small_tableaux.cache_clear()
+
+
 def test_reports_build_only_the_small_tableaux(monkeypatch):
     # The content program reads its tables off the l tableaux with w1 = 1
-    # and the l^2 with w1 = 2; nothing of size l^w1 is built.
+    # and the l^2 with w1 = 2; nothing of size l^w1 is built.  The tables
+    # and the small tableaux are kept, so a second report at the same
+    # (kind, l), or at another w1 >= 2, builds nothing.
     built = []
     original = InstantonTableau.from_positive_entries
 
@@ -237,10 +244,27 @@ def test_reports_build_only_the_small_tableaux(monkeypatch):
 
     monkeypatch.setattr(InstantonTableau, "from_positive_entries", staticmethod(counting))
     for l, w1 in ((3, 2), (4, 6), (2, 9)):
-        for report in (lambda: betti_report("sp", l, w1), lambda: so_component_report(l, w1)):
+        for kind, report in (("sp", lambda: betti_report("sp", l, w1)), ("so", lambda: so_component_report(l, w1))):
+            _clear_kept_tables()
             built.clear()
             report()
             assert 0 < len(built) <= l + l * l
+            built.clear()
+            report()
+            poincare_polynomial(kind, l, w1 + 1)
+            assert built == []
+
+
+def test_kept_tables_serve_every_order_of_requests():
+    # the tables kept for w1 >= 2 and those for w1 = 0, 1 (no pair term)
+    # give the same answers whatever order the requests come in
+    _clear_kept_tables()
+    expected = {(kind, w1): q_multinomial_poincare(kind, 4, w1) for kind in ("sp", "so") for w1 in range(8)}
+    order = [5, 0, 2, 7, 1, 6, 3, 4]
+    for kind in ("sp", "so"):
+        for w1 in order:
+            assert poincare_polynomial(kind, 4, w1) == expected[kind, w1], (kind, w1)
+    assert tableaux._row_pair_tables(tableaux._charge_exponent, "sp", 4, 1)[1] == {}
 
 
 def test_format_tpoly():
@@ -354,6 +378,63 @@ def test_flag_applies_the_betti_size_rule(sign, l, w, message):
         flag_fixed_points(sign, l, w)
 
 
+@pytest.mark.parametrize("l", range(2, 7))
+def test_flag_points_by_content_match_the_filter(l):
+    # for every admissible v at w <= 8 the points built from the class counts
+    # are the filter's, point by point and in its order
+    for sign in ("plus", "minus"):
+        for w in range(9):
+            union, diag = flag_fixed_points(sign, l, w)
+            if diag:
+                continue
+            assert union == flag_points_by_filter(l, w)
+            contents = sorted({p.content() for p in union})
+            for v in contents:
+                got, diag = flag_fixed_points(sign, l, w, v=v)
+                assert diag == []
+                assert got == flag_points_by_filter(l, w, v), (sign, w, v)
+            if l <= 4:
+                # and those are all the v the twist admits
+                admitted = [
+                    v for v in itertools.product(range(w + 1), repeat=l - 1)
+                    if not flag_fixed_points(sign, l, w, v=v)[1]
+                ]
+                assert admitted == contents, (sign, w)
+
+
+def test_flag_content_guard_names_the_exact_count(monkeypatch):
+    # 16 of the 5^4 candidates have content (4, 4, 4, 4): every row takes 1
+    # or 5.  The count is known before any tableau is built.
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return FlagTableau(*fields)
+
+    monkeypatch.setattr(tableaux, "FlagTableau", counting)
+    monkeypatch.setattr(tableaux, "MAX_CANDIDATES", 15)
+    with pytest.raises(ValueError, match=r"would build 16 tableaux of content \(4, 4, 4, 4\), above the bound of 15"):
+        flag_fixed_points("minus", 5, 8, v=(4, 4, 4, 4))
+    assert built == []
+    # the bound itself is admitted, and the l^m guard no longer applies
+    monkeypatch.setattr(tableaux, "MAX_CANDIDATES", 16)
+    assert len(flag_fixed_points("minus", 5, 8, v=(4, 4, 4, 4))[0]) == len(built) == 16
+    with pytest.raises(ValueError, match=r"5\^4 = 625 candidate"):
+        flag_fixed_points("minus", 5, 8)
+
+
+def test_flag_content_guard_on_huge_framings():
+    # 2^(10^6) points are refused at once; a content with one point is
+    # built even where the l^m candidates are far beyond the bound
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"would build about 10\^301030 tableaux"):
+        flag_fixed_points("minus", 3, 2 * 10**6, v=(10**6, 10**6))
+    (point,), diag = flag_fixed_points("plus", 3, 2001, v=(2001, 0))
+    assert time.perf_counter() - start < 1.0
+    assert diag == [] and set(dict(point.entries).values()) == {2}
+    assert point.content() == (2001, 0)
+
+
 # ------------------------------------------------------- content program
 
 
@@ -389,10 +470,9 @@ def test_content_program_matches_enumeration(l):
 def test_row_pair_tables_closed_form(l):
     # 2*charge: D(e) = 2 g(e) with g(e) = [e >= 2] for sp and g = 0 for so,
     # P(a, b) = 2 F(a, b) with F(a, b) = [b >= max(a, 2)].
-    small = tableaux._small_tableaux(l, 2)
     values = range(1, l + 1)
     for kind, g in (("sp", lambda e: int(e >= 2)), ("so", lambda e: 0)):
-        d, p = tableaux._row_pair_tables(tableaux._charge_exponent(kind), small)
+        d, p = tableaux._row_pair_tables(tableaux._charge_exponent, kind, l, 2)
         assert d == {e: 2 * g(e) for e in values}
         assert p == {(a, b): 2 * int(b >= max(a, 2)) for a in values for b in values}
 
@@ -461,27 +541,25 @@ def test_content_program_matches_q_multinomials(l):
 def test_content_program_inversions():
     # P(a, b) = [a > b] gives alpha = 0 < beta = 1, the opposite order to
     # the charge; its series is the inversion count, the q-multinomial sum.
-    def inversions(t):
+    def inversions(t, kind):
         e = [t.positive_entry(k) for k in range(1, t.w1 + 1)]
         return sum(1 for i, x in enumerate(e) for y in e[i + 1:] if x > y)
 
     for l, w1 in ((2, 4), (3, 4), (4, 3)):
-        tables = tableaux._row_pair_tables(inversions, tableaux._small_tableaux(l, w1))
         expected = {}
         for t in enumerate_instanton(l, w1):
-            expected[inversions(t)] = expected.get(inversions(t), 0) + 1
-        assert tableaux._content_series(l, w1, tables) == expected
+            expected[inversions(t, "sp")] = expected.get(inversions(t, "sp"), 0) + 1
+        assert tableaux._series(tableaux._betti_states(inversions, "sp", l, w1)[w1]) == expected
 
 
 def test_content_program_rejects_nonuniform_table():
     # P(1, 3) = 1 but P(2, 3) = 0: pairs below the value 3 do not agree.
-    def ones_before_threes(t):
+    def ones_before_threes(t, kind):
         e = [t.positive_entry(k) for k in range(1, t.w1 + 1)]
         return sum(1 for i, x in enumerate(e) for y in e[i + 1:] if (x, y) == (1, 3))
 
-    tables = tableaux._row_pair_tables(ones_before_threes, tableaux._small_tableaux(3, 4))
     with pytest.raises(AssertionError, match="not uniform below value 3"):
-        tableaux._content_series(3, 4, tables)
+        tableaux._betti_states(ones_before_threes, "sp", 3, 4)
 
 
 def test_large_betti_report():
@@ -511,11 +589,10 @@ def test_betti_rejects_bad_sizes():
 def test_charge_exponent_is_twice_the_charge(l):
     # 2 * charge is 2A + B for sp and B for so, with (A, B) the pair counts
     for kind in ("sp", "so"):
-        stat = tableaux._charge_exponent(kind)
         for w1 in (0, 1, 2):
             for t in enumerate_instanton(l, w1):
                 a_diag, b_off = charge_pair_counts(t)
-                assert stat(t) == 2 * charge(t, kind) == (2 * a_diag if kind == "sp" else 0) + b_off
+                assert tableaux._charge_exponent(t, kind) == 2 * charge(t, kind) == (2 * a_diag if kind == "sp" else 0) + b_off
 
 
 def test_enumeration_guard(monkeypatch):
