@@ -14,8 +14,9 @@ when something reads its entries.  Work that depends only on the entry
 values, or on the label symmetry, reads that operator instead of the
 placement, and keeps what it read on the operator (_kept): the symmetry
 verdicts of the search below, the clearing that both provers read every
-factor through (_clearing) and the symbolic prover's packing of it.  Both
-provers read a placement's rows through one operator-size view (_Rows).
+factor through (_clearing), each distinct entry cleared once into packed
+monomials, and the multipoint engine's bounds of it.  Both provers read a
+placement's rows through one operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  verify_identity, the symbolic prover, does not:
@@ -41,7 +42,7 @@ import math
 import operator
 import types
 
-from .field import NVARS, VARS, ZERO_EXP, Poly, RatFunc, format_ratfunc
+from .field import NVARS, Poly, RatFunc, format_ratfunc
 
 
 def _require_chain(a, b):
@@ -86,12 +87,13 @@ class LabeledMatrix:
 
     Three private slots hold what a proof reads of a matrix, each filled on
     first use by _kept and kept for the life of the matrix: _cleared, the
-    clearing both provers read it through (_clear); _packed, the symbolic
-    prover's rows of it packed per field width (_packed_rows); and
-    _symmetry, its verdict per site transposition (_commutes_with).
+    clearing both provers read it through, its rows of packed terms
+    (_clear); _bounds, the multipoint engine's degrees and height of that
+    clearing (relations._bounds); and _symmetry, its verdict per site
+    transposition (_commutes_with).
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_packed", "_symmetry")
+    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_bounds", "_symmetry")
 
     def __new__(cls, row_labels, col_labels, entries=()):
         rows = tuple(row_labels)
@@ -306,7 +308,8 @@ def _kept(mat, slot, make):
     nonzero common multiple keeps both provers exact.  Only the degree
     bounds can read larger than a fresh read's, where the other side's map
     holds the parts of a residual that this map keeps whole, and a larger
-    bound is still a bound."""
+    bound is still a bound; the kept bounds (_bounds) are read off the kept
+    clearing, so they describe its D."""
     value = getattr(mat, slot, None)
     if value is None:
         value = make(mat)
@@ -339,11 +342,14 @@ def swap_conjugate(mat):
 # of the first factor never enter the chain (_orbit_representatives).  A
 # placement's rows are read off its operator's (_Rows), and each operator is
 # cleared once per process (_clearing, which the multipoint engine reads as
-# well) and packed once per field width (_kept).
+# well), its entries formed as packed monomials and read as stored.
 #
-# Inside a product a monomial is one int, its exponents packed into fields
-# wide enough for the product's total degree, so that multiplying two
-# monomials is adding two ints and no field carries into the next.
+# A packed monomial is one int, each exponent in a field of _BITS bits, in
+# VARS order from the lowest, and the total degree above them, so int order
+# is field._mono_key order and multiplying two monomials is adding two ints
+# (Monagan and Pearce, PASCO 2007).  No field carries into the next while
+# every total degree, of a cleared entry and of a scaled product, is below
+# 2^_BITS (_fit).
 
 
 def first_difference(lhs, rhs):
@@ -352,61 +358,90 @@ def first_difference(lhs, rhs):
     return min((k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)), default=None)
 
 
-def _expand(c, den, memo):
-    """c * prod p^e over den {Poly: e}, as one Poly; memo holds the product
-    of each map."""
-    key = frozenset(den.items())
-    p = memo.get(key)
-    if p is None:
-        p = memo[key] = functools.reduce(operator.mul, (q ** e for q, e in den.items()), Poly.const(1))
-    return p.scale(c)
+def _expand(c, den):
+    """c * prod p^e over den {Poly: e}, as one Poly."""
+    return functools.reduce(operator.mul, [q for q, e in den.items() for _ in range(e)], Poly.const(c))
 
 
-_Cleared = collections.namedtuple("_Cleared", "c den entries rows degree degrees variables homogeneous height")
+_Cleared = collections.namedtuple("_Cleared", "c den rows degree entries")
+
+# bits per packed exponent: every suite item at l = 2..4, the acceptance
+# battery and the benchmark's workloads reach total degree 8 at most, far
+# below the 255 that 8 bits hold, and a larger degree raises (_fit)
+_BITS = 8
+_FIELDS = tuple(range(0, _BITS * NVARS, _BITS))
+_TOP, _MASK = _BITS * NVARS, (1 << _BITS) - 1
+
+
+def _fit(degree, what):
+    """Raise ValueError unless a monomial of total degree `degree` packs
+    with no carry at the width _BITS holds when it runs."""
+    limit = (1 << _BITS) - 1
+    if degree > limit:
+        raise ValueError(f"{what} has total degree {degree}, over {limit}, the most a {_BITS}-bit exponent holds")
+
+
+def _pack(p, k=1):
+    """The Poly p times the int k as packed terms, {packed monomial: int}."""
+    return {sum(map(operator.lshift, e, _FIELDS)) | sum(e) << _TOP: c * k for e, c in p.terms.items()}
+
+
+def _exponents(m):
+    """The exponent tuple of the packed monomial m."""
+    return tuple([m >> at & _MASK for at in _FIELDS])
+
+
+def _unpack(terms):
+    """The Poly of packed terms."""
+    return Poly({_exponents(m): c for m, c in terms.items()})
+
+
+def _mul(x, y):
+    """The product of two packed terms."""
+    t = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            m = m1 + m2
+            t[m] = t.get(m, 0) + c1 * c2
+    return {m: c for m, c in t.items() if c}
 
 
 def _clear(mat):
-    """One factor cleared of its denominators, with what both provers read
-    of it: c * prod p^e over the Counter den is a common multiple D of its
-    entry denominators, entries maps the id of each distinct entry v to the
-    Poly v * D, and rows is its stored entries by row, {row: [(col,
-    id(v))]}.  Then what the provers bound by: degree, the largest total
-    degree of an entry v * D; degrees, per variable in VARS order, the
-    largest degree of one; variables, the variables of its entries (those
-    of some v * D or of a key of den); homogeneous, whether every entry v
-    is homogeneous of degree zero jointly in all variables, which holds
-    exactly when every key of den is homogeneous and every v * D is
-    homogeneous of D's degree; and height, the largest row sum of ||v *
-    D||_1, the sum of the absolute values of its coefficients."""
+    """One factor cleared of its denominators.  c * prod p^E over the
+    Counter den is a common multiple D of its entry denominators.  rows is
+    its stored entries by row, {row: [(col, terms)]}, terms the packed v *
+    D of the entry v, one dict per distinct v, and degree the largest total
+    degree of one.  entries holds per distinct v (terms, v.num, deficit, c
+    // c_v): with v's denominator c_v * prod p^e, deficit pairs each key p
+    with E - e where positive, so v * D = (c // c_v) v.num prod p^(E - e).
+    Its degree, in total and per variable, is exactly deg(v.num) + sum (E -
+    e) deg(p), so _fit passes it before any packed product is formed."""
     dens, rows = {}, {}
     for (i, j), v in mat.entries.items():
-        rows.setdefault(i, []).append((j, id(v)))
-        if id(v) not in dens:
+        part = dens.get(id(v))
+        if part is None:
             c, forms, r = v.den_factors()
-            dens[id(v)] = (v, c, forms if r is None else {**forms, r: 1})
-    c = math.lcm(*(vc for _, vc, _ in dens.values()))
+            part = dens[id(v)] = (v.num, c, forms if r is None else {**forms, r: 1}, {})
+        rows.setdefault(i, []).append((j, part[3]))
+    c = math.lcm(*(vc for _, vc, _, _ in dens.values()))
     den = collections.Counter()
-    for _, _, vden in dens.values():
+    for _, _, vden, _ in dens.values():
         for p, e in vden.items():
             if e > den[p]:
                 den[p] = e
-    memo = {}
-    entries = {
-        key: v.num * _expand(c // vc, {p: e - vden.get(p, 0) for p, e in den.items() if e > vden.get(p, 0)}, memo)
-        for key, (v, vc, vden) in dens.items()
-    }
-    norms = {key: sum(map(abs, p.terms.values())) for key, p in entries.items()}
-    exps = [e for p in entries.values() for e in p.terms]
-    degrees = tuple(map(max, zip(ZERO_EXP, *exps)))
-    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *[e for p in den for e in p.terms]))))
-    # D is homogeneous when every key of den is, of degree the sum of the
-    # keys' degrees times their exponents
-    totals, key_totals = set(map(sum, exps)), [set(map(sum, p.terms)) for p in den]
-    homogeneous = all(len(t) == 1 for t in key_totals) and totals <= {
-        sum(e * min(t) for t, e in zip(key_totals, den.values()))
-    }
-    height = max([sum([norms[key] for _, key in row]) for row in rows.values()], default=0)
-    return _Cleared(c, den, entries, rows, max(totals, default=0), degrees, variables, homogeneous, height)
+    totals, deficits, entries = {p: max(map(sum, p.terms)) for p in den}, {}, []
+    for num, vc, vden, terms in dens.values():
+        deficit = tuple((p, e - vden.get(p, 0)) for p, e in den.items() if e > vden.get(p, 0))
+        # entries with equal deficits share one tuple
+        entries.append((terms, num, deficits.setdefault(deficit, deficit), c // vc))
+    degree = max((max(map(sum, num.terms)) + sum(k * totals[p] for p, k in d) for _, num, d, _ in entries), default=0)
+    _fit(degree, "a cleared entry")
+    products = {}
+    for terms, num, deficit, k in entries:
+        if deficit and deficit not in products:
+            products[deficit] = functools.reduce(_mul, [_pack(p) for p, e in deficit for _ in range(e)])
+        terms.update(_mul(_pack(num, k), products[deficit]) if deficit else _pack(num, k))
+    return _Cleared(c, den, rows, degree, entries)
 
 
 def _clearing(mat):
@@ -422,46 +457,26 @@ def _scales(lhs, rhs):
     sum of their maps, (lc, lden) and (rc, rden); with g = gcd(lc, rc) and G
     = lden & rden, each key at the least of its two exponents (the part the
     sides share), the lhs scale is (rc // g) prod(rden - G) and the rhs
-    scale (lc // g) prod(lden - G), each expanded as one Poly.  Returns the
-    two (content, map) pairs and the two scales."""
+    scale (lc // g) prod(lden - G), each expanded as one Poly, which both
+    provers pack (_fit).  Returns the two (content, map) pairs and the two
+    scales."""
     (lc, lden), (rc, rden) = maps = [
         (math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in (lhs, rhs)
     ]
-    g, shared, memo = math.gcd(lc, rc), lden & rden, {}
-    return maps, (_expand(rc // g, rden - shared, memo), _expand(lc // g, lden - shared, memo))
-
-
-def _pack(p, bits):
-    """p's terms keyed by packed monomials, bits bits per exponent."""
-    return {sum(x << (bits * i) for i, x in enumerate(e)): c for e, c in p.terms.items()}
-
-
-def _unpack(terms, bits):
-    """The Poly whose terms _pack(p, bits) gave."""
-    mask = (1 << bits) - 1
-    return Poly({tuple(m >> (bits * i) & mask for i in range(NVARS)): c for m, c in terms.items()})
-
-
-def _packed_rows(mat, bits):
-    """mat's cleared entries (_clear, kept on mat) by row, {row: [(col,
-    packed terms)]}, bits bits per exponent; kept on mat per width, so each
-    distinct entry of an operator is packed once per width and process."""
-    tables = _kept(mat, "_packed", lambda m: {})
-    rows = tables.get(bits)
-    if rows is None:
-        cleared = _kept(mat, "_cleared", _clear)
-        packed = {key: _pack(p, bits) for key, p in cleared.entries.items()}
-        rows = tables[bits] = {i: [(j, packed[key]) for j, key in row] for i, row in cleared.rows.items()}
-    return rows
+    g, shared = math.gcd(lc, rc), lden & rden
+    scales = _expand(rc // g, rden - shared), _expand(lc // g, lden - shared)
+    _fit(max(s.degree() for s in scales), "a scale")
+    return maps, scales
 
 
 class _Rows(dict):
     """A factor's stored entries by row, {row: [(col, x)]}, from rows, the
     same table of the matrix itself or of the operator it places, at that
-    operator's size; a row with no entry reads as ().  Both provers read
-    every factor through this view: the multipoint engine with x the id of
-    an entry (_Cleared.rows), the symbolic prover with x its packed cleared
-    terms (_packed_rows, built from that table).  A placement's row is made
+    operator's size; a row with no entry reads as ().  There is one kind
+    of rows, the clearing's (_Cleared.rows), with x the packed terms of a
+    cleared entry, and both provers read every factor through this view:
+    the symbolic prover multiplies the terms, and the multipoint engine
+    reads its value of each at the point by id(x).  A placement's row is made
     on its first read: row r has operator part rows[i] and shift o = r -
     rows[i] (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each
     (j, x) of the operator's row i, so a proof builds only the placement
@@ -488,9 +503,9 @@ class _Rows(dict):
 
 
 def _poly_matmul(a, b):
-    """a b for a matrix {row: {col: packed terms}} and a row view b (_Rows,
-    or a dict that holds every column of a), with no zero entry; each sum
-    accumulates in a plain dict and is not normalized."""
+    """a b for a matrix {row: {col: packed terms}} and a row view b
+    (_Rows), with no zero entry; each sum accumulates in a plain dict and is
+    not normalized."""
     out = {}
     for i, arow in a.items():
         acc = {}
@@ -505,7 +520,8 @@ def _poly_matmul(a, b):
                         t[m] = t.get(m, 0) + c1 * c2
         row = {}
         for j, t in acc.items():
-            t = {m: c for m, c in t.items() if c}
+            if 0 in t.values():
+                t = {m: c for m, c in t.items() if c}
             if t:
                 row[j] = t
         if row:
@@ -522,12 +538,12 @@ def _cleared_product(factors, views, reps):
     return functools.reduce(_poly_matmul, [views[id(mat)] for mat in factors[1:]], rows)
 
 
-def _scaled(rows, scale, bits):
-    """rows times the Poly scale, as a product with a diagonal matrix."""
+def _scaled(rows, scale):
+    """rows times the Poly scale."""
     if scale == Poly.const(1):
         return rows
-    t = _pack(scale, bits)
-    return _poly_matmul(rows, {j: [(j, t)] for row in rows.values() for j in row})
+    s = _pack(scale)
+    return {i: {j: _mul(t, s) for j, t in row.items()} for i, row in rows.items()}
 
 
 def _entry_difference(lhs, rhs):
@@ -550,20 +566,19 @@ def _product_difference(lhs_factors, rhs_factors):
     cleared = {key: _clearing(mat) for key, mat in distinct.items()}
     sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
     maps, scales = _scales(*sides)
-    # no monomial of either scaled product has a larger total degree, so no
-    # packed exponent overflows its field
-    top = max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales))
-    bits = max(1, top.bit_length())
-    views = {key: _Rows(mat, _packed_rows(_operator(mat), bits)) for key, mat in distinct.items()}
+    # no monomial of either scaled product has a larger total degree, so
+    # none carries when it fits
+    _fit(max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales)), "a scaled product")
+    views = {key: _Rows(mat, cleared[key].rows) for key, mat in distinct.items()}
     products = [_cleared_product(factors, views, reps) for factors in (lhs_factors, rhs_factors)]
-    scaled = [_scaled(rows, scale, bits) for rows, scale in zip(products, scales)]
+    scaled = [_scaled(rows, scale) for rows, scale in zip(products, scales)]
     if scaled[0] == scaled[1]:
         return None
     flat = [{(i, j): t for i, row in rows.items() for j, t in row.items()} for rows in scaled]
     i, j = key = first_difference(*flat)
     # only this entry is reduced, each side over its own prod(D)
     return key, *(
-        RatFunc(_unpack(rows.get(i, {}).get(j, {}), bits), _expand(c, den, {}))
+        RatFunc(_unpack(rows.get(i, {}).get(j, {})), _expand(c, den))
         for rows, (c, den) in zip(products, maps)
     )
 

@@ -27,15 +27,16 @@ Each check states its identity as two ordered factor lists, lhs and rhs, and
 hands them to _prove.  Both provers read each factor through one clearing,
 kept on the operator a placement places (matrix._clearing, matrix._clear):
 a common multiple D of its entry denominators, as a content and a
-denominator map, and each distinct entry times D as a polynomial, with its
-degrees, rows and height.  The symbolic mode (matrix.verify_identity)
-multiplies the polynomial matrices and compares lhs * prod(D_rhs) with rhs
-* prod(D_lhs), with the part the two share divided out (matrix._scales);
-it never evaluates at a point, and it reduces only the entry that a failing
-verdict prints.  The multipoint mode never forms the products:
-_verify_product_identity, the one multipoint engine, bounds the same
-scaled difference's degree in every variable of the factors by the cleared
-entries' degrees plus the scale's (the bound may be 0), and its
+denominator map, and its rows, each distinct entry times D stored once as
+packed monomials; the multipoint mode reads its degrees and height off that
+clearing once per operator (_bounds).  The symbolic mode
+(matrix.verify_identity) multiplies the polynomial matrices and compares lhs
+* prod(D_rhs) with rhs * prod(D_lhs), with the part the two share divided
+out (matrix._scales); it never evaluates at a point, and it reduces only the
+entry that a failing verdict prints.  The multipoint mode never forms the
+products: _verify_product_identity, the one multipoint engine, bounds the
+same scaled difference's degree in every variable of the factors by the
+cleared entries' degrees plus the scale's (the bound may be 0), and its
 coefficients by the clearing's row heights.  It evaluates that polynomial,
 not the factors, at one integer point, the Kronecker point of those bounds,
 from the cleared entries and scales (_kronecker_value), so a pole is no
@@ -55,18 +56,24 @@ factor lists of the other checks.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import operator
 
 from . import field
-from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, _format_mono
+from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, ZERO_EXP, _format_mono
 from .matrix import (
     LabeledMatrix,
     _clearing,
+    _exponents,
+    _kept,
     _label_mismatch,
     _label_to_json,
+    _operator,
     _orbit_representatives,
+    _pack,
     _Rows,
     _scales,
     embed_on_slots,
@@ -169,28 +176,64 @@ def _verdict(identity, l, cmp, **extra):
 # multipoint product verification
 
 
-def _kronecker_value(p, shifts):
-    """The Poly p at a Kronecker point, where the variable at index i of
-    VARS is 2^shifts[i] (1 at shift 0): each term c * prod u^e is c shifted
-    left by sum e_i shifts[i], so no power is taken."""
-    return sum(c << sum(map(operator.mul, e, shifts)) for e, c in p.terms.items())
+_Bounds = collections.namedtuple("_Bounds", "degrees variables homogeneous height")
 
 
-def _product_rows(factors, rows, index, cleared):
+def _bounds(op):
+    """What the multipoint engine bounds the operator op by, read off its
+    clearing (matrix._clear): degrees, per variable in VARS order, the
+    largest degree of a cleared entry v * D, deg(v.num) plus its deficit's;
+    variables, those of some v * D or of a key of den; homogeneous, whether
+    every entry v is homogeneous of degree zero, that is every key of den
+    homogeneous and every v * D of D's degree; and height, the largest row
+    sum of ||v * D||_1, the sum of the absolute values of its coefficients."""
+    cleared = _clearing(op)
+    keys = {p: tuple(map(max, zip(*p.terms))) for p in cleared.den}
+    totals = {p: set(map(sum, p.terms)) for p in cleared.den}
+    homogeneous = all(len(t) == 1 for t in totals.values())
+    degree = lambda pairs: sum(e * max(totals[p]) for p, e in pairs)
+    groups, degrees = {}, ZERO_EXP
+    for _, num, deficit, _ in cleared.entries:
+        groups.setdefault(deficit, []).extend(num.terms)
+    for deficit, exps in groups.items():
+        top = map(max, zip(*exps))
+        for p, k in deficit:
+            top = map(operator.add, top, [k * x for x in keys[p]])
+        degrees = tuple(map(max, degrees, top))
+        # v * D has D's degree exactly when v.num has D's less the deficit's
+        homogeneous = homogeneous and set(map(sum, exps)) == {degree(cleared.den.items()) - degree(deficit)}
+    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *keys.values()))))
+    norms = {id(t): sum(map(abs, t.values())) for t, _, _, _ in cleared.entries}
+    height = max([sum([norms[id(t)] for _, t in row]) for row in cleared.rows.values()], default=0)
+    return _Bounds(degrees, variables, homogeneous, height)
+
+
+def _factor_bounds(mat):
+    """_bounds of the operator mat places, or of mat, kept on it (_kept)."""
+    return _kept(_operator(mat), "_bounds", _bounds)
+
+
+def _kronecker_value(terms, at):
+    """Packed terms at a Kronecker point, at[m] = sum e_i shifts[i] for each
+    monomial m where the variable at index i of VARS is 2^shifts[i]: each
+    term c * prod u^e is c shifted left by at[m], so no power is taken."""
+    return sum(c << at[m] for m, c in terms.items())
+
+
+def _product_rows(factors, rows, index, values):
     """The given rows of the product of the cleared factors, {row: {col:
     int}} with no zero entry and no empty row.  Each row is carried left to
     right through the factors and reads only the factor rows it reaches;
-    index is _Rows and cleared the factors' cleared entry values, {id(entry):
-    int}, both keyed by id(factor)."""
+    index is the factors' _Rows, keyed by id(factor), and values the value
+    of each of their packed terms at the point, keyed by id(terms)."""
     out = {}
     for i in rows:
         acc = {i: 1}
         for mat in factors:
-            mat_rows, values = index[id(mat)], cleared[id(mat)]
-            nxt = {}
+            mat_rows, nxt = index[id(mat)], {}
             for k, a in acc.items():
-                for j, eid in mat_rows[k]:
-                    c = values[eid]
+                for j, t in mat_rows[k]:
+                    c = values[id(t)]
                     if c:
                         nxt[j] = nxt.get(j, 0) + a * c
             acc = {j: x for j, x in nxt.items() if x}
@@ -253,23 +296,24 @@ def _verify_product_identity(lhs_factors, rhs_factors):
         return mismatch
     factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
     cleared = {key: _clearing(mat) for key, mat in factors.items()}
+    read = {key: _factor_bounds(mat) for key, mat in factors.items()}
     sides = (lhs_factors, rhs_factors)
     _, scales = _scales(*([cleared[id(mat)] for mat in side] for side in sides))
     # per side, each variable's degree: its factors' cleared entries' and
     # its scale's (a nonzero Poly's degree per variable is a column maximum)
     degrees = (
-        map(sum, zip(*(cleared[id(mat)].degrees for mat in side), map(max, zip(*scale.terms))))
+        map(sum, zip(*(read[id(mat)].degrees for mat in side), map(max, zip(*scale.terms))))
         for side, scale in zip(sides, scales)
     )
-    variables = frozenset().union(*(x.variables for x in cleared.values()))
+    variables = frozenset().union(*(x.variables for x in read.values()))
     bounds = {v: max(a, b) for v, a, b in zip(VARS, *degrees) if v in variables}
-    drop_h = "h" in bounds and all(x.homogeneous for x in cleared.values())
+    drop_h = "h" in bounds and all(x.homogeneous for x in read.values())
     if drop_h:
         del bounds["h"]
     index = {key: _Rows(mat, cleared[key].rows) for key, mat in factors.items()}
     reps = _orbit_representatives(list(factors.values()))
     height = sum(
-        sum(map(abs, scale.terms.values())) * math.prod(cleared[id(mat)].height for mat in side)
+        sum(map(abs, scale.terms.values())) * math.prod(read[id(mat)].height for mat in side)
         for side, scale in zip(sides, scales)
     )
     width = height.bit_length() + 2
@@ -278,13 +322,13 @@ def _verify_product_identity(lhs_factors, rhs_factors):
         shifts[VAR_INDEX[v]] = width * size
         size *= d + 1
     # placements of one operator share its clearing, whose entries are
-    # each evaluated once
-    distinct = {id(x): x for x in cleared.values()}
-    values = {k: {key: _kronecker_value(p, shifts) for key, p in x.entries.items()} for k, x in distinct.items()}
-    at = {key: values[id(x)] for key, x in cleared.items()}
+    # each evaluated once, and each distinct monomial is unpacked once
+    distinct = {id(x): x for x in cleared.values()}.values()
+    packed = [t for x in distinct for t, _, _, _ in x.entries] + [_pack(scale) for scale in scales]
+    at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in set().union(*packed)}
+    values = {id(t): _kronecker_value(t, at) for t in packed}
     lhs, rhs = (
-        _scaled(_product_rows(side, reps, index, at), _kronecker_value(scale, shifts))
-        for side, scale in zip(sides, scales)
+        _scaled(_product_rows(side, reps, index, values), values[id(t)]) for side, t in zip(sides, packed[-2:])
     )
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"

@@ -19,9 +19,9 @@ a process builds each operator once.  A builder's result is shared by every
 caller, as a LabeledMatrix is a read-only value.  Each builder constructs
 its matrix once, with one object per distinct entry value, since the
 multipoint engine evaluates each distinct object once.  Each operator also
-keeps what the provers read of it (matrix._kept): its clearing, which both
-provers read, the clearing's packed rows per field width, and its verdict
-per site transposition.  So a process does that work once per operator, and
+keeps what the provers read of it (matrix._kept): its clearing into packed
+monomials, which both provers read as stored, the multipoint engine's
+bounds of it, and its verdict per site transposition.  So a process does that work once per operator, and
 a later proof, or another placement of the same operator, finds it done;
 cache_clear on a builder makes new operators, which read afresh.
 embedded_product multiplies placements, and the product reads each

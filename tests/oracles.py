@@ -33,6 +33,10 @@ The library never calls these.
                               denominator maps, the reference for the
                               cleared-degree bounds of
                               relations._verify_product_identity
+  multipoint_statistics       the degrees, variables, homogeneity and height
+                              of one factor's entries cleared by its D and
+                              expanded as tuple-keyed polynomials, the
+                              reference for relations._bounds
   full_row_grid_proof         the grid proof with every row of both products
                               multiplied at every point of the grid of
                               d_degree_bounds, the reference for the holds
@@ -500,6 +504,25 @@ def _homogeneous(mat):
         len(d := {sum(e) for e in v.den.terms}) == 1 and {sum(e) for e in v.num.terms} == d
         for v in mat.entries.values()
     )
+
+
+def multipoint_statistics(mat, c, den):
+    """(degrees, variables, homogeneous, height) of mat cleared by D = c *
+    prod den (_cleared_polys): per variable in VARS order, the largest
+    degree of a cleared entry; the variables of those entries and of the
+    keys of den; whether every entry of mat is homogeneous of degree zero
+    (_homogeneous); and the largest row sum of the cleared entries' sums of
+    absolute coefficients."""
+    cleared = _cleared_polys(mat, _expand(c, den))
+    exps = [e for p in cleared.values() for e in p.terms]
+    degrees = tuple(max([e[i] for e in exps], default=0) for i in range(NVARS))
+    variables = frozenset(
+        v for i, v in enumerate(VARS) if degrees[i] or any(e[i] for p in den for e in p.terms)
+    )
+    sums = collections.Counter()
+    for (i, _), p in cleared.items():
+        sums[i] += sum(abs(x) for x in p.terms.values())
+    return degrees, variables, _homogeneous(mat), max(sums.values(), default=0)
 
 
 def _cleared_sides(lhs_factors, rhs_factors):

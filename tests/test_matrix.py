@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq import matrix as matrix_module
-from refleq.field import U, U1, U2, U3, U4, Poly, RatFunc
+from refleq.field import NVARS, U, U1, U2, U3, U4, Poly, RatFunc, _mono_key, poly_div_exact
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
 from refleq.relations import _verify_product_identity
 from refleq.rkmat import constant_term_matrix, k_matrix, s_matrix, site_labels, yang_r
@@ -208,8 +210,10 @@ def test_every_kind_of_matrix_rejects_writes(monkeypatch):
     assert verify_identity(factors, factors[::-1])["holds"]
     assert _verify_product_identity(factors, factors[::-1])["holds"]
     assert not fills
-    # both proofs kept what they read on the operator, in its private slots
-    assert all(getattr(r, slot, None) is not None for slot in ("_cleared", "_packed", "_symmetry"))
+    # both proofs kept what they read on the operator, in its private slots:
+    # the clearing, which holds the packed terms both read, the multipoint
+    # engine's bounds and the symmetry verdicts
+    assert all(getattr(r, slot, None) is not None for slot in ("_cleared", "_bounds", "_symmetry"))
     kinds = {
         "built": r,
         "constructed": LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u")}),
@@ -366,12 +370,12 @@ def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
 def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(monkeypatch):
     # every Yang-Baxter factor sits on both sides, and a second proof, on new
     # placements of the same operators, finds them read: each operator is
-    # cleared once and each of its cleared entries packed once, at the one
-    # field width these proofs use
+    # cleared once, each of its distinct entries' numerators is packed once,
+    # by the clearing, and the proofs multiply the packed terms it stored
     slots = [site_labels(2)] * 3
     # fresh operators, which no earlier proof has read
     ops = [yang_r.__wrapped__(2, U1 - U2), yang_r.__wrapped__(2, U1 - U3), yang_r.__wrapped__(2, U2 - U3)]
-    cleared, packed = {}, []
+    cleared, packed, rounds = {}, [], []
     real_clear, real_pack = matrix_module._clear, matrix_module._pack
 
     def counting_clear(mat):
@@ -379,18 +383,74 @@ def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(m
         cleared[id(mat)] = real_clear(mat)
         return cleared[id(mat)]
 
-    def counting_pack(p, bits):
+    def counting_pack(p, k=1):
         packed.append(p)
-        return real_pack(p, bits)
+        return real_pack(p, k)
 
     monkeypatch.setattr(matrix_module, "_clear", counting_clear)
     monkeypatch.setattr(matrix_module, "_pack", counting_pack)
     for _ in range(2):
         r12, r13, r23 = (embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2))))
         assert verify_identity([r12, r13, r23], [r23, r13, r12])["holds"]
+        rounds.append(len(packed))
     assert set(cleared) == {id(op) for op in ops}
-    distinct = [p for c in cleared.values() for p in c.entries.values()]
-    assert sorted(map(id, packed)) == sorted(map(id, distinct))
+    # the second proof packed nothing; each numerator was packed once, and
+    # the rest are the shared denominators of the clearing's products
+    assert rounds[0] == rounds[1]
+    numerators = [num for c in cleared.values() for _, num, _, _ in c.entries]
+    assert sorted(id(p) for p in packed if any(p is num for num in numerators)) == sorted(map(id, numerators))
+    keys = set().union(*(c.den for c in cleared.values()))
+    assert all(p in keys for p in packed if not any(p is num for num in numerators))
+    # the stored rows hold the clearing's one dict per distinct entry, v * D
+    for op, c in zip(ops, map(cleared.get, map(id, ops))):
+        stored = {(i, j): t for i, row in c.rows.items() for j, t in row}
+        assert stored.keys() == op.entries.keys()
+        assert {id(t) for t in stored.values()} == {id(t) for t, _, _, _ in c.entries}
+        d = Poly.const(c.c)
+        for p, e in c.den.items():
+            d = d * p ** e
+        assert all(matrix_module._unpack(stored[k]) == poly_div_exact(d, v.den) * v.num for k, v in op.entries.items())
+
+
+_EXPONENTS = st.tuples(*[st.integers(0, (1 << matrix_module._BITS) - 1)] * NVARS)
+
+
+@given(st.lists(_EXPONENTS, min_size=1, max_size=12, unique=True))
+def test_packed_monomials_unpack_and_sort_as_mono_key(exps):
+    # every exponent within the field width comes back, and the packed
+    # ints sort as field._mono_key sorts the tuples
+    packed = matrix_module._pack(Poly(dict.fromkeys(exps, 1)))
+    assert sorted(map(matrix_module._exponents, packed)) == sorted(exps)
+    assert matrix_module._unpack(packed) == Poly(dict.fromkeys(exps, 1))
+    assert [matrix_module._exponents(m) for m in sorted(packed)] == sorted(exps, key=_mono_key)
+
+
+@pytest.mark.parametrize(
+    "bits, message",
+    [(1, "a cleared entry has total degree 2, over 1,"), (2, "a scaled product has total degree 6, over 3,")],
+)
+def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message, monkeypatch):
+    # fresh operators, cleared under the narrow width: each entry of R(u1^2
+    # - u2^2) cleared is of total degree 2, which both provers read, and a
+    # product of three is of 6, which only the symbolic prover packs; the
+    # multipoint engine evaluates the product at an integer point
+    slots = [site_labels(2)] * 3
+    w1, w2, w3 = U1 * U1, U2 * U2, U3 * U3
+    ops = [yang_r.__wrapped__(2, w1 - w2), yang_r.__wrapped__(2, w1 - w3), yang_r.__wrapped__(2, w2 - w3)]
+    factors = [embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2)))]
+    monkeypatch.setattr(matrix_module, "_BITS", bits)
+
+    def no_product(*args):
+        raise AssertionError("a product ran before the guard")
+
+    monkeypatch.setattr(matrix_module, "_poly_matmul", no_product)
+    if bits == 1:
+        monkeypatch.setattr(matrix_module, "_mul", no_product)
+    for prove in (verify_identity, _verify_product_identity) if bits == 1 else (verify_identity,):
+        with pytest.raises(ValueError, match=message):
+            prove(factors, factors[::-1])
+    if bits == 2:
+        assert _verify_product_identity(factors, factors[::-1])["holds"]
 
 
 # entries for random factors: two residual denominators (irreducible, so they

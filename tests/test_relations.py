@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from oracles import (
     full_row_grid_proof,
     full_size_orbit_representatives,
     linear_combination,
+    multipoint_statistics,
     parse_poly,
     parse_ratfunc,
     polynomial_counterexample,
@@ -34,9 +36,12 @@ from refleq.matrix import (
     LabeledMatrix,
     _clear,
     _clearing,
+    _exponents,
     _label_to_json,
     _orbit_representatives,
+    _pack,
     _Rows,
+    _unpack,
     embed_on_slots,
     verify_identity,
 )
@@ -357,7 +362,8 @@ class TestGridEngine:
         # embed_on_slots shares one RatFunc among many entries and factors,
         # and the engine evaluates each distinct cleared entry of each
         # distinct operator once at the Kronecker point, and each side's
-        # scale once; the rhs places R12's operator a second time
+        # scale once, and unpacks each distinct monomial of those once; the
+        # rhs places R12's operator a second time
         labels = site_labels(2)
         slots = [labels] * 3
         u1, u2 = RatFunc.var("u1"), RatFunc.var("u2")
@@ -370,27 +376,34 @@ class TestGridEngine:
         distinct = {id(v) for m in factors for v in m.entries.values()}
         stored = sum(len(m.entries) for m in factors)
         assert len(distinct) < stored
-        cleared = {id(p) for m in factors for p in _clearing(m).entries.values()}
-        calls = []
-        real = relations._kronecker_value
+        cleared = {id(t) for m in factors for t, _, _, _ in _clearing(m).entries}
+        calls, unpacked = [], []
+        real, real_exponents = relations._kronecker_value, relations._exponents
 
-        def counting(p, shifts):
-            calls.append(id(p))
-            return real(p, shifts)
+        def counting(terms, at):
+            calls.append(terms)
+            return real(terms, at)
+
+        def counting_exponents(m):
+            unpacked.append(m)
+            return real_exponents(m)
 
         monkeypatch.setattr(relations, "_kronecker_value", counting)
+        monkeypatch.setattr(relations, "_exponents", counting_exponents)
         v = _verify_product_identity(factors, [r23, r13, again])
         assert v["holds"] and v["gridSize"] == 1
-        entry_calls = [p for p in calls if p in cleared]
+        entry_calls = [id(t) for t in calls if id(t) in cleared]
         assert sorted(entry_calls) == sorted(cleared)
         assert len(calls) - len(entry_calls) == 2
         assert len(cleared) <= len(distinct)
+        assert sorted(unpacked) == sorted(set().union(*calls))
 
     def test_kronecker_value_is_the_value_at_powers_of_two(self):
         p = parse_poly("3*u1^2*u2 - 5*h*u1 + 7*u2^3 - 1")
         for shifts in ([0, 0, 4, 9, 0, 0], [2, 0, 1, 3, 0, 0], [0] * 6):
             point = {v: 1 << s for v, s in zip(VARS, shifts)}
-            assert _kronecker_value(p, shifts) == p.subs(point)
+            at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in _pack(p)}
+            assert _kronecker_value(_pack(p), at) == p.subs(point)
 
     def test_cleared_rows_are_the_values_times_d(self):
         # value = v(x) * D(x) for every entry v, with D = c * prod den the
@@ -410,14 +423,14 @@ class TestGridEngine:
             d = d * p ** e
         index = {id(m): _Rows(m, cleared.rows)}
         for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
-            values = {key: p.subs(point) for key, p in cleared.entries.items()}
+            values = {id(t): _unpack(t).subs(point) for t, _, _, _ in cleared.entries}
             assert all(type(n) is int for n in values.values())
-            product = _product_rows([m, m, m], range(len(labels)), index, {id(m): values})
+            product = _product_rows([m, m, m], range(len(labels)), index, values)
             assert all(type(n) is int for row in product.values() for n in row.values())
             dx = d.subs(point)
             if not dx:
                 continue
-            assert {k: values[id(v)] for k, v in m.entries.items()} == {
+            assert {(i, j): values[id(t)] for i, row in cleared.rows.items() for j, t in row} == {
                 k: x * dx for k, x in m.eval_entries(point).items()
             }
             assert {(i, j): n for i, row in product.items() for j, n in row.items()} == {
@@ -1106,8 +1119,8 @@ class TestDegreeBounds:
         lhs, rhs = one_entry(U1), one_entry(RatFunc.const(2 ** k))
         cleared = {id(m): _clear(m) for m in (lhs, rhs)}
         index = {id(m): _Rows(m, cleared[id(m)].rows) for m in (lhs, rhs)}
-        shifts = [0, 0, k, 0, 0, 0]  # u1 = 2^k
-        at = {key: {e: _kronecker_value(p, shifts) for e, p in x.entries.items()} for key, x in cleared.items()}
+        shifts = {m: _exponents(m)[2] * k for x in cleared.values() for t, _, _, _ in x.entries for m in t}  # u1 = 2^k
+        at = {id(t): _kronecker_value(t, shifts) for x in cleared.values() for t, _, _, _ in x.entries}
         assert _product_rows([lhs], [0], index, at) == _product_rows([rhs], [0], index, at)
         v = _grid_proof([lhs], [rhs])
         assert not v["holds"] and v["degreeBounds"] == {"u1": 1}
@@ -1145,6 +1158,54 @@ class TestDegreeBounds:
         assert v["holds"] and v["gridSize"] == 1 and v["degreeBounds"] == {"h": 0, "u1": 0, "u2": 0}
         _assert_bounds_cover_cleared_products([m], [m])
 
+    def test_kept_bounds_match_the_expanded_clearing_on_every_suite_operator(self, monkeypatch):
+        # every operator the default suite builds, cleared by the symbolic
+        # prover: the multipoint engine's bounds, read off the packed
+        # clearing on first use and kept, are those of its entries cleared
+        # by the same D and expanded as tuple-keyed polynomials
+        _clear_builders()
+        ops = []
+        real = matrix._clear
+
+        def recording(mat):
+            ops.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(matrix, "_clear", recording)
+        assert run_suite("all")["ok"]
+        monkeypatch.undo()
+        assert len(ops) > 50 and all(getattr(op, "_bounds", None) is None for op in ops)
+        # every suite operator is homogeneous; these are not: the first two
+        # have inhomogeneous denominators (residuals, integer contents), the
+        # third a homogeneous denominator and an entry of degree 1, and the
+        # fourth's variables are those of its denominator alone
+        labels = [1, 2]
+        ops += [
+            LabeledMatrix(labels, labels, {
+                (1, 1): parse_ratfunc("h / (u1 - 7)"),
+                (1, 2): parse_ratfunc("(u + 1) / (u1^2 + u2^2 + h)"),
+                (2, 1): parse_ratfunc("u1 / 3"),
+                (2, 2): RatFunc.const(Fraction(-5, 6)),
+            }),
+            LabeledMatrix(labels, labels, {(1, 2): parse_ratfunc("h / (u^2 + h*u1 + 1)"), (2, 2): parse_ratfunc("u + 2*h")}),
+            LabeledMatrix(labels, labels, {(1, 1): parse_ratfunc("u1 / (u1 - u2)"), (2, 2): parse_ratfunc("u + 2*h")}),
+            LabeledMatrix(labels, labels, {(1, 1): parse_ratfunc("1 / (u1 - u2)")}),
+        ]
+        assert {relations._factor_bounds(op).homogeneous for op in ops} == {True, False}
+        for op in ops:
+            kept = relations._factor_bounds(op)
+            assert kept is relations._factor_bounds(op)
+            assert tuple(kept) == multipoint_statistics(op, *_clearing(op)[:2])
+
+    def test_symbolic_verdicts_do_not_depend_on_what_the_process_ran_before(self):
+        # a passing and a failing verdict, byte for byte, in a fresh
+        # interpreter and after the suite has cleared and kept its operators
+        fresh = _fresh_stdout(_SYMBOLIC_VERDICTS).strip()
+        assert run_suite("all")["ok"]
+        after = [check_chain_reflection("flagPlus", 2), check_reflection("flagMinus", 2, boundary="oppositePlacement")]
+        assert json.dumps(after) == fresh
+        assert after[0]["holds"] and not after[1]["holds"] and "counterexample" in after[1]
+
     def test_bounds_cover_factors_with_several_residuals(self):
         # p and q are irreducible, so they stay residuals in every process.
         # a's map holds both of its residuals, p and p q, whole, so its D is
@@ -1171,6 +1232,15 @@ from refleq.relations import _verify_product_identity
 m = LabeledMatrix([1], [1], {(1, 1): RatFunc.one() / ((U1 - U2) * (U1 + H))})
 v = _verify_product_identity([m], [m])
 print(json.dumps([v["degreeBounds"], v["gridSize"], v["detail"]]))
+"""
+
+
+_SYMBOLIC_VERDICTS = """
+import json
+from refleq.relations import check_chain_reflection, check_reflection
+
+after = [check_chain_reflection("flagPlus", 2), check_reflection("flagMinus", 2, boundary="oppositePlacement")]
+print(json.dumps(after))
 """
 
 
@@ -1342,7 +1412,7 @@ class TestOrbitReduction:
         cleared = {k: _clearing(m) for k, m in factors.items()}
         index = {k: _Rows(m, cleared[k].rows) for k, m in factors.items()}
         point = {"h": 1, "u1": 2, "u2": 3}
-        at = {k: {e: p.subs(point) for e, p in x.entries.items()} for k, x in cleared.items()}
+        at = {id(t): _unpack(t).subs(point) for x in cleared.values() for t, _, _, _ in x.entries}
         assert _product_rows(lhs, reps, index, at) == _product_rows(rhs, reps, index, at)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
