@@ -15,22 +15,26 @@ values, or on the label symmetry, reads that operator instead of the
 placement, and keeps what it read on the operator (_kept): the symmetry
 verdicts of the search below, the clearing that both provers read every
 factor through (_clearing), each distinct entry cleared once into packed
-monomials, and the multipoint engine's bounds of it.  Both provers read a
-placement's rows through one operator-size view (_Rows).
+monomials, and the multipoint prover's bounds of it (_bounds).  Both
+provers read a placement's rows through one operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
-form; the builders use it.  verify_identity, the symbolic prover, does not:
-it takes two ordered factor lists, clears each factor of its denominators
-once and carries one row per orbit of the factors' common label symmetry
-(_orbit_representatives) through a product of polynomial matrices, so it
-never runs Henrici's sum or the trial-division screen, and it reduces only
-the entry that a failing verdict prints (see "identity verification" below).
-Its verdict is a dict so callers can log what was checked; a failing verdict
-carries a "counterexample" with the first mismatching entry in sorted order
-and the canonical form of both values.  Multipoint proofs, which never form
-a product of polynomials, also work on factor lists, use the same
-clearing, scales, orbit reduction and row view, and live in relations
-(_verify_product_identity).
+form; the builders use it.  The provers do not.  verify_identity(lhs, rhs,
+mode) proves that two ordered factor lists have equal products by one of
+two routes with one setup: each distinct factor is cleared of its
+denominators once (_clearing), each side is scaled by the other side's
+denominators less the part the two share (_scales), and only one row per
+orbit of the factors' common label symmetry (_orbit_representatives) is
+carried through the factors, read off each placement's operator (_Rows).
+The symbolic prover (_symbolic_proof) multiplies the cleared polynomial
+matrices, so it never runs Henrici's sum or the trial-division screen, and
+reduces only the entry that a failing verdict prints.  The multipoint
+prover (_multipoint_proof) never forms a product of polynomials: it bounds
+the scaled difference's degrees and coefficients and evaluates both sides
+at one integer point where agreement is a proof.  A verdict is a dict so
+callers can log what was checked; a failing one carries a "counterexample"
+at the first mismatching entry in sorted order, with the canonical form of
+both values or a monomial and its two coefficients.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 import operator
 import types
 
-from .field import NVARS, Poly, RatFunc, format_ratfunc
+from .field import NVARS, VAR_INDEX, VARS, ZERO_EXP, Poly, RatFunc, format_poly, format_ratfunc
 
 
 def _require_chain(a, b):
@@ -79,18 +83,18 @@ class LabeledMatrix:
     A placement's entries are built at full size on their first read
     (_placed_entries) and kept, as RatFunc.den is.  The readers that build
     them are the canonical product (rkmat.embedded_product and every other
-    use of *), ==, inverse, eval_entries and swap_conjugate, verify_identity
-    on a side of one factor, and, for a placement of a placement, the
-    provers' reads of its operator: the symmetry test and the clearing take
-    the inner placement at its own size.  The provers read every
-    placement's rows through _Rows, at operator size.
+    use of *), ==, inverse, eval_entries and swap_conjugate, and, for a
+    placement of a placement, the provers' reads of its operator: the
+    symmetry test and the clearing take the inner placement at its own
+    size.  The provers read every placement's rows through _Rows, at
+    operator size.
 
     Three private slots hold what a proof reads of a matrix, each filled on
     first use by _kept and kept for the life of the matrix: _cleared, the
     clearing both provers read it through, its rows of packed terms
-    (_clear); _bounds, the multipoint engine's degrees and height of that
-    clearing (relations._bounds); and _symmetry, its verdict per site
-    transposition (_commutes_with).
+    (_clear); _bounds, the multipoint prover's degrees and height of that
+    clearing (_bounds); and _symmetry, its verdict per site transposition
+    (_commutes_with).  verify_identity reads all three.
     """
 
     __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_bounds", "_symmetry")
@@ -246,11 +250,10 @@ def embed_on_slots(mat, positions, slot_labels):
     more offset.  The result is a view (LabeledMatrix): it records mat
     itself as the operator it places, a placement included, and those
     offsets, and it builds its entries only when they are read, by a
-    product, ==, inverse, eval_entries or swap_conjugate, by verify_identity
-    on a side of one factor, or by a prover reading it as the operator of a
-    placement of it; the provers read placements by row instead (_Rows).
-    An empty slot among the others leaves nothing placed and a plain empty
-    matrix.
+    product, ==, inverse, eval_entries or swap_conjugate, or by a prover
+    reading it as the operator of a placement of it; the provers read
+    placements by row instead (_Rows).  An empty slot among the others
+    leaves nothing placed and a plain empty matrix.
     """
     tensor, slot_offsets, strides = _tensor_labels(tuple(map(tuple, slot_labels)))
     positions = tuple(positions)
@@ -298,6 +301,8 @@ def _kept(mat, slot, make):
     """The private slot of mat (LabeledMatrix), filled with make(mat) on its
     first read and kept: a matrix is a value, so what a proof reads of it
     is read once per process, however many proofs and placements share it.
+    verify_identity keeps each factor's clearing and, in multipoint mode,
+    its bounds on the operator the factor places (_operator).
 
     The clearing (_clear) reads den_factors, which splits each residual
     denominator over the forms interned when it runs, and a form interned
@@ -341,8 +346,10 @@ def swap_conjugate(mat):
 # orbit of the factors' common label symmetry is multiplied: the other rows
 # of the first factor never enter the chain (_orbit_representatives).  A
 # placement's rows are read off its operator's (_Rows), and each operator is
-# cleared once per process (_clearing, which the multipoint engine reads as
-# well), its entries formed as packed monomials and read as stored.
+# cleared once per process (_clearing), its entries formed as packed
+# monomials and read as stored.  The multipoint prover reads the same
+# clearing, scales, rows and representatives (verify_identity), and
+# evaluates instead of multiplying polynomials (_multipoint_proof).
 #
 # A packed monomial is one int, each exponent in a field of _BITS bits, in
 # VARS order from the lowest, and the total degree above them, so int order
@@ -474,14 +481,14 @@ class _Rows(dict):
     same table of the matrix itself or of the operator it places, at that
     operator's size; a row with no entry reads as ().  There is one kind
     of rows, the clearing's (_Cleared.rows), with x the packed terms of a
-    cleared entry, and both provers read every factor through this view:
-    the symbolic prover multiplies the terms, and the multipoint engine
-    reads its value of each at the point by id(x).  A placement's row is made
-    on its first read: row r has operator part rows[i] and shift o = r -
-    rows[i] (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each
-    (j, x) of the operator's row i, so a proof builds only the placement
-    rows that its representative rows reach, and no placement at full
-    size."""
+    cleared entry.  verify_identity makes one view per distinct factor of a
+    proof, and both provers read every factor through it: the symbolic
+    prover multiplies the terms, and the multipoint prover reads its value
+    of each at the point by id(x).  A placement's row is made on its first
+    read: row r has operator part rows[i] and shift o = r - rows[i]
+    (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each (j, x)
+    of the operator's row i, so a proof builds only the placement rows that
+    its representative rows reach, and no placement at full size."""
 
     __slots__ = ("rows", "row_of", "cols", "digits")
 
@@ -538,49 +545,88 @@ def _cleared_product(factors, views, reps):
     return functools.reduce(_poly_matmul, [views[id(mat)] for mat in factors[1:]], rows)
 
 
-def _scaled(rows, scale):
-    """rows times the Poly scale."""
-    if scale == Poly.const(1):
+def _scaled(rows, s):
+    """rows times a side's scale s: in the symbolic prover a Poly, packed
+    and multiplied into each entry's packed terms, and in the multipoint
+    prover its int value at the Kronecker point, where a scale is a nonzero
+    polynomial within the bounds, and below the height when its side has a
+    row, so s is not 0 there.  A scale of 1 leaves rows as they are."""
+    if s == 1 or s == Poly.const(1):
         return rows
-    s = _pack(scale)
-    return {i: {j: _mul(t, s) for j, t in row.items()} for i, row in rows.items()}
+    mul, s = (_mul, _pack(s)) if isinstance(s, Poly) else (operator.mul, s)
+    return {i: {j: mul(x, s) for j, x in row.items()} for i, row in rows.items()}
 
 
-def _entry_difference(lhs, rhs):
-    """(key, lhs value, rhs value) at the first key where two dicts of
-    canonical entries differ, or None if they agree."""
-    if lhs == rhs:
-        return None
-    key = first_difference(lhs, rhs)
-    zero = RatFunc.zero()
-    return key, lhs.get(key, zero), rhs.get(key, zero)
+_Bounds = collections.namedtuple("_Bounds", "degrees variables homogeneous height")
 
 
-def _product_difference(lhs_factors, rhs_factors):
-    """_entry_difference for two products, by the fraction-free route above:
-    only one row per orbit is multiplied (_orbit_representatives, which
-    gives the soundness argument), and only the two entries it returns are
-    reduced."""
-    distinct = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
-    reps = _orbit_representatives(list(distinct.values()))
-    cleared = {key: _clearing(mat) for key, mat in distinct.items()}
-    sides = [[cleared[id(mat)] for mat in factors] for factors in (lhs_factors, rhs_factors)]
-    maps, scales = _scales(*sides)
-    # no monomial of either scaled product has a larger total degree, so
-    # none carries when it fits
-    _fit(max(sum(x.degree for x in side) + scale.degree() for side, scale in zip(sides, scales)), "a scaled product")
-    views = {key: _Rows(mat, cleared[key].rows) for key, mat in distinct.items()}
-    products = [_cleared_product(factors, views, reps) for factors in (lhs_factors, rhs_factors)]
-    scaled = [_scaled(rows, scale) for rows, scale in zip(products, scales)]
-    if scaled[0] == scaled[1]:
-        return None
-    flat = [{(i, j): t for i, row in rows.items() for j, t in row.items()} for rows in scaled]
-    i, j = key = first_difference(*flat)
-    # only this entry is reduced, each side over its own prod(D)
-    return key, *(
-        RatFunc(_unpack(rows.get(i, {}).get(j, {})), _expand(c, den))
-        for rows, (c, den) in zip(products, maps)
-    )
+def _bounds(op):
+    """What the multipoint prover bounds the operator op by, read off its
+    clearing (_clearing): degrees, per variable in VARS order, the largest
+    degree of a cleared entry v * D, deg(v.num) plus its deficit's;
+    variables, those of some v * D or of a key of den; homogeneous, whether
+    every entry v is homogeneous of degree zero, that is every key of den
+    homogeneous and every v * D of D's degree; and height, the largest row
+    sum of ||v * D||_1, the sum of the absolute values of its coefficients."""
+    cleared = _clearing(op)
+    keys = {p: tuple(map(max, zip(*p.terms))) for p in cleared.den}
+    totals = {p: set(map(sum, p.terms)) for p in cleared.den}
+    homogeneous = all(len(t) == 1 for t in totals.values())
+    degree = lambda pairs: sum(e * max(totals[p]) for p, e in pairs)
+    groups, degrees = {}, ZERO_EXP
+    for _, num, deficit, _ in cleared.entries:
+        groups.setdefault(deficit, []).extend(num.terms)
+    for deficit, exps in groups.items():
+        top = map(max, zip(*exps))
+        for p, k in deficit:
+            top = map(operator.add, top, [k * x for x in keys[p]])
+        degrees = tuple(map(max, degrees, top))
+        # v * D has D's degree exactly when v.num has D's less the deficit's
+        homogeneous = homogeneous and set(map(sum, exps)) == {degree(cleared.den.items()) - degree(deficit)}
+    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *keys.values()))))
+    norms = {id(t): sum(map(abs, t.values())) for t, _, _, _ in cleared.entries}
+    height = max([sum([norms[id(t)] for _, t in row]) for row in cleared.rows.values()], default=0)
+    return _Bounds(degrees, variables, homogeneous, height)
+
+
+def _kronecker_value(terms, at):
+    """Packed terms at a Kronecker point, at[m] = sum e_i shifts[i] for each
+    monomial m where the variable at index i of VARS is 2^shifts[i]: each
+    term c * prod u^e is c shifted left by at[m], so no power is taken."""
+    return sum(c << at[m] for m, c in terms.items())
+
+
+def _product_rows(factors, rows, index, values):
+    """The given rows of the product of the cleared factors, {row: {col:
+    int}} with no zero entry and no empty row.  Each row is carried left to
+    right through the factors and reads only the factor rows it reaches;
+    index is the factors' _Rows, keyed by id(factor), and values the value
+    of each of their packed terms at the point, keyed by id(terms)."""
+    out = {}
+    for i in rows:
+        acc = {i: 1}
+        for mat in factors:
+            mat_rows, nxt = index[id(mat)], {}
+            for k, a in acc.items():
+                for j, t in mat_rows[k]:
+                    c = values[id(t)]
+                    if c:
+                        nxt[j] = nxt.get(j, 0) + a * c
+            acc = {j: x for j, x in nxt.items() if x}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _digit(x, shift, width):
+    """The digit at bit shift (a multiple of width) of x written in balanced
+    base 2^width, every digit below 2^(width - 1) in absolute value: those
+    digits are unique, and the lower ones sum to the residue of x mod
+    2^shift of least absolute value."""
+    half = 1 << shift >> 1
+    low = ((x + half) & ((1 << shift) - 1)) - half
+    top = 1 << width - 1
+    return ((((x - low) >> shift) + top) & ((1 << width) - 1)) - top
 
 
 def _label_mismatch(lhs_factors, rhs_factors, mode):
@@ -745,33 +791,158 @@ def _orbit_representatives(factors):
     return reps
 
 
-def verify_identity(lhs_factors, rhs_factors):
-    """Check that the products of two ordered factor lists agree.  Returns a
-    dict verdict; never raises on inequality.  When the labels agree, a
-    failing verdict carries a "counterexample": row and column labels (JSON
-    form) and the canonical strings of both products at the first differing
-    key.  A single matrix is a one-factor list."""
-    mismatch = _label_mismatch(lhs_factors, rhs_factors, "symbolic")
+_Shared = collections.namedtuple("_Shared", "factors cleared maps scales views reps")
+
+
+def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
+    """Prove that the products of two ordered factor lists agree, in mode
+    "symbolic" (_symbolic_proof) or "multipoint" (_multipoint_proof); any
+    other mode raises ValueError before a factor is read.  Returns a dict
+    verdict; never raises on inequality.  When the labels agree, a failing
+    verdict carries a "counterexample" at the least differing entry: its row
+    and column labels (JSON form) and, in symbolic mode, both products'
+    canonical strings there, in multipoint mode a monomial and its two
+    coefficients.  A single matrix is a one-factor list.
+
+    Both modes share the label checks and one setup: each distinct factor's
+    clearing, the two sides' scales (_scales), a row view per factor (_Rows)
+    and the orbit representatives, the only rows either mode multiplies."""
+    if mode not in ("symbolic", "multipoint"):
+        raise ValueError(f"unknown mode {mode!r}")
+    mismatch = _label_mismatch(lhs_factors, rhs_factors, mode)
     if mismatch:
         return mismatch
-    lhs, rhs = lhs_factors[0], rhs_factors[0]
-    if len(lhs_factors) == len(rhs_factors) == 1:
-        # no product to form: the canonical entries are at hand
-        diff = _entry_difference(lhs.entries, rhs.entries)
-    else:
-        diff = _product_difference(lhs_factors, rhs_factors)
-    if diff is None:
+    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
+    cleared = {key: _clearing(mat) for key, mat in factors.items()}
+    maps, scales = _scales(*([cleared[id(mat)] for mat in side] for side in (lhs_factors, rhs_factors)))
+    views = {key: _Rows(mat, cleared[key].rows) for key, mat in factors.items()}
+    shared = _Shared(factors, cleared, maps, scales, views, _orbit_representatives(list(factors.values())))
+    # each prover is read off the module when it runs, so a patched one runs
+    prove = _symbolic_proof if mode == "symbolic" else _multipoint_proof
+    return prove(lhs_factors, rhs_factors, shared)
+
+
+def _symbolic_proof(lhs_factors, rhs_factors, shared):
+    """The fraction-free comparison of "identity verification" above: the
+    representative rows of each side's product of cleared factors, times
+    its scale, compared term by term.  Only the two entries a failing
+    verdict prints are reduced, each side's over its own prod(D)."""
+    sides = (lhs_factors, rhs_factors)
+    # no monomial of either scaled product has a larger total degree, so
+    # none carries when it fits
+    _fit(
+        max(sum(shared.cleared[id(mat)].degree for mat in side) + s.degree() for side, s in zip(sides, shared.scales)),
+        "a scaled product",
+    )
+    products = [_cleared_product(side, shared.views, shared.reps) for side in sides]
+    scaled = [_scaled(rows, s) for rows, s in zip(products, shared.scales)]
+    if scaled[0] == scaled[1]:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
-    (i, j), lhs_value, rhs_value = diff
-    row, col = lhs.row_labels[i], lhs_factors[-1].col_labels[j]
+    i, j = first_difference(*({(i, j): t for i, row in rows.items() for j, t in row.items()} for rows in scaled))
+    lhs, rhs = (
+        format_ratfunc(RatFunc(_unpack(rows.get(i, {}).get(j, {})), _expand(c, den)))
+        for rows, (c, den) in zip(products, shared.maps)
+    )
+    row, col = lhs_factors[0].row_labels[i], lhs_factors[-1].col_labels[j]
     return {
         "holds": False,
         "mode": "symbolic",
         "detail": f"first mismatch at row {row!r}, col {col!r}",
+        "counterexample": {"row": _label_to_json(row), "col": _label_to_json(col), "lhs": lhs, "rhs": rhs},
+    }
+
+
+def _multipoint_proof(lhs_factors, rhs_factors, shared):
+    """Proof at one integer point that two ordered matrix products agree,
+    with no product of polynomials formed.
+
+    Each factor f is read through its clearing: f * D_f is a polynomial
+    matrix, so each side's product P of them is one.  With the two sides'
+    scales (_scales), s_lhs = (rc // g) prod(rden - G) and s_rhs = (lc // g)
+    prod(lden - G), P_lhs s_lhs - P_rhs s_rhs is the cleared difference
+    (lhs - rhs) prod(D_lhs) prod(D_rhs) / G.  An entry of P s is a sum of
+    products of one cleared entry per factor and the scale, so its degree
+    in a variable is at most the sum over the side's factors of their
+    cleared entries' largest degree in it (_bounds) plus the scale's; d_v,
+    the larger of the two sides' sums, bounds both terms and their
+    difference.  Every variable of the factors has a bound, and it may be
+    0.  ||.||_1 is submultiplicative, so the infinity norm it induces on
+    matrices is too, and no coefficient of either term exceeds H = sum over
+    the sides of ||s||_1 prod height_f, each factor's largest row sum of
+    ||v * D_f||_1.  With K = bit_length(H) + 2, every coefficient of either
+    term and of their difference is below 2^(K - 1) in absolute value, so a
+    polynomial's value at the Kronecker point u_v = 2^(K s_v), s_v = prod
+    (d_w + 1) over the variables w before v, holds its coefficients as
+    balanced base-2^K digits, one per monomial (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 3rd ed., 8.4): the difference vanishes exactly
+    when its value there does.  Both terms are evaluated there in integers,
+    from the cleared entries and the scales (_kronecker_value), so a
+    factor's pole is no concern.  When every factor entry is homogeneous of
+    degree zero, the difference is homogeneous, so h = 1 is a faithful
+    slice and h leaves the point.
+
+    The least entry in which the two terms differ lies in a representative
+    row (_orbit_representatives).  It is the counterexample, with the least
+    monomial (later variables dominating, as in the point) whose two
+    coefficients differ, and those coefficients, read off the digits.
+    """
+    factors, cleared, _, scales, views, reps = shared
+    read = {key: _kept(_operator(mat), "_bounds", _bounds) for key, mat in factors.items()}
+    sides = (lhs_factors, rhs_factors)
+    # per side, each variable's degree: its factors' cleared entries' and
+    # its scale's (a nonzero Poly's degree per variable is a column maximum)
+    degrees = (
+        map(sum, zip(*(read[id(mat)].degrees for mat in side), map(max, zip(*scale.terms))))
+        for side, scale in zip(sides, scales)
+    )
+    variables = frozenset().union(*(x.variables for x in read.values()))
+    bounds = {v: max(a, b) for v, a, b in zip(VARS, *degrees) if v in variables}
+    drop_h = "h" in bounds and all(x.homogeneous for x in read.values())
+    if drop_h:
+        del bounds["h"]
+    height = sum(
+        sum(map(abs, scale.terms.values())) * math.prod(read[id(mat)].height for mat in side)
+        for side, scale in zip(sides, scales)
+    )
+    width = height.bit_length() + 2
+    shifts, size = [0] * NVARS, 1
+    for v, d in bounds.items():
+        shifts[VAR_INDEX[v]] = width * size
+        size *= d + 1
+    # placements of one operator share its clearing, whose entries are
+    # each evaluated once, and each distinct monomial is unpacked once
+    distinct = {id(x): x for x in cleared.values()}.values()
+    packed = [t for x in distinct for t, _, _, _ in x.entries] + [_pack(scale) for scale in scales]
+    at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in set().union(*packed)}
+    values = {id(t): _kronecker_value(t, at) for t in packed}
+    lhs, rhs = (
+        _scaled(_product_rows(side, reps, views, values), values[id(t)])
+        for side, t in zip(sides, packed[-2:])
+    )
+    slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
+    where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"
+    if lhs == rhs:
+        return {"holds": True, "mode": "multipoint", "detail": f"cleared sides agree at {where}", "gridSize": 1,
+                "degreeBounds": bounds}
+    i, j = first_difference(*({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs)))
+    x, y = lhs.get(i, {}).get(j, 0), rhs.get(i, {}).get(j, 0)
+    # the lowest digit of x - y is the first in which x and y differ
+    shift = ((x - y) & (y - x)).bit_length() - 1
+    shift -= shift % width
+    position, exps = shift // width, dict.fromkeys(VARS, 0)
+    for v, d in bounds.items():
+        position, exps[v] = divmod(position, d + 1)
+    return {
+        "holds": False,
+        "mode": "multipoint",
+        "detail": f"cleared sides differ at {where}",
+        "gridSize": 1,
+        "degreeBounds": bounds,
         "counterexample": {
-            "row": _label_to_json(row),
-            "col": _label_to_json(col),
-            "lhs": format_ratfunc(lhs_value),
-            "rhs": format_ratfunc(rhs_value),
+            "row": _label_to_json(lhs_factors[0].row_labels[i]),
+            "col": _label_to_json(lhs_factors[-1].col_labels[j]),
+            "monomial": format_poly(Poly({tuple(exps.values()): 1})),
+            "lhs": str(_digit(x, shift, width)),
+            "rhs": str(_digit(y, shift, width)),
         },
     }

@@ -24,63 +24,20 @@ multipoint mode, a monomial and its two coefficients).  Verdicts
 are JSON-serializable so the CLI can emit them unchanged.
 
 Each check states its identity as two ordered factor lists, lhs and rhs, and
-hands them to _prove.  Both provers read each factor through one clearing,
-kept on the operator a placement places (matrix._clearing, matrix._clear):
-a common multiple D of its entry denominators, as a content and a
-denominator map, and its rows, each distinct entry times D stored once as
-packed monomials; the multipoint mode reads its degrees and height off that
-clearing once per operator (_bounds).  The symbolic mode
-(matrix.verify_identity) multiplies the polynomial matrices and compares lhs
-* prod(D_rhs) with rhs * prod(D_lhs), with the part the two share divided
-out (matrix._scales); it never evaluates at a point, and it reduces only the
-entry that a failing verdict prints.  The multipoint mode never forms the
-products: _verify_product_identity, the one multipoint engine, bounds the
-same scaled difference's degree in every variable of the factors by the
-cleared entries' degrees plus the scale's (the bound may be 0), and its
-coefficients by the clearing's row heights.  It evaluates that polynomial,
-not the factors, at one integer point, the Kronecker point of those bounds,
-from the cleared entries and scales (_kronecker_value), so a pole is no
-concern, and compares the two sides exactly in integers.  At that point a
-polynomial within the bounds is the integer whose digits are its
-coefficients, so agreement there is a proof, not a sample.  Both provers
-multiply only one row per orbit of the label permutations that every factor
-commutes with (matrix._orbit_representatives): Yang's R commutes with g (x)
-g, the cross factors with the permutations that keep their signs; a placed
-factor is tested on its operator.  Agreement on those rows is agreement
-everywhere, and a failing proof reads its counterexample, the least
-differing entry, off them with no pass over the other rows.  Both provers
-check the factor labels the same way (matrix._label_mismatch).  check_ybe
-and check_reflection expose the mode; the tests run both provers on the
-factor lists of the other checks.
+hands them to matrix.verify_identity with a mode: "symbolic" multiplies the
+cleared polynomial matrices, "multipoint" evaluates them at one Kronecker
+point, and both are proofs.  check_ybe and check_reflection expose the mode;
+the tests run both provers on the factor lists of the other checks.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
-import math
 import operator
 
 from . import field
-from .field import NVARS, U, U1, U2, U3, U4, VAR_INDEX, VARS, ZERO_EXP, _format_mono
-from .matrix import (
-    LabeledMatrix,
-    _clearing,
-    _exponents,
-    _kept,
-    _label_mismatch,
-    _label_to_json,
-    _operator,
-    _orbit_representatives,
-    _pack,
-    _Rows,
-    _scales,
-    embed_on_slots,
-    first_difference,
-    swap_conjugate,
-    verify_identity,
-)
+from .field import U, U1, U2, U3, U4
+from .matrix import LabeledMatrix, embed_on_slots, swap_conjugate, verify_identity
 from .rkmat import (
     KINDS,
     constant_term_matrix,
@@ -154,217 +111,8 @@ def _fold(factors):
     return functools.reduce(operator.mul, factors)
 
 
-def _prove(lhs, rhs, mode="symbolic"):
-    """Prove that the products of two ordered factor lists agree.
-
-    Symbolic mode hands the lists to the fraction-free product comparison
-    (matrix.verify_identity); multipoint mode hands them to the proof at one
-    Kronecker point (_verify_product_identity).
-    """
-    if mode == "symbolic":
-        return verify_identity(lhs, rhs)
-    if mode == "multipoint":
-        return _verify_product_identity(lhs, rhs)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _verdict(identity, l, cmp, **extra):
     return {"identity": identity, "l": l, **cmp, **extra}
-
-
-# ---------------------------------------------------------------------------
-# multipoint product verification
-
-
-_Bounds = collections.namedtuple("_Bounds", "degrees variables homogeneous height")
-
-
-def _bounds(op):
-    """What the multipoint engine bounds the operator op by, read off its
-    clearing (matrix._clear): degrees, per variable in VARS order, the
-    largest degree of a cleared entry v * D, deg(v.num) plus its deficit's;
-    variables, those of some v * D or of a key of den; homogeneous, whether
-    every entry v is homogeneous of degree zero, that is every key of den
-    homogeneous and every v * D of D's degree; and height, the largest row
-    sum of ||v * D||_1, the sum of the absolute values of its coefficients."""
-    cleared = _clearing(op)
-    keys = {p: tuple(map(max, zip(*p.terms))) for p in cleared.den}
-    totals = {p: set(map(sum, p.terms)) for p in cleared.den}
-    homogeneous = all(len(t) == 1 for t in totals.values())
-    degree = lambda pairs: sum(e * max(totals[p]) for p, e in pairs)
-    groups, degrees = {}, ZERO_EXP
-    for _, num, deficit, _ in cleared.entries:
-        groups.setdefault(deficit, []).extend(num.terms)
-    for deficit, exps in groups.items():
-        top = map(max, zip(*exps))
-        for p, k in deficit:
-            top = map(operator.add, top, [k * x for x in keys[p]])
-        degrees = tuple(map(max, degrees, top))
-        # v * D has D's degree exactly when v.num has D's less the deficit's
-        homogeneous = homogeneous and set(map(sum, exps)) == {degree(cleared.den.items()) - degree(deficit)}
-    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *keys.values()))))
-    norms = {id(t): sum(map(abs, t.values())) for t, _, _, _ in cleared.entries}
-    height = max([sum([norms[id(t)] for _, t in row]) for row in cleared.rows.values()], default=0)
-    return _Bounds(degrees, variables, homogeneous, height)
-
-
-def _factor_bounds(mat):
-    """_bounds of the operator mat places, or of mat, kept on it (_kept)."""
-    return _kept(_operator(mat), "_bounds", _bounds)
-
-
-def _kronecker_value(terms, at):
-    """Packed terms at a Kronecker point, at[m] = sum e_i shifts[i] for each
-    monomial m where the variable at index i of VARS is 2^shifts[i]: each
-    term c * prod u^e is c shifted left by at[m], so no power is taken."""
-    return sum(c << at[m] for m, c in terms.items())
-
-
-def _product_rows(factors, rows, index, values):
-    """The given rows of the product of the cleared factors, {row: {col:
-    int}} with no zero entry and no empty row.  Each row is carried left to
-    right through the factors and reads only the factor rows it reaches;
-    index is the factors' _Rows, keyed by id(factor), and values the value
-    of each of their packed terms at the point, keyed by id(terms)."""
-    out = {}
-    for i in rows:
-        acc = {i: 1}
-        for mat in factors:
-            mat_rows, nxt = index[id(mat)], {}
-            for k, a in acc.items():
-                for j, t in mat_rows[k]:
-                    c = values[id(t)]
-                    if c:
-                        nxt[j] = nxt.get(j, 0) + a * c
-            acc = {j: x for j, x in nxt.items() if x}
-        if acc:
-            out[i] = acc
-    return out
-
-
-def _digit(x, shift, width):
-    """The digit at bit shift (a multiple of width) of x written in balanced
-    base 2^width, every digit below 2^(width - 1) in absolute value: those
-    digits are unique, and the lower ones sum to the residue of x mod
-    2^shift of least absolute value."""
-    half = 1 << shift >> 1
-    low = ((x + half) & ((1 << shift) - 1)) - half
-    top = 1 << width - 1
-    return ((((x - low) >> shift) + top) & ((1 << width) - 1)) - top
-
-
-def _verify_product_identity(lhs_factors, rhs_factors):
-    """Proof at one integer point that two ordered matrix products agree,
-    factor by factor.
-
-    The labels are checked as in the symbolic prover (matrix._label_mismatch).
-    Each factor f is read through the clearing the symbolic prover keeps on
-    its operator (matrix._clearing): f * D_f is a polynomial matrix, so
-    each side's product P of them is one.  With the two sides' scales of
-    the symbolic prover (matrix._scales), s_lhs = (rc // g) prod(rden - G)
-    and s_rhs = (lc // g) prod(lden - G), P_lhs s_lhs - P_rhs s_rhs is the
-    cleared difference (lhs - rhs) prod(D_lhs) prod(D_rhs) / G.  An entry of
-    P s is a sum of products of one cleared entry per factor and the scale,
-    so its degree in a variable is at most the sum over the side's factors
-    of their cleared entries' largest degree in it plus the scale's; d_v,
-    the larger of the two sides' sums, bounds both terms and their
-    difference.  Every variable of the factors has a bound, and it may be
-    0.  ||.||_1 is submultiplicative, so the infinity norm it induces on
-    matrices is too, and no coefficient of either term exceeds H = sum over
-    the sides of ||s||_1 prod height_f, each factor's largest row sum of
-    ||v * D_f||_1.  With K = bit_length(H) + 2, every coefficient of either
-    term and of their difference is below 2^(K - 1) in absolute value, so a
-    polynomial's value at the Kronecker point u_v = 2^(K s_v), s_v = prod
-    (d_w + 1) over the variables w before v, holds its coefficients as
-    balanced base-2^K digits, one per monomial (von zur Gathen and Gerhard,
-    Modern Computer Algebra, 3rd ed., 8.4): the difference vanishes exactly
-    when its value there does.  Both terms are evaluated there in integers,
-    from the cleared entries and the scales (_kronecker_value), so a
-    factor's pole is no concern.  When every factor entry is homogeneous of
-    degree zero, the difference is homogeneous, so h = 1 is a faithful
-    slice and h leaves the point.
-
-    Only one row per orbit of the label symmetry every factor has is
-    multiplied (matrix._orbit_representatives, which gives the soundness
-    argument): the least entry in which the two terms differ lies in a
-    representative row.  It is the counterexample, with the least monomial
-    (later variables dominating, as in the point) whose two coefficients
-    differ, and those coefficients, read off the digits.
-    """
-    mismatch = _label_mismatch(lhs_factors, rhs_factors, "multipoint")
-    if mismatch:
-        return mismatch
-    factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
-    cleared = {key: _clearing(mat) for key, mat in factors.items()}
-    read = {key: _factor_bounds(mat) for key, mat in factors.items()}
-    sides = (lhs_factors, rhs_factors)
-    _, scales = _scales(*([cleared[id(mat)] for mat in side] for side in sides))
-    # per side, each variable's degree: its factors' cleared entries' and
-    # its scale's (a nonzero Poly's degree per variable is a column maximum)
-    degrees = (
-        map(sum, zip(*(read[id(mat)].degrees for mat in side), map(max, zip(*scale.terms))))
-        for side, scale in zip(sides, scales)
-    )
-    variables = frozenset().union(*(x.variables for x in read.values()))
-    bounds = {v: max(a, b) for v, a, b in zip(VARS, *degrees) if v in variables}
-    drop_h = "h" in bounds and all(x.homogeneous for x in read.values())
-    if drop_h:
-        del bounds["h"]
-    index = {key: _Rows(mat, cleared[key].rows) for key, mat in factors.items()}
-    reps = _orbit_representatives(list(factors.values()))
-    height = sum(
-        sum(map(abs, scale.terms.values())) * math.prod(read[id(mat)].height for mat in side)
-        for side, scale in zip(sides, scales)
-    )
-    width = height.bit_length() + 2
-    shifts, size = [0] * NVARS, 1
-    for v, d in bounds.items():
-        shifts[VAR_INDEX[v]] = width * size
-        size *= d + 1
-    # placements of one operator share its clearing, whose entries are
-    # each evaluated once, and each distinct monomial is unpacked once
-    distinct = {id(x): x for x in cleared.values()}.values()
-    packed = [t for x in distinct for t, _, _, _ in x.entries] + [_pack(scale) for scale in scales]
-    at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in set().union(*packed)}
-    values = {id(t): _kronecker_value(t, at) for t in packed}
-    lhs, rhs = (
-        _scaled(_product_rows(side, reps, index, values), values[id(t)]) for side, t in zip(sides, packed[-2:])
-    )
-    slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
-    where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"
-    if lhs == rhs:
-        return {"holds": True, "mode": "multipoint", "detail": f"cleared sides agree at {where}", "gridSize": 1,
-                "degreeBounds": bounds}
-    flat = ({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs))
-    i, j = first_difference(*flat)
-    x, y = lhs.get(i, {}).get(j, 0), rhs.get(i, {}).get(j, 0)
-    # the lowest digit of x - y is the first in which x and y differ
-    shift = ((x - y) & (y - x)).bit_length() - 1
-    shift -= shift % width
-    position, exps = shift // width, dict.fromkeys(VARS, 0)
-    for v, d in bounds.items():
-        position, exps[v] = divmod(position, d + 1)
-    return {
-        "holds": False,
-        "mode": "multipoint",
-        "detail": f"cleared sides differ at {where}",
-        "gridSize": 1,
-        "degreeBounds": bounds,
-        "counterexample": {
-            "row": _label_to_json(lhs_factors[0].row_labels[i]),
-            "col": _label_to_json(lhs_factors[-1].col_labels[j]),
-            "monomial": _format_mono(tuple(exps.values())) or "1",
-            "lhs": str(_digit(x, shift, width)),
-            "rhs": str(_digit(y, shift, width)),
-        },
-    }
-
-
-def _scaled(rows, s):
-    """rows times the integer s, a scale's value at the Kronecker point.  A
-    scale is a nonzero polynomial within the bounds, and below the height
-    when its side has a row, so s is not 0 there."""
-    return rows if s == 1 else {i: {j: v * s for j, v in row.items()} for i, row in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +133,7 @@ def check_ybe(l, mode="symbolic"):
     r12 = embed_on_slots(yang_r(l, U1 - U2), (0, 1), slots)
     r13 = embed_on_slots(yang_r(l, U1), (0, 2), slots)
     r23 = embed_on_slots(yang_r(l, U2), (1, 2), slots)
-    cmp = _prove([r12, r13, r23], [r23, r13, r12], mode)
+    cmp = verify_identity([r12, r13, r23], [r23, r13, r12], mode)
     return _verdict("yangBaxter", l, cmp, family="chain")
 
 
@@ -405,9 +153,9 @@ def check_r_unitarity(l, kind=None):
     fwd = builder(l, d)
     bwd = builder(l, -d)
     ident = LabeledMatrix.identity(fwd.row_labels)
-    cmp = _prove([fwd, bwd], [ident])
+    cmp = verify_identity([fwd, bwd], [ident])
     if cmp["holds"]:
-        flip = _prove([swap_conjugate(fwd)], [fwd])
+        flip = verify_identity([swap_conjugate(fwd)], [fwd])
         if not flip["holds"]:
             cmp = {**flip, "detail": "product is the identity but the family is not flip-symmetric"}
     return _verdict("rUnitarity", l, cmp, family=family, kind=kind)
@@ -419,7 +167,7 @@ def check_k_unitarity(kind, l):
     fwd = k_matrix(kind, l, U)
     bwd = k_matrix(kind, l, -U)
     ident = LabeledMatrix.identity(fwd.row_labels)
-    cmp = _prove([bwd, fwd], [ident])
+    cmp = verify_identity([bwd, fwd], [ident])
     return _verdict("kUnitarity", l, cmp, kind=kind)
 
 
@@ -473,12 +221,9 @@ def check_reflection(kind, l, mode="symbolic", boundary="standard"):
     where the subscript 21 marks conjugation by the tensor swap.  The
     boundary argument selects the standard matrix or, for flagMinus, the
     rejected opposite-placement variant that this identity is expected to
-    rule out.  Both modes hand the factor lists to a prover (_prove):
-    symbolic mode multiplies polynomial matrices, and multipoint mode
-    evaluates the cleared factors at one Kronecker point and never forms a
-    product of polynomials.
+    rule out.  The mode is matrix.verify_identity's.
     """
-    cmp = _prove(*_reflection_factors(kind, l, boundary=boundary), mode)
+    cmp = verify_identity(*_reflection_factors(kind, l, boundary=boundary), mode)
     return _verdict("reflection", l, cmp, kind=kind, boundary=boundary)
 
 
@@ -554,7 +299,7 @@ def check_monodromy_exchange(l, n, variant, kind="soInstanton"):
     where Y is the chain R, C the cross R (flipped when the twisted factor
     sits first) and Z the R-matrix for two twisted factors.
     """
-    cmp = _prove(*_exchange_factors(l, n, variant, kind))
+    cmp = verify_identity(*_exchange_factors(l, n, variant, kind))
     return _verdict("monodromyExchange", l, cmp, kind=kind, variant=variant, sites=n)
 
 
@@ -587,7 +332,7 @@ def check_twisted_plain_derivation(l, n, kind="soInstanton"):
     from plainTwisted (_derivation_factors) must all hold.
     """
     direct = check_monodromy_exchange(l, n, "twistedPlain", kind=kind)
-    inter, bridge_a, bridge_b = (_prove(lhs, rhs) for lhs, rhs in _derivation_factors(l, n, kind))
+    inter, bridge_a, bridge_b = (verify_identity(lhs, rhs) for lhs, rhs in _derivation_factors(l, n, kind))
     unit = check_r_unitarity(l, kind=kind)
     holds = all(res["holds"] for res in (direct, inter, unit, bridge_a, bridge_b))
     detail = (
@@ -612,7 +357,7 @@ def check_chain_reflection(kind, l, n=1):
     by the dressed S.  At n = 0 the dressed operator is the boundary matrix
     itself (s_matrix with no chain sites).
     """
-    cmp = _prove(*_reflection_factors(kind, l, n=n))
+    cmp = verify_identity(*_reflection_factors(kind, l, n=n))
     return _verdict("chainReflection", l, cmp, kind=kind, sites=n)
 
 
@@ -637,7 +382,7 @@ def check_boundary_factorization(kind, l, n=1):
     gives the factorization, and conversely.  At n = 0, T_tw(-u) and T(u)
     are the identity and both sides are K(u).
     """
-    cmp = _prove(*_factorization_factors(kind, l, n))
+    cmp = verify_identity(*_factorization_factors(kind, l, n))
     return _verdict("boundaryFactorization", l, cmp, kind=kind, sites=n)
 
 
@@ -655,7 +400,7 @@ def check_boundary_constant_term(kind, l, n=1):
     The limit must be the scenario's involutive constant matrix on the
     auxiliary slot, extended by the identity over the chain sites.
     """
-    cmp = _prove(*_constant_term_factors(kind, l, n))
+    cmp = verify_identity(*_constant_term_factors(kind, l, n))
     return _verdict("boundaryConstantTerm", l, cmp, kind=kind, sites=n)
 
 

@@ -32,20 +32,20 @@ The library never calls these.
                               the D-degree formula over matrix._clear's
                               denominator maps, the reference for the
                               cleared-degree bounds of
-                              relations._verify_product_identity
+                              matrix._multipoint_proof
   multipoint_statistics       the degrees, variables, homogeneity and height
                               of one factor's entries cleared by its D and
                               expanded as tuple-keyed polynomials, the
-                              reference for relations._bounds
+                              reference for matrix._bounds
   full_row_grid_proof         the grid proof with every row of both products
                               multiplied at every point of the grid of
                               d_degree_bounds, the reference for the holds
                               and degreeBounds of
-                              relations._verify_product_identity
+                              matrix._multipoint_proof
   polynomial_counterexample   a failing multipoint counterexample read off
                               the cleared sides expanded as polynomials, the
                               replay of those that
-                              relations._verify_product_identity prints
+                              matrix._multipoint_proof prints
   charge_pair_counts_by_nodes condition_met called at every node against
                               every other row, the reference for
                               tableaux.charge_pair_counts
@@ -541,7 +541,7 @@ def _cleared_sides(lhs_factors, rhs_factors):
 def full_row_grid_proof(lhs_factors, rhs_factors):
     """The grid proof of two factor lists, with both products multiplied in
     full at every grid point, the reference for the holds and degreeBounds
-    of relations._verify_product_identity: the same label checks, the
+    of matrix._multipoint_proof: the same label checks, the
     bounds of d_degree_bounds with h left out when every factor entry is
     homogeneous of degree zero, and the grid {0, ..., bound} per variable
     (h = 1 when it leaves the bounds); each factor cleared and each side

@@ -130,3 +130,16 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}:{line} {name}" for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is its module's own layout: matrix alone knows the
+    # packed monomials and the clearing, field alone its monomial format
+    imported = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a relative import, or an absolute one of refleq
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "refleq"):
+                imported += [f"{path.stem}:{node.lineno} {a.name}" for a in node.names if _private(a.name)]
+    assert not imported, f"private names imported from another refleq module: {imported}"

@@ -11,7 +11,6 @@ from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_comp
 from refleq import matrix as matrix_module
 from refleq.field import NVARS, U, U1, U2, U3, U4, Poly, RatFunc, _mono_key, poly_div_exact
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
-from refleq.relations import _verify_product_identity
 from refleq.rkmat import constant_term_matrix, k_matrix, s_matrix, site_labels, yang_r
 
 
@@ -208,11 +207,11 @@ def test_every_kind_of_matrix_rejects_writes(monkeypatch):
     placed = embed_on_slots(r, (0, 1), slots)
     factors = [placed, embed_on_slots(yang_r(2, U1), (0, 2), slots), embed_on_slots(yang_r(2, U2), (1, 2), slots)]
     assert verify_identity(factors, factors[::-1])["holds"]
-    assert _verify_product_identity(factors, factors[::-1])["holds"]
+    assert verify_identity(factors, factors[::-1], "multipoint")["holds"]
     assert not fills
     # both proofs kept what they read on the operator, in its private slots:
     # the clearing, which holds the packed terms both read, the multipoint
-    # engine's bounds and the symmetry verdicts
+    # prover's bounds and the symmetry verdicts
     assert all(getattr(r, slot, None) is not None for slot in ("_cleared", "_bounds", "_symmetry"))
     kinds = {
         "built": r,
@@ -433,7 +432,7 @@ def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message
     # fresh operators, cleared under the narrow width: each entry of R(u1^2
     # - u2^2) cleared is of total degree 2, which both provers read, and a
     # product of three is of 6, which only the symbolic prover packs; the
-    # multipoint engine evaluates the product at an integer point
+    # multipoint prover evaluates the product at an integer point
     slots = [site_labels(2)] * 3
     w1, w2, w3 = U1 * U1, U2 * U2, U3 * U3
     ops = [yang_r.__wrapped__(2, w1 - w2), yang_r.__wrapped__(2, w1 - w3), yang_r.__wrapped__(2, w2 - w3)]
@@ -446,11 +445,11 @@ def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message
     monkeypatch.setattr(matrix_module, "_poly_matmul", no_product)
     if bits == 1:
         monkeypatch.setattr(matrix_module, "_mul", no_product)
-    for prove in (verify_identity, _verify_product_identity) if bits == 1 else (verify_identity,):
+    for mode in ("symbolic", "multipoint") if bits == 1 else ("symbolic",):
         with pytest.raises(ValueError, match=message):
-            prove(factors, factors[::-1])
+            verify_identity(factors, factors[::-1], mode)
     if bits == 2:
-        assert _verify_product_identity(factors, factors[::-1])["holds"]
+        assert verify_identity(factors, factors[::-1], "multipoint")["holds"]
 
 
 # entries for random factors: two residual denominators (irreducible, so they

@@ -37,9 +37,12 @@ from refleq.matrix import (
     _clear,
     _clearing,
     _exponents,
+    _kronecker_value,
     _label_to_json,
+    _multipoint_proof,
     _orbit_representatives,
     _pack,
+    _product_rows,
     _Rows,
     _unpack,
     embed_on_slots,
@@ -53,11 +56,7 @@ from refleq.relations import (
     _exchange_factors,
     _factorization_factors,
     _fold,
-    _kronecker_value,
-    _product_rows,
-    _prove,
     _reflection_factors,
-    _verify_product_identity,
     check_boundary_constant_term,
     check_boundary_factorization,
     check_chain_reflection,
@@ -93,15 +92,15 @@ from refleq.rkmat import (
 CANONICAL_PRODUCTS = json.loads((Path(__file__).parent / "products_canonical.json").read_text())
 
 
-def _grid_proof(lhs, rhs):
-    """The multipoint verdict on two factor lists, held to
+def _held_to_the_oracle(lhs, rhs, shared):
+    """The multipoint prover's verdict on two factor lists, held to
     oracles.full_row_grid_proof, which multiplies every row at every point
     of the grid: the same holds and degreeBounds.  A failing verdict names
     the least entry whose cleared polynomials differ, so it comes no later
     than the entry the grid finds at its first differing point, and its
     counterexample replays on the expanded cleared sides
     (oracles.polynomial_counterexample)."""
-    v = _verify_product_identity(lhs, rhs)
+    v = _multipoint_proof(lhs, rhs, shared)
     grid = full_row_grid_proof(lhs, rhs)
     assert (v["holds"], v.get("degreeBounds")) == (grid["holds"], grid.get("degreeBounds"))
     if "counterexample" in v:
@@ -113,16 +112,40 @@ def _grid_proof(lhs, rhs):
     return v
 
 
+def _grid_proof(lhs, rhs):
+    """The multipoint verdict on two factor lists, which the autouse fixture
+    below holds to the oracle (_held_to_the_oracle)."""
+    return verify_identity(lhs, rhs, "multipoint")
+
+
 def _assert_proved_alike(lhs, rhs):
-    """_grid_proof on two factor lists, with the symbolic prover's holds."""
-    assert _grid_proof(lhs, rhs)["holds"] == verify_identity(lhs, rhs)["holds"]
+    """_grid_proof on two factor lists, with the symbolic prover's holds;
+    returns the multipoint verdict."""
+    v = _grid_proof(lhs, rhs)
+    assert v["holds"] == verify_identity(lhs, rhs)["holds"]
+    return v
 
 
 @pytest.fixture(autouse=True)
 def _grid_proofs_match_the_full_row_oracle(monkeypatch):
-    # every multipoint proof that a test here runs through _prove is held to
-    # the oracle as well
-    monkeypatch.setattr(relations, "_verify_product_identity", _grid_proof)
+    # every multipoint proof that a test here runs through
+    # matrix.verify_identity is held to the oracle as well; the fixture's
+    # value lists the factor lists of the proofs it held
+    held = []
+
+    def holding(lhs, rhs, shared):
+        held.append((lhs, rhs))
+        return _held_to_the_oracle(lhs, rhs, shared)
+
+    monkeypatch.setattr(matrix, "_multipoint_proof", holding)
+    return held
+
+
+def _unheld(monkeypatch):
+    """Run later multipoint proofs of this test on the prover itself, not
+    held to the oracle: for a test that counts what the prover calls, or
+    that reads a verdict the oracle has already been held to."""
+    monkeypatch.setattr(matrix, "_multipoint_proof", _multipoint_proof)
 
 
 def _canonical_rows(m):
@@ -170,17 +193,17 @@ class TestYangBaxter:
 
     def test_constant_identity_builder(self):
         lists = self._factors(lambda l, w: LabeledMatrix.identity(pair_labels(l)))
-        assert _prove(*lists)["holds"]
-        assert _prove(*lists, mode="multipoint")["holds"]
+        assert verify_identity(*lists)["holds"]
+        assert verify_identity(*lists, mode="multipoint")["holds"]
 
     def test_shifted_family_fails_both_modes(self):
         # shifting every spectral argument by h breaks the additivity the
         # identity depends on, so this must fail in both modes
         lists = self._factors(lambda l, w: yang_r(l, w + H))
-        sym = _prove(*lists)
+        sym = verify_identity(*lists)
         assert not sym["holds"]
         assert "row" in sym["counterexample"] and "lhs" in sym["counterexample"]
-        mp = _prove(*lists, mode="multipoint")
+        mp = verify_identity(*lists, mode="multipoint")
         assert not mp["holds"] and "monomial" in mp["counterexample"]
 
     def test_dimension_bound_is_the_only_size_limit(self):
@@ -378,7 +401,7 @@ class TestGridEngine:
         assert len(distinct) < stored
         cleared = {id(t) for m in factors for t, _, _, _ in _clearing(m).entries}
         calls, unpacked = [], []
-        real, real_exponents = relations._kronecker_value, relations._exponents
+        real, real_exponents = matrix._kronecker_value, matrix._exponents
 
         def counting(terms, at):
             calls.append(terms)
@@ -388,9 +411,10 @@ class TestGridEngine:
             unpacked.append(m)
             return real_exponents(m)
 
-        monkeypatch.setattr(relations, "_kronecker_value", counting)
-        monkeypatch.setattr(relations, "_exponents", counting_exponents)
-        v = _verify_product_identity(factors, [r23, r13, again])
+        _unheld(monkeypatch)
+        monkeypatch.setattr(matrix, "_kronecker_value", counting)
+        monkeypatch.setattr(matrix, "_exponents", counting_exponents)
+        v = verify_identity(factors, [r23, r13, again], "multipoint")
         assert v["holds"] and v["gridSize"] == 1
         entry_calls = [id(t) for t in calls if id(t) in cleared]
         assert sorted(entry_calls) == sorted(cleared)
@@ -511,7 +535,7 @@ class TestUnitarity:
 
     def test_non_unitary_builder_detected(self):
         fwd, bwd = r_bullet_sigma_opposite(3, U1 - U2), r_bullet_sigma_opposite(3, U2 - U1)
-        assert not _prove([fwd, bwd], [LabeledMatrix.identity(pair_labels(3))])["holds"]
+        assert not verify_identity([fwd, bwd], [LabeledMatrix.identity(pair_labels(3))])["holds"]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -613,7 +637,7 @@ class TestReflection:
         def holds(perm):
             mat = LabeledMatrix(labels, labels, {(target, i): RatFunc.one() for i, target in zip(labels, perm)})
             p1, p2 = (embed_on_slots(mat, (a,), [labels] * 2) for a in (0, 1))
-            return _prove([p2, c21, p1, y], [y21, p1, c, p2])["holds"]
+            return verify_identity([p2, c21, p1, y], [y21, p1, c, p2])["holds"]
 
         for perm in [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2)]:
             assert holds(perm), f"involution {perm} rejected"
@@ -705,7 +729,7 @@ def test_unknown_kind_rejected(check):
         lambda mode: check_ybe(1, mode=mode),
         lambda mode: check_monodromy_exchange(0, 2, "plainPlain")
         if mode == "symbolic"
-        else _prove(*_exchange_factors(0, 2, "plainPlain", "soInstanton"), mode),
+        else verify_identity(*_exchange_factors(0, 2, "plainPlain", "soInstanton"), mode),
     ],
     ids=["reflection", "ybe", "exchange"],
 )
@@ -768,8 +792,8 @@ class TestBothProvers:
 
     @staticmethod
     def _both(lhs, rhs):
-        sym = _prove(lhs, rhs, "symbolic")
-        mp = _prove(lhs, rhs, "multipoint")
+        sym = verify_identity(lhs, rhs, "symbolic")
+        mp = verify_identity(lhs, rhs, "multipoint")
         assert (sym["mode"], mp["mode"]) == ("symbolic", "multipoint")
         assert sym["holds"] == mp["holds"]
         return sym["holds"]
@@ -794,7 +818,7 @@ class TestBothProvers:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_unitarity(self, kind, monkeypatch):
-        # both _prove calls of R unitarity: the product and the flip symmetry
+        # both proofs of R unitarity: the product and the flip symmetry
         checks = (
             lambda: check_r_unitarity(2),
             lambda: check_r_unitarity(2, kind=kind),
@@ -823,7 +847,8 @@ class TestBothProvers:
 
 
 def _factor_lists(monkeypatch, run):
-    """The (lhs, rhs) factor lists that run() hands to _prove, unproved."""
+    """The (lhs, rhs) factor lists that run() hands to
+    matrix.verify_identity, unproved."""
     captured = []
 
     def capture(lhs, rhs, mode="symbolic"):
@@ -831,7 +856,7 @@ def _factor_lists(monkeypatch, run):
         return {"holds": True, "mode": mode, "detail": "captured"}
 
     with monkeypatch.context() as m:
-        m.setattr(relations, "_prove", capture)
+        m.setattr(relations, "verify_identity", capture)
         run()
     return captured
 
@@ -935,7 +960,7 @@ class TestFractionFreeProver:
         monkeypatch.setattr(field, "poly_gcd", counted("poly_gcd", field.poly_gcd))
         monkeypatch.setattr(RatFunc, "_add_signed", counted("_add_signed", RatFunc._add_signed))
         monkeypatch.setattr(RatFunc, "__init__", init)
-        v = _prove(*lists)
+        v = verify_identity(*lists)
         monkeypatch.undo()
         return v, counts
 
@@ -1073,7 +1098,8 @@ class TestDegreeBounds:
         assert f"the Kronecker point (K = {width}, {bits} bits, bounds {bounds})" in v["detail"]
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
         assert d_degree_bounds(lhs, rhs) == all_bounds
-        assert _verify_product_identity(lhs, rhs)["degreeBounds"] == bounds
+        _unheld(monkeypatch)
+        assert verify_identity(lhs, rhs, "multipoint")["degreeBounds"] == bounds
 
     @pytest.mark.parametrize("name", sorted(GRID_PROOF_PINS))
     def test_grid_proof_bounds_are_sound(self, name, monkeypatch):
@@ -1191,11 +1217,16 @@ class TestDegreeBounds:
             LabeledMatrix(labels, labels, {(1, 1): parse_ratfunc("u1 / (u1 - u2)"), (2, 2): parse_ratfunc("u + 2*h")}),
             LabeledMatrix(labels, labels, {(1, 1): parse_ratfunc("1 / (u1 - u2)")}),
         ]
-        assert {relations._factor_bounds(op).homogeneous for op in ops} == {True, False}
-        for op in ops:
-            kept = relations._factor_bounds(op)
-            assert kept is relations._factor_bounds(op)
+        # a multipoint proof keeps each factor's bounds on the operator it
+        # places, as it keeps the clearing, and a second proof reads the kept
+        # ones
+        holders = [matrix._operator(op) for op in ops]
+        for op, holder in zip(ops, holders):
+            assert verify_identity([op], [op], "multipoint")["holds"]
+            kept = holder._bounds
+            assert verify_identity([op], [op], "multipoint")["holds"] and holder._bounds is kept
             assert tuple(kept) == multipoint_statistics(op, *_clearing(op)[:2])
+        assert {holder._bounds.homogeneous for holder in holders} == {True, False}
 
     def test_symbolic_verdicts_do_not_depend_on_what_the_process_ran_before(self):
         # a passing and a failing verdict, byte for byte, in a fresh
@@ -1226,11 +1257,10 @@ class TestDegreeBounds:
 _RESIDUAL_GRID_PROOF = """
 import json
 from refleq.field import H, U1, U2, RatFunc
-from refleq.matrix import LabeledMatrix
-from refleq.relations import _verify_product_identity
+from refleq.matrix import LabeledMatrix, verify_identity
 
 m = LabeledMatrix([1], [1], {(1, 1): RatFunc.one() / ((U1 - U2) * (U1 + H))})
-v = _verify_product_identity([m], [m])
+v = verify_identity([m], [m], "multipoint")
 print(json.dumps([v["degreeBounds"], v["gridSize"], v["detail"]]))
 """
 
@@ -1296,9 +1326,8 @@ class TestOrbitReduction:
         lists = _factor_lists(monkeypatch, self.ORACLE_CASES[name])
         assert lists
         for lhs, rhs in lists:
-            _assert_proved_alike(lhs, rhs)
+            v = _assert_proved_alike(lhs, rhs)
             if "spInstanton-l" in name:
-                v = _verify_product_identity(lhs, rhs)
                 assert not v["holds"] and "counterexample" in v
 
     @pytest.mark.parametrize("source", ["suite-all", "acceptance"])
@@ -1339,13 +1368,13 @@ class TestOrbitReduction:
     @pytest.mark.parametrize("l", [5, 6])
     def test_ybe_multiplies_five_rows_per_side_per_point(self, l, monkeypatch):
         counts = []
-        real = relations._product_rows
+        real = matrix._product_rows
 
         def counting(factors, rows, index, cleared):
             counts.append(len(rows))
             return real(factors, rows, index, cleared)
 
-        monkeypatch.setattr(relations, "_product_rows", counting)
+        monkeypatch.setattr(matrix, "_product_rows", counting)
         v = check_ybe(l, mode="multipoint")
         assert v["holds"] and v["gridSize"] == 1
         assert counts == [5, 5]
@@ -1363,14 +1392,15 @@ class TestOrbitReduction:
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
         reps = _orbit_representatives([*lhs, *rhs])
         calls = []
-        real = relations._product_rows
+        real = matrix._product_rows
 
         def recording(factors, rows, index, cleared):
             calls.append(list(rows))
             return real(factors, rows, index, cleared)
 
-        monkeypatch.setattr(relations, "_product_rows", recording)
-        v = _verify_product_identity(lhs, rhs)
+        _unheld(monkeypatch)
+        monkeypatch.setattr(matrix, "_product_rows", recording)
+        v = verify_identity(lhs, rhs, "multipoint")
         assert not v["holds"] and "counterexample" in v
         assert len(reps) < len(lhs[0].row_labels)
         assert calls == [reps, reps]
@@ -1385,7 +1415,8 @@ class TestOrbitReduction:
         # the printed monomial's two coefficients in the printed entry of the
         # two cleared sides, expanded as polynomials by the oracle
         ((lhs, rhs),) = _factor_lists(monkeypatch, self.REPLAYED_PROOFS[name])
-        v = _verify_product_identity(lhs, rhs)
+        _unheld(monkeypatch)
+        v = verify_identity(lhs, rhs, "multipoint")
         assert not v["holds"]
         assert v["counterexample"] == polynomial_counterexample(lhs, rhs, v)
 
@@ -1563,7 +1594,7 @@ def test_a_placement_builds_the_eager_map(monkeypatch):
 def test_a_proof_builds_no_placement_map(run, monkeypatch):
     # both provers read a placement's rows off its operator (matrix._Rows),
     # so a proof whose factors are placements of operators builds no map
-    monkeypatch.setattr(relations, "_verify_product_identity", _verify_product_identity)
+    _unheld(monkeypatch)
     fills = []
     real = matrix._placed_entries
 
@@ -1590,12 +1621,13 @@ def test_a_grid_proof_reads_each_operator_at_most_once_per_process(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(matrix, "_clear", recording)
+    _unheld(monkeypatch)
     ((lhs, rhs),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
     for _ in range(2):
-        assert _verify_product_identity(lhs, rhs)["holds"]
+        assert verify_identity(lhs, rhs, "multipoint")["holds"]
     ((again, _),) = _factor_lists(monkeypatch, lambda: check_ybe(6, mode="multipoint"))
     assert {id(m) for m in again}.isdisjoint(map(id, lhs))
-    assert _verify_product_identity(again, again[::-1])["holds"]
+    assert verify_identity(again, again[::-1], "multipoint")["holds"]
     assert verify_identity(lhs, rhs)["holds"] and verify_identity(again, again[::-1])["holds"]
     assert len(cleared) == 3
     assert {id(m) for m in cleared} == {id(f.operator) for f in lhs} == {id(f.operator) for f in again}
@@ -1606,8 +1638,10 @@ def test_kept_reads_leave_every_verdict_unchanged(monkeypatch):
     # operators read for the first time, then on the same operators again,
     # and then on new operators, must agree byte for byte
     def verdicts(lists):
-        return json.dumps([[verify_identity(lhs, rhs), _verify_product_identity(lhs, rhs)] for lhs, rhs in lists])
+        modes = ("symbolic", "multipoint")
+        return json.dumps([[verify_identity(lhs, rhs, mode) for mode in modes] for lhs, rhs in lists])
 
+    _unheld(monkeypatch)
     _clear_builders()
     lists = _suite_and_acceptance_lists(monkeypatch)
     cold = verdicts(lists)
@@ -1631,8 +1665,8 @@ def test_both_provers_check_labels(mode):
     i2 = LabeledMatrix.identity([1, 2])
     # the lhs product I2 I3 is not defined
     with pytest.raises(ValueError, match="label mismatch in matrix product"):
-        _prove([i2, LabeledMatrix.identity([1, 2, 3])], [i2], mode)
-    v = _prove([i2], [LabeledMatrix.identity([2, 1])], mode)
+        verify_identity([i2, LabeledMatrix.identity([1, 2, 3])], [i2], mode)
+    v = verify_identity([i2], [LabeledMatrix.identity([2, 1])], mode)
     assert v == {"holds": False, "mode": mode, "detail": "label mismatch between the two sides"}
 
 
@@ -1643,9 +1677,41 @@ def test_a_rectangular_counterexample_names_the_product_column(mode):
     a = LabeledMatrix([1, 2], [1, 2, 3], {(1, 3): RatFunc.one()})
     b = LabeledMatrix([1, 2, 3], ["x", "y"], {(3, "y"): U1})
     c = LabeledMatrix([1, 2], ["x", "y"], {(1, "y"): U1 + RatFunc.one()})
-    v = _prove([a, b], [c], mode)
+    v = verify_identity([a, b], [c], mode)
     assert not v["holds"]
     assert (v["counterexample"]["row"], v["counterexample"]["col"]) == (1, "y")
+
+
+UNKNOWN_MODE_CALLS = {
+    "verify_identity": lambda: verify_identity(list(_ybe_factors(2)), list(_ybe_factors(2))[::-1], "grid"),
+    "check_ybe": lambda: check_ybe(2, mode="grid"),
+    "check_reflection": lambda: check_reflection("flagPlus", 2, mode="grid"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_MODE_CALLS))
+def test_an_unknown_mode_raises_before_any_factor_is_cleared(name, monkeypatch):
+    _clear_builders()
+    cleared = []
+    real = matrix._clear
+    monkeypatch.setattr(matrix, "_clear", lambda mat: cleared.append(mat) or real(mat))
+    with pytest.raises(ValueError, match="unknown mode 'grid'"):
+        UNKNOWN_MODE_CALLS[name]()
+    assert not cleared
+    # the Yang-Baxter operators, as the calls that build them built them
+    assert all(getattr(op, "_cleared", None) is None for op in (yang_r(2, U1 - U2), yang_r(2, U1), yang_r(2, U2)))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: check_reflection("flagPlus", 2, mode="multipoint"), lambda: check_ybe(3, mode="multipoint")],
+    ids=["reflection-flagPlus-l2", "ybe-l3"],
+)
+def test_a_multipoint_check_is_held_to_the_oracle(run, _grid_proofs_match_the_full_row_oracle):
+    # the autouse fixture patches matrix's multipoint prover; a dispatch that
+    # missed the patch would drop every full-row comparison in this module
+    assert run()["holds"]
+    assert len(_grid_proofs_match_the_full_row_oracle) == 1
 
 
 class TestChainReflection:
@@ -1678,7 +1744,7 @@ class TestBoundaryOperator:
         lhs, (_, t) = _factorization_factors("flagMinus", 2, n)
         k0 = embed_on_slots(k_matrix_opposite_placement(2, U), (0,), [site_labels(2)] * (1 + n))
         for mode in ("symbolic", "multipoint"):
-            assert not _prove(lhs, [k0, t], mode)["holds"], mode
+            assert not verify_identity(lhs, [k0, t], mode)["holds"], mode
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2])
