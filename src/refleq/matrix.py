@@ -7,16 +7,17 @@ the big tensor-product matrices in the relation checks are overwhelmingly
 sparse, and a matrix is a read-only value (LabeledMatrix).
 
 embed_on_slots places an operator on some tensor slots, extended by the
-identity on the others.  A placement is a view: it records the matrix it
-places and where (mixed-radix offsets over the slots, on label tuples built
-once per slot tuple and shared), and it builds its full-size entry map only
-when something reads its entries.  Work that depends only on the entry
-values, or on the label symmetry, reads that operator instead of the
-placement, and keeps what it read on the operator (_kept): the symmetry
-verdicts of the search below, the clearing that both provers read every
-factor through (_clearing), each distinct entry cleared once into packed
-monomials, and the multipoint prover's bounds of it (_bounds).  Both
-provers read a placement's rows through one operator-size view (_Rows).
+identity on the others.  A placement is a view: it records the operator it
+places, never a placement, and where (mixed-radix offsets over the slots, on
+label tuples built once per slot tuple and shared), and it builds its
+full-size entry map only when something reads its entries.  Work that
+depends only on the entry values, or on the label symmetry, reads that
+operator instead of the placement, and keeps what it read on the operator
+(_kept): the symmetry verdicts of the search below, the clearing that both
+provers read every factor through (_clearing), each distinct entry cleared
+once into packed monomials, and the multipoint prover's bounds of it
+(_bounds).  Both provers read a placement's rows through one operator-size
+view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  The provers do not.  verify_identity(lhs, rhs,
@@ -72,22 +73,21 @@ class LabeledMatrix:
     can be reassigned or deleted, so a matrix may be shared, as the memoized
     rkmat builders share theirs, and an edit makes a new matrix.  A placement
     (embed_on_slots) records in operator the matrix it places, by reference,
-    and in offsets where it places it: (rows, cols, digits), with rows[i] and
-    cols[j] the index offsets of the operator's row i and column j, and
-    digits the (stride, size) of each slot it acts on.  The operator part of
-    a row index r is then the sum of (r // stride % size) * stride, which is
-    rows[i] for one operator row i, and the rest of r is the offset of the
-    other slots, shared by the row's columns.  Every other matrix holds None
-    in both.
+    and never a placement, and in offsets where it places it (_Offsets):
+    rows, cols and digits, with rows[i] and cols[j] the index offsets of the
+    operator's row i and column j, and digits the (stride, size) of each
+    slot it acts on, and the positions and slot label tuples it was given.
+    The operator part of a row index r is then the sum of (r // stride %
+    size) * stride, which is rows[i] for one operator row i, and the rest of
+    r is the offset of the other slots, shared by the row's columns.  Every
+    other matrix holds None in both.
 
     A placement's entries are built at full size on their first read
     (_placed_entries) and kept, as RatFunc.den is.  The readers that build
     them are the canonical product (rkmat.embedded_product and every other
-    use of *), ==, inverse, eval_entries and swap_conjugate, and, for a
-    placement of a placement, the provers' reads of its operator: the
-    symmetry test and the clearing take the inner placement at its own
-    size.  The provers read every placement's rows through _Rows, at
-    operator size.
+    use of *), ==, inverse and eval_entries.  The provers read every
+    placement's rows through _Rows, at operator size, and test and clear
+    its operator.
 
     Three private slots hold what a proof reads of a matrix, each filled on
     first use by _kept and kept for the life of the matrix: _cleared, the
@@ -237,29 +237,44 @@ def _tensor_labels(slots):
     return tuple(itertools.product(*slots)), offsets, strides
 
 
+# where a placement puts its operator (LabeledMatrix offsets)
+_Offsets = collections.namedtuple("_Offsets", "rows cols digits positions slots")
+
+
 def embed_on_slots(mat, positions, slot_labels):
     """Extend mat (acting on the chosen tensor slots, in order) by identity.
 
     slot_labels: list of label sequences, one per tensor slot.  positions:
     which slots mat acts on, distinct.  A tuple label of mat holds one part
-    per position and a bare label is one part, so a placed matrix can be
-    placed again; anything else raises ValueError.  The result acts on the
-    full product with tuple labels and shares mat's entry values.  Its
-    entry keys are index sums: a label of mat contributes its parts'
-    offsets on the positions, and each assignment of the other slots one
-    more offset.  The result is a view (LabeledMatrix): it records mat
-    itself as the operator it places, a placement included, and those
-    offsets, and it builds its entries only when they are read, by a
-    product, ==, inverse, eval_entries or swap_conjugate, or by a prover
-    reading it as the operator of a placement of it; the provers read
-    placements by row instead (_Rows).  An empty slot among the others
-    leaves nothing placed and a plain empty matrix.
+    per position and a bare label is one part; anything else raises
+    ValueError.  The result acts on the full product with tuple labels and
+    shares mat's entry values.  Its entry keys are index sums: a label of
+    mat contributes its parts' offsets on the positions, and each
+    assignment of the other slots one more offset.  The result is a view
+    (LabeledMatrix): it records the operator it places and those offsets,
+    and it builds its entries only when they are read, by a product, ==,
+    inverse or eval_entries; the provers read placements by row instead
+    (_Rows).  A placement placed again is its operator placed on the
+    composed positions, so the record is never a placement: each slot of
+    the inner placement lands on the outer slot at its position, and an
+    identity slot of it that carries other labels than the slot it lands on
+    raises ValueError.  An empty slot among the others leaves nothing placed
+    and a plain empty matrix.
     """
-    tensor, slot_offsets, strides = _tensor_labels(tuple(map(tuple, slot_labels)))
+    slots = tuple(map(tuple, slot_labels))
+    tensor, slot_offsets, strides = _tensor_labels(slots)
     positions = tuple(positions)
     n = len(slot_offsets)
     if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
         raise ValueError(f"positions {positions} are not distinct slots of 0..{n - 1}")
+    if mat.operator is not None:
+        inner = mat.offsets
+        if len(inner.slots) != len(positions):
+            raise ValueError(f"label {mat.row_labels[0]!r} has {len(inner.slots)} parts for positions {positions}")
+        for q, slot in enumerate(inner.slots):
+            if q not in inner.positions and slot != slots[positions[q]]:
+                raise ValueError(f"identity slot {q} of a placement carries other labels than slot {positions[q]}")
+        mat, positions = mat.operator, tuple(positions[q] for q in inner.positions)
     on = [slot_offsets[p] for p in positions]
 
     def offsets(labels):
@@ -279,7 +294,7 @@ def embed_on_slots(mat, positions, slot_labels):
     if any(not slot for o, slot in enumerate(slot_offsets) if o not in positions):
         return LabeledMatrix._indexed(tensor, tensor, {})
     digits = tuple((strides[p], len(slot_offsets[p])) for p in positions)
-    return LabeledMatrix._indexed(tensor, tensor, None, mat, (rows, cols, digits))
+    return LabeledMatrix._indexed(tensor, tensor, None, mat, _Offsets(rows, cols, digits, positions, slots))
 
 
 def _placed_entries(mat):
@@ -287,7 +302,7 @@ def _placed_entries(mat):
     every offset of the other slots, the indices whose digits on the
     placed slots are 0, in the operator's entry order and then in
     increasing offset."""
-    rows, cols, digits = mat.offsets
+    rows, cols, digits = mat.offsets[:3]
     rest = [o for o in range(len(mat.row_labels)) if not any(o // stride % size for stride, size in digits)]
     entries = {}
     for (i, j), v in mat.operator.entries.items():
@@ -302,7 +317,9 @@ def _kept(mat, slot, make):
     first read and kept: a matrix is a value, so what a proof reads of it
     is read once per process, however many proofs and placements share it.
     verify_identity keeps each factor's clearing and, in multipoint mode,
-    its bounds on the operator the factor places (_operator).
+    its bounds on the operator the factor places (_operator), which is
+    never a placement, so every placement of one builder's operator, its
+    flip and a placement of a placement included, shares one record.
 
     The clearing (_clear) reads den_factors, which splits each residual
     denominator over the forms interned when it runs, and a form interned
@@ -320,12 +337,6 @@ def _kept(mat, slot, make):
         value = make(mat)
         object.__setattr__(mat, slot, value)
     return value
-
-
-def swap_conjugate(mat):
-    """P * mat * P for mat on a flip-closed set of pair labels."""
-    rows, cols = mat.row_labels, mat.col_labels
-    return LabeledMatrix(rows, cols, {(rows[i][::-1], cols[j][::-1]): v for (i, j), v in mat.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +508,7 @@ class _Rows(dict):
             super().__init__(rows)
             self.digits = None
         else:
-            offsets, self.cols, self.digits = mat.offsets
+            offsets, self.cols, self.digits = mat.offsets[:3]
             self.rows, self.row_of = rows, {x: i for i, x in enumerate(offsets)}
 
     def __missing__(self, r):
@@ -645,7 +656,7 @@ def _label_mismatch(lhs_factors, rhs_factors, mode):
 
 
 def _operator(mat):
-    """The operator a placement records, or mat itself."""
+    """The operator a placement records, never a placement, or mat itself."""
     return mat if mat.operator is None else mat.operator
 
 
@@ -732,11 +743,9 @@ def _orbit_representatives(factors):
     others, I commutes with the latter, and F[(s r, s q), (s c, s q')] =
     M[s r, s c] delta(q, q'), so F commutes with s exactly when M does,
     provided s maps M's labels to M's labels.  When it does not, the test on
-    M fails, which keeps more rows and never fewer.  A placement of a
-    placement is tested on the inner placement at its own size, since the
-    record of a placement is the matrix it placed: the inner identity slots
-    may hold fewer sites than the outer slots, and the label test on the
-    inner placement is what rejects a transposition that leaves them.  A
+    M fails, which keeps more rows and never fewer.  M is never itself a
+    placement (embed_on_slots composes a placement of a placement), so a
+    flip M on positions (1, 0) and M on (0, 1) are tested once, on M.  A
     pair of sites already in one component of the accepted transpositions
     is not tested: they generate the product of the symmetric groups on the
     components, which is the group every holding transposition generates.

@@ -37,7 +37,7 @@ import operator
 
 from . import field
 from .field import U, U1, U2, U3, U4
-from .matrix import LabeledMatrix, embed_on_slots, swap_conjugate, verify_identity
+from .matrix import LabeledMatrix, embed_on_slots, verify_identity
 from .rkmat import (
     KINDS,
     constant_term_matrix,
@@ -148,14 +148,15 @@ def check_r_unitarity(l, kind=None):
         family, builder = "chain", yang_r
     else:
         family, builder = "cross", lambda ll, w: cross_r(kind, ll, w)
-    _slots(l, 2)
+    slots = _slots(l, 2)
     d = U1 - U2
     fwd = builder(l, d)
     bwd = builder(l, -d)
     ident = LabeledMatrix.identity(fwd.row_labels)
     cmp = verify_identity([fwd, bwd], [ident])
     if cmp["holds"]:
-        flip = verify_identity([swap_conjugate(fwd)], [fwd])
+        # fwd on the slots in the other order is P * fwd * P
+        flip = verify_identity([embed_on_slots(fwd, (1, 0), slots)], [fwd])
         if not flip["holds"]:
             cmp = {**flip, "detail": "product is the identity but the family is not flip-symmetric"}
     return _verdict("rUnitarity", l, cmp, family=family, kind=kind)

@@ -15,18 +15,21 @@ spectral parameter grows; sigma_matrix returns that limit directly.
 
 The builders of single R- and K-matrices and of the chain operators are
 memoized per argument tuple (RatFunc hashing and equality are canonical), so
-a process builds each operator once.  A builder's result is shared by every
-caller, as a LabeledMatrix is a read-only value.  Each builder constructs
-its matrix once, with one object per distinct entry value, since the
-multipoint engine evaluates each distinct object once.  Each operator also
-keeps what the provers read of it (matrix._kept): its clearing into packed
-monomials, which both provers read as stored, the multipoint engine's
-bounds of it, and its verdict per site transposition.  So a process does that work once per operator, and
-a later proof, or another placement of the same operator, finds it done;
+a process builds each operator once, and every caller shares it, as a
+LabeledMatrix is a read-only value.  A one- or two-site builder holds one
+object per distinct entry value, and the values that do not depend on l are
+built once per spectral argument for every size (_yang_values,
+_flag_minus_values; _bullet_values per l).  A chain operator is a product
+(LabeledMatrix.__mul__), whose equal entries may be distinct objects, so
+constant_term_matrix takes one limit per object.  A flipped builder places
+the unflipped operator on the two slots in the other order.  Each operator
+keeps what the provers read of it (matrix._kept: its clearing, bounds and
+symmetry verdicts), so a process does that work once per operator, and a
+later proof or another placement of it, its flip included, finds it done;
 cache_clear on a builder makes new operators, which read afresh.
 embedded_product multiplies placements, and the product reads each
-placement's full-size entries; those placement views are dropped with
-the product's other intermediates.
+placement's full-size entries; those placement views are dropped with the
+product's other intermediates.
 monodromy_t, twisted_monodromy and s_matrix take the sites us as any
 sequence and key their cache on it as a tuple.
 """
@@ -38,7 +41,7 @@ import itertools
 from fractions import Fraction
 
 from .field import H, RatFunc
-from .matrix import LabeledMatrix, embed_on_slots, swap_conjugate
+from .matrix import LabeledMatrix, embed_on_slots
 
 KINDS = ("spInstanton", "soInstanton", "flagPlus", "flagMinus")
 
@@ -52,11 +55,16 @@ def pair_labels(l):
 
 
 @functools.cache
+def _yang_values(u):
+    """yang_r's entries u/(u + h) and h/(u + h), shared by every l."""
+    denom = u + H
+    return u / denom, H / denom
+
+
+@functools.cache
 def yang_r(l, u):
     """(u * Id + h * P) / (u + h) on the two-site space."""
-    denom = u + H
-    stay = u / denom
-    hop = H / denom
+    stay, hop = _yang_values(u)
     one = RatFunc.one()
     entries = {}
     for s in site_labels(l):
@@ -70,12 +78,10 @@ def yang_r(l, u):
     return LabeledMatrix(labels, labels, entries)
 
 
-def _block(labels, block, c, off_sign):
-    """Identity on labels except on span(block): 1 - c on its diagonal and
-    off_sign * c off it."""
+def _block(labels, block, diag, off):
+    """Identity on labels except on span(block): diag on its diagonal and off
+    off it."""
     one = RatFunc.one()
-    diag = one - c
-    off = c if off_sign > 0 else -c
     entries = {(x, x): one for x in labels}
     for i in block:
         for j in block:
@@ -84,10 +90,18 @@ def _block(labels, block, c, off_sign):
 
 
 @functools.cache
+def _bullet_values(l, u):
+    """1 - c and c for c = h/(u + l*h/2), the block entries of r_bullet_sigma
+    and r_bullet_sigma_opposite."""
+    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
+    return RatFunc.one() - c, c
+
+
+@functools.cache
 def r_bullet_sigma(l, u):
     """Identity except on span{(i, i)}, where it is Id - h/(u + l*h/2) * J."""
-    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
-    return _block(pair_labels(l), [(i, i) for i in site_labels(l)], c, -1)
+    diag, c = _bullet_values(l, u)
+    return _block(pair_labels(l), [(i, i) for i in site_labels(l)], diag, -c)
 
 
 @functools.cache
@@ -101,8 +115,16 @@ def r_bullet_sigma_opposite(l, u):
     carries the opposite sign on its block.  cross_r takes this variant at
     l = 2 only, where it is unitary; at l >= 3 it is not.
     """
-    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
-    return _block(pair_labels(l), [(i, i) for i in site_labels(l)], c, 1)
+    diag, c = _bullet_values(l, u)
+    return _block(pair_labels(l), [(i, i) for i in site_labels(l)], diag, c)
+
+
+@functools.cache
+def _flag_minus_values(u):
+    """h/(2u + h) and 2u/(2u + h), the flagMinus boundary entries, shared by
+    every l and both placements."""
+    denom = u + u + H
+    return H / denom, (u + u) / denom
 
 
 @functools.cache
@@ -111,8 +133,7 @@ def _flag_minus_k(l, u, opposite):
     2u/(2u + h) on the anti-diagonal, or the other way round if opposite,
     with 1 at the centre for odd l."""
     labels = site_labels(l)
-    denom = u + u + H
-    diag, anti = H / denom, (u + u) / denom
+    diag, anti = _flag_minus_values(u)
     if opposite:
         diag, anti = anti, diag
     entries = {}
@@ -131,7 +152,8 @@ def k_matrix(kind, l, u):
     if kind in ("soInstanton", "flagPlus"):
         return sigma_matrix(kind, l)
     if kind == "spInstanton":
-        return _block(site_labels(l), site_labels(l), H / (u + u + H * RatFunc.const(Fraction(l, 2))), -1)
+        c = H / (u + u + H * RatFunc.const(Fraction(l, 2)))
+        return _block(site_labels(l), site_labels(l), RatFunc.one() - c, -c)
     if kind == "flagMinus":
         return _flag_minus_k(l, u, opposite=False)
     raise ValueError(f"unknown kind {kind!r}")
@@ -183,8 +205,9 @@ def cross_r(kind, l, u):
 
 @functools.cache
 def cross_r_flipped(kind, l, u):
-    """The flipped-index variant P * cross_r * P."""
-    return swap_conjugate(cross_r(kind, l, u))
+    """The flipped-index variant P * cross_r * P: cross_r placed on positions
+    (1, 0) of two sites, so every placement of it places cross_r itself."""
+    return embed_on_slots(cross_r(kind, l, u), (1, 0), [site_labels(l)] * 2)
 
 
 def sigma_sigma_r(kind, l, u):
@@ -196,16 +219,11 @@ def sigma_sigma_r(kind, l, u):
 
 def sigma_sigma_r_flipped(kind, l, u):
     """The flipped-index variant P * sigma_sigma_r * P.  As sigma_sigma_r is
-    the plain Yangian R in every kind, one matrix per (l, u) serves every
-    kind."""
+    the plain Yangian R in every kind, which is the flag kinds' cross R, one
+    placement per (l, u) serves every kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    return _yang_r_flipped(l, u)
-
-
-@functools.cache
-def _yang_r_flipped(l, u):
-    return swap_conjugate(yang_r(l, u))
+    return cross_r_flipped("flagPlus", l, u)
 
 
 def constant_term_matrix(m):
@@ -215,13 +233,17 @@ def constant_term_matrix(m):
     which is 0 when num has lower degree in u; an entry whose numerator has
     the higher degree grows and raises ValueError.
     """
-    limits, entries = {}, {}
+    limits, of, entries = {}, {}, {}
     for (i, j), v in m.entries.items():
-        d = v.den.degree("u")
-        if v.num.degree("u") > d:
-            raise ValueError(f"entry ({i}, {j}) grows as u -> infinity: {v}")
-        c0 = RatFunc(v.num.coeff_of("u", d), v.den.coeff_of("u", d))
-        entries[m.row_labels[i], m.col_labels[j]] = limits.setdefault(c0, c0)
+        # entries that share an object share its limit, computed once
+        c0 = of.get(id(v))
+        if c0 is None:
+            d = v.den.degree("u")
+            if v.num.degree("u") > d:
+                raise ValueError(f"entry ({i}, {j}) grows as u -> infinity: {v}")
+            c0 = RatFunc(v.num.coeff_of("u", d), v.den.coeff_of("u", d))
+            c0 = of[id(v)] = limits.setdefault(c0, c0)
+        entries[m.row_labels[i], m.col_labels[j]] = c0
     return LabeledMatrix(m.row_labels, m.col_labels, entries)
 
 

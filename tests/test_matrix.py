@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq import matrix as matrix_module
 from refleq.field import NVARS, U, U1, U2, U3, U4, Poly, RatFunc, _mono_key, poly_div_exact
-from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, swap_conjugate, verify_identity
+from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, verify_identity
 from refleq.rkmat import constant_term_matrix, k_matrix, s_matrix, site_labels, yang_r
 
 
@@ -103,13 +103,18 @@ def test_embed_two_slots_of_three():
     assert entry(full, (1, 1, 1), (1, 2, 1)).is_zero()
 
 
-def _assert_same_placement(mat, positions, slots):
+def _assert_same_placement(mat, positions, slots, placing=None):
+    """mat placed on positions of slots, checked against the oracles;
+    placing is the (operator, positions) the placement records, mat on
+    positions when not given."""
     placed, reference = embed_on_slots(mat, positions, slots), embed_by_tuples(mat, positions, slots)
     assert (placed.row_labels, placed.col_labels) == (reference.row_labels, reference.col_labels)
     assert placed.entries == reference.entries
-    # the map a placement builds on its first read is the eager one, key by
-    # key and in the same order
-    assert list(placed.entries.items()) == list(embed_eagerly(mat, positions, slots).items())
+    # the map a placement builds on its first read is the eager one of its
+    # operator on its positions, key by key and in the same order
+    operator, where = placing or (mat, positions)
+    assert placed.operator is operator
+    assert list(placed.entries.items()) == list(embed_eagerly(operator, where, slots).items())
     # both provers dedupe entries by id, so a placement must share mat's values
     assert all(placed.entries[k] is v for k, v in reference.entries.items())
     return placed
@@ -132,10 +137,10 @@ def _assert_same_placement(mat, positions, slots):
 def test_placement_matches_the_tuple_by_tuple_oracle(build, positions, slots):
     mat = build()
     placed = _assert_same_placement(mat, positions, slots)
-    assert placed.operator is mat
-    # a placement of a placement records the placement it places
-    again = _assert_same_placement(placed, range(1, len(slots) + 1), [["a", "b"], *slots])
-    assert again.operator is placed
+    # a placement of a placement records the operator it places, on the
+    # composed positions
+    composed = (mat, [p + 1 for p in positions])
+    _assert_same_placement(placed, range(1, len(slots) + 1), [["a", "b"], *slots], composed)
 
 
 def test_placements_share_their_label_tuples():
@@ -164,10 +169,26 @@ def test_a_label_off_its_slot_is_rejected():
         embed_on_slots(yang_r(3, U), (0, 1), [site_labels(2)] * 2)
 
 
+def test_a_placement_on_slots_with_other_labels_is_rejected():
+    # the identity slot 1 of the inner placement holds {1}, and it would
+    # land on a slot holding {1, 2}
+    inner = embed_on_slots(LabeledMatrix.identity([1, 2]), (0,), [[1, 2], [1]])
+    with pytest.raises(ValueError, match="identity slot 1 of a placement carries other labels than slot 1"):
+        embed_on_slots(inner, (0, 1), [[1, 2], [1, 2]])
+    with pytest.raises(ValueError, match="identity slot 1 of a placement carries other labels than slot 0"):
+        embed_on_slots(inner, (2, 0), [[1, 2], [2, 1], [1, 2]])
+    # a slot that the operator acts on may hold more labels than before
+    wider = embed_on_slots(embed_on_slots(yang_r(2, U), (1, 0), [[1, 2], [1, 2]]), (2, 0), [[1, 2, 3], ["x"], [1, 2]])
+    assert wider.operator is yang_r(2, U)
+    with pytest.raises(ValueError, match="has 2 parts for positions"):
+        embed_on_slots(inner, (0,), [[1, 2]])
+
+
 def test_a_placement_records_the_matrix_it_places():
     m = LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u"), (2, 1): rf("h")})
     placed = embed_on_slots(m, (0,), [[1, 2], [1, 2]])
-    assert placed.operator is m and embed_on_slots(placed, (0, 1), [[1, 2], [1, 2]]).operator is placed
+    # a placement of a placement records the operator of the one it places
+    assert placed.operator is m and embed_on_slots(placed, (1, 0), [[1, 2], [1, 2]]).operator is m
     assert m.operator is None and (m * m).operator is None
     # an empty slot among the others places nothing, and records nothing
     empty = embed_on_slots(m, (0,), [[1, 2], []])
@@ -220,7 +241,6 @@ def test_every_kind_of_matrix_rejects_writes(monkeypatch):
         "product": placed * placed,
         "placement": placed,
         "operator": placed.operator,
-        "swap-conjugate": swap_conjugate(r),
         "inverse": LabeledMatrix.identity([1, 2]).inverse(),
         "constant-term": constant_term_matrix(k_matrix("flagMinus", 2, U)),
     }
@@ -248,16 +268,16 @@ def test_swap_matrix_is_involution():
     assert p * p == ident
 
 
-def test_swap_conjugate_moves_entries():
+def test_a_placement_on_reversed_slots_moves_entries():
     pair = [(i, j) for i in [1, 2] for j in [1, 2]]
     m = LabeledMatrix(pair, pair, {((1, 2), (2, 1)): rf("h")})
-    c = swap_conjugate(m)
+    c = embed_on_slots(m, (1, 0), [[1, 2], [1, 2]])
     assert entry(c, (2, 1), (1, 2)) == rf("h")
     assert entry(c, (1, 2), (2, 1)).is_zero()
     # P * m * P with the flip built independently
     m = random_matrix(random.Random(6), pair)
     p = swap_matrix([1, 2], [1, 2])
-    assert swap_conjugate(m) == p * m * p
+    assert embed_on_slots(m, (1, 0), [[1, 2], [1, 2]]) == p * m * p
 
 
 def test_inverse_round_trip():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import (
     d_degree_bounds,
     edited,
+    embed_by_tuples,
     embed_eagerly,
     entry,
     fold_and_compare,
@@ -1484,15 +1485,18 @@ class TestOrbitReduction:
         assert not v["holds"]
         assert verify_identity(lhs, rhs) == fold_and_compare(lhs, rhs)
 
-    def test_a_placement_of_a_narrower_placement_keeps_its_inner_slots(self):
-        # P1 places the identity on slot 0 of slots {1, 2} x {1}; P2 places
-        # P1 on slots {1, 2} x {1, 2}, so P2 = diag(1, 0, 1, 0).  The swap
-        # (1 2) maps the outer slots to themselves and commutes with P1's
-        # operator, but maps P1's label (1, 1) to (2, 2), which is no label
-        # of P1: it must be rejected, or rows (1, 1) and (1, 2) would stand
-        # for (2, 1), where P2 and Q differ
+    def test_a_narrower_placement_placed_again_is_rejected(self):
+        # P1 places the identity on slot 0 of slots {1, 2} x {1}; P1 placed
+        # on slots {1, 2} x {1, 2} is diag(1, 0, 1, 0), which is not the
+        # identity's placement, so embed_on_slots rejects it, and P2 is that
+        # matrix built tuple by tuple.  The swap (1 2) maps the slots to
+        # themselves and commutes with P1's operator, but not with P2: it
+        # must be rejected, or rows (1, 1) and (1, 2) would stand for
+        # (2, 1), where P2 and Q differ
         p1 = embed_on_slots(LabeledMatrix.identity([1, 2]), (0,), [[1, 2], [1]])
-        p2 = embed_on_slots(p1, (0, 1), [[1, 2], [1, 2]])
+        with pytest.raises(ValueError, match="carries other labels"):
+            embed_on_slots(p1, (0, 1), [[1, 2], [1, 2]])
+        p2 = embed_by_tuples(p1, (0, 1), [[1, 2], [1, 2]])
         q = LabeledMatrix(p2.row_labels, p2.col_labels, {(lab, lab): RatFunc.one() for lab in ((1, 1), (2, 2))})
         assert [entry(p2, lab, lab) for lab in p2.row_labels] == [RatFunc.one(), RatFunc.zero()] * 2
         for lhs, rhs in (([p2], [q]), ([q, p2], [p2]), ([p2, p2], [q])):
@@ -1551,9 +1555,9 @@ def test_representatives_match_the_full_size_search(source, monkeypatch):
 
 
 def test_a_placement_builds_the_eager_map(monkeypatch):
-    # every placement a factor list holds, and every placement it places,
-    # builds on its first read the map the eager loop builds: the same keys
-    # in the same order, holding the operator's very values
+    # every placement a factor list holds builds on its first read the map
+    # the eager loop builds for its operator on the composed positions: the
+    # same keys in the same order, holding the operator's very values
     placed = {}
     for module in (relations, rkmat):
         real = module.embed_on_slots
@@ -1564,20 +1568,62 @@ def test_a_placement_builds_the_eager_map(monkeypatch):
             return result
 
         monkeypatch.setattr(module, "embed_on_slots", recording)
+
+    def placing(mat):
+        """The operator a recorded placement places, and on which positions."""
+        result, inner, positions, _ = placed[id(mat)]
+        assert result is mat
+        if inner.operator is None:
+            return inner, positions
+        operator, on = placing(inner)
+        return operator, tuple(positions[q] for q in on)
+
     _clear_builders()
     lists = _suite_and_acceptance_lists(monkeypatch)
     checked = set()
     for lhs, rhs in lists:
         for mat in (*lhs, *rhs):
-            while mat.operator is not None and id(mat) not in checked:
-                checked.add(id(mat))
-                result, operator, positions, slots = placed[id(mat)]
-                assert result is mat and operator is mat.operator
-                eager = embed_eagerly(operator, positions, slots)
-                assert list(mat.entries.items()) == list(eager.items())
-                assert all(mat.entries[k] is v for k, v in eager.items())
-                mat = operator
+            if mat.operator is None or id(mat) in checked:
+                continue
+            checked.add(id(mat))
+            operator, positions = placing(mat)
+            assert operator is mat.operator
+            eager = embed_eagerly(operator, positions, placed[id(mat)][3])
+            assert list(mat.entries.items()) == list(eager.items())
+            assert all(mat.entries[k] is v for k, v in eager.items())
     assert len(checked) > 100
+
+
+def test_no_factor_places_a_placement(monkeypatch):
+    # embed_on_slots composes a placement of a placement, so the operator
+    # of every factor is a builder's matrix, never a placement
+    _clear_builders()
+    lists = _suite_and_acceptance_lists(monkeypatch)
+    factors = [mat for lhs, rhs in lists for mat in (*lhs, *rhs)]
+    assert all(mat.operator is None or mat.operator.operator is None for mat in factors)
+    # the flipped R of the reflections is among them
+    assert sum(mat.operator is not None and mat.offsets.positions == (1, 0) for mat in factors) > 10
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_reflection_proof_clears_one_operator_for_c_and_c21(kind, mode, monkeypatch):
+    # C21 and Y21 are C and Y placed on the auxiliary slots in the other
+    # order, so the proof clears C, Y and the two boundary matrices once each
+    _clear_builders()
+    cleared = []
+    real = matrix._clear
+    monkeypatch.setattr(matrix, "_clear", lambda mat: cleared.append(mat) or real(mat))
+    _unheld(monkeypatch)
+    ((lhs, rhs),) = _factor_lists(monkeypatch, lambda: check_reflection(kind, 2, mode=mode))
+    assert check_reflection(kind, 2, mode=mode)["holds"]
+    k2, c21, k1, y = lhs
+    y21, _, c, _ = rhs
+    assert c21.operator is c.operator is cross_r(kind, 2, U1 + U2)
+    assert y21.operator is y.operator is yang_r(2, U1 - U2)
+    assert [id(m) for m in cleared] == list(dict.fromkeys(id(f.operator) for f in lhs))
+    # soInstanton and flagPlus have one constant K for K1 and K2
+    assert len(cleared) == (3 if kind in ("soInstanton", "flagPlus") else 4)
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,57 @@ def test_cross_r_flipped_is_p_conjugate():
         assert cross_r_flipped(kind, 3, U) == cross_r(kind, 3, U)
 
 
+@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_flipped_builder_is_p_r_p(kind, l):
+    # P from the flip oracle; each flipped builder places its unflipped
+    # operator on the two slots in the other order
+    p = swap_matrix(site_labels(l), site_labels(l))
+    w = U1 + U2
+    for flipped, plain in ((cross_r_flipped, cross_r), (sigma_sigma_r_flipped, sigma_sigma_r)):
+        r = plain(kind, l, w)
+        f = flipped(kind, l, w)
+        assert f == p * r * p
+        assert f.operator is r
+
+
+def test_yang_r_shares_its_values_across_sizes():
+    w = U1 - U2 + U
+    values = lambda m: {id(v) for v in m.entries.values() if v != RatFunc.one()}
+    assert values(yang_r(2, w)) == values(yang_r(4, w)) and len(values(yang_r(2, w))) == 2
+    # every flag kind's cross R and sigma_sigma_r is yang_r itself
+    for kind in ("flagPlus", "flagMinus"):
+        assert cross_r(kind, 3, w) is sigma_sigma_r(kind, 3, w) is yang_r(3, w)
+    # the flagMinus boundary values are shared by every l and both placements
+    flag_minus = [k_matrix("flagMinus", 2, w), k_matrix("flagMinus", 5, w), rkmat.k_matrix_opposite_placement(3, w)]
+    assert values(flag_minus[0]) == values(flag_minus[1]) == values(flag_minus[2])
+    # the bullet values are shared per (l, u) by both signs
+    plain, opposite = r_bullet_sigma(3, w), r_bullet_sigma_opposite(3, w)
+    assert entry(plain, (1, 1), (1, 1)) is entry(opposite, (1, 1), (1, 1))
+    assert entry(opposite, (1, 1), (2, 2)) is rkmat._bullet_values(3, w)[1]
+
+
+def test_constant_term_matrix_takes_one_limit_per_distinct_object(monkeypatch):
+    for kind in KINDS:
+        m = s_matrix(kind, 3, U, (U1,))
+        # the limit of each entry on its own, as canonical strings
+        expected = {}
+        for key, v in m.entries.items():
+            d = v.den.degree("u")
+            expected[key] = format_ratfunc(RatFunc(v.num.coeff_of("u", d), v.den.coeff_of("u", d)))
+        calls = []
+        real = RatFunc.__init__
+        monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: calls.append(args) or real(self, *args))
+        limit = constant_term_matrix(m)
+        monkeypatch.undo()
+        assert len(calls) == len({id(v) for v in m.entries.values()}) < len(m.entries)
+        assert {key: format_ratfunc(v) for key, v in limit.entries.items()} == {
+            key: s for key, s in expected.items() if s != "0"
+        }
+        # equal limits are one object
+        assert len({id(v) for v in limit.entries.values()}) == len(set(limit.entries.values()))
+
+
 def test_monodromy_small():
     ident1 = monodromy_t(2, U, [])
     assert ident1 == LabeledMatrix.identity([(s,) for s in (1, 2)])
@@ -297,14 +348,17 @@ def test_k_matrix_coefficients_are_ints(kind, l):
 # private body keyed on the sites as a tuple
 CACHED_BUILDERS = (
     "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "_flag_minus_k", "k_matrix",
-    "k_matrix_opposite_placement", "sigma_matrix", "cross_r", "cross_r_flipped", "_yang_r_flipped",
+    "k_matrix_opposite_placement", "sigma_matrix", "cross_r", "cross_r_flipped",
     "_monodromy_t", "_twisted_monodromy", "_s_matrix",
 )
+
+# the entry values that builders of every size share, per spectral argument
+VALUE_BUILDERS = ("_yang_values", "_bullet_values", "_flag_minus_values")
 
 
 def test_cached_builders_are_the_listed_ones():
     cached = {name for name, f in vars(rkmat).items() if hasattr(f, "cache_info")}
-    assert cached == set(CACHED_BUILDERS)
+    assert cached == set(CACHED_BUILDERS + VALUE_BUILDERS)
 
 
 def test_chain_operators_key_sites_as_a_tuple():
@@ -339,7 +393,8 @@ def test_shared_results_stay_equal_to_fresh_builds(monkeypatch):
     monkeypatch.undo()
 
     # _flag_minus_k is reached only through k_matrix and
-    # k_matrix_opposite_placement, whose results it is
+    # k_matrix_opposite_placement, whose results it is, and the value
+    # builders only through the matrix builders
     assert {name for name, _, _ in built} >= set(CACHED_BUILDERS) - {"_flag_minus_k"}
     for (name, args, kwargs), result in built.items():
         cached = getattr(rkmat, name)
@@ -369,7 +424,7 @@ def test_a_shared_result_rejects_writes_and_later_proofs_hold():
         lambda: yang_r(3, U),
         lambda: r_bullet_sigma(3, U),
         lambda: r_bullet_sigma_opposite(2, U),
-        lambda: _block(site_labels(3), [1, 3], H / U, 1),
+        lambda: _block(site_labels(3), [1, 3], RatFunc.one() - H / U, H / U),
         *(lambda k=kind: k_matrix(k, 3, U) for kind in KINDS),
         lambda: k_matrix("flagMinus", 2, U),
         lambda: rkmat.k_matrix_opposite_placement(3, U),
