@@ -24,18 +24,21 @@ form; the builders use it.  The provers do not.  verify_identity(lhs, rhs,
 mode) proves that two ordered factor lists have equal products by one of
 two routes with one setup: each distinct factor is cleared of its
 denominators once (_clearing), each side is scaled by the other side's
-denominators less the part the two share (_scales), and only one row per
-orbit of the factors' common label symmetry (_orbit_representatives) is
-carried through the factors, read off each placement's operator (_Rows).
-The symbolic prover (_symbolic_proof) multiplies the cleared polynomial
-matrices, so it never runs Henrici's sum or the trial-division screen, and
-reduces only the entry that a failing verdict prints.  The multipoint
+denominators less the part the two share (_scales), and one loop
+(_differing_row) takes one row per orbit of the factors' common label
+symmetry (_orbit_representatives) in increasing order, carries it once
+through each side's factors (_carry), read off each placement's operator
+(_Rows), and stops at the first row whose two scaled sides differ.  The
+symbolic prover (_symbolic_proof) carries the cleared entries as packed
+polynomials, so it never runs Henrici's sum or the trial-division screen,
+and reduces only the entry that a failing verdict prints.  The multipoint
 prover (_multipoint_proof) never forms a product of polynomials: it bounds
-the scaled difference's degrees and coefficients and evaluates both sides
-at one integer point where agreement is a proof.  A verdict is a dict so
-callers can log what was checked; a failing one carries a "counterexample"
-at the first mismatching entry in sorted order, with the canonical form of
-both values or a monomial and its two coefficients.
+the scaled difference's degrees and coefficients and carries the entries'
+values at one integer point where agreement is a proof.  A verdict is a
+dict so callers can log what was checked; a failing one carries a
+"counterexample" at the first mismatching entry in sorted order, the least
+differing column of that row, with the canonical form of both values or a
+monomial and its two coefficients.
 """
 
 from __future__ import annotations
@@ -353,14 +356,17 @@ def _kept(mat, slot, make):
 # when P_lhs prod(D_rhs) / G = P_rhs prod(D_lhs) / G, where G is the part of
 # the two denominator products that they share.  Every scale is nonzero, so
 # the scaled sides differ in the same entries as the canonical products, and
-# only the entry that a failing verdict prints is reduced.  Only one row per
-# orbit of the factors' common label symmetry is multiplied: the other rows
-# of the first factor never enter the chain (_orbit_representatives).  A
-# placement's rows are read off its operator's (_Rows), and each operator is
-# cleared once per process (_clearing), its entries formed as packed
-# monomials and read as stored.  The multipoint prover reads the same
-# clearing, scales, rows and representatives (verify_identity), and
-# evaluates instead of multiplying polynomials (_multipoint_proof).
+# only the entry that a failing verdict prints is reduced.  One loop
+# (_differing_row) compares the sides row by row: it takes one row per orbit
+# of the factors' common label symmetry in increasing order
+# (_orbit_representatives), carries it once through each side's factors
+# (_carry), scales it, and stops at the first row that differs, whose least
+# differing column is the counterexample.  A placement's rows are read off
+# its operator's (_Rows), and each operator is cleared once per process
+# (_clearing), its entries formed as packed monomials and read as stored.
+# The multipoint prover reads the same clearing, scales and representatives
+# (verify_identity) and runs the same loop on the entries' values at one
+# point (_multipoint_proof).
 #
 # A packed monomial is one int, each exponent in a field of _BITS bits, in
 # VARS order from the lowest, and the total degree above them, so int order
@@ -488,47 +494,50 @@ def _scales(lhs, rhs):
 
 
 class _Rows(dict):
-    """A factor's stored entries by row, {row: [(col, x)]}, from rows, the
-    same table of the matrix itself or of the operator it places, at that
-    operator's size; a row with no entry reads as ().  There is one kind
-    of rows, the clearing's (_Cleared.rows), with x the packed terms of a
-    cleared entry.  verify_identity makes one view per distinct factor of a
-    proof, and both provers read every factor through it: the symbolic
-    prover multiplies the terms, and the multipoint prover reads its value
-    of each at the point by id(x).  A placement's row is made on its first
-    read: row r has operator part rows[i] and shift o = r - rows[i]
-    (LabeledMatrix offsets), and it holds (cols[j] + o, x) for each (j, x)
-    of the operator's row i, so a proof builds only the placement rows that
-    its representative rows reach, and no placement at full size."""
+    """A factor's rows of the terms a prover carries, {row: [(col, terms)]},
+    read off the clearing's rows (_Cleared.rows) of the matrix itself or of
+    the operator it places, at that operator's size, with each stored entry
+    x read as terms[id(x)]: in the symbolic prover x itself, the packed v *
+    D of a cleared entry, and in the multipoint prover its value at the
+    point, one term.  Each prover makes one view per distinct factor of a
+    proof and carries every row through it (_carry).  A row is made on its
+    first read, so a proof builds only the rows that its carried rows
+    reach, and no placement at full size: a placement's row r has operator
+    part rows[i] and shift o = r - rows[i] (LabeledMatrix offsets), and it
+    holds (cols[j] + o, terms[id(x)]) for each (j, x) of the operator's row
+    i.  A row with no entry reads as []."""
 
-    __slots__ = ("rows", "row_of", "cols", "digits")
+    __slots__ = ("rows", "terms", "row_of", "cols", "digits")
 
-    def __init__(self, mat, rows):
-        if mat.offsets is None:
-            super().__init__(rows)
-            self.digits = None
-        else:
+    def __init__(self, mat, terms):
+        self.rows, self.terms, self.digits = _clearing(mat).rows, terms, None
+        if mat.offsets is not None:
             offsets, self.cols, self.digits = mat.offsets[:3]
-            self.rows, self.row_of = rows, {x: i for i, x in enumerate(offsets)}
+            self.row_of = {x: i for i, x in enumerate(offsets)}
 
     def __missing__(self, r):
+        terms = self.terms
         if self.digits is None:
-            return ()
+            row = self[r] = [(j, terms[id(x)]) for j, x in self.rows.get(r, ())]
+            return row
         base = sum(r // stride % size * stride for stride, size in self.digits)
         o = r - base
-        row = self[r] = [(self.cols[j] + o, x) for j, x in self.rows.get(self.row_of.get(base), ())]
+        row = self[r] = [(self.cols[j] + o, terms[id(x)]) for j, x in self.rows.get(self.row_of.get(base), ())]
         return row
 
 
-def _poly_matmul(a, b):
-    """a b for a matrix {row: {col: packed terms}} and a row view b
-    (_Rows), with no zero entry; each sum accumulates in a plain dict and is
-    not normalized."""
-    out = {}
-    for i, arow in a.items():
-        acc = {}
-        for k, x in arow.items():
-            for j, y in b[k]:
+def _carry(side, views, i):
+    """Row i of the product of the cleared factors side, {col: packed
+    terms} with no zero term and no empty entry: row i of the first factor
+    carried left to right through the others, reading only the factor rows
+    it reaches, with the zero terms dropped after each factor; views maps
+    the id of each factor to its _Rows.  Each sum accumulates in a plain
+    dict and is not normalized."""
+    row = {j: x for j, x in views[id(side[0])][i] if x}
+    for mat in side[1:]:
+        rows, acc = views[id(mat)], {}
+        for k, x in row.items():
+            for j, y in rows[k]:
                 t = acc.get(j)
                 if t is None:
                     t = acc[j] = {}
@@ -542,30 +551,23 @@ def _poly_matmul(a, b):
                 t = {m: c for m, c in t.items() if c}
             if t:
                 row[j] = t
-        if row:
-            out[i] = row
-    return out
+    return row
 
 
-def _cleared_product(factors, views, reps):
-    """The rows reps of the product of the cleared factors as {row: {col:
-    packed terms}}: only those rows of the first factor enter the chain.
-    views maps the id of each factor to its _Rows of packed terms."""
-    first = views[id(factors[0])]
-    rows = {i: dict(first[i]) for i in reps if first[i]}
-    return functools.reduce(_poly_matmul, [views[id(mat)] for mat in factors[1:]], rows)
-
-
-def _scaled(rows, s):
-    """rows times a side's scale s: in the symbolic prover a Poly, packed
-    and multiplied into each entry's packed terms, and in the multipoint
-    prover its int value at the Kronecker point, where a scale is a nonzero
-    polynomial within the bounds, and below the height when its side has a
-    row, so s is not 0 there.  A scale of 1 leaves rows as they are."""
-    if s == 1 or s == Poly.const(1):
-        return rows
-    mul, s = (_mul, _pack(s)) if isinstance(s, Poly) else (operator.mul, s)
-    return {i: {j: mul(x, s) for j, x in row.items()} for i, row in rows.items()}
+def _differing_row(sides, views, reps, scales):
+    """The first representative row i (reps, in increasing order) at which
+    the two sides' scaled products differ, as (i, j, the two sides' rows i,
+    those rows scaled) with j the row's least differing column, or None
+    when every one agrees, which proves the identity
+    (_orbit_representatives).  Each row is carried once per side (_carry),
+    and no row after the first differing one is carried; scales holds each
+    side's packed scale, or None for a scale of 1."""
+    for i in reps:
+        rows = [_carry(side, views, i) for side in sides]
+        scaled = [row if s is None else {j: _mul(x, s) for j, x in row.items()} for row, s in zip(rows, scales)]
+        if scaled[0] != scaled[1]:
+            return i, first_difference(*scaled), rows, scaled
+    return None
 
 
 _Bounds = collections.namedtuple("_Bounds", "degrees variables homogeneous height")
@@ -605,28 +607,6 @@ def _kronecker_value(terms, at):
     monomial m where the variable at index i of VARS is 2^shifts[i]: each
     term c * prod u^e is c shifted left by at[m], so no power is taken."""
     return sum(c << at[m] for m, c in terms.items())
-
-
-def _product_rows(factors, rows, index, values):
-    """The given rows of the product of the cleared factors, {row: {col:
-    int}} with no zero entry and no empty row.  Each row is carried left to
-    right through the factors and reads only the factor rows it reaches;
-    index is the factors' _Rows, keyed by id(factor), and values the value
-    of each of their packed terms at the point, keyed by id(terms)."""
-    out = {}
-    for i in rows:
-        acc = {i: 1}
-        for mat in factors:
-            mat_rows, nxt = index[id(mat)], {}
-            for k, a in acc.items():
-                for j, t in mat_rows[k]:
-                    c = values[id(t)]
-                    if c:
-                        nxt[j] = nxt.get(j, 0) + a * c
-            acc = {j: x for j, x in nxt.items() if x}
-        if acc:
-            out[i] = acc
-    return out
 
 
 def _digit(x, shift, width):
@@ -758,17 +738,19 @@ def _orbit_representatives(factors):
     data and the representatives of each partition into components on the
     label tuple (_label_structure).
 
-    Both provers multiply only these rows, and this is why that is sound.
+    Both provers carry only these rows, in increasing order, and stop at
+    the first that differs (_differing_row); this is why that is sound.
     Every factor commutes with the group G found here, and so do both
     products and the scalars the provers scale them by.  So the difference
     Delta of the two scaled sides satisfies Delta[pi i, pi j] = Delta[i, j]
     for every pi in G.  If row r of Delta is nonzero, so is every row of r's
     orbit, the least one included, and that row is at most r.  So the
-    sides agree everywhere when they agree on the representative rows, the
-    least differing row is a representative, and its least differing column
-    lies in that row: the first differing entry in sorted order, which both
-    provers print as the counterexample, is the one a full-row product
-    would give.
+    sides agree everywhere when they agree on the representative rows, and
+    the least differing row is a representative: when every earlier
+    representative agrees, every earlier row agrees.  The least differing
+    column of the first differing representative is then the first
+    differing entry in sorted order, which both provers print as the
+    counterexample, the one a full-row product would give.
     """
     labels = factors[0].row_labels
     if any(m.row_labels != labels or m.col_labels != labels for m in factors):
@@ -800,7 +782,7 @@ def _orbit_representatives(factors):
     return reps
 
 
-_Shared = collections.namedtuple("_Shared", "factors cleared maps scales views reps")
+_Shared = collections.namedtuple("_Shared", "factors cleared maps scales reps")
 
 
 def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
@@ -813,9 +795,13 @@ def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
     canonical strings there, in multipoint mode a monomial and its two
     coefficients.  A single matrix is a one-factor list.
 
-    Both modes share the label checks and one setup: each distinct factor's
-    clearing, the two sides' scales (_scales), a row view per factor (_Rows)
-    and the orbit representatives, the only rows either mode multiplies."""
+    Both modes share the label checks, one setup (each distinct factor's
+    clearing, the two sides' scales (_scales) and the orbit
+    representatives) and one row loop (_differing_row): it carries each
+    representative row once per side, in increasing order, and stops at the
+    first that differs.  Each mode keeps only its arithmetic: the symbolic
+    prover carries packed polynomials, and the multipoint prover the values
+    of the same entries at one integer point."""
     if mode not in ("symbolic", "multipoint"):
         raise ValueError(f"unknown mode {mode!r}")
     mismatch = _label_mismatch(lhs_factors, rhs_factors, mode)
@@ -824,18 +810,18 @@ def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
     factors = {id(mat): mat for mat in (*lhs_factors, *rhs_factors)}
     cleared = {key: _clearing(mat) for key, mat in factors.items()}
     maps, scales = _scales(*([cleared[id(mat)] for mat in side] for side in (lhs_factors, rhs_factors)))
-    views = {key: _Rows(mat, cleared[key].rows) for key, mat in factors.items()}
-    shared = _Shared(factors, cleared, maps, scales, views, _orbit_representatives(list(factors.values())))
+    shared = _Shared(factors, cleared, maps, scales, _orbit_representatives(list(factors.values())))
     # each prover is read off the module when it runs, so a patched one runs
     prove = _symbolic_proof if mode == "symbolic" else _multipoint_proof
     return prove(lhs_factors, rhs_factors, shared)
 
 
 def _symbolic_proof(lhs_factors, rhs_factors, shared):
-    """The fraction-free comparison of "identity verification" above: the
-    representative rows of each side's product of cleared factors, times
-    its scale, compared term by term.  Only the two entries a failing
-    verdict prints are reduced, each side's over its own prod(D)."""
+    """The fraction-free comparison of "identity verification" above: each
+    representative row of each side's product of cleared factors, times its
+    scale, compared term by term (_differing_row).  Only the entry a failing
+    verdict prints is reduced, from each side's carried row over its own
+    prod(D)."""
     sides = (lhs_factors, rhs_factors)
     # no monomial of either scaled product has a larger total degree, so
     # none carries when it fits
@@ -843,14 +829,15 @@ def _symbolic_proof(lhs_factors, rhs_factors, shared):
         max(sum(shared.cleared[id(mat)].degree for mat in side) + s.degree() for side, s in zip(sides, shared.scales)),
         "a scaled product",
     )
-    products = [_cleared_product(side, shared.views, shared.reps) for side in sides]
-    scaled = [_scaled(rows, s) for rows, s in zip(products, shared.scales)]
-    if scaled[0] == scaled[1]:
+    stored = {id(t): t for x in shared.cleared.values() for t, _, _, _ in x.entries}
+    views = {key: _Rows(mat, stored) for key, mat in shared.factors.items()}
+    scales = [None if s == Poly.const(1) else _pack(s) for s in shared.scales]
+    found = _differing_row(sides, views, shared.reps, scales)
+    if found is None:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
-    i, j = first_difference(*({(i, j): t for i, row in rows.items() for j, t in row.items()} for rows in scaled))
+    i, j, rows, _ = found
     lhs, rhs = (
-        format_ratfunc(RatFunc(_unpack(rows.get(i, {}).get(j, {})), _expand(c, den)))
-        for rows, (c, den) in zip(products, shared.maps)
+        format_ratfunc(RatFunc(_unpack(row.get(j, {})), _expand(c, den))) for row, (c, den) in zip(rows, shared.maps)
     )
     row, col = lhs_factors[0].row_labels[i], lhs_factors[-1].col_labels[j]
     return {
@@ -884,18 +871,20 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     (d_w + 1) over the variables w before v, holds its coefficients as
     balanced base-2^K digits, one per monomial (von zur Gathen and Gerhard,
     Modern Computer Algebra, 3rd ed., 8.4): the difference vanishes exactly
-    when its value there does.  Both terms are evaluated there in integers,
-    from the cleared entries and the scales (_kronecker_value), so a
-    factor's pole is no concern.  When every factor entry is homogeneous of
-    degree zero, the difference is homogeneous, so h = 1 is a faithful
-    slice and h leaves the point.
+    when its value there does.  Both terms are evaluated there in integers:
+    each cleared entry and scale is evaluated once (_kronecker_value), and
+    the row loop (_differing_row) carries those values, so a factor's pole
+    is no concern.  When every factor entry is homogeneous of degree zero,
+    the difference is homogeneous, so h = 1 is a faithful slice and h
+    leaves the point.
 
-    The least entry in which the two terms differ lies in a representative
-    row (_orbit_representatives).  It is the counterexample, with the least
-    monomial (later variables dominating, as in the point) whose two
-    coefficients differ, and those coefficients, read off the digits.
+    The least entry in which the two terms differ lies in the first
+    differing representative row (_orbit_representatives), where the loop
+    stops.  It is the counterexample, with the least monomial (later
+    variables dominating, as in the point) whose two coefficients differ,
+    and those coefficients, read off the digits.
     """
-    factors, cleared, _, scales, views, reps = shared
+    factors, cleared, _, scales, reps = shared
     read = {key: _kept(_operator(mat), "_bounds", _bounds) for key, mat in factors.items()}
     sides = (lhs_factors, rhs_factors)
     # per side, each variable's degree: its factors' cleared entries' and
@@ -924,17 +913,19 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     packed = [t for x in distinct for t, _, _, _ in x.entries] + [_pack(scale) for scale in scales]
     at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in set().union(*packed)}
     values = {id(t): _kronecker_value(t, at) for t in packed}
-    lhs, rhs = (
-        _scaled(_product_rows(side, reps, views, values), values[id(t)])
-        for side, t in zip(sides, packed[-2:])
-    )
+    # the carry reads each cleared entry as its value there, one term on
+    # the packed monomial 1
+    point = {key: {0: v} if v else {} for key, v in values.items()}
+    views = {key: _Rows(mat, point) for key, mat in factors.items()}
+    scaled_by = [None if values[id(t)] == 1 else point[id(t)] for t in packed[-2:]]
+    found = _differing_row(sides, views, reps, scaled_by)
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"
-    if lhs == rhs:
+    if found is None:
         return {"holds": True, "mode": "multipoint", "detail": f"cleared sides agree at {where}", "gridSize": 1,
                 "degreeBounds": bounds}
-    i, j = first_difference(*({(r, c): v for r, row in rows.items() for c, v in row.items()} for rows in (lhs, rhs)))
-    x, y = lhs.get(i, {}).get(j, 0), rhs.get(i, {}).get(j, 0)
+    i, j, _, scaled = found
+    x, y = (row.get(j, {}).get(0, 0) for row in scaled)
     # the lowest digit of x - y is the first in which x and y differ
     shift = ((x - y) & (y - x)).bit_length() - 1
     shift -= shift % width

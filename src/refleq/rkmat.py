@@ -127,7 +127,6 @@ def _flag_minus_values(u):
     return H / denom, (u + u) / denom
 
 
-@functools.cache
 def _flag_minus_k(l, u, opposite):
     """The flagMinus boundary matrix: h/(2u + h) on the diagonal and
     2u/(2u + h) on the anti-diagonal, or the other way round if opposite,

@@ -35,6 +35,7 @@ from refleq import acceptance, field, matrix, relations, rkmat
 from refleq.field import H, U, U1, U2, VARS, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import (
     LabeledMatrix,
+    _carry,
     _clear,
     _clearing,
     _exponents,
@@ -43,7 +44,6 @@ from refleq.matrix import (
     _multipoint_proof,
     _orbit_representatives,
     _pack,
-    _product_rows,
     _Rows,
     _unpack,
     embed_on_slots,
@@ -147,6 +147,33 @@ def _unheld(monkeypatch):
     held to the oracle: for a test that counts what the prover calls, or
     that reads a verdict the oracle has already been held to."""
     monkeypatch.setattr(matrix, "_multipoint_proof", _multipoint_proof)
+
+
+def _carried_at(factors, rows, values):
+    """The given rows of the product of the cleared factors at a point,
+    {row: {col: int}} with no zero entry and no empty row: each row carried
+    by matrix._carry on the values there of the entries of each factor's
+    clearing (matrix._clearing), as the multipoint prover hands them, one
+    term on the packed monomial 1.  values maps the id of each cleared
+    entry's packed terms to its value."""
+    one_term = {key: {0: v} if v else {} for key, v in values.items()}
+    views = {id(m): _Rows(m, one_term) for m in factors}
+    carried = {i: _carry(factors, views, i) for i in rows}
+    return {i: {j: t[0] for j, t in row.items()} for i, row in carried.items() if row}
+
+
+def _recording_carry(monkeypatch):
+    """Record every row that matrix._carry carries, as (side, row) with
+    side the tuple of the factors' ids, in call order."""
+    calls = []
+    real = matrix._carry
+
+    def recording(side, views, i):
+        calls.append((tuple(map(id, side)), i))
+        return real(side, views, i)
+
+    monkeypatch.setattr(matrix, "_carry", recording)
+    return calls
 
 
 def _canonical_rows(m):
@@ -441,16 +468,15 @@ class TestGridEngine:
             (2, 1): parse_ratfunc("u1 / 3"),
             (2, 2): RatFunc.const(Fraction(-5, 6)),
         })
-        cleared = _clear(m)
+        cleared = _clearing(m)
         assert cleared.c == 6
         d = Poly.const(cleared.c)
         for p, e in cleared.den.items():
             d = d * p ** e
-        index = {id(m): _Rows(m, cleared.rows)}
         for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
             values = {id(t): _unpack(t).subs(point) for t, _, _, _ in cleared.entries}
             assert all(type(n) is int for n in values.values())
-            product = _product_rows([m, m, m], range(len(labels)), index, values)
+            product = _carried_at([m, m, m], range(len(labels)), values)
             assert all(type(n) is int for row in product.values() for n in row.values())
             dx = d.subs(point)
             if not dx:
@@ -917,20 +943,13 @@ class TestFractionFreeProver:
     )
     def test_only_representative_rows_are_multiplied(self, build, count, total, monkeypatch):
         # every product row is carried left to right from a row of the first
-        # factor, so the left operands of the products hold every row taken
+        # factor (matrix._carry), so the carried rows are every row taken
         lhs, rhs = build()
         reps = _orbit_representatives([*lhs, *rhs])
-        taken = set()
-        real = matrix._poly_matmul
-
-        def recording(a, b):
-            taken.update(a)
-            return real(a, b)
-
-        monkeypatch.setattr(matrix, "_poly_matmul", recording)
+        calls = _recording_carry(monkeypatch)
         assert verify_identity(lhs, rhs)["holds"]
         assert (len(reps), len(lhs[0].row_labels)) == (count, total)
-        assert taken == set(reps)
+        assert {i for _, i in calls} == set(reps)
 
     @staticmethod
     def _counted(monkeypatch, lists):
@@ -1144,11 +1163,10 @@ class TestDegreeBounds:
         # term
         k = 12
         lhs, rhs = one_entry(U1), one_entry(RatFunc.const(2 ** k))
-        cleared = {id(m): _clear(m) for m in (lhs, rhs)}
-        index = {id(m): _Rows(m, cleared[id(m)].rows) for m in (lhs, rhs)}
+        cleared = {id(m): _clearing(m) for m in (lhs, rhs)}
         shifts = {m: _exponents(m)[2] * k for x in cleared.values() for t, _, _, _ in x.entries for m in t}  # u1 = 2^k
         at = {id(t): _kronecker_value(t, shifts) for x in cleared.values() for t, _, _, _ in x.entries}
-        assert _product_rows([lhs], [0], index, at) == _product_rows([rhs], [0], index, at)
+        assert _carried_at([lhs], [0], at) == _carried_at([rhs], [0], at)
         v = _grid_proof([lhs], [rhs])
         assert not v["holds"] and v["degreeBounds"] == {"u1": 1}
         assert v["detail"] == f"cleared sides differ at the Kronecker point (K = {k + 3}, {2 * (k + 3)} bits, bounds {{'u1': 1}})"
@@ -1368,17 +1386,11 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("l", [5, 6])
     def test_ybe_multiplies_five_rows_per_side_per_point(self, l, monkeypatch):
-        counts = []
-        real = matrix._product_rows
-
-        def counting(factors, rows, index, cleared):
-            counts.append(len(rows))
-            return real(factors, rows, index, cleared)
-
-        monkeypatch.setattr(matrix, "_product_rows", counting)
+        calls = _recording_carry(monkeypatch)
         v = check_ybe(l, mode="multipoint")
         assert v["holds"] and v["gridSize"] == 1
-        assert counts == [5, 5]
+        counts = collections.Counter(side for side, _ in calls)
+        assert sorted(counts.values()) == [5, 5]
 
     FAILING_GRID_PROOFS = {
         "chainReflection-spInstanton-l5-n1": lambda: check_chain_reflection("spInstanton", 5, n=1),
@@ -1392,19 +1404,55 @@ class TestOrbitReduction:
         run = self.FAILING_GRID_PROOFS[name]
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
         reps = _orbit_representatives([*lhs, *rhs])
-        calls = []
-        real = matrix._product_rows
-
-        def recording(factors, rows, index, cleared):
-            calls.append(list(rows))
-            return real(factors, rows, index, cleared)
-
         _unheld(monkeypatch)
-        monkeypatch.setattr(matrix, "_product_rows", recording)
+        calls = _recording_carry(monkeypatch)
         v = verify_identity(lhs, rhs, "multipoint")
         assert not v["holds"] and "counterexample" in v
         assert len(reps) < len(lhs[0].row_labels)
-        assert calls == [reps, reps]
+        # both sides carry the same representative rows, in order, and no
+        # other row
+        sides = tuple(map(id, lhs)), tuple(map(id, rhs))
+        assert calls and calls == [(side, i) for i in reps[: len(calls) // 2] for side in sides]
+
+    # the failing proofs of the early stop, and holding proofs of the same
+    # identities
+    EARLY_STOPS = {
+        "chainReflection-spInstanton-l3-n1": lambda: check_chain_reflection("spInstanton", 3, n=1),
+        "reflection-flagMinus-l2-oppositePlacement": lambda: check_reflection(
+            "flagMinus", 2, boundary="oppositePlacement"
+        ),
+    }
+    HOLDING_PROOFS = {
+        "chainReflection-spInstanton-l2-n1": lambda: check_chain_reflection("spInstanton", 2, n=1),
+        "reflection-flagMinus-l2": lambda: check_reflection("flagMinus", 2),
+    }
+
+    @pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
+    @pytest.mark.parametrize("name", sorted(EARLY_STOPS))
+    def test_a_failing_proof_carries_no_row_after_its_counterexample(self, name, mode, monkeypatch):
+        # the representative rows up to the counterexample's, each once per
+        # side, and none after it
+        ((lhs, rhs),) = _factor_lists(monkeypatch, self.EARLY_STOPS[name])
+        reps = _orbit_representatives([*lhs, *rhs])
+        _unheld(monkeypatch)
+        calls = _recording_carry(monkeypatch)
+        v = verify_identity(lhs, rhs, mode)
+        assert not v["holds"]
+        row = [_label_to_json(lab) for lab in lhs[0].row_labels].index(v["counterexample"]["row"])
+        assert row in reps and row < reps[-1]
+        sides = tuple(map(id, lhs)), tuple(map(id, rhs))
+        assert calls == [(side, i) for i in reps if i <= row for side in sides]
+
+    @pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
+    @pytest.mark.parametrize("name", sorted(HOLDING_PROOFS))
+    def test_a_holding_proof_carries_each_representative_row_once_per_side(self, name, mode, monkeypatch):
+        ((lhs, rhs),) = _factor_lists(monkeypatch, self.HOLDING_PROOFS[name])
+        reps = _orbit_representatives([*lhs, *rhs])
+        _unheld(monkeypatch)
+        calls = _recording_carry(monkeypatch)
+        assert verify_identity(lhs, rhs, mode)["holds"]
+        sides = tuple(map(id, lhs)), tuple(map(id, rhs))
+        assert calls == [(side, i) for i in reps for side in sides]
 
     REPLAYED_PROOFS = {
         **FAILING_GRID_PROOFS,
@@ -1442,10 +1490,9 @@ class TestOrbitReduction:
         # engine that kept those transpositions would find the two sides equal
         factors = {id(m): m for m in (*lhs, *rhs)}
         cleared = {k: _clearing(m) for k, m in factors.items()}
-        index = {k: _Rows(m, cleared[k].rows) for k, m in factors.items()}
         point = {"h": 1, "u1": 2, "u2": 3}
         at = {id(t): _unpack(t).subs(point) for x in cleared.values() for t, _, _, _ in x.entries}
-        assert _product_rows(lhs, reps, index, at) == _product_rows(rhs, reps, index, at)
+        assert _carried_at(lhs, reps, at) == _carried_at(rhs, reps, at)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
         # R12 perturbed alike at every image of the planted key under the

@@ -347,9 +347,8 @@ def test_k_matrix_coefficients_are_ints(kind, l):
 # every builder memoized per argument tuple; the chain operators cache a
 # private body keyed on the sites as a tuple
 CACHED_BUILDERS = (
-    "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "_flag_minus_k", "k_matrix",
-    "k_matrix_opposite_placement", "sigma_matrix", "cross_r", "cross_r_flipped",
-    "_monodromy_t", "_twisted_monodromy", "_s_matrix",
+    "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "k_matrix", "k_matrix_opposite_placement",
+    "sigma_matrix", "cross_r", "cross_r_flipped", "_monodromy_t", "_twisted_monodromy", "_s_matrix",
 )
 
 # the entry values that builders of every size share, per spectral argument
@@ -392,10 +391,8 @@ def test_shared_results_stay_equal_to_fresh_builds(monkeypatch):
         assert check_chain_reflection(kind, 2, n=2)["holds"]
     monkeypatch.undo()
 
-    # _flag_minus_k is reached only through k_matrix and
-    # k_matrix_opposite_placement, whose results it is, and the value
-    # builders only through the matrix builders
-    assert {name for name, _, _ in built} >= set(CACHED_BUILDERS) - {"_flag_minus_k"}
+    # the value builders are reached only through the matrix builders
+    assert {name for name, _, _ in built} >= set(CACHED_BUILDERS)
     for (name, args, kwargs), result in built.items():
         cached = getattr(rkmat, name)
         assert cached(*args, **dict(kwargs)) is result
