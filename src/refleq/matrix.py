@@ -7,17 +7,18 @@ the big tensor-product matrices in the relation checks are overwhelmingly
 sparse, and a matrix is a read-only value (LabeledMatrix).
 
 embed_on_slots places an operator on some tensor slots, extended by the
-identity on the others.  A placement is a view: it records the operator it
-places, never a placement, and where (mixed-radix offsets over the slots, on
-label tuples built once per slot tuple and shared), and it builds its
-full-size entry map only when something reads its entries.  Work that
-depends only on the entry values, or on the label symmetry, reads that
-operator instead of the placement, and keeps what it read on the operator
-(_kept): the symmetry verdicts of the search below, the clearing that both
-provers read every factor through (_clearing), each distinct entry cleared
-once into packed monomials, and the multipoint prover's bounds of it
-(_bounds).  Both provers read a placement's rows through one operator-size
-view (_Rows).
+identity on the others, and places operators only: a placement placed again
+raises, and a flip is the operator on reversed positions.  A placement is a
+view: it records the operator it places and where (mixed-radix offsets over
+the slots, on label tuples built once per slot tuple and shared), and it
+builds its full-size entry map only when something reads its entries.
+Work that depends only on the entry values, or on the label symmetry, reads
+that operator instead of the placement, and keeps what it read on the
+operator (_kept): the symmetry verdicts of the search below, the clearing
+that both provers read every factor through (_clearing), each distinct
+entry cleared once into packed monomials, and the multipoint prover's
+bounds of it (_bounds).  Both provers read a placement's rows through one
+operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  The provers do not.  verify_identity(lhs, rhs,
@@ -76,14 +77,14 @@ class LabeledMatrix:
     can be reassigned or deleted, so a matrix may be shared, as the memoized
     rkmat builders share theirs, and an edit makes a new matrix.  A placement
     (embed_on_slots) records in operator the matrix it places, by reference,
-    and never a placement, and in offsets where it places it (_Offsets):
-    rows, cols and digits, with rows[i] and cols[j] the index offsets of the
-    operator's row i and column j, and digits the (stride, size) of each
-    slot it acts on, and the positions and slot label tuples it was given.
-    The operator part of a row index r is then the sum of (r // stride %
-    size) * stride, which is rows[i] for one operator row i, and the rest of
-    r is the offset of the other slots, shared by the row's columns.  Every
-    other matrix holds None in both.
+    which embed_on_slots accepts only when it is not a placement, and in
+    offsets where it places it (_Offsets): rows, cols and digits, with
+    rows[i] and cols[j] the index offsets of the operator's row i and column
+    j, and digits the (stride, size) of each slot it acts on.  The operator
+    part of a row index r is then the sum of (r // stride % size) * stride,
+    which is rows[i] for one operator row i, and the rest of r is the offset
+    of the other slots, shared by the row's columns.  Every other matrix
+    holds None in both.
 
     A placement's entries are built at full size on their first read
     (_placed_entries) and kept, as RatFunc.den is.  The readers that build
@@ -241,7 +242,7 @@ def _tensor_labels(slots):
 
 
 # where a placement puts its operator (LabeledMatrix offsets)
-_Offsets = collections.namedtuple("_Offsets", "rows cols digits positions slots")
+_Offsets = collections.namedtuple("_Offsets", "rows cols digits")
 
 
 def embed_on_slots(mat, positions, slot_labels):
@@ -257,27 +258,22 @@ def embed_on_slots(mat, positions, slot_labels):
     (LabeledMatrix): it records the operator it places and those offsets,
     and it builds its entries only when they are read, by a product, ==,
     inverse or eval_entries; the provers read placements by row instead
-    (_Rows).  A placement placed again is its operator placed on the
-    composed positions, so the record is never a placement: each slot of
-    the inner placement lands on the outer slot at its position, and an
-    identity slot of it that carries other labels than the slot it lands on
-    raises ValueError.  An empty slot among the others leaves nothing placed
-    and a plain empty matrix.
+    (_Rows).  mat is an operator, never a placement: placing a placement
+    raises ValueError, and a flip is mat placed on reversed positions.  mat
+    placed on all of its own slots in order, with the tensor labels as its
+    row and column labels, is mat itself.  An empty slot among the others
+    leaves nothing placed and a plain empty matrix.
     """
+    if mat.operator is not None:
+        raise ValueError("cannot place a placement: place its operator")
     slots = tuple(map(tuple, slot_labels))
     tensor, slot_offsets, strides = _tensor_labels(slots)
     positions = tuple(positions)
     n = len(slot_offsets)
     if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
         raise ValueError(f"positions {positions} are not distinct slots of 0..{n - 1}")
-    if mat.operator is not None:
-        inner = mat.offsets
-        if len(inner.slots) != len(positions):
-            raise ValueError(f"label {mat.row_labels[0]!r} has {len(inner.slots)} parts for positions {positions}")
-        for q, slot in enumerate(inner.slots):
-            if q not in inner.positions and slot != slots[positions[q]]:
-                raise ValueError(f"identity slot {q} of a placement carries other labels than slot {positions[q]}")
-        mat, positions = mat.operator, tuple(positions[q] for q in inner.positions)
+    if positions == tuple(range(n)) and mat.row_labels == tensor and mat.col_labels == tensor:
+        return mat
     on = [slot_offsets[p] for p in positions]
 
     def offsets(labels):
@@ -297,7 +293,7 @@ def embed_on_slots(mat, positions, slot_labels):
     if any(not slot for o, slot in enumerate(slot_offsets) if o not in positions):
         return LabeledMatrix._indexed(tensor, tensor, {})
     digits = tuple((strides[p], len(slot_offsets[p])) for p in positions)
-    return LabeledMatrix._indexed(tensor, tensor, None, mat, _Offsets(rows, cols, digits, positions, slots))
+    return LabeledMatrix._indexed(tensor, tensor, None, mat, _Offsets(rows, cols, digits))
 
 
 def _placed_entries(mat):
@@ -305,7 +301,7 @@ def _placed_entries(mat):
     every offset of the other slots, the indices whose digits on the
     placed slots are 0, in the operator's entry order and then in
     increasing offset."""
-    rows, cols, digits = mat.offsets[:3]
+    rows, cols, digits = mat.offsets
     rest = [o for o in range(len(mat.row_labels)) if not any(o // stride % size for stride, size in digits)]
     entries = {}
     for (i, j), v in mat.operator.entries.items():
@@ -321,8 +317,9 @@ def _kept(mat, slot, make):
     is read once per process, however many proofs and placements share it.
     verify_identity keeps each factor's clearing and, in multipoint mode,
     its bounds on the operator the factor places (_operator), which is
-    never a placement, so every placement of one builder's operator, its
-    flip and a placement of a placement included, shares one record.
+    never a placement, as embed_on_slots places no placement, so every
+    placement of one builder's operator, on any positions, shares one
+    record.
 
     The clearing (_clear) reads den_factors, which splits each residual
     denominator over the forms interned when it runs, and a form interned
@@ -512,7 +509,7 @@ class _Rows(dict):
     def __init__(self, mat, terms):
         self.rows, self.terms, self.digits = _clearing(mat).rows, terms, None
         if mat.offsets is not None:
-            offsets, self.cols, self.digits = mat.offsets[:3]
+            offsets, self.cols, self.digits = mat.offsets
             self.row_of = {x: i for i, x in enumerate(offsets)}
 
     def __missing__(self, r):
@@ -636,7 +633,8 @@ def _label_mismatch(lhs_factors, rhs_factors, mode):
 
 
 def _operator(mat):
-    """The operator a placement records, never a placement, or mat itself."""
+    """The operator a placement records, or mat itself; never a placement,
+    as embed_on_slots places no placement."""
     return mat if mat.operator is None else mat.operator
 
 
@@ -724,11 +722,11 @@ def _orbit_representatives(factors):
     M[s r, s c] delta(q, q'), so F commutes with s exactly when M does,
     provided s maps M's labels to M's labels.  When it does not, the test on
     M fails, which keeps more rows and never fewer.  M is never itself a
-    placement (embed_on_slots composes a placement of a placement), so a
-    flip M on positions (1, 0) and M on (0, 1) are tested once, on M.  A
-    pair of sites already in one component of the accepted transpositions
-    is not tested: they generate the product of the symmetric groups on the
-    components, which is the group every holding transposition generates.
+    placement (embed_on_slots places no placement), so a flip M on positions
+    (1, 0) and M on (0, 1) are tested once, on M.  A pair of sites already
+    in one component of the accepted transpositions is not tested: they
+    generate the product of the symmetric groups on the components, which is
+    the group every holding transposition generates.
     Two labels lie in one orbit of that group exactly when they have the
     same pattern: per slot, the component of its site and the first slot
     that holds the same site.  A label set that is not such a product keeps
@@ -788,12 +786,13 @@ _Shared = collections.namedtuple("_Shared", "factors cleared maps scales reps")
 def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
     """Prove that the products of two ordered factor lists agree, in mode
     "symbolic" (_symbolic_proof) or "multipoint" (_multipoint_proof); any
-    other mode raises ValueError before a factor is read.  Returns a dict
-    verdict; never raises on inequality.  When the labels agree, a failing
-    verdict carries a "counterexample" at the least differing entry: its row
-    and column labels (JSON form) and, in symbolic mode, both products'
-    canonical strings there, in multipoint mode a monomial and its two
-    coefficients.  A single matrix is a one-factor list.
+    other mode, and a side with no factor, raises ValueError before a factor
+    is read.  Returns a dict verdict; never raises on inequality.  When the
+    labels agree, a failing verdict carries a "counterexample" at the least
+    differing entry: its row and column labels (JSON form) and, in symbolic
+    mode, both products' canonical strings there, in multipoint mode a
+    monomial and its two coefficients.  A single matrix is a one-factor
+    list.
 
     Both modes share the label checks, one setup (each distinct factor's
     clearing, the two sides' scales (_scales) and the orbit
@@ -804,6 +803,8 @@ def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
     of the same entries at one integer point."""
     if mode not in ("symbolic", "multipoint"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not lhs_factors or not rhs_factors:
+        raise ValueError("each side needs at least one factor")
     mismatch = _label_mismatch(lhs_factors, rhs_factors, mode)
     if mismatch:
         return mismatch

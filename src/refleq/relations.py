@@ -42,14 +42,12 @@ from .rkmat import (
     KINDS,
     constant_term_matrix,
     cross_r,
-    cross_r_flipped,
     k_matrix,
     k_matrix_opposite_placement,
     monodromy_t,
     s_matrix,
     sigma_matrix,
     sigma_sigma_r,
-    sigma_sigma_r_flipped,
     site_labels,
     twisted_monodromy,
     yang_r,
@@ -182,7 +180,8 @@ def _reflection_factors(kind, l, boundary="standard", n=0):
     With n chain sites (slots 2..n+1, shifts u3, u4) each boundary factor is
     the dressed operator rkmat.s_matrix on its auxiliary slot and the chain;
     at n = 0 it is the scenario's matrix on its auxiliary slot.  The R
-    factors act on the two auxiliary slots 0 and 1.
+    factors act on the two auxiliary slots 0 and 1, C21 and Y21 as C and Y
+    on (1, 0).
     """
     boundary_k = make_scenario(kind, l, boundary=boundary)
     shifts = _chain_shifts(n, (U3, U4))
@@ -191,11 +190,11 @@ def _reflection_factors(kind, l, boundary="standard", n=0):
     dressed = lambda w: s_matrix(kind, l, w, shifts) if n else boundary_k(w)
     k1 = embed_on_slots(dressed(U1), (0,) + chain, slots)
     k2 = embed_on_slots(dressed(U2), (1,) + chain, slots)
-    on_aux = lambda m: embed_on_slots(m, (0, 1), slots)
+    on = lambda m, positions: embed_on_slots(m, positions, slots)
     x = U1 + U2
     d = U1 - U2
-    lhs = [k2, on_aux(cross_r_flipped(kind, l, x)), k1, on_aux(yang_r(l, d))]
-    rhs = [on_aux(sigma_sigma_r_flipped(kind, l, d)), k1, on_aux(cross_r(kind, l, x)), k2]
+    lhs = [k2, on(cross_r(kind, l, x), (1, 0)), k1, on(yang_r(l, d), (0, 1))]
+    rhs = [on(sigma_sigma_r(kind, l, d), (1, 0)), k1, on(cross_r(kind, l, x), (0, 1)), k2]
     return lhs, rhs
 
 
@@ -278,10 +277,11 @@ def _exchange_factors(l, n, variant, kind):
     elif variant == "plainTwisted":
         t1, t2, r = plain(0, u), twisted(1, -v), cross_r(kind, l, u + v)
     elif variant == "twistedPlain":
-        t1, t2, r = twisted(0, -u), plain(1, v), cross_r_flipped(kind, l, -u - v)
+        t1, t2, r = twisted(0, -u), plain(1, v), cross_r(kind, l, -u - v)
     else:
         t1, t2, r = twisted(0, -u), twisted(1, -v), sigma_sigma_r(kind, l, v - u)
-    r = embed_on_slots(r, (0, 1), slots)
+    # twistedPlain's cross R is flipped: C on the auxiliary slots in the other order
+    r = embed_on_slots(r, (1, 0) if variant == "twistedPlain" else (0, 1), slots)
     return [r, t1, t2], [t2, t1, r]
 
 
@@ -317,8 +317,8 @@ def _derivation_factors(l, n, kind):
     u, v = U, U4
     t2 = plain(1, v)
     s1 = twisted(0, -u)
-    c21 = embed_on_slots(cross_r_flipped(kind, l, u + v), (0, 1), slots)
-    c21_inv = embed_on_slots(cross_r_flipped(kind, l, -u - v), (0, 1), slots)
+    c21 = embed_on_slots(cross_r(kind, l, u + v), (1, 0), slots)
+    c21_inv = embed_on_slots(cross_r(kind, l, -u - v), (1, 0), slots)
     return [
         ([c21, t2, s1], [s1, t2, c21]),
         ([c21_inv, s1, t2, c21, c21_inv], [c21_inv, s1, t2]),

@@ -21,12 +21,14 @@ object per distinct entry value, and the values that do not depend on l are
 built once per spectral argument for every size (_yang_values,
 _flag_minus_values; _bullet_values per l).  A chain operator is a product
 (LabeledMatrix.__mul__), whose equal entries may be distinct objects, so
-constant_term_matrix takes one limit per object.  A flipped builder places
-the unflipped operator on the two slots in the other order.  Each operator
-keeps what the provers read of it (matrix._kept: its clearing, bounds and
-symmetry verdicts), so a process does that work once per operator, and a
-later proof or another placement of it, its flip included, finds it done;
-cache_clear on a builder makes new operators, which read afresh.
+constant_term_matrix takes one limit per object.  A flip is a position, not
+a matrix: the "21" of an identity (C21, Y21) is the builder's operator
+placed on the two slots in the other order, as embed_on_slots places
+operators only.  Each operator keeps what the provers read of it
+(matrix._kept: its clearing, bounds and symmetry verdicts), so a process
+does that work once per operator, and a later proof or another placement of
+it, on any positions, finds it done; cache_clear on a builder makes new
+operators, which read afresh.
 embedded_product multiplies placements, and the product reads each
 placement's full-size entries; those placement views are dropped with the
 product's other intermediates.
@@ -151,8 +153,8 @@ def k_matrix(kind, l, u):
     if kind in ("soInstanton", "flagPlus"):
         return sigma_matrix(kind, l)
     if kind == "spInstanton":
-        c = H / (u + u + H * RatFunc.const(Fraction(l, 2)))
-        return _block(site_labels(l), site_labels(l), RatFunc.one() - c, -c)
+        diag, c = _bullet_values(l, u + u)
+        return _block(site_labels(l), site_labels(l), diag, -c)
     if kind == "flagMinus":
         return _flag_minus_k(l, u, opposite=False)
     raise ValueError(f"unknown kind {kind!r}")
@@ -205,7 +207,9 @@ def cross_r(kind, l, u):
 @functools.cache
 def cross_r_flipped(kind, l, u):
     """The flipped-index variant P * cross_r * P: cross_r placed on positions
-    (1, 0) of two sites, so every placement of it places cross_r itself."""
+    (1, 0) of two sites.  A placement is never placed again, so the checks
+    place cross_r on reversed positions of their own slots and do not call
+    this; it stays for the benchmark tracer, which wraps it by name."""
     return embed_on_slots(cross_r(kind, l, u), (1, 0), [site_labels(l)] * 2)
 
 
@@ -214,15 +218,6 @@ def sigma_sigma_r(kind, l, u):
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     return yang_r(l, u)
-
-
-def sigma_sigma_r_flipped(kind, l, u):
-    """The flipped-index variant P * sigma_sigma_r * P.  As sigma_sigma_r is
-    the plain Yangian R in every kind, which is the flag kinds' cross R, one
-    placement per (l, u) serves every kind."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    return cross_r_flipped("flagPlus", l, u)
 
 
 def constant_term_matrix(m):
@@ -304,17 +299,16 @@ def s_matrix(kind, l, u, us):
     """Boundary transfer product in factored form.
 
     Left factors are the flipped twisted R at u + u_k for k = 1..n (k = 1
-    leftmost), then the boundary matrix at u on the auxiliary slot, then
-    the monodromy T(u) of monodromy_t.
+    leftmost), cross_r on slots (k, 0), then the boundary matrix at u on the
+    auxiliary slot, then the monodromy T(u) of monodromy_t.
     """
     return _s_matrix(kind, l, u, tuple(us))
 
 
 @functools.cache
 def _s_matrix(kind, l, u, us):
-    sites = range(1, len(us) + 1)
-    cross = chain_factors(lambda k: cross_r_flipped(kind, l, u + us[k - 1]), 0, sites)
-    factors = cross[::-1] + [(k_matrix(kind, l, u), (0,))]
+    cross = [(cross_r(kind, l, u + w), (k, 0)) for k, w in enumerate(us, 1)]
+    factors = cross + [(k_matrix(kind, l, u), (0,))]
     return embedded_product(factors, _chain_slot_labels(l, len(us))) * monodromy_t(l, u, us)
 
 

@@ -143,6 +143,35 @@ def test_stdout_is_pinned_byte_for_byte(name):
     assert stdout == (STDOUT_DIR / f"{name}.json").read_text()
 
 
+# the commands whose verdicts and counterexamples follow the iteration order
+# of sets and dicts, with the exit status each must give
+HASH_SEED_CASES = {
+    "verify-suite-all": (["verify", "--suite", "all"], 0),
+    "suite-acceptance": (["suite", "acceptance"], 0),
+    "verify-spInstanton-l3-symbolic": (["verify", "--scenario", "spInstanton", "--l", "3"], 1),
+    "verify-spInstanton-l3-multipoint": (
+        ["verify", "--scenario", "spInstanton", "--l", "3", "--mode", "multipoint"], 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_CASES))
+def test_stdout_does_not_depend_on_the_hash_seed(name):
+    # each run is a fresh interpreter, since the seed is fixed at start-up
+    args, exit_code = HASH_SEED_CASES[name]
+    src = Path(cli_module.__file__).parent.parent
+    code = "import sys; from refleq.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+        assert proc.returncode == exit_code, proc.stderr
+        stdout, n = re.subn(r',\n  "wallTimeMs": \d+\n\}\n$', "\n}\n", proc.stdout)
+        assert n == 1
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_csv_stdout_is_pinned_byte_for_byte():
     # the csv rows carry no envelope and no wall time
     res = run_cli("tableaux", "betti", "--kind", "sp", "--l", "4", "--w1", "2", "--emit", "csv")

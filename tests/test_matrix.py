@@ -11,7 +11,16 @@ from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_comp
 from refleq import matrix as matrix_module
 from refleq.field import NVARS, U, U1, U2, U3, U4, Poly, RatFunc, _mono_key, poly_div_exact
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, verify_identity
-from refleq.rkmat import constant_term_matrix, k_matrix, s_matrix, site_labels, yang_r
+from refleq.rkmat import (
+    constant_term_matrix,
+    cross_r,
+    k_matrix,
+    monodromy_t,
+    s_matrix,
+    site_labels,
+    twisted_monodromy,
+    yang_r,
+)
 
 
 def rf(s):
@@ -103,18 +112,15 @@ def test_embed_two_slots_of_three():
     assert entry(full, (1, 1, 1), (1, 2, 1)).is_zero()
 
 
-def _assert_same_placement(mat, positions, slots, placing=None):
-    """mat placed on positions of slots, checked against the oracles;
-    placing is the (operator, positions) the placement records, mat on
-    positions when not given."""
+def _assert_same_placement(mat, positions, slots):
+    """mat placed on positions of slots, checked against the oracles."""
     placed, reference = embed_on_slots(mat, positions, slots), embed_by_tuples(mat, positions, slots)
     assert (placed.row_labels, placed.col_labels) == (reference.row_labels, reference.col_labels)
     assert placed.entries == reference.entries
     # the map a placement builds on its first read is the eager one of its
     # operator on its positions, key by key and in the same order
-    operator, where = placing or (mat, positions)
-    assert placed.operator is operator
-    assert list(placed.entries.items()) == list(embed_eagerly(operator, where, slots).items())
+    assert placed.operator is mat
+    assert list(placed.entries.items()) == list(embed_eagerly(mat, positions, slots).items())
     # both provers dedupe entries by id, so a placement must share mat's values
     assert all(placed.entries[k] is v for k, v in reference.entries.items())
     return placed
@@ -137,10 +143,12 @@ def _assert_same_placement(mat, positions, slots, placing=None):
 def test_placement_matches_the_tuple_by_tuple_oracle(build, positions, slots):
     mat = build()
     placed = _assert_same_placement(mat, positions, slots)
-    # a placement of a placement records the operator it places, on the
-    # composed positions
-    composed = (mat, [p + 1 for p in positions])
-    _assert_same_placement(placed, range(1, len(slots) + 1), [["a", "b"], *slots], composed)
+    # the same operator behind one more slot, on the positions a placement of
+    # the placement would compose; the placement itself is not placed again
+    wider = [["a", "b"], *slots]
+    _assert_same_placement(mat, [p + 1 for p in positions], wider)
+    with pytest.raises(ValueError, match="place its operator"):
+        embed_on_slots(placed, range(1, len(slots) + 1), wider)
 
 
 def test_placements_share_their_label_tuples():
@@ -169,26 +177,49 @@ def test_a_label_off_its_slot_is_rejected():
         embed_on_slots(yang_r(3, U), (0, 1), [site_labels(2)] * 2)
 
 
-def test_a_placement_on_slots_with_other_labels_is_rejected():
-    # the identity slot 1 of the inner placement holds {1}, and it would
-    # land on a slot holding {1, 2}
+def test_a_placement_placed_again_is_rejected():
+    # whatever the slots, even where its identity slot would carry other
+    # labels, where the positions are too few, or where it would be the
+    # placement itself: a caller places its operator, so the operator a
+    # placement records is never a placement
     inner = embed_on_slots(LabeledMatrix.identity([1, 2]), (0,), [[1, 2], [1]])
-    with pytest.raises(ValueError, match="identity slot 1 of a placement carries other labels than slot 1"):
-        embed_on_slots(inner, (0, 1), [[1, 2], [1, 2]])
-    with pytest.raises(ValueError, match="identity slot 1 of a placement carries other labels than slot 0"):
-        embed_on_slots(inner, (2, 0), [[1, 2], [2, 1], [1, 2]])
-    # a slot that the operator acts on may hold more labels than before
-    wider = embed_on_slots(embed_on_slots(yang_r(2, U), (1, 0), [[1, 2], [1, 2]]), (2, 0), [[1, 2, 3], ["x"], [1, 2]])
+    flip = embed_on_slots(yang_r(2, U), (1, 0), [[1, 2], [1, 2]])
+    for placement, positions, slots in [
+        (inner, (0, 1), [[1, 2], [1, 2]]),
+        (inner, (2, 0), [[1, 2], [2, 1], [1, 2]]),
+        (inner, (0,), [[1, 2]]),
+        (flip, (2, 0), [[1, 2, 3], ["x"], [1, 2]]),
+        (flip, (0, 1), [[1, 2], [1, 2]]),
+    ]:
+        with pytest.raises(ValueError, match="cannot place a placement: place its operator"):
+            embed_on_slots(placement, positions, slots)
+    # the flip's operator on the composed positions, where a slot that it
+    # acts on holds more labels than before
+    wider = embed_on_slots(flip.operator, (0, 2), [[1, 2, 3], ["x"], [1, 2]])
     assert wider.operator is yang_r(2, U)
-    with pytest.raises(ValueError, match="has 2 parts for positions"):
-        embed_on_slots(inner, (0,), [[1, 2]])
+    assert wider == embed_by_tuples(yang_r(2, U), (0, 2), [[1, 2, 3], ["x"], [1, 2]])
+
+
+def test_an_operator_on_all_of_its_own_slots_in_order_is_itself():
+    slots = [site_labels(3)] * 2
+    r = yang_r(3, U)
+    assert embed_on_slots(r, (0, 1), slots) is r
+    # reversed positions, another slot, or labels other than the tensor's
+    # make a placement
+    assert embed_on_slots(r, (1, 0), slots).operator is r
+    assert embed_on_slots(r, (0, 1), [*slots, site_labels(3)]).operator is r
+    k = k_matrix("flagMinus", 3, U)
+    assert embed_on_slots(k, (0,), [site_labels(3)]).operator is k
+    # so the one-site monodromies are the builders' R-matrices
+    assert monodromy_t(3, U, (U1,)) is yang_r(3, U - U1)
+    for kind in ("spInstanton", "flagMinus"):
+        assert twisted_monodromy(3, U, (U1,), kind) is cross_r(kind, 3, -U - U1)
 
 
 def test_a_placement_records_the_matrix_it_places():
     m = LabeledMatrix([1, 2], [1, 2], {(1, 1): rf("u"), (2, 1): rf("h")})
     placed = embed_on_slots(m, (0,), [[1, 2], [1, 2]])
-    # a placement of a placement records the operator of the one it places
-    assert placed.operator is m and embed_on_slots(placed, (1, 0), [[1, 2], [1, 2]]).operator is m
+    assert placed.operator is m and embed_on_slots(m, (1,), [[1, 2], [1, 2]]).operator is m
     assert m.operator is None and (m * m).operator is None
     # an empty slot among the others places nothing, and records nothing
     empty = embed_on_slots(m, (0,), [[1, 2], []])
@@ -545,6 +576,15 @@ def test_product_verdict_on_high_degrees():
         assert verify_identity([a, b], rhs) == fold_and_compare([a, b], rhs)
     assert verify_identity([a, b], [a * b])["holds"]
     assert verify_identity([a, b], [wrong])["counterexample"]["lhs"] == "h^70 / u^5"
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
+def test_an_empty_side_is_rejected_before_any_factor_is_read(mode):
+    a = LabeledMatrix.identity([1, 2])
+    for lhs, rhs in (([], [a]), ([a], []), ([], [])):
+        with pytest.raises(ValueError, match="each side needs at least one factor"):
+            verify_identity(lhs, rhs, mode)
+    assert getattr(a, "_cleared", None) is None
 
 
 def test_product_labels_are_checked_inside_each_list():

@@ -1535,13 +1535,13 @@ class TestOrbitReduction:
     def test_a_narrower_placement_placed_again_is_rejected(self):
         # P1 places the identity on slot 0 of slots {1, 2} x {1}; P1 placed
         # on slots {1, 2} x {1, 2} is diag(1, 0, 1, 0), which is not the
-        # identity's placement, so embed_on_slots rejects it, and P2 is that
-        # matrix built tuple by tuple.  The swap (1 2) maps the slots to
-        # themselves and commutes with P1's operator, but not with P2: it
-        # must be rejected, or rows (1, 1) and (1, 2) would stand for
-        # (2, 1), where P2 and Q differ
+        # identity's placement, and embed_on_slots places no placement, so
+        # it rejects it, and P2 is that matrix built tuple by tuple.  The
+        # swap (1 2) maps the slots to themselves and commutes with P1's
+        # operator, but not with P2: it must be rejected, or rows (1, 1) and
+        # (1, 2) would stand for (2, 1), where P2 and Q differ
         p1 = embed_on_slots(LabeledMatrix.identity([1, 2]), (0,), [[1, 2], [1]])
-        with pytest.raises(ValueError, match="carries other labels"):
+        with pytest.raises(ValueError, match="place its operator"):
             embed_on_slots(p1, (0, 1), [[1, 2], [1, 2]])
         p2 = embed_by_tuples(p1, (0, 1), [[1, 2], [1, 2]])
         q = LabeledMatrix(p2.row_labels, p2.col_labels, {(lab, lab): RatFunc.one() for lab in ((1, 1), (2, 2))})
@@ -1603,8 +1603,8 @@ def test_representatives_match_the_full_size_search(source, monkeypatch):
 
 def test_a_placement_builds_the_eager_map(monkeypatch):
     # every placement a factor list holds builds on its first read the map
-    # the eager loop builds for its operator on the composed positions: the
-    # same keys in the same order, holding the operator's very values
+    # the eager loop builds for its operator on its positions: the same keys
+    # in the same order, holding the operator's very values
     placed = {}
     for module in (relations, rkmat):
         real = module.embed_on_slots
@@ -1616,15 +1616,6 @@ def test_a_placement_builds_the_eager_map(monkeypatch):
 
         monkeypatch.setattr(module, "embed_on_slots", recording)
 
-    def placing(mat):
-        """The operator a recorded placement places, and on which positions."""
-        result, inner, positions, _ = placed[id(mat)]
-        assert result is mat
-        if inner.operator is None:
-            return inner, positions
-        operator, on = placing(inner)
-        return operator, tuple(positions[q] for q in on)
-
     _clear_builders()
     lists = _suite_and_acceptance_lists(monkeypatch)
     checked = set()
@@ -1633,30 +1624,52 @@ def test_a_placement_builds_the_eager_map(monkeypatch):
             if mat.operator is None or id(mat) in checked:
                 continue
             checked.add(id(mat))
-            operator, positions = placing(mat)
-            assert operator is mat.operator
-            eager = embed_eagerly(operator, positions, placed[id(mat)][3])
+            result, operator, positions, slots = placed[id(mat)]
+            assert result is mat and operator is mat.operator
+            eager = embed_eagerly(operator, positions, slots)
             assert list(mat.entries.items()) == list(eager.items())
             assert all(mat.entries[k] is v for k, v in eager.items())
     assert len(checked) > 100
 
 
 def test_no_factor_places_a_placement(monkeypatch):
-    # embed_on_slots composes a placement of a placement, so the operator
-    # of every factor is a builder's matrix, never a placement
+    # every flip is a builder's R on reversed positions, so the operator of
+    # every factor of the suite at l = 2, 3 and 4 and of the acceptance
+    # lists is never a placement
     _clear_builders()
-    lists = _suite_and_acceptance_lists(monkeypatch)
-    factors = [mat for lhs, rhs in lists for mat in (*lhs, *rhs)]
+    built, placed_on = set(), {}
+    for module in (relations, rkmat):
+        for name in ("cross_r", "yang_r"):
+
+            def build(*args, _real=getattr(module, name)):
+                result = _real(*args)
+                built.add(id(result))
+                return result
+
+            monkeypatch.setattr(module, name, build)
+
+    def place(mat, positions, slot_labels):
+        result = embed_on_slots(mat, positions, slot_labels)
+        placed_on[id(result)] = tuple(positions)
+        return result
+
+    monkeypatch.setattr(relations, "embed_on_slots", place)
+    runs = [lambda ll=l: run_suite("all", l=ll) for l in (2, 3, 4)]
+    runs += [lambda it=it: run_suite_item(dict(it)) for it in ACCEPTANCE_LIST_ITEMS]
+    factors = [mat for run in runs for lhs, rhs in _factor_lists(monkeypatch, run) for mat in (*lhs, *rhs)]
     assert all(mat.operator is None or mat.operator.operator is None for mat in factors)
-    # the flipped R of the reflections is among them
-    assert sum(mat.operator is not None and mat.offsets.positions == (1, 0) for mat in factors) > 10
+    # the flipped R of the reflections, exchanges and derivations is among
+    # them: cross_r or yang_r placed on the two auxiliary slots as (1, 0)
+    flips = {id(m) for m in factors if id(m.operator) in built and placed_on.get(id(m)) == (1, 0)}
+    assert len(flips) >= 10
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "multipoint"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_reflection_proof_clears_one_operator_for_c_and_c21(kind, mode, monkeypatch):
     # C21 and Y21 are C and Y placed on the auxiliary slots in the other
-    # order, so the proof clears C, Y and the two boundary matrices once each
+    # order, and C and Y on both slots in order are C and Y themselves, so
+    # the proof clears C, Y and the two boundary matrices once each
     _clear_builders()
     cleared = []
     real = matrix._clear
@@ -1666,9 +1679,9 @@ def test_a_reflection_proof_clears_one_operator_for_c_and_c21(kind, mode, monkey
     assert check_reflection(kind, 2, mode=mode)["holds"]
     k2, c21, k1, y = lhs
     y21, _, c, _ = rhs
-    assert c21.operator is c.operator is cross_r(kind, 2, U1 + U2)
-    assert y21.operator is y.operator is yang_r(2, U1 - U2)
-    assert [id(m) for m in cleared] == list(dict.fromkeys(id(f.operator) for f in lhs))
+    assert c21.operator is c is cross_r(kind, 2, U1 + U2)
+    assert y21.operator is y is yang_r(2, U1 - U2)
+    assert [id(m) for m in cleared] == list(dict.fromkeys(id(matrix._operator(f)) for f in lhs))
     # soInstanton and flagPlus have one constant K for K1 and K2
     assert len(cleared) == (3 if kind in ("soInstanton", "flagPlus") else 4)
 

@@ -37,7 +37,6 @@ from refleq.rkmat import (
     s_matrix_via_transfer,
     sigma_matrix,
     sigma_sigma_r,
-    sigma_sigma_r_flipped,
     site_labels,
     twisted_monodromy,
     yang_r,
@@ -149,13 +148,16 @@ def test_cross_r_wiring():
 
 
 def test_flipped_sigma_sigma_r_is_one_matrix_for_every_kind():
+    # Y21 is sigma_sigma_r on the two slots in the other order, and
+    # sigma_sigma_r is one operator, yang_r, for every kind
     p = swap_matrix(site_labels(3), site_labels(3))
-    flipped = sigma_sigma_r_flipped("flagPlus", 3, U1 - U2)
-    assert flipped == p * yang_r(3, U1 - U2) * p
+    r = yang_r(3, U1 - U2)
     for kind in KINDS:
-        assert sigma_sigma_r_flipped(kind, 3, U1 - U2) is flipped
+        assert sigma_sigma_r(kind, 3, U1 - U2) is r
+        flipped = embed_on_slots(sigma_sigma_r(kind, 3, U1 - U2), (1, 0), [site_labels(3)] * 2)
+        assert flipped.operator is r and flipped == p * r * p
     with pytest.raises(ValueError, match="unknown kind"):
-        sigma_sigma_r_flipped("bogus", 3, U1 - U2)
+        sigma_sigma_r("bogus", 3, U1 - U2)
 
 
 def test_bullet_opposite_block():
@@ -181,13 +183,15 @@ def test_cross_r_flipped_is_p_conjugate():
 @pytest.mark.parametrize("l", [2, 3, 4])
 @pytest.mark.parametrize("kind", KINDS)
 def test_each_flipped_builder_is_p_r_p(kind, l):
-    # P from the flip oracle; each flipped builder places its unflipped
-    # operator on the two slots in the other order
+    # P from the flip oracle; cross_r_flipped and the flip of sigma_sigma_r
+    # place the unflipped operator on the two slots in the other order
     p = swap_matrix(site_labels(l), site_labels(l))
     w = U1 + U2
-    for flipped, plain in ((cross_r_flipped, cross_r), (sigma_sigma_r_flipped, sigma_sigma_r)):
-        r = plain(kind, l, w)
-        f = flipped(kind, l, w)
+    flips = (
+        (cross_r_flipped(kind, l, w), cross_r(kind, l, w)),
+        (embed_on_slots(sigma_sigma_r(kind, l, w), (1, 0), [site_labels(l)] * 2), sigma_sigma_r(kind, l, w)),
+    )
+    for f, r in flips:
         assert f == p * r * p
         assert f.operator is r
 
@@ -308,11 +312,11 @@ def test_s_matrix_routes_agree(kind, l, n):
 @pytest.mark.parametrize("kind", KINDS)
 def test_s_matrix_two_sites_factor_order(kind):
     # C21(u+u1) C21(u+u2) K(u) Y(u-u2) Y(u-u1) on slots (aux, site 1, site 2),
-    # multiplied from the left
+    # multiplied from the left, each C21 the cross R on (site, aux)
     slots = [site_labels(2)] * 3
     factors = [
-        embed_on_slots(cross_r_flipped(kind, 2, U + U1), (0, 1), slots),
-        embed_on_slots(cross_r_flipped(kind, 2, U + U2), (0, 2), slots),
+        embed_on_slots(cross_r(kind, 2, U + U1), (1, 0), slots),
+        embed_on_slots(cross_r(kind, 2, U + U2), (2, 0), slots),
         embed_on_slots(k_matrix(kind, 2, U), (0,), slots),
         embed_on_slots(yang_r(2, U - U2), (0, 2), slots),
         embed_on_slots(yang_r(2, U - U1), (0, 1), slots),
@@ -389,6 +393,9 @@ def test_shared_results_stay_equal_to_fresh_builds(monkeypatch):
     for kind in KINDS:
         assert check_boundary_factorization(kind, 2, n=2)["holds"]
         assert check_chain_reflection(kind, 2, n=2)["holds"]
+        # no check calls cross_r_flipped, which the benchmark tracer calls
+        # by name
+        rkmat.cross_r_flipped(kind, 2, U1 + U2)
     monkeypatch.undo()
 
     # the value builders are reached only through the matrix builders
