@@ -20,7 +20,6 @@ other field is an option, echoed in the report as the command's params.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -92,7 +91,10 @@ def betti(args):
     try:
         if args.emit == "csv":
             # one row per size 2..l and w1 0..w1; an l below 2 is handed to
-            # betti_rows as it is, which rejects it as the JSON report does
+            # betti_rows as it is, which rejects it as the JSON report does.
+            # csv is imported here, so no other command loads it
+            import csv
+
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(["l", "w1", "dim", "poincare"])

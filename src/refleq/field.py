@@ -39,7 +39,7 @@ recursion over a subresultant PRS.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from heapq import heapify, heappop, heappush
 from functools import reduce
 from math import gcd as int_gcd
@@ -683,9 +683,12 @@ class RatFunc:
                 if not den.is_const():
                     f, r = _split(den)
             num, f, r = _cancel(num, f, r)
-            # the two contents fold into the one rational k / s
-            k = Fraction(k, s)
-            num, c = num.scale(k.numerator), k.denominator
+            # the two contents fold into the one rational k / s, in lowest
+            # terms with a positive denominator
+            g = int_gcd(k, s)
+            if s < 0:
+                g = -g
+            num, c = num.scale(k // g), s // g
         self.num, self._c, self._f, self._r = num, c, f, r
 
     def __getattr__(self, name):
@@ -710,10 +713,9 @@ class RatFunc:
     @staticmethod
     def const(c):
         # an int or a Fraction only, as in _coerce: Fraction(0.1) is exact but
-        # is not one tenth
-        if not isinstance(c, (int, Fraction)):
+        # is not one tenth; both hold their lowest terms
+        if not _is_rational(c):
             raise TypeError(f"a RatFunc constant is an int or a Fraction, not {type(c).__name__}")
-        c = Fraction(c)
         return _make(Poly.const(c.numerator), c.denominator, _NO_FORMS, None)
 
     @staticmethod
@@ -739,10 +741,10 @@ class RatFunc:
         return not self.num.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
+            if not _is_rational(other):
+                return NotImplemented
+            other = RatFunc.const(other)
         if self.num != other.num or self._c != other._c:
             return False
         if self._r is None and other._r is None:
@@ -767,12 +769,12 @@ class RatFunc:
         return _make(-self.num, self._c, self._f, self._r)
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(other)
-        if isinstance(other, Poly):
-            return RatFunc(other)
         if isinstance(other, RatFunc):
             return other
+        if isinstance(other, Poly):
+            return RatFunc(other)
+        if _is_rational(other):
+            return RatFunc.const(other)
         return None
 
     def _add_signed(self, o, sign):
@@ -860,6 +862,8 @@ class RatFunc:
     def eval(self, assignment):
         """Evaluate at {var: int or Fraction} -> Fraction; raises on a pole of
         the REDUCED form."""
+        from fractions import Fraction
+
         d = self.den.subs(assignment)
         if d == 0:
             raise ZeroDivisionError(
@@ -875,6 +879,16 @@ class RatFunc:
 
 
 _NO_FORMS = {}
+
+
+def _is_rational(x):
+    """Whether x is an int or a Fraction.  A Fraction exists only once the
+    fractions module is loaded, so its class is looked up there and nothing
+    is imported: a process that never makes a Fraction never loads it."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
 
 
 def _make(num, c, f, r):

@@ -28,15 +28,16 @@ denominators once (_clearing), each side is scaled by the other side's
 denominators less the part the two share (_scales), and one loop
 (_differing_row) takes one row per orbit of the factors' common label
 symmetry (_orbit_representatives) in increasing order, carries it once
-through each side's factors (_carry), read off each placement's operator
-(_Rows), and stops at the first row whose two scaled sides differ.  The
-symbolic prover (_symbolic_proof) carries the cleared entries as packed
-polynomials, so it never runs Henrici's sum or the trial-division screen,
-and reduces only the entry that a failing verdict prints.  The multipoint
-prover (_multipoint_proof) never forms a product of polynomials: it bounds
-the scaled difference's degrees and coefficients and carries the entries'
-values at one integer point where agreement is a proof.  A verdict is a
-dict so callers can log what was checked; a failing one carries a
+through each side's factors by its prover's row product, read off each
+placement's operator (_Rows), and stops at the first row whose two scaled
+sides differ.  The symbolic prover (_symbolic_proof) carries the cleared
+entries as packed polynomials (_carry), so it never runs Henrici's sum or
+the trial-division screen, and reduces only the entry that a failing
+verdict prints.  The multipoint prover (_multipoint_proof) never forms a
+product of polynomials: it bounds the scaled difference's degrees and
+coefficients and carries the entries' values at one integer point where
+agreement is a proof, as plain ints (_carry_values).  A verdict is a dict
+so callers can log what was checked; a failing one carries a
 "counterexample" at the first mismatching entry in sorted order, the least
 differing column of that row, with the canonical form of both values or a
 monomial and its two coefficients.
@@ -362,8 +363,8 @@ def _kept(mat, slot, make):
 # its operator's (_Rows), and each operator is cleared once per process
 # (_clearing), its entries formed as packed monomials and read as stored.
 # The multipoint prover reads the same clearing, scales and representatives
-# (verify_identity) and runs the same loop on the entries' values at one
-# point (_multipoint_proof).
+# (verify_identity) and runs the same loop on the entries' int values at one
+# point, with its own row product (_carry_values, _multipoint_proof).
 #
 # A packed monomial is one int, each exponent in a field of _BITS bits, in
 # VARS order from the lowest, and the total degree above them, so int order
@@ -481,9 +482,15 @@ def _scales(lhs, rhs):
     scale (lc // g) prod(lden - G), each expanded as one Poly, which both
     provers pack (_fit).  Returns the two (content, map) pairs and the two
     scales."""
-    (lc, lden), (rc, rden) = maps = [
-        (math.prod(x.c for x in side), sum((x.den for x in side), collections.Counter())) for side in (lhs, rhs)
-    ]
+    maps = []
+    for side in (lhs, rhs):
+        # one Counter per side, summed in place: sum() would build one per
+        # factor
+        den = collections.Counter()
+        for x in side:
+            den.update(x.den)
+        maps.append((math.prod(x.c for x in side), den))
+    (lc, lden), (rc, rden) = maps
     g, shared = math.gcd(lc, rc), lden & rden
     scales = _expand(rc // g, rden - shared), _expand(lc // g, lden - shared)
     _fit(max(s.degree() for s in scales), "a scale")
@@ -491,35 +498,41 @@ def _scales(lhs, rhs):
 
 
 class _Rows(dict):
-    """A factor's rows of the terms a prover carries, {row: [(col, terms)]},
+    """A factor's rows of the entries a prover carries, {row: [(col, x)]},
     read off the clearing's rows (_Cleared.rows) of the matrix itself or of
-    the operator it places, at that operator's size, with each stored entry
-    x read as terms[id(x)]: in the symbolic prover x itself, the packed v *
-    D of a cleared entry, and in the multipoint prover its value at the
-    point, one term.  Each prover makes one view per distinct factor of a
-    proof and carries every row through it (_carry).  A row is made on its
-    first read, so a proof builds only the rows that its carried rows
-    reach, and no placement at full size: a placement's row r has operator
-    part rows[i] and shift o = r - rows[i] (LabeledMatrix offsets), and it
-    holds (cols[j] + o, terms[id(x)]) for each (j, x) of the operator's row
-    i.  A row with no entry reads as []."""
+    the operator it places, at that operator's size.  With values None, as
+    in the symbolic prover, each stored entry is read as stored, the packed
+    v * D of a cleared entry; otherwise, as in the multipoint prover, a
+    stored entry t is read as values[id(t)], its int value at the point.
+    Each prover makes one view per distinct factor of a proof and carries
+    every row through it (_carry, _carry_values).  A row is made on its
+    first read, so a proof builds only the rows that its carried rows reach,
+    and no placement at full size: a placement's row r has operator part
+    rows[i] and shift o = r - rows[i] (LabeledMatrix offsets), and it holds
+    (cols[j] + o, x) for each (j, x) of the operator's row i; a matrix that
+    is no placement reads its own row r, with cols[j] = j and o = 0.  A row
+    with no entry reads as []."""
 
-    __slots__ = ("rows", "terms", "row_of", "cols", "digits")
+    __slots__ = ("rows", "values", "row_of", "cols", "digits")
 
-    def __init__(self, mat, terms):
-        self.rows, self.terms, self.digits = _clearing(mat).rows, terms, None
-        if mat.offsets is not None:
+    def __init__(self, mat, values=None):
+        self.rows, self.values, self.digits = _clearing(mat).rows, values, None
+        if mat.offsets is None:
+            self.cols = range(len(mat.col_labels))
+        else:
             offsets, self.cols, self.digits = mat.offsets
             self.row_of = {x: i for i, x in enumerate(offsets)}
 
     def __missing__(self, r):
-        terms = self.terms
-        if self.digits is None:
-            row = self[r] = [(j, terms[id(x)]) for j, x in self.rows.get(r, ())]
-            return row
-        base = sum(r // stride % size * stride for stride, size in self.digits)
-        o = r - base
-        row = self[r] = [(self.cols[j] + o, terms[id(x)]) for j, x in self.rows.get(self.row_of.get(base), ())]
+        values, cols, i, o = self.values, self.cols, r, 0
+        if self.digits is not None:
+            i = sum([r // stride % size * stride for stride, size in self.digits])
+            i, o = self.row_of.get(i), r - i
+        entries = self.rows.get(i, ())
+        if values is None:
+            row = self[r] = [(cols[j] + o, x) for j, x in entries]
+        else:
+            row = self[r] = [(cols[j] + o, values[id(x)]) for j, x in entries]
         return row
 
 
@@ -529,7 +542,7 @@ def _carry(side, views, i):
     carried left to right through the others, reading only the factor rows
     it reaches, with the zero terms dropped after each factor; views maps
     the id of each factor to its _Rows.  Each sum accumulates in a plain
-    dict and is not normalized."""
+    dict and is not normalized.  The symbolic prover's row product."""
     row = {j: x for j, x in views[id(side[0])][i] if x}
     for mat in side[1:]:
         rows, acc = views[id(mat)], {}
@@ -551,17 +564,35 @@ def _carry(side, views, i):
     return row
 
 
-def _differing_row(sides, views, reps, scales):
+def _carry_values(side, views, i):
+    """Row i of the product of the factors side at the multipoint prover's
+    point, {col: int} with no zero: row i of the first factor's values
+    carried left to right through the others' (_Rows), reading only the
+    factor rows it reaches, with the zeros dropped after each factor.  The
+    multipoint prover's row product."""
+    row = {j: x for j, x in views[id(side[0])][i] if x}
+    for mat in side[1:]:
+        rows, acc = views[id(mat)], {}
+        for k, x in row.items():
+            for j, y in rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        row = {j: x for j, x in acc.items() if x}
+    return row
+
+
+def _differing_row(sides, views, reps, scales, carry, mul):
     """The first representative row i (reps, in increasing order) at which
     the two sides' scaled products differ, as (i, j, the two sides' rows i,
     those rows scaled) with j the row's least differing column, or None
     when every one agrees, which proves the identity
-    (_orbit_representatives).  Each row is carried once per side (_carry),
-    and no row after the first differing one is carried; scales holds each
-    side's packed scale, or None for a scale of 1."""
+    (_orbit_representatives).  Each row is carried once per side by the
+    prover's row product carry (_carry or _carry_values), and no row after
+    the first differing one is carried; scales holds each side's scale in
+    the prover's arithmetic, or None for a scale of 1, and mul(x, s) is an
+    entry x times the scale s (_mul or operator.mul)."""
     for i in reps:
-        rows = [_carry(side, views, i) for side in sides]
-        scaled = [row if s is None else {j: _mul(x, s) for j, x in row.items()} for row, s in zip(rows, scales)]
+        rows = [carry(side, views, i) for side in sides]
+        scaled = [row if s is None else {j: mul(x, s) for j, x in row.items()} for row, s in zip(rows, scales)]
         if scaled[0] != scaled[1]:
             return i, first_difference(*scaled), rows, scaled
     return None
@@ -798,9 +829,10 @@ def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
     clearing, the two sides' scales (_scales) and the orbit
     representatives) and one row loop (_differing_row): it carries each
     representative row once per side, in increasing order, and stops at the
-    first that differs.  Each mode keeps only its arithmetic: the symbolic
-    prover carries packed polynomials, and the multipoint prover the values
-    of the same entries at one integer point."""
+    first that differs.  Each mode keeps only its arithmetic, its row
+    product and its scaling: the symbolic prover carries packed polynomials
+    (_carry), and the multipoint prover the int values of the same entries
+    at one integer point (_carry_values)."""
     if mode not in ("symbolic", "multipoint"):
         raise ValueError(f"unknown mode {mode!r}")
     if not lhs_factors or not rhs_factors:
@@ -830,10 +862,9 @@ def _symbolic_proof(lhs_factors, rhs_factors, shared):
         max(sum(shared.cleared[id(mat)].degree for mat in side) + s.degree() for side, s in zip(sides, shared.scales)),
         "a scaled product",
     )
-    stored = {id(t): t for x in shared.cleared.values() for t, _, _, _ in x.entries}
-    views = {key: _Rows(mat, stored) for key, mat in shared.factors.items()}
+    views = {key: _Rows(mat) for key, mat in shared.factors.items()}
     scales = [None if s == Poly.const(1) else _pack(s) for s in shared.scales]
-    found = _differing_row(sides, views, shared.reps, scales)
+    found = _differing_row(sides, views, shared.reps, scales, _carry, _mul)
     if found is None:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
     i, j, rows, _ = found
@@ -872,9 +903,12 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     (d_w + 1) over the variables w before v, holds its coefficients as
     balanced base-2^K digits, one per monomial (von zur Gathen and Gerhard,
     Modern Computer Algebra, 3rd ed., 8.4): the difference vanishes exactly
-    when its value there does.  Both terms are evaluated there in integers:
-    each cleared entry and scale is evaluated once (_kronecker_value), and
-    the row loop (_differing_row) carries those values, so a factor's pole
+    when its value there does.  Both terms are evaluated there in plain
+    ints: each cleared entry and scale is evaluated once (_kronecker_value),
+    each distinct monomial's exponent at the point summed once over the
+    bounded variables' packed fields, and the row loop (_differing_row)
+    carries those values with the int row product (_carry_values) and
+    multiplies a row by a scale other than 1 as an int, so a factor's pole
     is no concern.  When every factor entry is homogeneous of degree zero,
     the difference is homogeneous, so h = 1 is a faithful slice and h
     leaves the point.
@@ -883,7 +917,7 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     differing representative row (_orbit_representatives), where the loop
     stops.  It is the counterexample, with the least monomial (later
     variables dominating, as in the point) whose two coefficients differ,
-    and those coefficients, read off the digits.
+    and those coefficients, read off the digits of the two scaled ints.
     """
     factors, cleared, _, scales, reps = shared
     read = {key: _kept(_operator(mat), "_bounds", _bounds) for key, mat in factors.items()}
@@ -904,29 +938,30 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
         for side, scale in zip(sides, scales)
     )
     width = height.bit_length() + 2
-    shifts, size = [0] * NVARS, 1
+    # per bounded variable, its packed field and its exponent's shift at
+    # the point; a variable with no bound is 0 in every entry, or h on its
+    # slice, and leaves the point
+    fields, size = [], 1
     for v, d in bounds.items():
-        shifts[VAR_INDEX[v]] = width * size
+        fields.append((_FIELDS[VAR_INDEX[v]], width * size))
         size *= d + 1
     # placements of one operator share its clearing, whose entries are
-    # each evaluated once, and each distinct monomial is unpacked once
+    # each evaluated once, and each distinct monomial's exponent at the
+    # point is summed once, over the bounded variables' fields only
     distinct = {id(x): x for x in cleared.values()}.values()
     packed = [t for x in distinct for t, _, _, _ in x.entries] + [_pack(scale) for scale in scales]
-    at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in set().union(*packed)}
+    at = {m: sum([(m >> f & _MASK) * k for f, k in fields]) for m in set().union(*packed)}
     values = {id(t): _kronecker_value(t, at) for t in packed}
-    # the carry reads each cleared entry as its value there, one term on
-    # the packed monomial 1
-    point = {key: {0: v} if v else {} for key, v in values.items()}
-    views = {key: _Rows(mat, point) for key, mat in factors.items()}
-    scaled_by = [None if values[id(t)] == 1 else point[id(t)] for t in packed[-2:]]
-    found = _differing_row(sides, views, reps, scaled_by)
+    views = {key: _Rows(mat, values) for key, mat in factors.items()}
+    scaled_by = [None if values[id(t)] == 1 else values[id(t)] for t in packed[-2:]]
+    found = _differing_row(sides, views, reps, scaled_by, _carry_values, operator.mul)
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"
     if found is None:
         return {"holds": True, "mode": "multipoint", "detail": f"cleared sides agree at {where}", "gridSize": 1,
                 "degreeBounds": bounds}
     i, j, _, scaled = found
-    x, y = (row.get(j, {}).get(0, 0) for row in scaled)
+    x, y = (row.get(j, 0) for row in scaled)
     # the lowest digit of x - y is the first in which x and y differ
     shift = ((x - y) & (y - x)).bit_length() - 1
     shift -= shift % width

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from .field import H, RatFunc
 from .matrix import LabeledMatrix, embed_on_slots
@@ -94,8 +93,8 @@ def _block(labels, block, diag, off):
 @functools.cache
 def _bullet_values(l, u):
     """1 - c and c for c = h/(u + l*h/2), the block entries of r_bullet_sigma
-    and r_bullet_sigma_opposite."""
-    c = H / (u + H * RatFunc.const(Fraction(l, 2)))
+    and r_bullet_sigma_opposite; c is written 2h/(2u + l*h), in ints."""
+    c = H * 2 / (u * 2 + H * l)
     return RatFunc.one() - c, c
 
 

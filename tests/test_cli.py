@@ -507,12 +507,19 @@ class TestUsage:
 
 
 def test_import_loads_the_library_and_no_heavy_stdlib():
-    # a fresh interpreter, so nothing the test session imported counts
+    # a fresh interpreter, so nothing the test session imported counts; it
+    # also runs the default suite, whose proofs and constants are ints
+    # throughout: Fraction enters only with a caller's Fraction or
+    # RatFunc.eval, and csv only with --emit csv
     src = Path(cli_module.__file__).parent
-    code = "import json, sys, refleq.cli; print(json.dumps(sorted(sys.modules)))"
+    code = (
+        "import json, sys, refleq.cli; from refleq.relations import run_suite; "
+        "assert run_suite('all')['ok']; print(json.dumps(sorted(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": str(src.parent)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"click", "dataclasses", "inspect"}
+    assert not loaded & {"click", "dataclasses", "inspect", "fractions", "decimal", "numbers", "csv"}
     library = {"refleq", *(f"refleq.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__")}
     assert library <= loaded, library - loaded
+

@@ -298,6 +298,12 @@ def test_const_value_is_an_exact_fraction():
     for c in (Fraction(3, 2), 3, Fraction(-4, 2), 0):
         assert RatFunc.const(c) == c
     assert RatFunc.const(3) / RatFunc.const(2) == Fraction(3, 2)
+    # in lowest terms, the sign in the numerator
+    half, three = RatFunc.const(Fraction(1, 2)), RatFunc.const(3)
+    assert (half.num, half.den) == (Poly.const(1), Poly.const(2))
+    assert (three.num, three.den) == (Poly.const(3), Poly.const(1))
+    assert half == Fraction(1, 2) and half != Fraction(1, 3) and three == 3
+    assert RatFunc.one() == Fraction(1) and RatFunc.const(Fraction(-4, 6)) == Fraction(-2, 3)
 
 
 def test_const_takes_ints_and_fractions_only():
@@ -307,6 +313,9 @@ def test_const_takes_ints_and_fractions_only():
             RatFunc.const(c)
         with pytest.raises(TypeError):
             U + c
+    with pytest.raises(TypeError, match="an int or a Fraction, not float"):
+        RatFunc.const(0.5)
+    assert RatFunc.one().__eq__(0.5) is NotImplemented
     assert RatFunc.const(True) == RatFunc.one()
 
 

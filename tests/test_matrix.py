@@ -489,20 +489,22 @@ def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message
     ops = [yang_r.__wrapped__(2, w1 - w2), yang_r.__wrapped__(2, w1 - w3), yang_r.__wrapped__(2, w2 - w3)]
     factors = [embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2)))]
     monkeypatch.setattr(matrix_module, "_BITS", bits)
-    carry = matrix_module._carry
+    carry_values = matrix_module._carry_values
 
     def no_product(*args):
         raise AssertionError("a product ran before the guard")
 
-    # no row is carried before the guard (matrix._carry)
+    # no row is carried before the guard, by either prover's row product
+    # (matrix._carry, matrix._carry_values)
     monkeypatch.setattr(matrix_module, "_carry", no_product)
+    monkeypatch.setattr(matrix_module, "_carry_values", no_product)
     if bits == 1:
         monkeypatch.setattr(matrix_module, "_mul", no_product)
     for mode in ("symbolic", "multipoint") if bits == 1 else ("symbolic",):
         with pytest.raises(ValueError, match=message):
             verify_identity(factors, factors[::-1], mode)
     if bits == 2:
-        monkeypatch.setattr(matrix_module, "_carry", carry)
+        monkeypatch.setattr(matrix_module, "_carry_values", carry_values)
         assert verify_identity(factors, factors[::-1], "multipoint")["holds"]
 
 

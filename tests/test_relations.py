@@ -35,7 +35,7 @@ from refleq import acceptance, field, matrix, relations, rkmat
 from refleq.field import H, U, U1, U2, VARS, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
 from refleq.matrix import (
     LabeledMatrix,
-    _carry,
+    _carry_values,
     _clear,
     _clearing,
     _exponents,
@@ -152,27 +152,38 @@ def _unheld(monkeypatch):
 def _carried_at(factors, rows, values):
     """The given rows of the product of the cleared factors at a point,
     {row: {col: int}} with no zero entry and no empty row: each row carried
-    by matrix._carry on the values there of the entries of each factor's
-    clearing (matrix._clearing), as the multipoint prover hands them, one
-    term on the packed monomial 1.  values maps the id of each cleared
-    entry's packed terms to its value."""
-    one_term = {key: {0: v} if v else {} for key, v in values.items()}
-    views = {id(m): _Rows(m, one_term) for m in factors}
-    carried = {i: _carry(factors, views, i) for i in rows}
-    return {i: {j: t[0] for j, t in row.items()} for i, row in carried.items() if row}
+    by matrix._carry_values on the int values there of the entries of each
+    factor's clearing (matrix._clearing), as the multipoint prover hands
+    them.  values maps the id of each cleared entry's packed terms to its
+    value."""
+    views = {id(m): _Rows(m, values) for m in factors}
+    carried = {i: _carry_values(factors, views, i) for i in rows}
+    return {i: row for i, row in carried.items() if row}
 
 
-def _recording_carry(monkeypatch):
-    """Record every row that matrix._carry carries, as (side, row) with
-    side the tuple of the factors' ids, in call order."""
+# each prover's row product (matrix._differing_row is handed it)
+_ROW_PRODUCTS = {"symbolic": "_carry", "multipoint": "_carry_values"}
+
+
+def _recording_carry(monkeypatch, mode="symbolic"):
+    """Record every row that the row product of the prover of mode carries
+    (matrix._carry or matrix._carry_values), as (side, row) with side the
+    tuple of the factors' ids, in call order; the other prover's row
+    product fails when called."""
     calls = []
-    real = matrix._carry
+    name = _ROW_PRODUCTS[mode]
+    real = getattr(matrix, name)
 
     def recording(side, views, i):
         calls.append((tuple(map(id, side)), i))
         return real(side, views, i)
 
-    monkeypatch.setattr(matrix, "_carry", recording)
+    def other(*args):
+        raise AssertionError(f"the {mode} prover ran the other prover's row product")
+
+    (other_name,) = set(_ROW_PRODUCTS.values()) - {name}
+    monkeypatch.setattr(matrix, name, recording)
+    monkeypatch.setattr(matrix, other_name, other)
     return calls
 
 
@@ -413,8 +424,9 @@ class TestGridEngine:
         # embed_on_slots shares one RatFunc among many entries and factors,
         # and the engine evaluates each distinct cleared entry of each
         # distinct operator once at the Kronecker point, and each side's
-        # scale once, and unpacks each distinct monomial of those once; the
-        # rhs places R12's operator a second time
+        # scale once, and reads each distinct monomial of those once, into
+        # one map of exponents at the point that every evaluation shares;
+        # the rhs places R12's operator a second time
         labels = site_labels(2)
         slots = [labels] * 3
         u1, u2 = RatFunc.var("u1"), RatFunc.var("u2")
@@ -428,27 +440,36 @@ class TestGridEngine:
         stored = sum(len(m.entries) for m in factors)
         assert len(distinct) < stored
         cleared = {id(t) for m in factors for t, _, _, _ in _clearing(m).entries}
-        calls, unpacked = [], []
-        real, real_exponents = matrix._kronecker_value, matrix._exponents
+        calls, points = [], []
+        real = matrix._kronecker_value
 
         def counting(terms, at):
             calls.append(terms)
+            points.append(at)
             return real(terms, at)
 
-        def counting_exponents(m):
-            unpacked.append(m)
-            return real_exponents(m)
+        def no_tuple(m):
+            raise AssertionError("the multipoint prover unpacked an exponent tuple")
 
         _unheld(monkeypatch)
         monkeypatch.setattr(matrix, "_kronecker_value", counting)
-        monkeypatch.setattr(matrix, "_exponents", counting_exponents)
+        monkeypatch.setattr(matrix, "_exponents", no_tuple)
         v = verify_identity(factors, [r23, r13, again], "multipoint")
         assert v["holds"] and v["gridSize"] == 1
         entry_calls = [id(t) for t in calls if id(t) in cleared]
         assert sorted(entry_calls) == sorted(cleared)
         assert len(calls) - len(entry_calls) == 2
         assert len(cleared) <= len(distinct)
-        assert sorted(unpacked) == sorted(set().union(*calls))
+        # one exponent per distinct monomial: its exponents times the shifts
+        # of the bounded variables, u1 at K and u2 at K (d_u1 + 1), with h
+        # off the point on its slice
+        assert {id(at) for at in points} == {id(points[0])}
+        at = points[0]
+        assert sorted(at) == sorted(set().union(*calls))
+        width = int(v["detail"].split("K = ")[1].split(",")[0])
+        shifts = {"u1": width, "u2": width * (v["degreeBounds"]["u1"] + 1)}
+        assert set(v["degreeBounds"]) == set(shifts)
+        assert at == {m: sum(e * shifts.get(x, 0) for x, e in zip(VARS, _exponents(m))) for m in at}
 
     def test_kronecker_value_is_the_value_at_powers_of_two(self):
         p = parse_poly("3*u1^2*u2 - 5*h*u1 + 7*u2^3 - 1")
@@ -1386,7 +1407,7 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("l", [5, 6])
     def test_ybe_multiplies_five_rows_per_side_per_point(self, l, monkeypatch):
-        calls = _recording_carry(monkeypatch)
+        calls = _recording_carry(monkeypatch, "multipoint")
         v = check_ybe(l, mode="multipoint")
         assert v["holds"] and v["gridSize"] == 1
         counts = collections.Counter(side for side, _ in calls)
@@ -1405,7 +1426,7 @@ class TestOrbitReduction:
         ((lhs, rhs),) = _factor_lists(monkeypatch, run)
         reps = _orbit_representatives([*lhs, *rhs])
         _unheld(monkeypatch)
-        calls = _recording_carry(monkeypatch)
+        calls = _recording_carry(monkeypatch, "multipoint")
         v = verify_identity(lhs, rhs, "multipoint")
         assert not v["holds"] and "counterexample" in v
         assert len(reps) < len(lhs[0].row_labels)
@@ -1435,7 +1456,7 @@ class TestOrbitReduction:
         ((lhs, rhs),) = _factor_lists(monkeypatch, self.EARLY_STOPS[name])
         reps = _orbit_representatives([*lhs, *rhs])
         _unheld(monkeypatch)
-        calls = _recording_carry(monkeypatch)
+        calls = _recording_carry(monkeypatch, mode)
         v = verify_identity(lhs, rhs, mode)
         assert not v["holds"]
         row = [_label_to_json(lab) for lab in lhs[0].row_labels].index(v["counterexample"]["row"])
@@ -1449,7 +1470,7 @@ class TestOrbitReduction:
         ((lhs, rhs),) = _factor_lists(monkeypatch, self.HOLDING_PROOFS[name])
         reps = _orbit_representatives([*lhs, *rhs])
         _unheld(monkeypatch)
-        calls = _recording_carry(monkeypatch)
+        calls = _recording_carry(monkeypatch, mode)
         assert verify_identity(lhs, rhs, mode)["holds"]
         sides = tuple(map(id, lhs)), tuple(map(id, rhs))
         assert calls == [(side, i) for i in reps for side in sides]
