@@ -17,20 +17,20 @@ that operator instead of the placement, and keeps what it read on the
 operator (_kept): the symmetry verdicts of the search below, the clearing
 that both provers read every factor through (_clearing), each distinct
 entry cleared once into packed monomials, and the multipoint prover's
-bounds of it (_bounds).  Both provers read a placement's rows through one
-operator-size view (_Rows).
+bounds, read off those monomials (_bounds).  Both provers read a
+placement's rows through one operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  The provers do not.  verify_identity(lhs, rhs,
 mode) proves that two ordered factor lists have equal products by one of
 two routes with one setup: each distinct factor is cleared of its
 denominators once (_clearing), each side is scaled by the other side's
-denominators less the part the two share (_scales), and one loop
-(_differing_row) takes one row per orbit of the factors' common label
-symmetry (_orbit_representatives) in increasing order, carries it once
-through each side's factors by its prover's row product, read off each
-placement's operator (_Rows), and stops at the first row whose two scaled
-sides differ.  The symbolic prover (_symbolic_proof) carries the cleared
+denominators less the part the two share, packed as the clearing is
+(_scales), and one loop (_differing_row) takes one row per orbit of the
+factors' common label symmetry (_orbit_representatives) in increasing
+order, carries it once through each side's factors by its prover's row
+product, read off each placement's operator (_Rows), and stops at the first
+row whose two scaled sides differ.  The symbolic prover (_symbolic_proof) carries the cleared
 entries as packed polynomials (_carry), so it never runs Henrici's sum or
 the trial-division screen, and reduces only the entry that a failing
 verdict prints.  The multipoint prover (_multipoint_proof) never forms a
@@ -52,7 +52,7 @@ import math
 import operator
 import types
 
-from .field import NVARS, VAR_INDEX, VARS, ZERO_EXP, Poly, RatFunc, format_poly, format_ratfunc
+from .field import NVARS, VAR_INDEX, VARS, Poly, RatFunc, format_poly, format_ratfunc
 
 
 def _require_chain(a, b):
@@ -98,8 +98,9 @@ class LabeledMatrix:
     first use by _kept and kept for the life of the matrix: _cleared, the
     clearing both provers read it through, its rows of packed terms
     (_clear); _bounds, the multipoint prover's degrees and height of that
-    clearing (_bounds); and _symmetry, its verdict per site transposition
-    (_commutes_with).  verify_identity reads all three.
+    clearing, read off its packed terms (_bounds); and _symmetry, its
+    verdict per site transposition (_commutes_with).  verify_identity reads
+    all three.
     """
 
     __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_bounds", "_symmetry")
@@ -362,9 +363,11 @@ def _kept(mat, slot, make):
 # differing column is the counterexample.  A placement's rows are read off
 # its operator's (_Rows), and each operator is cleared once per process
 # (_clearing), its entries formed as packed monomials and read as stored.
-# The multipoint prover reads the same clearing, scales and representatives
-# (verify_identity) and runs the same loop on the entries' int values at one
-# point, with its own row product (_carry_values, _multipoint_proof).
+# The scales are packed the same way (_power), and the degree bounds read
+# off the packed monomials (_bounds).  The multipoint prover reads the same
+# clearing, scales and representatives (verify_identity) and runs the same
+# loop on the entries' int values at one point, with its own row product
+# (_carry_values, _multipoint_proof).
 #
 # A packed monomial is one int, each exponent in a field of _BITS bits, in
 # VARS order from the lowest, and the total degree above them, so int order
@@ -378,11 +381,6 @@ def first_difference(lhs, rhs):
     """The least key at which two entry dicts differ, or None if they agree.
     Neither dict holds a zero, so a key on one side only is a difference."""
     return min((k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)), default=None)
-
-
-def _expand(c, den):
-    """c * prod p^e over den {Poly: e}, as one Poly."""
-    return functools.reduce(operator.mul, [q for q, e in den.items() for _ in range(e)], Poly.const(c))
 
 
 _Cleared = collections.namedtuple("_Cleared", "c den rows degree entries")
@@ -418,6 +416,12 @@ def _unpack(terms):
     return Poly({_exponents(m): c for m, c in terms.items()})
 
 
+def _degrees(monomials):
+    """Each variable's largest exponent over the packed monomials, in VARS
+    order, 0 where none holds it."""
+    return tuple([max([m >> at & _MASK for m in monomials], default=0) for at in _FIELDS])
+
+
 def _mul(x, y):
     """The product of two packed terms."""
     t = {}
@@ -428,16 +432,22 @@ def _mul(x, y):
     return {m: c for m, c in t.items() if c}
 
 
+def _power(terms, den):
+    """The packed terms times prod p^e over a denominator map den {Poly:
+    e}, as packed terms; each key is packed once."""
+    return functools.reduce(_mul, [q for p, e in den.items() for q in [_pack(p)] * e], terms)
+
+
 def _clear(mat):
     """One factor cleared of its denominators.  c * prod p^E over the
     Counter den is a common multiple D of its entry denominators.  rows is
     its stored entries by row, {row: [(col, terms)]}, terms the packed v *
-    D of the entry v, one dict per distinct v, and degree the largest total
-    degree of one.  entries holds per distinct v (terms, v.num, deficit, c
-    // c_v): with v's denominator c_v * prod p^e, deficit pairs each key p
-    with E - e where positive, so v * D = (c // c_v) v.num prod p^(E - e).
-    Its degree, in total and per variable, is exactly deg(v.num) + sum (E -
-    e) deg(p), so _fit passes it before any packed product is formed."""
+    D of the entry v, one dict per distinct v, entries the list of those
+    dicts, and degree the largest total degree of one.  With v's
+    denominator c_v * prod p^e, v * D is (c // c_v) v.num times prod p^(E
+    - e) over the keys where E > e, its deficit (_power).  Its degree, in
+    total and per variable, is exactly deg(v.num) + sum (E - e) deg(p), so
+    _fit passes it before any packed product is formed."""
     dens, rows = {}, {}
     for (i, j), v in mat.entries.items():
         part = dens.get(id(v))
@@ -451,19 +461,18 @@ def _clear(mat):
         for p, e in vden.items():
             if e > den[p]:
                 den[p] = e
-    totals, deficits, entries = {p: max(map(sum, p.terms)) for p in den}, {}, []
-    for num, vc, vden, terms in dens.values():
-        deficit = tuple((p, e - vden.get(p, 0)) for p, e in den.items() if e > vden.get(p, 0))
-        # entries with equal deficits share one tuple
-        entries.append((terms, num, deficits.setdefault(deficit, deficit), c // vc))
-    degree = max((max(map(sum, num.terms)) + sum(k * totals[p] for p, k in d) for _, num, d, _ in entries), default=0)
+    # per distinct v: v.num, c // c_v, its deficit {p: E - e} where
+    # positive, and v * D
+    parts = [
+        (num, c // vc, {p: e - vden.get(p, 0) for p, e in den.items() if e > vden.get(p, 0)}, terms)
+        for num, vc, vden, terms in dens.values()
+    ]
+    totals = {p: max(map(sum, p.terms)) for p in den}
+    degree = max((max(map(sum, n.terms)) + sum(e * totals[p] for p, e in d.items()) for n, _, d, _ in parts), default=0)
     _fit(degree, "a cleared entry")
-    products = {}
-    for terms, num, deficit, k in entries:
-        if deficit and deficit not in products:
-            products[deficit] = functools.reduce(_mul, [_pack(p) for p, e in deficit for _ in range(e)])
-        terms.update(_mul(_pack(num, k), products[deficit]) if deficit else _pack(num, k))
-    return _Cleared(c, den, rows, degree, entries)
+    for num, k, deficit, terms in parts:
+        terms.update(_power(_pack(num, k), deficit))
+    return _Cleared(c, den, rows, degree, [terms for *_, terms in parts])
 
 
 def _clearing(mat):
@@ -479,9 +488,9 @@ def _scales(lhs, rhs):
     sum of their maps, (lc, lden) and (rc, rden); with g = gcd(lc, rc) and G
     = lden & rden, each key at the least of its two exponents (the part the
     sides share), the lhs scale is (rc // g) prod(rden - G) and the rhs
-    scale (lc // g) prod(lden - G), each expanded as one Poly, which both
-    provers pack (_fit).  Returns the two (content, map) pairs and the two
-    scales."""
+    scale (lc // g) prod(lden - G), each packed as the clearing's entries
+    are (_power) once its degree, sum e deg(p), has passed _fit.  Returns
+    the two (content, map) pairs and the two packed scales."""
     maps = []
     for side in (lhs, rhs):
         # one Counter per side, summed in place: sum() would build one per
@@ -492,9 +501,9 @@ def _scales(lhs, rhs):
         maps.append((math.prod(x.c for x in side), den))
     (lc, lden), (rc, rden) = maps
     g, shared = math.gcd(lc, rc), lden & rden
-    scales = _expand(rc // g, rden - shared), _expand(lc // g, lden - shared)
-    _fit(max(s.degree() for s in scales), "a scale")
-    return maps, scales
+    pairs = (rc // g, rden - shared), (lc // g, lden - shared)
+    _fit(max(sum(e * p.degree() for p, e in den.items()) for _, den in pairs), "a scale")
+    return maps, tuple(_power({0: k}, den) for k, den in pairs)
 
 
 class _Rows(dict):
@@ -602,30 +611,25 @@ _Bounds = collections.namedtuple("_Bounds", "degrees variables homogeneous heigh
 
 
 def _bounds(op):
-    """What the multipoint prover bounds the operator op by, read off its
-    clearing (_clearing): degrees, per variable in VARS order, the largest
-    degree of a cleared entry v * D, deg(v.num) plus its deficit's;
-    variables, those of some v * D or of a key of den; homogeneous, whether
-    every entry v is homogeneous of degree zero, that is every key of den
-    homogeneous and every v * D of D's degree; and height, the largest row
-    sum of ||v * D||_1, the sum of the absolute values of its coefficients."""
+    """What the multipoint prover bounds the operator op by, read off the
+    packed monomials of its clearing (_clearing): degrees, per variable in
+    VARS order, the largest degree of a cleared entry v * D, its exponent
+    field's largest value; variables, those of some v * D or of a key of
+    den; homogeneous, whether every entry v is homogeneous of degree zero,
+    that is every key of den homogeneous and every monomial of every v * D
+    of D's total degree, its total-degree field; and height, the largest row
+    sum of ||v * D||_1, the sum of the absolute values of its
+    coefficients."""
     cleared = _clearing(op)
-    keys = {p: tuple(map(max, zip(*p.terms))) for p in cleared.den}
+    monomials = set().union(*cleared.entries)
+    degrees = _degrees(monomials)
     totals = {p: set(map(sum, p.terms)) for p in cleared.den}
-    homogeneous = all(len(t) == 1 for t in totals.values())
-    degree = lambda pairs: sum(e * max(totals[p]) for p, e in pairs)
-    groups, degrees = {}, ZERO_EXP
-    for _, num, deficit, _ in cleared.entries:
-        groups.setdefault(deficit, []).extend(num.terms)
-    for deficit, exps in groups.items():
-        top = map(max, zip(*exps))
-        for p, k in deficit:
-            top = map(operator.add, top, [k * x for x in keys[p]])
-        degrees = tuple(map(max, degrees, top))
-        # v * D has D's degree exactly when v.num has D's less the deficit's
-        homogeneous = homogeneous and set(map(sum, exps)) == {degree(cleared.den.items()) - degree(deficit)}
-    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *keys.values()))))
-    norms = {id(t): sum(map(abs, t.values())) for t, _, _, _ in cleared.entries}
+    # every v * D of D's degree: a monomial's total degree is its top field
+    degree = sum(e * max(totals[p]) for p, e in cleared.den.items())
+    homogeneous = all(len(t) == 1 for t in totals.values()) and {m >> _TOP for m in monomials} <= {degree}
+    keys = (map(max, zip(*p.terms)) for p in cleared.den)
+    variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *keys))))
+    norms = {id(t): sum(map(abs, t.values())) for t in cleared.entries}
     height = max([sum([norms[id(t)] for _, t in row]) for row in cleared.rows.values()], default=0)
     return _Bounds(degrees, variables, homogeneous, height)
 
@@ -855,21 +859,20 @@ def _symbolic_proof(lhs_factors, rhs_factors, shared):
     scale, compared term by term (_differing_row).  Only the entry a failing
     verdict prints is reduced, from each side's carried row over its own
     prod(D)."""
+    factors, cleared, maps, scales, reps = shared
     sides = (lhs_factors, rhs_factors)
     # no monomial of either scaled product has a larger total degree, so
-    # none carries when it fits
-    _fit(
-        max(sum(shared.cleared[id(mat)].degree for mat in side) + s.degree() for side, s in zip(sides, shared.scales)),
-        "a scaled product",
-    )
-    views = {key: _Rows(mat) for key, mat in shared.factors.items()}
-    scales = [None if s == Poly.const(1) else _pack(s) for s in shared.scales]
-    found = _differing_row(sides, views, shared.reps, scales, _carry, _mul)
+    # none carries when it fits; a packed scale's largest monomial is of
+    # its total degree
+    top = max(sum(cleared[id(mat)].degree for mat in side) + (max(s) >> _TOP) for side, s in zip(sides, scales))
+    _fit(top, "a scaled product")
+    views = {key: _Rows(mat) for key, mat in factors.items()}
+    found = _differing_row(sides, views, reps, [None if s == {0: 1} else s for s in scales], _carry, _mul)
     if found is None:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
     i, j, rows, _ = found
     lhs, rhs = (
-        format_ratfunc(RatFunc(_unpack(row.get(j, {})), _expand(c, den))) for row, (c, den) in zip(rows, shared.maps)
+        format_ratfunc(RatFunc(_unpack(row.get(j, {})), _unpack(_power({0: c}, d)))) for row, (c, d) in zip(rows, maps)
     )
     row, col = lhs_factors[0].row_labels[i], lhs_factors[-1].col_labels[j]
     return {
@@ -923,10 +926,9 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     read = {key: _kept(_operator(mat), "_bounds", _bounds) for key, mat in factors.items()}
     sides = (lhs_factors, rhs_factors)
     # per side, each variable's degree: its factors' cleared entries' and
-    # its scale's (a nonzero Poly's degree per variable is a column maximum)
+    # its scale's
     degrees = (
-        map(sum, zip(*(read[id(mat)].degrees for mat in side), map(max, zip(*scale.terms))))
-        for side, scale in zip(sides, scales)
+        map(sum, zip(*(read[id(mat)].degrees for mat in side), _degrees(scale))) for side, scale in zip(sides, scales)
     )
     variables = frozenset().union(*(x.variables for x in read.values()))
     bounds = {v: max(a, b) for v, a, b in zip(VARS, *degrees) if v in variables}
@@ -934,7 +936,7 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     if drop_h:
         del bounds["h"]
     height = sum(
-        sum(map(abs, scale.terms.values())) * math.prod(read[id(mat)].height for mat in side)
+        sum(map(abs, scale.values())) * math.prod(read[id(mat)].height for mat in side)
         for side, scale in zip(sides, scales)
     )
     width = height.bit_length() + 2
@@ -949,11 +951,11 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     # each evaluated once, and each distinct monomial's exponent at the
     # point is summed once, over the bounded variables' fields only
     distinct = {id(x): x for x in cleared.values()}.values()
-    packed = [t for x in distinct for t, _, _, _ in x.entries] + [_pack(scale) for scale in scales]
+    packed = [*(t for x in distinct for t in x.entries), *scales]
     at = {m: sum([(m >> f & _MASK) * k for f, k in fields]) for m in set().union(*packed)}
     values = {id(t): _kronecker_value(t, at) for t in packed}
     views = {key: _Rows(mat, values) for key, mat in factors.items()}
-    scaled_by = [None if values[id(t)] == 1 else values[id(t)] for t in packed[-2:]]
+    scaled_by = [None if values[id(t)] == 1 else values[id(t)] for t in scales]
     found = _differing_row(sides, views, reps, scaled_by, _carry_values, operator.mul)
     slice_note = " on the h = 1 slice (degree-zero homogeneous factors)" if drop_h else ""
     where = f"the Kronecker point (K = {width}, {width * size} bits, bounds {bounds}){slice_note}"

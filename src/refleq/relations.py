@@ -127,20 +127,26 @@ def check_ybe(l, mode="symbolic"):
     x, y to u1, u2 and is a bijective reparametrization of the identity, not
     a specialization.
     """
+    cmp = verify_identity(*_ybe_factors(l), mode)
+    return _verdict("yangBaxter", l, cmp, family="chain")
+
+
+def _ybe_factors(l):
+    """The two sides of the Yang-Baxter identity as ordered factor lists,
+    [R12, R13, R23] and [R23, R13, R12], on the slice of check_ybe."""
     slots = _slots(l, 3)
     r12 = embed_on_slots(yang_r(l, U1 - U2), (0, 1), slots)
     r13 = embed_on_slots(yang_r(l, U1), (0, 2), slots)
     r23 = embed_on_slots(yang_r(l, U2), (1, 2), slots)
-    cmp = verify_identity([r12, r13, r23], [r23, r13, r12], mode)
-    return _verdict("yangBaxter", l, cmp, family="chain")
+    return [r12, r13, r23], [r23, r13, r12]
 
 
 def check_r_unitarity(l, kind=None):
     """R(w) R(-w) = 1 and flip symmetry for the chain R, or for kind's cross R.
 
-    Flip symmetry (conjugation by the tensor swap leaves R unchanged) is what
-    lets the order-flipped matrix R21 be identified with R itself, so it is
-    asserted as part of the same verdict.
+    Flip symmetry, R placed on the two slots in the other order (P R P,
+    conjugation by the tensor swap) equal to R, is proved once unitarity
+    holds, in the same verdict; when it alone fails, the detail says so.
     """
     if kind is None:
         family, builder = "chain", yang_r

@@ -14,7 +14,8 @@ Every boundary matrix tends to an involutive constant matrix as the
 spectral parameter grows; sigma_matrix returns that limit directly.
 
 The builders of single R- and K-matrices and of the chain operators are
-memoized per argument tuple (RatFunc hashing and equality are canonical), so
+memoized per argument tuple (RatFunc hashing and equality are canonical;
+r_bullet_sigma_opposite through cross_r, its one caller), so
 a process builds each operator once, and every caller shares it, as a
 LabeledMatrix is a read-only value.  A one- or two-site builder holds one
 object per distinct entry value, and the values that do not depend on l are
@@ -105,7 +106,6 @@ def r_bullet_sigma(l, u):
     return _block(pair_labels(l), [(i, i) for i in site_labels(l)], diag, -c)
 
 
-@functools.cache
 def r_bullet_sigma_opposite(l, u):
     """r_bullet_sigma with the off-diagonal block entries negated.
 
@@ -114,7 +114,9 @@ def r_bullet_sigma_opposite(l, u):
     boundary matrix k_matrix('spInstanton') has off-diagonal entries
     -h/(2u + l*h/2), so the two-site matrix exchange-compatible with it
     carries the opposite sign on its block.  cross_r takes this variant at
-    l = 2 only, where it is unitary; at l >= 3 it is not.
+    l = 2 only, where it is unitary; at l >= 3 it is not.  cross_r, its one
+    caller in the library, is memoized on the same arguments, so this is
+    not.
     """
     diag, c = _bullet_values(l, u)
     return _block(pair_labels(l), [(i, i) for i in site_labels(l)], diag, c)

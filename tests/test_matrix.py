@@ -447,7 +447,7 @@ def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(m
     # the second proof packed nothing; each numerator was packed once, and
     # the rest are the shared denominators of the clearing's products
     assert rounds[0] == rounds[1]
-    numerators = [num for c in cleared.values() for _, num, _, _ in c.entries]
+    numerators = [v.num for op in ops for v in {id(v): v for v in op.entries.values()}.values()]
     assert sorted(id(p) for p in packed if any(p is num for num in numerators)) == sorted(map(id, numerators))
     keys = set().union(*(c.den for c in cleared.values()))
     assert all(p in keys for p in packed if not any(p is num for num in numerators))
@@ -455,7 +455,9 @@ def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(m
     for op, c in zip(ops, map(cleared.get, map(id, ops))):
         stored = {(i, j): t for i, row in c.rows.items() for j, t in row}
         assert stored.keys() == op.entries.keys()
-        assert {id(t) for t in stored.values()} == {id(t) for t, _, _, _ in c.entries}
+        # entries lists each stored dict once, one per distinct entry value
+        assert {id(t) for t in stored.values()} == set(map(id, c.entries))
+        assert len(c.entries) == len(set(map(id, c.entries))) == len({id(v) for v in op.entries.values()})
         d = Poly.const(c.c)
         for p, e in c.den.items():
             d = d * p ** e

@@ -58,6 +58,7 @@ from refleq.relations import (
     _factorization_factors,
     _fold,
     _reflection_factors,
+    _ybe_factors,
     check_boundary_constant_term,
     check_boundary_factorization,
     check_chain_reflection,
@@ -439,7 +440,7 @@ class TestGridEngine:
         distinct = {id(v) for m in factors for v in m.entries.values()}
         stored = sum(len(m.entries) for m in factors)
         assert len(distinct) < stored
-        cleared = {id(t) for m in factors for t, _, _, _ in _clearing(m).entries}
+        cleared = {id(t) for m in factors for t in _clearing(m).entries}
         calls, points = [], []
         real = matrix._kronecker_value
 
@@ -495,7 +496,7 @@ class TestGridEngine:
         for p, e in cleared.den.items():
             d = d * p ** e
         for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
-            values = {id(t): _unpack(t).subs(point) for t, _, _, _ in cleared.entries}
+            values = {id(t): _unpack(t).subs(point) for t in cleared.entries}
             assert all(type(n) is int for n in values.values())
             product = _carried_at([m, m, m], range(len(labels)), values)
             assert all(type(n) is int for row in product.values() for n in row.values())
@@ -1007,7 +1008,7 @@ class TestFractionFreeProver:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: _ybe_factors(3), *(lambda v=v: _exchange_factors(2, 1, v, "flagMinus")[0] for v in EXCHANGE_VARIANTS)],
+        [lambda: _ybe_factors(3)[0], *(lambda v=v: _exchange_factors(2, 1, v, "flagMinus")[0] for v in EXCHANGE_VARIANTS)],
         ids=["ybe-l3", *(f"exchange-{v}-n1" for v in EXCHANGE_VARIANTS)],
     )
     def test_each_operator_is_cleared_at_most_once_per_process(self, build, monkeypatch):
@@ -1185,8 +1186,8 @@ class TestDegreeBounds:
         k = 12
         lhs, rhs = one_entry(U1), one_entry(RatFunc.const(2 ** k))
         cleared = {id(m): _clearing(m) for m in (lhs, rhs)}
-        shifts = {m: _exponents(m)[2] * k for x in cleared.values() for t, _, _, _ in x.entries for m in t}  # u1 = 2^k
-        at = {id(t): _kronecker_value(t, shifts) for x in cleared.values() for t, _, _, _ in x.entries}
+        shifts = {m: _exponents(m)[2] * k for x in cleared.values() for t in x.entries for m in t}  # u1 = 2^k
+        at = {id(t): _kronecker_value(t, shifts) for x in cleared.values() for t in x.entries}
         assert _carried_at([lhs], [0], at) == _carried_at([rhs], [0], at)
         v = _grid_proof([lhs], [rhs])
         assert not v["holds"] and v["degreeBounds"] == {"u1": 1}
@@ -1225,10 +1226,11 @@ class TestDegreeBounds:
         _assert_bounds_cover_cleared_products([m], [m])
 
     def test_kept_bounds_match_the_expanded_clearing_on_every_suite_operator(self, monkeypatch):
-        # every operator the default suite builds, cleared by the symbolic
-        # prover: the multipoint engine's bounds, read off the packed
-        # clearing on first use and kept, are those of its entries cleared
-        # by the same D and expanded as tuple-keyed polynomials
+        # every operator the default suite, the suite at l = 4 and acceptance
+        # criteria 6-9 (multipoint Yang-Baxter at l = 4, 5 among them) build,
+        # cleared by the provers: the multipoint engine's bounds, read off
+        # the packed clearing on first use and kept, are those of its entries
+        # cleared by the same D and expanded as tuple-keyed polynomials
         _clear_builders()
         ops = []
         real = matrix._clear
@@ -1239,8 +1241,18 @@ class TestDegreeBounds:
 
         monkeypatch.setattr(matrix, "_clear", recording)
         assert run_suite("all")["ok"]
+        default = len(ops)
+        assert run_suite("all", l=4)["ok"]
+        larger = len(ops)
+        for item in ACCEPTANCE_LIST_ITEMS:
+            run_suite_item(dict(item))
         monkeypatch.undo()
-        assert len(ops) > 50 and all(getattr(op, "_bounds", None) is None for op in ops)
+        assert default > 50 and len(ops) > larger > default
+        # the default suite proves symbolically and reads no bounds; the
+        # multipoint Yang-Baxter proofs of criterion 6 keep theirs, which the
+        # proofs below read
+        assert all(getattr(op, "_bounds", None) is None for op in ops[:default])
+        assert any(getattr(op, "_bounds", None) is not None for op in ops[larger:])
         # every suite operator is homogeneous; these are not: the first two
         # have inhomogeneous denominators (residuals, integer contents), the
         # third a homogeneous denominator and an entry of degree 1, and the
@@ -1329,16 +1341,6 @@ def _fresh_stdout(code):
     return out.stdout
 
 
-def _ybe_factors(l):
-    """check_ybe's factors R12, R13, R23 at site dimension l."""
-    slots = [site_labels(l)] * 3
-    return (
-        embed_on_slots(yang_r(l, U1 - U2), (0, 1), slots),
-        embed_on_slots(yang_r(l, U1), (0, 2), slots),
-        embed_on_slots(yang_r(l, U2), (1, 2), slots),
-    )
-
-
 class TestOrbitReduction:
     """The multipoint proof multiplies one row per orbit of the label
     symmetry that every factor has; oracles.full_row_grid_proof multiplies
@@ -1384,7 +1386,7 @@ class TestOrbitReduction:
     @pytest.mark.parametrize(
         "build,count",
         [
-            *((lambda l=l: _ybe_factors(l), 5) for l in (3, 4, 5, 6)),
+            *((lambda l=l: sum(_ybe_factors(l), []), 5) for l in (3, 4, 5, 6)),
             (lambda: sum(_reflection_factors("flagPlus", 3), []), 5),
             (lambda: sum(_reflection_factors("soInstanton", 3), []), 2),
             (lambda: sum(_reflection_factors("flagPlus", 3, n=1), []), 14),
@@ -1401,7 +1403,7 @@ class TestOrbitReduction:
         assert reps == sorted(reps) and reps[0] == 0
 
     def test_ybe_representatives_are_the_least_labels(self):
-        r12, r13, r23 = _ybe_factors(3)
+        (r12, r13, r23), _ = _ybe_factors(3)
         reps = _orbit_representatives([r12, r13, r23])
         assert [r12.row_labels[i] for i in reps] == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
 
@@ -1495,7 +1497,7 @@ class TestOrbitReduction:
     PLANTED = ((2, 3, 2), (3, 2, 2))
 
     def test_a_planted_asymmetry_is_refuted(self):
-        r12, r13, r23 = _ybe_factors(3)
+        (r12, r13, r23), _ = _ybe_factors(3)
         reps = _orbit_representatives([r12, r13, r23])
         key = i, _ = label_index(r12, *self.PLANTED)
         assert i not in reps and key in r12.entries
@@ -1512,7 +1514,7 @@ class TestOrbitReduction:
         factors = {id(m): m for m in (*lhs, *rhs)}
         cleared = {k: _clearing(m) for k, m in factors.items()}
         point = {"h": 1, "u1": 2, "u2": 3}
-        at = {id(t): _unpack(t).subs(point) for x in cleared.values() for t, _, _, _ in x.entries}
+        at = {id(t): _unpack(t).subs(point) for x in cleared.values() for t in x.entries}
         assert _carried_at(lhs, reps, at) == _carried_at(rhs, reps, at)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
@@ -1520,7 +1522,7 @@ class TestOrbitReduction:
         # site permutations keeps its symmetry, so both provers still
         # multiply five rows, and both must still print the least differing
         # entry that the full-row routes find, in a representative row
-        r12, r13, r23 = _ybe_factors(3)
+        (r12, r13, r23), _ = _ybe_factors(3)
         reps = _orbit_representatives([r12, r13, r23])
         key = label_index(r12, *self.PLANTED)
         assert key[0] not in reps
@@ -1543,7 +1545,7 @@ class TestOrbitReduction:
         # an edit of a placement is a new matrix that records no operator, so
         # the search tests it at full size, not on yang_r, whose symmetry the
         # edit broke
-        r12, r13, r23 = _ybe_factors(3)
+        (r12, r13, r23), _ = _ybe_factors(3)
         edit = edited(r12, {label_index(r12, *self.PLANTED): entry(r12, *self.PLANTED) + RatFunc.one()})
         assert edit.operator is None and r12.operator is not None
         lhs, rhs = [edit, r13, r23], [r23, r13, edit]
@@ -1576,7 +1578,7 @@ class TestOrbitReduction:
             assert sym["counterexample"]["row"] == grid["counterexample"]["row"] == [2, 1]
 
     def test_an_equal_but_distinct_entry_keeps_the_symmetry(self):
-        r12, r13, r23 = _ybe_factors(3)
+        (r12, r13, r23), _ = _ybe_factors(3)
         key = label_index(r12, *self.PLANTED)
         value = r12.entries[key]
         twin = parse_ratfunc(format_ratfunc(value))
@@ -1810,7 +1812,7 @@ def test_a_rectangular_counterexample_names_the_product_column(mode):
 
 
 UNKNOWN_MODE_CALLS = {
-    "verify_identity": lambda: verify_identity(list(_ybe_factors(2)), list(_ybe_factors(2))[::-1], "grid"),
+    "verify_identity": lambda: verify_identity(*_ybe_factors(2), "grid"),
     "check_ybe": lambda: check_ybe(2, mode="grid"),
     "check_reflection": lambda: check_reflection("flagPlus", 2, mode="grid"),
 }

@@ -351,7 +351,7 @@ def test_k_matrix_coefficients_are_ints(kind, l):
 # every builder memoized per argument tuple; the chain operators cache a
 # private body keyed on the sites as a tuple
 CACHED_BUILDERS = (
-    "yang_r", "r_bullet_sigma", "r_bullet_sigma_opposite", "k_matrix", "k_matrix_opposite_placement",
+    "yang_r", "r_bullet_sigma", "k_matrix", "k_matrix_opposite_placement",
     "sigma_matrix", "cross_r", "cross_r_flipped", "_monodromy_t", "_twisted_monodromy", "_s_matrix",
 )
 
