@@ -21,20 +21,24 @@ hashing agree with that data.
 The factor base.  The K- and R-matrices have poles on shifts such as
 u1 + u2 + h or u - u1 + h, so every denominator they produce is a product of
 a few linear forms.  A RatFunc keeps its denominator as a positive int times
-exponents over an interned table of primitive linear forms, plus a residual
-Poly for a factor not known to split over the table.  Products and sums of
-operands without a residual are Henrici's algorithms on that form: exponents
+exponents over an interned table of primitive linear forms, and nothing
+else.  Products and sums are Henrici's algorithms on that form: exponents
 add, a gcd of denominators is a minimum of exponents, and a cancellation is a
 trial division by a form.  A trial division is exact: a nonzero integer value
 of t at one rational point of the hyperplane L = 0 proves that L does not
 divide t, and when the value is zero poly_div_exact decides.  Nothing is
-decided modulo a prime or at a float.
+decided modulo a prime or at a float, and no gcd of polynomials is taken.
 
-Residuals arise only from the constructor and inv(), for denominators that do
-not split over the table.  A sum or product with a residual operand is handed
-to the constructor on the expanded polynomials, so the constructor alone
-splits and cancels residuals.  Its general gcd is a content / primitive-part
-recursion over a subresultant PRS.
+An expanded denominator, given to the constructor or made by inv(), is split
+over the table: its monomial content, then trial division by every interned
+form, and a linear remainder joins the table.  A remainder of degree over 1
+raises ValueError, so whether an expanded denominator can be built depends
+on the forms interned before it: 1 / ((u1 - u2) (u1 + h)) raises in a
+process that has interned neither form, and 1 / (u1 - u2) / (u1 + h) builds.
+A value once built does not depend on them: distinct forms are distinct
+primes, so its num, content and form exponents, hence its equality, hash,
+printed form and every bound and verdict read off it, are the same whatever
+else the process interned.
 """
 
 from __future__ import annotations
@@ -273,8 +277,10 @@ def format_poly(p):
 # A recursive content / primitive-part reduction feeds a univariate
 # subresultant pseudo-remainder sequence (Cohen alg. 3.2.11): its
 # beta-factors keep every division exact without the multivariate content gcd
-# a primitive PRS needs at each step.  It is deterministic and needs no cache:
-# with the factor base it sees residual denominators only.
+# a primitive PRS needs at each step.  No RatFunc operation calls it, since
+# every denominator is a product of table forms, cancelled by trial division;
+# it stays for the tests, which check the factor base against it, and for
+# perfbench/tracer.py, which wraps it by name.
 
 
 def _to_univariate(p, name):
@@ -513,13 +519,12 @@ _EXPANDED_MAX = 1 << 10
 class _Form:
     """A form and its hyperplane point: lead * x_k = root, the rest at _PT."""
 
-    __slots__ = ("poly", "k", "lead", "root", "value")
+    __slots__ = ("poly", "k", "lead", "root")
 
     def __init__(self, poly):
         top, self.lead = poly.leading()
         self.poly, self.k = poly, top.index(1)
-        rest = sum(c * (_PT[e.index(1)] if any(e) else 1) for e, c in poly.terms.items() if e != top)
-        self.root, self.value = -rest, self.lead * _PT[self.k] + rest
+        self.root = -sum(c * (_PT[e.index(1)] if any(e) else 1) for e, c in poly.terms.items() if e != top)
 
 
 _FORMS = []
@@ -527,8 +532,8 @@ _FORM_ID = {}
 
 
 def _intern(p):
-    """Table id of the linear form p.  A full table raises: a form left out
-    would stay a residual and change what later results cancel."""
+    """Table id of the linear form p.  A full table raises: a denominator
+    with a form left out could not be built."""
     i = _FORM_ID.get(p)
     if i is None:
         if len(_FORMS) >= _FORMS_MAX:
@@ -591,19 +596,11 @@ def _merge(f, g, sign=1):
     return out
 
 
-def _tidy(f, r):
-    """A residual that became constant leaves; a linear one joins the table."""
-    d = r.degree()
-    if d == 0:
-        return f, None
-    if d > 1:
-        return f, r
-    return _merge(f, {_intern(r): 1}), None
-
-
 def _split(p):
-    """(exponents, residual) of p, primitive with a positive leading
-    coefficient: its monomial content and every table form dividing it."""
+    """The exponent map of p, primitive with a positive leading coefficient:
+    its monomial content, every table form dividing it and a linear
+    remainder, which joins the table.  A remainder of degree over 1 raises
+    ValueError."""
     m = _mono_content(p)
     f = {i: x for i, x in enumerate(m) if x}
     if f:
@@ -611,22 +608,18 @@ def _split(p):
     d = p.degree()
     if d > 1:
         p, took = _divide_out(p, ((i, d) for i in range(NVARS, len(_FORMS))))
-        f = _merge(f, took)
-    return _tidy(f, p)
+        f, d = _merge(f, took), p.degree()
+    if d > 1:
+        raise ValueError(f"denominator factor {p} of degree {d} is not a product of the interned linear forms")
+    return _merge(f, {_intern(p): 1}) if d else f
 
 
-def _cancel(n, f, r):
-    """Numerator n and denominator part (f, r) with their common factor
-    divided out: trial division by the forms, the general gcd for r."""
+def _cancel(n, f):
+    """Numerator n and exponent map f with their common forms divided out."""
     if f:
         n, took = _divide_out(n, f.items())
         f = _merge(f, took, -1)
-    if r is not None:
-        g = poly_gcd(n, r)
-        if not g.is_const():
-            n = poly_div_exact(n, g)
-            f, r = _tidy(f, poly_div_exact(r, g))
-    return n, f, r
+    return n, f
 
 
 _EXPANDED = {}
@@ -651,60 +644,56 @@ def _times(p, k, f):
 class RatFunc:
     """Reduced rational function num / den in canonical form.
 
-    The denominator is kept factored as den = c * prod form^e * residual: a
-    positive int c, an exponent map over the form table and a residual, a
-    primitive Poly with a positive leading coefficient or None.  Only the
-    constructor and inv() split a new denominator over the table; whatever
-    does not split is the residual, and only residuals reach poly_gcd.  den,
-    the expanded Poly, is computed on first read and kept.
+    The denominator is kept factored as den = c * prod form^e: a positive
+    int c and an exponent map over the form table.  Only the constructor and
+    inv() split a new denominator over the table (_split), and one that does
+    not split into interned forms and one linear remainder raises
+    ValueError.  den, the expanded Poly, is computed on first read and kept.
 
-    A product or sum with a residual operand is the constructor applied to
-    the expanded num and den, since a residual may hide a form interned after
-    it was split.  Every other product and sum is Henrici's (Knuth, TAOCP
-    vol. 2, 4.5.1): the operands are canonical, hence reduced.  A product
-    trial-divides each numerator by the forms of the other denominator and
-    adds the exponents.  A sum a/b + c/d takes g = gcd(b, d) as the minimum
-    of the exponents, t = a (d/g) + c (b/g) from cached expansions, and
-    gcd(t, g) by trial division of t.  The results are the canonical data the
-    full gcd of the unreduced pair gives.
+    Products and sums are Henrici's (Knuth, TAOCP vol. 2, 4.5.1): the
+    operands are canonical, hence reduced.  A product trial-divides each
+    numerator by the forms of the other denominator and adds the exponents.
+    A sum a/b + c/d takes g = gcd(b, d) as the minimum of the exponents,
+    t = a (d/g) + c (b/g) from cached expansions, and gcd(t, g) by trial
+    division of t.  The results are the canonical data the full gcd of the
+    unreduced pair gives.
     """
 
-    __slots__ = ("num", "den", "_c", "_f", "_r", "_hash")
+    __slots__ = ("num", "den", "_c", "_f", "_hash")
 
     def __init__(self, num, den=None):
         if den is not None and den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        f, r, c = _NO_FORMS, None, 1
+        f, c = _NO_FORMS, 1
         if num.terms:
             k = int_gcd(*num.terms.values())
             num, s = _div_const(num, k), 1
             if den is not None:
                 s, den = _signed_content(den)
                 if not den.is_const():
-                    f, r = _split(den)
-            num, f, r = _cancel(num, f, r)
+                    num, f = _cancel(num, _split(den))
             # the two contents fold into the one rational k / s, in lowest
             # terms with a positive denominator
             g = int_gcd(k, s)
             if s < 0:
                 g = -g
             num, c = num.scale(k // g), s // g
-        self.num, self._c, self._f, self._r = num, c, f, r
+        self.num, self._c, self._f = num, c, f
 
     def __getattr__(self, name):
         # den is the only attribute computed on demand
         if name != "den":
             raise AttributeError(name)
-        self.den = _times(Poly.const(1) if self._r is None else self._r, self._c, self._f)
+        self.den = _times(Poly.const(1), self._c, self._f)
         return self.den
 
     def __reduce__(self):
-        # form ids index this process's table
-        return RatFunc, (self.num, self.den)
+        # form ids index this process's table, so the forms travel as Polys
+        return _rebuild, (self.num, self._c, tuple((_FORMS[i].poly, e) for i, e in self._f.items()))
 
     @staticmethod
     def zero():
-        return _make(Poly(), 1, _NO_FORMS, None)
+        return _make(Poly(), 1, _NO_FORMS)
 
     @staticmethod
     def one():
@@ -716,26 +705,20 @@ class RatFunc:
         # is not one tenth; both hold their lowest terms
         if not _is_rational(c):
             raise TypeError(f"a RatFunc constant is an int or a Fraction, not {type(c).__name__}")
-        return _make(Poly.const(c.numerator), c.denominator, _NO_FORMS, None)
+        return _make(Poly.const(c.numerator), c.denominator, _NO_FORMS)
 
     @staticmethod
     def var(name, power=1):
         if power >= 0:
-            return _make(Poly.var(name, power), 1, _NO_FORMS, None)
-        return _make(Poly.const(1), 1, {VAR_INDEX[name]: -power}, None)
+            return _make(Poly.var(name, power), 1, _NO_FORMS)
+        return _make(Poly.const(1), 1, {VAR_INDEX[name]: -power})
 
     def is_zero(self):
         return self.num.is_zero()
 
     def den_factors(self):
-        """(c, {form: exponent}, residual) with den = c * prod form^exponent
-        * residual, where no form of the table divides the residual."""
-        f, r = self._f, self._r
-        if r is not None:
-            # forms interned since the residual was split may divide it now
-            g, r = _split(r)
-            f = _merge(f, g)
-        return self._c, {_FORMS[i].poly: e for i, e in f.items()}, r
+        """(c, {form: exponent}) with den = c * prod form^exponent."""
+        return self._c, {_FORMS[i].poly: e for i, e in self._f.items()}
 
     def __bool__(self):
         return not self.num.is_zero()
@@ -745,28 +728,19 @@ class RatFunc:
             if not _is_rational(other):
                 return NotImplemented
             other = RatFunc.const(other)
-        if self.num != other.num or self._c != other._c:
-            return False
-        if self._r is None and other._r is None:
-            # distinct forms are distinct primes: exponents are the factorization
-            return self._f == other._f
-        return self.den == other.den
+        # distinct forms are distinct primes: exponents are the factorization
+        return self.num == other.num and self._c == other._c and self._f == other._f
 
     def __hash__(self):
-        # den enters by its value at _PT, which every factorization shares
+        # the forms enter as Polys, whose hash is not their table id's
         try:
             return self._hash
         except AttributeError:
-            v = self._c
-            for i, e in self._f.items():
-                v *= _FORMS[i].value ** e
-            if self._r is not None:
-                v *= self._r.subs(dict(zip(VARS, _PT)))
-            self._hash = hash((self.num, v))
+            self._hash = hash((self.num, self._c, frozenset((_FORMS[i].poly, e) for i, e in self._f.items())))
             return self._hash
 
     def __neg__(self):
-        return _make(-self.num, self._c, self._f, self._r)
+        return _make(-self.num, self._c, self._f)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -789,8 +763,6 @@ class RatFunc:
             return self
         if not a.terms:
             return o if sign > 0 else -o
-        if self._r is not None or o._r is not None:
-            return RatFunc(a * o.den + c * self.den, self.den * o.den)
         fb, fd = self._f, o._f
         g = {i: min(e, fd[i]) for i, e in fb.items() if i in fd}
         cl = int_lcm(self._c, o._c)
@@ -799,7 +771,7 @@ class RatFunc:
         if not t.terms:
             return RatFunc.zero()
         t, g2 = _divide_out(t, ((i, e) for i, e in g.items() if fb[i] == fd[i]))
-        return _make(t, cl, _merge(fbg, _merge(fd, g2, -1)), None)
+        return _make(t, cl, _merge(fbg, _merge(fd, g2, -1)))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -827,12 +799,10 @@ class RatFunc:
             return NotImplemented
         if self.num.is_zero() or o.num.is_zero():
             return RatFunc.zero()
-        if self._r is not None or o._r is not None:
-            return RatFunc(self.num * o.num, self.den * o.den)
         # Henrici: after cross-cancellation n1 n2 and d1 d2 are coprime
-        n1, f2, _ = _cancel(self.num, o._f, None)
-        n2, f1, _ = _cancel(o.num, self._f, None)
-        return _make(n1 * n2, self._c * o._c, _merge(f1, f2), None)
+        n1, f2 = _cancel(self.num, o._f)
+        n2, f1 = _cancel(o.num, self._f)
+        return _make(n1 * n2, self._c * o._c, _merge(f1, f2))
 
     __rmul__ = __mul__
 
@@ -855,9 +825,8 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
         s, p = _signed_content(self.num)
-        f, r = _split(p) if not p.is_const() else (_NO_FORMS, None)
         # den / (s p) = ±den / (|s| p)
-        return _make(self.den if s > 0 else -self.den, abs(s), f, r)
+        return _make(self.den if s > 0 else -self.den, abs(s), _split(p) if not p.is_const() else _NO_FORMS)
 
     def eval(self, assignment):
         """Evaluate at {var: int or Fraction} -> Fraction; raises on a pole of
@@ -891,16 +860,22 @@ def _is_rational(x):
     return fractions is not None and isinstance(x, fractions.Fraction)
 
 
-def _make(num, c, f, r):
-    """The RatFunc num / (c * prod form^e * r) for an integral num coprime
-    to the polynomial part of the denominator: only the content is left."""
+def _make(num, c, f):
+    """The RatFunc num / (c * prod form^e) for an integral num coprime to
+    the polynomial part of the denominator: only the content is left."""
     if c != 1:
         k = int_gcd(c, *num.terms.values())
         if k != 1:
             num, c = _div_const(num, k), c // k
     x = RatFunc.__new__(RatFunc)
-    x.num, x._c, x._f, x._r = num, c, f, r
+    x.num, x._c, x._f = num, c, f
     return x
+
+
+def _rebuild(num, c, forms):
+    """The RatFunc of RatFunc.__reduce__: its forms, as (Poly, exponent)
+    pairs, are interned in this process's table."""
+    return _make(num, c, {_intern(p): e for p, e in forms})
 
 
 def format_ratfunc(r):

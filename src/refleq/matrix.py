@@ -321,19 +321,7 @@ def _kept(mat, slot, make):
     its bounds on the operator the factor places (_operator), which is
     never a placement, as embed_on_slots places no placement, so every
     placement of one builder's operator, on any positions, shares one
-    record.
-
-    The clearing (_clear) reads den_factors, which splits each residual
-    denominator over the forms interned when it runs, and a form interned
-    later may split it further.  The kept clearing stays sound: its map,
-    every table form at its largest exponent and the residuals whole, is
-    still a common multiple D of the entry denominators, since a finer
-    split changes how D is written, not what it is a multiple of, and any
-    nonzero common multiple keeps both provers exact.  Only the degree
-    bounds can read larger than a fresh read's, where the other side's map
-    holds the parts of a residual that this map keeps whole, and a larger
-    bound is still a bound; the kept bounds (_bounds) are read off the kept
-    clearing, so they describe its D."""
+    record."""
     value = getattr(mat, slot, None)
     if value is None:
         value = make(mat)
@@ -348,10 +336,10 @@ def _kept(mat, slot, make):
 # 22 (1968) 565): work in the polynomial ring and divide once at the end.
 # Each distinct factor f is scaled by a common multiple D_f of its entry
 # denominators, read off their factored form (den_factors): the lcm of the
-# integer parts, each table form to its largest exponent and each distinct
-# residual once.  Any nonzero common multiple keeps the comparison exact, so
-# no gcd is taken.  P_f = f D_f is a matrix of polynomials, and the P_f are
-# multiplied with no gcd, no trial division and no RatFunc.  lhs = rhs exactly
+# integer parts and each table form to its largest exponent.  Any nonzero
+# common multiple keeps the comparison exact, so no gcd is taken.  P_f = f D_f
+# is a matrix of polynomials, and the P_f are multiplied with no gcd, no trial
+# division and no RatFunc.  lhs = rhs exactly
 # when P_lhs prod(D_rhs) / G = P_rhs prod(D_lhs) / G, where G is the part of
 # the two denominator products that they share.  Every scale is nonzero, so
 # the scaled sides differ in the same entries as the canonical products, and
@@ -452,8 +440,8 @@ def _clear(mat):
     for (i, j), v in mat.entries.items():
         part = dens.get(id(v))
         if part is None:
-            c, forms, r = v.den_factors()
-            part = dens[id(v)] = (v.num, c, forms if r is None else {**forms, r: 1}, {})
+            c, forms = v.den_factors()
+            part = dens[id(v)] = (v.num, c, forms, {})
         rows.setdefault(i, []).append((j, part[3]))
     c = math.lcm(*(vc for _, vc, _, _ in dens.values()))
     den = collections.Counter()

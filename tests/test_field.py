@@ -6,14 +6,21 @@ Every RatFunc operation is compared against it.  sympy provides a second,
 independent implementation for gcd and simplification spot checks.
 """
 
+import functools
 import math
+import operator
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import entry, parse_poly, parse_ratfunc
@@ -71,32 +78,63 @@ def random_poly(rng, vars_=("h", "u", "u1"), max_terms=3, max_deg=2, zero_ok=Tru
     return p
 
 
-def random_ratfunc(rng):
-    num = random_poly(rng)
-    den = Poly()
-    while den.is_zero():
-        den = random_poly(rng, zero_ok=False)
-    return num, den
+def random_form(rng):
+    """A linear form in h, u, u1: coefficients in -1..1, a constant in -2..2."""
+    while True:
+        p = Poly.const(rng.randint(-2, 2))
+        for v in ("h", "u", "u1"):
+            p = p + Poly.var(v).scale(rng.randint(-1, 1))
+        if p.degree() == 1:
+            return p
+
+
+def _interned(forms):
+    """Enter each linear form into the table, as a denominator of its own."""
+    for form in forms:
+        RatFunc(Poly.const(1), form)
+
+
+def _over_forms(num, c, forms):
+    """(value, den): num / (c * prod forms), built as num divided by c and
+    then by each linear form on its own, so it builds whatever forms the
+    table holds, and den, the expanded c * prod forms."""
+    value, den = RatFunc(num) / c, Poly.const(c)
+    for form in forms:
+        value, den = value / RatFunc(form), den * form
+    return value, den
+
+
+def random_ratfunc(rng, invertible=False):
+    """(num, den, value): a random numerator over c times up to three random
+    linear forms, and its RatFunc (_over_forms).  An invertible value's
+    numerator is an int times interned forms, so inv() splits it."""
+    if invertible:
+        forms = [random_form(rng) for _ in range(rng.randint(0, 2))]
+        _interned(forms)
+        num = functools.reduce(operator.mul, forms, Poly.const(rng.choice([1, -2, 3])))
+    else:
+        num = random_poly(rng)
+    value, den = _over_forms(num, rng.choice([1, 2, -3]), [random_form(rng) for _ in range(rng.randint(0, 3))])
+    return num, den, value
 
 
 def test_field_laws_against_naive_oracle():
     rng = random.Random(20260816)
     checked = 0
     while checked < 260:
-        n1, d1 = random_ratfunc(rng)
-        n2, d2 = random_ratfunc(rng)
-        a = RatFunc(n1, d1)
-        b = RatFunc(n2, d2)
+        n1, d1, a = random_ratfunc(rng)
+        invertible = rng.random() < 0.5
+        n2, d2, b = random_ratfunc(rng, invertible)
         na = Naive(n1, d1)
         nb = Naive(n2, d2)
         assert na.add(nb).agrees_with(a + b)
         assert na.sub(nb).agrees_with(a - b)
         assert na.mul(nb).agrees_with(a * b)
-        if not b.is_zero():
+        if invertible:
             assert na.div(nb).agrees_with(a / b)
             assert (a / b) * b == a
         # ring laws on the reduced side
-        c = RatFunc(*random_ratfunc(rng))
+        c = random_ratfunc(rng)[2]
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
@@ -107,12 +145,12 @@ def test_field_laws_against_naive_oracle():
 def test_additive_and_multiplicative_identities():
     rng = random.Random(7)
     for _ in range(50):
-        a = RatFunc(*random_ratfunc(rng))
+        a = random_ratfunc(rng)[2]
         assert a + RatFunc.zero() == a
         assert a * RatFunc.one() == a
         assert a - a == RatFunc.zero()
-        if not a.is_zero():
-            assert a * a.inv() == RatFunc.one()
+        b = random_ratfunc(rng, invertible=True)[2]
+        assert b * b.inv() == RatFunc.one()
 
 
 def _to_sympy(p, syms):
@@ -202,8 +240,7 @@ def test_canonical_form_is_scaling_invariant():
 def test_den_leading_coefficient_positive():
     rng = random.Random(5)
     for _ in range(60):
-        n, d = random_ratfunc(rng)
-        r = RatFunc(n, d)
+        r = random_ratfunc(rng)[2]
         if r.is_zero():
             assert r.den == Poly.const(1)
             continue
@@ -223,7 +260,7 @@ def test_den_leading_coefficient_positive():
 def test_serialization_round_trip_random():
     rng = random.Random(31337)
     for _ in range(80):
-        r = RatFunc(*random_ratfunc(rng))
+        r = random_ratfunc(rng)[2]
         assert parse_ratfunc(format_ratfunc(r)) == r
 
 
@@ -276,12 +313,9 @@ def _coefficients(r):
 def test_canonical_coefficients_are_ints():
     rng = random.Random(4242)
     for _ in range(60):
-        a = RatFunc(*random_ratfunc(rng))
-        b = RatFunc(*random_ratfunc(rng))
-        results = [a, b, a + b, a - b, a * b]
-        if not b.is_zero():
-            results.append(a / b)
-        for r in results:
+        a = random_ratfunc(rng)[2]
+        b = random_ratfunc(rng, invertible=True)[2]
+        for r in (a, b, a + b, a - b, a * b, a / b):
             assert all(type(c) is int for c in _coefficients(r)), r
     # non-integral content still gives an integral canonical form:
     # (3/2 h^2 u - 1/3 u1) / (5/7 u + 1/2), once through the constructor's
@@ -357,13 +391,13 @@ def test_poly_coefficients_are_ints_and_q_lives_in_the_content():
 
 
 def test_a_full_form_table_raises(monkeypatch):
-    # a form the table cannot take would stay a residual and change what
-    # later results cancel, so the cap fails loudly instead
+    # a denominator holding a form the table cannot take could not be
+    # built, so the cap fails loudly
     known, new = parse_poly("u + h"), parse_poly("u3 + 11*u4 + 13*h")
     RatFunc(Poly.const(1), known)
     assert new not in field._FORM_ID
     monkeypatch.setattr(field, "_FORMS_MAX", len(field._FORMS))
-    assert RatFunc(Poly.const(1), known).den_factors() == (1, {known: 1}, None)
+    assert RatFunc(Poly.const(1), known).den_factors() == (1, {known: 1})
     with pytest.raises(RuntimeError, match="_FORMS_MAX"):
         RatFunc(Poly.const(1), new)
     with pytest.raises(RuntimeError, match="_FORMS_MAX"):
@@ -395,13 +429,24 @@ def _poly_from_terms(terms):
     return p
 
 
+# denominators are an int times forms of this pool, with and free of u, each
+# divided by on its own (_over_forms); every form is interned first, so a
+# divisor whose numerator is a product of them can be inverted
+_POOL = [
+    parse_poly(s) for s in ("u + h", "u - h", "2*u + h", "u1 - u", "u - 1", "u + u1 - h", "u1 + h", "u1 + 2", "2*u1 + h", "h")
+]
+_dens = st.tuples(st.sampled_from([1, 2, -3]), st.lists(st.integers(0, len(_POOL) - 1), max_size=3))
+
+
 @settings(max_examples=60, deadline=None)
-@given(n1=_poly_terms, d1=_poly_terms, n2=_poly_terms, d2=_poly_terms, op=st.sampled_from(sorted(_OPS)))
-def test_arithmetic_agrees_with_sympy_cancel(n1, d1, n2, d2, op):
-    n1, d1, n2, d2 = map(_poly_from_terms, (n1, d1, n2, d2))
-    assume(not d1.is_zero() and not d2.is_zero())
-    assume(op != "/" or not n2.is_zero())
-    ours = _OPS[op](RatFunc(n1, d1), RatFunc(n2, d2))
+@given(n1=_poly_terms, d1=_dens, n2=_poly_terms, d2=_dens, split=_dens, op=st.sampled_from(sorted(_OPS)))
+def test_arithmetic_agrees_with_sympy_cancel(n1, d1, n2, d2, split, op):
+    _interned(_POOL)
+    # a divisor's numerator splits over the table: an int times pool forms
+    divisor = functools.reduce(operator.mul, (_POOL[i] for i in split[1]), Poly.const(split[0]))
+    n1, n2 = _poly_from_terms(n1), divisor if op == "/" else _poly_from_terms(n2)
+    (x, d1), (y, d2) = (_over_forms(n, c, [_POOL[i] for i in picks]) for n, (c, picks) in ((n1, d1), (n2, d2)))
+    ours = _OPS[op](x, y)
     a, b = (_to_sympy(n, _SYMS) / _to_sympy(d, _SYMS) for n, d in ((n1, d1), (n2, d2)))
     num, den = sympy.fraction(sympy.cancel(_OPS[op](a, b)))
     ours_num, ours_den = _to_sympy(ours.num, _SYMS), _to_sympy(ours.den, _SYMS)
@@ -413,29 +458,20 @@ def test_arithmetic_agrees_with_sympy_cancel(n1, d1, n2, d2, op):
     assert all(type(c) is int for c in _coefficients(ours))
 
 
-# linear forms free of u, for u-leading coefficients that split over the table
-_U_FREE_FORMS = [parse_poly(s) for s in ("u1 + h", "u1 - h", "2*u1 + h", "u1", "h")]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=_poly_terms,
-    d=_poly_terms,
-    lead=st.one_of(st.none(), st.lists(st.integers(0, len(_U_FREE_FORMS) - 1), max_size=3)),
+    c=st.sampled_from([1, 2, -3]),
+    picks=st.lists(st.integers(0, len(_POOL) - 1), max_size=4),
 )
-def test_constant_term_agrees_with_sympy_limit(n, d, lead):
-    for form in _U_FREE_FORMS:
-        RatFunc(Poly.const(1), form)  # a linear denominator enters the table
-    num, den = _poly_from_terms(n), _poly_from_terms(d)
-    if lead is not None:
-        # above every u-power of num and den: the u-leading coefficient of den
-        # is the product of the forms lead picks
-        top = Poly.const(1)
-        for i in lead:
-            top = top * _U_FREE_FORMS[i]
-        den = den + top * Poly.var("u", max(den.degree("u") + 1, num.degree("u")))
-    assume(not den.is_zero() and num.degree("u") <= den.degree("u"))
-    ours = _limit(RatFunc(num, den))
+def test_constant_term_agrees_with_sympy_limit(n, c, picks):
+    # the u-leading coefficient of den is an int times its u-free forms
+    forms = [_POOL[i] for i in picks]
+    # num keeps its terms of u-degree at most den's, so the limit is finite
+    top = sum(form.degree("u") for form in forms)
+    num = Poly({e: k for e, k in _poly_from_terms(n).terms.items() if e[VAR_INDEX["u"]] <= top})
+    value, den = _over_forms(num, c, forms)
+    ours = _limit(value)
     u = _SYMS[VARS.index("u")]
     theirs = sympy.limit(_to_sympy(num, _SYMS) / _to_sympy(den, _SYMS), u, sympy.oo)
     assert sympy.cancel(_to_sympy(ours.num, _SYMS) / _to_sympy(ours.den, _SYMS) - theirs) == 0
@@ -455,11 +491,15 @@ def _factored_poly(rng, zero_ok):
     return p
 
 
-def _factored_ratfunc(rng):
-    den = Poly.const(rng.choice([1, 2, 3, -1]))
-    for _ in range(rng.randint(1, 4)):
-        den = den * rng.choice(_FACTORS)
-    return RatFunc(_factored_poly(rng, zero_ok=rng.random() < 0.1), den)
+def _factored_ratfunc(rng, invertible=False):
+    """A random factored poly over an int times one to four pool factors
+    (_over_forms).  An invertible value's numerator is an int times pool
+    factors, all interned, so inv() splits it."""
+    if invertible:
+        num = functools.reduce(operator.mul, rng.sample(_FACTORS, rng.randint(0, 2)), Poly.const(rng.choice([1, -2])))
+    else:
+        num = _factored_poly(rng, zero_ok=rng.random() < 0.1)
+    return _over_forms(num, rng.choice([1, 2, 3, -1]), [rng.choice(_FACTORS) for _ in range(rng.randint(1, 4))])[0]
 
 
 def _assert_canonical_equal(ours, full):
@@ -467,11 +507,14 @@ def _assert_canonical_equal(ours, full):
     assert format_ratfunc(ours) == format_ratfunc(full)
 
 
-def test_henrici_results_equal_the_full_gcd_form():
+def test_henrici_results_equal_the_full_gcd_form(monkeypatch):
+    _interned(_FACTORS)
+    calls = _counting_gcd(monkeypatch)
     rng = random.Random(5150)
     nontrivial = 0
     for _ in range(150):
         a, b, s = (_factored_ratfunc(rng) for _ in range(3))
+        q = _factored_ratfunc(rng, invertible=True)
         # (s - a) + a = s: the factors of a.den missing from s.den must cancel
         # through gcd(t, g)
         for x, y in ((a, b), (s - a, a)):
@@ -479,12 +522,13 @@ def test_henrici_results_equal_the_full_gcd_form():
             _assert_canonical_equal(x + y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den))
             _assert_canonical_equal(x - y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den))
         assert (s - a) + a == s
-        if not a.is_zero():
-            _assert_canonical_equal(a.inv(), RatFunc(a.den, a.num))
-            _assert_canonical_equal(b / a, RatFunc(b.num * a.den, b.den * a.num))
-        nontrivial += not poly_gcd(a.den, b.den).is_const()
+        _assert_canonical_equal(q.inv(), RatFunc(q.den, q.num))
+        _assert_canonical_equal(b / q, RatFunc(b.num * q.den, b.den * q.num))
+        nontrivial += bool(a.den_factors()[1].keys() & b.den_factors()[1].keys())
     # the pool makes shared denominator factors common, so the g != 1 path runs
     assert nontrivial > 30
+    # and no operation, the constructor's included, takes a gcd of polynomials
+    assert calls == []
 
 
 def test_henrici_sum_cancels_the_gcd_of_t_and_g():
@@ -610,10 +654,11 @@ def test_gcd_matches_sympy_up_to_sign():
 
 
 # The factor base: a denominator is a positive int times exponents over the
-# table of linear forms, times a residual for what does not split.  These
-# tests hold every operation to the form a full gcd of the unreduced pair
-# gives, computed here by poly_gcd alone, and to sympy's cancel.
+# table of linear forms.  These tests hold every operation to the form a full
+# gcd of the unreduced pair gives, computed here by poly_gcd alone, and to
+# sympy's cancel.
 _LINEAR_FORMS = _FACTORS + [parse_poly("u1 + u2 + h"), parse_poly("u - u1 + h")]
+# irreducible, so no denominator holding one builds
 _RESIDUALS = [parse_poly(s) for s in ("u^2 + h^2", "u*u1 + h^2", "u1^2 - u*h + 2*h^2")]
 
 
@@ -630,24 +675,20 @@ def _full_gcd_form(num, den):
     return tuple(Poly({e: c // content for e, c in p.terms.items()}) for p in (num, den))
 
 
-def _mixed(const, picks, residual, extra, num_picks, num_terms):
-    """(num, den): a small numerator times linear forms, over const times
-    linear forms (repeats allowed) times at most one nonlinear factor."""
-    den = Poly.const(const)
-    for i in picks:
-        den = den * _LINEAR_FORMS[i]
-    if residual is not None:
-        den = den * _RESIDUALS[residual]
-    num = _poly_from_terms(num_terms) + extra
+def _mixed(const, picks, extra, num_picks, num_terms, split=False):
+    """(num, den, value): a small numerator times linear forms, over const
+    times linear forms (repeats allowed), and its RatFunc (_over_forms).  A
+    split numerator is the linear forms alone, so inv() splits it."""
+    num = Poly.const(1) if split else _poly_from_terms(num_terms) + extra
     for i in num_picks:
         num = num * _LINEAR_FORMS[i]
-    return num, den
+    value, den = _over_forms(num, const, [_LINEAR_FORMS[i] for i in picks])
+    return num, den, value
 
 
 _mixed_ratfuncs = st.tuples(
     st.sampled_from([1, 2, 3, -1, -6]),
     st.lists(st.integers(0, len(_LINEAR_FORMS) - 1), max_size=3),
-    st.one_of(st.none(), st.integers(0, len(_RESIDUALS) - 1)),
     st.sampled_from([Poly(), Poly.const(1), parse_poly("u1"), _RESIDUALS[0]]),
     st.lists(st.integers(0, len(_LINEAR_FORMS) - 1), max_size=2),
     st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * len(_HYP_VARS)), st.integers(-3, 3)), max_size=2),
@@ -657,14 +698,14 @@ _mixed_ratfuncs = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(x=_mixed_ratfuncs, y=_mixed_ratfuncs, op=st.sampled_from(["+", "-", "*", "/", "inv"]))
 def test_factor_base_agrees_with_full_gcd_and_sympy(x, y, op):
-    (n1, d1), (n2, d2) = _mixed(*x), _mixed(*y)
-    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    _interned(_LINEAR_FORMS)
+    # the operand that inv() or a division inverts has a split numerator
+    n1, d1, a = _mixed(*x, split=op == "inv")
+    n2, d2, b = _mixed(*y, split=op == "/")
     assert (a.num, a.den) == _full_gcd_form(n1, d1)
     if op == "inv":
-        assume(not n1.is_zero())
         ours, num, den = a.inv(), d1, n1
     else:
-        assume(op != "/" or not n2.is_zero())
         ours = _OPS[op](a, b)
         num, den = {
             "+": (n1 * d2 + n2 * d1, d1 * d2),
@@ -714,7 +755,9 @@ def test_table_denominators_make_no_gcd_call(monkeypatch):
     built = _counting_constructor(monkeypatch)
     product, total, difference = a * b, a + b, a - b
     assert calls == [] and built == []
-    assert product.den_factors()[2] is None and total.den_factors()[2] is None
+    forms = [parse_poly(p) for p in ("u + h", "u1 + u2 + h", "2*u + h")]
+    assert product.den_factors() == (1, dict(zip(forms, (3, 2, 1))))
+    assert total.den_factors() == difference.den_factors() == (1, dict(zip(forms, (2, 1, 1))))
     assert product == RatFunc(a.num * b.num, a.den * b.den)
     assert total == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
     assert difference == RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
@@ -726,46 +769,54 @@ def test_table_denominators_make_no_gcd_call(monkeypatch):
 
 
 @pytest.mark.parametrize("residual", _RESIDUALS)
-def test_a_residual_operand_goes_to_the_constructor_once(monkeypatch, residual):
-    table = (U1 - H) / (U + H) / (U1 + U2 + H)
-    with_residual = RatFunc(Poly.var("u") - Poly.var("u1"), residual * (U + H).num)
-    built = _counting_constructor(monkeypatch)
-    for x, y in ((with_residual, table), (table, with_residual), (with_residual, with_residual * U)):
-        for op, num, den in (
-            ("+", x.num * y.den + y.num * x.den, x.den * y.den),
-            ("-", x.num * y.den - y.num * x.den, x.den * y.den),
-            ("*", x.num * y.num, x.den * y.den),
-        ):
-            built.clear()
-            got = _OPS[op](x, y)
-            assert built == [(num, den)], (str(x), op, str(y))
-            assert (got.num, got.den) == _full_gcd_form(num, den)
-            _assert_canonical_equal(got, RatFunc(num, den))
+def test_a_nonlinear_factor_is_rejected_by_the_constructor_and_inv(monkeypatch, residual):
+    # the constructor and inv() are the only ways in for an expanded
+    # denominator: each names the factor left once the table forms are
+    # divided out, and a rejected value interns nothing
+    table = RatFunc.one() / (U + H)
+    calls = _counting_gcd(monkeypatch)
+    size = len(field._FORMS)
+    message = f"denominator factor {format_poly(residual)} of degree 2 is not a product"
+    for build in (
+        lambda: RatFunc(Poly.var("u") - Poly.var("u1"), residual * (U + H).num),
+        lambda: RatFunc(residual).inv(),
+        lambda: table / RatFunc(residual * (U + H).num),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    assert len(field._FORMS) == size and calls == []
 
 
-def test_residual_goes_to_the_general_gcd(monkeypatch):
+def test_a_residual_is_rejected_before_any_gcd(monkeypatch):
     r = parse_poly("u^2 + h^2")
     RatFunc(Poly.const(1), parse_poly("u + h"))  # enters u + h into the table
-    a = RatFunc(Poly.const(1), r * parse_poly("u + h"))
     calls = _counting_gcd(monkeypatch)
-    total = a + RatFunc(Poly.var("u"), r)
-    assert calls
-    assert total == RatFunc(Poly.var("u") * parse_poly("u + h") + Poly.const(1), r * parse_poly("u + h"))
-    c, forms, residual = total.den_factors()
-    assert (c, forms, residual) == (1, {parse_poly("u + h"): 1}, r)
+    with pytest.raises(ValueError, match=re.escape(f"denominator factor {format_poly(r)} of degree 2")):
+        RatFunc(Poly.const(1), r * parse_poly("u + h"))
+    with pytest.raises(ValueError, match=re.escape(f"denominator factor {format_poly(r)} of degree 2")):
+        RatFunc(Poly.var("u"), r)
+    assert calls == []
+    # the same sum over table forms: u + h and u - h in place of r
+    a = RatFunc.one() / (U + H) / (U - H) / (U + H)
+    total = a + U / (U + H) / (U - H)
+    assert calls == []
+    assert total == RatFunc(Poly.var("u") * parse_poly("u + h") + Poly.const(1), parse_poly("u + h") ** 2 * parse_poly("u - h"))
+    assert total.den_factors() == (1, {parse_poly("u + h"): 2, parse_poly("u - h"): 1})
 
 
-def test_a_residual_hiding_a_table_form_is_split_before_a_sum():
-    # two forms no other test uses: their product enters as a residual, then
-    # one of them joins the table; the sum must still see it as common
+def test_a_product_of_new_forms_builds_once_all_but_one_are_interned():
+    # two forms no other test uses: their expanded product is rejected while
+    # neither is in the table, and builds, the other joining the table as
+    # the linear remainder, once one of them is
     l1, l2 = parse_poly("u3 + 5*u4 + h"), parse_poly("u4 - 3*u3 + 2*h")
     assert l1 not in field._FORM_ID and l2 not in field._FORM_ID
-    a = RatFunc(Poly.var("u"), l1 * l2)
-    assert a.den_factors() == (1, {}, l1 * l2)
+    with pytest.raises(ValueError, match=re.escape(f"denominator factor {format_poly(l1 * l2)} of degree 2")):
+        RatFunc(Poly.var("u"), l1 * l2)
+    assert l1 not in field._FORM_ID and l2 not in field._FORM_ID
     b = RatFunc(Poly.const(1), l1)
-    assert l1 in field._FORM_ID
-    # what is left of the residual is linear, so it joins the table as well
-    assert a.den_factors() == (1, {l1: 1, l2: 1}, None)
+    a = RatFunc(Poly.var("u"), l1 * l2)
+    assert a.den_factors() == (1, {l1: 1, l2: 1}) and l2 in field._FORM_ID
+    assert a == RatFunc(Poly.var("u")) / l1 / l2
     for x, y in ((a, b), (b, a), (a, a * b), (a * b, b - a)):
         for got, num, den in (
             (x + y, x.num * y.den + y.num * x.den, x.den * y.den),
@@ -774,19 +825,16 @@ def test_a_residual_hiding_a_table_form_is_split_before_a_sum():
         ):
             assert (got.num, got.den) == _full_gcd_form(num, den), (str(x), str(y))
     assert a + b - b == a and (a + b) * l2 == RatFunc(Poly.var("u") + l2, l1)
-    # a's residual l3 l4 hides l4, which joins the table after a is built,
-    # and l3, which d's residual l3 q shares: sums must cancel both
+    # with l4 interned, l3 l4 builds and l3 joins the table; l3 l4 q does
+    # not, and its error names q, what is left once l3 and l4 are divided out
     l3, l4 = parse_poly("u4 + 7*u3 - h"), parse_poly("2*u4 - 5*u3 + 3*h")
     q = parse_poly("u^2 + h^2")
     assert l3 not in field._FORM_ID and l4 not in field._FORM_ID
-    a = RatFunc(Poly.const(1), l3 * l4)
     RatFunc(Poly.const(1), l4)
-    d = RatFunc(Poly.const(1), l3 * l4 * q)
-    assert l3 not in field._FORM_ID and d.den_factors() == (1, {l4: 1}, l3 * q)
-    for x, y in ((a, d), (d, a)):
-        for got, num in ((x + y, x.num * y.den + y.num * x.den), (x - y, x.num * y.den - y.num * x.den)):
-            assert (got.num, got.den) == _full_gcd_form(num, x.den * y.den), (str(x), str(y))
-            assert got == RatFunc(num, x.den * y.den)
+    a = RatFunc(Poly.const(1), l3 * l4)
+    assert a.den_factors() == (1, {l4: 1, l3: 1})
+    with pytest.raises(ValueError, match=re.escape(f"denominator factor {format_poly(q)} of degree 2")):
+        RatFunc(Poly.const(1), l3 * l4 * q)
 
 
 def test_a_zero_at_the_test_point_is_decided_by_exact_division(monkeypatch):
@@ -819,12 +867,62 @@ def test_a_zero_at_the_test_point_is_decided_by_exact_division(monkeypatch):
 
 
 def test_pickle_carries_the_value_not_the_table_ids():
-    # form ids index one process's table, so a pickle holds num and den
-    for r in (H / (U1 + U2 + H) / (U - H), RatFunc(parse_poly("u"), parse_poly("u^2 + h^2")), RatFunc.zero()):
-        state = r.__reduce__()
-        assert state == (RatFunc, (r.num, r.den))
+    # form ids index one process's table, so a pickle holds num, the
+    # content and each form as a Poly, and the load interns the forms
+    quarter = RatFunc.const(Fraction(-3, 4)) * U / (2 * U1 + H) / (2 * U1 + H)
+    for r in (H / (U1 + U2 + H) / (U - H), quarter, RatFunc.zero()):
+        c, forms = r.den_factors()
+        assert r.__reduce__() == (field._rebuild, (r.num, c, tuple(forms.items())))
         copy = pickle.loads(pickle.dumps(r))
-        assert copy == r and hash(copy) == hash(r) and str(copy) == str(r)
+        assert copy == r and hash(copy) == hash(r) and str(copy) == str(r) and copy.den_factors() == (c, forms)
+
+
+def _fresh(code, stdin=b""):
+    """The stdout, as bytes, of code run in a new interpreter that imports
+    this checkout's refleq, whose form table holds only the variables."""
+    src = Path(field.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, input=stdin, capture_output=True, check=True).stdout
+
+
+_PICKLED = "H / (U1 + U2 + H) / (U - H)"
+_SHOWN = "print(str(r), hash(r), sorted((str(p), e) for p, e in r.den_factors()[1].items()))"
+
+
+def test_a_pickle_loads_in_a_new_interpreter():
+    # made in one process and loaded in another, whose table holds neither
+    # form: the value, its hash and its factored denominator come back
+    data = _fresh(f"import pickle, sys\nfrom refleq.field import H, U, U1, U2\nsys.stdout.buffer.write(pickle.dumps({_PICKLED}))")
+    shown = _fresh(f"import pickle, sys\nr = pickle.loads(sys.stdin.buffer.read())\n{_SHOWN}", data)
+    r = H / (U1 + U2 + H) / (U - H)
+    assert shown.decode().strip() == f"{r} {hash(r)} {sorted((str(p), e) for p, e in r.den_factors()[1].items())}"
+    assert pickle.loads(data) == r
+
+
+_SPLIT_RULE = """
+from refleq.field import H, U1, U2, RatFunc
+try:
+    RatFunc.one() / ((U1 - U2) * (U1 + H))
+except ValueError as e:
+    print(e)
+r = RatFunc.one() / (U1 - U2) / (U1 + H)
+print(r, hash(r), sorted(map(str, r.den_factors()[1])))
+"""
+
+
+def test_an_expanded_denominator_builds_only_over_interned_forms():
+    # in a new interpreter, whose table holds neither form, the expanded
+    # product is rejected, naming it, and the same value built one form at a
+    # time has both forms in its denominator; once they are interned, the
+    # expanded product builds, and to a value equal in every part
+    rejected, built = _fresh(_SPLIT_RULE).decode().splitlines()
+    assert rejected == "denominator factor u1*u2 + h*u2 - u1^2 - h*u1 of degree 2 is not a product of the interned linear forms"
+    r = RatFunc.one() / (U1 - U2) / (U1 + H)
+    assert built == f"{r} {hash(r)} {sorted(map(str, r.den_factors()[1]))}"
+    assert sorted(map(str, r.den_factors()[1])) == ["u1 + h", "u2 - u1"]
+    expanded = RatFunc.one() / ((U1 - U2) * (U1 + H))
+    assert expanded == r and hash(expanded) == hash(r) and expanded.den_factors() == r.den_factors()
 
 
 def test_warm_hash_reads_nothing():

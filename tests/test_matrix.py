@@ -16,6 +16,7 @@ from refleq.rkmat import (
     cross_r,
     k_matrix,
     monodromy_t,
+    pair_labels,
     s_matrix,
     site_labels,
     twisted_monodromy,
@@ -482,13 +483,16 @@ def test_packed_monomials_unpack_and_sort_as_mono_key(exps):
     [(1, "a cleared entry has total degree 2, over 1,"), (2, "a scaled product has total degree 6, over 3,")],
 )
 def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message, monkeypatch):
-    # fresh operators, cleared under the narrow width: each entry of R(u1^2
-    # - u2^2) cleared is of total degree 2, which both provers read, and a
+    # fresh operators, cleared under the narrow width: each entry of u R(u1
+    # - u2) cleared is of total degree 2, which both provers read, and a
     # product of three is of 6, which only the symbolic prover packs; the
-    # multipoint prover evaluates the product at an integer point
+    # multipoint prover evaluates the product at an integer point.  The
+    # scalar u enters each side once per factor, so the Yang-Baxter
+    # equation still holds
     slots = [site_labels(2)] * 3
-    w1, w2, w3 = U1 * U1, U2 * U2, U3 * U3
-    ops = [yang_r.__wrapped__(2, w1 - w2), yang_r.__wrapped__(2, w1 - w3), yang_r.__wrapped__(2, w2 - w3)]
+    pairs = pair_labels(2)
+    scalar = LabeledMatrix(pairs, pairs, {(x, x): U for x in pairs})
+    ops = [yang_r.__wrapped__(2, w) * scalar for w in (U1 - U2, U1 - U3, U2 - U3)]
     factors = [embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2)))]
     monkeypatch.setattr(matrix_module, "_BITS", bits)
     carry_values = matrix_module._carry_values
@@ -510,17 +514,17 @@ def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message
         assert verify_identity(factors, factors[::-1], "multipoint")["holds"]
 
 
-# entries for random factors: two residual denominators (irreducible, so they
-# never split over the linear forms), two linear forms, an integer
-# denominator and polynomials
+# entries for random factors: two denominators of two inhomogeneous linear
+# forms each, two linear forms, an integer denominator and polynomials.  Each
+# form is divided by on its own, so the pool builds in any process
 ENTRY_POOL = (
-    "h / (u^2 + h*u1 + 1)",
-    "(u + 1) / (u1^2 + u2^2 + h)",
-    "u1 / (u + h)",
-    "(u2 - h) / (u1 - u2)",
-    "3 / 2",
-    "u + 2*h",
-    "1",
+    rf("h") / rf("u + 1") / rf("u1 - h"),
+    rf("u + 1") / rf("u1 + 2") / rf("u2 + h"),
+    rf("u1 / (u + h)"),
+    rf("(u2 - h) / (u1 - u2)"),
+    rf("3 / 2"),
+    rf("u + 2*h"),
+    rf("1"),
 )
 
 
@@ -529,23 +533,26 @@ def random_factor(rng, labels, density=0.5):
     for r in labels:
         for c in labels:
             if rng.random() < density:
-                entries[r, c] = rf(rng.choice(ENTRY_POOL)) * RatFunc.const(rng.choice((-3, -1, 1, 2)))
+                entries[r, c] = rng.choice(ENTRY_POOL) * RatFunc.const(rng.choice((-3, -1, 1, 2)))
     return LabeledMatrix(labels, labels, entries)
 
 
-def _with_residual_difference(product):
-    """A copy of product that first differs from it at its least entry with a
-    residual denominator, and that entry's key; None when it has none."""
-    keys = sorted(k for k, v in product.entries.items() if v.den_factors()[2] is not None)
+def _with_compound_difference(product):
+    """A copy of product that first differs from it at its least entry whose
+    denominator has two forms or more, and that entry's key; None when it
+    has none."""
+    keys = sorted(k for k, v in product.entries.items() if len(v.den_factors()[1]) > 1)
     if not keys:
         return None
-    # a form denominator cannot cancel the residual of the sum
+    # the sum keeps every form of the entry but u + h: the entry's
+    # numerator is coprime to them
     return edited(product, {keys[0]: product.entries[keys[0]] + rf("u1 / (u + h)")}), keys[0]
 
 
-def test_product_verdict_matches_the_folded_products_on_residual_denominators():
-    # the first differing entry has a residual denominator on both sides, so
-    # its counterexample strings come from the one reduction the route makes
+def test_product_verdict_matches_the_folded_products_on_compound_denominators():
+    # the first differing entry has a denominator of several forms on both
+    # sides, so its counterexample strings come from the one reduction the
+    # route makes
     labels = ["a", "b", "c"]
     ident = LabeledMatrix.identity(labels)
     seen = 0
@@ -553,7 +560,7 @@ def test_product_verdict_matches_the_folded_products_on_residual_denominators():
         rng = random.Random(seed)
         lhs = [random_factor(rng, labels) for _ in range(2 + seed % 2)]
         product = functools.reduce(operator.mul, lhs)
-        found = _with_residual_difference(product)
+        found = _with_compound_difference(product)
         if found is None:
             continue
         changed, (i, j) = found

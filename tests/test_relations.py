@@ -1,6 +1,7 @@
 """Tests for the exchange-identity verdicts in refleq.relations."""
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -344,8 +345,9 @@ class TestGridEngine:
         assert v["holds"] and v["degreeBounds"] == {"u1": 0}
 
     def test_leading_coefficient_that_vanishes(self):
-        # the leading coefficient of the denominator in u2 vanishes at u1 = 97
-        m = one_entry(parse_ratfunc("1 / (u1*u2 - 97*u2 - 1)"))
+        # the leading coefficient of the denominator (u1 - 97)(u2 + 1) in u2
+        # vanishes at u1 = 97
+        m = one_entry(RatFunc.one() / (U1 - 97) / (U2 + 1))
         assert _grid_proof([m], [m])["holds"]
 
     @settings(max_examples=80, deadline=None)
@@ -354,50 +356,50 @@ class TestGridEngine:
             st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
             min_size=1, max_size=3,
         ),
-        residual=st.none() | st.tuples(
-            st.tuples(*[st.integers(-2, 2)] * 3), st.tuples(*[st.integers(-2, 2)] * 3),
+        pair=st.none() | st.tuples(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
             st.tuples(*[st.integers(0, 1)] * 3),
         ),
         h_on_grid=st.booleans(),
     )
-    def test_grid_verdict_equals_the_symbolic_one_across_poles(self, forms, residual, h_on_grid):
+    def test_grid_verdict_equals_the_symbolic_one_across_poles(self, forms, pair, h_on_grid):
         # every denominator of m vanishes at a point of the grid: m m = m^2
-        # must hold, and fail with one entry of m^2 perturbed, in both modes
+        # must hold, and fail with one entry of m^2 perturbed, in both modes.
+        # A pair is two forms through one point, a denominator of degree 2
         grid_vars = ("h", "u1", "u2") if h_on_grid else ("u1", "u2")
         h, u1, u2 = (Poly.var(v) for v in ("h", "u1", "u2"))
 
         def point(ks):
             return {"h": 1, **{v: k for v, k in zip(("h", "u1", "u2"), ks) if v in grid_vars}}
 
-        def linear(a, b, c):
-            return u1.scale(a) + u2.scale(b) + h.scale(c)
+        def through(p, a, b):
+            # p_h (a u1 + b u2) - (a p_u1 + b p_u2) h vanishes at p
+            return (u1.scale(a) + u2.scale(b)).scale(p["h"]) - h.scale(a * p["u1"] + b * p["u2"])
 
         dens, poles = [], []
         for a, b, *ks in forms:
             p = point(ks)
-            # p_h (a u1 + b u2) - (a p_u1 + b p_u2) h vanishes at p
-            den = linear(a, b, 0).scale(p["h"]) - h.scale(a * p["u1"] + b * p["u2"])
-            assume(not den.is_zero())
-            dens.append(den)
+            dens.append([through(p, a, b)])
             poles.append(p)
-        if residual is not None:
-            f, g = linear(*residual[0]), linear(*residual[1])
-            p = point(residual[2])
-            r = (f * g).scale(p["h"] ** 2) - (h * h).scale(f.subs(p) * g.subs(p))
-            assume(not f.is_zero() and not g.is_zero() and not r.is_zero())
-            dens.append(r)
+        if pair is not None:
+            p = point(pair[2])
+            dens.append([through(p, *pair[0]), through(p, *pair[1])])
             poles.append(p)
+        assume(not any(f.is_zero() for fs in dens for f in fs))
         labels = list(range(len(dens) + 1))
-        # degree-zero homogeneous, so h may be off the grid
-        entries = {(i, i): RatFunc(Poly.var("h", den.degree()), den) for i, den in enumerate(dens)}
+        # degree-zero homogeneous, so h may be off the grid; each form is
+        # divided by on its own
+        entries = {
+            (i, i): functools.reduce(lambda v, f: v / RatFunc(f), fs, RatFunc.var("h", len(fs))) for i, fs in enumerate(dens)
+        }
         entries[len(dens), len(dens)] = RatFunc.var("u1") if h_on_grid else RatFunc.one()
         m = LabeledMatrix(labels, labels, entries)
         square = m * m
         v = _grid_proof([m, m], [square])
         assert v["holds"] and verify_identity([m, m], [square])["holds"]
         bounds = v["degreeBounds"]
-        for den, p in zip(dens, poles):
-            assert den.subs(p) == 0 and all(x <= bounds.get(var, 1) for var, x in p.items())
+        for fs, p in zip(dens, poles):
+            assert all(f.subs(p) == 0 for f in fs) and all(x <= bounds.get(var, 1) for var, x in p.items())
         bad = edited(square, {(0, 0): square.entries[0, 0] + entries[0, 0]})
         w = _grid_proof([m, m], [bad])
         assert not w["holds"] and not verify_identity([m, m], [bad])["holds"]
@@ -1213,17 +1215,27 @@ class TestDegreeBounds:
         assert full_row_grid_proof([m], [twice])["counterexample"]["point"] == "{h=0, u1=0, u2=0}"
 
     def test_bounds_do_not_depend_on_what_the_process_ran_before(self):
-        # the denominator (U1 - U2)(U1 + H) is one residual in a fresh
-        # interpreter, which has neither linear form in its table, and two
-        # table forms once the suite has interned them; one denominator map
-        # per factor cancels it whole either way
-        fresh = json.loads(_fresh_stdout(_RESIDUAL_GRID_PROOF))
+        # the denominator (U1 - U2)(U1 + H), built one form at a time, is the
+        # same two table forms in a fresh interpreter, which has neither in
+        # its table, and after the suite has interned them, where the
+        # expanded product builds too, to the same value.  The second proof
+        # groups two such entries into one factor on the left and into two
+        # on the right: its bounds come from form maps alone, so they agree
+        # too
+        fresh = json.loads(_fresh_stdout(_FORMS_GRID_PROOF))
         assert run_suite("all")["ok"]
-        m = one_entry(RatFunc.one() / ((U1 - U2) * (U1 + H)))
-        v = _grid_proof([m], [m])
-        assert [v["degreeBounds"], v["gridSize"], v["detail"]] == fresh
-        assert v["holds"] and v["gridSize"] == 1 and v["degreeBounds"] == {"h": 0, "u1": 0, "u2": 0}
-        _assert_bounds_cover_cleared_products([m], [m])
+        value = RatFunc.one() / (U1 - U2) / (U1 + H)
+        assert RatFunc.one() / ((U1 - U2) * (U1 + H)) == value
+        m = one_entry(value)
+        lhs, rhs = _regrouped(value, RatFunc.one() / (U1 - U2) / (U2 + H))
+        after = []
+        for sides in (([m], [m]), (lhs, rhs)):
+            v = _grid_proof(*sides)
+            assert v["holds"] and v["gridSize"] == 1
+            _assert_bounds_cover_cleared_products(*sides)
+            after.append([v["degreeBounds"], v["gridSize"], v["detail"]])
+        assert after == fresh
+        assert [bounds for bounds, *_ in after] == [{"h": 0, "u1": 0, "u2": 0}, {"h": 2, "u1": 3, "u2": 3}]
 
     def test_kept_bounds_match_the_expanded_clearing_on_every_suite_operator(self, monkeypatch):
         # every operator the default suite, the suite at l = 4 and acceptance
@@ -1254,18 +1266,22 @@ class TestDegreeBounds:
         assert all(getattr(op, "_bounds", None) is None for op in ops[:default])
         assert any(getattr(op, "_bounds", None) is not None for op in ops[larger:])
         # every suite operator is homogeneous; these are not: the first two
-        # have inhomogeneous denominators (residuals, integer contents), the
-        # third a homogeneous denominator and an entry of degree 1, and the
-        # fourth's variables are those of its denominator alone
+        # have inhomogeneous denominators (forms with a constant term, one of
+        # them squared, and integer contents), the third a homogeneous
+        # denominator and an entry of degree 1, and the fourth's variables
+        # are those of its denominator alone
         labels = [1, 2]
         ops += [
             LabeledMatrix(labels, labels, {
                 (1, 1): parse_ratfunc("h / (u1 - 7)"),
-                (1, 2): parse_ratfunc("(u + 1) / (u1^2 + u2^2 + h)"),
+                (1, 2): parse_ratfunc("u + 1") / parse_ratfunc("u1 + u2 + 2") / parse_ratfunc("u2 - h"),
                 (2, 1): parse_ratfunc("u1 / 3"),
                 (2, 2): RatFunc.const(Fraction(-5, 6)),
             }),
-            LabeledMatrix(labels, labels, {(1, 2): parse_ratfunc("h / (u^2 + h*u1 + 1)"), (2, 2): parse_ratfunc("u + 2*h")}),
+            LabeledMatrix(labels, labels, {
+                (1, 2): parse_ratfunc("h") / parse_ratfunc("u + u1 + 1") / parse_ratfunc("u + u1 + 1"),
+                (2, 2): parse_ratfunc("u + 2*h"),
+            }),
             LabeledMatrix(labels, labels, {(1, 1): parse_ratfunc("u1 / (u1 - u2)"), (2, 2): parse_ratfunc("u + 2*h")}),
             LabeledMatrix(labels, labels, {(1, 1): parse_ratfunc("1 / (u1 - u2)")}),
         ]
@@ -1289,31 +1305,40 @@ class TestDegreeBounds:
         assert json.dumps(after) == fresh
         assert after[0]["holds"] and not after[1]["holds"] and "counterexample" in after[1]
 
-    def test_bounds_cover_factors_with_several_residuals(self):
-        # p and q are irreducible, so they stay residuals in every process.
-        # a's map holds both of its residuals, p and p q, whole, so its D is
-        # their product p^2 q, not their lcm p q: the bounds are larger than
-        # the lcm's ({"h": 2, "u1": 5, "u2": 2}), and they still cover the
-        # cleared products
-        p, q = U1 * U2 + H * H + RatFunc.one(), U1 * U1 + U2 + RatFunc.one()
-        a = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one() / p, (2, 2): RatFunc.one() / (p * q)})
-        b = LabeledMatrix([1, 2], [1, 2], {(1, 1): RatFunc.one() / q, (2, 2): U1 / p})
-        assert _clear(a).den == collections.Counter({p.num: 1, (p * q).num: 1})
+    def test_bounds_cover_factors_with_several_compound_denominators(self):
+        # p and q are products of two forms each; a's entries 1/p and
+        # 1/(p q) share p's forms, and its D is their lcm p q, each form
+        # once, not the product p^2 q: the bounds are the lcm's, and they
+        # cover the cleared products
+        p_forms, q_forms = (U1 + H, U2 + 1), (U2 - U1, U1 + 1)
+        p, q = (functools.reduce(operator.truediv, forms, RatFunc.one()) for forms in (p_forms, q_forms))
+        a = LabeledMatrix([1, 2], [1, 2], {(1, 1): p, (2, 2): p * q})
+        b = LabeledMatrix([1, 2], [1, 2], {(1, 1): q, (2, 2): U1 * p})
+        assert _clear(a).den == collections.Counter({form.num: 1 for form in p_forms + q_forms})
         v = _grid_proof([a, b], [b, a])
-        assert v["holds"] and v["degreeBounds"] == {"h": 4, "u1": 6, "u2": 3}
+        assert v["holds"] and v["degreeBounds"] == {"h": 1, "u1": 5, "u2": 2}
         _assert_bounds_cover_cleared_products([a, b], [b, a])
 
 
-# the grid proof of test_bounds_do_not_depend_on_what_the_process_ran_before,
-# for a new interpreter, whose form table holds neither linear form
-_RESIDUAL_GRID_PROOF = """
+# the grid proofs of test_bounds_do_not_depend_on_what_the_process_ran_before,
+# for a new interpreter, whose form table holds none of their linear forms;
+# the test builds the same two pairs of sides in process (_regrouped)
+_FORMS_GRID_PROOF = """
 import json
 from refleq.field import H, U1, U2, RatFunc
 from refleq.matrix import LabeledMatrix, verify_identity
 
-m = LabeledMatrix([1], [1], {(1, 1): RatFunc.one() / ((U1 - U2) * (U1 + H))})
-v = verify_identity([m], [m], "multipoint")
-print(json.dumps([v["degreeBounds"], v["gridSize"], v["detail"]]))
+
+a, b = RatFunc.one() / (U1 - U2) / (U1 + H), RatFunc.one() / (U1 - U2) / (U2 + H)
+one = RatFunc.one()
+m = LabeledMatrix([1], [1], {(1, 1): a})
+# diag(a, b) on the left, diag(a, 1) diag(1, b) on the right
+diag = [LabeledMatrix([1, 2], [1, 2], {(1, 1): x, (2, 2): y}) for x, y in ((a, b), (a, one), (one, b))]
+out = []
+for sides in (([m], [m]), (diag[:1], diag[1:])):
+    v = verify_identity(*sides, "multipoint")
+    out.append([v["degreeBounds"], v["gridSize"], v["detail"]])
+print(json.dumps(out))
 """
 
 
@@ -1324,6 +1349,14 @@ from refleq.relations import check_chain_reflection, check_reflection
 after = [check_chain_reflection("flagPlus", 2), check_reflection("flagMinus", 2, boundary="oppositePlacement")]
 print(json.dumps(after))
 """
+
+
+def _regrouped(a, b):
+    """diag(a, b) as one factor on the left, diag(a, 1) diag(1, b) on the
+    right."""
+    one = RatFunc.one()
+    diag = [LabeledMatrix([1, 2], [1, 2], {(1, 1): x, (2, 2): y}) for x, y in ((a, b), (a, one), (one, b))]
+    return diag[:1], diag[1:]
 
 
 def _fresh_stdout(code):
@@ -1883,14 +1916,15 @@ class TestBoundaryOperator:
         assert v["holds"] and v["sites"] == n
 
 
-# Run in a fresh interpreter, where the form table is empty: once a check has
-# interned the linear forms of a denominator, a later one no longer splits it
-# into a residual, so an in-session run could miss one.  n = 2 runs first
-# for the same reason.
+# Run in a fresh interpreter, where the form table holds only the variables:
+# an expanded denominator that a check splits before its forms are interned
+# raises there, where an in-session run could have interned them already.
+# n = 2 runs first for the same reason.
 _NO_INVERSE_GUARD = """
-import collections, json
+import collections, json, random
 from refleq import acceptance, field, matrix, relations, rkmat
 from refleq.acceptance import run_acceptance
+from refleq.field import H, U, U1, U2
 from refleq.rkmat import KINDS
 
 counts = collections.Counter()
@@ -1901,17 +1935,9 @@ def counted(name, fn):
         return fn(*args)
     return wrapper
 
-real_split = field._split
-
-def split(p):
-    exponents, residual = real_split(p)
-    counts["residual"] += residual is not None
-    return exponents, residual
-
 matrix.LabeledMatrix.inverse = counted("inverse", matrix.LabeledMatrix.inverse)
 field.poly_gcd = counted("poly_gcd", field.poly_gcd)
 relations.poly_gcd = counted("poly_gcd", relations.poly_gcd)
-field._split = split
 stages = {}
 
 def stage(name):
@@ -1927,12 +1953,26 @@ assert relations.run_suite("all")["ok"]
 stage("suite")
 assert run_acceptance()["ok"]
 stage("acceptance")
+# random Henrici arithmetic: sums, products and quotients of values over
+# products of table forms
+rng = random.Random(5150)
+forms = [U + H, U - H, 2 * U + H, U1 + H, U1 - U, U1 + U2 + H]
+values = []
+for _ in range(60):
+    x = rng.choice([1, -2, 3]) * rng.choice(forms)
+    for _ in range(rng.randint(1, 3)):
+        x = x / rng.choice(forms)
+    values.append(x)
+for a, b in zip(values, values[1:]):
+    a + b, a - b, a * b, a / b
+stage("henrici")
 print(json.dumps(stages))
 """
 
 
 def test_no_verdict_inverts_a_matrix_or_takes_a_gcd():
-    assert json.loads(_fresh_stdout(_NO_INVERSE_GUARD)) == {"boundaryFactorization": {}, "suite": {}, "acceptance": {}}
+    stages = json.loads(_fresh_stdout(_NO_INVERSE_GUARD))
+    assert stages == {"boundaryFactorization": {}, "suite": {}, "acceptance": {}, "henrici": {}}
 
 
 class TestSuites:
