@@ -1,16 +1,20 @@
 """Exact rational functions in h, u, u1, u2, u3, u4 over Q.
 
 Poly is Z[h, u, u1..u4]; Q enters only as a RatFunc's content.  A Poly is a
-dict mapping exponent tuples to nonzero int coefficients, and exact division
-divides ints with divmod, so nothing here ever produces a float.  Every
-division the library makes is exact over Z (Gauss's lemma): it divides by a
-content or a primitive divisor, or it is a subresultant PRS step.  The
-variable order is fixed once and for all:
+dict mapping packed monomials, one int each, to nonzero int coefficients, and
+exact division divides ints with divmod, so nothing here ever produces a
+float.  Every division the library makes is exact over Z (Gauss's lemma): it
+divides by a content or a primitive divisor, or it is a subresultant PRS
+step.  The variables and their order are one table, _PT, which also gives
+each its coordinate in the factor base's hyperplane points:
 
     VARS = (h, u, u1, u2, u3, u4)
 
-Monomial comparison is graded lexicographic with later variables dominating,
-so the monomial u1 beats h and `2*u1 + 2*h` is the canonical print order for
+field owns the monomial format, and the provers in matrix read Poly.terms
+as stored, through the public layout constants (EXP_SHIFT, EXP_MASK,
+DEGREE_SHIFT) and the degree guard fit.  Monomial comparison is int
+comparison: graded lexicographic with later variables dominating, so the
+monomial u1 beats h and `2*u1 + 2*h` is the canonical print order for
 descending terms.
 
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
@@ -45,47 +49,78 @@ from __future__ import annotations
 
 import sys
 from heapq import heapify, heappop, heappush
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd as int_gcd
 from math import lcm as int_lcm
-from operator import add, index, mul, neg, sub
+from math import prod
+from operator import index, lshift, mul
 
-VARS = ("h", "u", "u1", "u2", "u3", "u4")
+# Every variable, in order, and its coordinate at the hyperplane points of
+# the factor base (_vanishes_on): a new variable is one more line here, and
+# the monomial layout below follows from this table.
+_PT = {
+    "h": 5,
+    "u": 47,
+    "u1": 431,
+    "u2": 3967,
+    "u3": 36497,
+    "u4": 335779,
+}
+VARS = tuple(_PT)
 NVARS = len(VARS)
 VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 
-ZERO_EXP = (0,) * NVARS
+# A monomial is one int (Monagan and Pearce, PASCO 2007): each exponent in a
+# field of EXP_BITS bits, in VARS order from the lowest bit, and the total
+# degree above them, at DEGREE_SHIFT.  So int order is graded lexicographic
+# with later variables dominating, the print order, and multiplying two
+# monomials is adding two ints.  No field carries into the next while every
+# total degree is at most MAX_DEGREE, which fit checks before any product.
+EXP_BITS = 8
+EXP_MASK = MAX_DEGREE = (1 << EXP_BITS) - 1
+EXP_SHIFT = tuple(range(0, EXP_BITS * NVARS, EXP_BITS))
+DEGREE_SHIFT = EXP_BITS * NVARS
+# each variable's monomial of degree 1
+_UNIT = tuple(1 << s | 1 << DEGREE_SHIFT for s in EXP_SHIFT)
 
 
-def _mono_key(exps):
-    # graded lex, later variables dominate
-    return (sum(exps), tuple(reversed(exps)))
+def fit(degree, what):
+    """Raise ValueError unless a monomial of total degree `degree` packs
+    with no carry: at most MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"{what} has total degree {degree}, over {MAX_DEGREE}, the most an exponent field holds")
 
 
-def _heap_key(exps):
-    # _mono_key negated, so that heapq's smallest entry is the leading monomial
-    return (-sum(exps), *map(neg, reversed(exps)))
+def packed_poly(terms):
+    """The Poly whose terms are the dict terms, {packed monomial: nonzero
+    int}, taken as it is."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
 
 
 def _div_const(p, c):
     """p / c for a nonzero int c; ValueError unless c divides every
     coefficient."""
-    q = Poly()
     if c == 1:
-        q.terms = dict(p.terms)
-        return q
-    for e, cc in p.terms.items():
-        q.terms[e], r = divmod(cc, c)
+        return packed_poly(dict(p.terms))
+    q = {}
+    for m, cc in p.terms.items():
+        q[m], r = divmod(cc, c)
         if r:
             raise ValueError("not an exact polynomial division")
-    return q
+    return packed_poly(q)
 
 
 class Poly:
     """Multivariate polynomial over Z: an element of Z[h, u, u1..u4].
 
-    Coefficients are ints, checked with operator.index, so a non-integer
-    raises TypeError; Q enters only as a RatFunc's content.
+    terms maps each packed monomial to its nonzero int coefficient.  The
+    constructor takes exponent tuples in VARS order, and it is the one place
+    a tuple is packed: a tuple of the wrong length, a negative exponent or a
+    total degree over MAX_DEGREE raises ValueError.  Coefficients are
+    checked with operator.index, so a non-integer raises TypeError; Q enters
+    only as a RatFunc's content.
     """
 
     __slots__ = ("terms", "_hash")
@@ -95,32 +130,38 @@ class Poly:
         if terms:
             for exps, c in terms.items():
                 c = index(c)
+                exps = tuple(exps)
+                if len(exps) != NVARS or min(exps) < 0:
+                    raise ValueError(f"{exps} is not a tuple of {NVARS} exponents, each at least 0")
+                degree = sum(exps)
+                fit(degree, f"the monomial {exps}")
                 if c:
-                    t[tuple(exps)] = c
+                    t[sum(map(lshift, exps, EXP_SHIFT)) | degree << DEGREE_SHIFT] = c
         self.terms = t
 
     @staticmethod
     def const(c):
         c = index(c)
-        return Poly({ZERO_EXP: c}) if c else Poly()
+        return packed_poly({0: c} if c else {})
 
     @staticmethod
     def var(name, power=1):
-        exps = [0] * NVARS
-        exps[VAR_INDEX[name]] = power
-        return Poly({tuple(exps): 1})
+        if power < 0:
+            raise ValueError(f"negative power {power} of {name}")
+        fit(power, f"{name}^{power}")
+        return packed_poly({power * _UNIT[VAR_INDEX[name]]: 1})
 
     def is_zero(self):
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and ZERO_EXP in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and ZERO_EXP in self.terms:
-            return self.terms[ZERO_EXP]
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         raise ValueError("not a constant polynomial")
 
     def __bool__(self):
@@ -138,21 +179,19 @@ class Poly:
             return self._hash
 
     def __neg__(self):
-        return Poly({e: -c for e, c in self.terms.items()})
+        return packed_poly({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) + c
+        for m, c in other.terms.items():
+            s = t.get(m, 0) + c
             if s:
-                t[e] = s
+                t[m] = s
             else:
-                t.pop(e, None)
-        p = Poly()
-        p.terms = t
-        return p
+                t.pop(m, None)
+        return packed_poly(t)
 
     def __sub__(self, other):
         return self + (-other)
@@ -162,65 +201,55 @@ class Poly:
             return NotImplemented
         if not self.terms or not other.terms:
             return Poly()
+        # the largest monomial of a Poly is of its total degree
+        fit((max(self.terms) >> DEGREE_SHIFT) + (max(other.terms) >> DEGREE_SHIFT), "a product")
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        p = Poly()
-        p.terms = t
-        return p
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 + m2
+                t[m] = t.get(m, 0) + c1 * c2
+        return packed_poly({m: c for m, c in t.items() if c} if 0 in t.values() else t)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
-        result = Poly.const(1)
-        base = self
+        result, base = Poly.const(1), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            # squared only while a higher bit is left
+            if n:
+                base = base * base
         return result
 
     def scale(self, c):
         c = index(c)
         if not c:
             return Poly()
-        return Poly({e: cc * c for e, cc in self.terms.items()})
+        return packed_poly({m: cc * c for m, cc in self.terms.items()})
 
     def leading(self):
-        """(exponent tuple, coefficient) of the graded-lex leading term."""
+        """(packed monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_mono_key)
-        return e, self.terms[e]
+        m = max(self.terms)
+        return m, self.terms[m]
 
     def degree(self, name=None):
         """Total degree, or degree in one variable.  Zero poly -> -1."""
         if not self.terms:
             return -1
         if name is None:
-            return max(sum(e) for e in self.terms)
-        i = VAR_INDEX[name]
-        return max(e[i] for e in self.terms)
+            return max(self.terms) >> DEGREE_SHIFT
+        s = EXP_SHIFT[VAR_INDEX[name]]
+        return max(m >> s & EXP_MASK for m in self.terms)
 
     def coeff_of(self, name, power):
         """Coefficient of name**power, a Poly in the remaining variables."""
         i = VAR_INDEX[name]
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                e2 = list(e)
-                e2[i] = 0
-                t[tuple(e2)] = c
-        p = Poly()
-        p.terms = t
-        return p
+        s, drop = EXP_SHIFT[i], power * _UNIT[i]
+        return packed_poly({m - drop: c for m, c in self.terms.items() if m >> s & EXP_MASK == power})
 
     def subs(self, assignment):
         """Evaluate at a full assignment {var: value}.
@@ -229,12 +258,12 @@ class Poly:
         integer point, a rational at a rational one.
         """
         total = 0
-        for e, c in self.terms.items():
-            v = c
-            for i, x in enumerate(e):
+        for m, c in self.terms.items():
+            for v, s in zip(VARS, EXP_SHIFT):
+                x = m >> s & EXP_MASK
                 if x:
-                    v *= assignment[VARS[i]] ** x
-            total += v
+                    c *= assignment[v] ** x
+            total += c
         return total
 
     def __str__(self):
@@ -244,20 +273,19 @@ class Poly:
         return f"Poly({format_poly(self)})"
 
 
-def _format_mono(exps):
+def _format_mono(m):
     """The monomial as "u*h^2", or "" for 1."""
-    return "*".join(VARS[i] if x == 1 else f"{VARS[i]}^{x}" for i, x in enumerate(exps) if x)
+    return "*".join(v if x == 1 else f"{v}^{x}" for v, s in zip(VARS, EXP_SHIFT) if (x := m >> s & EXP_MASK))
 
 
 def format_poly(p):
     if not p.terms:
         return "0"
-    items = sorted(p.terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
     out = []
-    for n, (e, c) in enumerate(items):
+    for n, (m, c) in enumerate(sorted(p.terms.items(), reverse=True)):
         neg = c < 0
         mag = -c if neg else c
-        mono = _format_mono(e)
+        mono = _format_mono(m)
         if not mono:
             body = str(mag)
         elif mag == 1:
@@ -287,33 +315,31 @@ def _to_univariate(p, name):
     """Represent p as {degree: Poly-in-other-vars} in the chosen variable."""
     out = {}
     i = VAR_INDEX[name]
-    for e, c in p.terms.items():
-        d = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        coeff = out.setdefault(d, Poly())
-        coeff.terms[tuple(e2)] = coeff.terms.get(tuple(e2), 0) + c
-    return {d: c for d, c in out.items() if c.terms}
+    s, unit = EXP_SHIFT[i], _UNIT[i]
+    for m, c in p.terms.items():
+        d = m >> s & EXP_MASK
+        out.setdefault(d, {})[m - d * unit] = c
+    return {d: packed_poly(t) for d, t in out.items()}
 
 
 def _from_univariate(coeffs, name):
     """The inverse of _to_univariate: each coefficient is free of name and
     nonzero, so its terms take the exponent d of name as they are."""
-    i = VAR_INDEX[name]
-    p = Poly()
-    p.terms = {e[:i] + (d,) + e[i + 1:]: c for d, coeff in coeffs.items() for e, c in coeff.terms.items()}
-    return p
+    unit = _UNIT[VAR_INDEX[name]]
+    fit(max(d + coeff.degree() for d, coeff in coeffs.items()), "a remainder")
+    return packed_poly({m + d * unit: c for d, coeff in coeffs.items() for m, c in coeff.terms.items()})
 
 
 def poly_div_exact(f, g):
     """Exact division f/g in Z[h..u4]; raises ValueError if g does not
     divide f there, so u / 2u raises as a remainder does.
 
-    The remainder lives in a dict beside a heap of its monomials ordered by
-    _mono_key, leading first (Monagan & Pearce, PASCO 2007).  Every monomial
-    that a step adds to the remainder is smaller than the one it cancels, so
-    each key enters the heap once; a key whose coefficient cancelled to 0 is
-    skipped when it comes up.
+    The remainder lives in a dict beside a heap of its negated monomials,
+    so the leading one comes first (Monagan & Pearce, PASCO 2007).  Every
+    monomial that a step adds to the remainder is smaller than the one it
+    cancels, so each key enters the heap once; a key whose coefficient
+    cancelled to 0 is skipped when it comes up.  A remainder monomial that
+    g's leading monomial does not divide, one exponent short, raises.
     """
     if g.is_zero():
         raise ZeroDivisionError("poly division by zero")
@@ -322,32 +348,32 @@ def poly_div_exact(f, g):
     if g.is_const():
         return _div_const(f, g.const_value())
     ge, gc = g.leading()
-    tail = [(e, c) for e, c in g.terms.items() if e != ge]
+    tail = [(m, c) for m, c in g.terms.items() if m != ge]
+    # the exponent fields of ge that a divisible monomial must reach
+    needs = [(s, x) for s in EXP_SHIFT if (x := ge >> s & EXP_MASK)]
     r = dict(f.terms)
-    heap = [(_heap_key(e), e) for e in r]
+    heap = [-m for m in r]
     heapify(heap)
     q = {}
     while heap:
-        re = heappop(heap)[1]
-        rc = r.pop(re)
+        rm = -heappop(heap)
+        rc = r.pop(rm)
         if not rc:
             continue
-        diff = tuple(map(sub, re, ge))
         qc, rem = divmod(rc, gc)
-        if rem or min(diff) < 0:
+        if rem or any(rm >> s & EXP_MASK < x for s, x in needs):
             raise ValueError("not an exact polynomial division")
+        diff = rm - ge
         q[diff] = qc
-        for e, c in tail:
-            e = tuple(map(add, diff, e))
-            old = r.get(e)
+        for m, c in tail:
+            m += diff
+            old = r.get(m)
             if old is None:
-                r[e] = -qc * c
-                heappush(heap, (_heap_key(e), e))
+                r[m] = -qc * c
+                heappush(heap, -m)
             else:
-                r[e] = old - qc * c
-    p = Poly()
-    p.terms = q
-    return p
+                r[m] = old - qc * c
+    return packed_poly(q)
 
 
 def _pseudo_rem_uni(fu, gu):
@@ -410,15 +436,9 @@ def _normalize_primitive(p):
 
 
 def _mono_content(p):
-    """Exponentwise min over terms: the largest monomial dividing p."""
-    it = iter(p.terms)
-    first = next(it)
-    mins = list(first)
-    for e in it:
-        for i, x in enumerate(e):
-            if x < mins[i]:
-                mins[i] = x
-    return tuple(mins)
+    """The largest monomial dividing p: each exponent its least over the
+    terms."""
+    return sum(min([m >> s & EXP_MASK for m in p.terms]) * unit for s, unit in zip(EXP_SHIFT, _UNIT))
 
 
 def _try_div(f, g):
@@ -440,14 +460,13 @@ def poly_gcd(f, g):
 
 
 def _gcd_nonconstant(f, g):
-    # pull out the common monomial factor first
-    mf = _mono_content(f)
-    mg = _mono_content(g)
-    common = tuple(min(a, b) for a, b in zip(mf, mg))
-    if any(common):
-        f = Poly({tuple(a - b for a, b in zip(e, common)): c for e, c in f.terms.items()})
-        g = Poly({tuple(a - b for a, b in zip(e, common)): c for e, c in g.terms.items()})
-        return _normalize_primitive(Poly({common: 1}) * poly_gcd(f, g))
+    # pull out the common monomial factor first: the largest monomial
+    # dividing every term of both
+    common = _mono_content(packed_poly(dict.fromkeys([*f.terms, *g.terms], 1)))
+    if common:
+        f = packed_poly({m - common: c for m, c in f.terms.items()})
+        g = packed_poly({m - common: c for m, c in g.terms.items()})
+        return _normalize_primitive(packed_poly({common: 1}) * poly_gcd(f, g))
     if len(f.terms) == 1 or len(g.terms) == 1:
         # monomial gcd already extracted: nothing further in common
         return Poly.const(1)
@@ -507,13 +526,19 @@ def _subresultant_gcd(a, b, name):
 # coefficient; the variables come first, so form i < NVARS is VARS[i].
 # Whether a form L divides a polynomial t is decided exactly: t is evaluated
 # in integers at the point of the hyperplane L = 0 whose other coordinates
-# are _PT.  A nonzero value proves that L does not divide t; only a zero
-# value leads to poly_div_exact, which decides.  Exponent maps are dicts
-# {form id: exponent}, never mutated once built, so they are shared.
+# are the variables' points in _PT.  A nonzero value proves that L does not
+# divide t; only a zero value leads to poly_div_exact, which decides.
+# Exponent maps are dicts {form id: exponent}, never mutated once built, so
+# they are shared.
 
-_PT = (5, 47, 431, 3967, 36497, 335779)
 _FORMS_MAX = 1 << 12
 _EXPANDED_MAX = 1 << 10
+
+
+@lru_cache(maxsize=1 << 14)
+def _value(m):
+    """The packed monomial m at the point _PT."""
+    return prod([x ** (m >> s & EXP_MASK) for s, x in zip(EXP_SHIFT, _PT.values())])
 
 
 class _Form:
@@ -523,8 +548,9 @@ class _Form:
 
     def __init__(self, poly):
         top, self.lead = poly.leading()
-        self.poly, self.k = poly, top.index(1)
-        self.root = -sum(c * (_PT[e.index(1)] if any(e) else 1) for e, c in poly.terms.items() if e != top)
+        # the leading monomial of a linear form is a variable's unit
+        self.poly, self.k = poly, _UNIT.index(top)
+        self.root = -sum(c * _value(m) for m, c in poly.terms.items() if m != top)
 
 
 _FORMS = []
@@ -554,11 +580,10 @@ def _vanishes_on(t, form, images):
     img = images.get(form.k)
     if img is None:
         img = images[form.k] = {}
-        for e, c in t.terms.items():
-            for j, x in enumerate(e):
-                if x and j != form.k:
-                    c *= _PT[j] ** x
-            img[e[form.k]] = img.get(e[form.k], 0) + c
+        at, unit = EXP_SHIFT[form.k], _UNIT[form.k]
+        for m, c in t.terms.items():
+            d = m >> at & EXP_MASK
+            img[d] = img.get(d, 0) + c * _value(m - d * unit)
     acc, lead_pow = 0, 1
     for d in range(max(img), -1, -1):
         acc = acc * form.root + img.get(d, 0) * lead_pow
@@ -602,9 +627,9 @@ def _split(p):
     remainder, which joins the table.  A remainder of degree over 1 raises
     ValueError."""
     m = _mono_content(p)
-    f = {i: x for i, x in enumerate(m) if x}
+    f = {i: x for i, s in enumerate(EXP_SHIFT) if (x := m >> s & EXP_MASK)}
     if f:
-        p = Poly({tuple(map(sub, e, m)): c for e, c in p.terms.items()})
+        p = packed_poly({n - m: c for n, c in p.terms.items()})
     d = p.degree()
     if d > 1:
         p, took = _divide_out(p, ((i, d) for i in range(NVARS, len(_FORMS))))
@@ -892,10 +917,10 @@ def format_ratfunc(r):
 
 def _den_needs_parens(den):
     # single term: parenthesize unless it's a bare power like u, h^2
-    ((e, c),) = den.terms.items()
+    ((m, c),) = den.terms.items()
     if c != 1:
         return True
-    return sum(1 for x in e if x) > 1
+    return sum(1 for s in EXP_SHIFT if m >> s & EXP_MASK) > 1
 
 
 # convenient pre-built generators

@@ -16,24 +16,25 @@ Work that depends only on the entry values, or on the label symmetry, reads
 that operator instead of the placement, and keeps what it read on the
 operator (_kept): the symmetry verdicts of the search below, the clearing
 that both provers read every factor through (_clearing), each distinct
-entry cleared once into packed monomials, and the multipoint prover's
-bounds, read off those monomials (_bounds).  Both provers read a
-placement's rows through one operator-size view (_Rows).
+entry cleared once into the terms of a Poly, {packed monomial: int}, in
+field's monomial format, and the multipoint prover's bounds, read off
+those monomials (_bounds).  Both provers read a placement's rows through
+one operator-size view (_Rows).
 
 The product of two LabeledMatrix values reduces every entry to canonical
 form; the builders use it.  The provers do not.  verify_identity(lhs, rhs,
 mode) proves that two ordered factor lists have equal products by one of
 two routes with one setup: each distinct factor is cleared of its
 denominators once (_clearing), each side is scaled by the other side's
-denominators less the part the two share, packed as the clearing is
+denominators less the part the two share, as terms of the same kind
 (_scales), and one loop (_differing_row) takes one row per orbit of the
 factors' common label symmetry (_orbit_representatives) in increasing
 order, carries it once through each side's factors by its prover's row
 product, read off each placement's operator (_Rows), and stops at the first
-row whose two scaled sides differ.  The symbolic prover (_symbolic_proof) carries the cleared
-entries as packed polynomials (_carry), so it never runs Henrici's sum or
-the trial-division screen, and reduces only the entry that a failing
-verdict prints.  The multipoint prover (_multipoint_proof) never forms a
+row whose two scaled sides differ.  The symbolic prover (_symbolic_proof)
+carries the cleared entries as terms (_carry), so it never runs Henrici's
+sum or the trial-division screen, and reduces only the entry that a
+failing verdict prints.  The multipoint prover (_multipoint_proof) never forms a
 product of polynomials: it bounds the scaled difference's degrees and
 coefficients and carries the entries' values at one integer point where
 agreement is a proof, as plain ints (_carry_values).  A verdict is a dict
@@ -52,7 +53,7 @@ import math
 import operator
 import types
 
-from .field import NVARS, VAR_INDEX, VARS, Poly, RatFunc, format_poly, format_ratfunc
+from .field import DEGREE_SHIFT, EXP_MASK, EXP_SHIFT, VAR_INDEX, VARS, Poly, RatFunc, fit, format_ratfunc, packed_poly
 
 
 def _require_chain(a, b):
@@ -96,9 +97,9 @@ class LabeledMatrix:
 
     Three private slots hold what a proof reads of a matrix, each filled on
     first use by _kept and kept for the life of the matrix: _cleared, the
-    clearing both provers read it through, its rows of packed terms
-    (_clear); _bounds, the multipoint prover's degrees and height of that
-    clearing, read off its packed terms (_bounds); and _symmetry, its
+    clearing both provers read it through, its rows of terms (_clear);
+    _bounds, the multipoint prover's degrees and height of that clearing, read
+    off the packed monomials of its terms (_bounds); and _symmetry, its
     verdict per site transposition (_commutes_with).  verify_identity reads
     all three.
     """
@@ -350,19 +351,14 @@ def _kept(mat, slot, make):
 # (_carry), scales it, and stops at the first row that differs, whose least
 # differing column is the counterexample.  A placement's rows are read off
 # its operator's (_Rows), and each operator is cleared once per process
-# (_clearing), its entries formed as packed monomials and read as stored.
-# The scales are packed the same way (_power), and the degree bounds read
-# off the packed monomials (_bounds).  The multipoint prover reads the same
-# clearing, scales and representatives (verify_identity) and runs the same
-# loop on the entries' int values at one point, with its own row product
-# (_carry_values, _multipoint_proof).
-#
-# A packed monomial is one int, each exponent in a field of _BITS bits, in
-# VARS order from the lowest, and the total degree above them, so int order
-# is field._mono_key order and multiplying two monomials is adding two ints
-# (Monagan and Pearce, PASCO 2007).  No field carries into the next while
-# every total degree, of a cleared entry and of a scaled product, is below
-# 2^_BITS (_fit).
+# (_clearing), its entries formed as Poly terms and read as stored.  The
+# scales are terms too (_power), and the degree bounds are read off the
+# exponent and total-degree fields of their packed monomials (_bounds), in
+# field's layout.  The multipoint prover reads the same clearing, scales and
+# representatives (verify_identity) and runs the same loop on the entries'
+# int values at one point, with its own row product (_carry_values,
+# _multipoint_proof).  field.fit checks every total degree, of a cleared
+# entry, of a scale and of a scaled product, before any product of terms.
 
 
 def first_difference(lhs, rhs):
@@ -373,45 +369,15 @@ def first_difference(lhs, rhs):
 
 _Cleared = collections.namedtuple("_Cleared", "c den rows degree entries")
 
-# bits per packed exponent: every suite item at l = 2..4, the acceptance
-# battery and the benchmark's workloads reach total degree 8 at most, far
-# below the 255 that 8 bits hold, and a larger degree raises (_fit)
-_BITS = 8
-_FIELDS = tuple(range(0, _BITS * NVARS, _BITS))
-_TOP, _MASK = _BITS * NVARS, (1 << _BITS) - 1
-
-
-def _fit(degree, what):
-    """Raise ValueError unless a monomial of total degree `degree` packs
-    with no carry at the width _BITS holds when it runs."""
-    limit = (1 << _BITS) - 1
-    if degree > limit:
-        raise ValueError(f"{what} has total degree {degree}, over {limit}, the most a {_BITS}-bit exponent holds")
-
-
-def _pack(p, k=1):
-    """The Poly p times the int k as packed terms, {packed monomial: int}."""
-    return {sum(map(operator.lshift, e, _FIELDS)) | sum(e) << _TOP: c * k for e, c in p.terms.items()}
-
-
-def _exponents(m):
-    """The exponent tuple of the packed monomial m."""
-    return tuple([m >> at & _MASK for at in _FIELDS])
-
-
-def _unpack(terms):
-    """The Poly of packed terms."""
-    return Poly({_exponents(m): c for m, c in terms.items()})
-
 
 def _degrees(monomials):
     """Each variable's largest exponent over the packed monomials, in VARS
     order, 0 where none holds it."""
-    return tuple([max([m >> at & _MASK for m in monomials], default=0) for at in _FIELDS])
+    return tuple([max([m >> at & EXP_MASK for m in monomials], default=0) for at in EXP_SHIFT])
 
 
 def _mul(x, y):
-    """The product of two packed terms."""
+    """The product of two term dicts."""
     t = {}
     for m1, c1 in x.items():
         for m2, c2 in y.items():
@@ -421,21 +387,21 @@ def _mul(x, y):
 
 
 def _power(terms, den):
-    """The packed terms times prod p^e over a denominator map den {Poly:
-    e}, as packed terms; each key is packed once."""
-    return functools.reduce(_mul, [q for p, e in den.items() for q in [_pack(p)] * e], terms)
+    """The terms times prod p^e over a denominator map den {Poly: e}, as
+    terms, each p read as its Poly terms."""
+    return functools.reduce(_mul, [p.terms for p, e in den.items() for _ in range(e)], terms)
 
 
 def _clear(mat):
     """One factor cleared of its denominators.  c * prod p^E over the
     Counter den is a common multiple D of its entry denominators.  rows is
-    its stored entries by row, {row: [(col, terms)]}, terms the packed v *
-    D of the entry v, one dict per distinct v, entries the list of those
+    its stored entries by row, {row: [(col, terms)]}, terms the Poly terms
+    of v * D for the entry v, one dict per distinct v, entries the list of those
     dicts, and degree the largest total degree of one.  With v's
     denominator c_v * prod p^e, v * D is (c // c_v) v.num times prod p^(E
     - e) over the keys where E > e, its deficit (_power).  Its degree, in
     total and per variable, is exactly deg(v.num) + sum (E - e) deg(p), so
-    _fit passes it before any packed product is formed."""
+    fit passes it before any product of terms is formed."""
     dens, rows = {}, {}
     for (i, j), v in mat.entries.items():
         part = dens.get(id(v))
@@ -455,11 +421,11 @@ def _clear(mat):
         (num, c // vc, {p: e - vden.get(p, 0) for p, e in den.items() if e > vden.get(p, 0)}, terms)
         for num, vc, vden, terms in dens.values()
     ]
-    totals = {p: max(map(sum, p.terms)) for p in den}
-    degree = max((max(map(sum, n.terms)) + sum(e * totals[p] for p, e in d.items()) for n, _, d, _ in parts), default=0)
-    _fit(degree, "a cleared entry")
+    totals = {p: p.degree() for p in den}
+    degree = max((n.degree() + sum(e * totals[p] for p, e in d.items()) for n, _, d, _ in parts), default=0)
+    fit(degree, "a cleared entry")
     for num, k, deficit, terms in parts:
-        terms.update(_power(_pack(num, k), deficit))
+        terms.update(_power(num.scale(k).terms, deficit))
     return _Cleared(c, den, rows, degree, [terms for *_, terms in parts])
 
 
@@ -476,9 +442,9 @@ def _scales(lhs, rhs):
     sum of their maps, (lc, lden) and (rc, rden); with g = gcd(lc, rc) and G
     = lden & rden, each key at the least of its two exponents (the part the
     sides share), the lhs scale is (rc // g) prod(rden - G) and the rhs
-    scale (lc // g) prod(lden - G), each packed as the clearing's entries
-    are (_power) once its degree, sum e deg(p), has passed _fit.  Returns
-    the two (content, map) pairs and the two packed scales."""
+    scale (lc // g) prod(lden - G), each as terms, as the clearing's entries
+    are (_power), once its degree, sum e deg(p), has passed fit.  Returns
+    the two (content, map) pairs and the two scales."""
     maps = []
     for side in (lhs, rhs):
         # one Counter per side, summed in place: sum() would build one per
@@ -490,7 +456,7 @@ def _scales(lhs, rhs):
     (lc, lden), (rc, rden) = maps
     g, shared = math.gcd(lc, rc), lden & rden
     pairs = (rc // g, rden - shared), (lc // g, lden - shared)
-    _fit(max(sum(e * p.degree() for p, e in den.items()) for _, den in pairs), "a scale")
+    fit(max(sum(e * p.degree() for p, e in den.items()) for _, den in pairs), "a scale")
     return maps, tuple(_power({0: k}, den) for k, den in pairs)
 
 
@@ -498,8 +464,8 @@ class _Rows(dict):
     """A factor's rows of the entries a prover carries, {row: [(col, x)]},
     read off the clearing's rows (_Cleared.rows) of the matrix itself or of
     the operator it places, at that operator's size.  With values None, as
-    in the symbolic prover, each stored entry is read as stored, the packed
-    v * D of a cleared entry; otherwise, as in the multipoint prover, a
+    in the symbolic prover, each stored entry is read as stored, the terms
+    of v * D for a cleared entry; otherwise, as in the multipoint prover, a
     stored entry t is read as values[id(t)], its int value at the point.
     Each prover makes one view per distinct factor of a proof and carries
     every row through it (_carry, _carry_values).  A row is made on its
@@ -534,8 +500,8 @@ class _Rows(dict):
 
 
 def _carry(side, views, i):
-    """Row i of the product of the cleared factors side, {col: packed
-    terms} with no zero term and no empty entry: row i of the first factor
+    """Row i of the product of the cleared factors side, {col: terms} with
+    no zero term and no empty entry: row i of the first factor
     carried left to right through the others, reading only the factor rows
     it reaches, with the zero terms dropped after each factor; views maps
     the id of each factor to its _Rows.  Each sum accumulates in a plain
@@ -600,22 +566,23 @@ _Bounds = collections.namedtuple("_Bounds", "degrees variables homogeneous heigh
 
 def _bounds(op):
     """What the multipoint prover bounds the operator op by, read off the
-    packed monomials of its clearing (_clearing): degrees, per variable in
-    VARS order, the largest degree of a cleared entry v * D, its exponent
-    field's largest value; variables, those of some v * D or of a key of
-    den; homogeneous, whether every entry v is homogeneous of degree zero,
-    that is every key of den homogeneous and every monomial of every v * D
-    of D's total degree, its total-degree field; and height, the largest row
-    sum of ||v * D||_1, the sum of the absolute values of its
+    packed monomials of its clearing's terms (_clearing): degrees, per
+    variable in VARS order, the largest degree of a cleared entry v * D, its
+    exponent field's largest value; variables, those of some v * D or of a
+    key of den; homogeneous, whether every entry v is homogeneous of degree
+    zero, that is every key of den homogeneous and every monomial of every v
+    * D of D's total degree, its total-degree field; and height, the largest
+    row sum of ||v * D||_1, the sum of the absolute values of its
     coefficients."""
     cleared = _clearing(op)
     monomials = set().union(*cleared.entries)
     degrees = _degrees(monomials)
-    totals = {p: set(map(sum, p.terms)) for p in cleared.den}
-    # every v * D of D's degree: a monomial's total degree is its top field
+    # a monomial's total degree is its top field
+    totals = {p: {m >> DEGREE_SHIFT for m in p.terms} for p in cleared.den}
+    # every v * D of D's degree
     degree = sum(e * max(totals[p]) for p, e in cleared.den.items())
-    homogeneous = all(len(t) == 1 for t in totals.values()) and {m >> _TOP for m in monomials} <= {degree}
-    keys = (map(max, zip(*p.terms)) for p in cleared.den)
+    homogeneous = all(len(t) == 1 for t in totals.values()) and {m >> DEGREE_SHIFT for m in monomials} <= {degree}
+    keys = (_degrees(p.terms) for p in cleared.den)
     variables = frozenset(itertools.compress(VARS, map(max, zip(degrees, *keys))))
     norms = {id(t): sum(map(abs, t.values())) for t in cleared.entries}
     height = max([sum([norms[id(t)] for _, t in row]) for row in cleared.rows.values()], default=0)
@@ -822,7 +789,7 @@ def verify_identity(lhs_factors, rhs_factors, mode="symbolic"):
     representatives) and one row loop (_differing_row): it carries each
     representative row once per side, in increasing order, and stops at the
     first that differs.  Each mode keeps only its arithmetic, its row
-    product and its scaling: the symbolic prover carries packed polynomials
+    product and its scaling: the symbolic prover carries Poly terms
     (_carry), and the multipoint prover the int values of the same entries
     at one integer point (_carry_values)."""
     if mode not in ("symbolic", "multipoint"):
@@ -850,17 +817,18 @@ def _symbolic_proof(lhs_factors, rhs_factors, shared):
     factors, cleared, maps, scales, reps = shared
     sides = (lhs_factors, rhs_factors)
     # no monomial of either scaled product has a larger total degree, so
-    # none carries when it fits; a packed scale's largest monomial is of
-    # its total degree
-    top = max(sum(cleared[id(mat)].degree for mat in side) + (max(s) >> _TOP) for side, s in zip(sides, scales))
-    _fit(top, "a scaled product")
+    # none carries when it fits; a scale's largest monomial is of its total
+    # degree
+    top = max(sum(cleared[id(mat)].degree for mat in side) + (max(s) >> DEGREE_SHIFT) for side, s in zip(sides, scales))
+    fit(top, "a scaled product")
     views = {key: _Rows(mat) for key, mat in factors.items()}
     found = _differing_row(sides, views, reps, [None if s == {0: 1} else s for s in scales], _carry, _mul)
     if found is None:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
     i, j, rows, _ = found
     lhs, rhs = (
-        format_ratfunc(RatFunc(_unpack(row.get(j, {})), _unpack(_power({0: c}, d)))) for row, (c, d) in zip(rows, maps)
+        format_ratfunc(RatFunc(packed_poly(row.get(j, {})), packed_poly(_power({0: c}, d))))
+        for row, (c, d) in zip(rows, maps)
     )
     row, col = lhs_factors[0].row_labels[i], lhs_factors[-1].col_labels[j]
     return {
@@ -897,7 +865,7 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     when its value there does.  Both terms are evaluated there in plain
     ints: each cleared entry and scale is evaluated once (_kronecker_value),
     each distinct monomial's exponent at the point summed once over the
-    bounded variables' packed fields, and the row loop (_differing_row)
+    bounded variables' exponent fields, and the row loop (_differing_row)
     carries those values with the int row product (_carry_values) and
     multiplies a row by a scale other than 1 as an int, so a factor's pole
     is no concern.  When every factor entry is homogeneous of degree zero,
@@ -928,19 +896,19 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
         for side, scale in zip(sides, scales)
     )
     width = height.bit_length() + 2
-    # per bounded variable, its packed field and its exponent's shift at
+    # per bounded variable, its exponent field and its exponent's shift at
     # the point; a variable with no bound is 0 in every entry, or h on its
     # slice, and leaves the point
     fields, size = [], 1
     for v, d in bounds.items():
-        fields.append((_FIELDS[VAR_INDEX[v]], width * size))
+        fields.append((EXP_SHIFT[VAR_INDEX[v]], width * size))
         size *= d + 1
     # placements of one operator share its clearing, whose entries are
     # each evaluated once, and each distinct monomial's exponent at the
     # point is summed once, over the bounded variables' fields only
     distinct = {id(x): x for x in cleared.values()}.values()
     packed = [*(t for x in distinct for t in x.entries), *scales]
-    at = {m: sum([(m >> f & _MASK) * k for f, k in fields]) for m in set().union(*packed)}
+    at = {m: sum([(m >> f & EXP_MASK) * k for f, k in fields]) for m in set().union(*packed)}
     values = {id(t): _kronecker_value(t, at) for t in packed}
     views = {key: _Rows(mat, values) for key, mat in factors.items()}
     scaled_by = [None if values[id(t)] == 1 else values[id(t)] for t in scales]
@@ -955,9 +923,10 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
     # the lowest digit of x - y is the first in which x and y differ
     shift = ((x - y) & (y - x)).bit_length() - 1
     shift -= shift % width
-    position, exps = shift // width, dict.fromkeys(VARS, 0)
+    position, monomial = shift // width, Poly.const(1)
     for v, d in bounds.items():
-        position, exps[v] = divmod(position, d + 1)
+        position, e = divmod(position, d + 1)
+        monomial = monomial * Poly.var(v, e)
     return {
         "holds": False,
         "mode": "multipoint",
@@ -967,7 +936,7 @@ def _multipoint_proof(lhs_factors, rhs_factors, shared):
         "counterexample": {
             "row": _label_to_json(lhs_factors[0].row_labels[i]),
             "col": _label_to_json(lhs_factors[-1].col_labels[j]),
-            "monomial": format_poly(Poly({tuple(exps.values()): 1})),
+            "monomial": str(monomial),
             "lhs": str(_digit(x, shift, width)),
             "rhs": str(_digit(y, shift, width)),
         },

@@ -5,6 +5,8 @@ The library never calls these.
   parse_ratfunc, parse_poly   the exact inverse of field.format_ratfunc and
                               field.format_poly, for writing test values as
                               the strings the library prints
+  exponents, exponent_terms   a packed monomial, and a Poly's terms, read
+                              back as exponent tuples off field's layout
   entry                       one entry of a LabeledMatrix by its labels
   _solve_exhaustive           complete backtracking over the per-point
                               selections of a polarization instance, the
@@ -75,11 +77,38 @@ import math
 import operator
 
 from refleq.dynkin import adjacency, cartan_matrix
-from refleq.field import NVARS, VAR_INDEX, VARS, Poly, RatFunc, _format_mono, format_ratfunc, poly_div_exact
+from refleq.field import (
+    EXP_MASK,
+    EXP_SHIFT,
+    NVARS,
+    VAR_INDEX,
+    VARS,
+    Poly,
+    RatFunc,
+    format_poly,
+    format_ratfunc,
+    poly_div_exact,
+)
 from refleq.kclass import GenericityError, QLaurent, q_integer
 from refleq.matrix import LabeledMatrix, _clear, _label_mismatch, _label_to_json, first_difference
 from refleq.polarization import PAIR_LABELS, WALL_NAMES, _point_multiset
 from refleq.tableaux import FlagTableau, _fold_pairs, condition_met
+
+# ---------------------------------------------------------------------------
+# monomials
+
+
+def exponents(m):
+    """The exponent tuple, in VARS order, of the packed monomial m, read
+    off its exponent fields."""
+    return tuple(m >> s & EXP_MASK for s in EXP_SHIFT)
+
+
+def exponent_terms(p):
+    """The terms of the Poly p keyed by exponent tuples, the keys the Poly
+    constructor takes."""
+    return {exponents(m): c for m, c in p.terms.items()}
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -448,7 +477,7 @@ def _map_degree(den):
     VARS order."""
     degree = [0] * NVARS
     for p, e in den.items():
-        degree = [d + e * max(x[i] for x in p.terms) for i, d in enumerate(degree)]
+        degree = [d + e * max(x[i] for x in exponent_terms(p)) for i, d in enumerate(degree)]
     return degree
 
 
@@ -501,7 +530,7 @@ def _homogeneous(mat):
     """Whether every entry of mat is homogeneous of degree zero jointly in
     all variables."""
     return all(
-        len(d := {sum(e) for e in v.den.terms}) == 1 and {sum(e) for e in v.num.terms} == d
+        len(d := {sum(e) for e in exponent_terms(v.den)}) == 1 and {sum(e) for e in exponent_terms(v.num)} == d
         for v in mat.entries.values()
     )
 
@@ -514,10 +543,10 @@ def multipoint_statistics(mat, c, den):
     (_homogeneous); and the largest row sum of the cleared entries' sums of
     absolute coefficients."""
     cleared = _cleared_polys(mat, _expand(c, den))
-    exps = [e for p in cleared.values() for e in p.terms]
+    exps = [e for p in cleared.values() for e in exponent_terms(p)]
     degrees = tuple(max([e[i] for e in exps], default=0) for i in range(NVARS))
     variables = frozenset(
-        v for i, v in enumerate(VARS) if degrees[i] or any(e[i] for p in den for e in p.terms)
+        v for i, v in enumerate(VARS) if degrees[i] or any(e[i] for p in den for e in exponent_terms(p))
     )
     sums = collections.Counter()
     for (i, _), p in cleared.items():
@@ -596,7 +625,7 @@ def full_row_grid_proof(lhs_factors, rhs_factors):
 def _at_h1(p):
     """p with h = 1."""
     out = {}
-    for e, c in p.terms.items():
+    for e, c in exponent_terms(p).items():
         key = (0, *e[1:])
         out[key] = out.get(key, 0) + c
     return Poly(out)
@@ -626,14 +655,14 @@ def polynomial_counterexample(lhs_factors, rhs_factors, verdict):
         sides.append(acc)
     lhs, rhs = sides
     j = min(c for c in lhs.keys() | rhs.keys() if lhs.get(c, Poly()) != rhs.get(c, Poly()))
-    a, b = lhs.get(j, Poly()), rhs.get(j, Poly())
-    e = min((e for e in a.terms.keys() | b.terms.keys() if a.terms.get(e) != b.terms.get(e)), key=lambda e: e[::-1])
+    a, b = (exponent_terms(side.get(j, Poly())) for side in (lhs, rhs))
+    e = min((e for e in a.keys() | b.keys() if a.get(e) != b.get(e)), key=lambda e: e[::-1])
     return {
         "row": row,
         "col": _label_to_json(lhs_factors[-1].col_labels[j]),
-        "monomial": _format_mono(e) or "1",
-        "lhs": str(a.terms.get(e, 0)),
-        "rhs": str(b.terms.get(e, 0)),
+        "monomial": format_poly(Poly({e: 1})),
+        "lhs": str(a.get(e, 0)),
+        "rhs": str(b.get(e, 0)),
     }
 
 

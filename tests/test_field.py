@@ -23,7 +23,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entry, parse_poly, parse_ratfunc
+from oracles import entry, exponent_terms, exponents, parse_poly, parse_ratfunc
 from refleq import field
 from refleq.field import (
     H,
@@ -155,7 +155,7 @@ def test_additive_and_multiplicative_identities():
 
 def _to_sympy(p, syms):
     expr = sympy.Integer(0)
-    for e, c in p.terms.items():
+    for e, c in exponent_terms(p).items():
         t = sympy.Integer(c)
         for s, x in zip(syms, e):
             if x:
@@ -304,6 +304,60 @@ def test_pow_and_string_of_negative_leading():
     r = RatFunc(-h, u)
     assert str(r) == "-h / u"
     assert parse_ratfunc("-h / u") == r
+
+
+def _exponent_tuple(**powers):
+    """The exponent tuple, in VARS order, of the monomial with these powers."""
+    return tuple(powers.get(name, 0) for name in VARS)
+
+
+def test_a_power_up_to_the_field_width_builds_and_one_past_it_raises():
+    # u^255 squares u up to u^128 and no further; u^256 is over the width
+    # of an exponent field, so the product that forms it raises
+    u = Poly.var("u")
+    assert u ** 255 == Poly.var("u", 255) == Poly({_exponent_tuple(u=255): 1})
+    assert (u ** 200).degree() == 200 and u ** 0 == Poly.const(1)
+    with pytest.raises(ValueError, match="total degree 256, over 255"):
+        u ** 256
+    with pytest.raises(ValueError, match="total degree 256, over 255"):
+        Poly.var("u", 256)
+
+
+def test_the_poly_constructor_rejects_a_malformed_exponent_tuple():
+    h = Poly.var("h")
+    # a tuple of the wrong length, a negative exponent, and a total degree
+    # over the width of an exponent field
+    for exps, message in (
+        ((1,), f"not a tuple of {NVARS} exponents"),
+        ((*_exponent_tuple(h=1), 0), f"not a tuple of {NVARS} exponents"),
+        (_exponent_tuple(h=-1), "each at least 0"),
+        (_exponent_tuple(u=300), "total degree 300, over 255"),
+        (_exponent_tuple(u=200, u1=56), "total degree 256, over 255"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Poly({exps: 1})
+    assert Poly({_exponent_tuple(h=1): 1}) == h and str(h + h) == "2*h"
+
+
+@st.composite
+def _exponent_tuples(draw):
+    # a total degree up to field.MAX_DEGREE, spread over the variables
+    budget, exps = draw(st.integers(0, field.MAX_DEGREE)), []
+    for _ in range(NVARS):
+        exps.append(draw(st.integers(0, budget)))
+        budget -= exps[-1]
+    return tuple(draw(st.permutations(exps)))
+
+
+@given(st.lists(_exponent_tuples(), min_size=1, max_size=12, unique=True))
+def test_packed_monomials_read_back_and_sort_in_graded_lex_order(exps):
+    # every exponent tuple within the field width comes back off the packed
+    # monomial's fields, and the ints sort as graded lex with later
+    # variables dominating sorts the tuples, the print order
+    p = Poly(dict.fromkeys(exps, 1))
+    assert sorted(map(exponents, p.terms)) == sorted(exps)
+    assert Poly(exponent_terms(p)) == p
+    assert [exponents(m) for m in sorted(p.terms)] == sorted(exps, key=lambda e: (sum(e), e[::-1]))
 
 
 def _coefficients(r):
@@ -469,7 +523,7 @@ def test_constant_term_agrees_with_sympy_limit(n, c, picks):
     forms = [_POOL[i] for i in picks]
     # num keeps its terms of u-degree at most den's, so the limit is finite
     top = sum(form.degree("u") for form in forms)
-    num = Poly({e: k for e, k in _poly_from_terms(n).terms.items() if e[VAR_INDEX["u"]] <= top})
+    num = Poly({e: k for e, k in exponent_terms(_poly_from_terms(n)).items() if e[VAR_INDEX["u"]] <= top})
     value, den = _over_forms(num, c, forms)
     ours = _limit(value)
     u = _SYMS[VARS.index("u")]
@@ -618,7 +672,7 @@ def test_poly_div_exact_rejects_a_remainder():
         r = Poly()
         while r.is_zero():
             r = random_poly(rng, max_terms=2, max_deg=g.degree() - 1, zero_ok=False)
-            r = Poly({e: c for e, c in r.terms.items() if sum(e) < g.degree()})
+            r = Poly({e: c for e, c in exponent_terms(r).items() if sum(e) < g.degree()})
         with pytest.raises(ValueError):
             poly_div_exact(f * g + r, g)
 
@@ -672,7 +726,7 @@ def _full_gcd_form(num, den):
     sign = 1 if den.leading()[1] > 0 else -1
     num, den = num.scale(sign), den.scale(sign)
     content = math.gcd(*num.terms.values(), *den.terms.values())
-    return tuple(Poly({e: c // content for e, c in p.terms.items()}) for p in (num, den))
+    return tuple(Poly({e: c // content for e, c in exponent_terms(p).items()}) for p in (num, den))
 
 
 def _mixed(const, picks, extra, num_picks, num_terms, split=False):

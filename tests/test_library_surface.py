@@ -134,8 +134,9 @@ def test_every_import_is_used():
 
 
 def test_no_module_imports_a_private_name_of_another():
-    # a private name is its module's own layout: matrix alone knows the
-    # packed monomials and the clearing, field alone its monomial format
+    # a private name is its module's own layout: field alone owns the
+    # packed monomial format, which others read through its public layout
+    # constants, and matrix alone knows the clearing
     imported = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -4,12 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
 from refleq import matrix as matrix_module
-from refleq.field import NVARS, U, U1, U2, U3, U4, Poly, RatFunc, _mono_key, poly_div_exact
+from refleq.field import U, U1, U2, U3, U4, Poly, RatFunc, packed_poly, poly_div_exact
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, verify_identity
 from refleq.rkmat import (
     constant_term_matrix,
@@ -418,40 +416,40 @@ def test_product_multiplies_each_distinct_value_pair_once(monkeypatch):
     assert product == _schoolbook_product(r12, r13)
 
 
-def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(monkeypatch):
+def test_symbolic_proofs_clear_each_operator_at_most_once_per_process(monkeypatch):
     # every Yang-Baxter factor sits on both sides, and a second proof, on new
     # placements of the same operators, finds them read: each operator is
-    # cleared once, each of its distinct entries' numerators is packed once,
-    # by the clearing, and the proofs multiply the packed terms it stored
+    # cleared once, each of its distinct entries is formed once, by the
+    # clearing, and the proofs multiply the terms it stored
     slots = [site_labels(2)] * 3
     # fresh operators, which no earlier proof has read
     ops = [yang_r.__wrapped__(2, U1 - U2), yang_r.__wrapped__(2, U1 - U3), yang_r.__wrapped__(2, U2 - U3)]
-    cleared, packed, rounds = {}, [], []
-    real_clear, real_pack = matrix_module._clear, matrix_module._pack
+    cleared, powers, rounds = {}, [], []
+    real_clear, real_power = matrix_module._clear, matrix_module._power
 
     def counting_clear(mat):
         assert id(mat) not in cleared
         cleared[id(mat)] = real_clear(mat)
         return cleared[id(mat)]
 
-    def counting_pack(p, k=1):
-        packed.append(p)
-        return real_pack(p, k)
+    def counting_power(terms, den):
+        powers.append(den)
+        return real_power(terms, den)
 
     monkeypatch.setattr(matrix_module, "_clear", counting_clear)
-    monkeypatch.setattr(matrix_module, "_pack", counting_pack)
+    monkeypatch.setattr(matrix_module, "_power", counting_power)
     for _ in range(2):
         r12, r13, r23 = (embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2))))
         assert verify_identity([r12, r13, r23], [r23, r13, r12])["holds"]
-        rounds.append(len(packed))
+        rounds.append(len(powers))
     assert set(cleared) == {id(op) for op in ops}
-    # the second proof packed nothing; each numerator was packed once, and
-    # the rest are the shared denominators of the clearing's products
-    assert rounds[0] == rounds[1]
-    numerators = [v.num for op in ops for v in {id(v): v for v in op.entries.values()}.values()]
-    assert sorted(id(p) for p in packed if any(p is num for num in numerators)) == sorted(map(id, numerators))
+    # the first proof formed each distinct entry once and the two scales,
+    # the second the two scales only; every power is over keys of the
+    # clearings' denominator maps
+    distinct = sum(len({id(v) for v in op.entries.values()}) for op in ops)
+    assert rounds == [distinct + 2, distinct + 4]
     keys = set().union(*(c.den for c in cleared.values()))
-    assert all(p in keys for p in packed if not any(p is num for num in numerators))
+    assert all(p in keys for den in powers for p in den)
     # the stored rows hold the clearing's one dict per distinct entry, v * D
     for op, c in zip(ops, map(cleared.get, map(id, ops))):
         stored = {(i, j): t for i, row in c.rows.items() for j, t in row}
@@ -462,39 +460,33 @@ def test_symbolic_proofs_clear_and_pack_each_operator_at_most_once_per_process(m
         d = Poly.const(c.c)
         for p, e in c.den.items():
             d = d * p ** e
-        assert all(matrix_module._unpack(stored[k]) == poly_div_exact(d, v.den) * v.num for k, v in op.entries.items())
-
-
-_EXPONENTS = st.tuples(*[st.integers(0, (1 << matrix_module._BITS) - 1)] * NVARS)
-
-
-@given(st.lists(_EXPONENTS, min_size=1, max_size=12, unique=True))
-def test_packed_monomials_unpack_and_sort_as_mono_key(exps):
-    # every exponent within the field width comes back, and the packed
-    # ints sort as field._mono_key sorts the tuples
-    packed = matrix_module._pack(Poly(dict.fromkeys(exps, 1)))
-    assert sorted(map(matrix_module._exponents, packed)) == sorted(exps)
-    assert matrix_module._unpack(packed) == Poly(dict.fromkeys(exps, 1))
-    assert [matrix_module._exponents(m) for m in sorted(packed)] == sorted(exps, key=_mono_key)
+        assert all(packed_poly(stored[k]) == poly_div_exact(d, v.den) * v.num for k, v in op.entries.items())
 
 
 @pytest.mark.parametrize(
-    "bits, message",
-    [(1, "a cleared entry has total degree 2, over 1,"), (2, "a scaled product has total degree 6, over 3,")],
+    "case, message",
+    [("cleared entry", "a cleared entry has total degree 256, over 255,"),
+     ("scaled product", "a scaled product has total degree 303, over 255,")],
 )
-def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message, monkeypatch):
-    # fresh operators, cleared under the narrow width: each entry of u R(u1
-    # - u2) cleared is of total degree 2, which both provers read, and a
-    # product of three is of 6, which only the symbolic prover packs; the
-    # multipoint prover evaluates the product at an integer point.  The
-    # scalar u enters each side once per factor, so the Yang-Baxter
-    # equation still holds
+def test_a_degree_over_the_packing_width_raises_before_any_product(case, message, monkeypatch):
+    # fresh operators R(w) D for a diagonal D, each scaling its column of
+    # R(w).  For the cleared entry, D holds u^254 at (1, 1) and 1 / u1 at
+    # (1, 2): the common denominator (w + h) u1 lifts the entry u^254 to
+    # total degree 256, and both provers read the clearing.  For the scaled
+    # product, D is u^100 at every label: each entry cleared is of total
+    # degree 101, which fits, and a product of three is of 303, which only
+    # the symbolic prover forms; the multipoint prover evaluates the product
+    # at an integer point.  The scalar u^100 enters each side once per
+    # factor, so the Yang-Baxter equation still holds
     slots = [site_labels(2)] * 3
     pairs = pair_labels(2)
-    scalar = LabeledMatrix(pairs, pairs, {(x, x): U for x in pairs})
+    if case == "cleared entry":
+        diagonal = {pairs[0]: RatFunc.var("u", 254), pairs[1]: RatFunc.var("u1", -1)}
+    else:
+        diagonal = dict.fromkeys(pairs, RatFunc.var("u", 100))
+    scalar = LabeledMatrix(pairs, pairs, {(x, x): diagonal.get(x, RatFunc.one()) for x in pairs})
     ops = [yang_r.__wrapped__(2, w) * scalar for w in (U1 - U2, U1 - U3, U2 - U3)]
     factors = [embed_on_slots(op, pos, slots) for op, pos in zip(ops, ((0, 1), (0, 2), (1, 2)))]
-    monkeypatch.setattr(matrix_module, "_BITS", bits)
     carry_values = matrix_module._carry_values
 
     def no_product(*args):
@@ -504,12 +496,12 @@ def test_a_degree_over_the_packing_width_raises_before_any_product(bits, message
     # (matrix._carry, matrix._carry_values)
     monkeypatch.setattr(matrix_module, "_carry", no_product)
     monkeypatch.setattr(matrix_module, "_carry_values", no_product)
-    if bits == 1:
+    if case == "cleared entry":
         monkeypatch.setattr(matrix_module, "_mul", no_product)
-    for mode in ("symbolic", "multipoint") if bits == 1 else ("symbolic",):
+    for mode in ("symbolic", "multipoint") if case == "cleared entry" else ("symbolic",):
         with pytest.raises(ValueError, match=message):
             verify_identity(factors, factors[::-1], mode)
-    if bits == 2:
+    if case == "scaled product":
         monkeypatch.setattr(matrix_module, "_carry_values", carry_values)
         assert verify_identity(factors, factors[::-1], "multipoint")["holds"]
 

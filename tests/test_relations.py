@@ -23,6 +23,7 @@ from oracles import (
     embed_by_tuples,
     embed_eagerly,
     entry,
+    exponents,
     fold_and_compare,
     full_row_grid_proof,
     full_size_orbit_representatives,
@@ -33,20 +34,17 @@ from oracles import (
     polynomial_counterexample,
 )
 from refleq import acceptance, field, matrix, relations, rkmat
-from refleq.field import H, U, U1, U2, VARS, Poly, RatFunc, format_ratfunc, poly_div_exact, poly_gcd
+from refleq.field import H, U, U1, U2, VARS, Poly, RatFunc, format_ratfunc, packed_poly, poly_div_exact, poly_gcd
 from refleq.matrix import (
     LabeledMatrix,
     _carry_values,
     _clear,
     _clearing,
-    _exponents,
     _kronecker_value,
     _label_to_json,
     _multipoint_proof,
     _orbit_representatives,
-    _pack,
     _Rows,
-    _unpack,
     embed_on_slots,
     verify_identity,
 )
@@ -451,12 +449,12 @@ class TestGridEngine:
             points.append(at)
             return real(terms, at)
 
-        def no_tuple(m):
-            raise AssertionError("the multipoint prover unpacked an exponent tuple")
+        def no_product(*args):
+            raise AssertionError("the multipoint prover formed a product of polynomials")
 
         _unheld(monkeypatch)
         monkeypatch.setattr(matrix, "_kronecker_value", counting)
-        monkeypatch.setattr(matrix, "_exponents", no_tuple)
+        monkeypatch.setattr(Poly, "__mul__", no_product)
         v = verify_identity(factors, [r23, r13, again], "multipoint")
         assert v["holds"] and v["gridSize"] == 1
         entry_calls = [id(t) for t in calls if id(t) in cleared]
@@ -472,14 +470,14 @@ class TestGridEngine:
         width = int(v["detail"].split("K = ")[1].split(",")[0])
         shifts = {"u1": width, "u2": width * (v["degreeBounds"]["u1"] + 1)}
         assert set(v["degreeBounds"]) == set(shifts)
-        assert at == {m: sum(e * shifts.get(x, 0) for x, e in zip(VARS, _exponents(m))) for m in at}
+        assert at == {m: sum(e * shifts.get(x, 0) for x, e in zip(VARS, exponents(m))) for m in at}
 
     def test_kronecker_value_is_the_value_at_powers_of_two(self):
         p = parse_poly("3*u1^2*u2 - 5*h*u1 + 7*u2^3 - 1")
         for shifts in ([0, 0, 4, 9, 0, 0], [2, 0, 1, 3, 0, 0], [0] * 6):
             point = {v: 1 << s for v, s in zip(VARS, shifts)}
-            at = {m: sum(map(operator.mul, _exponents(m), shifts)) for m in _pack(p)}
-            assert _kronecker_value(_pack(p), at) == p.subs(point)
+            at = {m: sum(map(operator.mul, exponents(m), shifts)) for m in p.terms}
+            assert _kronecker_value(p.terms, at) == p.subs(point)
 
     def test_cleared_rows_are_the_values_times_d(self):
         # value = v(x) * D(x) for every entry v, with D = c * prod den the
@@ -498,7 +496,7 @@ class TestGridEngine:
         for p, e in cleared.den.items():
             d = d * p ** e
         for point in ({"h": 1, "u1": 3, "u2": 2}, {"h": 1, "u1": 7, "u2": 2}, {"h": 1, "u1": 3, "u2": -3}):
-            values = {id(t): _unpack(t).subs(point) for t in cleared.entries}
+            values = {id(t): packed_poly(t).subs(point) for t in cleared.entries}
             assert all(type(n) is int for n in values.values())
             product = _carried_at([m, m, m], range(len(labels)), values)
             assert all(type(n) is int for row in product.values() for n in row.values())
@@ -1188,7 +1186,7 @@ class TestDegreeBounds:
         k = 12
         lhs, rhs = one_entry(U1), one_entry(RatFunc.const(2 ** k))
         cleared = {id(m): _clearing(m) for m in (lhs, rhs)}
-        shifts = {m: _exponents(m)[2] * k for x in cleared.values() for t in x.entries for m in t}  # u1 = 2^k
+        shifts = {m: exponents(m)[2] * k for x in cleared.values() for t in x.entries for m in t}  # u1 = 2^k
         at = {id(t): _kronecker_value(t, shifts) for x in cleared.values() for t in x.entries}
         assert _carried_at([lhs], [0], at) == _carried_at([rhs], [0], at)
         v = _grid_proof([lhs], [rhs])
@@ -1547,7 +1545,7 @@ class TestOrbitReduction:
         factors = {id(m): m for m in (*lhs, *rhs)}
         cleared = {k: _clearing(m) for k, m in factors.items()}
         point = {"h": 1, "u1": 2, "u2": 3}
-        at = {id(t): _unpack(t).subs(point) for x in cleared.values() for t in x.entries}
+        at = {id(t): packed_poly(t).subs(point) for x in cleared.values() for t in x.entries}
         assert _carried_at(lhs, reps, at) == _carried_at(rhs, reps, at)
 
     def test_an_invariant_planted_difference_is_read_off_the_representatives(self):
