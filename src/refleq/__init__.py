@@ -2,6 +2,7 @@
 
 The package is organized bottom-up:
 
+  terms        the one sparse-term sum, product and printer of {key: int}
   field        exact multivariate rational functions over Q (h, u, u1..u4)
   matrix       labeled sparse matrices over the field + identity verification
   dynkin       ADE Cartan data, longest Weyl words, diagram involutions

@@ -15,7 +15,11 @@ as stored, through the public layout constants (EXP_SHIFT, EXP_MASK,
 DEGREE_SHIFT) and the degree guard fit.  Monomial comparison is int
 comparison: graded lexicographic with later variables dominating, so the
 monomial u1 beats h and `2*u1 + 2*h` is the canonical print order for
-descending terms.
+descending terms.  A monomial product is an int sum, so a Poly's sum,
+difference, product and printed form, and the sums of a RatFunc's exponent
+maps, are the sparse-term functions of terms (add_terms, mul_terms,
+format_terms), which matrix and kclass share; Poly.__mul__ adds only the
+guard fit.
 
 Canonical RatFunc form: num/den reduced by their gcd, then scaled by a single
 rational, the quotient of their contents, so all coefficients are ints with
@@ -54,6 +58,8 @@ from math import gcd as int_gcd
 from math import lcm as int_lcm
 from math import prod
 from operator import index, lshift, mul
+
+from .terms import add_terms, format_terms, mul_terms
 
 # Every variable, in order, and its coordinate at the hyperplane points of
 # the factor base (_vanishes_on): a new variable is one more line here, and
@@ -184,17 +190,12 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, 0) + c
-            if s:
-                t[m] = s
-            else:
-                t.pop(m, None)
-        return packed_poly(t)
+        return packed_poly(add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return packed_poly(add_terms(self.terms, other.terms, -1))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -203,12 +204,7 @@ class Poly:
             return Poly()
         # the largest monomial of a Poly is of its total degree
         fit((max(self.terms) >> DEGREE_SHIFT) + (max(other.terms) >> DEGREE_SHIFT), "a product")
-        t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                t[m] = t.get(m, 0) + c1 * c2
-        return packed_poly({m: c for m, c in t.items() if c} if 0 in t.values() else t)
+        return packed_poly(mul_terms(self.terms, other.terms))
 
     def __pow__(self, n):
         if n < 0:
@@ -279,24 +275,7 @@ def _format_mono(m):
 
 
 def format_poly(p):
-    if not p.terms:
-        return "0"
-    out = []
-    for n, (m, c) in enumerate(sorted(p.terms.items(), reverse=True)):
-        neg = c < 0
-        mag = -c if neg else c
-        mono = _format_mono(m)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if n == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
+    return format_terms(p.terms, _format_mono)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +508,7 @@ def _subresultant_gcd(a, b, name):
 # are the variables' points in _PT.  A nonzero value proves that L does not
 # divide t; only a zero value leads to poly_div_exact, which decides.
 # Exponent maps are dicts {form id: exponent}, never mutated once built, so
-# they are shared.
+# they are shared; they multiply and divide by add_terms.
 
 _FORMS_MAX = 1 << 12
 _EXPANDED_MAX = 1 << 10
@@ -607,20 +586,6 @@ def _divide_out(t, pairs):
     return t, took
 
 
-def _merge(f, g, sign=1):
-    """Exponent map f times (sign 1) or over (sign -1) the map g."""
-    if not g:
-        return f
-    out = dict(f)
-    for i, e in g.items():
-        e = out.get(i, 0) + sign * e
-        if e:
-            out[i] = e
-        else:
-            del out[i]
-    return out
-
-
 def _split(p):
     """The exponent map of p, primitive with a positive leading coefficient:
     its monomial content, every table form dividing it and a linear
@@ -633,17 +598,17 @@ def _split(p):
     d = p.degree()
     if d > 1:
         p, took = _divide_out(p, ((i, d) for i in range(NVARS, len(_FORMS))))
-        f, d = _merge(f, took), p.degree()
+        f, d = add_terms(f, took), p.degree()
     if d > 1:
         raise ValueError(f"denominator factor {p} of degree {d} is not a product of the interned linear forms")
-    return _merge(f, {_intern(p): 1}) if d else f
+    return add_terms(f, {_intern(p): 1}) if d else f
 
 
 def _cancel(n, f):
     """Numerator n and exponent map f with their common forms divided out."""
     if f:
         n, took = _divide_out(n, f.items())
-        f = _merge(f, took, -1)
+        f = add_terms(f, took, -1)
     return n, f
 
 
@@ -791,12 +756,12 @@ class RatFunc:
         fb, fd = self._f, o._f
         g = {i: min(e, fd[i]) for i, e in fb.items() if i in fd}
         cl = int_lcm(self._c, o._c)
-        fbg = _merge(fb, g, -1)
-        t = _times(a, cl // self._c, _merge(fd, g, -1)) + _times(c, cl // o._c, fbg)
+        fbg = add_terms(fb, g, -1)
+        t = _times(a, cl // self._c, add_terms(fd, g, -1)) + _times(c, cl // o._c, fbg)
         if not t.terms:
             return RatFunc.zero()
         t, g2 = _divide_out(t, ((i, e) for i, e in g.items() if fb[i] == fd[i]))
-        return _make(t, cl, _merge(fbg, _merge(fd, g2, -1)))
+        return _make(t, cl, add_terms(fbg, add_terms(fd, g2, -1)))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -827,7 +792,7 @@ class RatFunc:
         # Henrici: after cross-cancellation n1 n2 and d1 d2 are coprime
         n1, f2 = _cancel(self.num, o._f)
         n2, f1 = _cancel(o.num, self._f)
-        return _make(n1 * n2, self._c * o._c, _merge(f1, f2))
+        return _make(n1 * n2, self._c * o._c, add_terms(f1, f2))
 
     __rmul__ = __mul__
 

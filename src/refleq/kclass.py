@@ -11,15 +11,19 @@ and updates the chamber by the simple Weyl reflection.  Composing along a
 reduced word for w0 (rightmost letter first) gives the longest transform;
 on a generic chamber it sends U_j to a single term -q^c U_{invast(j)}.
 
-A KClassExpr takes {symbol: QLaurent} and stores the flat terms
-{(symbol, q_exponent): nonzero int}; a sum adds integers key by key, and
-times c*q^k (shifted) moves every exponent by k.  parts, the
-{symbol: QLaurent} view, is a copy built on each read.
+A QLaurent stores {q_exponent: nonzero int}.  A KClassExpr takes
+{symbol: QLaurent} and stores the flat terms {(symbol, q_exponent): nonzero
+int}; a sum adds integers key by key, and times c*q^k (shifted) moves every
+exponent by k.  parts, the {symbol: QLaurent} view, is a copy built on
+each read.  Sums, products and the printed form of both are the sparse-term
+functions of terms, which field and matrix share; kclass makes no call into
+either.
 """
 
 from __future__ import annotations
 
 from .dynkin import cartan_matrix, invast, longest_word, neighbors
+from .terms import add_terms, format_terms, mul_terms
 
 
 class QLaurent:
@@ -62,55 +66,24 @@ class QLaurent:
         return QLaurent({k: -c for k, c in self.coeffs.items()})
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        q = QLaurent()
-        q.coeffs = out
-        return q
+        return QLaurent(add_terms(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return QLaurent(add_terms(self.coeffs, other.coeffs, -1))
 
     def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        q = QLaurent()
-        q.coeffs = out
-        return q
+        return QLaurent(mul_terms(self.coeffs, other.coeffs))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n, k in enumerate(sorted(self.coeffs, reverse=True)):
-            c = self.coeffs[k]
-            neg = c < 0
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                qp = "q" if k == 1 else f"q^{k}"
-                body = qp if mag == 1 else f"{mag}*{qp}"
-            if n == 0:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append((" - " if neg else " + ") + body)
-        return "".join(parts)
+        return format_terms(self.coeffs, _format_q)
 
     def __repr__(self):
         return f"QLaurent({self})"
+
+
+def _format_q(k):
+    """The power q^k as "q^k", "q" for k = 1 and "" for k = 0."""
+    return "" if k == 0 else "q" if k == 1 else f"q^{k}"
 
 
 def q_integer(m):
@@ -149,15 +122,8 @@ class KClassExpr:
         return isinstance(other, KClassExpr) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, n in other.terms.items():
-            s = out.get(key, 0) + n
-            if s:
-                out[key] = s
-            else:
-                del out[key]
         e = KClassExpr()
-        e.terms = out
+        e.terms = add_terms(self.terms, other.terms)
         return e
 
     def shifted(self, k, sign):

@@ -54,6 +54,7 @@ import operator
 import types
 
 from .field import DEGREE_SHIFT, EXP_MASK, EXP_SHIFT, VAR_INDEX, VARS, Poly, RatFunc, fit, format_ratfunc, packed_poly
+from .terms import mul_into, mul_terms
 
 
 def _require_chain(a, b):
@@ -357,8 +358,9 @@ def _kept(mat, slot, make):
 # field's layout.  The multipoint prover reads the same clearing, scales and
 # representatives (verify_identity) and runs the same loop on the entries'
 # int values at one point, with its own row product (_carry_values,
-# _multipoint_proof).  field.fit checks every total degree, of a cleared
-# entry, of a scale and of a scaled product, before any product of terms.
+# _multipoint_proof).  Every product of terms is terms.mul_terms, or
+# mul_into in a carried row, and field.fit checks every total degree, of a
+# cleared entry, of a scale and of a scaled product, before any of them.
 
 
 def first_difference(lhs, rhs):
@@ -376,20 +378,10 @@ def _degrees(monomials):
     return tuple([max([m >> at & EXP_MASK for m in monomials], default=0) for at in EXP_SHIFT])
 
 
-def _mul(x, y):
-    """The product of two term dicts."""
-    t = {}
-    for m1, c1 in x.items():
-        for m2, c2 in y.items():
-            m = m1 + m2
-            t[m] = t.get(m, 0) + c1 * c2
-    return {m: c for m, c in t.items() if c}
-
-
 def _power(terms, den):
     """The terms times prod p^e over a denominator map den {Poly: e}, as
     terms, each p read as its Poly terms."""
-    return functools.reduce(_mul, [p.terms for p, e in den.items() for _ in range(e)], terms)
+    return functools.reduce(mul_terms, [p.terms for p, e in den.items() for _ in range(e)], terms)
 
 
 def _clear(mat):
@@ -505,7 +497,8 @@ def _carry(side, views, i):
     carried left to right through the others, reading only the factor rows
     it reaches, with the zero terms dropped after each factor; views maps
     the id of each factor to its _Rows.  Each sum accumulates in a plain
-    dict and is not normalized.  The symbolic prover's row product."""
+    dict (mul_into) and is not normalized.  The symbolic prover's row
+    product."""
     row = {j: x for j, x in views[id(side[0])][i] if x}
     for mat in side[1:]:
         rows, acc = views[id(mat)], {}
@@ -514,10 +507,7 @@ def _carry(side, views, i):
                 t = acc.get(j)
                 if t is None:
                     t = acc[j] = {}
-                for m1, c1 in x.items():
-                    for m2, c2 in y.items():
-                        m = m1 + m2
-                        t[m] = t.get(m, 0) + c1 * c2
+                mul_into(t, x, y)
         row = {}
         for j, t in acc.items():
             if 0 in t.values():
@@ -552,7 +542,7 @@ def _differing_row(sides, views, reps, scales, carry, mul):
     prover's row product carry (_carry or _carry_values), and no row after
     the first differing one is carried; scales holds each side's scale in
     the prover's arithmetic, or None for a scale of 1, and mul(x, s) is an
-    entry x times the scale s (_mul or operator.mul)."""
+    entry x times the scale s (mul_terms or operator.mul)."""
     for i in reps:
         rows = [carry(side, views, i) for side in sides]
         scaled = [row if s is None else {j: mul(x, s) for j, x in row.items()} for row, s in zip(rows, scales)]
@@ -822,7 +812,7 @@ def _symbolic_proof(lhs_factors, rhs_factors, shared):
     top = max(sum(cleared[id(mat)].degree for mat in side) + (max(s) >> DEGREE_SHIFT) for side, s in zip(sides, scales))
     fit(top, "a scaled product")
     views = {key: _Rows(mat) for key, mat in factors.items()}
-    found = _differing_row(sides, views, reps, [None if s == {0: 1} else s for s in scales], _carry, _mul)
+    found = _differing_row(sides, views, reps, [None if s == {0: 1} else s for s in scales], _carry, mul_terms)
     if found is None:
         return {"holds": True, "mode": "symbolic", "detail": "entrywise canonical equality"}
     i, j, rows, _ = found

@@ -321,6 +321,19 @@ def s_matrix_via_transfer(kind, l, u, us):
     only as the tests' second route to s_matrix and as a target of the
     benchmark tracer, until the tracer stops wrapping it (ROADMAP.md, the
     benchmark item).
+
+    With two or more sites, a Gauss-Jordan pivot of Ttwist(-u) is a product
+    of linear forms, one per site w, such as (u + u1)(u + u2) for the
+    instanton kinds and (u + u1 + h)(u + u2 + h) for the flag kinds at l = 2,
+    and field splits an expanded denominator only over forms already
+    interned.  Those forms are the pivots of the single factors R'(-u - w):
+    u + w and u + w + h for the flag kinds (yang_r), and 2u + 2w + (2k - l) h
+    for k = 1..l, halved for even l, for the instanton kinds (the bullet
+    block Id - cJ).  So each factor is inverted first, which interns them,
+    and the route builds in a fresh interpreter (checked for every kind at
+    l = 2, 3 with up to three sites).
     """
+    for w in us:
+        cross_r(kind, l, -u - w).inverse()
     k0 = embed_on_slots(k_matrix(kind, l, u), (0,), _chain_slot_labels(l, len(us)))
     return twisted_monodromy(l, u, us, kind).inverse() * k0 * monodromy_t(l, u, us)

@@ -493,11 +493,12 @@ def test_a_degree_over_the_packing_width_raises_before_any_product(case, message
         raise AssertionError("a product ran before the guard")
 
     # no row is carried before the guard, by either prover's row product
-    # (matrix._carry, matrix._carry_values)
+    # (matrix._carry, matrix._carry_values), and no cleared entry is formed
+    # by the product of terms that the clearing calls (matrix.mul_terms)
     monkeypatch.setattr(matrix_module, "_carry", no_product)
     monkeypatch.setattr(matrix_module, "_carry_values", no_product)
     if case == "cleared entry":
-        monkeypatch.setattr(matrix_module, "_mul", no_product)
+        monkeypatch.setattr(matrix_module, "mul_terms", no_product)
     for mode in ("symbolic", "multipoint") if case == "cleared entry" else ("symbolic",):
         with pytest.raises(ValueError, match=message):
             verify_identity(factors, factors[::-1], mode)

@@ -3,6 +3,8 @@
 import functools
 import json
 import operator
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -307,6 +309,28 @@ def test_s_matrix_routes_agree(kind, l, n):
     direct = s_matrix(kind, l, U, shifts)
     via = s_matrix_via_transfer(kind, l, U, shifts)
     assert verify_identity([direct], [via])["holds"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_s_matrix_via_transfer_builds_first_in_a_fresh_interpreter(kind):
+    # the Gauss-Jordan pivots of the twisted monodromy at two sites are
+    # products of forms, such as (u + u1)(u + u2), that only the route
+    # itself interns: called before any other builder, it must still build,
+    # and equal s_matrix
+    code = (
+        "from refleq.field import U, U1, U2\n"
+        "from refleq.matrix import verify_identity\n"
+        "from refleq.rkmat import s_matrix, s_matrix_via_transfer\n"
+        f"via = s_matrix_via_transfer({kind!r}, 2, U, (U1, U2))\n"
+        f"direct = s_matrix({kind!r}, 2, U, (U1, U2))\n"
+        "print(via == direct, verify_identity([direct], [via])['holds'])\n"
+    )
+    src = Path(rkmat.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout, out.stderr[-500:]) == (0, "True True\n", "")
 
 
 @pytest.mark.parametrize("kind", KINDS)
