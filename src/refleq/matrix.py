@@ -10,8 +10,9 @@ embed_on_slots places an operator on some tensor slots, extended by the
 identity on the others, and places operators only: a placement placed again
 raises, and a flip is the operator on reversed positions.  A placement is a
 view: it records the operator it places and where (mixed-radix offsets over
-the slots, on label tuples built once per slot tuple and shared), and it
-builds its full-size entry map only when something reads its entries.
+the slots, kept on the operator per positions and slots, on label tuples
+built once per slot tuple and shared), and it builds its full-size entry
+map only when something reads its entries.
 Work that depends only on the entry values, or on the label symmetry, reads
 that operator instead of the placement, and keeps what it read on the
 operator (_kept): the symmetry verdicts of the search below, the clearing
@@ -101,11 +102,14 @@ class LabeledMatrix:
     clearing both provers read it through, its rows of terms (_clear);
     _bounds, the multipoint prover's degrees and height of that clearing, read
     off the packed monomials of its terms (_bounds); and _symmetry, its
-    verdict per site transposition (_commutes_with).  verify_identity reads
-    all three.
+    verdict per site permutation (_commutes_with).  verify_identity reads
+    all three.  A fourth, _placed, holds an operator's offsets per positions
+    and slots it was placed on (embed_on_slots).
     """
 
-    __slots__ = ("row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_bounds", "_symmetry")
+    __slots__ = (
+        "row_labels", "col_labels", "entries", "operator", "offsets", "_cleared", "_bounds", "_symmetry", "_placed"
+    )
 
     def __new__(cls, row_labels, col_labels, entries=()):
         rows = tuple(row_labels)
@@ -242,7 +246,9 @@ def _tensor_labels(slots):
         raise ValueError("duplicate row labels")
     strides = tuple(math.prod(map(len, slots[k + 1:])) for k in range(len(slots)))
     offsets = [{x: i * stride for i, x in enumerate(s)} for s, stride in zip(slots, strides)]
-    return tuple(itertools.product(*slots)), offsets, strides
+    tensor = tuple(itertools.product(*slots))
+    _structures.setdefault(tensor, _Labels(slots, offsets))
+    return tensor, offsets, strides
 
 
 # where a placement puts its operator (LabeledMatrix offsets)
@@ -260,24 +266,38 @@ def embed_on_slots(mat, positions, slot_labels):
     mat contributes its parts' offsets on the positions, and each
     assignment of the other slots one more offset.  The result is a view
     (LabeledMatrix): it records the operator it places and those offsets,
-    and it builds its entries only when they are read, by a product, ==,
-    inverse or eval_entries; the provers read placements by row instead
-    (_Rows).  mat is an operator, never a placement: placing a placement
-    raises ValueError, and a flip is mat placed on reversed positions.  mat
-    placed on all of its own slots in order, with the tensor labels as its
-    row and column labels, is mat itself.  An empty slot among the others
-    leaves nothing placed and a plain empty matrix.
+    which the operator keeps per positions and slots, and it builds its
+    entries only when they are read, by a product, ==, inverse or
+    eval_entries; the provers read placements by row instead (_Rows).  mat
+    is an operator, never a placement: placing a placement raises
+    ValueError, and a flip is mat placed on reversed positions.  mat placed
+    on all of its own slots in order, with the tensor labels as its row and
+    column labels, is mat itself.  An empty slot among the others leaves
+    nothing placed and a plain empty matrix.
     """
     if mat.operator is not None:
         raise ValueError("cannot place a placement: place its operator")
     slots = tuple(map(tuple, slot_labels))
     tensor, slot_offsets, strides = _tensor_labels(slots)
     positions = tuple(positions)
-    n = len(slot_offsets)
-    if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
-        raise ValueError(f"positions {positions} are not distinct slots of 0..{n - 1}")
-    if positions == tuple(range(n)) and mat.row_labels == tensor and mat.col_labels == tensor:
-        return mat
+    placed = _kept(mat, "_placed", lambda m: {})
+    offsets = placed.get((positions, slots))
+    if offsets is None:
+        n = len(slot_offsets)
+        if len(set(positions)) != len(positions) or not all(0 <= p < n for p in positions):
+            raise ValueError(f"positions {positions} are not distinct slots of 0..{n - 1}")
+        if positions == tuple(range(n)) and mat.row_labels == tensor and mat.col_labels == tensor:
+            return mat
+        offsets = placed[positions, slots] = _placement(mat, positions, slot_offsets, strides)
+    if any(not slot for o, slot in enumerate(slot_offsets) if o not in positions):
+        return LabeledMatrix._indexed(tensor, tensor, {})
+    return LabeledMatrix._indexed(tensor, tensor, None, mat, offsets)
+
+
+def _placement(mat, positions, slot_offsets, strides):
+    """The _Offsets of mat placed on the slots at positions, of the given
+    offsets and strides (_tensor_labels), or ValueError unless each label
+    of mat holds one part on each of those slots."""
     on = [slot_offsets[p] for p in positions]
 
     def offsets(labels):
@@ -294,10 +314,7 @@ def embed_on_slots(mat, positions, slot_labels):
 
     rows = offsets(mat.row_labels)
     cols = rows if mat.col_labels is mat.row_labels else offsets(mat.col_labels)
-    if any(not slot for o, slot in enumerate(slot_offsets) if o not in positions):
-        return LabeledMatrix._indexed(tensor, tensor, {})
-    digits = tuple((strides[p], len(slot_offsets[p])) for p in positions)
-    return LabeledMatrix._indexed(tensor, tensor, None, mat, _Offsets(rows, cols, digits))
+    return _Offsets(rows, cols, tuple((strides[p], len(slot_offsets[p])) for p in positions))
 
 
 def _placed_entries(mat):
@@ -619,62 +636,98 @@ def _operator(mat):
 
 
 class _Labels:
-    """What the symmetry search reads of one label tuple, built once per
-    tuple (_label_structure): parts, each label as its tuple of sites (a
-    bare label is a 1-tuple); sites, every site in order of first
-    appearance; slots, per site the slots whose site set holds it, or None
-    when the labels are not all of one length or not the product of their
-    slots' site sets, so a transposition maps every slot's site set to
-    itself exactly when it swaps two sites with the same slots; and what
-    the search fills in as it goes: index, {parts: index}, on the first
-    permutation; perms, the permutation of the labels by each transposition
-    (_permuted); and reps, the representatives of each partition of the
-    sites into components (_orbit_representatives)."""
+    """What the symmetry search reads of a label tuple that is the row-major
+    product of its slots' sites (_label_structure), built with it by
+    _tensor_labels.  A label is a tuple of sites, one per slot (a bare label
+    is a 1-tuple).  slots holds each slot's sites in order, and offsets per
+    slot {site: its position times the slot's stride}, so a label's index
+    is the sum of its sites' offsets (mixed radix, the last slot fastest),
+    and a site permutation that maps every slot's sites to themselves moves
+    indices by sums of offsets (_permuted), with no label looked up.
+    classes groups the sites, in order of first appearance, by the slots
+    that hold them; only sites of one class can swap.  The search fills in
+    perms, the index permutation of each site permutation, and reps, the
+    representatives of each group it accepts (_orbit_representatives)."""
 
-    __slots__ = ("parts", "sites", "slots", "index", "perms", "reps")
+    __slots__ = ("slots", "offsets", "classes", "perms", "reps")
 
-    def __init__(self, labels):
-        self.parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
-        self.sites = list(dict.fromkeys(itertools.chain.from_iterable(self.parts)))
-        self.slots = None
-        if len(set(map(len, self.parts))) == 1:
-            per_slot = [set(column) for column in zip(*self.parts)]
-            if len(self.parts) == math.prod(map(len, per_slot)):
-                self.slots = {x: tuple(x in s for s in per_slot) for x in self.sites}
-        self.index, self.perms, self.reps = None, {}, {}
-
-
-_label_structure = functools.cache(_Labels)
+    def __init__(self, slots, offsets):
+        self.slots, self.offsets, self.perms, self.reps = slots, offsets, {}, {}
+        held = {}
+        for k, sites in enumerate(slots):
+            for x in sites:
+                held.setdefault(x, []).append(k)
+        classes = {}
+        for x, at in held.items():
+            classes.setdefault(tuple(at), []).append(x)
+        self.classes = list(classes.values())
 
 
-def _permuted(shape, a, b):
-    """The index of each label's image under the transposition of sites a
-    and b, for a _label_structure, or None when an image is no label; kept
-    on the structure."""
-    perm = shape.perms.get((a, b), False)
+# label tuple -> its _Labels, or None when it is no row-major product
+_structures = {}
+
+
+def _label_structure(labels):
+    """The _Labels of a label tuple, or None unless the labels are exactly
+    itertools.product over their slots' sites, each slot's in order of first
+    appearance (a bare label is a 1-tuple): one check per tuple, kept.  A
+    product that _tensor_labels built is found without one."""
+    shape = _structures.get(labels, False)
+    if shape is False:
+        shape = None
+        tupled = bool(labels) and isinstance(labels[0], tuple)
+        slots = tuple(tuple(dict.fromkeys(column)) for column in (zip(*labels) if tupled else [labels]))
+        if math.prod(map(len, slots)) == len(labels):
+            tensor = _tensor_labels(slots)[0]
+            if tensor == (labels if tupled else tuple(zip(labels))):
+                shape = _structures[tensor]
+        _structures[labels] = shape
+    return shape
+
+
+def _permuted(shape, move):
+    """The index of each label's image under the site permutation move, a
+    tuple of (site, image) pairs for the sites it moves, for a
+    _label_structure, or None when an image is no label; kept on the
+    structure.  Each slot maps its sites' offsets to their images' offsets,
+    and the image index of a label is the sum of those, so the permutation
+    is built slot by slot in row-major order."""
+    if shape is None:
+        return None
+    perm = shape.perms.get(move, False)
     if perm is False:
-        if shape.index is None:
-            shape.index = dict(zip(shape.parts, itertools.count()))
-        swap = {a: b, b: a}
-        perm = [shape.index.get(tuple([swap.get(x, x) for x in p])) for p in shape.parts]
-        perm = shape.perms[a, b] = None if None in perm else perm
+        perm, image = [0], dict(move)
+        for sites, offsets in zip(shape.slots, shape.offsets):
+            digits = [offsets.get(image.get(x, x)) for x in sites]
+            if None in digits:
+                perm = None
+                break
+            perm = [a + d for a in perm for d in digits]
+        shape.perms[move] = perm
     return perm
 
 
-def _commutes_with(mat, a, b):
+def _symmetry(mat):
+    """What the search keeps on a matrix (_kept): the _label_structure of
+    its row labels and of its column labels, and its verdict per site
+    permutation (_commutes_with)."""
+    rows = _label_structure(mat.row_labels)
+    return rows, rows if mat.col_labels is mat.row_labels else _label_structure(mat.col_labels), {}
+
+
+def _commutes_with(mat, move):
     """Whether mat holds an equal entry at the image of every stored entry
-    (i, j) -> v under the transposition of sites a and b, and maps its row
-    and column labels to labels; decided once per matrix and pair, and kept
-    on mat (_kept)."""
-    verdicts = _kept(mat, "_symmetry", lambda m: {})
-    held = verdicts.get((a, b))
+    (i, j) -> v under the site permutation move (_permuted), and maps its
+    row and column labels to labels; decided once per matrix and
+    permutation, and kept on mat (_symmetry)."""
+    rows, cols, verdicts = _kept(mat, "_symmetry", _symmetry)
+    held = verdicts.get(move)
     if held is None:
-        rows = _label_structure(mat.row_labels)
-        cols = rows if mat.col_labels is mat.row_labels else _label_structure(mat.col_labels)
-        rperm, cperm = _permuted(rows, a, b), _permuted(cols, a, b)
+        rperm = _permuted(rows, move)
+        cperm = rperm if cols is rows else _permuted(cols, move)
         entries = mat.entries
         # dict equality takes e is v before e == v, value by value
-        held = verdicts[a, b] = (
+        held = verdicts[move] = (
             rperm is not None
             and cperm is not None
             and {(rperm[i], cperm[j]): v for (i, j), v in entries.items()} == entries
@@ -682,81 +735,158 @@ def _commutes_with(mat, a, b):
     return held
 
 
+def _cycle(items):
+    """The site permutation that takes each item, a tuple of sites, to the
+    next one site by site, and the last to the first (for two items, their
+    swap), as _permuted reads it."""
+    return tuple(zip(itertools.chain(*items), itertools.chain(*items[1:], items[0])))
+
+
+def _joined(items, holds):
+    """The items (tuples of sites of one size) grouped into the orbits of
+    the group that the accepted swaps of two items generate, a swap
+    accepted when holds(its _cycle).  The swap of the first two and the
+    cycle of all are tested first: they generate every permutation of the
+    items, so when both hold the items are one group.  Otherwise each pair
+    not yet joined is tested, by union-find."""
+    if len(items) < 2 or holds(_cycle(items[:2])) and (len(items) == 2 or holds(_cycle(items))):
+        return [items]
+    root = list(range(len(items)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for a, b in itertools.combinations(range(len(items)), 2):
+        ra, rb = find(a), find(b)
+        if ra != rb and holds(_cycle([items[a], items[b]])):
+            root[rb] = ra
+    groups = {}
+    for k, x in enumerate(items):
+        groups.setdefault(find(k), []).append(x)
+    return list(groups.values())
+
+
+def _walk(shape, classes):
+    """The least row index of each orbit of the group that classes names,
+    in increasing order, for a product _label_structure.  classes is a list
+    of lists of blocks, each block a tuple of sites of one class of the
+    structure and the blocks of one list of one size; the group permutes
+    each block's sites and the blocks of each list, each with every
+    permutation.  Two labels lie in one orbit exactly when they have the
+    same key at every slot: the list (class) of its site's block, the first
+    slot that holds a site of the same block and the first that holds the
+    same site.  The walk grows the least labels slot by slot: the least
+    label of an orbit extends the least prefix of its prefix's orbit, since
+    a smaller image of the prefix would make a smaller image of the label,
+    and a least prefix p extends to a least label p + (x,) exactly when x
+    is the first site of the slot with its key after p.  So it visits the
+    representatives' prefixes times the slot's sites, not every label."""
+    block, group = {}, {}
+    for c, blocks in enumerate(classes):
+        for b in blocks:
+            for x in b:
+                block[x], group[x] = b, c
+    reps = [((), 0)]
+    for sites, offsets in zip(shape.slots, shape.offsets):
+        grown = []
+        for prefix, index in reps:
+            held = [block[x] for x in prefix]
+            keys = set()
+            for x in sites:
+                b = block[x]
+                key = group[x], held.index(b) if b in held else -1, prefix.index(x) if x in prefix else -1
+                if key not in keys:
+                    keys.add(key)
+                    grown.append((prefix + (x,), index + offsets[x]))
+        reps = grown
+    return [index for _, index in reps]
+
+
 def _orbit_representatives(factors):
-    """The least row index of each orbit of the label symmetry that every
+    """The least row index of each orbit of a label symmetry that every
     factor has, in increasing order; every row index when some factor's row
     or column labels differ from the first factor's row labels, or when
-    those labels are not the product of their slots' site sets.
-
-    A label is a tuple of sites (a bare label is a 1-tuple), and the
-    transposition s = (a b) of two sites swaps them in every slot at once.
-    The labels are the product of the site sets S_k of their slots, so s
-    maps them to labels exactly when it maps every S_k to itself.  Then it
-    is accepted when every distinct factor F commutes with it: F holds an
-    entry equal to v at the permuted key of every stored entry (i, j) -> v.
-    The transposition is an involution, so that is F[s i, s j] = F[i, j] at
-    every key, zero entries included.  A placement F = M (x) I of an
-    operator M on some slots (embed_on_slots; both are values, so F stays
-    M (x) I) is tested on M: s acts on F as s on M's slots times s on the
-    others, I commutes with the latter, and F[(s r, s q), (s c, s q')] =
-    M[s r, s c] delta(q, q'), so F commutes with s exactly when M does,
-    provided s maps M's labels to M's labels.  When it does not, the test on
-    M fails, which keeps more rows and never fewer.  M is never itself a
-    placement (embed_on_slots places no placement), so a flip M on positions
-    (1, 0) and M on (0, 1) are tested once, on M.  A pair of sites already
-    in one component of the accepted transpositions is not tested: they
-    generate the product of the symmetric groups on the components, which is
-    the group every holding transposition generates.
-    Two labels lie in one orbit of that group exactly when they have the
-    same pattern: per slot, the component of its site and the first slot
-    that holds the same site.  A label set that is not such a product keeps
-    every row, which is the trivial group and sound.  Whether a matrix
-    commutes with a transposition depends on that matrix alone, so each
-    verdict is kept on the matrix tested (_commutes_with), and the label
-    data and the representatives of each partition into components on the
-    label tuple (_label_structure).
+    those labels are not the row-major product of their slots' sites
+    (_Labels).
 
     Both provers carry only these rows, in increasing order, and stop at
-    the first that differs (_differing_row); this is why that is sound.
-    Every factor commutes with the group G found here, and so do both
-    products and the scalars the provers scale them by.  So the difference
+    the first that differs (_differing_row).  That is sound for any group G
+    of label permutations that every factor commutes with: so do both
+    products and the scalars the provers scale them by, so the difference
     Delta of the two scaled sides satisfies Delta[pi i, pi j] = Delta[i, j]
-    for every pi in G.  If row r of Delta is nonzero, so is every row of r's
-    orbit, the least one included, and that row is at most r.  So the
+    for every pi in G.  If row r of Delta is nonzero, so is every row of
+    r's orbit, the least one included, and that row is at most r.  So the
     sides agree everywhere when they agree on the representative rows, and
     the least differing row is a representative: when every earlier
     representative agrees, every earlier row agrees.  The least differing
     column of the first differing representative is then the first
     differing entry in sorted order, which both provers print as the
     counterexample, the one a full-row product would give.
+
+    G is found among the permutations of the sites, each applied in every
+    slot at once.  One maps the labels to labels exactly when it maps every
+    slot's sites to themselves, so it only swaps sites that the same slots
+    hold (_Labels.classes).  It is accepted when every distinct factor F
+    commutes with it: F holds an entry equal to v at the permuted key of
+    every stored entry (i, j) -> v, that is F[pi i, pi j] = F[i, j] at every
+    key, zero entries included.  A placement F = M (x) I of an operator M
+    on some slots (embed_on_slots; both are values, so F stays M (x) I) is
+    tested on M: pi acts on F as pi on M's slots times pi on the others, I
+    commutes with the latter, and F[(pi r, pi q), (pi c, pi q')] = M[pi r,
+    pi c] delta(q, q'), so F commutes with pi exactly when M does, provided
+    pi maps M's labels to M's labels.  When it does not, the test on M
+    fails, which keeps more rows and never fewer.  M is never itself a
+    placement (embed_on_slots places no placement), so a flip M on
+    positions (1, 0) and M on (0, 1) are tested once, on M.  Whether a
+    matrix commutes with a permutation depends on that matrix alone, so
+    each verdict is kept on the matrix tested (_commutes_with), and the
+    label data and the representatives of each group on the label tuple
+    (_label_structure).
+
+    The search has two levels (_joined).  First the sites of each class are
+    joined into blocks by transpositions, and then the blocks of one class
+    and one size into lists by block swaps, each site of one block taken to
+    the site at the same place in the other.  For the flag kinds, built on
+    the involution i -> l + 1 - i, the blocks are the pairs {i, l + 1 - i}
+    and the block swaps the double transpositions (i j)(l+1-i l+1-j), which
+    no transposition reaches.  At each level the swap of the first two
+    items and the cycle of all are tested first, since together they
+    generate every permutation of the items; only when one fails is each
+    pair tested, by union-find.  The accepted permutations generate, per
+    list, every permutation of each block's sites and of the list's blocks,
+    and every factor commutes with all of them; the swaps of any pairing
+    of two blocks' sites differ by permutations within the blocks, so one
+    pairing is tested.  A block of one site has no swap of its own, and
+    its swap with another is a transposition, tested at the first level.
+    The representatives of that group are found by a walk over the slots
+    (_walk), not by a scan of every label.
     """
     labels = factors[0].row_labels
-    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
+    # placements on one slot tuple share its label tuple
+    if any(x is not labels and x != labels for m in factors for x in (m.row_labels, m.col_labels)):
         return range(len(labels))
     shape = _label_structure(labels)
-    if shape.slots is None:
+    if shape is None:
         return range(len(labels))
     # each distinct operator, and each factor that places none at full size
     tested = {id(m): m for m in map(_operator, factors)}.values()
-    root = {x: x for x in shape.sites}  # site -> its parent in the components
 
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
+    def holds(move):
+        return all(_commutes_with(m, move) for m in tested)
 
-    for a, b in itertools.combinations(shape.sites, 2):
-        ra, rb = find(a), find(b)
-        if ra != rb and shape.slots[a] == shape.slots[b] and all(_commutes_with(m, a, b) for m in tested):
-            root[rb] = ra
-    key = tuple(map(find, shape.sites))
+    classes = []
+    for sites in shape.classes:
+        sizes = {}
+        for b in _joined([(x,) for x in sites], holds):
+            sizes.setdefault(len(b), []).append(tuple(x for x, in b))
+        for size, blocks in sizes.items():
+            classes.extend(_joined(blocks, holds) if size > 1 else [[b] for b in blocks])
+    key = tuple(map(tuple, classes))
     reps = shape.reps.get(key)
     if reps is None:
-        component = dict(zip(shape.sites, key))
-        first = {}
-        for i, p in enumerate(shape.parts):
-            first.setdefault((tuple(map(component.get, p)), tuple(map(p.index, p))), i)
-        reps = shape.reps[key] = sorted(first.values())
+        reps = shape.reps[key] = _walk(shape, classes)
     return reps
 
 

@@ -21,10 +21,23 @@ The library never calls these.
                               matrix._placed_entries
   full_size_orbit_representatives
                               the symmetry search on every factor at full
-                              size, the reference for
+                              size, by the library's candidates
+                              (transpositions, then block swaps) and orbits
+                              by closure, the reference for
                               matrix._orbit_representatives
+  brute_force_orbit_representatives
+                              every permutation of the sites tested on every
+                              factor at full size, orbits by closure: the
+                              whole label symmetry, the reference for the
+                              group that matrix._orbit_representatives finds
+  site_permuted, least_of_orbits
+                              a site map's permutation of a label tuple, and
+                              the least index of each orbit of the group that
+                              index permutations generate, for the two above
+                              and for the reference of matrix._walk
   swap_matrix                 the flip P on pair labels, the reference for
-                              matrix.swap_conjugate and rkmat.yang_r
+                              an operator placed on reversed slots and
+                              rkmat.yang_r
   linear_combination          the entrywise sum of scaled LabeledMatrix
                               values, for writing such references as formulas
   fold_and_compare            two factor lists multiplied out entry by entry
@@ -345,37 +358,107 @@ def embed_eagerly(mat, positions, slot_labels):
     return entries
 
 
-def full_size_orbit_representatives(factors):
-    """The least row index of each orbit of the site transpositions that
-    every factor commutes with, each transposition tested on every label
-    and on every stored entry of every distinct factor at full size; every
-    row index when some factor's labels differ from the first factor's row
-    labels."""
-    labels = factors[0].row_labels
-    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
-        return list(range(len(labels)))
+def site_permuted(labels, image):
+    """The index of each label's image under the site map image, a dict
+    {site: its image} applied in every part (a bare label is one part) and
+    fixing every site it does not hold, or None when an image is no label."""
     parts = [lab if isinstance(lab, tuple) else (lab,) for lab in labels]
     index = {p: i for i, p in enumerate(parts)}
+    perm = [index.get(tuple(image.get(x, x) for x in p)) for p in parts]
+    return None if None in perm else perm
+
+
+def least_of_orbits(size, perms):
+    """The least index of each orbit of the group that the index
+    permutations perms generate on range(size), in increasing order: the
+    orbits are the components of i ~ perm[i] over the generators, joined by
+    union-find with the lesser root kept."""
+    root = list(range(size))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                root[max(ri, rj)] = min(ri, rj)
+    return sorted({find(i) for i in range(size)})
+
+
+def _full_size_search(factors):
+    """The row labels, their sites, and a test that records an accepted
+    site map: holds(image) is whether every distinct factor, at full size,
+    holds an equal entry at the image of every stored entry under the
+    site map, with every label mapped to a label; None for the labels when
+    some factor's labels differ from the first factor's row labels."""
+    labels = factors[0].row_labels
+    if any(m.row_labels != labels or m.col_labels != labels for m in factors):
+        return None, None, None, None
     entries = [m.entries for m in {id(m): m for m in factors}.values()]
-    root = {x: x for p in parts for x in p}
+    sites = list(dict.fromkeys(x for lab in labels for x in (lab if isinstance(lab, tuple) else (lab,))))
+    accepted = []
 
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
+    def holds(image):
+        perm = site_permuted(labels, image)
+        if perm is None or not all(ent.get((perm[i], perm[j])) == v for ent in entries for (i, j), v in ent.items()):
+            return False
+        accepted.append(perm)
+        return True
 
-    for a, b in itertools.combinations(root, 2):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        swap = {a: b, b: a}
-        perm = [index.get(tuple(swap.get(x, x) for x in p)) for p in parts]
-        if None not in perm and all({(perm[i], perm[j]): v for (i, j), v in ent.items()} == ent for ent in entries):
-            root[rb] = ra
-    reps = {}
-    for i, p in enumerate(parts):
-        reps.setdefault(tuple((find(x), p.index(x)) for x in p), i)
-    return sorted(reps.values())
+    return labels, sites, holds, accepted
+
+
+def full_size_orbit_representatives(factors):
+    """The least row index of each orbit of the group that the candidates
+    of the library's search generate, each tested on every label and on
+    every stored entry of every distinct factor at full size: the
+    transpositions of two sites, each pair not yet joined, and then the
+    swaps of two blocks (the sites those join) of one size above 1, each
+    site of one taken to the site at the same place in the other, each pair
+    of blocks not yet joined; orbits by closure (least_of_orbits).  Every
+    row index when some factor's labels differ from the first factor's row
+    labels."""
+    labels, sites, holds, accepted = _full_size_search(factors)
+    if labels is None:
+        return list(range(len(factors[0].row_labels)))
+    root = list(range(len(sites)))
+
+    def find(k):
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for a, b in itertools.combinations(range(len(sites)), 2):
+        if find(a) != find(b) and holds({sites[a]: sites[b], sites[b]: sites[a]}):
+            root[find(b)] = find(a)
+    blocks = collections.defaultdict(list)
+    for k, x in enumerate(sites):
+        blocks[find(k)].append(x)
+    blocks = list(blocks.values())
+    root = list(range(len(blocks)))
+    for a, b in itertools.combinations(range(len(blocks)), 2):
+        if len(blocks[a]) == len(blocks[b]) > 1 and find(a) != find(b):
+            if holds({**dict(zip(blocks[a], blocks[b])), **dict(zip(blocks[b], blocks[a]))}):
+                root[find(b)] = find(a)
+    return least_of_orbits(len(labels), accepted)
+
+
+def brute_force_orbit_representatives(factors):
+    """The least row index of each orbit of the whole group of site
+    permutations that every factor commutes with: every permutation of the
+    sites tested on every label and every stored entry of every distinct
+    factor at full size, and the orbits by closure (least_of_orbits).  Every
+    row index when some factor's labels differ from the first factor's row
+    labels."""
+    labels, sites, holds, accepted = _full_size_search(factors)
+    if labels is None:
+        return list(range(len(factors[0].row_labels)))
+    for image in itertools.permutations(sites):
+        holds(dict(zip(sites, image)))
+    return least_of_orbits(len(labels), accepted)
 
 
 def swap_matrix(labels_a, labels_b):

@@ -5,7 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import edited, embed_by_tuples, embed_eagerly, entry, fold_and_compare, kron, parse_ratfunc, swap_matrix
+from oracles import (
+    brute_force_orbit_representatives,
+    edited,
+    embed_by_tuples,
+    embed_eagerly,
+    entry,
+    fold_and_compare,
+    full_size_orbit_representatives,
+    kron,
+    least_of_orbits,
+    parse_ratfunc,
+    site_permuted,
+    swap_matrix,
+)
 from refleq import matrix as matrix_module
 from refleq.field import U, U1, U2, U3, U4, Poly, RatFunc, packed_poly, poly_div_exact
 from refleq.matrix import LabeledMatrix, embed_on_slots, first_difference, verify_identity
@@ -599,3 +612,101 @@ def test_product_labels_are_checked_inside_each_list():
     # the two sides may disagree on their outer labels only
     assert verify_identity([a, a], [b, b]) == fold_and_compare([a, a], [b, b])
     assert verify_identity([a, a], [b, b])["detail"] == "label mismatch between the two sides"
+
+
+def test_a_placement_keeps_its_offsets_per_operator_positions_and_slots(monkeypatch):
+    # a second placement of one operator on the same positions and slots
+    # reads the offsets of the first; each is still a view of its own
+    slots = [site_labels(3)] * 3
+    r = yang_r.__wrapped__(3, U1)
+    a, b = embed_on_slots(r, (0, 1), slots), embed_on_slots(r, (0, 1), [list(s) for s in slots])
+    assert a is not b and a.offsets is b.offsets and a.operator is b.operator is r
+    assert embed_on_slots(r, (1, 0), slots).offsets is not a.offsets
+    assert embed_on_slots(r, (0, 1), [site_labels(3)] * 2 + [(1, 2)]).offsets is not a.offsets
+    twin = yang_r.__wrapped__(3, U1)
+    assert twin == r and embed_on_slots(twin, (0, 1), slots).offsets is not a.offsets
+    fills = _counting_fills(monkeypatch)
+    assert a.entries == b.entries == embed_eagerly(r, (0, 1), slots)
+    assert fills == [a, b]
+
+
+WALK_SLOTS = {
+    **{f"l{l}-s{s}": [site_labels(l)] * s for l in range(2, 7) for s in range(1, 5) if l ** s <= 1296},
+    # sites that different sets of slots hold, in different orders
+    "classes-4": [(1, 2, 3, 4, 5, 6), (1, 2, 3, 4), (4, 3, 2, 1, 5), (1, 2, 3, 4, 5, 6)],
+    "classes-2": [(3, 1, 2), (1, 2, 3, 4, 5)],
+}
+
+
+def _walk_group(sites, rule):
+    """The lists of blocks of one group on the sites of one class:
+    trivial, every site alone; symmetric, one block; young, blocks of two
+    sites, each alone; wreath, the pairs of the first and last sites, then
+    the second and second last, and so on, in one list, the centre of an
+    odd count alone; wreath-3, blocks of three sites in one list, the rest
+    alone."""
+    if rule == "trivial":
+        return [[(x,)] for x in sites]
+    if rule == "symmetric":
+        return [[tuple(sites)]]
+    if rule == "young":
+        return [[tuple(sites[i:i + 2])] for i in range(0, len(sites), 2)]
+    if rule == "wreath":
+        half = len(sites) // 2
+        pairs = [(sites[i], sites[-1 - i]) for i in range(half)]
+        return ([pairs] if pairs else []) + ([[(sites[half],)]] if len(sites) % 2 else [])
+    whole = len(sites) // 3 * 3
+    triples = [tuple(sites[i:i + 3]) for i in range(0, whole, 3)]
+    return ([triples] if triples else []) + [[(x,)] for x in sites[whole:]]
+
+
+@pytest.mark.parametrize("rule", ["trivial", "symmetric", "young", "wreath", "wreath-3"])
+@pytest.mark.parametrize("name", sorted(WALK_SLOTS))
+def test_the_walk_finds_the_least_label_of_every_orbit(name, rule):
+    # the reference: every label, and the orbits of the group that the
+    # transpositions within each block and the swaps of consecutive blocks
+    # of each list generate, by closure
+    tensor = matrix_module._tensor_labels(tuple(map(tuple, WALK_SLOTS[name])))[0]
+    shape = matrix_module._label_structure(tensor)
+    groups = [group for sites in shape.classes for group in _walk_group(sites, rule)]
+    images = [{b[0]: x, x: b[0]} for blocks in groups for b in blocks for x in b[1:]]
+    images += [
+        {**dict(zip(a, b)), **dict(zip(b, a))} for blocks in groups for a, b in zip(blocks, blocks[1:])
+    ]
+    perms = [site_permuted(tensor, image) for image in images]
+    assert None not in perms
+    assert matrix_module._walk(shape, groups) == least_of_orbits(len(tensor), perms)
+
+
+def test_a_product_not_in_row_major_order_keeps_every_row():
+    # the identity commutes with every site permutation: on {1, 2} x {1, 2}
+    # in row-major order the swap (1 2) leaves the orbits {(1, 1), (2, 2)}
+    # and {(1, 2), (2, 1)}, and in column-major order the labels are no
+    # row-major product, so the search keeps every row
+    row_major = [(a, b) for a in (1, 2) for b in (1, 2)]
+    column_major = [(a, b) for b in (1, 2) for a in (1, 2)]
+    assert list(matrix_module._orbit_representatives([LabeledMatrix.identity(row_major)])) == [0, 1]
+    assert list(matrix_module._orbit_representatives([LabeledMatrix.identity(column_major)])) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "blocks,reps",
+    [
+        # (1 2) holds and the cycle (1 2 3) does not: the search joins
+        # only 1 and 2, and keeps rows 1 and 3
+        ([((1,), 1), ((2,), 1), ((3,), 2)], [0, 2]),
+        # the blocks {1, 2}, {3, 4}, {5, 6}, each all ones, weighted 1, 1, 2:
+        # within a block every swap holds and across blocks no
+        # transposition does; the block swap (1 3)(2 4) holds and the cycle
+        # of the three blocks does not, so rows 1 to 4 are one orbit and
+        # rows 5 and 6 another
+        ([((1, 2), 1), ((3, 4), 1), ((5, 6), 2)], [0, 4]),
+    ],
+    ids=["sites", "blocks"],
+)
+def test_a_swap_that_holds_joins_no_more_than_its_cycle_allows(blocks, reps):
+    labels = [x for block, _ in blocks for x in block]
+    weighted = {(x, y): RatFunc.const(w) * U for block, w in blocks for x in block for y in block}
+    m = LabeledMatrix(labels, labels, weighted)
+    assert list(matrix_module._orbit_representatives([m])) == reps
+    assert brute_force_orbit_representatives([m]) == full_size_orbit_representatives([m]) == reps

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_force_orbit_representatives,
     d_degree_bounds,
     edited,
     embed_by_tuples,
@@ -959,9 +960,11 @@ class TestFractionFreeProver:
         "build,count,total",
         [
             (lambda: _reflection_factors("flagMinus", 3, n=2), 41, 81),
+            (lambda: _reflection_factors("flagPlus", 4, n=2), 36, 256),
             (lambda: _exchange_factors(4, 2, "twistedTwisted", "flagMinus"), 15, 256),
         ],
-        ids=["chainReflection-flagMinus-l3-n2", "exchange-twistedTwisted-flagMinus-l4-n2"],
+        ids=["chainReflection-flagMinus-l3-n2", "chainReflection-flagPlus-l4-n2",
+             "exchange-twistedTwisted-flagMinus-l4-n2"],
     )
     def test_only_representative_rows_are_multiplied(self, build, count, total, monkeypatch):
         # every product row is carried left to right from a row of the first
@@ -1423,9 +1426,16 @@ class TestOrbitReduction:
             (lambda: sum(_reflection_factors("flagPlus", 3, n=1), []), 14),
             (lambda: sum(_reflection_factors("soInstanton", 3, n=1), []), 5),
             (lambda: sum(_reflection_factors("flagMinus", 3, n=2), []), 41),
+            # the flag kinds' B_2 = S_2 wr S_2 on the pairs {1, 4}, {2, 3}
+            *((lambda k=kind: sum(_reflection_factors(k, 4), []), 3) for kind in ("flagPlus", "flagMinus")),
+            *((lambda k=kind: sum(_reflection_factors(k, 4, n=2), []), 36) for kind in ("flagPlus", "flagMinus")),
+            # B_2 with the centre 3 fixed
+            (lambda: sum(_reflection_factors("flagPlus", 5, n=1), []), 23),
         ],
         ids=["ybe-l3", "ybe-l4", "ybe-l5", "ybe-l6", "reflection-flagPlus-l3", "reflection-soInstanton-l3",
-             "chainReflection-flagPlus-l3", "chainReflection-soInstanton-l3", "chainReflection-flagMinus-l3-n2"],
+             "chainReflection-flagPlus-l3", "chainReflection-soInstanton-l3", "chainReflection-flagMinus-l3-n2",
+             "reflection-flagPlus-l4", "reflection-flagMinus-l4", "chainReflection-flagPlus-l4-n2",
+             "chainReflection-flagMinus-l4-n2", "chainReflection-flagPlus-l5-n1"],
     )
     def test_representative_counts(self, build, count):
         factors = list(build())
@@ -1640,6 +1650,12 @@ REPRESENTATIVE_RUNS = {
         *(lambda k=kind: check_chain_reflection(k, 3, n=1) for kind in KINDS),
         *(lambda k=kind, ll=l: check_reflection(k, ll, mode="multipoint") for kind in KINDS for l in (2, 3)),
     ],
+    # the flag groups gain the block swaps from l = 4 on
+    "l4": [
+        *(lambda k=kind: check_reflection(k, 4) for kind in KINDS),
+        *(lambda k=kind, n=n: check_chain_reflection(k, 4, n=n) for kind in KINDS for n in (1, 2)),
+        *(lambda k=kind: check_monodromy_exchange(4, 1, "twistedTwisted", kind=k) for kind in KINDS),
+    ],
 }
 
 
@@ -1653,6 +1669,29 @@ def test_representatives_match_the_full_size_search(source, monkeypatch):
     for lhs, rhs in lists:
         factors = [*lhs, *rhs]
         assert list(_orbit_representatives(factors)) == full_size_orbit_representatives(factors)
+
+
+# per kind and l, the reflection (n = 0), the chain reflection at n = 1 and
+# the four exchanges at n = 0, 1
+def _symmetry_lists(kind, l):
+    return [
+        *(_reflection_factors(kind, l, n=n) for n in (0, 1)),
+        *(_exchange_factors(l, n, variant, kind) for variant in EXCHANGE_VARIANTS for n in (0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "yangBaxter"])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_representatives_are_the_orbits_of_the_whole_symmetry(kind, l):
+    # the search's group has the orbits of every site permutation that
+    # every factor commutes with, found by brute force at full size (B_m
+    # for the flag kinds' reflections, S_l for the rest): no symmetry is
+    # left out
+    lists = [_ybe_factors(l)] if kind == "yangBaxter" else _symmetry_lists(kind, l)
+    for lhs, rhs in lists:
+        factors = [*lhs, *rhs]
+        reps = list(_orbit_representatives(factors))
+        assert reps == brute_force_orbit_representatives(factors) == full_size_orbit_representatives(factors)
 
 
 def test_a_placement_builds_the_eager_map(monkeypatch):
