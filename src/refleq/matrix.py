@@ -675,11 +675,11 @@ def _label_structure(labels):
     shape = _structures.get(labels, False)
     if shape is False:
         shape = None
-        tupled = bool(labels) and isinstance(labels[0], tuple)
-        slots = tuple(tuple(dict.fromkeys(column)) for column in (zip(*labels) if tupled else [labels]))
-        if math.prod(map(len, slots)) == len(labels):
+        parts = tuple([lab if isinstance(lab, tuple) else (lab,) for lab in labels])
+        slots = tuple(tuple(dict.fromkeys(column)) for column in zip(*parts))
+        if math.prod(map(len, slots)) == len(parts):
             tensor = _tensor_labels(slots)[0]
-            if tensor == (labels if tupled else tuple(zip(labels))):
+            if tensor == parts:
                 shape = _structures[tensor]
         _structures[labels] = shape
     return shape

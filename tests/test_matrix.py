@@ -687,6 +687,10 @@ def test_a_product_not_in_row_major_order_keeps_every_row():
     column_major = [(a, b) for b in (1, 2) for a in (1, 2)]
     assert list(matrix_module._orbit_representatives([LabeledMatrix.identity(row_major)])) == [0, 1]
     assert list(matrix_module._orbit_representatives([LabeledMatrix.identity(column_major)])) == [0, 1, 2, 3]
+    # nor are labels of different lengths, a bare label among tuples
+    # included
+    for labels in ([(1, 2), 3], [(1, 2), (1,)], [(1, 2), (2, 1, 1)]):
+        assert list(matrix_module._orbit_representatives([LabeledMatrix.identity(labels)])) == [0, 1]
 
 
 @pytest.mark.parametrize(
